@@ -21,8 +21,8 @@
 //! salvaged packets are parked as `packets_retried` instead of being
 //! quarantined. With supervision off, every retry term is zero and the
 //! equation reduces to the original. Like every other pipeline
-//! accumulator, the stats are kept shard-locally and merged
-//! associatively, so serial and parallel drivers produce byte-identical
+//! accumulator, the stats are kept per work unit and merged
+//! associatively, so every worker count produces byte-identical
 //! totals.
 
 use iot_core::json::{Json, ToJson};
@@ -65,8 +65,9 @@ pub struct IngestStats {
     pub experiments_ingested: u64,
     /// Experiments quarantined after a panic at the ingest boundary.
     pub experiments_quarantined: u64,
-    /// Parallel-driver shards quarantined after a worker panic escaped
-    /// the per-experiment boundary.
+    /// Work units lost to a panic that escaped the per-experiment
+    /// boundary; each is neither journaled nor folded, so a resume
+    /// re-runs it.
     pub shards_quarantined: u64,
     /// Packets re-offered to degradation by retry attempts (the
     /// pristine capture replayed once per re-attempt).

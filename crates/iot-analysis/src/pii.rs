@@ -46,9 +46,9 @@ pub struct PiiFinding {
 
 impl PiiFinding {
     /// Total ordering for report emission. Findings accumulate in
-    /// ingestion order, which differs between the serial driver and the
-    /// sharded parallel one; sorting by this key before emitting makes
-    /// the report byte-identical across both.
+    /// fold order, which depends on how units land on workers; sorting
+    /// by this key before emitting makes the report byte-identical at
+    /// any worker count.
     pub fn sort_key(&self) -> impl Ord + '_ {
         (
             self.site,

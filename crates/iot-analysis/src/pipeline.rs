@@ -2,32 +2,40 @@
 //! collect a serializable report — the programmatic equivalent of running
 //! all of `iot-bench`'s binaries at once.
 //!
-//! Two drivers produce byte-identical reports:
+//! # One driver
 //!
-//! - [`Pipeline::run_campaign`] streams every experiment serially.
-//! - [`Pipeline::run_campaign_parallel`] shards the (lab × device) grid
-//!   across `std::thread::scope` workers. Each worker owns a private
-//!   [`PipelineShard`] — no locks anywhere on the hot path — and the
-//!   shards are folded into the pipeline when the scope ends. Experiment
-//!   generation is seeded per (device, activity, rep, site, vpn), and
-//!   every accumulator merge is order-independent, so the fold is exactly
-//!   equivalent to serial ingestion.
+//! A campaign splits into work units, one per (lab × device) slot of the
+//! grid ([`Campaign::run_unit`]). [`Pipeline::run_campaign_supervised`] is
+//! the only campaign driver: workers pull units from a shared queue, and
+//! each finished unit's accumulator delta ([`UnitDelta`]) is journaled
+//! (when a checkpoint journal is configured) and folded into the pipeline
+//! at once. The calling thread runs worker 0, so a 1-worker run spawns no
+//! thread; [`Pipeline::run_campaign`] is that 1-worker run with default
+//! [`SupervisorConfig`] knobs. [`Pipeline::ingest_experiments`] feeds a
+//! caller's experiment stream through the same worker and the same fold.
+//!
+//! A worker keeps its result-neutral state — memo caches and its metric
+//! registry — for its whole run, while the report-bearing accumulators
+//! live per unit, so no lock sits on the hot path. Experiment generation
+//! is seeded per (device, activity, rep, site, vpn), and every
+//! accumulator merge is order-independent, so the report is
+//! byte-identical at any worker count; `iot_oracle::differential::
+//! check_worker_grid` is the one place that checks it.
 //!
 //! # Observability
 //!
-//! Every driver is instrumented through `iot-obs` (gated on `IOT_OBS`,
-//! or forced via [`Pipeline::with_obs`]): spans around campaign
-//! generation, per-experiment ingest stages (flow reconstruction,
-//! destination mapping, encryption classification, PII scan), shard
-//! execution, and [`Pipeline::finish`]; counters for experiments,
-//! packets, flows, total/per-[`EncryptionClass`] bytes, and PII
-//! findings; histograms of per-experiment packet and per-flow byte
-//! sizes; and per-worker shard-size gauges so load imbalance in the
-//! parallel driver is visible. Each [`PipelineShard`] carries its own
-//! shard-local registry — the hot path stays unlocked — and registries
-//! fold together with the analyses. [`Pipeline::finish_with_obs`]
-//! returns the merged registry for report emission; the pipeline report
-//! itself is byte-identical with observability on or off.
+//! Every run is instrumented through `iot-obs` (gated on `IOT_OBS`, or
+//! forced via [`Pipeline::with_obs`]): spans around campaign generation,
+//! per-experiment ingest stages (flow reconstruction, destination
+//! mapping, encryption classification, PII scan), each worker's run
+//! (`shard`), and [`Pipeline::finish`]; counters for experiments,
+//! packets, flows, total/per-[`EncryptionClass`] bytes, and PII findings;
+//! histograms of per-experiment packet and per-flow byte sizes; and
+//! per-worker load gauges (`worker.N.experiments`). Each worker records
+//! into its own registry, and the registries merge into the pipeline's
+//! when the workers end. [`Pipeline::finish_with_obs`] returns the merged
+//! registry for report emission; the pipeline report itself is
+//! byte-identical with observability on or off.
 //!
 //! # Degraded captures
 //!
@@ -38,27 +46,25 @@
 //! lenient pcap salvage path. The fault key is derived from the
 //! experiment's identity `(device, site, vpn, label, rep)`, never from
 //! ingestion order, so a faulted campaign is still byte-identical across
-//! the serial and parallel drivers. Analysis runs inside a
-//! `catch_unwind` boundary: a panicking experiment is quarantined — its
-//! packets counted, its accumulator contributions zero — instead of
-//! killing the run, and a worker thread that dies despite that boundary
-//! is folded in as an empty quarantined shard. The whole ledger is a
+//! worker counts. Analysis runs inside a `catch_unwind` boundary: a
+//! panicking experiment is quarantined — its packets counted, its
+//! accumulator contributions zero — instead of killing the run. A panic
+//! that escapes that boundary costs its unit: the unit is neither
+//! journaled nor folded, the ledger gains one `worker_panic` marker, and
+//! the worker goes on with the next unit. The whole ledger is an
 //! [`IngestStats`] in the report (`"ingest"` in the JSON), whose
 //! conservation invariant `chaos_check` gates.
 //!
 //! # Supervision
 //!
-//! [`Pipeline::run_campaign_supervised`] is the third driver, built for
-//! hour-scale fleet campaigns (DESIGN.md §15): the (lab × device) grid
-//! is pulled from a shared work queue one unit at a time, every
-//! completed unit's accumulator delta is appended to a checkpoint
-//! journal (`--resume` replays the journal and re-runs only the
-//! remainder, byte-identically), injected stalls are bounded by a
-//! watchdog deadline, and transient failures earn deterministic,
-//! identity-keyed retries. Every driver — including resumed ones — also
-//! maintains a [`Coverage`] manifest (`"coverage"` in the JSON): what
-//! completed, what needed retries, and what was permanently lost, per
-//! lab × device.
+//! [`SupervisorConfig`] holds the knobs for hour-scale fleet campaigns
+//! (DESIGN.md §15): a checkpoint journal of unit deltas (`resume` replays
+//! it and re-runs only the remainder, byte-identically), a watchdog
+//! deadline that bounds injected stalls, and deterministic,
+//! identity-keyed retries of transient failures. Every run — including
+//! resumed ones — also maintains a [`Coverage`] manifest (`"coverage"` in
+//! the JSON): what completed, what needed retries, and what was
+//! permanently lost, per lab × device.
 
 use crate::destinations::{ColumnCtx, DestCtx, DestinationAnalysis};
 use crate::encryption::EncryptionAnalysis;
@@ -80,13 +86,14 @@ use iot_obs::{AllocStats, Registry};
 use iot_protocols::analyzer::ProtocolId;
 use iot_testbed::catalog;
 use iot_testbed::experiment::LabeledExperiment;
-use iot_testbed::lab::LabSite;
+use iot_testbed::lab::{Lab, LabSite};
 use iot_testbed::schedule::{Campaign, CampaignConfig};
 use iot_testbed::traffic::{identity_of, DeviceIdentity};
+use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Message carried by chaos-injected ingest panics, so logs can tell a
@@ -96,8 +103,8 @@ pub const INJECTED_PANIC_MSG: &str = "chaos: injected ingest panic";
 /// The fault key of one experiment: a digest of its identity tuple
 /// `(device, site, vpn, label, rep)` — the same tuple that makes
 /// experiments unique within a campaign. Crucially *not* a function of
-/// ingestion order, so serial and parallel drivers degrade every
-/// experiment identically.
+/// ingestion order, so every worker count degrades every experiment
+/// identically.
 fn experiment_fault_key(exp: &LabeledExperiment) -> u64 {
     stream_key(
         exp.device_name,
@@ -112,7 +119,7 @@ fn experiment_fault_key(exp: &LabeledExperiment) -> u64 {
 /// (device, site, vpn, label) identity draws the *same* faults. Enabled
 /// by `FaultPlan::rep_invariant_fault_keys`, this makes faulted runs
 /// comparable under the oracle's rep-relabel metamorphic relation while
-/// staying byte-identical across drivers.
+/// staying byte-identical across worker counts.
 fn experiment_fault_key_rep_invariant(exp: &LabeledExperiment) -> u64 {
     stream_key(
         exp.device_name,
@@ -120,21 +127,32 @@ fn experiment_fault_key_rep_invariant(exp: &LabeledExperiment) -> u64 {
     )
 }
 
-/// Supervision context threaded into [`PipelineShard::ingest`] by the
-/// supervised driver; `None` everywhere else, reproducing the plain
-/// drivers bit-for-bit.
-struct SupCtx<'a> {
+/// Device identities (the PII scan's ground truth) per (device, site).
+type Identities = HashMap<(&'static str, LabSite), DeviceIdentity>;
+
+fn identities_of(labs: &[Lab]) -> Identities {
+    let mut identities = HashMap::new();
+    for lab in labs {
+        for d in &lab.devices {
+            identities.insert((d.spec().name, d.site), identity_of(d));
+        }
+    }
+    identities
+}
+
+/// What every worker of one run shares, read-only.
+struct RunCtx<'a> {
+    db: &'a GeoDb,
+    identities: &'a Identities,
+    fault: Option<&'a FaultInjector>,
     /// Soft deadline in microseconds; injected stalls strictly greater
     /// are quarantined (by value comparison, never by clock).
     deadline_micros: Option<u64>,
     /// Retry budget for transient failures.
     max_retries: u32,
-    /// First retry's backoff sleep; doubles per attempt.
-    backoff_base: Duration,
-    /// Backoff ceiling.
-    backoff_cap: Duration,
-    /// This worker's watchdog slot, when a deadline monitor is running.
-    watch: Option<&'a WatchHandle>,
+    /// The deadline monitor; running whenever a deadline is set.
+    watchdog: Option<&'a Watchdog>,
+    obs_enabled: bool,
 }
 
 /// Aggregate report over one campaign run.
@@ -162,8 +180,8 @@ pub struct PipelineReport {
 impl ToJson for PipelineReport {
     /// Emits the report with deterministic bytes: map-backed members are
     /// sorted by key and findings are pre-sorted by `finish`, so the same
-    /// campaign always yields the same JSON regardless of the driver
-    /// (serial or parallel) and of hash-map iteration order.
+    /// campaign always yields the same JSON regardless of worker count
+    /// and of hash-map iteration order.
     fn to_json(&self) -> Json {
         let sorted_map = |m: &HashMap<String, usize>| {
             let mut obj = Json::obj();
@@ -199,85 +217,123 @@ impl ToJson for PipelineReport {
     }
 }
 
-/// One worker's private accumulator slice. Built empty, fed a shard of
-/// the campaign, then folded into the owning [`Pipeline`]. All three
-/// members merge order-independently.
-struct PipelineShard {
-    destinations: DestinationAnalysis,
-    encryption: EncryptionAnalysis,
-    pii: Vec<PiiFinding>,
-    experiments: u64,
+/// One worker of a run. Its memo caches and metric registry are
+/// result-neutral, so they live as long as the worker; everything that
+/// reaches the report accumulates per unit in a [`UnitDelta`].
+struct Worker {
+    idx: usize,
     /// Cross-experiment labeling memos (protocol identify, domain intern
-    /// pool, SNI/Host). Shard-local and never folded: every cached value
-    /// is keyed by the full content that produced it, so hit rates differ
-    /// per shard but results never do.
+    /// pool, SNI/Host). Every cached value is keyed by the full content
+    /// that produced it, so hit rates differ per worker but results
+    /// never do.
     label_ctx: LabelCtx,
-    /// Compiled PII pattern sets per (device, site); same shard-local,
+    /// Compiled PII pattern sets per (device, site); the same
     /// result-neutral caching story as `label_ctx`.
     pii_patterns: PatternCache,
-    /// Ingest ledger; folds with the rest of the shard.
-    ingest: IngestStats,
-    /// Coverage manifest slice; folds with the rest of the shard.
-    coverage: Coverage,
-    /// Shard-local metrics; folds with the rest of the shard.
+    /// Worker-local metrics, merged into the pipeline's registry when
+    /// the worker ends.
     obs: Registry,
+    /// Experiments ingested by this worker's folded units.
+    experiments: u64,
+    /// This worker's watchdog slot, when a deadline is set.
+    watch: Option<WatchHandle>,
+    started: Instant,
+    /// Registration with the span-stack sampling profiler — only when
+    /// this run records observability AND the sampler is armed, so
+    /// obs-off baseline runs contribute zero samples.
+    _profile: Option<iot_obs::profile::ThreadGuard>,
 }
 
-impl PipelineShard {
-    fn new(obs_enabled: bool) -> Self {
-        PipelineShard {
-            destinations: DestinationAnalysis::new(),
-            encryption: EncryptionAnalysis::default(),
-            pii: Vec::new(),
-            experiments: 0,
+impl Worker {
+    /// Sets worker `idx` up on the calling thread.
+    fn new(idx: usize, ctx: &RunCtx<'_>) -> Self {
+        let obs = Registry::with_enabled(ctx.obs_enabled);
+        // Event tracks start at 1; track 0 is the driver registry.
+        obs.set_worker(idx as u32 + 1);
+        Worker {
+            idx,
             label_ctx: LabelCtx::new(),
             pii_patterns: PatternCache::new(),
-            ingest: IngestStats::default(),
-            coverage: Coverage::new(),
-            obs: Registry::with_enabled(obs_enabled),
+            obs,
+            experiments: 0,
+            watch: ctx.watchdog.map(|w| w.handle(idx)),
+            started: Instant::now(),
+            _profile: (ctx.obs_enabled && iot_obs::profile::enabled())
+                .then(|| iot_obs::profile::register_thread(&format!("worker-{idx}"))),
         }
     }
 
-    /// Converts the finished shard into its journalable delta plus the
-    /// (never-journaled) metric registry. Shard-local caches are
-    /// result-neutral and simply dropped.
-    fn into_delta(self, unit: u32) -> (UnitDelta, Registry) {
-        (
-            UnitDelta {
-                unit,
-                experiments: self.experiments,
-                ingest: self.ingest,
-                coverage: self.coverage,
-                destinations: self.destinations,
-                encryption: self.encryption,
-                pii: self.pii,
-            },
-            self.obs,
-        )
+    /// Stamps the worker's run time and gauges, and hands back its
+    /// registry for merging.
+    fn finish(self) -> Registry {
+        // Timed by hand: a span guard here would nest every `ingest` span
+        // under `shard`.
+        self.obs.record_ns("shard", self.started.elapsed());
+        if self.obs.enabled() {
+            let idx = self.idx;
+            self.obs.set_gauge(
+                &format!("worker.{idx}.experiments"),
+                self.experiments as f64,
+            );
+            if iot_obs::alloc::enabled() {
+                // Gauges max-merge, so every worker's peak survives.
+                self.obs.set_gauge(
+                    &format!("worker.{idx}.alloc_high_water_bytes"),
+                    iot_obs::alloc::thread_high_water_bytes() as f64,
+                );
+            }
+        }
+        self.obs
     }
 
-    fn ingest(
-        &mut self,
-        db: &GeoDb,
-        identities: &HashMap<(&'static str, LabSite), DeviceIdentity>,
-        fault: Option<&FaultInjector>,
-        sup: Option<&SupCtx<'_>>,
-        mut exp: LabeledExperiment,
-    ) {
+    /// The one path for a panic that escaped the per-experiment boundary
+    /// (a defect in generation, degradation, or the worker itself): the
+    /// unit is lost — its partial delta is dropped and nothing is
+    /// journaled, so a resume re-runs it — and the worker starts over
+    /// with fresh caches. Returns the `worker_panic` marker to fold.
+    fn recover(&mut self, unit: u32, payload: &(dyn Any + Send)) -> UnitDelta {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        eprintln!(
+            "pipeline: worker {} panicked in unit {unit} ({what}); the unit is lost \
+             and stays resumable",
+            self.idx
+        );
+        self.obs.end_stream();
+        self.label_ctx = LabelCtx::new();
+        self.pii_patterns = PatternCache::new();
+        let mut marker = UnitDelta::new(unit);
+        marker.ingest.shards_quarantined = 1;
+        marker.ingest.add_stage_error("worker_panic");
+        marker
+    }
+
+    /// Ingests one experiment into the unit accumulator `acc`: fault
+    /// injection, the quarantine boundary, retries, and the ledger.
+    fn ingest(&mut self, ctx: &RunCtx<'_>, acc: &mut UnitDelta, mut exp: LabeledExperiment) {
+        let Worker {
+            label_ctx,
+            pii_patterns,
+            obs,
+            watch,
+            ..
+        } = self;
         // Split the borrow: the span guard pins `obs` (shared) for the
         // whole ingest while the quarantine closure below captures the
-        // other fields mutably.
-        let PipelineShard {
+        // accumulators mutably.
+        let UnitDelta {
             destinations,
             encryption,
             pii,
-            experiments,
-            label_ctx,
-            pii_patterns,
             ingest,
             coverage,
-            obs,
-        } = self;
+            experiments,
+            ..
+        } = acc;
+        let watch = watch.as_ref();
         // The experiment's identity digest doubles as the flight-recorder
         // stream key: every event inside this scope is attributable to
         // this experiment regardless of which worker ran it. Fault draws
@@ -285,7 +341,7 @@ impl PipelineShard {
         // rep-relabel relation needs rep-invariant fault schedules); the
         // obs stream key always keeps the full identity.
         let skey = experiment_fault_key(&exp);
-        let fkey = match fault {
+        let fkey = match ctx.fault {
             Some(inj) if inj.plan().rep_invariant_fault_keys => {
                 experiment_fault_key_rep_invariant(&exp)
             }
@@ -293,9 +349,6 @@ impl PipelineShard {
         };
         let site = exp.site;
         let device = exp.device_name;
-        let max_retries = sup.map_or(0, |s| s.max_retries);
-        let deadline = sup.and_then(|s| s.deadline_micros);
-        let watch = sup.and_then(|s| s.watch);
         obs.begin_stream(skey);
         {
             let _ingest_span = obs.span("ingest");
@@ -303,10 +356,10 @@ impl PipelineShard {
             ingest.packets_generated += n_generated;
             // Pristine copy for re-attempts, taken before any degradation
             // so even a total salvage loss is retryable. Zero-cost when
-            // supervision or faults are off, preserving the plain
-            // drivers' allocation profile.
+            // retries or faults are off, preserving the allocation
+            // profile of a plain run.
             let pristine =
-                (max_retries > 0 && fault.is_some()).then(|| exp.capture.clone());
+                (ctx.max_retries > 0 && ctx.fault.is_some()).then(|| exp.capture.clone());
             let mut attempt: u32 = 0;
             loop {
                 if attempt > 0 {
@@ -318,7 +371,7 @@ impl PipelineShard {
                 let mut inject_panic = false;
                 let mut stall: Option<u64> = None;
                 let mut total_loss = false;
-                if let Some(inj) = fault {
+                if let Some(inj) = ctx.fault {
                     inject_panic = inj.should_panic_at(fkey, attempt);
                     stall = inj.stall_micros(fkey, attempt);
                     total_loss = degrade_capture_at(inj, fkey, attempt, &mut exp, ingest, obs);
@@ -326,9 +379,10 @@ impl PipelineShard {
                 let salvaged = exp.packet_count() as u64;
                 // Whether a stall is quarantined is this value comparison
                 // — never a race between clocks — so the quarantine set is
-                // byte-identical across drivers and machines. The watchdog
-                // below only bounds how long the worker actually sleeps.
-                let stall_breached = matches!((stall, deadline), (Some(st), Some(d)) if st > d);
+                // byte-identical across worker counts and machines. The
+                // watchdog below only bounds how long the worker sleeps.
+                let stall_breached =
+                    matches!((stall, ctx.deadline_micros), (Some(st), Some(d)) if st > d);
                 if let Some(w) = watch {
                     w.begin();
                 }
@@ -338,17 +392,11 @@ impl PipelineShard {
                     // is a permanent loss (of an already-empty capture).
                     Some("salvage_loss")
                 } else if stall_breached {
-                    // Sleep out the stall only up to the point the
-                    // watchdog (or, unsupervised, the deadline itself)
-                    // bounds it — the experiment's fate is already sealed.
-                    let st = Duration::from_micros(stall.unwrap_or(0));
-                    match watch {
-                        Some(w) => {
-                            w.wait_cancelled(st);
-                        }
-                        None => std::thread::sleep(
-                            st.min(Duration::from_micros(deadline.unwrap_or(0))),
-                        ),
+                    // The experiment's fate is already sealed: sleep out
+                    // the stall only until the watchdog, which runs
+                    // whenever a deadline is set, cancels it.
+                    if let Some(w) = watch {
+                        w.wait_cancelled(Duration::from_micros(stall.unwrap_or(0)));
                     }
                     Some("stall_deadline")
                 } else {
@@ -368,8 +416,8 @@ impl PipelineShard {
                             panic!("{INJECTED_PANIC_MSG}");
                         }
                         analyze_experiment(
-                            db,
-                            identities,
+                            ctx.db,
+                            ctx.identities,
                             destinations,
                             encryption,
                             pii,
@@ -411,19 +459,10 @@ impl PipelineShard {
                 // it stays permanent. Stalls and salvage losses never
                 // reach the analyses, so they are always transient.
                 let transient = stage != "ingest_panic" || inject_panic;
-                if transient && attempt < max_retries && pristine.is_some() {
+                let retry = transient && attempt < ctx.max_retries;
+                if let Some(pristine) = pristine.as_ref().filter(|_| retry) {
                     ingest.packets_retried += salvaged;
-                    exp.capture = pristine.as_ref().expect("pristine checked").clone();
-                    if let Some(s) = sup {
-                        // Wall-clock pacing only; report-neutral.
-                        let backoff = s
-                            .backoff_base
-                            .saturating_mul(1u32 << attempt.min(16))
-                            .min(s.backoff_cap);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                    }
+                    exp.capture = pristine.clone();
                     attempt += 1;
                     continue;
                 }
@@ -439,6 +478,30 @@ impl PipelineShard {
             }
         }
         obs.end_stream();
+    }
+}
+
+/// Where finished units go, under one lock: the journal first, then the
+/// fold, so what the journal holds is exactly what a resume replays.
+struct Sink<'a> {
+    pipeline: &'a mut Pipeline,
+    journal: Option<JournalWriter>,
+    /// The first journal failure; the run takes no units after it.
+    error: Option<std::io::Error>,
+}
+
+impl Sink<'_> {
+    /// Journals and folds one finished unit; `false` once the journal
+    /// has failed.
+    fn commit(&mut self, delta: UnitDelta) -> bool {
+        if let Some(journal) = &mut self.journal {
+            if let Err(e) = journal.append(&delta) {
+                self.error.get_or_insert(e);
+                return false;
+            }
+        }
+        self.pipeline.fold(delta);
+        true
     }
 }
 
@@ -500,9 +563,10 @@ fn degrade_capture_at(
     }
 }
 
-/// The per-experiment analysis stages, operating on the shard's fields.
-/// A free function (not a `PipelineShard` method) so the quarantine
-/// closure can capture the fields disjointly from the live ingest span.
+/// The per-experiment analysis stages, operating on the worker's caches
+/// and the unit's accumulators. A free function (not a `Worker` method)
+/// so the quarantine closure can capture the fields disjointly from the
+/// live ingest span.
 ///
 /// Fused single pass: flow reconstruction still materializes the
 /// experiment's `Vec<LabeledFlow>` once (several analyses borrow each
@@ -517,11 +581,11 @@ fn degrade_capture_at(
 /// recorded once per experiment via `Registry::record_ns` under the same
 /// `ingest/…` paths the nested spans produced. `record_ns` emits no
 /// flight-recorder events, so the trace stays deterministic across
-/// drivers and the overhead gate unaffected.
+/// worker counts and the overhead gate unaffected.
 #[allow(clippy::too_many_arguments)]
 fn analyze_experiment(
     db: &GeoDb,
-    identities: &HashMap<(&'static str, LabSite), DeviceIdentity>,
+    identities: &Identities,
     destinations: &mut DestinationAnalysis,
     encryption: &mut EncryptionAnalysis,
     pii: &mut Vec<PiiFinding>,
@@ -634,46 +698,21 @@ fn analyze_experiment(
     }
 }
 
-/// Recovers from a worker thread's fate: a healthy shard passes through;
-/// a panicked worker (a defect that escaped the per-experiment
-/// quarantine) is replaced by an empty shard marked quarantined, so the
-/// run completes and the loss is visible in the report instead of
-/// crashing the driver.
-fn quarantine_result(
-    result: std::thread::Result<PipelineShard>,
-    shard_idx: usize,
-    obs_enabled: bool,
-) -> PipelineShard {
-    match result {
-        Ok(shard) => shard,
-        Err(payload) => {
-            let what = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("non-string panic payload");
-            eprintln!("pipeline: worker {shard_idx} panicked ({what}); shard quarantined");
-            let mut shard = PipelineShard::new(obs_enabled);
-            shard.ingest.shards_quarantined = 1;
-            shard.ingest.add_stage_error("worker_panic");
-            shard
-        }
-    }
-}
-
 /// The pipeline driver. Owns the registry and the accumulated analyses so
-/// callers can also drill into them after [`Pipeline::finish`].
+/// callers can also drill into them after a run.
 pub struct Pipeline {
-    db: GeoDb,
+    /// Shared with the workers of a run, which borrow it while the fold
+    /// holds the pipeline itself.
+    db: Arc<GeoDb>,
     /// Destination analysis (RQ1).
     pub destinations: DestinationAnalysis,
     /// Encryption analysis (RQ2).
     pub encryption: EncryptionAnalysis,
     /// PII findings (RQ3).
     pub pii: Vec<PiiFinding>,
-    /// Ingest ledger across all shards (salvage + quarantine accounting).
+    /// Ingest ledger across all units (salvage + quarantine accounting).
     pub ingest: IngestStats,
-    /// Coverage manifest across all shards.
+    /// Coverage manifest across all units.
     pub coverage: Coverage,
     experiments: u64,
     fault: Option<FaultInjector>,
@@ -684,27 +723,6 @@ impl Default for Pipeline {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn campaign_identities(
-    campaign: &Campaign,
-) -> HashMap<(&'static str, LabSite), DeviceIdentity> {
-    let mut identities = HashMap::new();
-    for lab in campaign.labs() {
-        for d in &lab.devices {
-            identities.insert((d.spec().name, d.site), identity_of(d));
-        }
-    }
-    identities
-}
-
-/// Registers the calling thread with the span-stack sampling profiler —
-/// but only when this pipeline records observability AND the sampler is
-/// armed, so obs-off baseline phases (the overhead benchmark's control
-/// arm) contribute zero samples rather than idle pollution.
-fn profile_guard(obs_enabled: bool, label: &str) -> Option<iot_obs::profile::ThreadGuard> {
-    (obs_enabled && iot_obs::profile::enabled())
-        .then(|| iot_obs::profile::register_thread(label))
 }
 
 impl Pipeline {
@@ -719,7 +737,7 @@ impl Pipeline {
     /// both modes in one process through this.
     pub fn with_obs(obs_enabled: bool) -> Self {
         Pipeline {
-            db: GeoDb::new(),
+            db: Arc::new(GeoDb::new()),
             destinations: DestinationAnalysis::new(),
             encryption: EncryptionAnalysis::default(),
             pii: Vec::new(),
@@ -731,7 +749,7 @@ impl Pipeline {
         }
     }
 
-    /// The pipeline's metric registry (shard registries fold into it).
+    /// The pipeline's metric registry (worker registries merge into it).
     pub fn obs(&self) -> &Registry {
         &self.obs
     }
@@ -743,8 +761,8 @@ impl Pipeline {
 
     /// Arms the fault injector: every capture ingested from now on is
     /// degraded per `plan` and re-read through the lenient salvage path.
-    /// Faults are keyed by experiment identity, so serial and parallel
-    /// runs of the same plan produce byte-identical reports.
+    /// Faults are keyed by experiment identity, so runs of the same plan
+    /// produce byte-identical reports at any worker count.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(FaultInjector::new(plan));
     }
@@ -754,14 +772,15 @@ impl Pipeline {
         self.fault.as_ref().map(FaultInjector::plan)
     }
 
-    fn absorb(&mut self, shard: PipelineShard) {
-        self.destinations.merge(shard.destinations);
-        self.encryption.merge(shard.encryption);
-        self.pii.extend(shard.pii);
-        self.ingest.merge(&shard.ingest);
-        self.coverage.merge(&shard.coverage);
-        self.experiments += shard.experiments;
-        self.obs.merge(shard.obs);
+    /// The one fold: merges a unit's delta — freshly computed, replayed
+    /// from a journal, or a lost unit's marker — into the accumulators.
+    fn fold(&mut self, delta: UnitDelta) {
+        self.destinations.merge(delta.destinations);
+        self.encryption.merge(delta.encryption);
+        self.pii.extend(delta.pii);
+        self.ingest.merge(&delta.ingest);
+        self.coverage.merge(&delta.coverage);
+        self.experiments += delta.experiments;
         // Live-heap counter track for the wall-clock Chrome trace,
         // sampled only at fold boundaries (outside any event stream, so
         // the deterministic trace subset never sees it).
@@ -769,63 +788,24 @@ impl Pipeline {
             self.obs
                 .counter_sample("alloc.live_bytes", iot_obs::alloc::process_live_bytes());
         }
-    }
-
-    /// Folds a journaled unit delta into the pipeline — the replay half
-    /// of resume. `obs` is `Some` for units this process actually ran:
-    /// metrics describe performed work, so replayed units contribute no
-    /// registry (the report JSON, which is what identity is gated on,
-    /// is obs-independent).
-    fn absorb_delta(&mut self, delta: UnitDelta, obs: Option<Registry>) {
-        self.destinations.merge(delta.destinations);
-        self.encryption.merge(delta.encryption);
-        self.pii.extend(delta.pii);
-        self.ingest.merge(&delta.ingest);
-        self.coverage.merge(&delta.coverage);
-        self.experiments += delta.experiments;
-        if let Some(obs) = obs {
-            self.obs.merge(obs);
-            if iot_obs::alloc::enabled() {
-                self.obs
-                    .counter_sample("alloc.live_bytes", iot_obs::alloc::process_live_bytes());
-            }
-        }
-    }
-
-    /// Stamps the calling worker thread's allocator high-water gauge at
-    /// shard end; gauges max-merge at fold time, so every worker's peak
-    /// survives into the run report.
-    fn record_shard_alloc_gauge(obs: &Registry, shard_idx: usize) {
-        if obs.enabled() && iot_obs::alloc::enabled() {
-            obs.set_gauge(
-                &format!("worker.{shard_idx}.alloc_high_water_bytes"),
-                iot_obs::alloc::thread_high_water_bytes() as f64,
-            );
-        }
+        self.publish_live("folding");
     }
 
     /// Renders and publishes the live-telemetry documents when an
     /// `IOT_OBS_SERVE` server is running; no-op (no rendering, no locks)
-    /// otherwise. Called at shard-fold boundaries only, so the ingest hot
-    /// path never pays for a listener.
-    fn publish_live(
-        obs: &Registry,
-        experiments: u64,
-        ingest: &IngestStats,
-        coverage: &Coverage,
-        phase: &str,
-    ) {
-        if !iot_obs::serve::active() || !obs.enabled() {
+    /// otherwise. Called at fold boundaries only, so the ingest hot path
+    /// never pays for a listener.
+    fn publish_live(&self, phase: &str) {
+        if !iot_obs::serve::active() || !self.obs.enabled() {
             return;
         }
-        let metrics = iot_obs::prometheus(&obs.snapshot());
-        let trace =
-            iot_obs::chrome_trace(&obs.timeline(), iot_obs::TraceMode::Wall).dump();
+        let metrics = iot_obs::prometheus(&self.obs.snapshot());
+        let trace = iot_obs::chrome_trace(&self.obs.timeline(), iot_obs::TraceMode::Wall).dump();
         let mut progress = Json::obj();
         progress.set("phase", phase.to_json());
-        progress.set("experiments", experiments.to_json());
-        progress.set("ingest", ingest.to_json());
-        progress.set("coverage", coverage.to_json());
+        progress.set("experiments", self.experiments.to_json());
+        progress.set("ingest", self.ingest.to_json());
+        progress.set("coverage", self.coverage.to_json());
         if iot_obs::alloc::enabled() {
             let totals = iot_obs::alloc::process_totals();
             let mut alloc = Json::obj();
@@ -841,50 +821,21 @@ impl Pipeline {
         iot_obs::serve::publish(metrics, trace, progress.dump());
     }
 
-    /// Runs a full campaign (controlled + idle) through every analysis.
+    /// Runs a full campaign (controlled + idle) through every analysis:
+    /// the one driver with a single worker on the calling thread and
+    /// default [`SupervisorConfig`] knobs.
     pub fn run_campaign(&mut self, config: CampaignConfig) {
-        iot_obs::serve::maybe_start_from_env();
-        let campaign = {
-            let _s = self.obs.span("campaign_new");
-            Campaign::new(config)
-        };
-        let identities = {
-            let _s = self.obs.span("identities");
-            campaign_identities(&campaign)
-        };
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "generated");
-        let mut shard = PipelineShard::new(self.obs.enabled());
-        // Worker track 1 — track 0 is the driver registry. The serial
-        // shard is the same worker the parallel driver would call 1.
-        shard.obs.set_worker(1);
-        let _profile = profile_guard(self.obs.enabled(), "worker-0");
-        let fault = self.fault;
-        let start = Instant::now();
-        {
-            let mut ingest = |exp: LabeledExperiment| {
-                shard.ingest(&self.db, &identities, fault.as_ref(), None, exp);
-            };
-            campaign.run(&self.db, &mut ingest);
-            campaign.run_idle(&self.db, &mut ingest);
-        }
-        // An RAII guard cannot wrap the closure above (it would borrow the
-        // shard that ingest mutates), so the shard region is timed by hand.
-        shard.obs.record_ns("shard", start.elapsed());
-        if shard.obs.enabled() {
-            shard.obs.set_gauge("worker.0.experiments", shard.experiments as f64);
-        }
-        Self::record_shard_alloc_gauge(&shard.obs, 0);
-        self.obs.set_gauge("workers", 1.0);
-        self.absorb(shard);
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
+        self.run_campaign_supervised(config, 1, &SupervisorConfig::default())
+            .expect("a run without a journal cannot fail to journal");
     }
 
-    /// Ingests an arbitrary stream of experiments through the same
-    /// serial shard path as [`Pipeline::run_campaign`] (fault plan,
-    /// quarantine boundary, and ledger included). Device identities are
-    /// resolved from both lab deployments, so any experiment a campaign
-    /// could produce is accepted — in any order. This is the entry point
-    /// the `iot-oracle` metamorphic relations use to replay permuted,
+    /// Ingests an arbitrary stream of experiments through the driver's
+    /// worker and fold (fault plan, quarantine boundary, and ledger
+    /// included), on the calling thread, pulling one experiment at a
+    /// time. The stream is one unit. Device identities are resolved from
+    /// both lab deployments, so any experiment a campaign could produce
+    /// is accepted — in any order. This is the entry point the
+    /// `iot-oracle` metamorphic relations use to replay permuted,
     /// relabeled, or filtered campaigns.
     pub fn ingest_experiments<I>(&mut self, experiments: I)
     where
@@ -893,120 +844,47 @@ impl Pipeline {
         iot_obs::serve::maybe_start_from_env();
         let identities = {
             let _s = self.obs.span("identities");
-            let mut identities = HashMap::new();
-            for site in LabSite::all() {
-                let lab = iot_testbed::lab::Lab::deploy(site);
-                for d in &lab.devices {
-                    identities.insert((d.spec().name, d.site), identity_of(d));
-                }
-            }
-            identities
+            identities_of(&LabSite::all().map(Lab::deploy))
         };
-        let mut shard = PipelineShard::new(self.obs.enabled());
-        shard.obs.set_worker(1);
-        let _profile = profile_guard(self.obs.enabled(), "worker-0");
+        let db = Arc::clone(&self.db);
         let fault = self.fault;
-        let start = Instant::now();
+        let ctx = RunCtx {
+            db: &db,
+            identities: &identities,
+            fault: fault.as_ref(),
+            deadline_micros: None,
+            max_retries: 0,
+            watchdog: None,
+            obs_enabled: self.obs.enabled(),
+        };
+        let mut worker = Worker::new(0, &ctx);
+        let mut delta = UnitDelta::new(0);
         for exp in experiments {
-            shard.ingest(&self.db, &identities, fault.as_ref(), None, exp);
+            worker.ingest(&ctx, &mut delta, exp);
         }
-        shard.obs.record_ns("shard", start.elapsed());
-        if shard.obs.enabled() {
-            shard.obs.set_gauge("worker.0.experiments", shard.experiments as f64);
-        }
-        Self::record_shard_alloc_gauge(&shard.obs, 0);
+        worker.experiments += delta.experiments;
+        self.fold(delta);
         self.obs.set_gauge("workers", 1.0);
-        self.absorb(shard);
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
+        self.obs.merge(worker.finish());
+        self.publish_live("folded");
     }
 
-    /// Runs a full campaign with the (lab × device) grid sharded across
-    /// `workers` scoped threads. Each worker generates and analyzes its
-    /// own device subset into a private [`PipelineShard`]; the shards
-    /// are folded here afterwards. The resulting report is byte-identical
-    /// to [`Pipeline::run_campaign`]'s.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn run_campaign_parallel(&mut self, config: CampaignConfig, workers: usize) {
-        assert!(workers > 0, "workers must be positive");
-        iot_obs::serve::maybe_start_from_env();
-        let campaign = {
-            let _s = self.obs.span("campaign_new");
-            Campaign::new(config)
-        };
-        let identities = {
-            let _s = self.obs.span("identities");
-            campaign_identities(&campaign)
-        };
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "generated");
-        // More workers than work units would leave idle threads behind.
-        let workers = workers.min(campaign.unit_count().max(1));
-        let obs_enabled = self.obs.enabled();
-        let fault = self.fault;
-        let db = &self.db;
-        let campaign_ref = &campaign;
-        let identities_ref = &identities;
-        let shards: Vec<PipelineShard> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|shard_idx| {
-                    scope.spawn(move || {
-                        let mut shard = PipelineShard::new(obs_enabled);
-                        // Worker tracks start at 1; 0 is the driver.
-                        shard.obs.set_worker(shard_idx as u32 + 1);
-                        let _profile =
-                            profile_guard(obs_enabled, &format!("worker-{shard_idx}"));
-                        let start = Instant::now();
-                        campaign_ref.run_shard(db, shard_idx, workers, |exp| {
-                            shard.ingest(db, identities_ref, fault.as_ref(), None, exp);
-                        });
-                        shard.obs.record_ns("shard", start.elapsed());
-                        if obs_enabled {
-                            shard.obs.set_gauge(
-                                &format!("worker.{shard_idx}.experiments"),
-                                shard.experiments as f64,
-                            );
-                        }
-                        Self::record_shard_alloc_gauge(&shard.obs, shard_idx);
-                        shard
-                    })
-                })
-                .collect();
-            // A worker that panicked despite the per-experiment
-            // quarantine becomes an empty quarantined shard — the run
-            // completes and the report says which shard was lost.
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(idx, h)| quarantine_result(h.join(), idx, obs_enabled))
-                .collect()
-        });
-        self.obs.set_gauge("workers", workers as f64);
-        for shard in shards {
-            self.absorb(shard);
-            Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folding");
-        }
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
-    }
-
-    /// Runs a full campaign under supervision (DESIGN.md §15): workers
-    /// pull (lab × device) work units from a shared queue, each finished
+    /// Runs a full campaign under supervision (DESIGN.md §15): `workers`
+    /// workers — the calling thread plus `workers − 1` spawned ones —
+    /// pull (lab × device) work units from a shared queue; each finished
     /// unit's accumulator delta is appended to the checkpoint journal
-    /// (when `sup.journal` is set), injected stalls are bounded by a
-    /// watchdog at `sup.deadline`, and transient failures are retried up
-    /// to `sup.max_retries` times with identity-keyed determinism.
+    /// (when `sup.journal` is set) and folded at once; injected stalls
+    /// are bounded by a watchdog at `sup.deadline`; and transient
+    /// failures are retried up to `sup.max_retries` times with
+    /// identity-keyed determinism.
     ///
     /// With `sup.resume`, an existing journal is replayed first — its
-    /// completed units merged straight into the accumulators — and only
+    /// completed units folded straight into the accumulators — and only
     /// the remainder is run; the resulting report is byte-identical to a
     /// straight-through run of the same configuration. A journal written
     /// by a different configuration (campaign, fault plan, deadline, or
     /// retry budget) is refused with a typed error rather than silently
     /// producing a hybrid report.
-    ///
-    /// With default [`SupervisorConfig`] knobs the supervised driver is
-    /// report-byte-identical to [`Pipeline::run_campaign`] and
-    /// [`Pipeline::run_campaign_parallel`].
     ///
     /// # Panics
     /// Panics if `workers` is zero.
@@ -1016,27 +894,49 @@ impl Pipeline {
         workers: usize,
         sup: &SupervisorConfig,
     ) -> Result<SuperviseSummary, JournalError> {
-        assert!(workers > 0, "workers must be positive");
         iot_obs::serve::maybe_start_from_env();
         let campaign = {
             let _s = self.obs.span("campaign_new");
             Campaign::new(config)
         };
+        self.run_units(&campaign, workers, sup, |db, unit, consume| {
+            campaign.run_unit(db, unit, consume)
+        })
+    }
+
+    /// The driver behind [`Pipeline::run_campaign_supervised`]. `source`
+    /// streams one unit's experiments; outside tests it is the campaign's
+    /// own generator.
+    fn run_units<S>(
+        &mut self,
+        campaign: &Campaign,
+        workers: usize,
+        sup: &SupervisorConfig,
+        source: S,
+    ) -> Result<SuperviseSummary, JournalError>
+    where
+        S: Fn(&GeoDb, usize, &mut dyn FnMut(LabeledExperiment)) + Sync,
+    {
+        assert!(workers > 0, "workers must be positive");
         let identities = {
             let _s = self.obs.span("identities");
-            campaign_identities(&campaign)
+            identities_of(campaign.labs())
         };
         let unit_count = campaign.unit_count();
         let deadline_micros = sup.deadline.map(|d| d.as_micros() as u64);
-        let fingerprint =
-            campaign_fingerprint(&config, self.fault_plan(), deadline_micros, sup.max_retries);
+        let fingerprint = campaign_fingerprint(
+            &campaign.config,
+            self.fault_plan(),
+            deadline_micros,
+            sup.max_retries,
+        );
         let mut summary = SuperviseSummary {
             units_total: unit_count,
             ..SuperviseSummary::default()
         };
-        let grid_identities = unit_identities(&campaign);
+        let grid_identities = unit_identities(campaign);
         let mut done = std::collections::BTreeSet::new();
-        let mut writer: Option<Mutex<JournalWriter>> = None;
+        let mut journal: Option<JournalWriter> = None;
         if let Some(path) = &sup.journal {
             if sup.resume && path.exists() {
                 let contents = read_journal_set(path)?;
@@ -1079,154 +979,110 @@ impl Pipeline {
                 )?;
                 w.checkpoint(&replayed)?;
                 remove_rolled_segments(path)?;
-                writer = Some(Mutex::new(w));
+                journal = Some(w);
+                // Metrics describe work this process performed, so
+                // replayed units fold into the report but not the
+                // registry.
                 for delta in replayed {
                     done.insert(delta.unit);
-                    self.absorb_delta(delta, None);
+                    self.fold(delta);
                 }
             } else {
-                writer = Some(Mutex::new(JournalWriter::create(
+                journal = Some(JournalWriter::create(
                     path,
                     fingerprint,
                     &grid_identities,
                     sup.journal_roll_bytes,
-                )?));
+                )?);
             }
         }
         let remaining: Vec<u32> = (0..unit_count as u32)
             .filter(|u| !done.contains(u))
             .collect();
         summary.units_run = remaining.len();
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "generated");
-        if remaining.is_empty() {
-            self.obs.set_gauge("workers", 0.0);
-            Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
-            return Ok(summary);
-        }
+        self.publish_live("generated");
         let workers = workers.min(remaining.len());
         let watchdog = sup.deadline.map(|d| Watchdog::new(workers, d));
-        let watchdog_ref = watchdog.as_ref();
-        let obs_enabled = self.obs.enabled();
+        let db = Arc::clone(&self.db);
         let fault = self.fault;
-        let db = &self.db;
-        let campaign_ref = &campaign;
-        let identities_ref = &identities;
-        let remaining_ref = &remaining[..];
-        let writer_ref = writer.as_ref();
-        let throttle = sup.unit_throttle;
-        // Shared work queue plus shared completion log: units completed
-        // before a worker death or journal failure are never lost.
-        let next = AtomicUsize::new(0);
-        let completed: Mutex<Vec<(UnitDelta, Registry)>> = Mutex::new(Vec::new());
-        let journal_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let dead_workers: Vec<usize> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|widx| {
-                    let next = &next;
-                    let completed = &completed;
-                    let journal_error = &journal_error;
-                    let abort = &abort;
-                    scope.spawn(move || {
-                        let _profile = profile_guard(obs_enabled, &format!("worker-{widx}"));
-                        let watch = watchdog_ref.map(|w| w.handle(widx));
-                        let sup_ctx = SupCtx {
-                            deadline_micros,
-                            max_retries: sup.max_retries,
-                            backoff_base: sup.backoff_base,
-                            backoff_cap: sup.backoff_cap,
-                            watch: watch.as_ref(),
-                        };
-                        loop {
-                            if abort.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::AcqRel);
-                            if i >= remaining_ref.len() {
-                                break;
-                            }
-                            let unit = remaining_ref[i];
-                            let mut shard = PipelineShard::new(obs_enabled);
-                            shard.obs.set_worker(widx as u32 + 1);
-                            let start = Instant::now();
-                            campaign_ref.run_unit(db, unit as usize, |exp| {
-                                shard.ingest(
-                                    db,
-                                    identities_ref,
-                                    fault.as_ref(),
-                                    Some(&sup_ctx),
-                                    exp,
-                                );
-                            });
-                            shard.obs.record_ns("shard", start.elapsed());
-                            Self::record_shard_alloc_gauge(&shard.obs, widx);
-                            let (delta, obs) = shard.into_delta(unit);
-                            if let Some(w) = writer_ref {
-                                // Journal before declaring the unit done:
-                                // anything the journal holds is exactly
-                                // what resume will replay.
-                                let mut guard = w.lock().unwrap_or_else(|p| p.into_inner());
-                                if let Err(e) = guard.append(&delta) {
-                                    *journal_error
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner()) = Some(e);
-                                    abort.store(true, Ordering::Release);
-                                }
-                            }
-                            completed
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .push((delta, obs));
-                            if !throttle.is_zero() {
-                                // Kill-timing aid for tests; report-neutral.
-                                std::thread::sleep(throttle);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .filter_map(|(idx, h)| match h.join() {
-                    Ok(()) => None,
-                    Err(payload) => {
-                        let what = payload
-                            .downcast_ref::<&str>()
-                            .copied()
-                            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                            .unwrap_or("non-string panic payload");
-                        eprintln!(
-                            "pipeline: supervised worker {idx} panicked ({what}); \
-                             its in-flight unit stays resumable"
-                        );
-                        Some(idx)
-                    }
-                })
-                .collect()
+        let ctx = RunCtx {
+            db: &db,
+            identities: &identities,
+            fault: fault.as_ref(),
+            deadline_micros,
+            max_retries: sup.max_retries,
+            watchdog: watchdog.as_ref(),
+            obs_enabled: self.obs.enabled(),
+        };
+        let queue = AtomicUsize::new(0);
+        let sink = Mutex::new(Sink {
+            pipeline: &mut *self,
+            journal,
+            error: None,
         });
-        // A dead worker's in-flight unit was neither journaled nor
-        // completed — a later --resume re-runs it. Mark the loss the same
-        // way the parallel driver does.
-        for _ in &dead_workers {
-            let mut marker = PipelineShard::new(obs_enabled);
-            marker.ingest.shards_quarantined = 1;
-            marker.ingest.add_stage_error("worker_panic");
-            self.absorb(marker);
-        }
-        if let Some(e) = journal_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(JournalError::Io(e));
-        }
-        // Fold in unit order: not required for correctness (merges
-        // commute), but it keeps fold-boundary obs samples stable.
-        let mut completed = completed.into_inner().unwrap_or_else(|p| p.into_inner());
-        completed.sort_by_key(|(d, _)| d.unit);
+        // The worker loop, run by the calling thread as worker 0 and by
+        // every spawned thread.
+        let work = |idx: usize| {
+            let mut worker = Worker::new(idx, &ctx);
+            while let Some(&unit) = remaining.get(queue.fetch_add(1, Ordering::AcqRel)) {
+                let mut delta = UnitDelta::new(unit);
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    source(ctx.db, unit as usize, &mut |exp| {
+                        worker.ingest(&ctx, &mut delta, exp)
+                    });
+                }));
+                // Poisoned only by a fold that panicked; the join below
+                // re-raises that panic, so the others just drain the queue.
+                let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
+                match ran {
+                    Ok(()) => {
+                        let experiments = delta.experiments;
+                        if sink.commit(delta) {
+                            worker.experiments += experiments;
+                        } else {
+                            // The journal failed: empty the queue so every
+                            // worker stops after its unit in flight.
+                            queue.store(remaining.len(), Ordering::Release);
+                        }
+                    }
+                    Err(payload) => sink.pipeline.fold(worker.recover(unit, payload.as_ref())),
+                }
+                drop(sink);
+                if !sup.unit_throttle.is_zero() {
+                    // Kill-timing aid for tests; report-neutral.
+                    std::thread::sleep(sup.unit_throttle);
+                }
+            }
+            worker.finish()
+        };
+        let registries: Vec<Registry> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers)
+                .map(|idx| scope.spawn(move || work(idx)))
+                .collect();
+            let mut registries = Vec::with_capacity(workers);
+            if workers > 0 {
+                registries.push(work(0));
+            }
+            for handle in spawned {
+                // Panics inside a unit were recovered above; anything that
+                // still unwinds is a defect in the fold itself.
+                registries.push(
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                );
+            }
+            registries
+        });
+        let error = sink
+            .into_inner()
+            .expect("a panic under the sink lock was re-raised at the join")
+            .error;
         self.obs.set_gauge("workers", workers as f64);
-        for (delta, obs) in completed {
-            self.absorb_delta(delta, Some(obs));
-            Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folding");
+        for registry in registries {
+            self.obs.merge(registry);
         }
-        if let Some(dog) = watchdog_ref {
+        if let Some(dog) = &watchdog {
             summary.watchdog_cancelled = dog.cancelled_total();
             if summary.watchdog_cancelled > 0 {
                 // Wall-clock dependent count: gauge only, never a report
@@ -1236,7 +1092,10 @@ impl Pipeline {
             }
         }
         drop(watchdog);
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
+        if let Some(e) = error {
+            return Err(JournalError::Io(e));
+        }
+        self.publish_live("folded");
         Ok(summary)
     }
 
@@ -1281,7 +1140,7 @@ impl Pipeline {
                 ],
             );
         }
-        // Findings accumulate in driver-dependent order; sort for stable
+        // Findings accumulate in worker-dependent order; sort for stable
         // report bytes (see PiiFinding::sort_key).
         let mut pii_findings = self.pii.clone();
         pii_findings.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
@@ -1361,29 +1220,29 @@ impl Pipeline {
             }
         }
         let report = self.build_report();
-        let obs = self.obs;
-        obs.record_ns("finish", start.elapsed());
+        self.obs.record_ns("finish", start.elapsed());
         // Campaign memory footprint, stamped once the report exists so
         // the gauges cover the whole run: the allocator's own live/peak
         // view plus the kernel's VmHWM upper bound. Gauges are excluded
-        // from the deterministic subset, so sharding-dependent byte
-        // counts never threaten report identity.
-        if obs.enabled() && iot_obs::alloc::enabled() {
-            obs.set_gauge(
+        // from the deterministic subset, so worker-dependent byte counts
+        // never threaten report identity.
+        if self.obs.enabled() && iot_obs::alloc::enabled() {
+            self.obs.set_gauge(
                 "alloc.high_water_bytes",
                 iot_obs::alloc::process_high_water_bytes() as f64,
             );
-            obs.set_gauge(
+            self.obs.set_gauge(
                 "alloc.live_bytes",
                 iot_obs::alloc::process_live_bytes() as f64,
             );
             if let Some(rss) = iot_obs::process::peak_rss_bytes() {
-                obs.set_gauge("peak_rss_bytes", rss as f64);
+                self.obs.set_gauge("peak_rss_bytes", rss as f64);
             }
-            obs.counter_sample("alloc.live_bytes", iot_obs::alloc::process_live_bytes());
+            self.obs
+                .counter_sample("alloc.live_bytes", iot_obs::alloc::process_live_bytes());
         }
-        Self::publish_live(&obs, report.experiments, &report.ingest, &report.coverage, "finished");
-        (report, obs)
+        self.publish_live("finished");
+        (report, self.obs)
     }
 }
 
@@ -1391,15 +1250,22 @@ impl Pipeline {
 mod tests {
     use super::*;
 
+    fn tiny_config() -> CampaignConfig {
+        CampaignConfig {
+            automated_reps: 1,
+            manual_reps: 1,
+            power_reps: 1,
+            idle_hours: 0.02,
+            include_vpn: false,
+        }
+    }
+
     #[test]
     fn pipeline_end_to_end() {
         let mut p = Pipeline::new();
         p.run_campaign(CampaignConfig {
-            automated_reps: 1,
-            manual_reps: 1,
-            power_reps: 1,
             idle_hours: 0.05,
-            include_vpn: false,
+            ..tiny_config()
         });
         let report = p.finish();
         assert!(report.experiments > 300);
@@ -1413,36 +1279,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let config = CampaignConfig {
-            automated_reps: 1,
-            manual_reps: 1,
-            power_reps: 1,
-            idle_hours: 0.02,
-            include_vpn: false,
-        };
-        let mut serial = Pipeline::new();
-        serial.run_campaign(config);
-        let serial_json = serial.finish().to_json().dump();
-        for workers in [2usize, 4] {
-            let mut parallel = Pipeline::new();
-            parallel.run_campaign_parallel(config, workers);
-            let parallel_json = parallel.finish().to_json().dump();
-            assert_eq!(serial_json, parallel_json, "{workers} workers");
-        }
-    }
-
-    fn tiny_config() -> CampaignConfig {
-        CampaignConfig {
-            automated_reps: 1,
-            manual_reps: 1,
-            power_reps: 1,
-            idle_hours: 0.02,
-            include_vpn: false,
-        }
-    }
-
-    #[test]
     fn clean_run_ledger_is_clean_and_reconciles() {
         let mut p = Pipeline::new();
         p.run_campaign(tiny_config());
@@ -1452,28 +1288,6 @@ mod tests {
         assert!(report.ingest.packets_generated > 0);
         assert_eq!(report.ingest.experiments_ingested, report.experiments);
         assert!(report.to_json().dump().contains("\"ingest\""));
-    }
-
-    #[test]
-    fn faulted_parallel_matches_faulted_serial() {
-        let plan = iot_chaos::FaultPlan::uniform(0xC0FFEE, 0.02);
-        let mut serial = Pipeline::new();
-        serial.set_fault_plan(plan);
-        serial.run_campaign(tiny_config());
-        let serial_report = serial.finish();
-        assert!(
-            !serial_report.ingest.is_clean(),
-            "a 2% fault plan must actually degrade something"
-        );
-        assert!(serial_report.ingest.reconciles(), "{:?}", serial_report.ingest);
-        let serial_json = serial_report.to_json().dump();
-        for workers in [2usize, 4] {
-            let mut parallel = Pipeline::new();
-            parallel.set_fault_plan(plan);
-            parallel.run_campaign_parallel(tiny_config(), workers);
-            let parallel_json = parallel.finish().to_json().dump();
-            assert_eq!(serial_json, parallel_json, "{workers} workers, faulted");
-        }
     }
 
     #[test]
@@ -1556,7 +1370,7 @@ mod tests {
     fn fused_per_flow_loop_is_allocation_free_after_warmup() {
         let db = GeoDb::new();
         let campaign = Campaign::new(tiny_config());
-        let identities = campaign_identities(&campaign);
+        let identities = identities_of(campaign.labs());
         let mut experiments: Vec<LabeledExperiment> = Vec::new();
         campaign.run(&db, &mut |exp| experiments.push(exp));
 
@@ -1695,30 +1509,13 @@ mod tests {
     }
 
     #[test]
-    fn supervised_defaults_match_plain_drivers() {
-        let mut plain = Pipeline::new();
-        plain.run_campaign(tiny_config());
-        let plain_json = plain.finish().to_json().dump();
-        for workers in [1usize, 2] {
-            let mut sup = Pipeline::new();
-            let summary = sup
-                .run_campaign_supervised(tiny_config(), workers, &SupervisorConfig::default())
-                .expect("no journal involved");
-            assert_eq!(summary.units_total, summary.units_run);
-            assert_eq!(summary.units_replayed, 0);
-            assert_eq!(
-                sup.finish().to_json().dump(),
-                plain_json,
-                "supervised/{workers} workers"
-            );
-        }
-    }
-
-    #[test]
     fn supervised_coverage_counts_every_experiment() {
         let mut p = Pipeline::new();
-        p.run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
+        let summary = p
+            .run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
             .unwrap();
+        assert_eq!(summary.units_run, summary.units_total);
+        assert_eq!(summary.units_replayed, 0);
         let report = p.finish();
         let totals = report.coverage.totals();
         assert_eq!(totals.completed, report.experiments);
@@ -1730,92 +1527,56 @@ mod tests {
     }
 
     #[test]
-    fn stalls_past_deadline_are_quarantined_deterministically() {
-        let plan = iot_chaos::FaultPlan {
-            stall_rate: 0.05,
-            stall_max_micros: 20_000,
-            ..iot_chaos::FaultPlan::clean(0x57A11)
-        };
-        let sup_cfg = SupervisorConfig {
-            deadline: Some(Duration::from_millis(5)),
-            ..SupervisorConfig::default()
-        };
-        let run = |workers: usize| {
-            let mut p = Pipeline::new();
-            p.set_fault_plan(plan);
-            p.run_campaign_supervised(tiny_config(), workers, &sup_cfg)
-                .unwrap();
-            p.finish()
-        };
-        let base = run(1);
-        let stalled = base.ingest.stage_errors.get("stall_deadline").copied();
-        assert!(
-            stalled.unwrap_or(0) > 0,
-            "a 5% stall plan against a 5ms deadline must quarantine something: {:?}",
-            base.ingest
-        );
-        assert_eq!(
-            stalled.unwrap_or(0),
-            base.ingest.experiments_quarantined,
-            "without retries every breach is a quarantine"
-        );
-        assert!(base.ingest.reconciles(), "{:?}", base.ingest);
-        assert!(base.coverage.is_degraded());
-        let base_json = base.to_json().dump();
-        for workers in [2usize, 4] {
-            assert_eq!(
-                run(workers).to_json().dump(),
-                base_json,
-                "stall quarantine set must be driver-independent ({workers} workers)"
-            );
-        }
+    fn worker_gauges_sum_to_the_report() {
+        let mut p = Pipeline::with_obs(true);
+        p.run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
+            .unwrap();
+        let (report, reg) = p.finish_with_obs();
+        let per_worker: Vec<f64> = (0..2)
+            .map(|w| {
+                reg.gauge(&format!("worker.{w}.experiments"))
+                    .unwrap_or_else(|| panic!("worker {w} has no load gauge"))
+            })
+            .collect();
+        assert_eq!(reg.gauge("workers"), Some(2.0));
+        assert_eq!(per_worker.iter().sum::<f64>(), report.experiments as f64);
     }
 
     #[test]
-    fn retries_recover_transient_failures_and_stay_seed_stable() {
-        let plan = iot_chaos::FaultPlan {
-            panic_rate: 0.08,
-            ..iot_chaos::FaultPlan::uniform(0xBAD5EED, 0.01)
-        };
-        // Baseline without retries: every injected panic is a quarantine.
-        let mut no_retry = Pipeline::new();
-        no_retry.set_fault_plan(plan);
-        no_retry
-            .run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
-            .unwrap();
-        let no_retry = no_retry.finish();
-        assert!(no_retry.ingest.experiments_quarantined > 0);
-        let sup_cfg = SupervisorConfig {
-            max_retries: 2,
-            ..SupervisorConfig::default()
-        };
+    fn a_panic_escaping_the_experiment_boundary_costs_one_unit() {
+        // Unit 3's generator dies midway; worker 0 (the calling thread)
+        // runs it at 1 worker and possibly at 2.
+        const LOST: usize = 3;
+        let campaign = Campaign::new(tiny_config());
         let run = |workers: usize| {
-            let mut p = Pipeline::new();
-            p.set_fault_plan(plan);
-            p.run_campaign_supervised(tiny_config(), workers, &sup_cfg)
-                .unwrap();
+            let mut p = Pipeline::with_obs(false);
+            p.run_units(&campaign, workers, &SupervisorConfig::default(), |db, unit, consume| {
+                let mut seen = 0;
+                campaign.run_unit(db, unit, |exp| {
+                    if unit == LOST && seen == 2 {
+                        panic!("synthetic generator defect");
+                    }
+                    seen += 1;
+                    consume(exp);
+                });
+            })
+            .unwrap();
             p.finish()
         };
-        let retried = run(2);
-        let ingest = &retried.ingest;
-        assert!(ingest.retry_attempts > 0, "{ingest:?}");
-        assert!(ingest.experiments_retried > 0, "retries must rescue something");
+        let mut lost_experiments = 0u64;
+        campaign.run_unit(&GeoDb::new(), LOST, |_| lost_experiments += 1);
+        let mut full = Pipeline::new();
+        full.run_campaign(tiny_config());
+        let full = full.finish();
+
+        let report = run(1);
+        let ingest = &report.ingest;
+        assert_eq!(ingest.shards_quarantined, 1, "{ingest:?}");
+        assert_eq!(ingest.stage_errors.get("worker_panic"), Some(&1));
         assert!(ingest.reconciles(), "{ingest:?}");
-        assert!(
-            ingest.experiments_quarantined + ingest.experiments_abandoned
-                < no_retry.ingest.experiments_quarantined,
-            "retries must strictly reduce permanent losses: {ingest:?}"
-        );
-        assert_eq!(
-            retried.coverage.totals().retried,
-            ingest.experiments_retried
-        );
-        // Seed-stability: same plan + knobs → same bytes, across drivers
-        // and across runs.
-        let json = retried.to_json().dump();
-        assert_eq!(run(2).to_json().dump(), json, "re-run must be identical");
-        assert_eq!(run(1).to_json().dump(), json, "serial must be identical");
-        assert_eq!(run(4).to_json().dump(), json, "4 workers must be identical");
+        // Only the lost unit is missing: the worker went on after it.
+        assert_eq!(report.experiments + lost_experiments, full.experiments);
+        assert_eq!(run(2).to_json().dump(), report.to_json().dump());
     }
 
     #[test]
@@ -2061,15 +1822,4 @@ mod tests {
         assert!(multi_rep > 0, "corpus must contain repeated identities");
     }
 
-    #[test]
-    fn worker_panic_becomes_quarantined_shard() {
-        let panicked: std::thread::Result<PipelineShard> =
-            std::thread::spawn(|| panic!("synthetic worker death")).join();
-        let shard = quarantine_result(panicked, 3, false);
-        assert_eq!(shard.ingest.shards_quarantined, 1);
-        assert_eq!(shard.ingest.stage_errors["worker_panic"], 1);
-        assert_eq!(shard.experiments, 0);
-        let healthy = quarantine_result(Ok(PipelineShard::new(false)), 0, false);
-        assert_eq!(healthy.ingest.shards_quarantined, 0);
-    }
 }

@@ -11,20 +11,19 @@
 //!   `Pipeline::run_campaign_supervised`. Resuming replays finished
 //!   units from disk and re-runs only the remainder; because every
 //!   pipeline accumulator merges associatively and commutatively (the
-//!   same property that makes serial and parallel drivers
-//!   byte-identical), the resumed report is byte-identical to an
-//!   uninterrupted run.
+//!   same property that makes every worker count byte-identical), the
+//!   resumed report is byte-identical to an uninterrupted run.
 //! - **Watchdog deadlines** — a monitor thread ([`Watchdog`]) with a
 //!   per-experiment soft deadline. Whether a stalled experiment is
 //!   quarantined is decided by comparing the injected stall *value*
 //!   against the deadline (never by racing wall clocks), so the
-//!   quarantine set is byte-identical across drivers; the watchdog's
+//!   quarantine set is byte-identical at any worker count; the watchdog's
 //!   job is to bound how long the stalled worker actually sleeps.
 //! - **Deterministic retry** — transient failures (injected panics,
 //!   deadline-breaching stalls, total salvage loss) get up to N
 //!   re-attempts. Every attempt's fault draws are keyed by
 //!   `(seed, experiment identity, attempt)`, so retry schedules are
-//!   seed-stable across drivers, and every attempt is folded into the
+//!   seed-stable across worker counts, and every attempt is folded into the
 //!   extended `ingest.*` ledger (see `crate::ingest`).
 //! - **Coverage manifest** — [`Coverage`] counts completed / retried /
 //!   quarantined / abandoned experiments per (lab × device) and flags
@@ -538,10 +537,10 @@ impl ToJson for Coverage {
 /// Everything one completed work unit (one lab × device slot of the
 /// campaign grid) contributed to the pipeline's result-bearing
 /// accumulators. Journaled after the unit finishes; replayed by merging
-/// into a fresh pipeline, which is exactly the fold the parallel driver
-/// performs — so replay cannot change the report.
+/// into a fresh pipeline, which is exactly the fold a live unit goes
+/// through — so replay cannot change the report.
 ///
-/// Deliberately *not* included: shard-local caches (label interning,
+/// Deliberately *not* included: worker-local caches (label interning,
 /// compiled PII patterns, protocol memos) and the observability
 /// registry. The caches are result-neutral by construction; metrics
 /// describe work a process actually performed, so a resumed process
@@ -677,6 +676,19 @@ fn decode_finding(r: &mut ByteReader<'_>) -> Result<PiiFinding, DecodeErr> {
 }
 
 impl UnitDelta {
+    /// An empty delta for unit `unit`, ready to accumulate into.
+    pub fn new(unit: u32) -> Self {
+        UnitDelta {
+            unit,
+            experiments: 0,
+            ingest: IngestStats::default(),
+            coverage: Coverage::new(),
+            destinations: DestinationAnalysis::new(),
+            encryption: EncryptionAnalysis::default(),
+            pii: Vec::new(),
+        }
+    }
+
     /// Serializes the delta to journal payload bytes. Accumulator map
     /// entries are emitted in sorted key order, so the same delta always
     /// produces the same bytes regardless of hash-map iteration order.
@@ -1190,7 +1202,7 @@ pub fn remove_rolled_segments(path: &Path) -> std::io::Result<()> {
 /// Digest of everything that determines a campaign's *result bytes*:
 /// the campaign config, the fault plan, and the supervision knobs that
 /// change what the ledger records (deadline, retry budget). Knobs that
-/// are report-neutral (backoff pacing, throttle, journal path) are
+/// are report-neutral (throttle, journal path and roll size) are
 /// deliberately excluded so operators can tune them between resume
 /// sessions.
 pub fn campaign_fingerprint(
@@ -1412,10 +1424,6 @@ pub struct SupervisorConfig {
     /// deadline-breaching stalls, total salvage loss). Zero disables
     /// retry and reproduces the un-supervised ledger exactly.
     pub max_retries: u32,
-    /// First retry's backoff sleep; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Checkpoint journal path. `None` runs supervised (deadline,
     /// retry, coverage) without checkpointing.
     pub journal: Option<PathBuf>,
@@ -1438,8 +1446,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             deadline: None,
             max_retries: 0,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::from_secs(1),
             journal: None,
             resume: false,
             journal_roll_bytes: None,

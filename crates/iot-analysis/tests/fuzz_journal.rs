@@ -25,6 +25,7 @@ use iot_analysis::{DestinationAnalysis, EncryptionAnalysis};
 use iot_core::rng::StdRng;
 use iot_testbed::lab::LabSite;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const FINGERPRINT: u64 = 0xF1A9_0000_DEAD_BEEF;
 const TOTAL_UNITS: u32 = 8;
@@ -81,9 +82,11 @@ fn delta(unit: u32) -> UnitDelta {
 }
 
 /// Writes a well-formed journal with [`TOTAL_UNITS`]-many records and
-/// returns its bytes.
+/// returns its bytes. Each call writes its own file, since the tests
+/// calling this run in parallel.
 fn well_formed() -> Vec<u8> {
-    let path = temp_path("wf");
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let path = temp_path(&format!("wf{}", CALLS.fetch_add(1, Ordering::Relaxed)));
     let _ = std::fs::remove_file(&path);
     let mut w = JournalWriter::create(&path, FINGERPRINT, &identities(), None).expect("create");
     for unit in 0..TOTAL_UNITS {

@@ -1,10 +1,12 @@
-//! Serial-vs-parallel pipeline ingestion benchmark.
+//! 1-worker-vs-N-worker pipeline ingestion benchmark.
 //!
 //! Runs the full analysis pipeline (destinations + encryption + PII over
 //! a complete campaign, controlled and idle) once per timed iteration,
-//! first through the serial driver and then through the sharded parallel
-//! driver, verifies the two reports are byte-identical, and writes the
-//! timing summary to `BENCH_pipeline.json`.
+//! first with one worker (`run_campaign`, the `serial` timings) and then
+//! with `IOT_BENCH_WORKERS` workers of the same driver (the `parallel`
+//! timings), gates the report's identity at 1, 2 and 8 workers through
+//! `iot_oracle::differential::check_worker_grid`, and writes the timing
+//! summary to `BENCH_pipeline.json`.
 //!
 //! The baseline benches force observability *and* allocator counting
 //! *off* (regardless of `IOT_OBS` / `IOT_OBS_ALLOC`, so the committed
@@ -27,16 +29,16 @@
 //! * `IOT_BENCH_ITERS` — timed iterations per driver (default 3).
 //! * `IOT_BENCH_WARMUP` — untimed warmup iterations per driver
 //!   (default 1).
-//! * `IOT_BENCH_WORKERS` — parallel worker count (default: available
-//!   hardware parallelism).
+//! * `IOT_BENCH_WORKERS` — worker count of the `parallel` timings
+//!   (default: available hardware parallelism).
 //! * `IOT_BENCH_OUT` — output path (default `BENCH_pipeline.json`).
 //! * `IOT_OBS` / `IOT_OBS_OUT` — run-report emission (see `iot-obs`).
 //! * `IOT_OBS_TRACE_OUT` / `IOT_OBS_TRACE_DET_OUT` / `IOT_OBS_PROM_OUT`
 //!   — exporter artifact paths (default `target/obs_trace.json`,
 //!   `target/obs_trace_det.json`, `target/obs_metrics.prom`). The
 //!   deterministic trace is additionally required to be byte-identical
-//!   between the serial and parallel instrumented runs whenever no ring
-//!   overflow occurred.
+//!   between the 1-worker and N-worker instrumented runs whenever no
+//!   ring overflow occurred.
 //! * `IOT_OBS_PROFILE` — arms the span-stack sampling profiler at the
 //!   given rate (Hz). When armed, the instrumented runs are sampled and
 //!   the folded profile is written to `IOT_OBS_PROFILE_OUT` (default
@@ -46,11 +48,13 @@
 //!   baseline in `verify.sh`. The identity gates above all run with the
 //!   sampler live, so sampling is continuously proven report-neutral.
 
-use iot_analysis::pipeline::Pipeline;
+use iot_analysis::pipeline::{Pipeline, PipelineReport};
+use iot_analysis::SupervisorConfig;
 use iot_bench::harness::bench;
 use iot_bench::{campaign_config, Scale};
 use iot_core::json::{Json, ToJson};
 use iot_obs::{chrome_trace, prometheus, RunReport, TraceMode};
+use iot_oracle::differential::check_worker_grid;
 use iot_testbed::schedule::{Campaign, CampaignConfig};
 use std::io::Write;
 use std::path::PathBuf;
@@ -63,16 +67,16 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn serial_report_json(config: CampaignConfig, obs: bool) -> String {
+/// One campaign at `workers` workers; `workers == 1` is `run_campaign`.
+fn report(config: CampaignConfig, workers: usize, obs: bool) -> PipelineReport {
     let mut p = Pipeline::with_obs(obs);
-    p.run_campaign(config);
-    p.finish().to_json().dump()
+    p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
+        .expect("a run without a journal cannot fail to journal");
+    p.finish()
 }
 
-fn parallel_report_json(config: CampaignConfig, workers: usize) -> String {
-    let mut p = Pipeline::with_obs(false);
-    p.run_campaign_parallel(config, workers);
-    p.finish().to_json().dump()
+fn report_json(config: CampaignConfig, workers: usize, obs: bool) -> String {
+    report(config, workers, obs).to_json().dump()
 }
 
 fn main() {
@@ -107,14 +111,18 @@ fn main() {
     iot_obs::enabled();
     iot_obs::alloc::set_enabled(false);
 
-    // Correctness gates first: the parallel driver must reproduce the
-    // serial report byte for byte, and turning instrumentation on must
-    // not change the report, before any timing means anything.
-    let serial_json = serial_report_json(config, false);
-    let parallel_json = parallel_report_json(config, workers);
-    let identical = serial_json == parallel_json;
+    // Correctness gates first: the report must be identical at 1, 2 and
+    // 8 workers, and turning instrumentation on must not change it,
+    // before any timing means anything.
+    let (serial_report, violations) =
+        check_worker_grid("bench_workers", |w| report(config, w, false));
+    let serial_json = serial_report.to_json().dump();
+    let identical = violations.is_empty();
     if !identical {
-        eprintln!("bench_pipeline: FAIL — parallel report diverged from serial");
+        eprintln!(
+            "bench_pipeline: FAIL — report diverged across worker counts: {}",
+            violations[0].render()
+        );
     }
     // Allocator byte-identity gate *and* the committed heap measurement,
     // from one serial run with heap counting on and observability off —
@@ -149,7 +157,8 @@ fn main() {
     iot_obs::profile::reset();
     let (obs_report, obs_registry) = {
         let mut p = Pipeline::with_obs(true);
-        p.run_campaign_parallel(config, workers);
+        p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
+            .expect("a run without a journal cannot fail to journal");
         p.finish_with_obs()
     };
     let obs_identical = obs_report.to_json().dump() == serial_json;
@@ -232,10 +241,10 @@ fn main() {
     }
 
     let serial = bench("pipeline_serial", warmup, iters, || {
-        serial_report_json(config, false)
+        report_json(config, 1, false)
     });
     let parallel = bench("pipeline_parallel", warmup, iters, || {
-        parallel_report_json(config, workers)
+        report_json(config, workers, false)
     });
     // Instrumentation overhead is measured on *interleaved* pairs: one
     // obs-off run, then one obs-on run, per iteration. Back-to-back
@@ -246,10 +255,10 @@ fn main() {
     let mut obs_ms = Vec::with_capacity(iters);
     for _ in 0..iters {
         let t = std::time::Instant::now();
-        std::hint::black_box(serial_report_json(config, false));
+        std::hint::black_box(report_json(config, 1, false));
         base_ms.push(t.elapsed().as_secs_f64() * 1e3);
         let t = std::time::Instant::now();
-        std::hint::black_box(serial_report_json(config, true));
+        std::hint::black_box(report_json(config, 1, true));
         obs_ms.push(t.elapsed().as_secs_f64() * 1e3);
     }
     let serial_base = iot_bench::harness::BenchResult::new(
@@ -271,11 +280,11 @@ fn main() {
     for _ in 0..iters {
         iot_obs::alloc::set_enabled(false);
         let t = std::time::Instant::now();
-        std::hint::black_box(serial_report_json(config, false));
+        std::hint::black_box(report_json(config, 1, false));
         alloc_base_ms.push(t.elapsed().as_secs_f64() * 1e3);
         iot_obs::alloc::set_enabled(true);
         let t = std::time::Instant::now();
-        std::hint::black_box(serial_report_json(config, false));
+        std::hint::black_box(report_json(config, 1, false));
         alloc_on_ms.push(t.elapsed().as_secs_f64() * 1e3);
     }
     iot_obs::alloc::set_enabled(false);

@@ -15,9 +15,9 @@
 //!    duplicated == ingested + dropped + lost + quarantined, at every
 //!    rate.
 //! 4. **Determinism under faults** — for the same fault seed the faulted
-//!    report is byte-identical across the serial and 1/2/8-worker
-//!    drivers, and a clean (all-zero-rate) plan is a perfect identity
-//!    against an unarmed run.
+//!    report is identical at 1, 2 and 8 workers
+//!    (`iot_oracle::differential::check_worker_grid`), and a clean
+//!    (all-zero-rate) plan is a perfect identity against an unarmed run.
 //! 5. **Bounded drift** — at low fault rates the headline metrics
 //!    (destination counts, PII findings, encryption mix) stay close to
 //!    the clean baseline; losing 0.1% of packets must not reshape the
@@ -25,14 +25,14 @@
 //! 6. **Stall quarantine** — seeded stalls that breach the supervised
 //!    driver's watchdog deadline end as `stall_deadline` quarantines,
 //!    with the decision (a value comparison, never a clock race)
-//!    byte-identical across 1/2/8-worker drivers.
+//!    identical at 1, 2 and 8 workers.
 //! 7. **Deterministic retry** — with a retry budget, transient
 //!    failures are re-attempted with seed-stable draws: retries rescue
 //!    experiments, the extended ledger reconciles, and the report is
-//!    byte-identical across drivers and across repeated runs.
+//!    identical at 1, 2 and 8 workers and across repeated runs.
 //! 8. **Kill and resume** — a journaled supervised run whose journal is
-//!    amputated mid-record resumes to a report byte-identical to the
-//!    straight-through run, at 2 and at 8 workers; resuming a complete
+//!    amputated mid-record resumes, at 1, 2 and 8 workers, to a report
+//!    identical to the straight-through run; resuming a complete
 //!    journal replays everything and runs nothing.
 //!
 //! Environment:
@@ -49,13 +49,13 @@ use iot_analysis::SupervisorConfig;
 use iot_bench::{campaign_config, scale};
 use iot_chaos::FaultPlan;
 use iot_core::json::{Json, ToJson};
+use iot_oracle::differential::{check_worker_grid, run};
 use iot_testbed::schedule::CampaignConfig;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// Worker counts the faulted report must be byte-identical across.
-const WORKER_GRID: [usize; 3] = [1, 2, 8];
 /// Default sweep of uniform fault rates.
 const DEFAULT_RATES: [f64; 3] = [0.001, 0.01, 0.05];
 /// Rates at or below this are "low" and must respect the drift gates.
@@ -128,30 +128,57 @@ fn mix_delta(a: &Headline, b: &Headline) -> f64 {
     worst
 }
 
-fn run(config: CampaignConfig, plan: Option<FaultPlan>, workers: Option<usize>) -> PipelineReport {
-    let mut p = Pipeline::with_obs(false);
-    if let Some(plan) = plan {
-        p.set_fault_plan(plan);
-    }
-    match workers {
-        None => p.run_campaign(config),
-        Some(w) => p.run_campaign_parallel(config, w),
-    }
-    p.finish()
-}
-
-fn run_supervised(
+/// A supervised run without a journal, which cannot fail.
+fn supervised(
     config: CampaignConfig,
     plan: FaultPlan,
     workers: usize,
     sup: &SupervisorConfig,
+) -> PipelineReport {
+    let mut p = Pipeline::with_obs(false);
+    p.set_fault_plan(plan);
+    p.run_campaign_supervised(config, workers, sup)
+        .expect("a run without a journal cannot fail to journal");
+    p.finish()
+}
+
+/// Resumes a supervised run at `workers` workers from the journal at
+/// `path`.
+fn resume(
+    config: CampaignConfig,
+    plan: FaultPlan,
+    workers: usize,
+    sup: &SupervisorConfig,
+    path: &Path,
 ) -> Result<(PipelineReport, iot_analysis::SuperviseSummary), String> {
+    let sup = SupervisorConfig {
+        journal: Some(path.to_path_buf()),
+        resume: true,
+        ..sup.clone()
+    };
     let mut p = Pipeline::with_obs(false);
     p.set_fault_plan(plan);
     let summary = p
-        .run_campaign_supervised(config, workers, sup)
-        .map_err(|e| format!("supervised run ({workers} workers): {e}"))?;
+        .run_campaign_supervised(config, workers, &sup)
+        .map_err(|e| format!("resume at {workers} workers: {e}"))?;
     Ok((p.finish(), summary))
+}
+
+/// Gates 4b, 6, 7 and 8: the worker-grid identity check; returns the
+/// 1-worker result.
+fn identical_across_workers<T: ToJson>(
+    stage: &str,
+    run: impl FnMut(usize) -> T,
+) -> Result<T, String> {
+    let (baseline, v) = check_worker_grid("chaos_workers", run);
+    match v.first() {
+        None => Ok(baseline),
+        Some(first) => Err(format!(
+            "{stage}: report diverged across worker counts ({} fields; first: {})",
+            v.len(),
+            first.render()
+        )),
+    }
 }
 
 /// Gate 2: the report must serialize to JSON the in-tree parser accepts.
@@ -203,7 +230,7 @@ fn check(out_path: &str) -> Result<(), String> {
 
     // Clean baseline for identity and drift comparisons.
     let t = Instant::now();
-    let baseline = run(config, None, None);
+    let baseline = run(config, None, 1);
     let baseline_json = check_valid_json("baseline", &baseline)?;
     if !baseline.ingest.is_clean() || !baseline.ingest.reconciles() {
         return Err(format!(
@@ -220,7 +247,7 @@ fn check(out_path: &str) -> Result<(), String> {
     );
 
     // Gate 4a: an armed all-zero-rate plan is an exact identity.
-    let armed_clean = run(config, Some(FaultPlan::clean(seed)), None);
+    let armed_clean = run(config, Some(FaultPlan::clean(seed)), 1);
     if check_valid_json("clean-plan", &armed_clean)? != baseline_json {
         return Err("clean fault plan changed the report: degrade→salvage \
                     round-trip is not an identity"
@@ -232,8 +259,11 @@ fn check(out_path: &str) -> Result<(), String> {
     for &rate in &rates {
         let t = Instant::now();
         let plan = FaultPlan::uniform(seed, rate);
-        let serial = run(config, Some(plan), None);
-        let serial_json = check_valid_json(&format!("rate {rate}"), &serial)?;
+        // Gate 4b: identity across worker counts under faults.
+        let serial = identical_across_workers(&format!("rate {rate}"), |workers| {
+            run(config, Some(plan), workers)
+        })?;
+        check_valid_json(&format!("rate {rate}"), &serial)?;
         let ingest = &serial.ingest;
 
         // Gate 3: exact packet accounting.
@@ -253,16 +283,6 @@ fn check(out_path: &str) -> Result<(), String> {
                 "rate {rate}: experiment count changed ({} vs {})",
                 serial.experiments, base.experiments
             ));
-        }
-
-        // Gate 4b: byte-identity across drivers under faults.
-        for workers in WORKER_GRID {
-            let parallel = run(config, Some(plan), Some(workers));
-            if parallel.to_json().dump() != serial_json {
-                return Err(format!(
-                    "rate {rate}: {workers}-worker report diverged from serial"
-                ));
-            }
         }
 
         // Gate 5: bounded drift at low rates.
@@ -317,14 +337,16 @@ fn check(out_path: &str) -> Result<(), String> {
     results.set("sweep", Json::Arr(sweep));
 
     // Gate 1 (hard part): seeded ingest panics end in quarantine, with
-    // the run surviving and still deterministic across drivers.
+    // the run surviving and still deterministic across worker counts.
     let t = Instant::now();
     let panic_plan = FaultPlan {
         panic_rate: PANIC_RATE,
         ..FaultPlan::uniform(seed, 0.01)
     };
-    let serial = run(config, Some(panic_plan), None);
-    let serial_json = check_valid_json("panic stage", &serial)?;
+    let serial = identical_across_workers("panic stage", |workers| {
+        run(config, Some(panic_plan), workers)
+    })?;
+    check_valid_json("panic stage", &serial)?;
     let ingest = &serial.ingest;
     if ingest.experiments_quarantined == 0 {
         return Err(format!(
@@ -340,14 +362,6 @@ fn check(out_path: &str) -> Result<(), String> {
             serial.experiments, ingest.experiments_quarantined, base.experiments
         ));
     }
-    for workers in WORKER_GRID {
-        let parallel = run(config, Some(panic_plan), Some(workers));
-        if parallel.to_json().dump() != serial_json {
-            return Err(format!(
-                "panic stage: {workers}-worker report diverged from serial"
-            ));
-        }
-    }
     println!(
         "chaos_check: panic stage: {} of {} experiments quarantined, run survived ({:.1}s)",
         ingest.experiments_quarantined,
@@ -361,7 +375,7 @@ fn check(out_path: &str) -> Result<(), String> {
     let no_retry_quarantined = ingest.experiments_quarantined;
 
     // Gate 6: stalls breaching the watchdog deadline are quarantined as
-    // `stall_deadline`, identically across drivers.
+    // `stall_deadline`, identically across worker counts.
     let t = Instant::now();
     let stall_plan = FaultPlan {
         stall_rate: 0.04,
@@ -372,8 +386,10 @@ fn check(out_path: &str) -> Result<(), String> {
         deadline: Some(Duration::from_millis(10)),
         ..SupervisorConfig::default()
     };
-    let (stall_base, _) = run_supervised(config, stall_plan, 1, &stall_sup)?;
-    let stall_json = check_valid_json("stall stage", &stall_base)?;
+    let stall_base = identical_across_workers("stall stage", |workers| {
+        supervised(config, stall_plan, workers, &stall_sup)
+    })?;
+    check_valid_json("stall stage", &stall_base)?;
     let ingest = &stall_base.ingest;
     let stalled = ingest.stage_errors.get("stall_deadline").copied().unwrap_or(0);
     if stalled == 0 {
@@ -394,17 +410,9 @@ fn check(out_path: &str) -> Result<(), String> {
     if !stall_base.coverage.is_degraded() {
         return Err("stall stage: quarantines did not degrade the coverage manifest".to_string());
     }
-    for workers in WORKER_GRID {
-        let (parallel, _) = run_supervised(config, stall_plan, workers, &stall_sup)?;
-        if parallel.to_json().dump() != stall_json {
-            return Err(format!(
-                "stall stage: {workers}-worker report diverged from serial"
-            ));
-        }
-    }
     println!(
         "chaos_check: stall stage: {stalled} of {} experiments quarantined at the deadline, \
-         drivers identical ({:.1}s)",
+         worker counts identical ({:.1}s)",
         base.experiments,
         t.elapsed().as_secs_f64()
     );
@@ -414,13 +422,15 @@ fn check(out_path: &str) -> Result<(), String> {
     results.set("stall_stage", stall_stage);
 
     // Gate 7: a retry budget rescues transient failures with seed-stable
-    // draws; the report stays byte-identical across drivers and runs.
+    // draws; the report stays identical across worker counts and runs.
     let t = Instant::now();
     let retry_sup = SupervisorConfig {
         max_retries: 2,
         ..SupervisorConfig::default()
     };
-    let (retry_base, _) = run_supervised(config, panic_plan, 1, &retry_sup)?;
+    let retry_base = identical_across_workers("retry stage", |workers| {
+        supervised(config, panic_plan, workers, &retry_sup)
+    })?;
     let retry_json = check_valid_json("retry stage", &retry_base)?;
     let ingest = &retry_base.ingest;
     if ingest.retry_attempts == 0 || ingest.experiments_retried == 0 {
@@ -439,22 +449,15 @@ fn check(out_path: &str) -> Result<(), String> {
              {no_retry_quarantined} without — retries rescued nothing"
         ));
     }
-    for workers in WORKER_GRID {
-        let (parallel, _) = run_supervised(config, panic_plan, workers, &retry_sup)?;
-        if parallel.to_json().dump() != retry_json {
-            return Err(format!(
-                "retry stage: {workers}-worker report diverged from serial"
-            ));
-        }
-    }
-    let (rerun, _) = run_supervised(config, panic_plan, 1, &retry_sup)?;
+    let rerun = supervised(config, panic_plan, 1, &retry_sup);
     if rerun.to_json().dump() != retry_json {
         return Err("retry stage: repeated run diverged — retry draws are not seed-stable"
             .to_string());
     }
     println!(
         "chaos_check: retry stage: {} retried ({} attempts), {permanent} permanent \
-         (was {no_retry_quarantined} without retries), drivers and reruns identical ({:.1}s)",
+         (was {no_retry_quarantined} without retries), worker counts and reruns \
+         identical ({:.1}s)",
         ingest.experiments_retried,
         ingest.retry_attempts,
         t.elapsed().as_secs_f64()
@@ -465,27 +468,28 @@ fn check(out_path: &str) -> Result<(), String> {
     results.set("retry_stage", retry_stage);
 
     // Gate 8: kill-and-resume. Journal a supervised run, amputate the
-    // journal mid-record as a SIGKILL would, resume from the stump at
-    // two worker widths, and demand byte-identity with the
-    // straight-through report.
+    // journal mid-record as a SIGKILL would, resume a copy of the stump
+    // at every worker count, and demand identity with the
+    // straight-through report (the retry stage's 1-worker run).
     let t = Instant::now();
-    let (straight, _) = run_supervised(config, panic_plan, 2, &retry_sup)?;
-    let straight_json = check_valid_json("resume stage", &straight)?;
-    let stump_a = std::path::PathBuf::from(format!(
-        "target/chaos_resume_{}_a.jnl",
-        std::process::id()
-    ));
-    let stump_b = std::path::PathBuf::from(format!(
-        "target/chaos_resume_{}_b.jnl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&stump_a);
+    let journal_at = |tag: &str| {
+        PathBuf::from(format!(
+            "target/chaos_resume_{}_{tag}.jnl",
+            std::process::id()
+        ))
+    };
+    let full = journal_at("full");
+    let _ = std::fs::remove_file(&full);
+    let mut journaled = Pipeline::with_obs(false);
+    journaled.set_fault_plan(panic_plan);
     let journal_sup = SupervisorConfig {
-        journal: Some(stump_a.clone()),
+        journal: Some(full.clone()),
         ..retry_sup.clone()
     };
-    run_supervised(config, panic_plan, 2, &journal_sup)?;
-    let bytes = std::fs::read(&stump_a).map_err(|e| format!("resume stage: {e}"))?;
+    journaled
+        .run_campaign_supervised(config, 2, &journal_sup)
+        .map_err(|e| format!("resume stage: journaled run: {e}"))?;
+    let bytes = std::fs::read(&full).map_err(|e| format!("resume stage: {e}"))?;
     if bytes.len() < 64 {
         return Err(format!(
             "resume stage: implausibly small journal ({} bytes)",
@@ -493,53 +497,53 @@ fn check(out_path: &str) -> Result<(), String> {
         ));
     }
     let stump = &bytes[..bytes.len() * 6 / 10];
-    std::fs::write(&stump_a, stump).map_err(|e| format!("resume stage: {e}"))?;
-    std::fs::write(&stump_b, stump).map_err(|e| format!("resume stage: {e}"))?;
+    let mut failure = None;
     let mut replayed = 0;
-    for (path, workers) in [(&stump_a, 2usize), (&stump_b, 8usize)] {
-        let resume_sup = SupervisorConfig {
-            journal: Some(path.clone()),
-            resume: true,
-            ..retry_sup.clone()
-        };
-        let (resumed, summary) = run_supervised(config, panic_plan, workers, &resume_sup)?;
-        if summary.units_replayed == 0 || summary.units_run == 0 {
-            return Err(format!(
-                "resume stage: truncation did not split the work \
-                 (replayed {}, ran {})",
-                summary.units_replayed, summary.units_run
-            ));
-        }
-        replayed = summary.units_replayed;
-        if resumed.to_json().dump() != straight_json {
-            return Err(format!(
-                "resume stage: {workers}-worker resumed report diverged from \
-                 straight-through"
-            ));
-        }
+    let grid = identical_across_workers("resume stage", |workers| {
+        let path = journal_at(&workers.to_string());
+        let resumed = std::fs::write(&path, stump)
+            .map_err(|e| format!("resume stage: {e}"))
+            .and_then(|()| resume(config, panic_plan, workers, &retry_sup, &path))
+            .and_then(|(report, summary)| {
+                if summary.units_replayed == 0 || summary.units_run == 0 {
+                    return Err(format!(
+                        "resume stage: truncation did not split the work \
+                         (replayed {}, ran {})",
+                        summary.units_replayed, summary.units_run
+                    ));
+                }
+                replayed = summary.units_replayed;
+                Ok(report.to_json())
+            });
+        resumed.unwrap_or_else(|e| {
+            failure.get_or_insert(e);
+            Json::Null
+        })
+    });
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    if grid?.dump() != retry_json {
+        return Err("resume stage: resumed report diverged from straight-through".to_string());
     }
     // Resuming a journal that is already complete replays everything.
-    let resume_sup = SupervisorConfig {
-        journal: Some(stump_a.clone()),
-        resume: true,
-        ..retry_sup.clone()
-    };
-    let (complete, summary) = run_supervised(config, panic_plan, 2, &resume_sup)?;
+    let (complete, summary) = resume(config, panic_plan, 2, &retry_sup, &journal_at("1"))?;
     if summary.units_run != 0 || summary.units_replayed != summary.units_total {
         return Err(format!(
             "resume stage: complete journal re-ran work (replayed {}, ran {})",
             summary.units_replayed, summary.units_run
         ));
     }
-    if complete.to_json().dump() != straight_json {
+    if complete.to_json().dump() != retry_json {
         return Err("resume stage: replay-only report diverged from straight-through"
             .to_string());
     }
-    let _ = std::fs::remove_file(&stump_a);
-    let _ = std::fs::remove_file(&stump_b);
+    for tag in ["full", "1", "2", "8"] {
+        let _ = std::fs::remove_file(journal_at(tag));
+    }
     println!(
         "chaos_check: resume stage: {replayed} units replayed from the amputated journal, \
-         2/8-worker resumes and replay-only all byte-identical ({:.1}s)",
+         1/2/8-worker resumes and replay-only all identical ({:.1}s)",
         t.elapsed().as_secs_f64()
     );
     let mut resume_stage = Json::obj();

@@ -105,7 +105,7 @@ fn check_exports(
             .and_then(Json::as_u64)
             .unwrap_or(0);
         if overwritten == 0 {
-            return Err("bench: deterministic trace diverged across drivers".to_string());
+            return Err("bench: deterministic trace diverged across worker counts".to_string());
         }
         println!(
             "obs_check: deterministic-trace gate skipped ({overwritten} events overwritten)"
@@ -233,7 +233,7 @@ fn check(
         .filter(|(k, _)| k.starts_with("worker.") && k.ends_with(".experiments"))
         .count();
     if worker_gauges == 0 {
-        return Err(format!("{obs_path}: no per-worker shard-size gauges"));
+        return Err(format!("{obs_path}: no per-worker load gauges"));
     }
     println!("obs_check: {worker_gauges} per-worker gauge(s)");
     // bench_pipeline keeps heap counting on for the instrumented runs,

@@ -1,7 +1,7 @@
 //! Live-telemetry endpoint smoke test, run by `verify.sh`.
 //!
 //! Starts the `iot-obs` HTTP server on an ephemeral localhost port,
-//! drives a small instrumented campaign through the parallel pipeline on
+//! drives a small instrumented 2-worker campaign through the pipeline on
 //! a worker thread, and — while and after it runs — probes the endpoint
 //! with raw `TcpStream` requests (the in-tree equivalent of `curl`):
 //!
@@ -24,6 +24,7 @@
 //! Exits non-zero on any failure, so `verify.sh` can gate on it.
 
 use iot_analysis::pipeline::Pipeline;
+use iot_analysis::SupervisorConfig;
 use iot_core::json::Json;
 use iot_testbed::schedule::CampaignConfig;
 use std::io::{Read, Write};
@@ -99,7 +100,7 @@ fn check() -> Result<(), String> {
             panic_rate: 0.01,
             ..iot_chaos::FaultPlan::uniform(0x5EEDED, 0.01)
         });
-        p.run_campaign_parallel(
+        p.run_campaign_supervised(
             CampaignConfig {
                 automated_reps: 1,
                 manual_reps: 1,
@@ -108,7 +109,9 @@ fn check() -> Result<(), String> {
                 include_vpn: false,
             },
             2,
-        );
+            &SupervisorConfig::default(),
+        )
+        .expect("a run without a journal cannot fail to journal");
         p.finish()
     });
 

@@ -1,6 +1,6 @@
 //! Correctness-oracle gate, run by `verify.sh`.
 //!
-//! Byte-identical reports across drivers (gated by `bench_pipeline` and
+//! Identical reports across worker counts (gated by `bench_pipeline` and
 //! `chaos_check`) prove the pipeline is *consistent*; they cannot prove
 //! the numbers are *right*. This binary runs the `iot-oracle` harness,
 //! which checks properties that hold regardless of what the correct
@@ -15,9 +15,9 @@
 //!    relabeling repetition indices leaves the report byte-identical;
 //!    removing one device removes exactly that device's rows; adding
 //!    the VPN dimension leaves native-egress fields untouched.
-//! 3. **Differential runs** — 1/2/8-worker and chaos-clean-plan drivers
-//!    against the serial baseline, with divergences named by table, row,
-//!    and field.
+//! 3. **Differential runs** — 2/8-worker and chaos-clean-plan runs
+//!    against the 1-worker baseline, with divergences named by table,
+//!    row, and field.
 //!
 //! Environment:
 //!

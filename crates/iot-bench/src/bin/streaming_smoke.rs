@@ -4,13 +4,14 @@
 //!
 //! Gates (any failure exits non-zero):
 //!
-//! 1. **Driver identity, clean:** the serial report is byte-identical
-//!    to the parallel drivers at 1, 2, and 8 workers.
-//! 2. **Driver identity, faulted:** the same four-way identity holds
-//!    with a fault plan armed, so the degrade → lenient-salvage →
-//!    re-encode path is deterministic across drivers too.
-//! 3. **Bounded heap:** a counting-on serial campaign's heap high-water
-//!    stays under `IOT_STREAMING_HW_CEILING` bytes (default 2,161,492 —
+//! 1. **Worker-count identity, clean:** the report is identical at 1, 2,
+//!    and 8 workers (`iot_oracle::differential::check_worker_grid`).
+//! 2. **Worker-count identity, faulted:** the same identity holds with a
+//!    fault plan armed, so the degrade → lenient-salvage → re-encode
+//!    path is deterministic across worker counts too.
+//! 3. **Bounded heap:** a counting-on `run_campaign` (the one driver, one
+//!    worker on this thread) keeps its heap high-water under
+//!    `IOT_STREAMING_HW_CEILING` bytes (default 2,161,492 —
 //!    half the materializing pipeline's committed 4,322,984-byte
 //!    baseline, so a regression back to packet-vector ingest fails
 //!    loudly).
@@ -21,6 +22,7 @@ use iot_analysis::pipeline::Pipeline;
 use iot_bench::{campaign_config, Scale};
 use iot_chaos::FaultPlan;
 use iot_core::json::ToJson;
+use iot_oracle::differential::{check_worker_grid, run};
 use iot_testbed::schedule::CampaignConfig;
 
 const DEFAULT_HW_CEILING: u64 = 2_161_492;
@@ -34,15 +36,9 @@ fn env_u64(key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn report(config: CampaignConfig, fault: Option<FaultPlan>, workers: Option<usize>) -> String {
+fn report(config: CampaignConfig) -> String {
     let mut p = Pipeline::with_obs(false);
-    if let Some(plan) = fault {
-        p.set_fault_plan(plan);
-    }
-    match workers {
-        None => p.run_campaign(config),
-        Some(w) => p.run_campaign_parallel(config, w),
-    }
+    p.run_campaign(config);
     p.finish().to_json().dump()
 }
 
@@ -52,36 +48,35 @@ fn main() {
     let rss_ceiling = env_u64("IOT_STREAMING_RSS_CEILING", DEFAULT_RSS_CEILING);
     let mut failures = 0u32;
 
-    // Gate 1+2: four-way driver identity, clean and faulted.
+    // Gate 1+2: worker-count identity, clean and faulted.
     for (label, plan) in [
         ("clean", None),
         ("faulted", Some(FaultPlan::uniform(1009, 0.08))),
     ] {
-        let serial = report(config, plan.clone(), None);
-        for workers in [1usize, 2, 8] {
-            let parallel = report(config, plan.clone(), Some(workers));
-            if parallel == serial {
-                println!("streaming_smoke: {label} serial == workers {workers}");
-            } else {
-                eprintln!(
-                    "streaming_smoke: FAIL — {label} report at {workers} workers \
-                     diverged from serial"
-                );
-                failures += 1;
-            }
+        let (_, violations) =
+            check_worker_grid("streaming_workers", |workers| run(config, plan, workers));
+        if violations.is_empty() {
+            println!("streaming_smoke: {label} report identical at 1/2/8 workers");
+        } else {
+            eprintln!(
+                "streaming_smoke: FAIL — {label} report diverged across worker counts \
+                 ({} fields; first: {})",
+                violations.len(),
+                violations[0].render()
+            );
+            failures += 1;
         }
     }
 
-    // Gate 3: heap high-water of one counting-on serial run. Reset the
-    // ratchet first so the measurement covers exactly this campaign,
-    // not the identity runs above.
+    // Gate 3: heap high-water of one counting-on run. Reset the ratchet
+    // first so the measurement covers exactly this campaign, not the
+    // identity runs above.
     iot_obs::alloc::set_enabled(true);
     iot_obs::alloc::reset_high_water();
-    let counted = report(config, None, None);
+    let counted = report(config);
     let high_water = iot_obs::alloc::process_high_water_bytes();
     iot_obs::alloc::set_enabled(false);
-    let clean_serial = report(config, None, None);
-    if counted != clean_serial {
+    if counted != report(config) {
         eprintln!("streaming_smoke: FAIL — counting-on report diverged from baseline");
         failures += 1;
     }

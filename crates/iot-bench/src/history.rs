@@ -66,13 +66,13 @@ pub struct HistoryEntry {
     pub scale: String,
     /// Parallel worker count the run used.
     pub workers: u64,
-    /// Serial driver median, milliseconds.
+    /// 1-worker median, milliseconds.
     pub serial_median_ms: f64,
-    /// Serial driver p95, milliseconds.
+    /// 1-worker p95, milliseconds.
     pub serial_p95_ms: f64,
-    /// Parallel driver median, milliseconds.
+    /// `workers`-worker median, milliseconds.
     pub parallel_median_ms: f64,
-    /// Parallel driver p95, milliseconds.
+    /// `workers`-worker p95, milliseconds.
     pub parallel_p95_ms: f64,
     /// Instrumented-over-baseline serial median ratio.
     pub obs_overhead_ratio: f64,

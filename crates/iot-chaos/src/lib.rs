@@ -17,8 +17,8 @@
 //! [`FaultInjector`]: the same `(plan seed, stream key)` pair always
 //! produces the same degraded bytes, no matter in which order streams
 //! are degraded or on how many threads. That determinism is what lets
-//! the analysis pipeline assert byte-identical faulted reports across
-//! its serial and sharded parallel drivers (`chaos_check`).
+//! the analysis pipeline assert byte-identical faulted reports at
+//! every worker count (`chaos_check`).
 //!
 //! The crate is intentionally low-level: it knows about [`iot_net`]
 //! packets and pcap framing, nothing above. The salvage counterpart —

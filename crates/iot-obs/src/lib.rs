@@ -3,11 +3,11 @@
 //! Zero-dependency observability layer for the analysis pipeline:
 //! tracing spans, metrics, and machine-readable run reports.
 //!
-//! The design mirrors the pipeline's `PipelineShard` pattern: every
-//! worker owns a private [`Registry`] and records into it without any
-//! locking; registries [`merge`](Registry::merge) order-independently
-//! when the shards fold, so a parallel run accumulates exactly the same
-//! metrics a serial run does. Concretely:
+//! The design mirrors the pipeline's worker pattern: every worker owns
+//! a private [`Registry`] and records into it without any locking;
+//! registries [`merge`](Registry::merge) order-independently when the
+//! workers end, so a run accumulates exactly the same metrics at any
+//! worker count. Concretely:
 //!
 //! * [`registry`] — the [`Registry`]: shard-local counters, gauges,
 //!   fixed-bucket histograms, and hierarchical spans.

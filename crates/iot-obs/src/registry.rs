@@ -2,7 +2,7 @@
 //!
 //! A [`Registry`] is owned by exactly one worker (it is deliberately not
 //! `Sync`): recording never takes a lock, mirroring how each pipeline
-//! worker owns a private `PipelineShard`. When the shards fold, the
+//! worker owns its private caches. When the workers end, the
 //! registries [`merge`](Registry::merge); counter, histogram, and span
 //! merges are associative and commutative, so the merged registry is
 //! independent of worker count and fold order. Gauges merge by maximum

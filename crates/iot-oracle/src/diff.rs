@@ -205,7 +205,7 @@ mod tests {
             left: "12.4".to_string(),
             right: "12.9".to_string(),
         };
-        let v = d.into_violation("differential_workers_2");
+        let v = d.into_violation("differential_workers");
         assert_eq!(v.table, "encryption_mix");
         assert_eq!(v.row, "US");
         assert_eq!(v.field, "[0]");

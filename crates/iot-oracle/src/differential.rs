@@ -1,19 +1,19 @@
-//! Differential runs: the same campaign executed through every driver —
-//! serial, 1/2/8-worker parallel, serial with an armed all-zero chaos
-//! plan, every parallel width under a *non-clean* fault plan, and an
+//! Differential runs: the same campaign at 1, 2 and 8 workers, with an
+//! armed all-zero chaos plan, under a *non-clean* fault plan, and as an
 //! interrupted-then-resumed supervised run against its straight-through
 //! twin — compared field by field.
 //!
-//! Byte equality of the dumped JSON is already gated elsewhere
-//! (`bench_pipeline`, `chaos_check`); the oracle's contribution is the
-//! *structured* comparison: when drivers diverge, the violations name
-//! the exact table, row, and field, which turns "reports differ" into
-//! an actionable defect report.
+//! [`check_worker_grid`] is the one place that proves worker-count
+//! identity: every gate that needs it (`bench_pipeline`, `chaos_check`,
+//! `streaming_smoke`, the oracle, and the identity tests) hands it a run
+//! closure. Its comparison is *structured*: when worker counts diverge,
+//! the violations name the exact table, row, and field, which turns
+//! "reports differ" into an actionable defect report.
 //!
 //! The faulted sweep keys faults rep-invariantly
 //! (`rep_invariant_fault_keys`), so the same plan also powers the
 //! faulted rep-relabel metamorphic relation — one fault universe,
-//! checked across drivers here and across input relabelings there.
+//! checked across worker counts here and across input relabelings there.
 
 use crate::diff::diff_json;
 use crate::Violation;
@@ -24,7 +24,7 @@ use iot_core::json::ToJson;
 use iot_testbed::schedule::CampaignConfig;
 use std::time::Duration;
 
-/// Worker counts compared against the serial baseline.
+/// Worker counts of the identity grid; the first is the baseline.
 pub const WORKER_GRID: [usize; 3] = [1, 2, 8];
 
 /// Seed for the clean (all-zero-rate) fault plan; any value must be an
@@ -33,6 +33,40 @@ const CLEAN_PLAN_SEED: u64 = 0x0B5E55ED;
 
 /// Seed for the non-clean plans below.
 const FAULTED_PLAN_SEED: u64 = 0xFA17ED;
+
+/// The worker-count identity check: runs `run` at every width of
+/// [`WORKER_GRID`] and compares the 2- and 8-worker results against the
+/// 1-worker one, field by field and then byte for byte. Returns the
+/// 1-worker result and one violation per divergence, tagged `invariant`,
+/// with the width leading the detail.
+pub fn check_worker_grid<T: ToJson>(
+    invariant: &'static str,
+    mut run: impl FnMut(usize) -> T,
+) -> (T, Vec<Violation>) {
+    let baseline = run(WORKER_GRID[0]);
+    let base = baseline.to_json();
+    let mut v = Vec::new();
+    for &workers in &WORKER_GRID[1..] {
+        let candidate = run(workers).to_json();
+        let diffs = diff_json(&base, &candidate);
+        if diffs.is_empty() && base.dump() != candidate.dump() {
+            // Same fields, different bytes: only member order moved.
+            v.push(Violation::new(
+                invariant,
+                "<root>",
+                "",
+                "",
+                format!("{workers} workers: same fields, different bytes"),
+            ));
+        }
+        v.extend(diffs.into_iter().map(|d| {
+            let mut violation = d.into_violation(invariant);
+            violation.detail = format!("{workers} workers: {}", violation.detail);
+            violation
+        }));
+    }
+    (baseline, v)
+}
 
 /// The non-clean capture-fault plan shared by the faulted differential
 /// sweep and the faulted rep-relabel metamorphic relation: every
@@ -66,15 +100,14 @@ fn resume_supervisor(journal: Option<std::path::PathBuf>, resume: bool) -> Super
     }
 }
 
-fn run(config: CampaignConfig, plan: Option<FaultPlan>, workers: Option<usize>) -> PipelineReport {
+/// One obs-off campaign at `workers` workers, optionally faulted.
+pub fn run(config: CampaignConfig, plan: Option<FaultPlan>, workers: usize) -> PipelineReport {
     let mut p = Pipeline::with_obs(false);
     if let Some(plan) = plan {
         p.set_fault_plan(plan);
     }
-    match workers {
-        None => p.run_campaign(config),
-        Some(w) => p.run_campaign_parallel(config, w),
-    }
+    p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
+        .expect("a run without a journal cannot fail to journal");
     p.finish()
 }
 
@@ -89,44 +122,43 @@ fn compare(
         .collect()
 }
 
-/// Runs every differential configuration against an existing serial
-/// baseline report, returning one violation per diverging field.
+/// Runs the worker grid and the armed clean plan against an existing
+/// 1-worker report of `config`, which stands in for the grid's own
+/// 1-worker run.
 pub fn check_drivers_against(
     baseline: &PipelineReport,
     config: CampaignConfig,
 ) -> Vec<Violation> {
-    let mut v = Vec::new();
-    for workers in WORKER_GRID {
-        let candidate = run(config, None, Some(workers));
-        let invariant = match workers {
-            1 => "differential_workers_1",
-            2 => "differential_workers_2",
-            _ => "differential_workers_8",
-        };
-        v.extend(compare(invariant, baseline, &candidate));
-    }
-    let clean = run(config, Some(FaultPlan::clean(CLEAN_PLAN_SEED)), None);
+    let (_, mut v) = check_worker_grid("differential_workers", |workers| {
+        if workers == 1 {
+            baseline.to_json()
+        } else {
+            run(config, None, workers).to_json()
+        }
+    });
+    let clean = run(config, Some(FaultPlan::clean(CLEAN_PLAN_SEED)), 1);
     v.extend(compare("differential_chaos_clean", baseline, &clean));
     v
 }
 
-/// Runs the serial driver as baseline, then every differential
-/// configuration. The serial report is also returned so callers can
+/// Runs `config` once as the baseline, then every differential
+/// configuration. The baseline report is also returned so callers can
 /// chain invariant checks without re-running the campaign.
 pub fn check_drivers(config: CampaignConfig) -> (PipelineReport, Vec<Violation>) {
-    let baseline = run(config, None, None);
+    let baseline = run(config, None, 1);
     let v = check_drivers_against(&baseline, config);
     (baseline, v)
 }
 
-/// The faulted sweep: the same *non-clean* plan run serially and at
-/// every parallel width must agree field by field — fault draws are
-/// keyed by experiment identity, never by driver or schedule. The check
-/// also guards its own vacuity: a plan that never bites is a finding.
+/// The faulted sweep: the same *non-clean* plan at every worker count
+/// must agree field by field — fault draws are keyed by experiment
+/// identity, never by worker or schedule. The check also guards its own
+/// vacuity: a plan that never bites is a finding.
 pub fn check_drivers_faulted(config: CampaignConfig) -> Vec<Violation> {
     let plan = faulted_plan();
-    let baseline = run(config, Some(plan), None);
-    let mut v = Vec::new();
+    let (baseline, mut v) = check_worker_grid("differential_faulted_workers", |workers| {
+        run(config, Some(plan), workers)
+    });
     if baseline.ingest.is_clean() {
         v.push(Violation::new(
             "differential_faulted",
@@ -136,20 +168,11 @@ pub fn check_drivers_faulted(config: CampaignConfig) -> Vec<Violation> {
             "faulted plan produced a clean ledger — the sweep checked nothing".to_string(),
         ));
     }
-    for workers in WORKER_GRID {
-        let candidate = run(config, Some(plan), Some(workers));
-        let invariant = match workers {
-            1 => "differential_faulted_workers_1",
-            2 => "differential_faulted_workers_2",
-            _ => "differential_faulted_workers_8",
-        };
-        v.extend(compare(invariant, &baseline, &candidate));
-    }
     v
 }
 
 /// The resume check: a supervised campaign is journaled, the journal is
-/// amputated mid-record (simulating a SIGKILL), and a second driver
+/// amputated mid-record (simulating a SIGKILL), and a second run
 /// resumes from the stump — the resumed report must match a
 /// straight-through supervised run field by field. Stall injection plus
 /// the watchdog deadline make the runs quarantine and retry, so the
@@ -252,4 +275,40 @@ pub fn check_resume(config: CampaignConfig) -> Vec<Violation> {
     }
     let _ = std::fs::remove_file(&path);
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iot_core::json::Json;
+
+    #[test]
+    fn worker_grid_names_the_width_and_field_that_diverged() {
+        let mut widths = Vec::new();
+        let (base, v) = check_worker_grid("grid_probe", |workers| {
+            widths.push(workers);
+            let mut j = Json::obj();
+            j.set("n", (if workers == 8 { 9u64 } else { 7 }).to_json());
+            j
+        });
+        assert_eq!(widths, WORKER_GRID);
+        assert_eq!(base.dump(), r#"{"n":7}"#);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "grid_probe");
+        assert_eq!(v[0].table, "n");
+        assert_eq!(v[0].detail, "8 workers: 7 != 9");
+    }
+
+    #[test]
+    fn worker_grid_catches_byte_only_divergence() {
+        let (_, v) = check_worker_grid("grid_probe", |workers| {
+            let mut j = Json::obj();
+            let (a, b) = if workers == 2 { ("y", "x") } else { ("x", "y") };
+            j.set(a, 1u64.to_json());
+            j.set(b, 1u64.to_json());
+            j
+        });
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].detail, "2 workers: same fields, different bytes");
+    }
 }

@@ -2,7 +2,7 @@
 //! over a campaign configuration and reports every violated property.
 //!
 //! Pipeline runs are expensive, so the harness is frugal with them: the
-//! serial invariant run doubles as the differential baseline, and the
+//! 1-worker invariant run doubles as the differential baseline, and the
 //! metamorphic relations — which are scale-independent properties —
 //! run on a bounded copy of the configuration so that holding the full
 //! experiment stream in memory stays cheap at any `IOT_SCALE`.
@@ -39,11 +39,11 @@ pub struct OracleOutcome {
     pub invariant: Vec<Violation>,
     /// Broken metamorphic relations (pillar 2).
     pub metamorphic: Vec<Violation>,
-    /// Driver divergences (pillar 3).
+    /// Worker-count and chaos-plan divergences (pillar 3).
     pub differential: Vec<Violation>,
-    /// Experiments in the serial baseline run.
+    /// Experiments in the 1-worker baseline run.
     pub experiments: u64,
-    /// PII findings in the serial baseline run.
+    /// PII findings in the 1-worker baseline run.
     pub pii_findings: usize,
 }
 
@@ -160,11 +160,11 @@ fn detection_and_study_laws() -> Vec<Violation> {
 
 /// Runs the full oracle over one campaign configuration.
 ///
-/// One serial pipeline run serves both as the invariant subject and the
-/// differential baseline; the metamorphic relations run on a bounded
+/// One 1-worker pipeline run serves both as the invariant subject and
+/// the differential baseline; the metamorphic relations run on a bounded
 /// copy of the configuration (see [`metamorphic_config`]).
 pub fn run_oracle(config: CampaignConfig) -> OracleOutcome {
-    // Pillar 1: invariants over a live serial run, with the pipeline
+    // Pillar 1: invariants over a live 1-worker run, with the pipeline
     // still inspectable for the recount cross-checks.
     let mut pipeline = Pipeline::with_obs(false);
     pipeline.run_campaign(config);
@@ -173,8 +173,8 @@ pub fn run_oracle(config: CampaignConfig) -> OracleOutcome {
     invariant.extend(invariants::check_consistency(&pipeline, &report));
     invariant.extend(detection_and_study_laws());
 
-    // Pillar 3: every other driver against the same serial baseline,
-    // the faulted sweep, and the interrupted-resumed supervised twin.
+    // Pillar 3: the worker grid and the clean chaos plan against the
+    // same baseline, the faulted sweep, and the interrupted-resumed twin.
     let mut differential = differential::check_drivers_against(&report, config);
     differential.extend(differential::check_drivers_faulted(config));
     differential.extend(differential::check_resume(config));

@@ -20,10 +20,12 @@
 //!    report byte-identical; removing one device removes exactly that
 //!    device's rows; adding the VPN dimension leaves every
 //!    native-egress field untouched.
-//! 3. **Differential runs** ([`differential`]) — the serial,
-//!    1/2/8-worker, and chaos-clean-plan drivers compared field by
-//!    field with a structured diff ([`diff`]), so a divergence names
+//! 3. **Differential runs** ([`differential`]) — the same campaign at
+//!    1/2/8 workers and under an armed chaos-clean plan, compared field
+//!    by field with a structured diff ([`diff`]), so a divergence names
 //!    the table, row, and field rather than just "bytes differ".
+//!    [`differential::check_worker_grid`] is the worker-count identity
+//!    check every other gate reuses.
 //!
 //! [`run_oracle`] composes all three into the gate `verify.sh` runs via
 //! the `oracle_check` binary and the CLI exposes as `moniotr oracle`.
@@ -51,7 +53,7 @@ use iot_core::json::{Json, ToJson};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Invariant class slug, e.g. `ledger_conservation`, `mix_recount`,
-    /// `order_permutation`, `differential_workers_2`.
+    /// `order_permutation`, `differential_workers`.
     pub invariant: &'static str,
     /// Report table/section, e.g. `ingest`, `encryption_mix`,
     /// `pii_findings`.

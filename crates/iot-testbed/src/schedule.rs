@@ -156,55 +156,32 @@ impl Campaign {
         }
     }
 
-    /// Number of shardable work units: one per deployed (lab × device)
+    /// Number of work units: one per deployed (lab × device)
     /// instance. Experiment generation is seeded per (device, activity,
     /// rep, site, vpn), so units are independent of consumption order.
     pub fn unit_count(&self) -> usize {
         self.labs.iter().map(|l| l.devices.len()).sum()
     }
 
-    /// Streams every experiment — controlled *and* idle — of the work
-    /// units owned by shard `shard` of `num_shards`. Units are dealt
-    /// round-robin over the flattened (lab × device) grid, so shard
-    /// loads stay balanced and the union over all shards is exactly the
-    /// experiment set of [`Campaign::run`] + [`Campaign::run_idle`].
-    ///
-    /// # Panics
-    /// Panics if `num_shards` is zero or `shard >= num_shards`.
-    pub fn run_shard<F: FnMut(LabeledExperiment)>(
-        &self,
-        db: &GeoDb,
-        shard: usize,
-        num_shards: usize,
-        mut consume: F,
-    ) {
-        assert!(num_shards > 0, "num_shards must be positive");
-        assert!(shard < num_shards, "shard {shard} out of {num_shards}");
-        let mut unit = 0usize;
-        for lab in &self.labs {
-            for device in &lab.devices {
-                if unit % num_shards == shard {
-                    self.controlled_for_device(db, device, &mut consume);
-                    self.idle_for_device(db, device, &mut consume);
-                }
-                unit += 1;
-            }
-        }
-    }
-
     /// Streams every experiment — controlled *and* idle — of exactly one
     /// work unit (unit `unit` of [`Campaign::unit_count`], in the
     /// flattened (lab × device) grid order). This is the granularity the
-    /// supervised driver checkpoints at: the union over all units equals
-    /// the full campaign, and each unit's experiment stream is
+    /// pipeline's driver schedules and checkpoints at: the union over all
+    /// units is exactly the experiment set of [`Campaign::run`] +
+    /// [`Campaign::run_idle`], and each unit's experiment stream is
     /// self-contained and deterministic.
     ///
     /// # Panics
     /// Panics if `unit >= unit_count()`.
-    pub fn run_unit<F: FnMut(LabeledExperiment)>(&self, db: &GeoDb, unit: usize, consume: F) {
-        let units = self.unit_count();
-        assert!(unit < units, "unit {unit} out of {units}");
-        self.run_shard(db, unit, units, consume);
+    pub fn run_unit<F: FnMut(LabeledExperiment)>(&self, db: &GeoDb, unit: usize, mut consume: F) {
+        let device = self
+            .labs
+            .iter()
+            .flat_map(|lab| &lab.devices)
+            .nth(unit)
+            .unwrap_or_else(|| panic!("unit {unit} out of {}", self.unit_count()));
+        self.controlled_for_device(db, device, &mut consume);
+        self.idle_for_device(db, device, &mut consume);
     }
 
     /// Streams experiments for a single device (all its interactions at
@@ -300,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_campaign() {
+    fn units_partition_the_campaign() {
         let db = GeoDb::new();
         let campaign = Campaign::new(CampaignConfig {
             automated_reps: 1,
@@ -316,14 +293,12 @@ mod tests {
         campaign.run(&db, |e| serial.push(key(&e)));
         campaign.run_idle(&db, |e| serial.push(key(&e)));
         serial.sort();
-        for num_shards in [1usize, 3, 8] {
-            let mut sharded = Vec::new();
-            for shard in 0..num_shards {
-                campaign.run_shard(&db, shard, num_shards, |e| sharded.push(key(&e)));
-            }
-            sharded.sort();
-            assert_eq!(serial, sharded, "{num_shards} shards");
+        let mut units = Vec::new();
+        for unit in 0..campaign.unit_count() {
+            campaign.run_unit(&db, unit, |e| units.push(key(&e)));
         }
+        units.sort();
+        assert_eq!(serial, units);
     }
 
     #[test]

@@ -266,6 +266,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
 fn cmd_campaign(args: &[String]) -> CliResult {
     use iot_bench::{campaign_config, Scale};
     use intl_iot::analysis::pipeline::Pipeline;
+    use intl_iot::analysis::SupervisorConfig;
     use intl_iot::obs::{chrome_trace, RunReport, TraceMode};
 
     let mut scale = Scale::Quick;
@@ -363,65 +364,57 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         "campaign: scale={} workers={workers} (obs on)",
         scale.name()
     );
-    let supervised =
-        journal.is_some() || resume.is_some() || deadline_ms.is_some() || max_retries > 0;
-    let mut p = Pipeline::with_obs(true);
-    let summary = if supervised {
-        use intl_iot::analysis::SupervisorConfig;
-        let mut sup = SupervisorConfig::default();
-        if let Some(path) = resume {
-            sup.journal = Some(path);
-            sup.resume = true;
-        } else {
-            sup.journal = journal;
-        }
-        sup.deadline = deadline_ms.map(std::time::Duration::from_millis);
-        sup.max_retries = max_retries;
-        // Test hook: slow the unit loop down so an external killer can
-        // reliably interrupt a quick campaign mid-journal.
-        if let Some(ms) = std::env::var("IOT_SUPERVISE_THROTTLE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            sup.unit_throttle = std::time::Duration::from_millis(ms);
-        }
-        // Roll the journal into numbered segments past this size; resume
-        // reads the whole set and compacts it back to one file.
-        if let Some(bytes) = std::env::var("IOT_JOURNAL_ROLL_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&b| b > 0)
-        {
-            sup.journal_roll_bytes = Some(bytes);
-        }
-        Some(p.run_campaign_supervised(config, workers, &sup)?)
-    } else {
-        p.run_campaign_parallel(config, workers);
-        None
+    let mut sup = SupervisorConfig {
+        deadline: deadline_ms.map(std::time::Duration::from_millis),
+        max_retries,
+        ..SupervisorConfig::default()
     };
+    if let Some(path) = resume {
+        sup.journal = Some(path);
+        sup.resume = true;
+    } else {
+        sup.journal = journal;
+    }
+    // Test hook: slow the unit loop down so an external killer can
+    // reliably interrupt a quick campaign mid-journal.
+    if let Some(ms) = std::env::var("IOT_SUPERVISE_THROTTLE_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+    {
+        sup.unit_throttle = std::time::Duration::from_millis(ms);
+    }
+    // Roll the journal into numbered segments past this size; resume
+    // reads the whole set and compacts it back to one file.
+    if let Some(bytes) = std::env::var("IOT_JOURNAL_ROLL_BYTES")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .filter(|&b| b > 0)
+    {
+        sup.journal_roll_bytes = Some(bytes);
+    }
+    let mut p = Pipeline::with_obs(true);
+    let s = p.run_campaign_supervised(config, workers, &sup)?;
     let (report, reg) = p.finish_with_obs();
 
-    if let Some(s) = &summary {
-        let salvage = s
-            .salvage
-            .as_ref()
-            .map(|sv| {
-                format!(
-                    " (journal salvage: {} records kept, {} bytes dropped, {} corrupt, {} duplicates)",
-                    sv.records, sv.dropped_bytes, sv.corrupt_dropped, sv.duplicate_units
-                )
-            })
-            .unwrap_or_default();
+    let salvage = s
+        .salvage
+        .as_ref()
+        .map(|sv| {
+            format!(
+                " (journal salvage: {} records kept, {} bytes dropped, {} corrupt, {} duplicates)",
+                sv.records, sv.dropped_bytes, sv.corrupt_dropped, sv.duplicate_units
+            )
+        })
+        .unwrap_or_default();
+    println!(
+        "campaign: supervision — {} of {} units replayed from journal, {} run live{salvage}",
+        s.units_replayed, s.units_total, s.units_run
+    );
+    if s.watchdog_cancelled > 0 {
         println!(
-            "campaign: supervision — {} of {} units replayed from journal, {} run live{salvage}",
-            s.units_replayed, s.units_total, s.units_run
+            "campaign: watchdog cancelled {} stalled experiment(s)",
+            s.watchdog_cancelled
         );
-        if s.watchdog_cancelled > 0 {
-            println!(
-                "campaign: watchdog cancelled {} stalled experiment(s)",
-                s.watchdog_cancelled
-            );
-        }
     }
 
     let obs_report = RunReport::from_registry("campaign", &reg)
@@ -525,7 +518,10 @@ fn cmd_oracle(args: &[String]) -> CliResult {
             other => return Err(usage_err(format!("oracle: unknown argument {other:?}"))),
         }
     }
-    println!("oracle: scale={} (serial + differential + metamorphic runs)", scale.name());
+    println!(
+        "oracle: scale={} (1-worker + differential + metamorphic runs)",
+        scale.name()
+    );
     let outcome = intl_iot::oracle::run_oracle(campaign_config(scale));
     println!("{}", outcome.summary());
     if !outcome.is_clean() {

@@ -4,17 +4,17 @@
 # 1. Release build + full test suite with the network disabled — proves
 #    the zero-dependency policy holds (no crates.io access is ever
 #    needed).
-# 2. A quick-scale run of the serial-vs-parallel pipeline benchmark,
+# 2. A quick-scale run of the 1-worker-vs-N-worker pipeline benchmark,
 #    with observability enabled so it also emits an obs run report.
-#    bench_pipeline exits non-zero if the parallel report diverges from
-#    the serial one, so divergence fails this script.
+#    bench_pipeline exits non-zero if the report differs between 1, 2
+#    and 8 workers, so divergence fails this script.
 # 3. obs_check: the observability smoke test — the run report must parse,
 #    its stage counters must be non-zero, the measured instrumentation
 #    overhead must stay under 5% (with the sampling profiler armed, so
 #    sampling cost sits inside that ceiling), the Chrome trace,
 #    Prometheus, and folded-profile artifacts written by the bench must
 #    be well-formed, and the deterministic event trace must have matched
-#    across drivers.
+#    across worker counts.
 # 4. obs_serve_check: live-telemetry endpoint smoke — /metrics, /trace,
 #    /progress, and /profile answered over real sockets during an
 #    instrumented (and lightly faulted) campaign, with the ingest ledger
@@ -28,7 +28,7 @@
 #    shifts are informational (gate with IOT_PROFILE_DIFF_MAX_SHIFT).
 # 6. chaos_check: the fault-injection smoke test — a seeded sweep of
 #    degraded-capture rates plus an injected-panic stage. Gates: no
-#    escaped panics, byte-identical faulted reports across worker
+#    escaped panics, identical faulted reports across worker
 #    counts, exact ingest-ledger reconciliation, and bounded headline
 #    drift at low fault rates.
 # 7. supervise smoke: a quick campaign is journaled (with a small roll
@@ -39,8 +39,8 @@
 #    through the real binary and a real kill, not just in-process
 #    truncation.
 # 8. streaming smoke: the zero-copy cursor pipeline's bounded-memory
-#    and determinism gates — serial vs 1/2/8-worker byte-identity on
-#    clean and faulted campaigns, heap high-water under half the old
+#    and determinism gates — 1/2/8-worker identity on clean and
+#    faulted campaigns, heap high-water under half the old
 #    materializing baseline, and kernel peak RSS (VmHWM) under a hard
 #    ceiling.
 # 9. oracle_check: the correctness oracle — conservation-law invariants
@@ -48,7 +48,7 @@
 #    catalog-backed PII findings, recounts from live accumulators),
 #    metamorphic relations (order permutation, rep relabeling, device
 #    removal, VPN isolation), field-by-field differential runs across
-#    every driver, and invariant classes over the committed
+#    worker counts, and invariant classes over the committed
 #    results/*.json table artifacts (well-formed emit shape, pinned row
 #    counts, percentage sums). Any violation fails this script.
 #    Opt-in: ORACLE_SCALE=medium (or the --nightly flag) additionally
@@ -80,7 +80,7 @@ cargo test -q
 echo "=== workspace tests ==="
 cargo test -q --workspace
 
-echo "=== bench: serial vs parallel pipeline (quick scale, obs on) ==="
+echo "=== bench: 1 worker vs N workers (quick scale, obs on) ==="
 cargo build --release -p iot-bench \
   --bin bench_pipeline --bin obs_check --bin obs_serve_check \
   --bin bench_trend --bin profile_diff --bin chaos_check --bin oracle_check \
@@ -141,8 +141,8 @@ IOT_SCALE=quick \
   ./target/release/chaos_check
 
 echo "=== supervise smoke: journaled campaign, SIGKILL mid-run, resume ==="
-# Uninterrupted reference (the plain parallel driver: supervised runs
-# must be byte-identical to it, interrupted or not).
+# Uninterrupted reference: the same 2-worker campaign without a journal;
+# an interrupted-and-resumed run must be byte-identical to it.
 ./target/release/moniotr campaign quick workers 2 \
   --report-out target/supervise_ref.json >/dev/null
 # Journaled run, slowed enough that the kill reliably lands mid-run,
