@@ -3,9 +3,7 @@
 use crate::plan::FaultPlan;
 use iot_core::rng::StdRng;
 use iot_net::packet::Packet;
-use iot_net::pcap::{
-    Capture, PcapWriter, GLOBAL_HEADER_LEN, MAX_TS_MICROS, RECORD_HEADER_LEN,
-};
+use iot_net::pcap::{Capture, GLOBAL_HEADER_LEN, MAX_TS_MICROS, RECORD_HEADER_LEN};
 use std::borrow::Cow;
 
 /// One perturbed record awaiting serialization. Payload bytes stay
@@ -15,8 +13,7 @@ use std::borrow::Cow;
 /// allocates proportionally to the faults drawn, not the capture size.
 #[derive(Clone)]
 struct DegradedRecord<'a> {
-    ts_sec: u32,
-    ts_usec: u32,
+    ts_micros: u64,
     orig_len: u32,
     data: Cow<'a, [u8]>,
 }
@@ -149,17 +146,28 @@ impl FaultInjector {
     /// Degrades one capture stream: applies the packet-level faults,
     /// serializes to classic pcap bytes, then applies the byte-level
     /// faults (garbled record headers, torn tail). Deterministic in
-    /// `(plan.seed, stream_key)` alone.
+    /// `(plan.seed, stream_key)` alone. Byte-identical to
+    /// [`FaultInjector::degrade_capture`] at attempt 0 on the same frames.
     pub fn degrade(&self, stream_key: u64, packets: Vec<Packet>) -> (Vec<u8>, FaultStats) {
-        self.degrade_at(stream_key, 0, packets)
+        let n = packets.len();
+        self.degrade_frames(
+            stream_key,
+            0,
+            n,
+            packets
+                .into_iter()
+                .map(|p| (p.ts_micros, Cow::Owned(p.data))),
+        )
     }
 
     /// Degrades a serialized [`Capture`] without ever materializing its
     /// packets: frames are borrowed straight out of the capture's byte
     /// buffer through the zero-copy cursor and only copied where a fault
-    /// rewrites payload bytes. Draw-for-draw identical to
-    /// [`FaultInjector::degrade_at`] on the equivalent packet vector, so
-    /// the two entry points produce byte-identical degraded captures.
+    /// rewrites payload bytes. Attempt 0 draws exactly the faults
+    /// [`FaultInjector::degrade`] draws; each later `attempt` of the same
+    /// stream draws an independent deterministic fault pattern, so a
+    /// retried experiment re-offers the pristine capture to a fresh
+    /// degradation rather than replaying the exact failure.
     pub fn degrade_capture(
         &self,
         stream_key: u64,
@@ -174,28 +182,6 @@ impl FaultInjector {
                 let v = v.expect("captures offered to the injector are writer-clean");
                 (v.ts_micros, Cow::Borrowed(v.data))
             }),
-        )
-    }
-
-    /// Like [`FaultInjector::degrade`], but for re-attempt `attempt` of
-    /// the same stream. Attempt 0 is byte-identical to `degrade`; later
-    /// attempts draw an independent deterministic fault pattern, so a
-    /// retried experiment re-offers the pristine capture to a fresh
-    /// degradation rather than replaying the exact failure.
-    pub fn degrade_at(
-        &self,
-        stream_key: u64,
-        attempt: u32,
-        packets: Vec<Packet>,
-    ) -> (Vec<u8>, FaultStats) {
-        let n = packets.len();
-        self.degrade_frames(
-            stream_key,
-            attempt,
-            n,
-            packets
-                .into_iter()
-                .map(|p| (p.ts_micros, Cow::Owned(p.data))),
         )
     }
 
@@ -218,7 +204,7 @@ impl FaultInjector {
         };
         let records = self.perturb(&mut rng, n_frames, frames, &mut stats);
         stats.records_written = records.len() as u64;
-        let mut bytes = serialize(&records);
+        let mut bytes = serialize(&records).into_bytes();
         self.corrupt_bytes(&mut rng, &records, &mut bytes, &mut stats);
         (bytes, stats)
     }
@@ -287,10 +273,8 @@ impl FaultInjector {
             // seconds field pins to the last representable microsecond
             // rather than silently folding the timestamp back to 1970
             // (the writer now rejects such values outright).
-            let ts_micros = ts_micros.min(MAX_TS_MICROS);
             let rec = DegradedRecord {
-                ts_sec: (ts_micros / 1_000_000) as u32,
-                ts_usec: (ts_micros % 1_000_000) as u32,
+                ts_micros: ts_micros.min(MAX_TS_MICROS),
                 orig_len,
                 data,
             };
@@ -352,20 +336,20 @@ impl FaultInjector {
     }
 }
 
-/// Serializes records (including snaplen-truncated ones) to pcap bytes,
-/// sized exactly up front so the degraded buffer never reallocates.
-fn serialize(records: &[DegradedRecord<'_>]) -> Vec<u8> {
+/// Serializes records (including snaplen-truncated ones) into a
+/// [`Capture`] sized exactly up front, so the degraded buffer never
+/// reallocates.
+fn serialize(records: &[DegradedRecord<'_>]) -> Capture {
     let total: usize = records
         .iter()
         .map(|r| RECORD_HEADER_LEN + r.data.len())
         .sum();
-    let buf = Vec::with_capacity(GLOBAL_HEADER_LEN + total);
-    let mut w = PcapWriter::new(buf).expect("in-memory write cannot fail");
+    let mut cap = Capture::with_capacity(total);
     for rec in records {
-        w.write_record_parts(rec.ts_sec, rec.ts_usec, rec.orig_len, &rec.data)
-            .expect("in-memory write cannot fail");
+        cap.push_record(rec.ts_micros, rec.orig_len, &rec.data)
+            .expect("perturbed timestamps are clamped to the pcap range");
     }
-    w.finish().expect("in-memory write cannot fail")
+    cap
 }
 
 #[cfg(test)]
@@ -457,7 +441,6 @@ mod tests {
 
     #[test]
     fn attempt_zero_matches_unattempted_api() {
-        let packets = sample_packets(60);
         let inj = FaultInjector::new(FaultPlan {
             panic_rate: 0.3,
             stall_rate: 0.3,
@@ -466,15 +449,11 @@ mod tests {
         for k in 0..40 {
             assert_eq!(inj.should_panic(k), inj.should_panic_at(k, 0));
         }
-        assert_eq!(
-            inj.degrade(9, packets.clone()).0,
-            inj.degrade_at(9, 0, packets).0
-        );
     }
 
     #[test]
     fn retries_draw_independently_but_deterministically() {
-        let packets = sample_packets(60);
+        let cap = Capture::from_packets(&sample_packets(60)).unwrap();
         let inj = FaultInjector::new(FaultPlan {
             panic_rate: 0.5,
             stall_rate: 0.5,
@@ -488,8 +467,8 @@ mod tests {
             );
             assert_eq!(inj.stall_micros(7, attempt), inj.stall_micros(7, attempt));
             assert_eq!(
-                inj.degrade_at(7, attempt, packets.clone()).0,
-                inj.degrade_at(7, attempt, packets.clone()).0
+                inj.degrade_capture(7, attempt, &cap),
+                inj.degrade_capture(7, attempt, &cap)
             );
         }
         // Attempts are independent draws: over many keys, the panic
@@ -497,8 +476,8 @@ mod tests {
         // the degraded bytes must differ for at least one key.
         assert!((0..200).any(|k| inj.should_panic_at(k, 0) != inj.should_panic_at(k, 1)));
         assert_ne!(
-            inj.degrade_at(7, 0, packets.clone()).0,
-            inj.degrade_at(7, 1, packets).0
+            inj.degrade_capture(7, 0, &cap).0,
+            inj.degrade_capture(7, 1, &cap).0
         );
     }
 
@@ -548,8 +527,9 @@ mod tests {
     fn capture_and_packet_entry_points_degrade_identically() {
         // The zero-copy capture path must draw the same faults in the
         // same order as the owned-packet path — byte-identical output,
-        // identical stats — or serial and streaming drivers would
-        // diverge under chaos.
+        // identical stats — or captures degraded through `degrade` (as
+        // the benchmark's pcap set-up does) would differ from what the
+        // pipeline's `degrade_capture` produces.
         let packets = sample_packets(120);
         let cap = Capture::from_packets(&packets).unwrap();
         for plan in [
@@ -558,12 +538,10 @@ mod tests {
             FaultPlan::uniform(5, 0.3),
         ] {
             let inj = FaultInjector::new(plan);
-            for attempt in 0..3 {
-                let (a, sa) = inj.degrade_at(9, attempt, packets.clone());
-                let (b, sb) = inj.degrade_capture(9, attempt, &cap);
-                assert_eq!(a, b, "attempt {attempt}: bytes diverged");
-                assert_eq!(sa, sb, "attempt {attempt}: stats diverged");
-            }
+            let (a, sa) = inj.degrade(9, packets.clone());
+            let (b, sb) = inj.degrade_capture(9, 0, &cap);
+            assert_eq!(a, b, "{plan:?}: bytes diverged");
+            assert_eq!(sa, sb, "{plan:?}: stats diverged");
         }
     }
 

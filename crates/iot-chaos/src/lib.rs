@@ -21,9 +21,10 @@
 //! every worker count (`chaos_check`).
 //!
 //! The crate is intentionally low-level: it knows about [`iot_net`]
-//! packets and pcap framing, nothing above. The salvage counterpart —
-//! reading the degraded bytes back — lives in `iot_net::pcap`
-//! (`from_bytes_lenient`), and the accounting that reconciles generated
+//! packets and pcap framing, nothing above. Degraded captures are encoded
+//! by the one pcap writer (`iot_net::pcap::Capture`, garbled and torn
+//! after encoding) and read back by the one reader, the lenient
+//! `iot_net::pcap::PcapCursor`; the accounting that reconciles generated
 //! vs. ingested vs. lost packets lives in `iot_analysis::ingest`.
 
 #![forbid(unsafe_code)]

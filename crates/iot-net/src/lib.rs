@@ -12,10 +12,11 @@
 //!   real Internet checksums.
 //! * [`packet`] — composed packets: build ([`packet::PacketBuilder`]) and
 //!   parse ([`packet::ParsedPacket`]) full frames.
-//! * [`pcap`] — classic libpcap capture-file reader/writer, so simulated
-//!   captures are byte-compatible with tcpdump output; a lenient salvage
-//!   mode ([`pcap::from_bytes_lenient`]) resynchronizes past corrupt
-//!   records and torn tails instead of aborting.
+//! * [`pcap`] — classic libpcap capture files, byte-compatible with
+//!   tcpdump output: one reader, the zero-copy [`pcap::PcapCursor`], and
+//!   one writer, [`pcap::Capture`]. The cursor's lenient mode
+//!   resynchronizes past corrupt records and torn tails instead of
+//!   aborting, accounting every lost byte in [`pcap::SalvageStats`].
 //! * [`flow`] — 5-tuple flow keys and per-flow payload reassembly, the unit
 //!   of the paper's destination and encryption analyses.
 //!
@@ -44,7 +45,7 @@ pub use flow::{Direction, Flow, FlowKey, FlowTable};
 pub use ipv4::Ipv4Header;
 pub use mac::MacAddr;
 pub use packet::{Frame, Packet, PacketBuilder, ParsedPacket, TransportHeader};
-pub use pcap::{Capture, PacketView, PcapCursor, PcapReader, PcapRecord, PcapWriter, SalvageStats};
+pub use pcap::{Capture, PacketView, PcapCursor, SalvageStats};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;
 

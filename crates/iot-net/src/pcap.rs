@@ -5,11 +5,19 @@
 //! microsecond-resolution format (magic `0xa1b2c3d4`) so simulated captures
 //! are byte-compatible with tcpdump output and can be exchanged with
 //! external tools.
+//!
+//! There is one reader and one writer. [`PcapCursor`] parses every
+//! capture, in memory and zero-copy, either strictly (the first framing
+//! violation is an error) or leniently (resynchronizing past damage and
+//! accounting every lost byte in [`SalvageStats`]); files are bounded
+//! per-device captures, so callers load the bytes and walk them.
+//! [`Capture`] encodes every record, through [`Capture::push_record`].
+//! [`to_bytes`], [`from_bytes`] and [`from_bytes_lenient`] are thin
+//! conveniences over the two.
 
 use crate::error::Error;
 use crate::packet::Packet;
 use crate::Result;
-use std::io::{Read, Write};
 
 /// Native-order magic for microsecond timestamps.
 pub const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
@@ -26,99 +34,6 @@ pub const RECORD_HEADER_LEN: usize = 16;
 /// out in February 2106.
 pub const MAX_TS_MICROS: u64 = u32::MAX as u64 * 1_000_000 + 999_999;
 
-/// One record from a capture file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Seconds since the epoch.
-    pub ts_sec: u32,
-    /// Microseconds within the second.
-    pub ts_usec: u32,
-    /// Original length of the packet on the wire.
-    pub orig_len: u32,
-    /// Captured bytes (always the full frame here; no snaplen truncation).
-    pub data: Vec<u8>,
-}
-
-impl PcapRecord {
-    /// Timestamp in microseconds since the epoch.
-    pub fn ts_micros(&self) -> u64 {
-        u64::from(self.ts_sec) * 1_000_000 + u64::from(self.ts_usec)
-    }
-
-    /// Converts this record into an in-memory [`Packet`].
-    pub fn into_packet(self) -> Packet {
-        Packet::new(self.ts_micros(), self.data)
-    }
-}
-
-/// Streaming pcap writer.
-pub struct PcapWriter<W: Write> {
-    inner: W,
-}
-
-impl<W: Write> PcapWriter<W> {
-    /// Writes the global header and returns the writer.
-    pub fn new(mut inner: W) -> Result<Self> {
-        let mut hdr = [0u8; GLOBAL_HEADER_LEN];
-        hdr[0..4].copy_from_slice(&MAGIC_MICROS.to_le_bytes());
-        hdr[4..6].copy_from_slice(&2u16.to_le_bytes()); // version major
-        hdr[6..8].copy_from_slice(&4u16.to_le_bytes()); // version minor
-        // thiszone (4) and sigfigs (4) remain zero
-        hdr[16..20].copy_from_slice(&65535u32.to_le_bytes()); // snaplen
-        hdr[20..24].copy_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
-        inner.write_all(&hdr)?;
-        Ok(PcapWriter { inner })
-    }
-
-    /// Appends one packet. Fails with [`Error::TimestampOutOfRange`] for
-    /// timestamps the format's `u32` seconds field cannot hold (the old
-    /// `as u32` cast wrapped silently past 2106, which chaos clock-skew
-    /// can produce).
-    pub fn write_packet(&mut self, pkt: &Packet) -> Result<()> {
-        let (ts_sec, ts_usec) = split_ts(pkt.ts_micros)?;
-        self.write_raw(ts_sec, ts_usec, pkt.data.len() as u32, &pkt.data)
-    }
-
-    /// Appends one record verbatim, preserving an `orig_len` larger than
-    /// the captured data — how tcpdump writes snaplen-truncated records.
-    pub fn write_record(&mut self, rec: &PcapRecord) -> Result<()> {
-        self.write_raw(rec.ts_sec, rec.ts_usec, rec.orig_len, &rec.data)
-    }
-
-    /// Appends one record from its raw parts without requiring an owned
-    /// [`PcapRecord`] — the zero-copy counterpart of
-    /// [`PcapWriter::write_record`] for callers holding borrowed frame
-    /// bytes (fault injection re-serializing a capture it never
-    /// materialized).
-    pub fn write_record_parts(
-        &mut self,
-        ts_sec: u32,
-        ts_usec: u32,
-        orig_len: u32,
-        data: &[u8],
-    ) -> Result<()> {
-        self.write_raw(ts_sec, ts_usec, orig_len, data)
-    }
-
-    fn write_raw(&mut self, ts_sec: u32, ts_usec: u32, orig_len: u32, data: &[u8]) -> Result<()> {
-        let incl_len = data.len() as u32;
-        let mut hdr = [0u8; RECORD_HEADER_LEN];
-        hdr[0..4].copy_from_slice(&ts_sec.to_le_bytes());
-        hdr[4..8].copy_from_slice(&ts_usec.to_le_bytes());
-        hdr[8..12].copy_from_slice(&incl_len.to_le_bytes());
-        hdr[12..16].copy_from_slice(&orig_len.max(incl_len).to_le_bytes());
-        self.inner.write_all(&hdr)?;
-        self.inner.write_all(data)?;
-        Ok(())
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn finish(mut self) -> Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
-}
-
 /// Splits a microsecond timestamp into the record header's
 /// `(ts_sec, ts_usec)` pair, rejecting values past [`MAX_TS_MICROS`].
 fn split_ts(ts_micros: u64) -> Result<(u32, u32)> {
@@ -128,128 +43,7 @@ fn split_ts(ts_micros: u64) -> Result<(u32, u32)> {
     Ok(((ts_micros / 1_000_000) as u32, (ts_micros % 1_000_000) as u32))
 }
 
-/// Streaming pcap reader; handles both endiannesses.
-pub struct PcapReader<R: Read> {
-    inner: R,
-    swapped: bool,
-    records_read: u64,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Reads and validates the global header.
-    pub fn new(mut inner: R) -> Result<Self> {
-        let mut hdr = [0u8; GLOBAL_HEADER_LEN];
-        inner.read_exact(&mut hdr)?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let swapped = match magic {
-            MAGIC_MICROS => false,
-            MAGIC_MICROS_SWAPPED => true,
-            other => return Err(Error::BadMagic(other)),
-        };
-        Ok(PcapReader {
-            inner,
-            swapped,
-            records_read: 0,
-        })
-    }
-
-    fn read_u32(&self, bytes: [u8; 4]) -> u32 {
-        if self.swapped {
-            u32::from_be_bytes(bytes)
-        } else {
-            u32::from_le_bytes(bytes)
-        }
-    }
-
-    /// Reads the next record; `Ok(None)` at clean end-of-file.
-    ///
-    /// Headers are checked against the same field-sanity rules the
-    /// lenient salvager uses ([`header_violation`]), so the strict and
-    /// lenient readers can never disagree about which records a capture
-    /// contains — they only differ in what happens on violation.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
-        let mut rec = [0u8; RECORD_HEADER_LEN];
-        // Read the header byte-wise so a clean EOF (zero bytes) is
-        // distinguishable from a torn one (1-15 bytes): `read_exact`
-        // reports both as UnexpectedEof.
-        let mut got = 0usize;
-        while got < RECORD_HEADER_LEN {
-            match self.inner.read(&mut rec[got..]) {
-                Ok(0) if got == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(Error::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        format!("pcap record header torn after {got} bytes"),
-                    )))
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let ts_sec = self.read_u32([rec[0], rec[1], rec[2], rec[3]]);
-        let ts_usec = self.read_u32([rec[4], rec[5], rec[6], rec[7]]);
-        let incl_len = self.read_u32([rec[8], rec[9], rec[10], rec[11]]);
-        let orig_len = self.read_u32([rec[12], rec[13], rec[14], rec[15]]);
-        if let Some(what) = header_violation(ts_usec, incl_len, orig_len) {
-            return Err(Error::BadRecord {
-                record: self.records_read,
-                what,
-            });
-        }
-        // Read via `take` + `read_to_end` so a short read hits EOF instead
-        // of trusting incl_len with an up-front allocation.
-        let mut data = Vec::new();
-        (&mut self.inner)
-            .take(u64::from(incl_len))
-            .read_to_end(&mut data)?;
-        if data.len() < incl_len as usize {
-            return Err(Error::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!(
-                    "pcap record claims {incl_len} bytes but only {} remain",
-                    data.len()
-                ),
-            )));
-        }
-        self.records_read += 1;
-        Ok(Some(PcapRecord {
-            ts_sec,
-            ts_usec,
-            orig_len,
-            data,
-        }))
-    }
-
-    /// Collects all remaining records as [`Packet`]s.
-    pub fn packets(mut self) -> Result<Vec<Packet>> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record()? {
-            out.push(rec.into_packet());
-        }
-        Ok(out)
-    }
-
-    /// Collects all salvageable records as [`Packet`]s, resynchronizing
-    /// past corrupt record headers and torn tails instead of aborting.
-    ///
-    /// The strict [`PcapReader::packets`] has all-or-nothing semantics:
-    /// one garbled `incl_len` discards an entire device capture. This
-    /// reader buffers the remaining bytes and walks them with
-    /// [`salvage_records`], so a single bad record costs only the bytes
-    /// between it and the next plausible record header.
-    pub fn packets_lenient(mut self) -> Result<(Vec<Packet>, SalvageStats)> {
-        let mut buf = Vec::new();
-        self.inner.read_to_end(&mut buf)?;
-        let (records, stats) = salvage_records(&buf, self.swapped);
-        Ok((
-            records.into_iter().map(PcapRecord::into_packet).collect(),
-            stats,
-        ))
-    }
-}
-
-/// What the lenient reader recovered — and what it had to give up — from
+/// What the lenient cursor recovered — and what it had to give up — from
 /// one degraded capture. Counts merge by addition across captures.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SalvageStats {
@@ -295,9 +89,8 @@ const MAX_PLAUSIBLE_LEN: u32 = 256 * 1024;
 /// most false resynchronization targets inside payload bytes.
 const MIN_PLAUSIBLE_LEN: u32 = 14;
 
-/// Field-sanity rules every record header must satisfy — the single
-/// validator shared by the strict reader, the cursor, and the lenient
-/// salvage classifier, so the two modes can never disagree about which
+/// Field-sanity rules every record header must satisfy, in both cursor
+/// modes, so strict and lenient reads can never disagree about which
 /// headers are well-formed. Requires sub-second microseconds, frame
 /// lengths between an Ethernet header and [`MAX_PLAUSIBLE_LEN`], and
 /// `orig_len >= incl_len` (the writer guarantees it; tcpdump's snaplen
@@ -331,30 +124,6 @@ enum HeaderVerdict {
     Corrupt(&'static str),
 }
 
-/// Classifies the candidate record header at `buf[at..]` using
-/// [`header_violation`].
-fn classify_header(buf: &[u8], at: usize, swapped: bool) -> HeaderVerdict {
-    if at + RECORD_HEADER_LEN > buf.len() {
-        return HeaderVerdict::Corrupt("header extends past EOF");
-    }
-    let field = |o: usize| {
-        let b = [buf[at + o], buf[at + o + 1], buf[at + o + 2], buf[at + o + 3]];
-        if swapped {
-            u32::from_be_bytes(b)
-        } else {
-            u32::from_le_bytes(b)
-        }
-    };
-    let (ts_usec, incl_len, orig_len) = (field(4), field(8), field(12));
-    if let Some(what) = header_violation(ts_usec, incl_len, orig_len) {
-        return HeaderVerdict::Corrupt(what);
-    }
-    if at + RECORD_HEADER_LEN + incl_len as usize > buf.len() {
-        return HeaderVerdict::Torn;
-    }
-    HeaderVerdict::Record(incl_len, orig_len)
-}
-
 /// A borrowed view of one capture record: the timestamp, the on-wire
 /// original length, and the captured bytes as a slice into the capture
 /// buffer — no per-packet allocation.
@@ -378,21 +147,22 @@ impl PacketView<'_> {
 /// Reading discipline for a [`PcapCursor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CursorMode {
-    /// Abort on the first framing violation (mirrors [`PcapReader`]).
+    /// Abort on the first framing violation.
     Strict,
     /// Resynchronize past corruption, accounting every lost byte in
-    /// [`SalvageStats`] (mirrors [`PcapReader::packets_lenient`]).
+    /// [`SalvageStats`].
     Lenient,
 }
 
-/// Zero-copy iterator over the records of an in-memory capture.
+/// Zero-copy iterator over the records of an in-memory capture — the one
+/// pcap record parser.
 ///
 /// Yields [`PacketView`]s borrowing directly from the byte range — the
 /// streaming ingest core walks captures packet-at-a-time through this
-/// cursor instead of materializing a `Vec<Packet>`. Both modes share
-/// [`header_violation`] with the streaming [`PcapReader`], so all four
-/// read paths agree on every clean capture (a property test enforces
-/// this).
+/// cursor instead of materializing a `Vec<Packet>`. Reads either byte
+/// order. Both modes classify every header through the same
+/// [`header_violation`] rules, so they agree on every clean capture and
+/// differ only in what happens on a violation.
 pub struct PcapCursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -409,7 +179,9 @@ impl<'a> PcapCursor<'a> {
         Self::with_mode(bytes, CursorMode::Strict)
     }
 
-    /// Lenient (salvaging) cursor over a full capture.
+    /// Lenient (salvaging) cursor over a full capture. A corrupt record
+    /// costs only the bytes between it and the next plausible record
+    /// header, not the rest of the capture.
     pub fn lenient(bytes: &'a [u8]) -> Result<Self> {
         Self::with_mode(bytes, CursorMode::Lenient)
     }
@@ -480,11 +252,12 @@ impl<'a> PcapCursor<'a> {
                     }
                 };
             }
-            match classify_header(self.buf, self.pos, self.swapped) {
+            match self.classify_header(self.pos) {
                 HeaderVerdict::Record(incl_len, orig_len) => {
                     let start = self.pos + RECORD_HEADER_LEN;
                     let view = PacketView {
-                        ts_micros: record_ts_micros(self.buf, self.pos, self.swapped),
+                        ts_micros: u64::from(self.field(self.pos)) * 1_000_000
+                            + u64::from(self.field(self.pos + 4)),
                         orig_len,
                         data: &self.buf[start..start + incl_len as usize],
                     };
@@ -526,6 +299,39 @@ impl<'a> PcapCursor<'a> {
         }
     }
 
+    /// Reads the header field at `buf[at..at + 4]` in the capture's byte
+    /// order.
+    fn field(&self, at: usize) -> u32 {
+        let b = [
+            self.buf[at],
+            self.buf[at + 1],
+            self.buf[at + 2],
+            self.buf[at + 3],
+        ];
+        if self.swapped {
+            u32::from_be_bytes(b)
+        } else {
+            u32::from_le_bytes(b)
+        }
+    }
+
+    /// Classifies the candidate record header at `buf[at..]` using
+    /// [`header_violation`].
+    fn classify_header(&self, at: usize) -> HeaderVerdict {
+        if at + RECORD_HEADER_LEN > self.buf.len() {
+            return HeaderVerdict::Corrupt("header extends past EOF");
+        }
+        let (ts_usec, incl_len, orig_len) =
+            (self.field(at + 4), self.field(at + 8), self.field(at + 12));
+        if let Some(what) = header_violation(ts_usec, incl_len, orig_len) {
+            return HeaderVerdict::Corrupt(what);
+        }
+        if at + RECORD_HEADER_LEN + incl_len as usize > self.buf.len() {
+            return HeaderVerdict::Torn;
+        }
+        HeaderVerdict::Record(incl_len, orig_len)
+    }
+
     /// Scans forward from a corrupt header for the next *complete*
     /// record: a torn-looking candidate mid-payload must not re-anchor
     /// the framing, or salvage would end early and lose every intact
@@ -539,7 +345,7 @@ impl<'a> PcapCursor<'a> {
         let mut pos = self.pos + 1;
         let mut first_torn: Option<usize> = None;
         while pos + RECORD_HEADER_LEN <= self.buf.len() {
-            match classify_header(self.buf, pos, self.swapped) {
+            match self.classify_header(pos) {
                 HeaderVerdict::Record(..) => {
                     self.stats.bytes_skipped += (pos - scan_from) as u64;
                     self.pos = pos;
@@ -575,41 +381,11 @@ impl<'a> Iterator for PcapCursor<'a> {
     }
 }
 
-/// Reads the timestamp fields of the record header at `buf[at..]`.
-fn record_ts_micros(buf: &[u8], at: usize, swapped: bool) -> u64 {
-    let field = |o: usize| {
-        let b = [buf[at + o], buf[at + o + 1], buf[at + o + 2], buf[at + o + 3]];
-        if swapped {
-            u32::from_be_bytes(b)
-        } else {
-            u32::from_le_bytes(b)
-        }
-    };
-    u64::from(field(0)) * 1_000_000 + u64::from(field(4))
-}
-
-/// Walks a record region (everything after the global header), salvaging
-/// each plausible record via a lenient [`PcapCursor`].
-fn salvage_records(buf: &[u8], swapped: bool) -> (Vec<PcapRecord>, SalvageStats) {
-    let mut cur = PcapCursor::over_records(buf, swapped, CursorMode::Lenient);
-    let mut out = Vec::new();
-    while let Some(next) = cur.next_view() {
-        let view = next.expect("lenient cursor surfaces no errors");
-        out.push(PcapRecord {
-            ts_sec: (view.ts_micros / 1_000_000) as u32,
-            ts_usec: (view.ts_micros % 1_000_000) as u32,
-            orig_len: view.orig_len,
-            data: view.data.to_vec(),
-        });
-    }
-    (out, cur.stats())
-}
-
 /// An owned, always-writer-clean capture: classic pcap bytes plus the
-/// record count. This is the streaming core's unit of storage — the
-/// testbed generates experiments directly into a `Capture`, and analysis
-/// walks it with a [`PcapCursor`] without materializing per-packet
-/// `Vec<u8>`s.
+/// record count — the one pcap writer. This is the streaming core's unit
+/// of storage — the testbed generates experiments directly into a
+/// `Capture`, and analysis walks it with a [`PcapCursor`] without
+/// materializing per-packet `Vec<u8>`s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Capture {
     bytes: Vec<u8>,
@@ -625,14 +401,32 @@ impl Default for Capture {
 impl Capture {
     /// An empty capture: just the global header.
     pub fn new() -> Self {
-        let mut bytes = Vec::with_capacity(GLOBAL_HEADER_LEN);
-        PcapWriter::new(&mut bytes).expect("writing a header to a Vec cannot fail");
+        Self::with_capacity(0)
+    }
+
+    /// An empty capture with room for `record_bytes` of records (headers
+    /// included) after the global header, for callers that know the final
+    /// size and want the buffer allocated once.
+    pub fn with_capacity(record_bytes: usize) -> Self {
+        let mut bytes = Vec::with_capacity(GLOBAL_HEADER_LEN + record_bytes);
+        bytes.extend_from_slice(&MAGIC_MICROS.to_le_bytes());
+        bytes.extend_from_slice(&2u16.to_le_bytes()); // version major
+        bytes.extend_from_slice(&4u16.to_le_bytes()); // version minor
+        bytes.extend_from_slice(&[0; 8]); // thiszone, sigfigs
+        bytes.extend_from_slice(&65535u32.to_le_bytes()); // snaplen
+        bytes.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
         Capture { bytes, records: 0 }
     }
 
-    /// Appends one frame. Grows the buffer in bounded (~1.25×) steps so
-    /// slack stays proportional to the capture instead of Vec doubling.
-    pub fn push(&mut self, ts_micros: u64, frame: &[u8]) -> Result<()> {
+    /// Appends one record — the only code that encodes a record header.
+    /// An `orig_len` above the frame length marks a snaplen-truncated
+    /// record, as tcpdump writes them; one below it is raised to it.
+    /// Fails with [`Error::TimestampOutOfRange`] for timestamps the
+    /// format's `u32` seconds field cannot hold, rather than wrapping
+    /// past 2106 (chaos clock-skew can produce them). Grows the buffer in
+    /// bounded (~1.25×) steps so slack stays proportional to the capture
+    /// instead of Vec doubling.
+    pub fn push_record(&mut self, ts_micros: u64, orig_len: u32, frame: &[u8]) -> Result<()> {
         let (ts_sec, ts_usec) = split_ts(ts_micros)?;
         let needed = RECORD_HEADER_LEN + frame.len();
         if self.bytes.capacity() - self.bytes.len() < needed {
@@ -645,10 +439,16 @@ impl Capture {
         self.bytes.extend_from_slice(&ts_sec.to_le_bytes());
         self.bytes.extend_from_slice(&ts_usec.to_le_bytes());
         self.bytes.extend_from_slice(&incl_len.to_le_bytes());
-        self.bytes.extend_from_slice(&incl_len.to_le_bytes());
+        self.bytes
+            .extend_from_slice(&orig_len.max(incl_len).to_le_bytes());
         self.bytes.extend_from_slice(frame);
         self.records += 1;
         Ok(())
+    }
+
+    /// Appends one whole frame (`orig_len` = captured length).
+    pub fn push(&mut self, ts_micros: u64, frame: &[u8]) -> Result<()> {
+        self.push_record(ts_micros, frame.len() as u32, frame)
     }
 
     /// Appends one packet.
@@ -697,7 +497,7 @@ impl Capture {
     }
 
     /// Zero-copy strict cursor over the records. A `Capture` is only
-    /// ever built through [`Capture::push`], so the views are
+    /// ever built through [`Capture::push_record`], so the views are
     /// infallible in practice.
     pub fn views(&self) -> PcapCursor<'_> {
         PcapCursor::over_records(&self.bytes[GLOBAL_HEADER_LEN..], false, CursorMode::Strict)
@@ -713,11 +513,7 @@ impl Capture {
 
 /// Serializes packets to an in-memory pcap byte buffer.
 pub fn to_bytes(packets: &[Packet]) -> Result<Vec<u8>> {
-    let mut w = PcapWriter::new(Vec::new())?;
-    for p in packets {
-        w.write_packet(p)?;
-    }
-    w.finish()
+    Capture::from_packets(packets).map(Capture::into_bytes)
 }
 
 /// Parses packets from an in-memory pcap byte buffer (strict cursor).
@@ -730,11 +526,16 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Vec<Packet>> {
 }
 
 /// Parses as many packets as can be salvaged from a possibly-degraded
-/// in-memory pcap buffer. Still fails on an unreadable global header
-/// (wrong magic / shorter than 24 bytes): with no known endianness there
-/// is no framing to resynchronize to.
+/// in-memory pcap buffer (lenient cursor). Still fails on an unreadable
+/// global header (wrong magic / shorter than 24 bytes): with no known
+/// endianness there is no framing to resynchronize to.
 pub fn from_bytes_lenient(bytes: &[u8]) -> Result<(Vec<Packet>, SalvageStats)> {
-    PcapReader::new(bytes)?.packets_lenient()
+    let mut cur = PcapCursor::lenient(bytes)?;
+    let mut out = Vec::new();
+    while let Some(view) = cur.next_view() {
+        out.push(view?.to_packet());
+    }
+    Ok((out, cur.stats()))
 }
 
 #[cfg(test)]
@@ -767,19 +568,22 @@ mod tests {
         assert_eq!(back, packets);
     }
 
-    #[test]
-    fn global_header_layout() {
-        let bytes = to_bytes(&[]).unwrap();
-        assert_eq!(bytes.len(), GLOBAL_HEADER_LEN);
-        assert_eq!(&bytes[0..4], &MAGIC_MICROS.to_le_bytes());
-        assert_eq!(u32::from_le_bytes(bytes[20..24].try_into().unwrap()), LINKTYPE_ETHERNET);
+    /// Appends a copy of every packet as a record whose snaplen cut the
+    /// last 40 wire bytes (`orig_len` = captured length + 40).
+    fn snaplen_truncated(packets: &[Packet]) -> Vec<u8> {
+        let mut cap = Capture::new();
+        for p in packets {
+            cap.push_record(p.ts_micros, p.data.len() as u32 + 40, &p.data)
+                .unwrap();
+        }
+        cap.into_bytes()
     }
 
-    #[test]
-    fn swapped_endianness_readable() {
-        let packets = sample_packets();
-        let mut bytes = to_bytes(&packets).unwrap();
-        // Byte-swap every header field to emulate a big-endian writer.
+    /// Re-encodes a clean native capture the way a writer of the opposite
+    /// endianness lays it out: every header field byte-swapped, frame
+    /// bytes untouched.
+    fn byte_swapped(native: &[u8]) -> Vec<u8> {
+        let mut bytes = native.to_vec();
         bytes[0..4].copy_from_slice(&MAGIC_MICROS.to_be_bytes());
         for field in [4usize, 6] {
             bytes.swap(field, field + 1);
@@ -795,8 +599,55 @@ mod tests {
             let incl = u32::from_be_bytes(bytes[offset + 8..offset + 12].try_into().unwrap());
             offset += RECORD_HEADER_LEN + incl as usize;
         }
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back, packets);
+        bytes
+    }
+
+    #[test]
+    fn global_header_layout() {
+        let bytes = to_bytes(&[]).unwrap();
+        assert_eq!(bytes.len(), GLOBAL_HEADER_LEN);
+        assert_eq!(&bytes[0..4], &MAGIC_MICROS.to_le_bytes());
+        assert_eq!(&bytes[4..8], &[2, 0, 4, 0], "version 2.4");
+        assert_eq!(&bytes[8..16], &[0; 8], "thiszone and sigfigs");
+        assert_eq!(u32::from_le_bytes(bytes[16..20].try_into().unwrap()), 65535);
+        assert_eq!(u32::from_le_bytes(bytes[20..24].try_into().unwrap()), LINKTYPE_ETHERNET);
+        assert_eq!(Capture::new().as_bytes(), &bytes[..]);
+    }
+
+    #[test]
+    fn swapped_endianness_readable() {
+        let packets = sample_packets();
+        let clean = to_bytes(&packets).unwrap();
+        assert_eq!(from_bytes(&byte_swapped(&clean)).unwrap(), packets);
+
+        // Real tcpdump files are read leniently: salvage must not care
+        // which byte order the damaged capture was written in.
+        let torn = clean.len() - 2;
+        let second = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + packets[0].data.len();
+        let mut garbled = (clean.clone(), byte_swapped(&clean));
+        garbled.0[second + 8..second + 12].copy_from_slice(&0xfeed_beefu32.to_le_bytes());
+        garbled.1[second + 8..second + 12].copy_from_slice(&0xfeed_beefu32.to_be_bytes());
+        let truncated = snaplen_truncated(&packets);
+        for (what, native, swapped) in [
+            ("clean", clean.clone(), byte_swapped(&clean)),
+            (
+                "torn tail",
+                clean[..torn].to_vec(),
+                byte_swapped(&clean)[..torn].to_vec(),
+            ),
+            ("garbled incl_len", garbled.0, garbled.1),
+            (
+                "snaplen-truncated",
+                truncated.clone(),
+                byte_swapped(&truncated),
+            ),
+        ] {
+            let (want, want_stats) = from_bytes_lenient(&native).unwrap();
+            let (got, got_stats) = from_bytes_lenient(&swapped).unwrap();
+            assert!(!want.is_empty(), "{what}: nothing salvaged");
+            assert_eq!(got, want, "{what}: packets differ");
+            assert_eq!(got_stats, want_stats, "{what}: salvage stats differ");
+        }
     }
 
     #[test]
@@ -838,8 +689,15 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back[0], packets[0]);
         assert_eq!(back[1], packets[2]);
+        assert_eq!(stats.records_ok, 2);
         assert_eq!(stats.resyncs, 1);
-        assert!(stats.bytes_skipped > 0);
+        // Exactly the garbled record is skipped: the resync lands on the
+        // third record's header.
+        assert_eq!(
+            stats.bytes_skipped,
+            (RECORD_HEADER_LEN + packets[1].data.len()) as u64
+        );
+        assert_eq!(stats.torn_tail_bytes, 0);
     }
 
     #[test]
@@ -857,19 +715,9 @@ mod tests {
     #[test]
     fn lenient_preserves_snaplen_truncated_records() {
         let packets = sample_packets();
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for p in &packets {
-            w.write_record(&PcapRecord {
-                ts_sec: (p.ts_micros / 1_000_000) as u32,
-                ts_usec: (p.ts_micros % 1_000_000) as u32,
-                orig_len: p.data.len() as u32 + 40, // snaplen cut 40 bytes
-                data: p.data.clone(),
-            })
-            .unwrap();
-        }
-        let bytes = w.finish().unwrap();
+        let bytes = snaplen_truncated(&packets);
         let (back, stats) = from_bytes_lenient(&bytes).unwrap();
-        assert_eq!(back.len(), packets.len());
+        assert_eq!(back, packets);
         assert_eq!(stats.records_truncated, packets.len() as u64);
         assert!(stats.is_pristine());
     }
@@ -915,11 +763,11 @@ mod tests {
 
     // --- Regression tests for the three reader/writer divergence bugs ---
 
-    /// Strict/lenient divergence: a record claiming `incl_len > orig_len`
+    /// Strict/lenient agreement: a record claiming `incl_len > orig_len`
     /// violates the writer invariant (tcpdump snaplen semantics imply
-    /// `orig_len >= incl_len`); `classify_header` has always rejected it,
-    /// but the strict reader used to accept it, so the same bytes yielded
-    /// different packet sets under `packets()` vs `packets_lenient()`.
+    /// `orig_len >= incl_len`). Lenient mode skips it, so strict mode must
+    /// reject it rather than return a packet set lenient mode disagrees
+    /// with.
     #[test]
     fn strict_rejects_incl_len_exceeding_orig_len() {
         let packets = sample_packets();
@@ -972,26 +820,25 @@ mod tests {
         assert_eq!(stats.bytes_skipped + stats.torn_tail_bytes, 64 + torn_len);
     }
 
-    /// Timestamp wraparound: the writer's second-splitting cast used to
-    /// wrap silently for timestamps past `u32::MAX` seconds (year 2106),
-    /// which chaos clock-skew can produce; such a packet must be rejected
-    /// with a typed error, not round-tripped with a mangled timestamp.
+    /// Timestamp wraparound: a second-splitting cast would wrap silently
+    /// for timestamps past `u32::MAX` seconds (year 2106), which chaos
+    /// clock-skew can produce; such a packet must be rejected with a
+    /// typed error, not round-tripped with a mangled timestamp.
     #[test]
     fn writer_rejects_wrapping_timestamp() {
         let over = (u32::MAX as u64 + 1) * 1_000_000;
-        let pkt = Packet::new(over, vec![0xAAu8; 64]);
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        let res = w.write_packet(&pkt);
+        let mut cap = Capture::new();
+        let res = cap.push(over, &[0xAAu8; 64]);
         assert!(
             matches!(res, Err(Error::TimestampOutOfRange { .. })),
             "ts past 2106 must be a typed error, got {res:?}"
         );
+        assert!(cap.is_empty(), "a rejected record writes nothing");
+        assert_eq!(cap.byte_len(), GLOBAL_HEADER_LEN);
         // The largest representable timestamp still round-trips exactly.
         let max = MAX_TS_MICROS;
         let pkt = Packet::new(max, vec![0xAAu8; 64]);
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(&pkt).unwrap();
-        let back = from_bytes(&w.finish().unwrap()).unwrap();
+        let back = from_bytes(&to_bytes(&[pkt]).unwrap()).unwrap();
         assert_eq!(back[0].ts_micros, max);
     }
 
@@ -999,49 +846,26 @@ mod tests {
     fn capture_bytes_match_writer_and_roundtrip() {
         let packets = sample_packets();
         let cap = Capture::from_packets(&packets).unwrap();
-        assert_eq!(cap.as_bytes(), &to_bytes(&packets).unwrap()[..]);
+        // The first record header, encoded by hand: 1.5 s, incl_len =
+        // orig_len = frame length, little-endian.
+        let len = (packets[0].data.len() as u32).to_le_bytes();
+        let header = [1u32.to_le_bytes(), 500_000u32.to_le_bytes(), len, len].concat();
+        assert_eq!(
+            &cap.as_bytes()[GLOBAL_HEADER_LEN..GLOBAL_HEADER_LEN + RECORD_HEADER_LEN],
+            &header[..]
+        );
         assert_eq!(cap.record_count(), packets.len());
         assert_eq!(
             cap.frame_bytes(),
             packets.iter().map(|p| p.data.len() as u64).sum::<u64>()
         );
         assert_eq!(cap.to_packets(), packets);
-        // Views borrow; no divergence from the materializing reader.
-        let via_views: Vec<Packet> = cap.views().map(|v| v.unwrap().to_packet()).collect();
-        assert_eq!(via_views, packets);
         assert!(Capture::new().is_empty());
-    }
-
-    #[test]
-    fn cursor_strict_matches_reader_on_clean_and_torn_input() {
-        let packets = sample_packets();
-        let bytes = to_bytes(&packets).unwrap();
-        let views: Vec<Packet> = PcapCursor::strict(&bytes)
-            .unwrap()
-            .map(|v| v.unwrap().to_packet())
-            .collect();
-        assert_eq!(views, packets);
-        // Torn data: both the cursor and the reader must error.
-        let cut = &bytes[..bytes.len() - 2];
-        let strict_err = PcapCursor::strict(cut).unwrap().last().unwrap();
-        assert!(strict_err.is_err());
-        assert!(from_bytes(cut).is_err());
-    }
-
-    #[test]
-    fn cursor_lenient_stats_match_salvage_reader() {
-        let packets = sample_packets();
-        let mut bytes = to_bytes(&packets).unwrap();
-        let second = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + packets[0].data.len();
-        bytes[second + 8..second + 12].copy_from_slice(&0xfeed_beefu32.to_le_bytes());
-        let (expect_pkts, expect_stats) = from_bytes_lenient(&bytes).unwrap();
-        let mut cur = PcapCursor::lenient(&bytes).unwrap();
-        let mut got = Vec::new();
-        while let Some(v) = cur.next_view() {
-            got.push(v.unwrap().to_packet());
-        }
-        assert_eq!(got, expect_pkts);
-        assert_eq!(cur.stats(), expect_stats);
+        // An orig_len below the frame length is raised to it.
+        let mut raised = Capture::new();
+        raised.push_record(1_500_000, 0, &packets[0].data).unwrap();
+        let first_record = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + packets[0].data.len();
+        assert_eq!(raised.as_bytes(), &cap.as_bytes()[..first_record]);
     }
 
     #[test]

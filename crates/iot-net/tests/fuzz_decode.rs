@@ -1,12 +1,13 @@
 //! Seeded fuzz tests for frame and capture-file decoding: random bytes,
 //! truncated prefixes, and bit-flipped variants of valid encodings must
-//! never panic `Packet::parse`, `Packet::parse_frame`, or the pcap
-//! readers. The lenient reader additionally must uphold its salvage
-//! accounting (`records_ok` consistency) on arbitrary input.
+//! never panic `Packet::parse`, `Packet::parse_frame`, or the pcap cursor
+//! in either mode. Lenient mode additionally must uphold its salvage
+//! accounting (`records_ok` consistency, byte conservation) on arbitrary
+//! input.
 
 use iot_core::rng::StdRng;
 use iot_net::pcap::{
-    from_bytes, from_bytes_lenient, PcapCursor, PcapWriter, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN,
+    from_bytes, from_bytes_lenient, to_bytes, PcapCursor, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN,
 };
 use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags};
 use std::net::Ipv4Addr;
@@ -77,11 +78,7 @@ fn frame_parse_never_panics() {
 #[test]
 fn pcap_readers_never_panic() {
     // A valid two-record capture to truncate and corrupt.
-    let mut writer = PcapWriter::new(Vec::new()).expect("header");
-    for frame in valid_frames() {
-        writer.write_packet(&frame).expect("write");
-    }
-    let valid = writer.finish().expect("finish");
+    let valid = to_bytes(&valid_frames()).expect("valid frames encode");
 
     let mut rng = StdRng::seed_from_u64(0x9CA9);
     for case in 0..CASES {

@@ -18,7 +18,7 @@
 use crate::experiment::LabeledExperiment;
 use crate::lab::LabSite;
 use iot_net::packet::Packet;
-use iot_net::pcap::{PcapReader, PcapWriter, SalvageStats};
+use iot_net::pcap::{from_bytes_lenient, Capture, SalvageStats};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -42,12 +42,20 @@ pub struct LabelSpan {
 /// layout.
 #[derive(Debug, Default)]
 pub struct CaptureStore {
-    /// (lab, device-id) → time-ordered packets.
-    packets: BTreeMap<(LabSite, String), Vec<Packet>>,
-    /// (lab, device-id) → labels.
-    labels: BTreeMap<(LabSite, String), Vec<LabelSpan>>,
-    /// Running clock per device so consecutive experiments do not overlap.
-    clock: BTreeMap<(LabSite, String), u64>,
+    devices: BTreeMap<(LabSite, String), DeviceLog>,
+}
+
+/// Everything stored for one (lab, device-id).
+#[derive(Debug, Default)]
+struct DeviceLog {
+    /// Time-ordered records, encoded as they are appended.
+    capture: Capture,
+    labels: Vec<LabelSpan>,
+    /// Running clock so consecutive experiments do not overlap.
+    clock: u64,
+    /// The first record the pcap format could not hold (a shifted
+    /// timestamp past 2106); `write_to` reports it.
+    unwritable: Option<iot_net::Error>,
 }
 
 /// Gap inserted between appended experiments (µs).
@@ -65,56 +73,54 @@ impl CaptureStore {
         let device_id = crate::catalog::by_name(exp.device_name)
             .map(|s| s.id())
             .unwrap_or_else(|| exp.device_name.to_ascii_lowercase());
-        let key = (exp.site, device_id);
-        let base = *self.clock.get(&key).unwrap_or(&0);
+        let log = self.devices.entry((exp.site, device_id)).or_default();
+        let base = log.clock;
+        let mut first = None;
         let mut end = base;
-        let shifted: Vec<Packet> = exp
-            .capture
-            .views()
-            .map(|v| {
-                let v = v.expect("generated captures are well formed");
-                let ts = base + v.ts_micros;
-                end = end.max(ts);
-                Packet::new(ts, v.data.to_vec())
-            })
-            .collect();
-        if let Some(first) = shifted.first() {
-            self.labels.entry(key.clone()).or_default().push(LabelSpan {
-                start_micros: first.ts_micros,
+        for v in exp.capture.views() {
+            let v = v.expect("generated captures are well formed");
+            let ts = base + v.ts_micros;
+            first.get_or_insert(ts);
+            end = end.max(ts);
+            if let Err(e) = log.capture.push(ts, v.data) {
+                log.unwritable.get_or_insert(e);
+            }
+        }
+        if let Some(start_micros) = first {
+            log.labels.push(LabelSpan {
+                start_micros,
                 end_micros: end,
                 label: exp.label.clone(),
                 rep: exp.rep,
             });
         }
-        self.packets.entry(key.clone()).or_default().extend(shifted);
-        self.clock.insert(key, end + EXPERIMENT_GAP);
+        log.clock = end + EXPERIMENT_GAP;
     }
 
     /// Devices stored, as (lab, device-id) pairs.
     pub fn devices(&self) -> impl Iterator<Item = &(LabSite, String)> {
-        self.packets.keys()
+        self.devices.keys()
     }
 
     /// Writes the Mon(IoT)r-style directory under `root`; returns the
-    /// paths written.
+    /// paths written. Fails on a device whose shifted timestamps ran past
+    /// what the pcap format can hold.
     pub fn write_to(&self, root: &Path) -> std::io::Result<Vec<PathBuf>> {
         let mut written = Vec::new();
-        for ((site, device_id), packets) in &self.packets {
+        for ((site, device_id), log) in &self.devices {
+            if let Some(e) = &log.unwritable {
+                return Err(std::io::Error::other(e.to_string()));
+            }
             let dir = root.join(site.name().to_lowercase()).join(device_id);
             std::fs::create_dir_all(&dir)?;
             let pcap_path = dir.join("capture.pcap");
-            let mut writer = PcapWriter::new(BufWriter::new(File::create(&pcap_path)?))
-                .map_err(io_err)?;
-            for p in packets {
-                writer.write_packet(p).map_err(io_err)?;
-            }
-            writer.finish().map_err(io_err)?.flush()?;
+            std::fs::write(&pcap_path, log.capture.as_bytes())?;
             written.push(pcap_path);
 
             let labels_path = dir.join("labels.tsv");
             let mut f = BufWriter::new(File::create(&labels_path)?);
             writeln!(f, "# start_us\tend_us\tlabel\trep")?;
-            for span in self.labels.get(&(*site, device_id.clone())).into_iter().flatten() {
+            for span in &log.labels {
                 writeln!(
                     f,
                     "{}\t{}\t{}\t{}",
@@ -128,23 +134,19 @@ impl CaptureStore {
     }
 }
 
-fn io_err(e: iot_net::Error) -> std::io::Error {
-    std::io::Error::other(e.to_string())
-}
-
 /// Reads a device directory back into (packets, labels, salvage stats).
 ///
-/// The pcap is read through the lenient salvage path: a capture with a
-/// torn tail or corrupt record headers — routine for a tcpdump that ran
-/// unattended for months — yields every record that can still be framed
-/// instead of discarding the whole device directory. `stats.is_pristine()`
-/// tells callers whether anything was actually lost.
+/// The pcap is loaded whole and read by the lenient cursor: a capture
+/// with a torn tail or corrupt record headers — routine for a tcpdump
+/// that ran unattended for months — yields every record that can still
+/// be framed instead of discarding the whole device directory.
+/// `stats.is_pristine()` tells callers whether anything was actually
+/// lost.
 pub fn read_device_dir(
     dir: &Path,
 ) -> std::io::Result<(Vec<Packet>, Vec<LabelSpan>, SalvageStats)> {
-    let reader =
-        PcapReader::new(BufReader::new(File::open(dir.join("capture.pcap"))?)).map_err(io_err)?;
-    let (packets, stats) = reader.packets_lenient().map_err(io_err)?;
+    let (packets, stats) = from_bytes_lenient(&std::fs::read(dir.join("capture.pcap"))?)
+        .map_err(|e| std::io::Error::other(e.to_string()))?;
     let mut labels = Vec::new();
     let f = BufReader::new(File::open(dir.join("labels.tsv"))?);
     for line in f.lines() {
@@ -153,17 +155,13 @@ pub fn read_device_dir(
             continue;
         }
         let mut cols = line.split('\t');
-        let parse = |s: Option<&str>| -> std::io::Result<u64> {
-            s.and_then(|v| v.parse().ok())
-                .ok_or_else(|| std::io::Error::other(format!("bad label row: {line:?}")))
-        };
-        let start_micros = parse(cols.next())?;
-        let end_micros = parse(cols.next())?;
+        let start_micros = label_column(cols.next(), &line)?;
+        let end_micros = label_column(cols.next(), &line)?;
         let label = cols
             .next()
             .ok_or_else(|| std::io::Error::other("missing label"))?
             .to_string();
-        let rep = parse(cols.next())? as u32;
+        let rep = label_column(cols.next(), &line)?;
         labels.push(LabelSpan {
             start_micros,
             end_micros,
@@ -172,6 +170,13 @@ pub fn read_device_dir(
         });
     }
     Ok((packets, labels, stats))
+}
+
+/// Parses one numeric `labels.tsv` column; a missing, malformed or
+/// out-of-range value is a bad row.
+fn label_column<T: std::str::FromStr>(col: Option<&str>, line: &str) -> std::io::Result<T> {
+    col.and_then(|v| v.parse().ok())
+        .ok_or_else(|| std::io::Error::other(format!("bad label row: {line:?}")))
 }
 
 /// Slices a capture by a label span (inclusive bounds), the read-side
@@ -184,8 +189,7 @@ pub fn read_device_dir(
 /// real clock skew leaving timestamps non-monotonic, where binary
 /// search silently returns wrong — even inverted — bounds) the hull may
 /// also include out-of-span packets trapped between in-span ones, which
-/// is the right salvage semantics for a mildly skewed clock (use
-/// [`filter_by_label`] for an exact timestamp filter). Inverted or
+/// is the right salvage semantics for a mildly skewed clock. Inverted or
 /// fully out-of-range spans yield an empty slice — never a panic. The
 /// scan is O(n): correctness on damaged inputs is worth more here than
 /// a logarithm in a read-side inspection path.
@@ -202,19 +206,6 @@ pub fn slice_by_label<'a>(packets: &'a [Packet], span: &LabelSpan) -> &'a [Packe
         }
         None => &packets[..0],
     }
-}
-
-/// Exact timestamp filter: every packet whose timestamp lies in the span,
-/// regardless of capture order. The precise counterpart of
-/// [`slice_by_label`]'s contiguous hull for skewed captures.
-pub fn filter_by_label<'a>(packets: &'a [Packet], span: &LabelSpan) -> Vec<&'a Packet> {
-    if span.end_micros < span.start_micros {
-        return Vec::new();
-    }
-    packets
-        .iter()
-        .filter(|p| p.ts_micros >= span.start_micros && p.ts_micros <= span.end_micros)
-        .collect()
 }
 
 #[cfg(test)]
@@ -244,7 +235,7 @@ mod tests {
     fn append_shifts_clock_monotonically() {
         let (store, exps) = store_with_experiments();
         let key = (LabSite::Us, "tp-link-plug".to_string());
-        let packets = &store.packets[&key];
+        let packets = store.devices[&key].capture.to_packets();
         for w in packets.windows(2) {
             assert!(w[0].ts_micros <= w[1].ts_micros);
         }
@@ -252,7 +243,7 @@ mod tests {
             packets.len(),
             exps.iter().map(|e| e.packet_count() as usize).sum::<usize>()
         );
-        let labels = &store.labels[&key];
+        let labels = &store.devices[&key].labels;
         assert_eq!(labels.len(), 3);
         assert_eq!(labels[0].label, "power");
         // Labels do not overlap.
@@ -287,14 +278,63 @@ mod tests {
     fn slice_bounds() {
         let (store, _) = store_with_experiments();
         let key = (LabSite::Us, "tp-link-plug".to_string());
-        let packets = &store.packets[&key];
+        let packets = store.devices[&key].capture.to_packets();
         let empty = LabelSpan {
             start_micros: u64::MAX - 1,
             end_micros: u64::MAX,
             label: "none".into(),
             rep: 0,
         };
-        assert!(slice_by_label(packets, &empty).is_empty());
+        assert!(slice_by_label(&packets, &empty).is_empty());
+    }
+
+    #[test]
+    fn label_rep_past_u32_is_a_bad_row() {
+        let (store, _) = store_with_experiments();
+        let dir = std::env::temp_dir().join(format!("intl-iot-rep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        store.write_to(&dir).unwrap();
+        let device_dir = dir.join("us").join("tp-link-plug");
+        // 2^32 + 1 would wrap to rep 1 under a cast.
+        std::fs::write(
+            device_dir.join("labels.tsv"),
+            "# start_us\tend_us\tlabel\trep\n0\t10\tpower\t4294967297\n",
+        )
+        .unwrap();
+        let err = read_device_dir(&device_dir).unwrap_err();
+        assert!(err.to_string().contains("bad label row"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_to_fails_past_the_pcap_timestamp_range() {
+        let (_, exps) = store_with_experiments();
+        // The power experiment moved to end exactly at the format's last
+        // timestamp: appended once it fits, but the running clock shifts
+        // a second copy past 2106.
+        let last = exps[0]
+            .capture
+            .views()
+            .map(|v| v.unwrap().ts_micros)
+            .max()
+            .unwrap();
+        let mut late = exps[0].clone();
+        late.capture = Capture::new();
+        for v in exps[0].capture.views() {
+            let v = v.unwrap();
+            late.capture
+                .push(iot_net::pcap::MAX_TS_MICROS - last + v.ts_micros, v.data)
+                .unwrap();
+        }
+        let dir = std::env::temp_dir().join(format!("intl-iot-2106-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = CaptureStore::new();
+        store.append(&late);
+        store.write_to(&dir).unwrap();
+        store.append(&late);
+        let err = store.write_to(&dir).unwrap_err();
+        assert!(err.to_string().contains("u32 seconds"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn span(start: u64, end: u64) -> LabelSpan {
@@ -314,7 +354,6 @@ mod tests {
     fn slice_tolerates_inverted_span() {
         let packets = pkts(&[10, 20, 30]);
         assert!(slice_by_label(&packets, &span(30, 10)).is_empty());
-        assert!(filter_by_label(&packets, &span(30, 10)).is_empty());
     }
 
     #[test]
@@ -332,14 +371,6 @@ mod tests {
         assert_eq!(
             slice.iter().map(|p| p.ts_micros).collect::<Vec<_>>(),
             [40, 25, 50, 30]
-        );
-        // The exact filter excludes the trapped packet.
-        assert_eq!(
-            filter_by_label(&packets, &span(20, 45))
-                .iter()
-                .map(|p| p.ts_micros)
-                .collect::<Vec<_>>(),
-            [40, 25, 30]
         );
     }
 

@@ -6,11 +6,9 @@
 //! ```
 
 use intl_iot::geodb::registry::GeoDb;
-use intl_iot::net::pcap::PcapReader;
+use intl_iot::net::pcap::from_bytes;
 use intl_iot::testbed::experiment::run_power;
 use intl_iot::testbed::lab::{Lab, LabSite};
-use std::fs::File;
-use std::io::BufReader;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = GeoDb::new();
@@ -33,8 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Read it back and verify losslessness.
-    let reader = PcapReader::new(BufReader::new(File::open(&path)?))?;
-    let restored = reader.packets()?;
+    let restored = from_bytes(&std::fs::read(&path)?)?;
     assert_eq!(restored, experiment.packets(), "pcap round-trip must be lossless");
     println!("read back {} packets — byte-identical", restored.len());
 

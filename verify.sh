@@ -3,7 +3,10 @@
 #
 # 1. Release build + full test suite with the network disabled — proves
 #    the zero-dependency policy holds (no crates.io access is ever
-#    needed).
+#    needed). Then the repository benchmark (perfbench/, its own Cargo
+#    workspace) is built and its self-tests run, so a change to a public
+#    name the benchmark calls fails here rather than at the benchmark
+#    run.
 # 2. A quick-scale run of the 1-worker-vs-N-worker pipeline benchmark,
 #    with observability enabled so it also emits an obs run report.
 #    bench_pipeline exits non-zero if the report differs between 1, 2
@@ -79,6 +82,9 @@ cargo test -q
 
 echo "=== workspace tests ==="
 cargo test -q --workspace
+
+echo "=== benchmark: build perfbench + run its self-tests ==="
+cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "=== bench: 1 worker vs N workers (quick scale, obs on) ==="
 cargo build --release -p iot-bench \
