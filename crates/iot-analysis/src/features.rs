@@ -20,10 +20,27 @@ pub const FEATURES_PER_SAMPLE: usize = 2 * STATS_PER_DISTRIBUTION;
 /// timestamp deltas in milliseconds. Empty or single-packet inputs yield
 /// well-defined (zero-padded) features.
 pub fn extract_features(packets: &[Packet]) -> Vec<f64> {
-    let sizes: Vec<f64> = packets.iter().map(|p| p.len() as f64).collect();
-    let mut iats: Vec<f64> = Vec::with_capacity(packets.len().saturating_sub(1));
-    for w in packets.windows(2) {
-        iats.push((w[1].ts_micros.saturating_sub(w[0].ts_micros)) as f64 / 1000.0);
+    timing_features(
+        packets.len(),
+        packets.iter().map(|p| (p.ts_micros, p.len())),
+    )
+}
+
+/// [`extract_features`] over `n` packets given as `(timestamp in µs,
+/// captured length)` pairs in capture order. Those two values are all the
+/// features read, so a capture's views need not be materialized as
+/// [`Packet`]s. A timestamp that runs backwards gives a zero
+/// inter-arrival time.
+pub(crate) fn timing_features(n: usize, packets: impl Iterator<Item = (u64, usize)>) -> Vec<f64> {
+    let mut sizes: Vec<f64> = Vec::with_capacity(n);
+    let mut iats: Vec<f64> = Vec::with_capacity(n.saturating_sub(1));
+    let mut prev: Option<u64> = None;
+    for (ts_micros, len) in packets {
+        sizes.push(len as f64);
+        if let Some(prev) = prev {
+            iats.push(ts_micros.saturating_sub(prev) as f64 / 1000.0);
+        }
+        prev = Some(ts_micros);
     }
     let mut out = Vec::with_capacity(FEATURES_PER_SAMPLE);
     append_distribution_stats(&sizes, &mut out);

@@ -6,7 +6,7 @@
 //! splits repeated 10 times. A device or activity is *inferrable* when its
 //! F1 exceeds 0.75.
 
-use crate::features::extract_features;
+use crate::features::timing_features;
 use iot_ml::crossval::{cross_validate, CrossValReport};
 use iot_ml::dataset::Dataset;
 use iot_ml::forest::{RandomForest, RandomForestConfig};
@@ -122,7 +122,9 @@ pub fn label_activity_kind(device: &str, label: &str) -> Option<ActivityKind> {
     spec.activity(activity).map(|a| a.kind)
 }
 
-/// Builds the labeled dataset for one device from its experiments.
+/// Builds the labeled dataset for one device from its experiments. The
+/// features are read from each capture's views; no packet is
+/// materialized.
 pub fn build_dataset(experiments: &[LabeledExperiment]) -> Dataset {
     let mut label_ids: HashMap<String, usize> = HashMap::new();
     let mut label_names: Vec<String> = Vec::new();
@@ -134,7 +136,14 @@ pub fn build_dataset(experiments: &[LabeledExperiment]) -> Dataset {
     }
     let mut dataset = Dataset::new(label_names);
     for exp in experiments {
-        dataset.push(extract_features(&exp.packets()), label_ids[&exp.label]);
+        let views = exp.capture.views().map(|v| {
+            let v = v.expect("writer-clean capture");
+            (v.ts_micros, v.data.len())
+        });
+        dataset.push(
+            timing_features(exp.packet_count(), views),
+            label_ids[&exp.label],
+        );
     }
     dataset
 }
@@ -222,7 +231,10 @@ pub fn train_device_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::extract_features;
     use iot_geodb::registry::GeoDb;
+    use iot_ml::stats::STATS_PER_DISTRIBUTION;
+    use iot_net::pcap::Capture;
     use iot_testbed::lab::Lab;
     use iot_testbed::schedule::CampaignConfig;
 
@@ -316,6 +328,50 @@ mod tests {
         assert!(ds.label_names.contains(&"power".to_string()));
         assert!(ds.label_names.contains(&"local_voice".to_string()));
         assert_eq!(ds.width(), crate::features::FEATURES_PER_SAMPLE);
+    }
+
+    /// Features read from views equal those of the materialized packets,
+    /// including a snaplen-truncated record (its size is the captured
+    /// length, not `orig_len`), a timestamp that runs backwards, and
+    /// captures of one record and of none.
+    #[test]
+    fn dataset_from_views_matches_materialized_packets() {
+        let frame = |len: usize| vec![0xa5u8; len];
+        let mut mixed = Capture::new();
+        mixed.push(1_000, &frame(60)).unwrap();
+        mixed.push_record(4_500, 1_514, &frame(96)).unwrap();
+        mixed.push(3_000, &frame(1_200)).unwrap();
+        mixed.push(9_250, &frame(74)).unwrap();
+        let mut single = Capture::new();
+        single.push(7_000, &frame(342)).unwrap();
+        let db = GeoDb::new();
+        let lab = Lab::deploy(LabSite::Us);
+        let template =
+            iot_testbed::experiment::run_power(&db, lab.device("Echo Dot").unwrap(), false, 0, 0);
+        let experiments: Vec<LabeledExperiment> = [
+            ("mixed", mixed),
+            ("single", single),
+            ("empty", Capture::new()),
+            ("mixed", template.capture.clone()),
+        ]
+        .into_iter()
+        .map(|(label, capture)| LabeledExperiment {
+            label: label.to_string(),
+            capture,
+            ..template.clone()
+        })
+        .collect();
+        let ds = build_dataset(&experiments);
+        assert_eq!(ds.label_names, ["mixed", "single", "empty"]);
+        assert_eq!(ds.labels, [0, 1, 2, 0]);
+        for (row, exp) in ds.features.iter().zip(&experiments) {
+            let expected = extract_features(&exp.packets());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(row), bits(&expected), "{}", exp.label);
+        }
+        assert_eq!(ds.features[0][1], 1_200.0, "max size is a captured length");
+        let iat_min = ds.features[0][STATS_PER_DISTRIBUTION];
+        assert_eq!(iat_min, 0.0, "backwards timestamp");
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The paper's validation protocol: stratified 70/30 hold-out, repeated 10
 //! times, metrics averaged across repeats (§6.3).
+//!
+//! One column-major copy of the dataset serves every repeat: a train
+//! split is a vector of row ids into it, not a copy of the rows.
 
-use crate::dataset::Dataset;
+use crate::dataset::{Columns, Dataset};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::metrics::ConfusionMatrix;
 use iot_core::rng::{SliceRandom, StdRng};
@@ -78,15 +81,16 @@ pub fn cross_validate(
     let mut macro_sum = 0.0;
     let mut acc_sum = 0.0;
     let mut effective = 0usize;
+    let columns = Columns::new(data);
     for r in 0..repeats {
         let mut rng = StdRng::seed_from_u64(config.seed ^ (r as u64).wrapping_mul(0x9e37_79b9));
         let (train_idx, test_idx) = stratified_split(data, 0.7, &mut rng);
         if train_idx.is_empty() || test_idx.is_empty() {
             continue;
         }
-        let train = data.subset(&train_idx);
-        let forest = RandomForest::fit(
-            &train,
+        let forest = RandomForest::fit_rows(
+            &columns,
+            &train_idx,
             &RandomForestConfig {
                 seed: config.seed ^ (r as u64),
                 ..*config
@@ -169,11 +173,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let (train, test) = stratified_split(&d, 0.7, &mut rng);
         assert_eq!(train.len() + test.len(), d.len());
-        let train_set = d.subset(&train);
-        let test_set = d.subset(&test);
+        let count = |rows: &[usize], c: usize| rows.iter().filter(|&&i| d.labels[i] == c).count();
         for c in 0..4 {
-            assert_eq!(train_set.class_counts()[c], 14, "class {c} train");
-            assert_eq!(test_set.class_counts()[c], 6, "class {c} test");
+            assert_eq!(count(&train, c), 14, "class {c} train");
+            assert_eq!(count(&test, c), 6, "class {c} test");
         }
     }
 

@@ -63,14 +63,53 @@ impl Dataset {
         }
         counts
     }
+}
 
-    /// Builds a view dataset from row indices (rows are cloned).
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            features: indices.iter().map(|&i| self.features[i].clone()).collect(),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-            label_names: self.label_names.clone(),
+/// A column-major copy of a [`Dataset`] for tree induction: each
+/// feature's values are contiguous and addressed by row id, with the
+/// labels beside them. Built once per fit or cross-validation call, so
+/// bootstrap samples and train splits are row-id vectors instead of
+/// copies of the rows.
+pub(crate) struct Columns<'a> {
+    /// `values[f * rows + r]` is feature `f` of row `r`.
+    values: Vec<f64>,
+    labels: &'a [usize],
+    n_classes: usize,
+    width: usize,
+}
+
+impl<'a> Columns<'a> {
+    pub(crate) fn new(data: &'a Dataset) -> Self {
+        let width = data.width();
+        let mut values = Vec::with_capacity(width * data.len());
+        for f in 0..width {
+            values.extend(data.features.iter().map(|row| row[f]));
         }
+        Columns {
+            values,
+            labels: &data.labels,
+            n_classes: data.n_classes(),
+            width,
+        }
+    }
+
+    /// Feature `f` of every row, indexed by row id.
+    pub(crate) fn column(&self, f: usize) -> &[f64] {
+        let rows = self.labels.len();
+        &self.values[f * rows..(f + 1) * rows]
+    }
+
+    /// The label of row `r`.
+    pub(crate) fn label(&self, r: usize) -> usize {
+        self.labels[r]
+    }
+
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    pub(crate) fn n_classes(&self) -> usize {
+        self.n_classes
     }
 }
 
@@ -97,12 +136,14 @@ mod tests {
     }
 
     #[test]
-    fn subset_selects_rows() {
+    fn columns_address_values_by_row() {
         let d = sample();
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.features[0], vec![5.0, 6.0]);
-        assert_eq!(s.labels, vec![1, 0]);
+        let c = Columns::new(&d);
+        assert_eq!(c.width(), 2);
+        assert_eq!(c.n_classes(), 2);
+        assert_eq!(c.column(0), &[1.0, 3.0, 5.0]);
+        assert_eq!(c.column(1), &[2.0, 4.0, 6.0]);
+        assert_eq!((0..3).map(|r| c.label(r)).collect::<Vec<_>>(), d.labels);
     }
 
     #[test]

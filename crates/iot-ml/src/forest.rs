@@ -1,6 +1,10 @@
 //! Bootstrap-aggregated random forests (§6.3).
+//!
+//! A forest is fit from one column-major copy of its training rows: each
+//! tree's bootstrap sample is a vector of row ids into it, not a copy of
+//! the rows (see [`crate::tree`]).
 
-use crate::dataset::Dataset;
+use crate::dataset::{Columns, Dataset};
 use crate::tree::{DecisionTree, TreeConfig};
 use iot_core::rng::StdRng;
 
@@ -31,8 +35,8 @@ impl Default for RandomForestConfig {
 /// A fitted random forest.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    trees: Vec<DecisionTree>,
-    n_classes: usize,
+    pub(crate) trees: Vec<DecisionTree>,
+    pub(crate) n_classes: usize,
 }
 
 impl RandomForest {
@@ -43,24 +47,31 @@ impl RandomForest {
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, config: &RandomForestConfig) -> Self {
         assert!(!data.is_empty(), "cannot fit a forest to an empty dataset");
+        let rows: Vec<usize> = (0..data.len()).collect();
+        Self::fit_rows(&Columns::new(data), &rows, config)
+    }
+
+    /// Fits a forest to the rows `rows` of `columns`, as [`RandomForest::fit`]
+    /// fits one to a dataset holding just those rows in that order.
+    pub(crate) fn fit_rows(columns: &Columns, rows: &[usize], config: &RandomForestConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let max_features = (data.width() as f64).sqrt().ceil() as usize;
+        let max_features = (columns.width() as f64).sqrt().ceil() as usize;
         let tree_config = TreeConfig {
             max_depth: config.max_depth,
             min_samples_split: config.min_samples_split,
             max_features: Some(max_features.max(1)),
         };
+        let mut sample = Vec::with_capacity(rows.len());
         let trees = (0..config.n_trees)
             .map(|_| {
-                let sample: Vec<usize> =
-                    (0..data.len()).map(|_| rng.gen_range(0..data.len())).collect();
-                let boot = data.subset(&sample);
-                DecisionTree::fit(&boot, &tree_config, &mut rng)
+                sample.clear();
+                sample.extend((0..rows.len()).map(|_| rows[rng.gen_range(0..rows.len())]));
+                DecisionTree::fit_rows(columns, &mut sample, &tree_config, &mut rng)
             })
             .collect();
         RandomForest {
             trees,
-            n_classes: data.n_classes(),
+            n_classes: columns.n_classes(),
         }
     }
 

@@ -28,6 +28,8 @@ pub mod dataset;
 pub mod forest;
 pub mod importance;
 pub mod metrics;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod tree;
 

@@ -1,11 +1,20 @@
 //! CART decision trees with Gini impurity.
+//!
+//! Induction reads a column-major copy of the training data
+//! ([`Columns`]) through a slice of row ids, so a bootstrap sample or a
+//! train split is a row-id vector rather than a copy of the rows. Each
+//! tree reuses one set of scratch buffers at every node, and children
+//! grow on an in-place stable partition of their parent's row ids. The
+//! splits chosen are exactly those of sorting each node's row copies:
+//! the same random draws happen in the same order, and every shortcut
+//! below provably leaves the chosen split unchanged (DESIGN §13).
 
-use crate::dataset::Dataset;
+use crate::dataset::{Columns, Dataset};
 use iot_core::rng::{SliceRandom, StdRng};
 
 /// A node of a fitted tree.
 #[derive(Debug, Clone)]
-enum Node {
+pub(crate) enum Node {
     /// Internal split: go left when `features[feature] <= threshold`.
     Split {
         feature: usize,
@@ -41,8 +50,7 @@ impl Default for TreeConfig {
 /// A fitted CART classifier.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
-    n_classes: usize,
+    pub(crate) nodes: Vec<Node>,
 }
 
 impl DecisionTree {
@@ -53,53 +61,34 @@ impl DecisionTree {
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, config: &TreeConfig, rng: &mut StdRng) -> Self {
         assert!(!data.is_empty(), "cannot fit a tree to an empty dataset");
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            n_classes: data.n_classes(),
-        };
-        let indices: Vec<usize> = (0..data.len()).collect();
-        tree.grow(data, &indices, config, 0, rng);
-        tree
+        let mut rows: Vec<usize> = (0..data.len()).collect();
+        Self::fit_rows(&Columns::new(data), &mut rows, config, rng)
     }
 
-    /// Recursively grows the subtree for `indices`; returns its node index.
-    fn grow(
-        &mut self,
-        data: &Dataset,
-        indices: &[usize],
+    /// Fits a tree to the rows `rows` of `columns`; a row id may repeat,
+    /// as in a bootstrap sample. Leaves `rows` reordered.
+    pub(crate) fn fit_rows(
+        columns: &Columns,
+        rows: &mut [usize],
         config: &TreeConfig,
-        depth: usize,
         rng: &mut StdRng,
-    ) -> usize {
-        let counts = class_counts(data, indices, self.n_classes);
-        let majority = argmax(&counts);
-        let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
-        if pure || depth >= config.max_depth || indices.len() < config.min_samples_split {
-            self.nodes.push(Node::Leaf { class: majority });
-            return self.nodes.len() - 1;
-        }
-        match best_split(data, indices, config, rng) {
-            None => {
-                self.nodes.push(Node::Leaf { class: majority });
-                self.nodes.len() - 1
-            }
-            Some((feature, threshold)) => {
-                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-                    .iter()
-                    .partition(|&&i| data.features[i][feature] <= threshold);
-                // Reserve our slot before growing children.
-                let node_index = self.nodes.len();
-                self.nodes.push(Node::Leaf { class: majority }); // placeholder
-                let left = self.grow(data, &left_idx, config, depth + 1, rng);
-                let right = self.grow(data, &right_idx, config, depth + 1, rng);
-                self.nodes[node_index] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
-                node_index
-            }
+    ) -> Self {
+        let n_classes = columns.n_classes();
+        let mut grower = Grower {
+            columns,
+            config,
+            nodes: Vec::new(),
+            candidates: Vec::with_capacity(columns.width()),
+            pairs: Vec::with_capacity(rows.len()),
+            counts: vec![0; n_classes],
+            present: Vec::with_capacity(n_classes),
+            left: vec![0; n_classes],
+            right: vec![0; n_classes],
+            spill: Vec::with_capacity(rows.len()),
+        };
+        grower.grow(rows, 0, rng);
+        DecisionTree {
+            nodes: grower.nodes,
         }
     }
 
@@ -131,14 +120,177 @@ impl DecisionTree {
     }
 }
 
-fn class_counts(data: &Dataset, indices: &[usize], n_classes: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; n_classes];
-    for &i in indices {
-        counts[data.labels[i]] += 1;
-    }
-    counts
+/// One tree's induction state: the nodes grown so far and the scratch
+/// buffers every node reuses.
+struct Grower<'a> {
+    columns: &'a Columns<'a>,
+    config: &'a TreeConfig,
+    nodes: Vec<Node>,
+    /// The node's candidate features.
+    candidates: Vec<usize>,
+    /// The node's `(value, label)` pairs for one feature, sorted by value.
+    pairs: Vec<(f64, usize)>,
+    /// The node's class counts.
+    counts: Vec<usize>,
+    /// The classes present in the node, ascending.
+    present: Vec<usize>,
+    /// Class counts left and right of the scanned threshold.
+    left: Vec<usize>,
+    right: Vec<usize>,
+    /// Right-hand row ids during a partition.
+    spill: Vec<usize>,
 }
 
+impl Grower<'_> {
+    /// Grows the subtree for `rows` depth-first, left before right;
+    /// returns its node index.
+    fn grow(&mut self, rows: &mut [usize], depth: usize, rng: &mut StdRng) -> usize {
+        self.counts.fill(0);
+        for &r in rows.iter() {
+            self.counts[self.columns.label(r)] += 1;
+        }
+        self.present.clear();
+        self.present
+            .extend((0..self.counts.len()).filter(|&c| self.counts[c] > 0));
+        let majority = argmax(&self.counts);
+        let leaf = self.present.len() <= 1
+            || depth >= self.config.max_depth
+            || rows.len() < self.config.min_samples_split;
+        let split = if leaf {
+            None
+        } else {
+            self.best_split(rows, rng)
+        };
+        let node = self.nodes.len();
+        // A split node's slot is reserved before its children grow.
+        self.nodes.push(Node::Leaf { class: majority });
+        if let Some((feature, threshold)) = split {
+            let n_left = self.partition(rows, feature, threshold);
+            let (left_rows, right_rows) = rows.split_at_mut(n_left);
+            let left = self.grow(left_rows, depth + 1, rng);
+            let right = self.grow(right_rows, depth + 1, rng);
+            self.nodes[node] = Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            };
+        }
+        node
+    }
+
+    /// Finds the (feature, threshold) minimizing weighted Gini impurity
+    /// over a random subset of features, given the node's `counts` and
+    /// `present` classes. Returns `None` when no split separates the rows.
+    fn best_split(&mut self, rows: &[usize], rng: &mut StdRng) -> Option<(usize, f64)> {
+        let Grower {
+            columns,
+            config,
+            candidates,
+            pairs,
+            counts,
+            present,
+            left,
+            right,
+            ..
+        } = self;
+        let width = columns.width();
+        candidates.clear();
+        candidates.extend(0..width);
+        if let Some(k) = config.max_features {
+            candidates.shuffle(rng);
+            candidates.truncate(k.max(1).min(width));
+        }
+        // Tie-break deterministically but without bias toward low feature ids.
+        let jitter: u64 = rng.gen();
+
+        let total = rows.len();
+        let n = total as f64;
+        let node_squares: usize = present.iter().map(|&c| counts[c] * counts[c]).sum();
+        let mut best: Option<(f64, usize, f64)> = None;
+        for &f in candidates.iter() {
+            let column = columns.column(f);
+            pairs.clear();
+            pairs.extend(rows.iter().map(|&r| (column[r], columns.label(r))));
+            // Equal values may land in any order: a split is only scored
+            // between distinct values, where the left side is the same set.
+            pairs.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("non-finite feature"));
+            // Only the present classes' slots are read below.
+            for &c in present.iter() {
+                left[c] = 0;
+                right[c] = counts[c];
+            }
+            // Sums of squared class counts on each side.
+            let (mut left_squares, mut right_squares) = (0usize, node_squares);
+            for w in 0..total - 1 {
+                let (v, label) = pairs[w];
+                left_squares += 2 * left[label] + 1;
+                left[label] += 1;
+                right[label] -= 1;
+                right_squares -= 2 * right[label] + 1;
+                let v_next = pairs[w + 1].0;
+                if v == v_next {
+                    continue; // cannot split between equal values
+                }
+                let n_left = w + 1;
+                let n_right = total - n_left;
+                if let Some((s, _, _)) = best {
+                    // The weighted Gini is (n − Σl²/n_left − Σr²/n_right) / n;
+                    // from integer sums this is within 1e-13 of the exact
+                    // score, so a candidate this far above the best cannot
+                    // come within the 1e-12 tie rule.
+                    let bound = (n
+                        - left_squares as f64 / n_left as f64
+                        - right_squares as f64 / n_right as f64)
+                        / n;
+                    if bound > s + 1e-9 {
+                        continue;
+                    }
+                }
+                let score = (n_left as f64 * gini(left, present, n_left)
+                    + n_right as f64 * gini(right, present, n_right))
+                    / n;
+                let better = match best {
+                    None => true,
+                    Some((s, bf, _)) => {
+                        score < s - 1e-12
+                            || (score < s + 1e-12 && (f ^ jitter as usize) < (bf ^ jitter as usize))
+                    }
+                };
+                if better {
+                    best = Some((score, f, (v + v_next) / 2.0));
+                }
+            }
+        }
+        // Accept any split that does not increase impurity: zero-gain splits
+        // are required to eventually separate XOR-like interactions (both
+        // children are strictly smaller, and depth is bounded).
+        let parent = gini(counts, present, total);
+        best.filter(|&(score, _, _)| score <= parent + 1e-12)
+            .map(|(_, f, t)| (f, t))
+    }
+
+    /// Stable in-place partition of `rows` by `feature <= threshold`: left
+    /// rows first, each side in its original order. Returns the left count.
+    fn partition(&mut self, rows: &mut [usize], feature: usize, threshold: f64) -> usize {
+        let column = self.columns.column(feature);
+        self.spill.clear();
+        let mut n_left = 0;
+        for i in 0..rows.len() {
+            let r = rows[i];
+            if column[r] <= threshold {
+                rows[n_left] = r;
+                n_left += 1;
+            } else {
+                self.spill.push(r);
+            }
+        }
+        rows[n_left..].copy_from_slice(&self.spill);
+        n_left
+    }
+}
+
+/// The last class with the highest count (0 when there are no classes).
 fn argmax(counts: &[usize]) -> usize {
     counts
         .iter()
@@ -148,83 +300,18 @@ fn argmax(counts: &[usize]) -> usize {
         .unwrap_or(0)
 }
 
-fn gini(counts: &[usize], total: usize) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
+/// Gini impurity of `counts` over `total` rows. Only the `present`
+/// classes (ascending) are summed: an absent class adds exactly `+0.0`,
+/// which leaves any sum of squares unchanged.
+fn gini(counts: &[usize], present: &[usize], total: usize) -> f64 {
     let t = total as f64;
-    1.0 - counts
+    1.0 - present
         .iter()
         .map(|&c| {
-            let p = c as f64 / t;
+            let p = counts[c] as f64 / t;
             p * p
         })
         .sum::<f64>()
-}
-
-/// Finds the (feature, threshold) minimizing weighted Gini impurity over a
-/// random subset of features. Returns `None` when no split separates the
-/// samples.
-fn best_split(
-    data: &Dataset,
-    indices: &[usize],
-    config: &TreeConfig,
-    rng: &mut StdRng,
-) -> Option<(usize, f64)> {
-    let width = data.width();
-    let n_classes = data.n_classes();
-    let mut features: Vec<usize> = (0..width).collect();
-    if let Some(k) = config.max_features {
-        features.shuffle(rng);
-        features.truncate(k.max(1).min(width));
-    }
-    // Tie-break deterministically but without bias toward low feature ids.
-    let jitter: u64 = rng.gen();
-
-    let mut best: Option<(f64, usize, f64)> = None;
-    for &f in &features {
-        // Sort sample indices by this feature's value.
-        let mut order: Vec<usize> = indices.to_vec();
-        order.sort_by(|&a, &b| {
-            data.features[a][f]
-                .partial_cmp(&data.features[b][f])
-                .expect("non-finite feature")
-        });
-        let total = order.len();
-        let mut left_counts = vec![0usize; n_classes];
-        let mut right_counts = class_counts(data, indices, n_classes);
-        for w in 0..total - 1 {
-            let i = order[w];
-            left_counts[data.labels[i]] += 1;
-            right_counts[data.labels[i]] -= 1;
-            let v = data.features[i][f];
-            let v_next = data.features[order[w + 1]][f];
-            if v == v_next {
-                continue; // cannot split between equal values
-            }
-            let n_left = w + 1;
-            let n_right = total - n_left;
-            let score = (n_left as f64 * gini(&left_counts, n_left)
-                + n_right as f64 * gini(&right_counts, n_right))
-                / total as f64;
-            let better = match best {
-                None => true,
-                Some((s, bf, _)) => {
-                    score < s - 1e-12
-                        || (score < s + 1e-12 && (f ^ jitter as usize) < (bf ^ jitter as usize))
-                }
-            };
-            if better {
-                best = Some((score, f, (v + v_next) / 2.0));
-            }
-        }
-    }
-    // Accept any split that does not increase impurity: zero-gain splits
-    // are required to eventually separate XOR-like interactions (both
-    // children are strictly smaller, and depth is bounded).
-    let parent = gini(&class_counts(data, indices, n_classes), indices.len());
-    best.filter(|&(score, _, _)| score <= parent + 1e-12)
-        .map(|(_, f, t)| (f, t))
 }
 
 #[cfg(test)]
