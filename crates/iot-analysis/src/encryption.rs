@@ -60,7 +60,7 @@ impl ClassBytes {
         v as f64 * 100.0 / total as f64
     }
 
-    fn add(&mut self, class: EncryptionClass, bytes: u64) {
+    pub(crate) fn add(&mut self, class: EncryptionClass, bytes: u64) {
         match class {
             EncryptionClass::LikelyUnencrypted => self.unencrypted += bytes,
             EncryptionClass::LikelyEncrypted => self.encrypted += bytes,
@@ -177,6 +177,9 @@ pub struct EncryptionAnalysis {
     scratch: EntropyScratch,
     per_device: HashMap<(LabSite, bool, &'static str), ClassBytes>,
     per_row: HashMap<(LabSite, bool, Table8Row), ClassBytes>,
+    /// Table 7's Welch samples: one unencrypted-byte percentage per
+    /// experiment with traffic, per (site, vpn, device).
+    unencrypted_samples: HashMap<(LabSite, bool, &'static str), Vec<f64>>,
 }
 
 impl Default for EncryptionAnalysis {
@@ -193,6 +196,7 @@ impl EncryptionAnalysis {
             scratch: EntropyScratch::new(),
             per_device: HashMap::new(),
             per_row: HashMap::new(),
+            unencrypted_samples: HashMap::new(),
         }
     }
 
@@ -202,25 +206,30 @@ impl EncryptionAnalysis {
         self.add_flows(exp, &flows);
     }
 
-    /// Ingests pre-extracted flows.
+    /// Ingests pre-extracted flows: one experiment's worth.
     pub fn add_flows(&mut self, exp: &LabeledExperiment, flows: &ExperimentFlows) {
         let rows = Self::rows_of(exp);
+        let mut tally = ClassBytes::default();
         for lf in &flows.flows {
-            self.add_flow(exp, &rows, lf);
+            self.add_flow(exp, &rows, lf, &mut tally);
         }
+        self.add_sample(exp, &tally);
     }
 
     /// Ingests one labeled flow — the fused-pipeline entry point. The
     /// `rows` slice is [`Self::rows_of`] for the experiment, computed once
-    /// per experiment rather than per flow.
+    /// per experiment rather than per flow; `tally` sums the experiment's
+    /// bytes for [`Self::add_sample`].
     pub(crate) fn add_flow(
         &mut self,
         exp: &LabeledExperiment,
         rows: &[Table8Row],
         lf: &crate::flows::LabeledFlow,
+        tally: &mut ClassBytes,
     ) {
         let class = classify_flow_with(lf, &self.thresholds, &mut self.scratch);
         let bytes = lf.flow.total_bytes();
+        tally.add(class, bytes);
         self.per_device
             .entry((exp.site, exp.vpn, exp.device_name))
             .or_default()
@@ -233,10 +242,24 @@ impl EncryptionAnalysis {
         }
     }
 
+    /// Records one experiment's Table 7 sample from the byte `tally` of
+    /// its flows, once per experiment, after the last flow. Experiments
+    /// without traffic contribute no sample.
+    pub(crate) fn add_sample(&mut self, exp: &LabeledExperiment, tally: &ClassBytes) {
+        if tally.total() > 0 {
+            self.unencrypted_samples
+                .entry((exp.site, exp.vpn, exp.device_name))
+                .or_default()
+                .push(tally.percent(EncryptionClass::LikelyUnencrypted));
+        }
+    }
+
     /// Folds another analysis into this one. Byte counters are additive
-    /// and keyed identically, so merging shards is equivalent to serial
-    /// ingestion in any order. Panics if thresholds differ — shards must
-    /// classify with the same configuration for the merge to be sound.
+    /// and keyed identically, and sample lists concatenate, so merging
+    /// shards is equivalent to serial ingestion in any order (samples
+    /// up to order, which [`Self::unencrypted_samples`] sorts away).
+    /// Panics if thresholds differ — shards must classify with the same
+    /// configuration for the merge to be sound.
     pub fn merge(&mut self, other: EncryptionAnalysis) {
         assert!(
             self.thresholds == other.thresholds,
@@ -247,6 +270,12 @@ impl EncryptionAnalysis {
         }
         for (key, cb) in other.per_row {
             self.per_row.entry(key).or_default().merge(&cb);
+        }
+        for (key, mut samples) in other.unencrypted_samples {
+            self.unencrypted_samples
+                .entry(key)
+                .or_default()
+                .append(&mut samples);
         }
     }
 
@@ -301,6 +330,19 @@ impl EncryptionAnalysis {
         self.per_device
             .get(&(site, vpn, catalog::by_name(device)?.name))
             .map(|cb| cb.percent(EncryptionClass::LikelyUnencrypted))
+    }
+
+    /// Table 7's Welch samples for a device in a (site, vpn) context: the
+    /// unencrypted-byte percentage of each of its experiments, sorted by
+    /// value so the test's float sums cannot depend on merge or ingest
+    /// order.
+    pub fn unencrypted_samples(&self, device: &str, site: LabSite, vpn: bool) -> Vec<f64> {
+        let mut samples = catalog::by_name(device)
+            .and_then(|spec| self.unencrypted_samples.get(&(site, vpn, spec.name)))
+            .cloned()
+            .unwrap_or_default();
+        samples.sort_by(f64::total_cmp);
+        samples
     }
 
     /// Table 5: number of devices whose percentage of `class` bytes falls
@@ -405,8 +447,9 @@ impl EncryptionAnalysis {
         })
     }
 
-    /// Serializes both counter maps for the campaign checkpoint journal,
-    /// in sorted key order for byte-stable output. Thresholds are not
+    /// Serializes both counter maps and the Table 7 samples for the
+    /// campaign checkpoint journal, in sorted key order for byte-stable
+    /// output (samples keep their ingest order). Thresholds are not
     /// persisted: the pipeline always classifies with
     /// `Thresholds::default()`, and the journal header's campaign
     /// fingerprint already pins the configuration — decode rebuilds onto
@@ -437,10 +480,24 @@ impl EncryptionAnalysis {
             w.u64(cb.encrypted);
             w.u64(cb.unknown);
         }
+        let mut sampled: Vec<&(LabSite, bool, &'static str)> =
+            self.unencrypted_samples.keys().collect();
+        sampled.sort();
+        w.u32(sampled.len() as u32);
+        for key in sampled {
+            let samples = &self.unencrypted_samples[key];
+            w.u8(sup::site_to_u8(key.0));
+            w.bool(key.1);
+            w.str(key.2);
+            w.u32(samples.len() as u32);
+            for v in samples {
+                w.u64(v.to_bits());
+            }
+        }
     }
 
-    /// Decodes journaled counter maps onto a default-thresholds
-    /// analysis. Duplicate keys fold additively, like
+    /// Decodes journaled counter maps and samples onto a
+    /// default-thresholds analysis. Duplicate keys fold like
     /// [`EncryptionAnalysis::merge`]; malformed input is a typed error.
     pub(crate) fn decode_journal(
         r: &mut crate::supervise::ByteReader<'_>,
@@ -473,6 +530,20 @@ impl EncryptionAnalysis {
                 unknown: r.u64()?,
             };
             out.per_row.entry((site, vpn, row)).or_default().merge(&cb);
+        }
+        let n = r.u32()?;
+        for _ in 0..n {
+            let site = sup::site_from_u8(r.u8()?)?;
+            let vpn = r.bool()?;
+            let device = sup::intern_device(&r.str()?)?;
+            let count = r.u32()?;
+            let samples = out
+                .unencrypted_samples
+                .entry((site, vpn, device))
+                .or_default();
+            for _ in 0..count {
+                samples.push(f64::from_bits(r.u64()?));
+            }
         }
         Ok(out)
     }

@@ -30,10 +30,10 @@
 //!   degraded runs; it rides in the pipeline report's `"coverage"` key
 //!   and is mirrored into the observability registry.
 //!
-//! # Journal format (v2)
+//! # Journal format (v3)
 //!
 //! ```text
-//! header:  magic "IOTJNL02" (8 bytes)
+//! header:  magic "IOTJNL03" (8 bytes)
 //!          fingerprint u64 LE   — digest of campaign config + fault
 //!                                 plan + supervision knobs
 //!          total_units u32 LE   — work units in the campaign grid
@@ -99,8 +99,9 @@ use std::time::{Duration, Instant};
 
 /// Journal magic, versioned: bump the trailing digits on any codec
 /// change so stale journals fail loudly instead of decoding garbage.
-/// v2 added the per-unit identity table to the header.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"IOTJNL02";
+/// v2 added the per-unit identity table to the header; v3 added Table
+/// 7's per-experiment samples to the encryption delta.
+pub const JOURNAL_MAGIC: &[u8; 8] = b"IOTJNL03";
 
 /// Record start marker; a cheap first line of defense against torn or
 /// misaligned journals before the checksum is even consulted.
@@ -1565,11 +1566,15 @@ mod tests {
             read_journal_bytes(b"NOTAMAGICxxxxxxxxxxxx"),
             Err(JournalError::BadMagic)
         ));
-        // Stale v1 journals must fail loudly, not decode garbage.
-        assert!(matches!(
-            read_journal_bytes(b"IOTJNL01\0\0\0\0\0\0\0\0\0\0\0\0"),
-            Err(JournalError::BadMagic)
-        ));
+        // Stale v1 and v2 journals must fail loudly, not decode garbage.
+        for stale in [b"IOTJNL01", b"IOTJNL02"] {
+            let mut old = stale.to_vec();
+            old.extend_from_slice(&[0; 12]);
+            assert!(matches!(
+                read_journal_bytes(&old),
+                Err(JournalError::BadMagic)
+            ));
+        }
         let mut ok = Vec::new();
         ok.extend_from_slice(JOURNAL_MAGIC);
         ok.extend_from_slice(&7u64.to_le_bytes());
@@ -1615,6 +1620,28 @@ mod tests {
             encryption: EncryptionAnalysis::default(),
             pii: Vec::new(),
         }
+    }
+
+    #[test]
+    fn unit_delta_round_trips_table7_samples() {
+        let db = iot_geodb::registry::GeoDb::new();
+        let lab = iot_testbed::lab::Lab::deploy(LabSite::Us);
+        let dev = lab.device("TP-Link Plug").unwrap();
+        let mut delta = mini_delta(5);
+        for rep in 0..3 {
+            delta
+                .encryption
+                .add_experiment(&iot_testbed::experiment::run_power(&db, dev, false, rep, 0));
+        }
+        let samples = delta.encryption.unencrypted_samples("TP-Link Plug", LabSite::Us, false);
+        assert_eq!(samples.len(), 3, "one sample per experiment");
+        let back = UnitDelta::decode(&delta.encode()).unwrap();
+        assert_eq!(
+            back.encryption.unencrypted_samples("TP-Link Plug", LabSite::Us, false),
+            samples,
+            "the journal must carry Table 7's samples"
+        );
+        assert_eq!(back.encode(), delta.encode());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const FINGERPRINT: u64 = 0xF1A9_0000_DEAD_BEEF;
 const TOTAL_UNITS: u32 = 8;
 
-/// v2 header size for this grid: magic + fingerprint + count + 8
+/// Header size for this grid: magic + fingerprint + count + 8
 /// identity digests.
 const HEADER_LEN: usize = 8 + 8 + 4 + 8 * TOTAL_UNITS as usize;
 

@@ -1,11 +1,12 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! Shared harness for the `tables` binary and the in-tree benchmarks.
 //!
-//! Every binary accepts the `IOT_SCALE` environment variable:
+//! `tables` (see [`tables`]) regenerates every paper artifact under
+//! `results/`. It reads the `IOT_SCALE` environment variable:
 //!
-//! * `quick` — a minimal grid for smoke runs (~1–2 minutes total).
+//! * `quick` — a minimal grid for smoke runs.
 //! * `medium` *(default)* — enough repetitions for stable numbers.
 //! * `full` — the paper-scale grid (§3.3's ~34,586 controlled
-//!   experiments); expect several minutes per binary.
+//!   experiments); expect several minutes per artifact.
 //!
 //! Results are printed as text tables and also written as JSON under
 //! `results/` (override with `IOT_RESULTS_DIR`).
@@ -16,20 +17,15 @@
 pub mod harness;
 pub mod history;
 pub mod profile_diff;
+pub mod tables;
 
-use iot_analysis::destinations::DestinationAnalysis;
-use iot_analysis::encryption::EncryptionAnalysis;
-use iot_analysis::flows::ExperimentFlows;
-use iot_analysis::pii::{scan_experiment, PiiFinding};
-use iot_analysis::report::TextTable;
-use iot_geodb::registry::GeoDb;
-use iot_obs::{Registry, RunReport};
-use iot_testbed::lab::LabSite;
 use iot_testbed::schedule::{Campaign, CampaignConfig};
-use iot_testbed::traffic::identity_of;
-use std::collections::HashMap;
-use std::io::Write;
 use std::path::PathBuf;
+
+/// Where artifacts are written: `IOT_RESULTS_DIR`, default `results`.
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(std::env::var("IOT_RESULTS_DIR").unwrap_or_else(|_| "results".to_string()))
+}
 
 /// Selected run scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,150 +115,9 @@ pub fn training_campaign(scale: Scale) -> Campaign {
     Campaign::new(config)
 }
 
-/// The shared controlled-experiment corpus: destination + encryption
-/// analyses and PII findings, built in one streaming pass.
-pub struct Corpus {
-    /// Destination analysis over controlled + idle experiments.
-    pub destinations: DestinationAnalysis,
-    /// Encryption analysis over the same experiments.
-    pub encryption: EncryptionAnalysis,
-    /// All PII findings.
-    pub pii: Vec<PiiFinding>,
-    /// Per-(site, vpn, device) unencrypted-percentage samples, one per
-    /// experiment, for the Table 7 significance tests.
-    pub unenc_samples: HashMap<(LabSite, bool, &'static str), Vec<f64>>,
-    /// Number of experiments ingested.
-    pub experiments: u64,
-    /// Metrics recorded while building (empty unless `IOT_OBS` >= 1).
-    pub obs: Registry,
-}
-
-/// Builds the shared corpus: every controlled experiment plus the idle
-/// captures of the campaign. When `IOT_OBS` is set, the build is traced
-/// into [`Corpus::obs`] and a run report is written to `IOT_OBS_OUT`
-/// (default `results/obs_run.json`), so every table binary produces a
-/// machine-readable run report for free.
-pub fn build_corpus(config: CampaignConfig) -> Corpus {
-    let db = GeoDb::new();
-    let obs = Registry::new();
-    let campaign = {
-        let _s = obs.span("campaign_new");
-        Campaign::new(config)
-    };
-    let mut identities = HashMap::new();
-    {
-        let _s = obs.span("identities");
-        for lab in campaign.labs() {
-            for d in &lab.devices {
-                identities.insert((d.spec().name, d.site), identity_of(d));
-            }
-        }
-    }
-
-    let mut destinations = DestinationAnalysis::new();
-    let mut encryption = EncryptionAnalysis::default();
-    let mut pii = Vec::new();
-    let mut unenc_samples: HashMap<_, Vec<f64>> = HashMap::new();
-    let mut experiments = 0u64;
-    let obs_ref = &obs;
-    let mut ingest = |exp: iot_testbed::experiment::LabeledExperiment| {
-        let _ingest = obs_ref.span("ingest");
-        obs_ref.add("experiments", 1);
-        obs_ref.add("packets", exp.packet_count() as u64);
-        obs_ref.observe("experiment_packets", exp.packet_count() as u64);
-        let flows = {
-            let _s = obs_ref.span("flows");
-            ExperimentFlows::from_experiment(&exp)
-        };
-        obs_ref.add("flows", flows.flows.len() as u64);
-        obs_ref.add("bytes", flows.total_bytes());
-        {
-            let _s = obs_ref.span("destinations");
-            destinations.add_flows(&exp, &flows);
-        }
-        {
-            let _s = obs_ref.span("encryption");
-            encryption.add_flows(&exp, &flows);
-        }
-        if let Some(identity) = identities.get(&(exp.device_name, exp.site)) {
-            let _s = obs_ref.span("pii");
-            let found = scan_experiment(&db, &exp, &flows, identity);
-            obs_ref.add("pii_findings", found.len() as u64);
-            pii.extend(found);
-        }
-        let mut unenc = 0u64;
-        let mut total = 0u64;
-        for lf in &flows.flows {
-            let class =
-                iot_analysis::encryption::classify_flow(lf, &iot_entropy::Thresholds::default());
-            let bytes = lf.flow.total_bytes();
-            total += bytes;
-            if class == iot_entropy::EncryptionClass::LikelyUnencrypted {
-                unenc += bytes;
-            }
-        }
-        if total > 0 {
-            unenc_samples
-                .entry((exp.site, exp.vpn, exp.device_name))
-                .or_default()
-                .push(unenc as f64 * 100.0 / total as f64);
-        }
-        experiments += 1;
-    };
-    campaign.run(&db, &mut ingest);
-    campaign.run_idle(&db, &mut ingest);
-    drop(ingest);
-    if obs.enabled() {
-        let report = RunReport::from_registry("build_corpus", &obs)
-            .meta("experiments", &experiments.to_string());
-        match report.write() {
-            Ok(path) => iot_obs::progress!("obs report written to {}", path.display()),
-            Err(e) => eprintln!("obs report write failed: {e}"),
-        }
-    }
-    Corpus {
-        destinations,
-        encryption,
-        pii,
-        unenc_samples,
-        experiments,
-        obs,
-    }
-}
-
-/// Prints a table and writes its JSON (plus the paper's reference note)
-/// under `results/<name>.json`.
-pub fn emit(name: &str, table: &TextTable, paper_note: &str) {
-    println!("{}", table.render());
-    println!("paper: {paper_note}\n");
-    let dir = std::env::var("IOT_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
-    if std::fs::create_dir_all(&path).is_ok() {
-        let mut json = table.to_json();
-        json.set("paper_note", iot_core::json::Json::Str(paper_note.to_string()));
-        if let Ok(mut f) = std::fs::File::create(path.join(format!("{name}.json"))) {
-            let _ = writeln!(f, "{}", json.pretty());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_corpus_builds() {
-        let corpus = build_corpus(CampaignConfig {
-            automated_reps: 1,
-            manual_reps: 1,
-            power_reps: 1,
-            idle_hours: 0.05,
-            include_vpn: false,
-        });
-        assert!(corpus.experiments > 300, "{}", corpus.experiments);
-        assert!(!corpus.pii.is_empty(), "leaky devices must produce findings");
-        assert!(!corpus.unenc_samples.is_empty());
-    }
 
     #[test]
     fn scale_configs_ordered() {

@@ -4,7 +4,7 @@
 //! packet sizes and inter-arrival times") by robustness across deployment
 //! locations; permutation importance quantifies which of those statistics
 //! a fitted forest actually relies on, and backs the feature ablation in
-//! `iot-bench --bin ablation`.
+//! `iot-bench`'s `tables ablation`.
 
 use crate::dataset::Dataset;
 use crate::forest::RandomForest;

@@ -33,14 +33,15 @@ use iot_testbed::experiment::LabeledExperiment;
 use iot_testbed::schedule::{Campaign, CampaignConfig};
 
 /// Generates the full experiment stream (controlled + idle) of a
-/// campaign as a vector, for replay through
+/// campaign as a vector, unit by unit, for replay through
 /// [`Pipeline::ingest_experiments`].
 pub fn collect_experiments(config: CampaignConfig) -> Vec<LabeledExperiment> {
     let db = GeoDb::new();
     let campaign = Campaign::new(config);
     let mut experiments = Vec::new();
-    campaign.run(&db, |exp| experiments.push(exp));
-    campaign.run_idle(&db, |exp| experiments.push(exp));
+    for unit in 0..campaign.unit_count() {
+        campaign.run_unit(&db, unit, |exp| experiments.push(exp));
+    }
     experiments
 }
 

@@ -1,10 +1,10 @@
-//! Invariant classes over the table binaries' `results/*.json` artifacts.
+//! Invariant classes over the `tables` binary's `results/*.json` artifacts.
 //!
 //! The committed `results/` directory is the repo's rendition of the
 //! paper's tables. The pipeline oracle checks the *report*; nothing
-//! until now checked the table artifacts themselves, so a table binary
+//! until now checked the table artifacts themselves, so a table
 //! could emit ragged rows or percentage columns that no longer sum and
-//! the gate would stay green. Three invariant classes close that:
+//! the gate would stay green. Four invariant classes close that:
 //!
 //! * `results_json` — every artifact parses and has the `emit` shape:
 //!   a non-empty `headers` string array and a `rows` array.
@@ -17,6 +17,13 @@
 //!   across each class triple, Table 5's quartile histogram counts the
 //!   same device population in every class, and Figure 2's per-lab
 //!   traffic shares sum to ~100.
+//! * `results_claims` — the shape claims EXPERIMENTS.md makes about the
+//!   tables hold: power is the most inferrable activity group in every
+//!   Table 10 column, smart hubs are almost never inferrable (≤ 1 per
+//!   Table 9 column), Passport-style geolocation is at least as accurate
+//!   as the naive database on each egress (Ablation 4), and no device
+//!   sends more than 75% of its bytes unencrypted (Table 5). A claim
+//!   that flips fails the oracle instead of going stale in prose.
 //!
 //! Tolerances follow the artifacts' formatting: cells are rendered with
 //! one decimal, so a k-term sum may be off by up to `0.05·k` plus float
@@ -324,7 +331,71 @@ fn check_percentages(t: &TableFile, v: &mut Vec<Violation>) {
     }
 }
 
-/// Checks every `*.json` artifact in `dir` against the three results
+/// The shape claims EXPERIMENTS.md makes about the tables.
+fn check_claims(t: &TableFile, v: &mut Vec<Violation>) {
+    let num = |r: &[String], col: usize| r.get(col).and_then(|c| c.parse::<f64>().ok());
+    // The row whose cells, joined, start with `label`.
+    let row = |label: &str| t.rows.iter().find(|r| r.join(" ").starts_with(label));
+    let mut fail = |field: String, detail: String| {
+        v.push(Violation::new("results_claims", "results", t.name.clone(), field, detail))
+    };
+    match t.name.as_str() {
+        // Table 10: power is the most inferrable activity group in
+        // every column.
+        "table10" => {
+            let Some(power) = row("Power") else {
+                return fail("rows".into(), "no Power row".into());
+            };
+            for other in t.rows.iter().filter(|r| !std::ptr::eq(*r, power)) {
+                for col in 1..t.headers.len() {
+                    if !matches!((num(power, col), num(other, col)), (Some(p), Some(o)) if p > o) {
+                        fail(
+                            format!("{}[{}]", t.headers[col], other[0]),
+                            format!("{} is not below Power's {}", other[col], power[col]),
+                        );
+                    }
+                }
+            }
+        }
+        // Table 9: smart hubs are almost never inferrable (≤ 1 device).
+        // Table 5: no device sends more than 75% of its bytes
+        // unencrypted.
+        "table9" | "table5" => {
+            let (label, max, first) =
+                if t.name == "table9" { ("Smart Hubs", 1.0, 1) } else { ("x >75", 0.0, 2) };
+            let Some(r) = row(label) else {
+                return fail("rows".into(), format!("no {label} row"));
+            };
+            for col in first..t.headers.len() {
+                if !num(r, col).is_some_and(|n| n <= max) {
+                    fail(
+                        format!("{}[{label}]", t.headers[col]),
+                        format!("{} devices, expected at most {max}", r[col]),
+                    );
+                }
+            }
+        }
+        // Ablation 4: Passport-style inference is at least as accurate
+        // as the naive database on each egress.
+        "ablation_geo" => {
+            let col = |h: &str| t.headers.iter().position(|x| x == h);
+            let (Some(pc), Some(nc)) = (col("passport"), col("naive db")) else {
+                return fail("headers".into(), "no passport / naive db columns".into());
+            };
+            for r in &t.rows {
+                if !matches!((num(r, pc), num(r, nc)), (Some(p), Some(n)) if p >= n) {
+                    fail(
+                        format!("passport[{}]", r[0]),
+                        format!("passport {} below naive db {}", r[pc], r[nc]),
+                    );
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Checks every `*.json` artifact in `dir` against the four results
 /// invariant classes. A missing directory yields a single violation — a
 /// repo that stops committing its results tables should fail loudly,
 /// not silently skip the class.
@@ -387,6 +458,7 @@ pub fn check_results_dir(dir: &Path) -> Vec<Violation> {
         check_shape(&table, &mut v);
         check_row_counts(&table, &mut v);
         check_percentages(&table, &mut v);
+        check_claims(&table, &mut v);
     }
     v
 }
@@ -493,6 +565,55 @@ mod tests {
         check_class_triple(&bad, &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "results_rows");
+    }
+
+    /// `good` satisfies its claim; `bad` flips it in exactly one cell.
+    fn assert_claim(good: &TableFile, bad: &TableFile) {
+        let mut v = Vec::new();
+        check_claims(good, &mut v);
+        assert!(v.is_empty(), "{v:?}");
+        check_claims(bad, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "results_claims");
+    }
+
+    #[test]
+    fn power_must_be_most_inferrable() {
+        let headers = ["Activity (#D)", "US", "UK"];
+        let power: &[&str] = &["Power (81)", "46", "34"];
+        assert_claim(
+            &table("table10", &headers, &[power, &["Voice (19)", "10", "8"]]),
+            &table("table10", &headers, &[power, &["Voice (19)", "10", "34"]]),
+        );
+    }
+
+    #[test]
+    fn hubs_must_be_rarely_inferrable() {
+        let headers = ["Category (#D)", "US", "UK"];
+        let audio: &[&str] = &["Audio (11)", "6", "5"];
+        assert_claim(
+            &table("table9", &headers, &[&["Smart Hubs (14)", "0", "1"], audio]),
+            &table("table9", &headers, &[&["Smart Hubs (14)", "2", "1"], audio]),
+        );
+    }
+
+    #[test]
+    fn passport_must_match_or_beat_naive_geolocation() {
+        let headers = ["egress", "passport", "naive db"];
+        let americas: &[&str] = &["Americas", "1.00", "0.75"];
+        assert_claim(
+            &table("ablation_geo", &headers, &[americas, &["Europe", "0.92", "0.92"]]),
+            &table("ablation_geo", &headers, &[americas, &["Europe", "0.58", "0.92"]]),
+        );
+    }
+
+    #[test]
+    fn no_device_may_be_mostly_plaintext() {
+        let headers = ["Enc", "Range", "US", "UK"];
+        assert_claim(
+            &table("table5", &headers, &[&["x", ">75", "0", "0"], &["x", "50-75", "2", "2"]]),
+            &table("table5", &headers, &[&["x", ">75", "0", "1"], &["x", "50-75", "2", "2"]]),
+        );
     }
 
     #[test]

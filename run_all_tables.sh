@@ -1,11 +1,14 @@
 #!/bin/sh
-# Regenerates every paper table/figure. IOT_SCALE=full reproduces the
-# paper-scale grid; this script uses medium for corpus analyses and
-# lighter scales for the model-training tables to bound runtime.
+# Regenerates every paper table/figure into results/ (IOT_RESULTS_DIR),
+# and their printed form into results/all_tables.txt. IOT_SCALE=full
+# reproduces the paper-scale grid; this script uses medium for corpus
+# analyses and lighter scales for the model-training tables to bound
+# runtime.
 set -e
 cd "$(dirname "$0")"
-BIN=./target/release
-mkdir -p results
+TABLES=./target/release/tables
+OUT="${IOT_RESULTS_DIR:-results}"
+mkdir -p "$OUT"
 
 # Gate the table regeneration on the tier-1 + bench verification so a
 # serial/parallel divergence is caught before any table is rewritten.
@@ -13,13 +16,10 @@ mkdir -p results
 if [ "${IOT_SKIP_VERIFY:-0}" != "1" ]; then
   ./verify.sh
 fi
-for t in table1 entropy_calibration ablation table2 table3 table4 figure2 table5 table6 table7 table8 summary; do
-  echo "=== $t (medium) ==="
-  IOT_SCALE="${IOT_SCALE_CORPUS:-medium}" $BIN/$t
-done
-echo "=== table9 (medium) ==="
-IOT_SCALE="${IOT_SCALE_INFER:-medium}" $BIN/table9 2>/dev/null
-for t in table10 table11 user_study; do
-  echo "=== $t (quick) ==="
-  IOT_SCALE=quick $BIN/$t 2>/dev/null
-done
+{
+  IOT_SCALE="${IOT_SCALE_CORPUS:-medium}" $TABLES table1 entropy_calibration ablation \
+    table2 table3 table4 figure2 table5 table6 table7 table8 summary
+  IOT_SCALE="${IOT_SCALE_INFER:-medium}" $TABLES table9 2>/dev/null
+  IOT_SCALE=quick $TABLES table10 table11 user_study 2>/dev/null
+} > "$OUT/all_tables.txt"
+cat "$OUT/all_tables.txt"

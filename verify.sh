@@ -58,13 +58,13 @@
 #    reruns the oracle on the medium campaign grid, warn-only, with the
 #    instrumented allocator counting so the run prints the campaign's
 #    heap high-water and kernel peak RSS at that scale.
-# 10. tables: the forest-training artifacts are regenerated into
-#    target/verify_tables at run_all_tables.sh's scales — table9 and the
-#    five ablation_*.json at medium, table10, table11 and user_study at
-#    quick (~5 s on a 2-vCPU host) — and each must be byte-identical
-#    (cmp) to its committed results/ file, so a change to feature
-#    extraction or forest training that moves Tables 9-11, the §7.3 user
-#    study or the ablations fails here.
+# 10. tables: run_all_tables.sh regenerates every paper artifact into
+#    target/verify_tables (~6 s on a 2-vCPU host), and the set must
+#    match results/ file for file: every *.json and all_tables.txt
+#    byte-identical (cmp), none missing and none extra. A change that
+#    moves any table — the corpus analyses, feature extraction or forest
+#    training — fails here. The script holds the one list of tables and
+#    scales.
 #
 # Flags:
 #   --nightly   run the deeper, slower sweeps too (currently: the
@@ -97,8 +97,7 @@ echo "=== bench: 1 worker vs N workers (quick scale, obs on) ==="
 cargo build --release -p iot-bench \
   --bin bench_pipeline --bin obs_check --bin obs_serve_check \
   --bin bench_trend --bin profile_diff --bin chaos_check --bin oracle_check \
-  --bin streaming_smoke \
-  --bin table9 --bin table10 --bin table11 --bin user_study --bin ablation
+  --bin streaming_smoke --bin tables
 # Write to scratch paths so routine verification never clobbers the
 # committed BENCH_pipeline.json baseline (regenerate that explicitly
 # with the bench binary's defaults). IOT_OBS=1 makes the run emit the
@@ -205,20 +204,25 @@ if [ "$NIGHTLY" = 1 ] || [ "${ORACLE_SCALE:-}" = "medium" ]; then
   fi
 fi
 
-echo "=== tables: regenerate Tables 9-11, §7.3 and the ablations, cmp against results/ ==="
+echo "=== tables: regenerate every results/ artifact, cmp against results/ ==="
 rm -rf target/verify_tables
-mkdir -p target/verify_tables
-for spec in table9:medium table10:quick table11:quick user_study:quick ablation:medium; do
-  IOT_SCALE="${spec##*:}" IOT_RESULTS_DIR=target/verify_tables \
-    "./target/release/${spec%%:*}" >/dev/null 2>&1
-done
-for name in table9 table10 table11 user_study ablation_thresholds ablation_unit_gap \
-  ablation_forest ablation_geo ablation_features; do
-  cmp "target/verify_tables/$name.json" "results/$name.json" || {
-    echo "verify.sh: FAIL — regenerated $name.json differs from results/$name.json" >&2
+IOT_SKIP_VERIFY=1 IOT_RESULTS_DIR=target/verify_tables ./run_all_tables.sh >/dev/null
+# A local IOT_OBS run may leave results/obs_run.json behind; it is a
+# telemetry artifact, not a table.
+artifacts() { (cd "$1" && ls -- *.json all_tables.txt | grep -vx obs_run.json); }
+artifacts results > target/verify_tables.list
+if ! artifacts target/verify_tables | diff target/verify_tables.list - >&2; then
+  echo "verify.sh: FAIL — regenerated artifact set differs from results/ (< missing, > extra)" >&2
+  exit 1
+fi
+count=0
+for name in $(artifacts results); do
+  cmp "target/verify_tables/$name" "results/$name" || {
+    echo "verify.sh: FAIL — regenerated $name differs from results/$name" >&2
     exit 1
   }
+  count=$((count + 1))
 done
-echo "tables: 9 regenerated artifacts byte-identical to results/"
+echo "tables: $count regenerated artifacts byte-identical to results/"
 
 echo "verify.sh: OK"
