@@ -63,11 +63,13 @@ fn check(out_path: &str) -> Result<(), String> {
 
     // Fourth pillar: the committed `results/*.json` table artifacts —
     // well-formed `emit` shape, row counts pinned by the catalog/enums,
-    // percentage columns summing within rounding tolerance.
-    let results_dir = std::env::var("IOT_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let artifact_violations = results::check_results_dir(std::path::Path::new(&results_dir));
+    // percentage columns summing within rounding tolerance, and the
+    // shape claims EXPERIMENTS.md makes.
+    let results_dir = iot_bench::results_dir();
+    let artifact_violations = results::check_results_dir(&results_dir);
     println!(
-        "oracle_check: results artifacts ({results_dir}/): {}",
+        "oracle_check: results artifacts ({}/): {}",
+        results_dir.display(),
         if artifact_violations.is_empty() {
             "clean".to_string()
         } else {
