@@ -259,6 +259,40 @@ mod tests {
         assert!(labels.contains("local_volume"));
     }
 
+    /// Pins every synthesized capture byte. The grid covers all 81
+    /// deployed devices, both egresses and idle; the digest is FNV-1a
+    /// over the concatenated `capture.as_bytes()` of every experiment in
+    /// `run_unit` order. Any change to frame encoding, payload
+    /// generation or RNG draw order moves it.
+    #[test]
+    fn capture_bytes_pinned_across_grid() {
+        let db = GeoDb::new();
+        let campaign = Campaign::new(CampaignConfig {
+            automated_reps: 1,
+            manual_reps: 1,
+            power_reps: 1,
+            idle_hours: 0.1,
+            include_vpn: true,
+        });
+        let (mut experiments, mut packets, mut bytes) = (0u64, 0u64, 0u64);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for unit in 0..campaign.unit_count() {
+            campaign.run_unit(&db, unit, |exp| {
+                experiments += 1;
+                packets += exp.capture.record_count() as u64;
+                bytes += exp.capture.byte_len() as u64;
+                for &b in exp.capture.as_bytes() {
+                    digest ^= u64::from(b);
+                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            });
+        }
+        assert_eq!(
+            (experiments, packets, bytes, format!("{digest:016x}")),
+            (1_204, 56_045, 24_694_930, "4d99d5e448b73be9".to_string())
+        );
+    }
+
     #[test]
     fn unit_count_matches_deployed_devices() {
         let campaign = Campaign::new(CampaignConfig::quick());
