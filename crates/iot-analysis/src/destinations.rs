@@ -162,7 +162,7 @@ impl DestCtx {
 
 /// Accumulates destination observations across experiments.
 pub struct DestinationAnalysis {
-    db: GeoDb,
+    db: &'static GeoDb,
     observations: HashMap<ObsKey, ObsVal>,
     /// Result-neutral memo of `ip:a.b.c.d` key strings for flows with no
     /// domain label. Never merged: it is a cache keyed by full content,
@@ -180,7 +180,7 @@ impl DestinationAnalysis {
     /// Creates an empty analysis.
     pub fn new() -> Self {
         DestinationAnalysis {
-            db: GeoDb::new(),
+            db: GeoDb::shared(),
             observations: HashMap::new(),
             ip_keys: HashMap::new(),
         }
@@ -188,7 +188,7 @@ impl DestinationAnalysis {
 
     /// The registry in use.
     pub fn db(&self) -> &GeoDb {
-        &self.db
+        self.db
     }
 
     /// Groups an experiment falls into.

@@ -26,9 +26,10 @@
 //!
 //! Every run is instrumented through `iot-obs` (gated on `IOT_OBS`, or
 //! forced via [`Pipeline::with_obs`]): spans around campaign generation,
-//! per-experiment ingest stages (flow reconstruction, destination
-//! mapping, encryption classification, PII scan), each worker's run
-//! (`shard`), and [`Pipeline::finish`]; counters for experiments,
+//! per-experiment traffic synthesis (`synth`), per-experiment ingest
+//! stages (flow reconstruction, destination mapping, encryption
+//! classification, PII scan), each worker's run (`shard`), and
+//! [`Pipeline::finish`]; counters for experiments,
 //! packets, flows, total/per-[`EncryptionClass`] bytes, and PII findings;
 //! histograms of per-experiment packet and per-flow byte sizes; and
 //! per-worker load gauges (`worker.N.experiments`). Each worker records
@@ -93,7 +94,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Message carried by chaos-injected ingest panics, so logs can tell a
@@ -703,9 +704,6 @@ fn analyze_experiment(
 /// The pipeline driver. Owns the registry and the accumulated analyses so
 /// callers can also drill into them after a run.
 pub struct Pipeline {
-    /// Shared with the workers of a run, which borrow it while the fold
-    /// holds the pipeline itself.
-    db: Arc<GeoDb>,
     /// Destination analysis (RQ1).
     pub destinations: DestinationAnalysis,
     /// Encryption analysis (RQ2).
@@ -739,7 +737,6 @@ impl Pipeline {
     /// both modes in one process through this.
     pub fn with_obs(obs_enabled: bool) -> Self {
         Pipeline {
-            db: Arc::new(GeoDb::new()),
             destinations: DestinationAnalysis::new(),
             encryption: EncryptionAnalysis::default(),
             pii: Vec::new(),
@@ -848,10 +845,9 @@ impl Pipeline {
             let _s = self.obs.span("identities");
             identities_of(&LabSite::all().map(Lab::deploy))
         };
-        let db = Arc::clone(&self.db);
         let fault = self.fault;
         let ctx = RunCtx {
-            db: &db,
+            db: GeoDb::shared(),
             identities: &identities,
             fault: fault.as_ref(),
             deadline_micros: None,
@@ -1005,10 +1001,9 @@ impl Pipeline {
         self.publish_live("generated");
         let workers = workers.min(remaining.len());
         let watchdog = sup.deadline.map(|d| Watchdog::new(workers, d));
-        let db = Arc::clone(&self.db);
         let fault = self.fault;
         let ctx = RunCtx {
-            db: &db,
+            db: GeoDb::shared(),
             identities: &identities,
             fault: fault.as_ref(),
             deadline_micros,
@@ -1029,8 +1024,19 @@ impl Pipeline {
             while let Some(&unit) = remaining.get(queue.fetch_add(1, Ordering::AcqRel)) {
                 let mut delta = UnitDelta::new(unit);
                 let ran = catch_unwind(AssertUnwindSafe(|| {
+                    // The source synthesizes each experiment before its
+                    // callback; that time is the `synth` span. Timed by
+                    // hand, like `shard`, because it interleaves with
+                    // `ingest`, and only when obs is on.
+                    let mut synth_from = ctx.obs_enabled.then(Instant::now);
                     source(ctx.db, unit as usize, &mut |exp| {
-                        worker.ingest(&ctx, &mut delta, exp)
+                        if let Some(from) = synth_from {
+                            worker.obs.record_ns("synth", from.elapsed());
+                        }
+                        worker.ingest(&ctx, &mut delta, exp);
+                        if synth_from.is_some() {
+                            synth_from = Some(Instant::now());
+                        }
                     });
                 }));
                 // Poisoned only by a fold that panicked; the join below

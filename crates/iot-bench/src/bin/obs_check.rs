@@ -13,7 +13,9 @@
 //! 1. the report parses as JSON (through the in-tree parser);
 //! 2. the stage counters (`experiments`, `flows`, `bytes`, `packets`)
 //!    are non-zero;
-//! 3. per-stage spans and per-worker gauges are present;
+//! 3. per-stage spans and per-worker gauges are present, and the
+//!    workers' time is attributed: `synth` (traffic synthesis) and
+//!    `ingest` together cover at least 95% of `shard`;
 //! 4. the instrumentation overhead measured by the fresh bench run
 //!    (`obs_overhead_ratio`) stays under 5%, with a small absolute
 //!    tolerance so sub-millisecond noise on tiny grids cannot fail the
@@ -56,6 +58,9 @@ const MAX_OVERHEAD_RATIO: f64 = 1.05;
 /// Absolute slack: ratios above the ceiling still pass when the median
 /// delta is below this, so timer jitter on very fast runs cannot flake.
 const ABS_TOLERANCE_MS: f64 = 75.0;
+/// Least share of the workers' `shard` time that `synth` + `ingest`
+/// must cover.
+const MIN_SHARD_COVERAGE: f64 = 0.95;
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -215,12 +220,29 @@ fn check(
     if spans.is_empty() {
         return Err(format!("{obs_path}: spans section is empty"));
     }
-    for required in ["ingest", "shard"] {
-        if !spans.iter().any(|(k, _)| k == required) {
+    let total_ms = |name: &str| {
+        spans
+            .iter()
+            .find(|(k, _)| k == name)
+            .and_then(|(_, s)| s.get("total_ms"))
+            .and_then(Json::as_f64)
+    };
+    for required in ["synth", "ingest", "shard"] {
+        if total_ms(required).is_none() {
             return Err(format!("{obs_path}: missing span {required:?}"));
         }
     }
     println!("obs_check: {} span paths", spans.len());
+    let covered = total_ms("synth").unwrap_or(0.0) + total_ms("ingest").unwrap_or(0.0);
+    let shard = total_ms("shard").unwrap_or(0.0);
+    let coverage = covered / shard;
+    if coverage.is_nan() || coverage < MIN_SHARD_COVERAGE {
+        return Err(format!(
+            "{obs_path}: synth + ingest cover {coverage:.3} of shard ({covered:.1} of \
+             {shard:.1} ms), below {MIN_SHARD_COVERAGE}"
+        ));
+    }
+    println!("obs_check: synth + ingest cover {coverage:.3} of shard");
     let gauges = report
         .get("gauges")
         .and_then(Json::members)

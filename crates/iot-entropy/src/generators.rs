@@ -19,20 +19,41 @@ pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+// Each generator has an appending form, `*_into`, that writes into a
+// caller's (typically reused) buffer and draws exactly the random stream
+// of the `Vec`-returning form, which wraps it. Synthesized captures are
+// byte-pinned, so both forms must stay draw-for-draw identical.
+
 /// Uniform random bytes: stands in for TLS/AES ciphertext.
 pub fn ciphertext(rng: &mut StdRng, len: usize) -> Vec<u8> {
-    (0..len).map(|_| rng.gen()).collect()
+    let mut out = Vec::with_capacity(len);
+    ciphertext_into(rng, len, &mut out);
+    out
 }
 
-const BASE64_ALPHABET: &[u8; 64] =
+/// Appends [`ciphertext`]`(rng, len)` to `out`, filled as one slice.
+pub fn ciphertext_into(rng: &mut StdRng, len: usize, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + len, 0);
+    for b in &mut out[start..] {
+        *b = rng.gen();
+    }
+}
+
+pub(crate) const BASE64_ALPHABET: &[u8; 64] =
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 /// Base64 text over random data: stands in for fernet-style tokens, whose
 /// 64-symbol alphabet caps normalized entropy at 6/8 = 0.75.
 pub fn fernet_like(rng: &mut StdRng, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|_| BASE64_ALPHABET[rng.gen_range(0..64)])
-        .collect()
+    let mut out = Vec::with_capacity(len);
+    fernet_like_into(rng, len, &mut out);
+    out
+}
+
+/// Appends [`fernet_like`]`(rng, len)` to `out`.
+pub fn fernet_like_into(rng: &mut StdRng, len: usize, out: &mut Vec<u8>) {
+    out.extend((0..len).map(|_| BASE64_ALPHABET[rng.gen_range(0..64)]));
 }
 
 /// Style of textual plaintext to generate.
@@ -46,7 +67,7 @@ pub enum TextStyle {
     WebPage,
 }
 
-const WORDS: &[&str] = &[
+pub(crate) const WORDS: &[&str] = &[
     "the", "device", "status", "sensor", "reading", "update", "home", "network", "smart",
     "camera", "motion", "event", "temperature", "light", "power", "state", "control", "cloud",
     "service", "request", "response", "value", "level", "mode", "active", "ready", "online",
@@ -56,12 +77,19 @@ const WORDS: &[&str] = &[
 /// Textual plaintext in the requested style.
 pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
     let mut out = Vec::with_capacity(len + 16);
+    text_like_into(rng, len, style, &mut out);
+    out
+}
+
+/// Appends [`text_like`]`(rng, len, style)` to `out`.
+pub fn text_like_into(rng: &mut StdRng, len: usize, style: TextStyle, out: &mut Vec<u8>) {
+    let end = out.len() + len;
     match style {
         TextStyle::Telemetry => {
             // Hex-coded sensor registers, zero-dominated like mostly-idle
             // hardware, e.g. "0000,00a1,0300,".
             const REST: &[u8; 16] = b"123456789abcdef,";
-            while out.len() < len {
+            while out.len() < end {
                 out.push(if rng.gen_bool(0.7) {
                     b'0'
                 } else {
@@ -70,7 +98,7 @@ pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
             }
         }
         TextStyle::WebPage => {
-            while out.len() < len {
+            while out.len() < end {
                 match rng.gen_range(0..10) {
                     0 => out.extend_from_slice(b"<div class=\"c\">"),
                     1 => out.extend_from_slice(b"</div> "),
@@ -82,8 +110,7 @@ pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
             }
         }
     }
-    out.truncate(len);
-    out
+    out.truncate(end);
 }
 
 /// Compressed-media-like bytes: mostly random (compressed macroblocks)
@@ -91,26 +118,30 @@ pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
 /// the paper's H≈0.873 measurement for unencrypted phone video.
 pub fn media_like(rng: &mut StdRng, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
+    media_like_into(rng, len, &mut out);
+    out
+}
+
+/// Appends [`media_like`]`(rng, len)` to `out`. The whole random header
+/// and the whole last burst are drawn even when `len` cuts them short,
+/// so the generator leaves the random stream where [`media_like`] does.
+pub fn media_like_into(rng: &mut StdRng, len: usize, out: &mut Vec<u8>) {
+    let end = out.len() + len;
     // Streams open with a vendor-proprietary wrapper header (compressed,
     // random-looking), NOT a bare container signature: §5.1's magic-byte
     // filter intentionally misses these, leaving them to entropy analysis.
     let header = rng.gen_range(16..48);
-    for _ in 0..header {
-        out.push(rng.gen());
-    }
-    while out.len() < len {
+    ciphertext_into(rng, header, out);
+    while out.len() < end {
         // A NAL-unit-like start code followed by a burst of compressed data
         // and a short zero-padding run.
         out.extend_from_slice(&[0x00, 0x00, 0x00, 0x01]);
         let burst = rng.gen_range(48..160);
-        for _ in 0..burst {
-            out.push(rng.gen());
-        }
+        ciphertext_into(rng, burst, out);
         let pad = rng.gen_range(8..24);
-        out.extend(std::iter::repeat(0u8).take(pad));
+        out.resize(out.len() + pad, 0);
     }
-    out.truncate(len);
-    out
+    out.truncate(end);
 }
 
 /// Key-value plaintext carrying explicit fields (used for device check-ins

@@ -13,6 +13,7 @@ use crate::org::{DomainRole, Organization, ORGS};
 use crate::sld::sld;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// One /16 address block owned by an organization in a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +44,13 @@ impl Default for GeoDb {
 }
 
 impl GeoDb {
+    /// The process-wide registry, built on first use. It is immutable and
+    /// derived from static tables only, so every caller can share it.
+    pub fn shared() -> &'static GeoDb {
+        static SHARED: OnceLock<GeoDb> = OnceLock::new();
+        SHARED.get_or_init(GeoDb::new)
+    }
+
     /// Builds the registry from the static organization table.
     pub fn new() -> Self {
         let mut blocks = Vec::new();

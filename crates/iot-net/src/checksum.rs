@@ -6,9 +6,14 @@ use std::net::Ipv4Addr;
 ///
 /// Feed it header/payload slices (and, for TCP/UDP, the pseudo-header) and
 /// call [`Checksum::finish`] to obtain the 16-bit checksum value.
+///
+/// The sum is kept in 64 bits and fed eight bytes at a time: a big-endian
+/// `u64` is four big-endian 16-bit words, and because 2^16 ≡ 1 modulo
+/// 2^16 − 1, adding it with end-around carry and folding at the end
+/// yields the same checksum as adding the words one by one (RFC 1071 §2).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
     /// Carries a dangling odd byte between `push` calls.
     pending: Option<u8>,
 }
@@ -20,33 +25,32 @@ impl Checksum {
     }
 
     /// Adds a slice of bytes to the running sum.
-    pub fn push(&mut self, data: &[u8]) {
-        let mut iter = data.iter().copied();
+    pub fn push(&mut self, mut data: &[u8]) {
         if let Some(hi) = self.pending.take() {
-            if let Some(lo) = iter.next() {
-                self.add_word(u16::from_be_bytes([hi, lo]));
-            } else {
+            let Some((&lo, rest)) = data.split_first() else {
                 self.pending = Some(hi);
                 return;
-            }
+            };
+            self.add(u64::from(u16::from_be_bytes([hi, lo])));
+            data = rest;
         }
-        let mut bytes = iter;
-        loop {
-            match (bytes.next(), bytes.next()) {
-                (Some(hi), Some(lo)) => self.add_word(u16::from_be_bytes([hi, lo])),
-                (Some(hi), None) => {
-                    self.pending = Some(hi);
-                    break;
-                }
-                _ => break,
-            }
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_be_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let mut pairs = words.remainder().chunks_exact(2);
+        for pair in &mut pairs {
+            self.add(u64::from(u16::from_be_bytes([pair[0], pair[1]])));
+        }
+        if let [last] = pairs.remainder() {
+            self.pending = Some(*last);
         }
     }
 
     /// Adds a single big-endian 16-bit word.
     pub fn push_u16(&mut self, word: u16) {
         debug_assert!(self.pending.is_none(), "push_u16 on odd boundary");
-        self.add_word(word);
+        self.add(u64::from(word));
     }
 
     /// Adds the TCP/UDP pseudo-header for the given addresses, protocol, and
@@ -58,14 +62,16 @@ impl Checksum {
         self.push_u16(len);
     }
 
-    fn add_word(&mut self, word: u16) {
-        self.sum += u32::from(word);
+    /// One's-complement addition: a carry out of bit 63 wraps into bit 0.
+    fn add(&mut self, word: u64) {
+        let (sum, carry) = self.sum.overflowing_add(word);
+        self.sum = sum + u64::from(carry);
     }
 
     /// Folds carries and returns the one's-complement checksum.
     pub fn finish(mut self) -> u16 {
         if let Some(hi) = self.pending.take() {
-            self.add_word(u16::from_be_bytes([hi, 0]));
+            self.add(u64::from(u16::from_be_bytes([hi, 0])));
         }
         let mut sum = self.sum;
         while sum >> 16 != 0 {

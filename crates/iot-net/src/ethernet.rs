@@ -81,12 +81,17 @@ impl<'a> EthernetFrame<'a> {
     /// Serializes header + payload into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.octets());
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
+        write_header(&mut out, self.dst, self.src, self.ethertype);
         out.extend_from_slice(self.payload);
         out
     }
+}
+
+/// Appends an Ethernet II header to `out`.
+pub fn write_header(out: &mut Vec<u8>, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
+    out.extend_from_slice(&dst.octets());
+    out.extend_from_slice(&src.octets());
+    out.extend_from_slice(&u16::from(ethertype).to_be_bytes());
 }
 
 #[cfg(test)]

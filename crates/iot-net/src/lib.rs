@@ -35,6 +35,8 @@ pub mod ipv4;
 pub mod mac;
 pub mod packet;
 pub mod pcap;
+#[cfg(test)]
+mod reference;
 pub mod tcp;
 pub mod udp;
 

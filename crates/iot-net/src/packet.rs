@@ -9,6 +9,7 @@
 use crate::ethernet::{EtherType, EthernetFrame};
 use crate::ipv4::{protocol, Ipv4Header};
 use crate::mac::MacAddr;
+use crate::pcap::Capture;
 use crate::tcp::{TcpFlags, TcpHeader};
 use crate::udp::UdpHeader;
 use crate::Result;
@@ -156,6 +157,11 @@ impl<'a> ParsedPacket<'a> {
 }
 
 /// Builder assembling valid full frames for the traffic generator.
+///
+/// [`PacketBuilder::write_tcp`] and [`PacketBuilder::write_udp`] encode a
+/// frame once, in place, as the next record of a [`Capture`];
+/// [`PacketBuilder::tcp`] and [`PacketBuilder::udp`] are thin wrappers
+/// that return the same bytes as an owned [`Packet`].
 #[derive(Debug, Clone)]
 pub struct PacketBuilder {
     src_mac: MacAddr,
@@ -164,6 +170,28 @@ pub struct PacketBuilder {
     dst_ip: Ipv4Addr,
     identification: u16,
     ttl: u8,
+}
+
+/// The transport header of the frame being written.
+#[derive(Clone, Copy)]
+enum Segment<'h> {
+    Tcp(&'h TcpHeader),
+    Udp(&'h UdpHeader),
+}
+
+impl Segment<'_> {
+    /// The IP protocol number and the transport header length.
+    fn protocol(self) -> (u8, usize) {
+        match self {
+            Segment::Tcp(_) => (protocol::TCP, crate::tcp::MIN_HEADER_LEN),
+            Segment::Udp(_) => (protocol::UDP, crate::udp::HEADER_LEN),
+        }
+    }
+
+    /// Length of the whole Ethernet frame around `payload_len` bytes.
+    fn frame_len(self, payload_len: usize) -> usize {
+        crate::ethernet::HEADER_LEN + crate::ipv4::MIN_HEADER_LEN + self.protocol().1 + payload_len
+    }
 }
 
 impl PacketBuilder {
@@ -205,34 +233,78 @@ impl PacketBuilder {
             flags,
             window: 65535,
         };
-        let segment = tcp.encode(payload, self.src_ip, self.dst_ip);
-        self.frame(ts_micros, protocol::TCP, &segment)
+        self.packet(ts_micros, Segment::Tcp(&tcp), payload)
     }
 
     /// Builds a UDP datagram frame.
     pub fn udp(&mut self, ts_micros: u64, src_port: u16, dst_port: u16, payload: &[u8]) -> Packet {
         let udp = UdpHeader { src_port, dst_port };
-        let datagram = udp.encode(payload, self.src_ip, self.dst_ip);
-        self.frame(ts_micros, protocol::UDP, &datagram)
+        self.packet(ts_micros, Segment::Udp(&udp), payload)
     }
 
-    fn frame(&mut self, ts_micros: u64, proto: u8, ip_payload: &[u8]) -> Packet {
-        let mut ip = Ipv4Header::for_payload(self.src_ip, self.dst_ip, proto, ip_payload.len());
+    /// Writes a TCP segment frame as the next record of `cap`: the
+    /// Ethernet, IPv4 and TCP headers, one copy of `payload`, then the
+    /// TCP checksum back-patched over the bytes just written. Fails, and
+    /// writes nothing, when `ts_micros` does not fit the pcap format.
+    pub fn write_tcp(
+        &mut self,
+        cap: &mut Capture,
+        ts_micros: u64,
+        header: &TcpHeader,
+        payload: &[u8],
+    ) -> Result<()> {
+        self.write(cap, ts_micros, Segment::Tcp(header), payload)
+    }
+
+    /// Writes a UDP datagram frame as the next record of `cap` (see
+    /// [`PacketBuilder::write_tcp`]).
+    pub fn write_udp(
+        &mut self,
+        cap: &mut Capture,
+        ts_micros: u64,
+        header: &UdpHeader,
+        payload: &[u8],
+    ) -> Result<()> {
+        self.write(cap, ts_micros, Segment::Udp(header), payload)
+    }
+
+    fn write(
+        &mut self,
+        cap: &mut Capture,
+        ts_micros: u64,
+        seg: Segment<'_>,
+        payload: &[u8],
+    ) -> Result<()> {
+        let len = seg.frame_len(payload.len());
+        cap.write_record(ts_micros, len as u32, len, |out| {
+            self.encode(out, seg, payload)
+        })
+    }
+
+    fn packet(&mut self, ts_micros: u64, seg: Segment<'_>, payload: &[u8]) -> Packet {
+        let mut frame = Vec::with_capacity(seg.frame_len(payload.len()));
+        self.encode(&mut frame, seg, payload);
+        Packet::new(ts_micros, frame)
+    }
+
+    /// Appends the whole frame to `out`; the one frame encoder.
+    fn encode(&mut self, out: &mut Vec<u8>, seg: Segment<'_>, payload: &[u8]) {
+        let (proto, transport_len) = seg.protocol();
+        let mut ip = Ipv4Header::for_payload(
+            self.src_ip,
+            self.dst_ip,
+            proto,
+            transport_len + payload.len(),
+        );
         ip.identification = self.identification;
         ip.ttl = self.ttl;
         self.identification = self.identification.wrapping_add(1);
-        let ip_bytes = ip.encode();
-        let mut frame = Vec::with_capacity(14 + ip_bytes.len() + ip_payload.len());
-        let eth = EthernetFrame {
-            dst: self.dst_mac,
-            src: self.src_mac,
-            ethertype: EtherType::Ipv4,
-            payload: &[],
-        };
-        frame.extend_from_slice(&eth.encode());
-        frame.extend_from_slice(&ip_bytes);
-        frame.extend_from_slice(ip_payload);
-        Packet::new(ts_micros, frame)
+        crate::ethernet::write_header(out, self.dst_mac, self.src_mac, EtherType::Ipv4);
+        out.extend_from_slice(&ip.encode());
+        match seg {
+            Segment::Tcp(h) => h.write(out, payload, self.src_ip, self.dst_ip),
+            Segment::Udp(h) => h.write(out, payload, self.src_ip, self.dst_ip),
+        }
     }
 }
 

@@ -418,32 +418,61 @@ impl Capture {
         Capture { bytes, records: 0 }
     }
 
-    /// Appends one record — the only code that encodes a record header.
-    /// An `orig_len` above the frame length marks a snaplen-truncated
-    /// record, as tcpdump writes them; one below it is raised to it.
-    /// Fails with [`Error::TimestampOutOfRange`] for timestamps the
-    /// format's `u32` seconds field cannot hold, rather than wrapping
-    /// past 2106 (chaos clock-skew can produce them). Grows the buffer in
+    /// Appends one record whose frame `write` encodes in place — the only
+    /// code that encodes a record header. `write` gets the capture buffer
+    /// just past the new record header and must append exactly `incl_len`
+    /// frame bytes, touching nothing before them; a frame of any other
+    /// length is rolled back and rejected with [`Error::LengthMismatch`],
+    /// so the capture stays writer-clean. An `orig_len` above `incl_len`
+    /// marks a snaplen-truncated record, as tcpdump writes them; one below
+    /// it is raised to it. Fails with [`Error::TimestampOutOfRange`],
+    /// writing nothing and never calling `write`, for timestamps the
+    /// format's `u32` seconds field cannot hold, rather than wrapping past
+    /// 2106 (chaos clock-skew can produce them). Grows the buffer in
     /// bounded (~1.25×) steps so slack stays proportional to the capture
     /// instead of Vec doubling.
-    pub fn push_record(&mut self, ts_micros: u64, orig_len: u32, frame: &[u8]) -> Result<()> {
+    pub fn write_record(
+        &mut self,
+        ts_micros: u64,
+        orig_len: u32,
+        incl_len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<()> {
         let (ts_sec, ts_usec) = split_ts(ts_micros)?;
-        let needed = RECORD_HEADER_LEN + frame.len();
+        let needed = RECORD_HEADER_LEN + incl_len;
         if self.bytes.capacity() - self.bytes.len() < needed {
             let target = (self.bytes.len() + needed)
                 .max(self.bytes.len() + self.bytes.len() / 4)
                 .max(1024);
             self.bytes.reserve_exact(target - self.bytes.len());
         }
-        let incl_len = frame.len() as u32;
+        let start = self.bytes.len();
+        let incl = incl_len as u32;
         self.bytes.extend_from_slice(&ts_sec.to_le_bytes());
         self.bytes.extend_from_slice(&ts_usec.to_le_bytes());
-        self.bytes.extend_from_slice(&incl_len.to_le_bytes());
+        self.bytes.extend_from_slice(&incl.to_le_bytes());
         self.bytes
-            .extend_from_slice(&orig_len.max(incl_len).to_le_bytes());
-        self.bytes.extend_from_slice(frame);
+            .extend_from_slice(&orig_len.max(incl).to_le_bytes());
+        write(&mut self.bytes);
+        let written = self.bytes.len().checked_sub(start + RECORD_HEADER_LEN);
+        if written != Some(incl_len) {
+            self.bytes.truncate(start);
+            return Err(Error::LengthMismatch {
+                layer: "pcap",
+                claimed: incl_len,
+                actual: written.unwrap_or(0),
+            });
+        }
         self.records += 1;
         Ok(())
+    }
+
+    /// Appends one record holding a copy of `frame` (see
+    /// [`Capture::write_record`]).
+    pub fn push_record(&mut self, ts_micros: u64, orig_len: u32, frame: &[u8]) -> Result<()> {
+        self.write_record(ts_micros, orig_len, frame.len(), |out| {
+            out.extend_from_slice(frame)
+        })
     }
 
     /// Appends one whole frame (`orig_len` = captured length).
@@ -451,16 +480,11 @@ impl Capture {
         self.push_record(ts_micros, frame.len() as u32, frame)
     }
 
-    /// Appends one packet.
-    pub fn push_packet(&mut self, pkt: &Packet) -> Result<()> {
-        self.push(pkt.ts_micros, &pkt.data)
-    }
-
     /// Serializes a packet slice (equivalent to [`to_bytes`]).
     pub fn from_packets(packets: &[Packet]) -> Result<Self> {
         let mut cap = Capture::new();
         for p in packets {
-            cap.push_packet(p)?;
+            cap.push(p.ts_micros, &p.data)?;
         }
         Ok(cap)
     }

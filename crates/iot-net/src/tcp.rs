@@ -119,10 +119,11 @@ impl TcpHeader {
         Ok((header, &data[data_offset..]))
     }
 
-    /// Serializes header + payload, computing the checksum over the
-    /// pseudo-header for `src`/`dst`.
-    pub fn encode(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
+    /// Appends header + payload to `out`, then back-patches the checksum,
+    /// computed over the pseudo-header for `src`/`dst` and the bytes just
+    /// written.
+    pub fn write(&self, out: &mut Vec<u8>, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) {
+        let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
@@ -133,11 +134,18 @@ impl TcpHeader {
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&[0, 0]); // urgent pointer
         out.extend_from_slice(payload);
+        let segment = &mut out[start..];
         let mut ck = Checksum::new();
-        ck.push_pseudo_header(src, dst, crate::ipv4::protocol::TCP, out.len() as u16);
-        ck.push(&out);
-        let sum = ck.finish();
-        out[16..18].copy_from_slice(&sum.to_be_bytes());
+        ck.push_pseudo_header(src, dst, crate::ipv4::protocol::TCP, segment.len() as u16);
+        ck.push(segment);
+        segment[16..18].copy_from_slice(&ck.finish().to_be_bytes());
+    }
+
+    /// Serializes header + payload into a fresh buffer (see
+    /// [`TcpHeader::write`]).
+    pub fn encode(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
+        self.write(&mut out, payload, src, dst);
         out
     }
 }

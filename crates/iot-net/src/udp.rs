@@ -61,24 +61,34 @@ impl UdpHeader {
         ))
     }
 
-    /// Serializes header + payload with the checksum computed.
-    pub fn encode(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+    /// Appends header + payload to `out`, then back-patches the checksum,
+    /// computed over the pseudo-header for `src`/`dst` and the bytes just
+    /// written.
+    pub fn write(&self, out: &mut Vec<u8>, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) {
+        let start = out.len();
         let length = (HEADER_LEN + payload.len()) as u16;
-        let mut out = Vec::with_capacity(usize::from(length));
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&length.to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(payload);
+        let datagram = &mut out[start..];
         let mut ck = Checksum::new();
         ck.push_pseudo_header(src, dst, crate::ipv4::protocol::UDP, length);
-        ck.push(&out);
+        ck.push(datagram);
         let mut sum = ck.finish();
         if sum == 0 {
             // RFC 768: a computed zero checksum is transmitted as all-ones.
             sum = 0xffff;
         }
-        out[6..8].copy_from_slice(&sum.to_be_bytes());
+        datagram[6..8].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    /// Serializes header + payload into a fresh buffer (see
+    /// [`UdpHeader::write`]).
+    pub fn encode(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        self.write(&mut out, payload, src, dst);
         out
     }
 }

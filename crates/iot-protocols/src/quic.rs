@@ -28,13 +28,19 @@ impl QuicLongHeader {
     /// everything after the header is `payload_fill` ciphertext.
     pub fn encode_initial(dcid: &[u8], payload_fill: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(7 + dcid.len() + payload_fill.len());
+        Self::write_initial_header(&mut out, dcid);
+        out.extend_from_slice(payload_fill);
+        out
+    }
+
+    /// Appends the long header of an Initial-like datagram; the caller
+    /// appends the ciphertext fill next.
+    pub fn write_initial_header(out: &mut Vec<u8>, dcid: &[u8]) {
         out.push(0xc3); // long header, fixed bit, Initial type
         out.extend_from_slice(&VERSION_1.to_be_bytes());
         out.push(dcid.len() as u8);
         out.extend_from_slice(dcid);
         out.push(0); // empty SCID
-        out.extend_from_slice(payload_fill);
-        out
     }
 
     /// Parses the long-header prefix of a datagram.

@@ -73,11 +73,23 @@ impl Record {
     /// Encodes the record header + payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(5 + self.payload.len());
-        out.push(self.content_type.into());
-        out.extend_from_slice(&self.version.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
+        Record::write_header(
+            &mut out,
+            self.content_type,
+            self.version,
+            self.payload.len(),
+        );
         out.extend_from_slice(&self.payload);
         out
+    }
+
+    /// Appends the 5-byte header of a record whose `len`-byte fragment
+    /// the caller appends next, so a fragment can be generated straight
+    /// into the buffer that carries the record.
+    pub fn write_header(out: &mut Vec<u8>, content_type: ContentType, version: u16, len: usize) {
+        out.push(content_type.into());
+        out.extend_from_slice(&version.to_be_bytes());
+        out.extend_from_slice(&(len as u16).to_be_bytes());
     }
 
     /// Parses one record from the front of `data`; returns it and the rest.

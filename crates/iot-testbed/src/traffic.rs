@@ -16,9 +16,10 @@ use crate::util::{base64_encode, hex_encode, stable_seed};
 use iot_entropy::generators;
 use iot_geodb::geo::Region;
 use iot_geodb::registry::GeoDb;
-use iot_net::packet::Packet;
+use iot_net::packet::PacketBuilder;
 use iot_net::pcap::Capture;
-use iot_net::tcp::TcpFlags;
+use iot_net::tcp::{TcpFlags, TcpHeader};
+use iot_net::udp::UdpHeader;
 use iot_protocols::{dhcp, dns, http, mqtt, ntp, quic, tls};
 use iot_core::rng::StdRng;
 use std::collections::HashMap;
@@ -82,6 +83,9 @@ pub struct TrafficGenerator<'a> {
     rng: StdRng,
     now: u64,
     cap: Capture,
+    /// Reused buffer the hot payloads are generated into before their
+    /// frame is written to `cap`.
+    scratch: Vec<u8>,
     resolved: HashMap<&'static str, Ipv4Addr>,
     conns: HashMap<usize, ConnState>,
     next_port: u16,
@@ -109,6 +113,7 @@ impl<'a> TrafficGenerator<'a> {
             rng: StdRng::seed_from_u64(seed),
             now: start_micros,
             cap: Capture::new(),
+            scratch: Vec::new(),
             resolved: HashMap::new(),
             conns: HashMap::new(),
             next_port: 40000,
@@ -121,11 +126,31 @@ impl<'a> TrafficGenerator<'a> {
         self.cap
     }
 
-    /// Appends a built packet to the capture.
-    fn push_pkt(&mut self, pkt: Packet) {
-        self.cap
-            .push_packet(&pkt)
-            .expect("generated timestamps fit the pcap format");
+    /// Writes one UDP frame from `b` straight into the capture.
+    fn send_udp(
+        &mut self,
+        b: &mut PacketBuilder,
+        ts: u64,
+        src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+    ) {
+        b.write_udp(
+            &mut self.cap,
+            ts,
+            &UdpHeader { src_port, dst_port },
+            payload,
+        )
+        .expect("generated timestamps fit the pcap format");
+    }
+
+    /// Takes the reused scratch buffer, emptied, to build a payload in.
+    /// Put it back in `self.scratch` once the frame carrying it is
+    /// written, so its allocation serves the next payload.
+    fn take_scratch(&mut self) -> Vec<u8> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf
     }
 
     /// Current simulated time (µs).
@@ -198,10 +223,10 @@ impl<'a> TrafficGenerator<'a> {
         let sport = self.take_port();
         let t1 = self.tick((1.0, 5.0));
         let mut out_b = self.device.builder_out(gw);
-        self.push_pkt(out_b.udp(t1, sport, dns::PORT, &query.encode()));
+        self.send_udp(&mut out_b, t1, sport, dns::PORT, &query.encode());
         let t2 = self.tick((5.0, 40.0));
         let mut in_b = self.device.builder_in(gw);
-        self.push_pkt(in_b.udp(t2, dns::PORT, sport, &response.encode()));
+        self.send_udp(&mut in_b, t2, dns::PORT, sport, &response.encode());
     }
 
     /// Emits a DHCP DISCOVER/REQUEST/ACK association (Wi-Fi reconnect).
@@ -212,27 +237,30 @@ impl<'a> TrafficGenerator<'a> {
         let ip = self.device.ip;
         let t1 = self.tick((1.0, 10.0));
         let mut out_b = self.device.builder_out(gw);
-        self.push_pkt(out_b.udp(
+        self.send_udp(
+            &mut out_b,
             t1,
             dhcp::CLIENT_PORT,
             dhcp::SERVER_PORT,
             &dhcp::DhcpMessage::discover(xid, mac).encode(),
-        ));
+        );
         let t2 = self.tick((5.0, 30.0));
-        self.push_pkt(out_b.udp(
+        self.send_udp(
+            &mut out_b,
             t2,
             dhcp::CLIENT_PORT,
             dhcp::SERVER_PORT,
             &dhcp::DhcpMessage::request(xid, mac, ip).encode(),
-        ));
+        );
         let t3 = self.tick((2.0, 15.0));
         let mut in_b = self.device.builder_in(gw);
-        self.push_pkt(in_b.udp(
+        self.send_udp(
+            &mut in_b,
             t3,
             dhcp::SERVER_PORT,
             dhcp::CLIENT_PORT,
             &dhcp::DhcpMessage::ack(xid, mac, ip).encode(),
-        ));
+        );
         // Post-lease ARP: a gratuitous announcement, then resolve the
         // gateway before the first IP packet — exactly what real captures
         // show after every (re)association.
@@ -254,7 +282,9 @@ impl<'a> TrafficGenerator<'a> {
             ethertype: iot_net::ethernet::EtherType::Arp,
             payload: &arp.encode(),
         };
-        self.push_pkt(Packet::new(ts, frame.encode()));
+        self.cap
+            .push(ts, &frame.encode())
+            .expect("generated timestamps fit the pcap format");
     }
 
     fn emit_arp_from_gateway(&mut self, arp: iot_net::arp::ArpPacket) {
@@ -265,7 +295,9 @@ impl<'a> TrafficGenerator<'a> {
             ethertype: iot_net::ethernet::EtherType::Arp,
             payload: &arp.encode(),
         };
-        self.push_pkt(Packet::new(ts, frame.encode()));
+        self.cap
+            .push(ts, &frame.encode())
+            .expect("generated timestamps fit the pcap format");
     }
 
     /// Emits one NTP request/response — the background noise of §6.1.
@@ -287,10 +319,22 @@ impl<'a> TrafficGenerator<'a> {
         let sport = self.take_port();
         let t1 = self.tick((1.0, 8.0));
         let mut out_b = self.device.builder_out(server);
-        self.push_pkt(out_b.udp(t1, sport, ntp::PORT, &ntp::NtpPacket::client(t1).encode()));
+        self.send_udp(
+            &mut out_b,
+            t1,
+            sport,
+            ntp::PORT,
+            &ntp::NtpPacket::client(t1).encode(),
+        );
         let t2 = self.tick((10.0, 80.0));
         let mut in_b = self.device.builder_in(server);
-        self.push_pkt(in_b.udp(t2, ntp::PORT, sport, &ntp::NtpPacket::server(t2).encode()));
+        self.send_udp(
+            &mut in_b,
+            t2,
+            ntp::PORT,
+            sport,
+            &ntp::NtpPacket::server(t2).encode(),
+        );
     }
 
     /// The full power-on sequence (§3.3 "power experiments"): DHCP, NTP,
@@ -417,33 +461,52 @@ impl<'a> TrafficGenerator<'a> {
         }
     }
 
+    /// A `kind` payload of `len` bytes in a buffer of its own, for the
+    /// protocol messages that take ownership of their body.
     fn payload_bytes(&mut self, kind: PayloadKind, len: usize) -> Vec<u8> {
-        match kind {
-            PayloadKind::Ciphertext => generators::ciphertext(&mut self.rng, len),
-            PayloadKind::EncodedCiphertext => generators::fernet_like(&mut self.rng, len),
-            PayloadKind::Telemetry => {
-                generators::text_like(&mut self.rng, len, generators::TextStyle::Telemetry)
-            }
-            PayloadKind::Markup => {
-                generators::text_like(&mut self.rng, len, generators::TextStyle::WebPage)
-            }
-            PayloadKind::Media => generators::media_like(&mut self.rng, len),
-            PayloadKind::MediaJpeg => {
-                let mut bytes = vec![0xff, 0xd8, 0xff, 0xe0];
-                bytes.extend(generators::media_like(&mut self.rng, len.saturating_sub(4)));
-                bytes
-            }
-            PayloadKind::MixedProprietary => {
-                // Half structured telemetry, half ciphertext: entropy lands
-                // in the undetermined band, like the paper's partly
-                // encrypted vendor protocols.
-                let half = len / 2;
-                let mut bytes =
-                    generators::text_like(&mut self.rng, half, generators::TextStyle::Telemetry);
-                bytes.extend(generators::ciphertext(&mut self.rng, len - half));
-                bytes
-            }
+        let mut out = Vec::with_capacity(len);
+        write_payload(&mut self.rng, kind, len, &mut out);
+        out
+    }
+
+    /// A `kind` payload of `len` bytes in the scratch buffer (see
+    /// [`TrafficGenerator::take_scratch`]), prefixed with `id=<leak>;`
+    /// when a proprietary channel carries `leak`.
+    fn scratch_payload(
+        &mut self,
+        leak: Option<&PiiLeak>,
+        kind: PayloadKind,
+        len: usize,
+    ) -> Vec<u8> {
+        let mut buf = self.take_scratch();
+        if let Some(l) = leak {
+            buf.extend_from_slice(format!("id={};", self.leak_text(l)).as_bytes());
         }
+        write_payload(&mut self.rng, kind, len, &mut buf);
+        buf
+    }
+
+    /// A TLS application-data record of `len` ciphertext bytes, header
+    /// and fragment generated straight into the scratch buffer.
+    fn application_data(&mut self, len: usize) -> Vec<u8> {
+        let mut buf = self.take_scratch();
+        tls::Record::write_header(
+            &mut buf,
+            tls::ContentType::ApplicationData,
+            tls::VERSION_TLS12,
+            len,
+        );
+        generators::ciphertext_into(&mut self.rng, len, &mut buf);
+        buf
+    }
+
+    /// A QUIC Initial datagram with `len` ciphertext bytes after its long
+    /// header, generated straight into the scratch buffer.
+    fn quic_initial(&mut self, dcid: &[u8], len: usize) -> Vec<u8> {
+        let mut buf = self.take_scratch();
+        quic::QuicLongHeader::write_initial_header(&mut buf, dcid);
+        generators::ciphertext_into(&mut self.rng, len, &mut buf);
+        buf
     }
 
     fn conn_entry(&mut self, endpoint: usize) -> (u16, bool) {
@@ -471,9 +534,18 @@ impl<'a> TrafficGenerator<'a> {
             let c = self.conns.get(&endpoint).expect("conn exists");
             (c.src_port, c.seq_out, c.seq_in)
         };
-        let mut b = self.device.builder_out(remote);
-        let pkt = b.tcp(ts, src_port, port, seq_out, seq_in, flags, payload);
-        self.push_pkt(pkt);
+        let header = TcpHeader {
+            src_port,
+            dst_port: port,
+            seq: seq_out,
+            ack: seq_in,
+            flags,
+            window: 65535,
+        };
+        self.device
+            .builder_out(remote)
+            .write_tcp(&mut self.cap, ts, &header, payload)
+            .expect("generated timestamps fit the pcap format");
         let c = self.conns.get_mut(&endpoint).expect("conn exists");
         c.seq_out = seq_out.wrapping_add(payload.len() as u32).wrapping_add(u32::from(
             flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN),
@@ -486,9 +558,18 @@ impl<'a> TrafficGenerator<'a> {
             let c = self.conns.get(&endpoint).expect("conn exists");
             (c.src_port, c.seq_out, c.seq_in)
         };
-        let mut b = self.device.builder_in(remote);
-        let pkt = b.tcp(ts, port, src_port, seq_in, seq_out, flags, payload);
-        self.push_pkt(pkt);
+        let header = TcpHeader {
+            src_port: port,
+            dst_port: src_port,
+            seq: seq_in,
+            ack: seq_out,
+            flags,
+            window: 65535,
+        };
+        self.device
+            .builder_in(remote)
+            .write_tcp(&mut self.cap, ts, &header, payload)
+            .expect("generated timestamps fit the pcap format");
         let c = self.conns.get_mut(&endpoint).expect("conn exists");
         c.seq_in = seq_in.wrapping_add(payload.len() as u32).wrapping_add(u32::from(
             flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN),
@@ -546,8 +627,7 @@ impl<'a> TrafficGenerator<'a> {
         let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
         for _ in 0..out_n {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let ct = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let record = tls::application_data(ct).encode();
+            let record = self.application_data(size);
             self.tcp_out(
                 flight.endpoint,
                 remote,
@@ -556,12 +636,12 @@ impl<'a> TrafficGenerator<'a> {
                 &record,
                 flight.iat_ms,
             );
+            self.scratch = record;
         }
         let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
         for _ in 0..in_n {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let ct = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let record = tls::application_data(ct).encode();
+            let record = self.application_data(size);
             self.tcp_in(
                 flight.endpoint,
                 remote,
@@ -570,6 +650,7 @@ impl<'a> TrafficGenerator<'a> {
                 &record,
                 flight.iat_ms,
             );
+            self.scratch = record;
         }
     }
 
@@ -634,7 +715,7 @@ impl<'a> TrafficGenerator<'a> {
             .saturating_sub(1);
         for _ in 0..extra {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let bytes = self.payload_bytes(flight.payload, size);
+            let bytes = self.scratch_payload(None, flight.payload, size);
             self.tcp_out(
                 flight.endpoint,
                 remote,
@@ -643,6 +724,7 @@ impl<'a> TrafficGenerator<'a> {
                 &bytes,
                 flight.iat_ms,
             );
+            self.scratch = bytes;
         }
         // Response.
         let resp_size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
@@ -670,7 +752,7 @@ impl<'a> TrafficGenerator<'a> {
             .saturating_sub(1);
         for _ in 0..extra_in {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let bytes = self.payload_bytes(resp_kind, size);
+            let bytes = self.scratch_payload(None, resp_kind, size);
             self.tcp_in(
                 flight.endpoint,
                 remote,
@@ -679,6 +761,7 @@ impl<'a> TrafficGenerator<'a> {
                 &bytes,
                 flight.iat_ms,
             );
+            self.scratch = bytes;
         }
     }
 
@@ -689,20 +772,20 @@ impl<'a> TrafficGenerator<'a> {
         let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1).max(1);
         for _ in 0..out_n {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let fill = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let datagram = quic::QuicLongHeader::encode_initial(&dcid, &fill);
+            let datagram = self.quic_initial(&dcid, size);
             let ts = self.tick(flight.iat_ms);
             let mut b = self.device.builder_out(remote);
-            self.push_pkt(b.udp(ts, sport, quic::PORT, &datagram));
+            self.send_udp(&mut b, ts, sport, quic::PORT, &datagram);
+            self.scratch = datagram;
         }
         let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
         for _ in 0..in_n {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let fill = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let datagram = quic::QuicLongHeader::encode_initial(&dcid, &fill);
+            let datagram = self.quic_initial(&dcid, size);
             let ts = self.tick(flight.iat_ms);
             let mut b = self.device.builder_in(remote);
-            self.push_pkt(b.udp(ts, quic::PORT, sport, &datagram));
+            self.send_udp(&mut b, ts, quic::PORT, sport, &datagram);
+            self.scratch = datagram;
         }
     }
 
@@ -784,12 +867,7 @@ impl<'a> TrafficGenerator<'a> {
         let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
         for i in 0..out_n {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let mut payload = self.payload_bytes(flight.payload, size);
-            if i == 0 {
-                if let Some(l) = leak {
-                    payload = splice_leak(self.leak_text(l), payload);
-                }
-            }
+            let payload = self.scratch_payload(leak.filter(|_| i == 0), flight.payload, size);
             self.tcp_out(
                 flight.endpoint,
                 remote,
@@ -798,11 +876,12 @@ impl<'a> TrafficGenerator<'a> {
                 &payload,
                 flight.iat_ms,
             );
+            self.scratch = payload;
         }
         let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
         for _ in 0..in_n {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let payload = self.payload_bytes(flight.payload, size);
+            let payload = self.scratch_payload(None, flight.payload, size);
             self.tcp_in(
                 flight.endpoint,
                 remote,
@@ -811,6 +890,7 @@ impl<'a> TrafficGenerator<'a> {
                 &payload,
                 flight.iat_ms,
             );
+            self.scratch = payload;
         }
     }
 
@@ -825,23 +905,20 @@ impl<'a> TrafficGenerator<'a> {
         let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
         for i in 0..out_n {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let mut payload = self.payload_bytes(flight.payload, size);
-            if i == 0 {
-                if let Some(l) = leak {
-                    payload = splice_leak(self.leak_text(l), payload);
-                }
-            }
+            let payload = self.scratch_payload(leak.filter(|_| i == 0), flight.payload, size);
             let ts = self.tick(flight.iat_ms);
             let mut b = self.device.builder_out(remote);
-            self.push_pkt(b.udp(ts, sport, port, &payload));
+            self.send_udp(&mut b, ts, sport, port, &payload);
+            self.scratch = payload;
         }
         let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
         for _ in 0..in_n {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let payload = self.payload_bytes(flight.payload, size);
+            let payload = self.scratch_payload(None, flight.payload, size);
             let ts = self.tick(flight.iat_ms);
             let mut b = self.device.builder_in(remote);
-            self.push_pkt(b.udp(ts, port, sport, &payload));
+            self.send_udp(&mut b, ts, port, sport, &payload);
+            self.scratch = payload;
         }
     }
 }
@@ -859,11 +936,31 @@ fn default_payload(protocol: EndpointProtocol) -> PayloadKind {
     }
 }
 
-/// Prepends `id=<leak>;` to a proprietary payload.
-fn splice_leak(text: String, mut payload: Vec<u8>) -> Vec<u8> {
-    let mut out = format!("id={text};").into_bytes();
-    out.append(&mut payload);
-    out
+/// Appends a `kind` payload of `len` bytes to `out`.
+fn write_payload(rng: &mut StdRng, kind: PayloadKind, len: usize, out: &mut Vec<u8>) {
+    match kind {
+        PayloadKind::Ciphertext => generators::ciphertext_into(rng, len, out),
+        PayloadKind::EncodedCiphertext => generators::fernet_like_into(rng, len, out),
+        PayloadKind::Telemetry => {
+            generators::text_like_into(rng, len, generators::TextStyle::Telemetry, out)
+        }
+        PayloadKind::Markup => {
+            generators::text_like_into(rng, len, generators::TextStyle::WebPage, out)
+        }
+        PayloadKind::Media => generators::media_like_into(rng, len, out),
+        PayloadKind::MediaJpeg => {
+            out.extend_from_slice(&[0xff, 0xd8, 0xff, 0xe0]);
+            generators::media_like_into(rng, len.saturating_sub(4), out);
+        }
+        PayloadKind::MixedProprietary => {
+            // Half structured telemetry, half ciphertext: entropy lands
+            // in the undetermined band, like the paper's partly
+            // encrypted vendor protocols.
+            let half = len / 2;
+            generators::text_like_into(rng, half, generators::TextStyle::Telemetry, out);
+            generators::ciphertext_into(rng, len - half, out);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -871,6 +968,7 @@ mod tests {
     use super::*;
     use crate::lab::{Lab, LabSite};
     use iot_net::flow::FlowTable;
+    use iot_net::packet::Packet;
     use iot_protocols::analyzer::{identify_flow, ProtocolId, Transport};
 
     fn setup() -> (GeoDb, Lab) {
