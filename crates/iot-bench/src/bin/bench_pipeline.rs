@@ -1,36 +1,29 @@
-//! 1-worker-vs-N-worker pipeline ingestion benchmark.
+//! Pipeline identity, heap and instrumentation-overhead bench.
 //!
 //! Runs the full analysis pipeline (destinations + encryption + PII over
-//! a complete campaign, controlled and idle) once per timed iteration,
-//! first with one worker (`run_campaign`, the `serial` timings) and then
-//! with `IOT_BENCH_WORKERS` workers of the same driver (the `parallel`
-//! timings), gates the report's identity at 1, 2 and 8 workers through
-//! `iot_oracle::differential::check_worker_grid`, and writes the timing
-//! summary to `BENCH_pipeline.json`.
+//! a complete campaign, controlled and idle), gates the report's
+//! identity at 1, 2 and 8 workers through
+//! `iot_oracle::differential::check_worker_grid`, and writes its gates
+//! and measurements to `BENCH_pipeline.json`. End-to-end timing lives in
+//! the repository benchmark (`perfbench/`), not here.
 //!
-//! The baseline benches force observability *and* allocator counting
-//! *off* (regardless of `IOT_OBS` / `IOT_OBS_ALLOC`, so the committed
-//! trajectory stays comparable), then paired benches re-run the serial
-//! driver with observability forced *on* (`obs_overhead_ratio`) and with
-//! only heap counting forced on (`alloc_overhead_ratio`); `obs_check`
-//! gates both ratios in `verify.sh`. A dedicated counting-on serial run
-//! yields the committed `alloc` block — total heap traffic,
-//! allocations per experiment (ratcheted per host by `bench_trend`),
-//! high-water, and kernel peak RSS — and must reproduce the baseline
-//! report byte for byte (`alloc_report_identical`). When `IOT_OBS` is
-//! set, an `iot_obs::RunReport` for one instrumented run is written to
-//! `IOT_OBS_OUT` (default `results/obs_run.json`).
+//! A dedicated serial run with heap counting on and observability off
+//! yields the `alloc` block — total heap traffic, allocations per
+//! experiment, high-water, and kernel peak RSS — and must reproduce the
+//! baseline report byte for byte (`alloc_report_identical`). The totals
+//! repeat exactly for a fixed grid, so `obs_check` gates them against
+//! the committed `BENCH_pipeline.json` on any host. Interleaved pairs
+//! then re-run the serial driver with observability forced *on*
+//! (`obs_overhead_ratio`) and with only heap counting forced on
+//! (`alloc_overhead_ratio`); `obs_check` gates both ratios in
+//! `verify.sh`. When `IOT_OBS` is set, an `iot_obs::RunReport` for one
+//! instrumented run is written to `IOT_OBS_OUT` (default
+//! `results/obs_run.json`).
 //!
 //! Environment knobs:
 //!
 //! * `IOT_SCALE` — campaign grid (`quick` / `medium` / `full`); this
-//!   binary defaults to `quick` since each iteration runs the whole
-//!   campaign.
-//! * `IOT_BENCH_ITERS` — timed iterations per driver (default 3).
-//! * `IOT_BENCH_WARMUP` — untimed warmup iterations per driver
-//!   (default 1).
-//! * `IOT_BENCH_WORKERS` — worker count of the `parallel` timings
-//!   (default: available hardware parallelism).
+//!   binary defaults to `quick` since every run is a whole campaign.
 //! * `IOT_BENCH_OUT` — output path (default `BENCH_pipeline.json`).
 //! * `IOT_OBS` / `IOT_OBS_OUT` — run-report emission (see `iot-obs`).
 //! * `IOT_OBS_TRACE_OUT` / `IOT_OBS_TRACE_DET_OUT` / `IOT_OBS_PROM_OUT`
@@ -47,25 +40,22 @@
 //!   `profile_diff` compares the folded artifact against the committed
 //!   baseline in `verify.sh`. The identity gates above all run with the
 //!   sampler live, so sampling is continuously proven report-neutral.
+//!
+//! The instrumented N-worker run uses the host's available parallelism.
 
 use iot_analysis::pipeline::{Pipeline, PipelineReport};
 use iot_analysis::SupervisorConfig;
-use iot_bench::harness::bench;
+use iot_bench::harness::BenchResult;
 use iot_bench::{campaign_config, Scale};
 use iot_core::json::{Json, ToJson};
 use iot_obs::{chrome_trace, prometheus, RunReport, TraceMode};
 use iot_oracle::differential::check_worker_grid;
-use iot_testbed::schedule::{Campaign, CampaignConfig};
+use iot_testbed::schedule::CampaignConfig;
 use std::io::Write;
 use std::path::PathBuf;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
+/// Interleaved off/on pairs behind each overhead ratio.
+const PAIRS: usize = 3;
 
 /// One campaign at `workers` workers; `workers == 1` is `run_campaign`.
 fn report(config: CampaignConfig, workers: usize, obs: bool) -> PipelineReport {
@@ -75,8 +65,30 @@ fn report(config: CampaignConfig, workers: usize, obs: bool) -> PipelineReport {
     p.finish()
 }
 
-fn report_json(config: CampaignConfig, workers: usize, obs: bool) -> String {
-    report(config, workers, obs).to_json().dump()
+/// One serial campaign's report, serialized.
+fn report_json(config: CampaignConfig, obs: bool) -> String {
+    report(config, 1, obs).to_json().dump()
+}
+
+/// Times [`PAIRS`] interleaved runs of `off` then `on`.
+fn interleaved(
+    (off_name, mut off): (&str, impl FnMut() -> String),
+    (on_name, mut on): (&str, impl FnMut() -> String),
+) -> (BenchResult, BenchResult) {
+    fn time_ms(op: &mut impl FnMut() -> String) -> f64 {
+        let t = std::time::Instant::now();
+        std::hint::black_box(op());
+        t.elapsed().as_secs_f64() * 1e3
+    }
+    let (mut off_ms, mut on_ms) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
+    for _ in 0..PAIRS {
+        off_ms.push(time_ms(&mut off));
+        on_ms.push(time_ms(&mut on));
+    }
+    (
+        BenchResult::new(off_name.to_string(), PAIRS, off_ms),
+        BenchResult::new(on_name.to_string(), PAIRS, on_ms),
+    )
 }
 
 fn main() {
@@ -88,32 +100,21 @@ fn main() {
         _ => Scale::Quick,
     };
     let config = campaign_config(scale);
-    let iters = env_usize("IOT_BENCH_ITERS", 3);
-    let warmup = env_usize("IOT_BENCH_WARMUP", 1);
-    let hw_threads = std::thread::available_parallelism()
+    let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let workers = env_usize("IOT_BENCH_WORKERS", hw_threads);
-    let experiments =
-        Campaign::new(config).controlled_experiment_count();
-
-    iot_obs::progress!(
-        "bench_pipeline: scale={} experiments≈{experiments} workers={workers} \
-         iters={iters} warmup={warmup} hw_threads={hw_threads}",
-        scale.name()
-    );
+    iot_obs::progress!("bench_pipeline: scale={} workers={workers}", scale.name());
 
     // Resolve the obs config once (it may flip allocator counting on via
-    // IOT_OBS_ALLOC), then take manual control: the committed timing
-    // trajectory is always measured with heap counting *off*, and the
-    // allocator sections below force it on explicitly, so the numbers are
+    // IOT_OBS_ALLOC), then take manual control: the gate runs and the
+    // overhead baselines run with heap counting *off*, and the allocator
+    // sections below force it on explicitly, so the numbers are
     // comparable regardless of the caller's environment.
     iot_obs::enabled();
     iot_obs::alloc::set_enabled(false);
 
     // Correctness gates first: the report must be identical at 1, 2 and
-    // 8 workers, and turning instrumentation on must not change it,
-    // before any timing means anything.
+    // 8 workers, and turning instrumentation on must not change it.
     let (serial_report, violations) =
         check_worker_grid("bench_workers", |w| report(config, w, false));
     let serial_json = serial_report.to_json().dump();
@@ -133,11 +134,11 @@ fn main() {
     iot_obs::alloc::set_enabled(true);
     iot_obs::alloc::reset_high_water();
     let alloc_before = iot_obs::alloc::thread_snapshot();
-    let (alloc_json, packets_ingested) = {
+    let (alloc_json, experiments, packets_ingested) = {
         let mut p = Pipeline::with_obs(false);
         p.run_campaign(config);
-        let packets = p.ingest.packets_ingested;
-        (p.finish().to_json().dump(), packets)
+        let (experiments, packets) = (p.experiments(), p.ingest.packets_ingested);
+        (p.finish().to_json().dump(), experiments, packets)
     };
     let alloc_traffic = iot_obs::alloc::thread_snapshot().since(&alloc_before);
     let alloc_high_water = iot_obs::alloc::process_high_water_bytes();
@@ -240,65 +241,30 @@ fn main() {
         );
     }
 
-    let serial = bench("pipeline_serial", warmup, iters, || {
-        report_json(config, 1, false)
-    });
-    let parallel = bench("pipeline_parallel", warmup, iters, || {
-        report_json(config, workers, false)
-    });
     // Instrumentation overhead is measured on *interleaved* pairs: one
-    // obs-off run, then one obs-on run, per iteration. Back-to-back
-    // blocks would let slow drift on a busy machine (thermal, cache, a
-    // neighbor VM) land entirely on one side and bias the ratio; paired
-    // iterations put the drift on both sides equally.
-    let mut base_ms = Vec::with_capacity(iters);
-    let mut obs_ms = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = std::time::Instant::now();
-        std::hint::black_box(report_json(config, 1, false));
-        base_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = std::time::Instant::now();
-        std::hint::black_box(report_json(config, 1, true));
-        obs_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let serial_base = iot_bench::harness::BenchResult::new(
-        "pipeline_serial_paired".to_string(),
-        iters,
-        base_ms,
-    );
-    let serial_obs = iot_bench::harness::BenchResult::new(
-        "pipeline_serial_obs".to_string(),
-        iters,
-        obs_ms,
+    // obs-off run, then one obs-on run, per pair. Back-to-back blocks
+    // would let slow drift on a busy machine (thermal, cache, a neighbor
+    // VM) land entirely on one side and bias the ratio; paired runs put
+    // the drift on both sides equally.
+    let (serial_base, serial_obs) = interleaved(
+        ("pipeline_serial_paired", || report_json(config, false)),
+        ("pipeline_serial_obs", || report_json(config, true)),
     );
     // Allocator-counting overhead, measured the same interleaved way but
-    // with observability off on both sides: counting-off run, counting-on
-    // run, per iteration. This isolates the atomic/thread-local counter
-    // cost from the span/event cost gated above.
-    let mut alloc_base_ms = Vec::with_capacity(iters);
-    let mut alloc_on_ms = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        iot_obs::alloc::set_enabled(false);
-        let t = std::time::Instant::now();
-        std::hint::black_box(report_json(config, 1, false));
-        alloc_base_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        iot_obs::alloc::set_enabled(true);
-        let t = std::time::Instant::now();
-        std::hint::black_box(report_json(config, 1, false));
-        alloc_on_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
+    // with observability off on both sides. This isolates the
+    // atomic/thread-local counter cost from the span/event cost gated
+    // above.
+    let (serial_alloc_base, serial_alloc) = interleaved(
+        ("pipeline_alloc_baseline", || {
+            iot_obs::alloc::set_enabled(false);
+            report_json(config, false)
+        }),
+        ("pipeline_alloc_on", || {
+            iot_obs::alloc::set_enabled(true);
+            report_json(config, false)
+        }),
+    );
     iot_obs::alloc::set_enabled(false);
-    let serial_alloc_base = iot_bench::harness::BenchResult::new(
-        "pipeline_alloc_baseline".to_string(),
-        iters,
-        alloc_base_ms,
-    );
-    let serial_alloc = iot_bench::harness::BenchResult::new(
-        "pipeline_alloc_on".to_string(),
-        iters,
-        alloc_on_ms,
-    );
-    let speedup = serial.median_ms() / parallel.median_ms();
     let obs_overhead = serial_obs.median_ms() / serial_base.median_ms();
     let alloc_overhead = serial_alloc.median_ms() / serial_alloc_base.median_ms();
 
@@ -335,7 +301,6 @@ fn main() {
     out.set("scale", scale.name().to_json());
     out.set("experiments", experiments.to_json());
     out.set("workers", workers.to_json());
-    out.set("hw_threads", hw_threads.to_json());
     out.set("reports_identical", identical.to_json());
     out.set("obs_report_identical", obs_identical.to_json());
     out.set("alloc_report_identical", alloc_report_identical.to_json());
@@ -345,13 +310,10 @@ fn main() {
         (parallel_timeline.events.len() as u64).to_json(),
     );
     out.set("events_overwritten", events_overwritten.to_json());
-    out.set("serial", serial.to_json());
-    out.set("parallel", parallel.to_json());
     out.set("serial_obs_baseline", serial_base.to_json());
     out.set("serial_obs", serial_obs.to_json());
     out.set("serial_alloc_baseline", serial_alloc_base.to_json());
     out.set("serial_alloc", serial_alloc.to_json());
-    out.set("speedup_median", speedup.to_json());
     out.set("obs_overhead_ratio", obs_overhead.to_json());
     out.set("alloc_overhead_ratio", alloc_overhead.to_json());
     let mut alloc_block = Json::obj();
@@ -393,16 +355,14 @@ fn main() {
     }
     out.set(
         "note",
-        "speedup_median = serial median / parallel median; expect ≥2x on 4+ \
-         hardware threads, ~1x or slightly below on a single core (sharding \
-         overhead without parallel hardware). obs_overhead_ratio = serial \
-         median with IOT_OBS instrumentation (spans + flight-recorder \
-         events) forced on / forced off, measured on interleaved pairs \
-         (serial_obs vs serial_obs_baseline); gated <1.05 by obs_check in \
-         verify.sh. alloc_overhead_ratio = the same interleaved comparison \
-         with only heap counting toggled (obs off both sides), gated <1.05. \
-         alloc = one serial run's heap traffic with counting on; \
-         allocs_per_experiment is ratcheted per host by bench_trend."
+        "obs_overhead_ratio = serial median with IOT_OBS instrumentation \
+         (spans + flight-recorder events) forced on / forced off, measured on \
+         interleaved pairs (serial_obs vs serial_obs_baseline); gated <1.05 by \
+         obs_check in verify.sh. alloc_overhead_ratio = the same interleaved \
+         comparison with only heap counting toggled (obs off both sides), \
+         gated <1.05. alloc = one serial run's heap traffic with counting on; \
+         obs_check fails when allocs_total or bytes_total moves more than 0.1% \
+         either way from the committed BENCH_pipeline.json."
             .to_json(),
     );
 
@@ -424,13 +384,10 @@ fn main() {
     }
 
     iot_obs::progress!(
-        "bench_pipeline: serial median {:.1} ms, parallel median {:.1} ms \
-         ({workers} workers), speedup {speedup:.2}x, obs overhead \
-         {obs_overhead:.3}x, alloc overhead {alloc_overhead:.3}x, \
-         {:.1} MB / {} allocs per campaign (high-water {:.1} MB) -> {path}",
-        serial.median_ms(),
-        parallel.median_ms(),
-        alloc_traffic.bytes_allocated as f64 / 1e6,
+        "bench_pipeline: {experiments} experiments, obs overhead {obs_overhead:.3}x, \
+         alloc overhead {alloc_overhead:.3}x, {} B / {} allocs per campaign \
+         (high-water {:.1} MB) -> {path}",
+        alloc_traffic.bytes_allocated,
         alloc_traffic.allocs,
         alloc_high_water as f64 / 1e6
     );

@@ -3,12 +3,13 @@
 //! Usage:
 //!
 //! ```text
-//! obs_check <obs_run.json> <fresh_bench.json> [committed_bench.json] \
+//! obs_check <obs_run.json> <fresh_bench.json> <committed_bench.json> \
 //!           [obs_trace.json] [obs_metrics.prom] [profile.folded]
 //! ```
 //!
 //! Asserts that the run report written by an `IOT_OBS=1` bench run is
-//! well-formed and non-trivial:
+//! well-formed and non-trivial, and that the bench's heap totals match
+//! the committed baseline:
 //!
 //! 1. the report parses as JSON (through the in-tree parser);
 //! 2. the stage counters (`experiments`, `flows`, `bytes`, `packets`)
@@ -26,11 +27,14 @@
 //!    (`alloc_report_identical`), `alloc_overhead_ratio` stays under the
 //!    same 5% ceiling, the report attributes heap bytes to the ingest
 //!    span and carries the end-of-run allocator gauges, and the
-//!    Prometheus exposition includes the per-span memory series.
-//!
-//! The optional third argument is the committed benchmark trajectory;
-//! its comparison is warn-only because absolute times from a different
-//! machine say nothing reliable about this one.
+//!    Prometheus exposition includes the per-span memory series;
+//! 6. the allocation gate: the fresh run's `scale` and `experiments`
+//!    equal the committed bench's (the third argument), and neither
+//!    `alloc.allocs_total` nor `alloc.bytes_total` moved more than 0.1%
+//!    from the committed value in either direction. The totals of a
+//!    serial campaign repeat exactly for a fixed grid, so the gate needs
+//!    no host key; a fall beyond the slack means the committed baseline
+//!    is stale and must be regenerated with the change that lowered it.
 //!
 //! The optional fourth/fifth arguments are the exporter artifacts
 //! written by `bench_pipeline`; when given, the Chrome trace must parse
@@ -61,6 +65,11 @@ const ABS_TOLERANCE_MS: f64 = 75.0;
 /// Least share of the workers' `shard` time that `synth` + `ingest`
 /// must cover.
 const MIN_SHARD_COVERAGE: f64 = 0.95;
+/// Largest relative move of either heap total from the committed
+/// baseline, up or down. The totals repeat exactly, so the slack only
+/// absorbs environment-dependent reads; one extra allocation per
+/// experiment (+0.6% of `allocs_total` at quick scale) already trips it.
+const MAX_ALLOC_DRIFT: f64 = 0.001;
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -77,6 +86,51 @@ fn counter(report: &Json, name: &str) -> u64 {
 
 fn median_ms(bench: &Json, section: &str) -> Option<f64> {
     bench.get(section)?.get("median_ms")?.as_f64()
+}
+
+/// The host-free allocation gate: `fresh`'s heap totals against the
+/// `committed` baseline's. Fails when the runs are not comparable
+/// (different `scale` or `experiments`), when a total rose more than
+/// [`MAX_ALLOC_DRIFT`] (a regression), or fell more than that (a stale
+/// baseline). Returns the comparison line on a pass.
+fn alloc_gate(fresh: &Json, committed: &Json) -> Result<String, String> {
+    for key in ["scale", "experiments"] {
+        let (now, then) = (fresh.get(key), committed.get(key));
+        if now.is_none() || now != then {
+            let show = |v: Option<&Json>| v.map_or("missing".to_string(), Json::dump);
+            return Err(format!(
+                "{key} {} differs from the committed baseline's {}",
+                show(now),
+                show(then)
+            ));
+        }
+    }
+    let mut line = Vec::new();
+    for field in ["allocs_total", "bytes_total"] {
+        let total = |bench: &Json| bench.get("alloc")?.get(field)?.as_u64().filter(|&n| n > 0);
+        let (Some(now), Some(then)) = (total(fresh), total(committed)) else {
+            return Err(format!(
+                "alloc.{field} is zero or missing in the fresh or committed bench"
+            ));
+        };
+        let drift = now as f64 / then as f64 - 1.0;
+        if drift > MAX_ALLOC_DRIFT {
+            return Err(format!(
+                "alloc.{field} {now} is {:+.2}% above the committed {then}",
+                drift * 100.0
+            ));
+        }
+        if drift < -MAX_ALLOC_DRIFT {
+            return Err(format!(
+                "alloc.{field} {now} is {:.2}% below the committed {then}: the baseline \
+                 is stale; regenerate BENCH_pipeline.json with \
+                 `IOT_SCALE=quick bench_pipeline`",
+                drift * 100.0
+            ));
+        }
+        line.push(format!("{field} {now} ({:+.3}% vs {then})", drift * 100.0));
+    }
+    Ok(line.join(", "))
 }
 
 /// Exporter-artifact assertions (folded-in `obs_export_check`): the
@@ -196,7 +250,7 @@ fn check_profile(folded_path: &str) -> Result<(), String> {
 fn check(
     obs_path: &str,
     bench_path: &str,
-    committed_path: Option<&str>,
+    committed_path: &str,
     export_paths: Option<(&str, &str)>,
     folded_path: Option<&str>,
 ) -> Result<(), String> {
@@ -280,12 +334,8 @@ fn check(
         .get("obs_overhead_ratio")
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("{bench_path}: no obs_overhead_ratio"))?;
-    // Newer bench outputs measure overhead on interleaved pairs and
-    // report the paired baseline separately; older ones only have the
-    // block-measured serial section.
     let base = median_ms(&bench, "serial_obs_baseline")
-        .or_else(|| median_ms(&bench, "serial"))
-        .ok_or_else(|| format!("{bench_path}: no serial median"))?;
+        .ok_or_else(|| format!("{bench_path}: no serial_obs_baseline median"))?;
     let obs = median_ms(&bench, "serial_obs")
         .ok_or_else(|| format!("{bench_path}: no serial_obs median"))?;
     let delta = obs - base;
@@ -361,23 +411,10 @@ fn check(
         ));
     }
 
-    // Warn-only cross-check against the committed trajectory.
-    if let Some(path) = committed_path {
-        match load(path) {
-            Ok(committed) => {
-                if let (Some(now), Some(then)) =
-                    (median_ms(&bench, "serial"), median_ms(&committed, "serial"))
-                {
-                    let rel = now / then;
-                    println!(
-                        "obs_check: serial median {now:.1} ms vs committed {then:.1} ms \
-                         ({rel:.2}x; informational — different machines differ)"
-                    );
-                }
-            }
-            Err(e) => println!("obs_check: committed baseline unreadable ({e}); skipping"),
-        }
-    }
+    // 6. Allocation gate against the committed baseline.
+    let line = alloc_gate(&bench, &load(committed_path)?)
+        .map_err(|e| format!("{bench_path} vs {committed_path}: {e}"))?;
+    println!("obs_check: heap totals match {committed_path}: {line}");
 
     // Exporter artifacts, when bench_pipeline wrote them.
     if let Some((trace_path, prom_path)) = export_paths {
@@ -393,10 +430,10 @@ fn check(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 {
+    if args.len() < 3 {
         eprintln!(
             "usage: obs_check <obs_run.json> <fresh_bench.json> \
-             [committed_bench.json] [obs_trace.json] [obs_metrics.prom] \
+             <committed_bench.json> [obs_trace.json] [obs_metrics.prom] \
              [profile.folded]"
         );
         return ExitCode::FAILURE;
@@ -408,7 +445,7 @@ fn main() -> ExitCode {
     match check(
         &args[0],
         &args[1],
-        args.get(2).map(String::as_str),
+        &args[2],
         export_paths,
         args.get(5).map(String::as_str),
     ) {
@@ -420,5 +457,57 @@ fn main() -> ExitCode {
             eprintln!("obs_check: FAIL — {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bench(scale: &str, experiments: u64, allocs: u64, bytes: u64) -> Json {
+        Json::parse(&format!(
+            r#"{{"scale":"{scale}","experiments":{experiments},
+                "alloc":{{"allocs_total":{allocs},"bytes_total":{bytes}}}}}"#
+        ))
+        .expect("test bench parses")
+    }
+
+    const BASE: (u64, u64) = (1_000_000, 300_000_000);
+
+    fn gate(allocs: u64, bytes: u64) -> Result<String, String> {
+        alloc_gate(
+            &bench("quick", 1928, allocs, bytes),
+            &bench("quick", 1928, BASE.0, BASE.1),
+        )
+    }
+
+    #[test]
+    fn totals_within_tolerance_pass() {
+        assert!(gate(BASE.0, BASE.1).is_ok());
+        // +0.09% on both totals.
+        assert!(gate(1_000_900, 300_270_000).is_ok());
+    }
+
+    #[test]
+    fn rise_or_fall_beyond_tolerance_fails() {
+        // +0.2% on either total is a regression.
+        assert!(gate(1_002_000, BASE.1).unwrap_err().contains("above"));
+        assert!(gate(BASE.0, 300_600_000).unwrap_err().contains("above"));
+        // -0.2% means the committed baseline is stale.
+        assert!(gate(998_000, BASE.1).unwrap_err().contains("stale"));
+        assert!(gate(BASE.0, 299_400_000).unwrap_err().contains("stale"));
+    }
+
+    #[test]
+    fn incomparable_or_incomplete_baselines_fail() {
+        let committed = bench("quick", 1928, BASE.0, BASE.1);
+        let err = |fresh: &Json, committed: &Json| alloc_gate(fresh, committed).unwrap_err();
+        let medium = bench("medium", 1928, BASE.0, BASE.1);
+        assert!(err(&medium, &committed).contains("scale"));
+        let fewer = bench("quick", 1766, BASE.0, BASE.1);
+        assert!(err(&fewer, &committed).contains("experiments"));
+        let no_alloc = Json::parse(r#"{"scale":"quick","experiments":1928}"#).unwrap();
+        assert!(err(&committed, &no_alloc).contains("missing"));
+        assert!(err(&no_alloc, &committed).contains("missing"));
     }
 }

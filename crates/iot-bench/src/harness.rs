@@ -1,20 +1,17 @@
-//! In-tree micro/macro benchmark harness.
+//! Timing summary for `bench_pipeline`'s paired overhead series.
 //!
-//! Replaces the external `criterion` dependency with the minimal thing
-//! the repo actually needs: run a closure a fixed number of warmup and
-//! timed iterations, report median / p95 / min / max wall-clock times,
-//! and serialize the result into the in-tree JSON type so benchmark
-//! trajectories can be committed and diffed.
+//! A sample of wall-clock times reduced to median / p95 / min / max and
+//! serialized into the in-tree JSON type, so `obs_check` can read the
+//! overhead ratios back.
 
 use iot_core::json::{Json, ToJson};
-use std::time::Instant;
 
 /// Timing summary of one benchmarked operation.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark label.
     pub name: String,
-    /// Timed iterations (excludes warmup).
+    /// Timed iterations.
     pub iters: usize,
     /// Per-iteration wall-clock times, milliseconds, in run order.
     pub times_ms: Vec<f64>,
@@ -82,46 +79,9 @@ impl ToJson for BenchResult {
     }
 }
 
-/// Runs `op` for `warmup` untimed and `iters` timed iterations and
-/// returns the timing summary. The closure's return value is passed to
-/// `std::hint::black_box` so the optimizer cannot elide the work.
-pub fn bench<T, F: FnMut() -> T>(
-    name: &str,
-    warmup: usize,
-    iters: usize,
-    mut op: F,
-) -> BenchResult {
-    assert!(iters > 0, "at least one timed iteration");
-    for _ in 0..warmup {
-        std::hint::black_box(op());
-    }
-    let mut times_ms = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(op());
-        times_ms.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    BenchResult::new(name.to_string(), iters, times_ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_records_requested_iterations() {
-        let mut runs = 0u32;
-        let r = bench("noop", 2, 5, || {
-            runs += 1;
-            runs
-        });
-        assert_eq!(runs, 7, "2 warmup + 5 timed");
-        assert_eq!(r.iters, 5);
-        assert_eq!(r.times_ms.len(), 5);
-        assert!(r.min_ms() <= r.median_ms());
-        assert!(r.median_ms() <= r.p95_ms());
-        assert!(r.p95_ms() <= r.max_ms());
-    }
 
     #[test]
     fn quantiles_on_known_sample() {

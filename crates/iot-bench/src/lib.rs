@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod history;
 pub mod profile_diff;
 pub mod tables;
 

@@ -19,11 +19,14 @@
 //!   traffic shares sum to ~100.
 //! * `results_claims` — the shape claims EXPERIMENTS.md makes about the
 //!   tables hold: power is the most inferrable activity group in every
-//!   Table 10 column, smart hubs are almost never inferrable (≤ 1 per
-//!   Table 9 column), Passport-style geolocation is at least as accurate
-//!   as the naive database on each egress (Ablation 4), and no device
-//!   sends more than 75% of its bytes unencrypted (Table 5). A claim
-//!   that flips fails the oracle instead of going stale in prose.
+//!   Table 10 column, voice has the highest encrypted share in every
+//!   Table 8 column, total support parties outnumber third parties and
+//!   support counts order Control ≥ Power ≥ Voice in every Table 2
+//!   column, smart hubs are almost never inferrable (≤ 1 per Table 9
+//!   column), Passport-style geolocation is at least as accurate as the
+//!   naive database on each egress (Ablation 4), and no device sends
+//!   more than 75% of its bytes unencrypted (Table 5). A claim that
+//!   flips fails the oracle instead of going stale in prose.
 //!
 //! Tolerances follow the artifacts' formatting: cells are rendered with
 //! one decimal, so a k-term sum may be off by up to `0.05·k` plus float
@@ -341,17 +344,58 @@ fn check_claims(t: &TableFile, v: &mut Vec<Violation>) {
     };
     match t.name.as_str() {
         // Table 10: power is the most inferrable activity group in
-        // every column.
-        "table10" => {
-            let Some(power) = row("Power") else {
-                return fail("rows".into(), "no Power row".into());
+        // every column. Table 8: voice has the highest encrypted share
+        // in every column, among the rows of its `enc` class.
+        "table10" | "table8" => {
+            let (label, first) = if t.name == "table10" {
+                ("Power", 1)
+            } else {
+                ("enc Voice", 2)
             };
-            for other in t.rows.iter().filter(|r| !std::ptr::eq(*r, power)) {
-                for col in 1..t.headers.len() {
-                    if !matches!((num(power, col), num(other, col)), (Some(p), Some(o)) if p > o) {
+            let Some(top) = row(label) else {
+                return fail("rows".into(), format!("no {label} row"));
+            };
+            // Peers share the top row's leading class cells: none in
+            // Table 10, `enc` in Table 8.
+            let key = first - 1;
+            let peers = t
+                .rows
+                .iter()
+                .filter(|r| r[..key] == top[..key] && !std::ptr::eq(*r, top));
+            for other in peers {
+                for col in first..t.headers.len() {
+                    if !matches!((num(top, col), num(other, col)), (Some(p), Some(o)) if p > o) {
                         fail(
-                            format!("{}[{}]", t.headers[col], other[0]),
-                            format!("{} is not below Power's {}", other[col], power[col]),
+                            format!("{}[{}]", t.headers[col], other[key]),
+                            format!("{} is not below {label}'s {}", other[col], top[col]),
+                        );
+                    }
+                }
+            }
+        }
+        // Table 2: total support parties outnumber third parties, and
+        // support counts order Control ≥ Power ≥ Voice, in every column.
+        "table2" => {
+            let orders = [
+                ("Total support", "Total third", true),
+                ("Control support", "Power support", false),
+                ("Power support", "Voice support", false),
+            ];
+            for (hi, lo, strict) in orders {
+                let (Some(h), Some(l)) = (row(hi), row(lo)) else {
+                    return fail("rows".into(), format!("no {hi} or {lo} row"));
+                };
+                for col in 2..t.headers.len() {
+                    let holds = |a: f64, b: f64| a > b || (!strict && a == b);
+                    if !matches!((num(h, col), num(l, col)), (Some(a), Some(b)) if holds(a, b)) {
+                        fail(
+                            format!("{}[{lo}]", t.headers[col]),
+                            format!(
+                                "{lo} {} is not {} {hi}'s {}",
+                                l[col],
+                                if strict { "below" } else { "at most" },
+                                h[col]
+                            ),
                         );
                     }
                 }
@@ -585,6 +629,47 @@ mod tests {
             &table("table10", &headers, &[power, &["Voice (19)", "10", "8"]]),
             &table("table10", &headers, &[power, &["Voice (19)", "10", "34"]]),
         );
+    }
+
+    #[test]
+    fn voice_must_be_most_encrypted() {
+        let headers = ["Enc", "Experiment", "US", "UK"];
+        // Only the enc block competes: a plaintext row may be higher.
+        let idle: &[&str] = &["x", "Idle", "90.0", "90.0"];
+        let voice: &[&str] = &["enc", "Voice", "83.4", "83.4"];
+        assert_claim(
+            &table(
+                "table8",
+                &headers,
+                &[idle, voice, &["enc", "Others", "75.2", "71.5"]],
+            ),
+            &table(
+                "table8",
+                &headers,
+                &[idle, voice, &["enc", "Others", "75.2", "85.0"]],
+            ),
+        );
+    }
+
+    #[test]
+    fn support_must_outnumber_third_in_experiment_order() {
+        let headers = ["Experiment", "Party", "US", "UK"];
+        let table2 = |voice: &str, total_third: &str| {
+            table(
+                "table2",
+                &headers,
+                &[
+                    &["Control", "support", "27", "17"],
+                    &["Power", "support", "25", "17"],
+                    &["Voice", "support", voice, "1"],
+                    &["Total", "support", "27", "17"],
+                    &["Total", "third", total_third, "5"],
+                ],
+            )
+        };
+        let good = table2("2", "8");
+        assert_claim(&good, &table2("26", "8"));
+        assert_claim(&good, &table2("2", "27"));
     }
 
     #[test]

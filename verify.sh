@@ -7,26 +7,25 @@
 #    workspace) is built and its self-tests run, so a change to a public
 #    name the benchmark calls fails here rather than at the benchmark
 #    run.
-# 2. A quick-scale run of the 1-worker-vs-N-worker pipeline benchmark,
-#    with observability enabled so it also emits an obs run report.
-#    bench_pipeline exits non-zero if the report differs between 1, 2
-#    and 8 workers, so divergence fails this script.
-# 3. obs_check: the observability smoke test — the run report must parse,
-#    its stage counters must be non-zero, the measured instrumentation
-#    overhead must stay under 5% (with the sampling profiler armed, so
-#    sampling cost sits inside that ceiling), the Chrome trace,
-#    Prometheus, and folded-profile artifacts written by the bench must
-#    be well-formed, and the deterministic event trace must have matched
-#    across worker counts.
+# 2. A quick-scale bench_pipeline run, with observability enabled so it
+#    also emits an obs run report. bench_pipeline exits non-zero if the
+#    report differs between 1, 2 and 8 workers, so divergence fails this
+#    script.
+# 3. obs_check: the observability smoke test and the allocation gate —
+#    the run report must parse, its stage counters must be non-zero, the
+#    measured instrumentation overhead must stay under 5% (with the
+#    sampling profiler armed, so sampling cost sits inside that
+#    ceiling), the Chrome trace, Prometheus, and folded-profile
+#    artifacts written by the bench must be well-formed, and the
+#    deterministic event trace must have matched across worker counts.
+#    The quick serial campaign's heap totals (allocs_total, bytes_total)
+#    must match the committed BENCH_pipeline.json within 0.1% either
+#    way: a rise is a regression, a fall means the baseline is stale.
 # 4. obs_serve_check: live-telemetry endpoint smoke — /metrics, /trace,
 #    /progress, and /profile answered over real sockets during an
 #    instrumented (and lightly faulted) campaign, with the ingest ledger
 #    reconciling.
-# 5. bench_trend: appends this run to a scratch copy of the committed
-#    bench history and fails on a >15% serial-median regression against
-#    the recent same-host baseline (cross-host entries are warn-only),
-#    and prints the profile share shift against the committed baseline.
-#    profile_diff then parses the fresh folded profile against the
+# 5. profile_diff: parses the fresh folded profile against the
 #    committed results/profile.folded — malformed artifacts fail, share
 #    shifts are informational (gate with IOT_PROFILE_DIFF_MAX_SHIFT).
 # 6. chaos_check: the fault-injection smoke test — a seeded sweep of
@@ -93,10 +92,10 @@ cargo test -q --workspace
 echo "=== benchmark: build perfbench + run its self-tests ==="
 cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "=== bench: 1 worker vs N workers (quick scale, obs on) ==="
+echo "=== bench: worker-grid identity + heap totals (quick scale, obs on) ==="
 cargo build --release -p iot-bench \
   --bin bench_pipeline --bin obs_check --bin obs_serve_check \
-  --bin bench_trend --bin profile_diff --bin chaos_check --bin oracle_check \
+  --bin profile_diff --bin chaos_check --bin oracle_check \
   --bin streaming_smoke --bin tables
 # Write to scratch paths so routine verification never clobbers the
 # committed BENCH_pipeline.json baseline (regenerate that explicitly
@@ -107,7 +106,7 @@ cargo build --release -p iot-bench \
 # IOT_OBS_PROFILE arms the span-stack sampling profiler, so the
 # byte-identity and overhead gates run with sampling live and the bench
 # writes the folded-stack profile artifact checked below.
-IOT_SCALE=quick IOT_BENCH_ITERS="${IOT_BENCH_ITERS:-3}" \
+IOT_SCALE=quick \
   IOT_BENCH_OUT="${IOT_BENCH_OUT:-target/verify_bench.json}" \
   IOT_OBS=1 IOT_OBS_OUT="${IOT_OBS_OUT:-target/obs_run.json}" \
   IOT_OBS_TRACE_OUT="${IOT_OBS_TRACE_OUT:-target/obs_trace.json}" \
@@ -116,7 +115,7 @@ IOT_SCALE=quick IOT_BENCH_ITERS="${IOT_BENCH_ITERS:-3}" \
   IOT_OBS_PROFILE_OUT="${IOT_OBS_PROFILE_OUT:-target/profile.folded}" \
   ./target/release/bench_pipeline
 
-echo "=== obs smoke: run report + overhead gate + exporter artifacts ==="
+echo "=== obs smoke: run report + overhead + allocation gates + exporter artifacts ==="
 ./target/release/obs_check \
   "${IOT_OBS_OUT:-target/obs_run.json}" \
   "${IOT_BENCH_OUT:-target/verify_bench.json}" \
@@ -127,21 +126,6 @@ echo "=== obs smoke: run report + overhead gate + exporter artifacts ==="
 
 echo "=== obs serve: live telemetry endpoint over real sockets ==="
 ./target/release/obs_serve_check
-
-echo "=== bench trend: regression gate against recent same-host history ==="
-# Gate against a scratch copy so routine verification never rewrites the
-# committed BENCH_history.jsonl (extend that explicitly by running
-# bench_trend against it).
-if [ -f BENCH_history.jsonl ]; then
-  cp BENCH_history.jsonl target/verify_history.jsonl
-else
-  rm -f target/verify_history.jsonl
-fi
-./target/release/bench_trend \
-  "${IOT_BENCH_OUT:-target/verify_bench.json}" \
-  target/verify_history.jsonl \
-  "${IOT_OBS_PROFILE_OUT:-target/profile.folded}" \
-  results/profile.folded
 
 echo "=== profile diff: fresh folded profile vs committed baseline ==="
 ./target/release/profile_diff \
