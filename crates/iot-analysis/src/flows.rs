@@ -8,6 +8,7 @@
 //! domain. If none of the above approaches yields a domain, we leave the
 //! IP's SLD unlabeled."
 
+use iot_geodb::registry::fnv1a;
 use iot_net::flow::{Flow, FlowProto, FlowTable};
 use iot_protocols::analyzer::{IdentifyMemo, ProtocolId, Transport};
 use iot_protocols::{dns, http, tls};
@@ -81,15 +82,6 @@ const SNI_MEMO_MAX_BYTES: usize = 1024;
 /// pure function of the payload.
 const SNI_MEMO_MAX_STORED_BYTES: usize = 192 * 1024;
 
-fn sni_key_hash(payload: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 impl LabelCtx {
     /// Creates an empty context.
     pub fn new() -> Self {
@@ -110,7 +102,7 @@ impl LabelCtx {
     /// payload prefix (both parses are pure functions of it).
     fn sni_or_host(&mut self, payload_out: &[u8]) -> (Option<Arc<str>>, DomainSource) {
         if payload_out.len() <= SNI_MEMO_MAX_BYTES {
-            let h = sni_key_hash(payload_out);
+            let h = fnv1a(payload_out);
             if let Some(bucket) = self.sni_host.get(&h) {
                 for (key, v) in bucket {
                     if key == payload_out {

@@ -25,8 +25,8 @@
 //! * [`ingest`] — salvage accounting and quarantine: the ledger kept when
 //!   captures arrive degraded (see `iot-chaos` and DESIGN.md §10).
 //! * [`supervise`] — campaign supervision: checkpoint/resume journal,
-//!   watchdog deadlines, deterministic retry, and the coverage manifest
-//!   (DESIGN.md §15).
+//!   per-experiment deadlines, deterministic retry, and the coverage
+//!   manifest (DESIGN.md §15).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

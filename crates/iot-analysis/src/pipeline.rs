@@ -25,12 +25,14 @@
 //! # Observability
 //!
 //! Every run is instrumented through `iot-obs` (gated on `IOT_OBS`, or
-//! forced via [`Pipeline::with_obs`]): spans around campaign generation,
-//! per-experiment traffic synthesis (`synth`), per-experiment ingest
-//! stages (flow reconstruction, destination mapping, encryption
-//! classification, PII scan), each worker's run (`shard`), and
-//! [`Pipeline::finish`]; counters for experiments,
-//! packets, flows, total/per-[`EncryptionClass`] bytes, and PII findings;
+//! forced via [`Pipeline::with_obs`]): spans around campaign generation
+//! and [`Pipeline::finish`]; one `shard` span per worker run, with
+//! traffic synthesis (`shard/synth`) and per-experiment ingest
+//! (`shard/ingest`: capture degradation, flow reconstruction, destination
+//! mapping, encryption classification, PII scan) under it — the tree
+//! `iot_obs::folded_stacks` renders as a profile; counters for
+//! experiments, packets, flows, total/per-[`EncryptionClass`] bytes, and
+//! PII findings;
 //! histograms of per-experiment packet and per-flow byte sizes; and
 //! per-worker load gauges (`worker.N.experiments`). Each worker records
 //! into its own registry, and the registries merge into the pipeline's
@@ -60,7 +62,7 @@
 //!
 //! [`SupervisorConfig`] holds the knobs for hour-scale fleet campaigns
 //! (DESIGN.md §15): a checkpoint journal of unit deltas (`resume` replays
-//! it and re-runs only the remainder, byte-identically), a watchdog
+//! it and re-runs only the remainder, byte-identically), a per-experiment
 //! deadline that bounds injected stalls, and deterministic,
 //! identity-keyed retries of transient failures. Every run — including
 //! resumed ones — also maintains a [`Coverage`] manifest (`"coverage"` in
@@ -75,7 +77,6 @@ use crate::pii::{findings_for_flow, scan_flow, PatternCache, PiiFinding};
 use crate::supervise::{
     campaign_fingerprint, read_journal_set, remove_rolled_segments, unit_identities, Coverage,
     CoverageOutcome, JournalError, JournalWriter, SuperviseSummary, SupervisorConfig, UnitDelta,
-    WatchHandle, Watchdog,
 };
 use iot_chaos::{stream_key, FaultInjector, FaultPlan};
 use iot_core::json::{Json, ToJson};
@@ -93,7 +94,7 @@ use iot_testbed::traffic::{identity_of, DeviceIdentity};
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -151,8 +152,8 @@ struct RunCtx<'a> {
     deadline_micros: Option<u64>,
     /// Retry budget for transient failures.
     max_retries: u32,
-    /// The deadline monitor; running whenever a deadline is set.
-    watchdog: Option<&'a Watchdog>,
+    /// Attempts whose wall time passed the deadline, across workers.
+    overruns: AtomicU64,
     obs_enabled: bool,
 }
 
@@ -236,13 +237,7 @@ struct Worker {
     obs: Registry,
     /// Experiments ingested by this worker's folded units.
     experiments: u64,
-    /// This worker's watchdog slot, when a deadline is set.
-    watch: Option<WatchHandle>,
     started: Instant,
-    /// Registration with the span-stack sampling profiler — only when
-    /// this run records observability AND the sampler is armed, so
-    /// obs-off baseline runs contribute zero samples.
-    _profile: Option<iot_obs::profile::ThreadGuard>,
 }
 
 impl Worker {
@@ -257,18 +252,15 @@ impl Worker {
             pii_patterns: PatternCache::new(),
             obs,
             experiments: 0,
-            watch: ctx.watchdog.map(|w| w.handle(idx)),
             started: Instant::now(),
-            _profile: (ctx.obs_enabled && iot_obs::profile::enabled())
-                .then(|| iot_obs::profile::register_thread(&format!("worker-{idx}"))),
         }
     }
 
     /// Stamps the worker's run time and gauges, and hands back its
     /// registry for merging.
     fn finish(self) -> Registry {
-        // Timed by hand: a span guard here would nest every `ingest` span
-        // under `shard`.
+        // Timed by hand: a guard cannot borrow the registry the worker
+        // owns. Its children are recorded by full path, `shard/…`.
         self.obs.record_ns("shard", self.started.elapsed());
         if self.obs.enabled() {
             let idx = self.idx;
@@ -319,7 +311,6 @@ impl Worker {
             label_ctx,
             pii_patterns,
             obs,
-            watch,
             ..
         } = self;
         // Split the borrow: the span guard pins `obs` (shared) for the
@@ -334,7 +325,6 @@ impl Worker {
             experiments,
             ..
         } = acc;
-        let watch = watch.as_ref();
         // The experiment's identity digest doubles as the flight-recorder
         // stream key: every event inside this scope is attributable to
         // this experiment regardless of which worker ran it. Fault draws
@@ -352,7 +342,7 @@ impl Worker {
         let device = exp.device_name;
         obs.begin_stream(skey);
         {
-            let _ingest_span = obs.span("ingest");
+            let _ingest_span = obs.span("shard/ingest");
             let n_generated = exp.packet_count() as u64;
             ingest.packets_generated += n_generated;
             // Pristine copy for re-attempts, taken before any degradation
@@ -381,11 +371,17 @@ impl Worker {
                 // Whether a stall is quarantined is this value comparison
                 // — never a race between clocks — so the quarantine set is
                 // byte-identical across worker counts and machines. The
-                // watchdog below only bounds how long the worker sleeps.
+                // clock only counts overruns, for a gauge.
                 let stall_breached =
                     matches!((stall, ctx.deadline_micros), (Some(st), Some(d)) if st > d);
-                if let Some(w) = watch {
-                    w.begin();
+                let overrun_at = ctx
+                    .deadline_micros
+                    .map(|d| Instant::now() + Duration::from_micros(d));
+                if let Some(st) = stall.filter(|_| !total_loss) {
+                    // The experiment hangs, at most until the deadline: a
+                    // stall past it is quarantined whatever happens next.
+                    let cap = ctx.deadline_micros.unwrap_or(u64::MAX);
+                    std::thread::sleep(Duration::from_micros(st.min(cap)));
                 }
                 let failure: Option<&'static str> = if total_loss {
                     // from_bytes_lenient salvaged nothing at all; with
@@ -393,19 +389,8 @@ impl Worker {
                     // is a permanent loss (of an already-empty capture).
                     Some("salvage_loss")
                 } else if stall_breached {
-                    // The experiment's fate is already sealed: sleep out
-                    // the stall only until the watchdog, which runs
-                    // whenever a deadline is set, cancels it.
-                    if let Some(w) = watch {
-                        w.wait_cancelled(Duration::from_micros(stall.unwrap_or(0)));
-                    }
                     Some("stall_deadline")
                 } else {
-                    if let Some(st) = stall {
-                        // Within-deadline stall (or no deadline at all):
-                        // the experiment hangs, then completes normally.
-                        std::thread::sleep(Duration::from_micros(st));
-                    }
                     // The quarantine boundary: a panic here — injected by
                     // the chaos plan or real — costs this one experiment,
                     // not the run. The injected panic fires before any
@@ -434,8 +419,8 @@ impl Worker {
                         Err(_) => Some("ingest_panic"),
                     }
                 };
-                if let Some(w) = watch {
-                    w.end();
+                if overrun_at.is_some_and(|at| Instant::now() > at) {
+                    ctx.overruns.fetch_add(1, Ordering::Relaxed);
                 }
                 let stage = match failure {
                     None => {
@@ -579,8 +564,8 @@ fn degrade_capture_at(
 /// order, the staged loops fed it, so reports are byte-identical.
 ///
 /// Stage timing moves from per-stage spans to per-flow accumulation
-/// recorded once per experiment via `Registry::record_ns` under the same
-/// `ingest/…` paths the nested spans produced. `record_ns` emits no
+/// recorded once per experiment via `Registry::record_ns` under the
+/// `shard/ingest/…` paths nested spans would produce. `record_ns` emits no
 /// flight-recorder events, so the trace stays deterministic across
 /// worker counts and the overhead gate unaffected.
 #[allow(clippy::too_many_arguments)]
@@ -687,14 +672,14 @@ fn analyze_experiment(
     }
     encryption.add_sample(exp, &enc_tally);
     if timing {
-        obs.record_ns("ingest/destinations", dest_ns);
-        obs.record_ns("ingest/encryption", enc_ns);
-        obs.record_ns("ingest/pii", pii_ns);
+        obs.record_ns("shard/ingest/destinations", dest_ns);
+        obs.record_ns("shard/ingest/encryption", enc_ns);
+        obs.record_ns("shard/ingest/pii", pii_ns);
     }
     if counting {
-        obs.record_alloc("ingest/destinations", dest_alloc);
-        obs.record_alloc("ingest/encryption", enc_alloc);
-        obs.record_alloc("ingest/pii", pii_alloc);
+        obs.record_alloc("shard/ingest/destinations", dest_alloc);
+        obs.record_alloc("shard/ingest/encryption", enc_alloc);
+        obs.record_alloc("shard/ingest/pii", pii_alloc);
     }
     if identity.is_some() {
         obs.add("pii_findings", (pii.len() - pii_before) as u64);
@@ -798,7 +783,8 @@ impl Pipeline {
         if !iot_obs::serve::active() || !self.obs.enabled() {
             return;
         }
-        let metrics = iot_obs::prometheus(&self.obs.snapshot());
+        let snapshot = self.obs.snapshot();
+        let metrics = iot_obs::prometheus(&snapshot);
         let trace = iot_obs::chrome_trace(&self.obs.timeline(), iot_obs::TraceMode::Wall).dump();
         let mut progress = Json::obj();
         progress.set("phase", phase.to_json());
@@ -817,7 +803,12 @@ impl Pipeline {
             );
             progress.set("alloc", alloc);
         }
-        iot_obs::serve::publish(metrics, trace, progress.dump());
+        iot_obs::serve::publish(
+            metrics,
+            trace,
+            progress.dump(),
+            iot_obs::folded_stacks(&snapshot),
+        );
     }
 
     /// Runs a full campaign (controlled + idle) through every analysis:
@@ -852,7 +843,7 @@ impl Pipeline {
             fault: fault.as_ref(),
             deadline_micros: None,
             max_retries: 0,
-            watchdog: None,
+            overruns: AtomicU64::new(0),
             obs_enabled: self.obs.enabled(),
         };
         let mut worker = Worker::new(0, &ctx);
@@ -872,7 +863,7 @@ impl Pipeline {
     /// pull (lab × device) work units from a shared queue; each finished
     /// unit's accumulator delta is appended to the checkpoint journal
     /// (when `sup.journal` is set) and folded at once; injected stalls
-    /// are bounded by a watchdog at `sup.deadline`; and transient
+    /// are bounded by `sup.deadline`; and transient
     /// failures are retried up to `sup.max_retries` times with
     /// identity-keyed determinism.
     ///
@@ -1000,7 +991,6 @@ impl Pipeline {
         summary.units_run = remaining.len();
         self.publish_live("generated");
         let workers = workers.min(remaining.len());
-        let watchdog = sup.deadline.map(|d| Watchdog::new(workers, d));
         let fault = self.fault;
         let ctx = RunCtx {
             db: GeoDb::shared(),
@@ -1008,7 +998,7 @@ impl Pipeline {
             fault: fault.as_ref(),
             deadline_micros,
             max_retries: sup.max_retries,
-            watchdog: watchdog.as_ref(),
+            overruns: AtomicU64::new(0),
             obs_enabled: self.obs.enabled(),
         };
         let queue = AtomicUsize::new(0);
@@ -1025,17 +1015,29 @@ impl Pipeline {
                 let mut delta = UnitDelta::new(unit);
                 let ran = catch_unwind(AssertUnwindSafe(|| {
                     // The source synthesizes each experiment before its
-                    // callback; that time is the `synth` span. Timed by
-                    // hand, like `shard`, because it interleaves with
-                    // `ingest`, and only when obs is on.
-                    let mut synth_from = ctx.obs_enabled.then(Instant::now);
+                    // callback; that time, and its heap traffic when the
+                    // allocator counts, is `shard/synth`. Measured by hand
+                    // because it interleaves with `shard/ingest`, and only
+                    // when obs is on.
+                    let counting = iot_obs::alloc::enabled();
+                    let mark = || {
+                        (
+                            Instant::now(),
+                            counting.then(iot_obs::alloc::thread_snapshot),
+                        )
+                    };
+                    let mut synth_from = ctx.obs_enabled.then(mark);
                     source(ctx.db, unit as usize, &mut |exp| {
-                        if let Some(from) = synth_from {
-                            worker.obs.record_ns("synth", from.elapsed());
+                        if let Some((from, heap)) = synth_from {
+                            let heap = heap.map(|h| iot_obs::alloc::thread_snapshot().since(&h));
+                            worker.obs.record_ns("shard/synth", from.elapsed());
+                            if let Some(heap) = heap {
+                                worker.obs.record_alloc("shard/synth", heap);
+                            }
                         }
                         worker.ingest(&ctx, &mut delta, exp);
                         if synth_from.is_some() {
-                            synth_from = Some(Instant::now());
+                            synth_from = Some(mark());
                         }
                     });
                 }));
@@ -1090,16 +1092,13 @@ impl Pipeline {
         for registry in registries {
             self.obs.merge(registry);
         }
-        if let Some(dog) = &watchdog {
-            summary.watchdog_cancelled = dog.cancelled_total();
-            if summary.watchdog_cancelled > 0 {
-                // Wall-clock dependent count: gauge only, never a report
-                // field or deterministic counter.
-                self.obs
-                    .set_gauge("watchdog.cancelled", summary.watchdog_cancelled as f64);
-            }
+        summary.watchdog_cancelled = ctx.overruns.into_inner();
+        if summary.watchdog_cancelled > 0 {
+            // Wall-clock dependent count: gauge only, never a report
+            // field or deterministic counter.
+            self.obs
+                .set_gauge("watchdog.cancelled", summary.watchdog_cancelled as f64);
         }
-        drop(watchdog);
         if let Some(e) = error {
             return Err(JournalError::Io(e));
         }
@@ -1531,6 +1530,102 @@ mod tests {
             .collect();
         assert_eq!(reg.gauge("workers"), Some(2.0));
         assert_eq!(per_worker.iter().sum::<f64>(), report.experiments as f64);
+    }
+
+    #[test]
+    fn folded_profile_renders_the_worker_span_tree() {
+        let mut p = Pipeline::with_obs(true);
+        p.run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
+            .unwrap();
+        let snap = p.finish_with_obs().1.snapshot();
+        let folded = iot_obs::folded_stacks(&snap);
+        let mut stacks = Vec::new();
+        let mut weight_us = 0;
+        for line in folded.lines() {
+            let (stack, us) = line.rsplit_once(' ').unwrap();
+            assert!(
+                snap.spans.contains_key(&stack.replace(';', "/")),
+                "{stack} is not a span path"
+            );
+            stacks.push(stack);
+            weight_us += us.parse::<u64>().unwrap();
+        }
+        for want in ["shard;synth", "shard;ingest;flows"] {
+            assert!(stacks.contains(&want), "no {want} in:\n{folded}");
+        }
+        // Self times add up to the root spans' totals; each path drops
+        // less than 1 µs to whole-microsecond weights.
+        let roots_ns: u64 = snap
+            .spans
+            .iter()
+            .filter(|(path, _)| !path.contains('/'))
+            .map(|(_, s)| s.total_ns)
+            .sum();
+        let dropped_ns = roots_ns - weight_us * 1_000;
+        assert!(
+            dropped_ns < 1_000 * snap.spans.len() as u64,
+            "{weight_us} µs of weights against {roots_ns} ns in root spans"
+        );
+    }
+
+    /// A stalled experiment sleeps at most the deadline. A stall drawn
+    /// far past a 10 ms deadline costs its worker about 10 ms and counts
+    /// as an overrun; a stall under the deadline does not count.
+    #[test]
+    fn stalls_sleep_at_most_the_deadline_and_count_overruns() {
+        let campaign = Campaign::new(tiny_config());
+        let plan = |stall_max_micros| iot_chaos::FaultPlan {
+            stall_rate: 1.0,
+            stall_max_micros,
+            ..iot_chaos::FaultPlan::clean(0x57A11)
+        };
+        // One experiment, the first of unit 0, stalled on every attempt.
+        let run = |stall_max_micros, deadline| {
+            let mut p = Pipeline::with_obs(true);
+            p.set_fault_plan(plan(stall_max_micros));
+            let sup = SupervisorConfig {
+                deadline: Some(deadline),
+                ..SupervisorConfig::default()
+            };
+            let summary = p
+                .run_units(&campaign, 1, &sup, |db, unit, consume| {
+                    let mut first = unit == 0;
+                    campaign.run_unit(db, unit, |exp| {
+                        if std::mem::take(&mut first) {
+                            consume(exp);
+                        }
+                    });
+                })
+                .unwrap();
+            let ingest = p.obs().span_stats("shard/ingest").unwrap();
+            let stalled = p
+                .finish()
+                .ingest
+                .stage_errors
+                .get("stall_deadline")
+                .copied();
+            (
+                summary.watchdog_cancelled,
+                Duration::from_nanos(ingest.total_ns),
+                stalled,
+            )
+        };
+        let mut first = None;
+        campaign.run_unit(&GeoDb::new(), 0, |exp| {
+            first.get_or_insert(exp);
+        });
+        let key = experiment_fault_key(&first.unwrap());
+        let drawn = FaultInjector::new(plan(600_000_000)).stall_micros(key, 0);
+        assert!(drawn.unwrap() > 10_000_000, "drawn stall {drawn:?} µs");
+
+        let (overruns, took, stalled) = run(600_000_000, Duration::from_millis(10));
+        assert_eq!((overruns, stalled), (1, Some(1)));
+        assert!(
+            took >= Duration::from_millis(10) && took < Duration::from_secs(1),
+            "a stall past the deadline took {took:?}"
+        );
+        let (overruns, _, stalled) = run(2_000, Duration::from_secs(1));
+        assert_eq!((overruns, stalled), (0, None));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Campaign supervision: checkpoint journal, watchdog deadlines,
+//! Campaign supervision: checkpoint journal, per-experiment deadlines,
 //! deterministic retry, and the degraded-run coverage manifest.
 //!
 //! Fleet-scale campaigns run for hours; a crash, kill, or hung
@@ -13,12 +13,12 @@
 //!   pipeline accumulator merges associatively and commutatively (the
 //!   same property that makes every worker count byte-identical), the
 //!   resumed report is byte-identical to an uninterrupted run.
-//! - **Watchdog deadlines** — a monitor thread ([`Watchdog`]) with a
-//!   per-experiment soft deadline. Whether a stalled experiment is
-//!   quarantined is decided by comparing the injected stall *value*
-//!   against the deadline (never by racing wall clocks), so the
-//!   quarantine set is byte-identical at any worker count; the watchdog's
-//!   job is to bound how long the stalled worker actually sleeps.
+//! - **Deadlines** — a per-experiment soft deadline. Whether a stalled
+//!   experiment is quarantined is decided by comparing the injected
+//!   stall *value* against the deadline (never by racing wall clocks), so
+//!   the quarantine set is byte-identical at any worker count; the
+//!   stalled worker sleeps at most the deadline, and attempts whose wall
+//!   time passed it are counted for a gauge.
 //! - **Deterministic retry** — transient failures (injected panics,
 //!   deadline-breaching stalls, total salvage loss) get up to N
 //!   re-attempts. Every attempt's fault draws are keyed by
@@ -86,6 +86,7 @@ use iot_core::json::{Json, ToJson};
 use iot_geodb::geo::Country;
 use iot_geodb::org::ORGS;
 use iot_geodb::party::PartyType;
+use iot_geodb::registry::fnv1a;
 use iot_testbed::lab::LabSite;
 use iot_testbed::schedule::CampaignConfig;
 use std::collections::BTreeMap;
@@ -93,9 +94,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Journal magic, versioned: bump the trailing digits on any codec
 /// change so stale journals fail loudly instead of decoding garbage.
@@ -121,20 +120,6 @@ const CHECKPOINT_CHUNK_BYTES: usize = 4 * 1024 * 1024;
 /// is a few KiB; anything claiming more than this is corruption, not
 /// data.
 const MAX_RECORD_BYTES: u32 = 16 * 1024 * 1024;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice — the journal's record checksum and the
-/// header fingerprint digest.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Byte codec primitives
@@ -1259,158 +1244,6 @@ pub fn campaign_fingerprint(
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------------
-
-struct WatchSlot {
-    busy: AtomicBool,
-    started_micros: AtomicU64,
-    cancel: AtomicBool,
-}
-
-struct WatchInner {
-    slots: Vec<WatchSlot>,
-    epoch: Instant,
-    stop: AtomicBool,
-    deadline: Duration,
-    cancelled: AtomicU64,
-}
-
-/// Per-experiment soft-deadline monitor. One slot per worker; workers
-/// stamp a slot busy when an experiment starts and clear it when it
-/// ends. The monitor thread wakes a few times per deadline period and
-/// raises the slot's cancel flag once an experiment has been busy past
-/// the deadline — a stalled worker sleeping in
-/// [`WatchHandle::wait_cancelled`] notices within one watchdog tick and
-/// gives up on the experiment instead of wedging the pool.
-///
-/// The watchdog *never* decides report contents: whether an injected
-/// stall breaches the deadline is a pure value comparison in the ingest
-/// path. In safe Rust a genuinely runaway computation (not an injected
-/// sleep) cannot be killed from outside; the watchdog still flags it
-/// (`cancelled` count, surfaced as a gauge) so operators see the wedge.
-pub struct Watchdog {
-    inner: Arc<WatchInner>,
-    monitor: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    /// Starts a monitor over `workers` slots with the given deadline.
-    pub fn new(workers: usize, deadline: Duration) -> Self {
-        let inner = Arc::new(WatchInner {
-            slots: (0..workers.max(1))
-                .map(|_| WatchSlot {
-                    busy: AtomicBool::new(false),
-                    started_micros: AtomicU64::new(0),
-                    cancel: AtomicBool::new(false),
-                })
-                .collect(),
-            epoch: Instant::now(),
-            stop: AtomicBool::new(false),
-            deadline,
-            cancelled: AtomicU64::new(0),
-        });
-        let tick = (deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-        let monitor = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || {
-                while !inner.stop.load(Ordering::Acquire) {
-                    let now = inner.epoch.elapsed().as_micros() as u64;
-                    for slot in &inner.slots {
-                        if slot.busy.load(Ordering::Acquire)
-                            && !slot.cancel.load(Ordering::Acquire)
-                        {
-                            let started = slot.started_micros.load(Ordering::Acquire);
-                            if now.saturating_sub(started)
-                                > inner.deadline.as_micros() as u64
-                            {
-                                slot.cancel.store(true, Ordering::Release);
-                                inner.cancelled.fetch_add(1, Ordering::AcqRel);
-                            }
-                        }
-                    }
-                    std::thread::sleep(tick);
-                }
-            })
-        };
-        Watchdog {
-            inner,
-            monitor: Some(monitor),
-        }
-    }
-
-    /// A worker-side handle on slot `slot`.
-    ///
-    /// # Panics
-    /// Panics if `slot` is out of range.
-    pub fn handle(&self, slot: usize) -> WatchHandle {
-        assert!(slot < self.inner.slots.len(), "watchdog slot out of range");
-        WatchHandle {
-            inner: Arc::clone(&self.inner),
-            slot,
-        }
-    }
-
-    /// Experiments the monitor flagged past-deadline. Wall-clock
-    /// dependent — surface as a gauge, never in the report.
-    pub fn cancelled_total(&self) -> u64 {
-        self.inner.cancelled.load(Ordering::Acquire)
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        if let Some(h) = self.monitor.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One worker's view of the watchdog: stamp experiments busy, observe
-/// cancellation while sleeping out an injected stall.
-pub struct WatchHandle {
-    inner: Arc<WatchInner>,
-    slot: usize,
-}
-
-impl WatchHandle {
-    fn slot(&self) -> &WatchSlot {
-        &self.inner.slots[self.slot]
-    }
-
-    /// Marks the slot busy, starting the deadline clock.
-    pub fn begin(&self) {
-        let slot = self.slot();
-        slot.cancel.store(false, Ordering::Release);
-        slot.started_micros
-            .store(self.inner.epoch.elapsed().as_micros() as u64, Ordering::Release);
-        slot.busy.store(true, Ordering::Release);
-    }
-
-    /// Marks the slot idle again.
-    pub fn end(&self) {
-        self.slot().busy.store(false, Ordering::Release);
-    }
-
-    /// Sleeps up to `stall`, returning early once the monitor cancels
-    /// the slot. Returns `true` when the cancellation was observed.
-    /// Wall-clock behavior only — callers must already have decided the
-    /// experiment's fate from the stall *value*.
-    pub fn wait_cancelled(&self, stall: Duration) -> bool {
-        let slice = Duration::from_millis(1);
-        let start = Instant::now();
-        while start.elapsed() < stall {
-            if self.slot().cancel.load(Ordering::Acquire) {
-                return true;
-            }
-            std::thread::sleep(slice.min(stall - start.elapsed().min(stall)));
-        }
-        self.slot().cancel.load(Ordering::Acquire)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Supervisor configuration and summary
 // ---------------------------------------------------------------------------
 
@@ -1418,8 +1251,8 @@ impl WatchHandle {
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Per-experiment soft deadline. Injected stalls longer than this
-    /// are quarantined (deterministically, by value comparison); the
-    /// watchdog bounds how long the worker actually sleeps.
+    /// are quarantined (deterministically, by value comparison), and a
+    /// stalled worker sleeps at most this long.
     pub deadline: Option<Duration>,
     /// Re-attempts granted to transient failures (injected panics,
     /// deadline-breaching stalls, total salvage loss). Zero disables
@@ -1466,8 +1299,8 @@ pub struct SuperviseSummary {
     pub units_run: usize,
     /// Salvage accounting from the resumed journal, if any.
     pub salvage: Option<JournalSalvage>,
-    /// Watchdog cancellations observed (wall-clock dependent; a gauge,
-    /// not a report field).
+    /// Attempts whose wall time passed the deadline (wall-clock
+    /// dependent; a gauge, not a report field).
     pub watchdog_cancelled: u64,
 }
 
@@ -1730,41 +1563,5 @@ mod tests {
         let mut other = config;
         other.include_vpn = true;
         assert_ne!(base, campaign_fingerprint(&other, None, None, 0));
-    }
-
-    #[test]
-    fn watchdog_cancels_a_stalled_slot() {
-        let dog = Watchdog::new(2, Duration::from_millis(10));
-        let h = dog.handle(0);
-        h.begin();
-        // A stall far past the deadline: wait_cancelled must return well
-        // before the full stall elapses.
-        let start = Instant::now();
-        let cancelled = h.wait_cancelled(Duration::from_secs(5));
-        h.end();
-        assert!(cancelled, "watchdog must cancel a 5s stall at a 10ms deadline");
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "cancellation took {:?}",
-            start.elapsed()
-        );
-        assert!(dog.cancelled_total() >= 1);
-        // An idle slot is never cancelled.
-        let h1 = dog.handle(1);
-        h1.begin();
-        h1.end();
-    }
-
-    #[test]
-    fn watchdog_leaves_fast_experiments_alone() {
-        let dog = Watchdog::new(1, Duration::from_millis(200));
-        let h = dog.handle(0);
-        for _ in 0..3 {
-            h.begin();
-            let cancelled = h.wait_cancelled(Duration::from_millis(2));
-            h.end();
-            assert!(!cancelled, "a 2ms stall is within a 200ms deadline");
-        }
-        assert_eq!(dog.cancelled_total(), 0);
     }
 }

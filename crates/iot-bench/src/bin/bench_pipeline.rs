@@ -32,14 +32,11 @@
 //!   deterministic trace is additionally required to be byte-identical
 //!   between the 1-worker and N-worker instrumented runs whenever no
 //!   ring overflow occurred.
-//! * `IOT_OBS_PROFILE` — arms the span-stack sampling profiler at the
-//!   given rate (Hz). When armed, the instrumented runs are sampled and
-//!   the folded profile is written to `IOT_OBS_PROFILE_OUT` (default
-//!   `target/profile.folded`) plus a speedscope JSON next to it at
-//!   `IOT_OBS_SPEEDSCOPE_OUT` (default `target/profile.speedscope.json`);
-//!   `profile_diff` compares the folded artifact against the committed
-//!   baseline in `verify.sh`. The identity gates above all run with the
-//!   sampler live, so sampling is continuously proven report-neutral.
+//! * `IOT_OBS_PROFILE_OUT` — where the instrumented N-worker run's span
+//!   tree is written as folded stacks (default `target/profile.folded`),
+//!   from the same registry as the run report; `obs_check` checks it
+//!   against the report and `profile_diff` compares it with the
+//!   committed baseline in `verify.sh`.
 //!
 //! The instrumented N-worker run uses the host's available parallelism.
 
@@ -48,7 +45,7 @@ use iot_analysis::SupervisorConfig;
 use iot_bench::harness::BenchResult;
 use iot_bench::{campaign_config, Scale};
 use iot_core::json::{Json, ToJson};
-use iot_obs::{chrome_trace, prometheus, RunReport, TraceMode};
+use iot_obs::{chrome_trace, folded_stacks, prometheus, RunReport, TraceMode};
 use iot_oracle::differential::check_worker_grid;
 use iot_testbed::schedule::CampaignConfig;
 use std::io::Write;
@@ -153,9 +150,6 @@ fn main() {
     // attribution; the identity gate below then covers obs + allocator
     // combined against the plain baseline.
     iot_obs::alloc::set_enabled(true);
-    // Start the profile artifact from a clean accumulator so it covers
-    // exactly the instrumented runs below, not the gate runs above.
-    iot_obs::profile::reset();
     let (obs_report, obs_registry) = {
         let mut p = Pipeline::with_obs(true);
         p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
@@ -200,7 +194,7 @@ fn main() {
 
     // Exporter artifacts: the parallel run's wall-clock Chrome trace
     // (Perfetto-loadable), its deterministic counterpart, and the
-    // Prometheus exposition of the folded registry.
+    // Prometheus exposition and folded span tree of its registry.
     let write_artifact = |env: &str, default: &str, contents: &str| {
         let path = PathBuf::from(std::env::var(env).unwrap_or_else(|_| default.to_string()));
         if let Some(parent) = path.parent() {
@@ -219,27 +213,17 @@ fn main() {
         &chrome_trace(&parallel_timeline, TraceMode::Wall).dump(),
     );
     write_artifact("IOT_OBS_TRACE_DET_OUT", "target/obs_trace_det.json", &det_parallel);
+    let obs_snap = obs_registry.snapshot();
     write_artifact(
         "IOT_OBS_PROM_OUT",
         "target/obs_metrics.prom",
-        &prometheus(&obs_registry.snapshot()),
+        &prometheus(&obs_snap),
     );
-    // Sampling-profiler artifacts, covering the two instrumented runs
-    // above. Folded stacks feed flamegraph tooling and `profile_diff`;
-    // the speedscope JSON is directly loadable at speedscope.app.
-    let profile_snap = iot_obs::profile::snapshot();
-    if iot_obs::profile::enabled() && !profile_snap.is_empty() {
-        write_artifact(
-            "IOT_OBS_PROFILE_OUT",
-            "target/profile.folded",
-            &iot_obs::folded_stacks(&profile_snap),
-        );
-        write_artifact(
-            "IOT_OBS_SPEEDSCOPE_OUT",
-            "target/profile.speedscope.json",
-            &iot_obs::speedscope_json(&profile_snap).pretty(),
-        );
-    }
+    write_artifact(
+        "IOT_OBS_PROFILE_OUT",
+        "target/profile.folded",
+        &folded_stacks(&obs_snap),
+    );
 
     // Instrumentation overhead is measured on *interleaved* pairs: one
     // obs-off run, then one obs-on run, per pair. Back-to-back blocks
@@ -270,13 +254,13 @@ fn main() {
 
     // Per-stage medians from the instrumented *serial* run's span
     // histograms — the same histograms the flight-recorder stage table
-    // prints. Captured into the committed bench snapshot so PRs that
-    // shift time between ingest stages are visible in review, not just
-    // in the total.
+    // prints — for the worker's `shard` tree. Captured into the
+    // committed bench snapshot so PRs that shift time between stages are
+    // visible in review, not just in the total.
     let serial_snap = serial_obs_registry.snapshot();
     let mut stages = Json::obj();
     for (path, hist) in &serial_snap.span_durations {
-        if path != "ingest" && !path.starts_with("ingest/") && path != "shard" {
+        if path != "shard" && !path.starts_with("shard/") {
             continue;
         }
         let mut s = Json::obj();
@@ -350,9 +334,6 @@ fn main() {
     );
     out.set("streaming", streaming);
     out.set("stages", stages);
-    if !profile_snap.is_empty() {
-        out.set("profile", profile_snap.to_json());
-    }
     out.set(
         "note",
         "obs_overhead_ratio = serial median with IOT_OBS instrumentation \

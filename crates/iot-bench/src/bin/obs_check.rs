@@ -4,19 +4,20 @@
 //!
 //! ```text
 //! obs_check <obs_run.json> <fresh_bench.json> <committed_bench.json> \
-//!           [obs_trace.json] [obs_metrics.prom] [profile.folded]
+//!           <obs_trace.json> <obs_metrics.prom> <profile.folded>
 //! ```
 //!
 //! Asserts that the run report written by an `IOT_OBS=1` bench run is
-//! well-formed and non-trivial, and that the bench's heap totals match
-//! the committed baseline:
+//! well-formed and non-trivial, that the bench's heap totals match the
+//! committed baseline, and that the exporter artifacts agree with the
+//! report:
 //!
 //! 1. the report parses as JSON (through the in-tree parser);
 //! 2. the stage counters (`experiments`, `flows`, `bytes`, `packets`)
 //!    are non-zero;
 //! 3. per-stage spans and per-worker gauges are present, and the
-//!    workers' time is attributed: `synth` (traffic synthesis) and
-//!    `ingest` together cover at least 95% of `shard`;
+//!    workers' time is attributed: `shard/synth` (traffic synthesis) and
+//!    `shard/ingest` together cover at least 95% of `shard`;
 //! 4. the instrumentation overhead measured by the fresh bench run
 //!    (`obs_overhead_ratio`) stays under 5%, with a small absolute
 //!    tolerance so sub-millisecond noise on tiny grids cannot fail the
@@ -25,9 +26,10 @@
 //!    block carries non-zero heap traffic, the counting-on run
 //!    reproduced the baseline report byte for byte
 //!    (`alloc_report_identical`), `alloc_overhead_ratio` stays under the
-//!    same 5% ceiling, the report attributes heap bytes to the ingest
-//!    span and carries the end-of-run allocator gauges, and the
-//!    Prometheus exposition includes the per-span memory series;
+//!    same 5% ceiling, the report attributes heap bytes to the
+//!    `shard/synth` and `shard/ingest` spans and carries the end-of-run
+//!    allocator gauges, and the Prometheus exposition includes the
+//!    per-span memory series;
 //! 6. the allocation gate: the fresh run's `scale` and `experiments`
 //!    equal the committed bench's (the third argument), and neither
 //!    `alloc.allocs_total` nor `alloc.bytes_total` moved more than 0.1%
@@ -36,25 +38,23 @@
 //!    no host key; a fall beyond the slack means the committed baseline
 //!    is stale and must be regenerated with the change that lowered it.
 //!
-//! The optional fourth/fifth arguments are the exporter artifacts
-//! written by `bench_pipeline`; when given, the Chrome trace must parse
-//! through the in-tree JSON parser with a non-empty per-worker
-//! `traceEvents` array, the Prometheus exposition must carry `# TYPE`
-//! lines and histogram `_bucket`/`_sum`/`_count` series, the run report
-//! must have recorded flight-recorder events, and the benchmark's
-//! `trace_deterministic_identical` gate must have held.
-//!
-//! The optional sixth argument is the folded-stack profile written by a
-//! `bench_pipeline` run with `IOT_OBS_PROFILE` armed: every line must be
-//! well-formed `frames count` text with positive counts, and at least
-//! one stack must be on-CPU (an all-idle profile means worker
-//! registration broke). The profiler's overhead needs no separate gate:
-//! the sampler is live during the instrumented runs, so its cost is
-//! inside the `obs_overhead_ratio` ceiling already enforced above.
+//! 7. the exporter artifacts `bench_pipeline` wrote: the Chrome trace
+//!    must parse through the in-tree JSON parser with a non-empty
+//!    per-worker `traceEvents` array, the Prometheus exposition must
+//!    carry `# TYPE` lines and histogram `_bucket`/`_sum`/`_count`
+//!    series, the run report must have recorded flight-recorder events,
+//!    and the benchmark's `trace_deterministic_identical` gate must have
+//!    held;
+//! 8. the folded profile is the report's span tree: its stacks are
+//!    exactly the report's span paths with at least 1 µs of self time
+//!    (the path's total less its direct children's), and each weight is
+//!    within 1 µs of that self time.
 //!
 //! Exits non-zero on any hard failure, so `verify.sh` can gate on it.
 
+use iot_bench::profile_diff::FoldedProfile;
 use iot_core::json::Json;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Hard ceiling on obs-on / obs-off median ratio.
@@ -210,49 +210,57 @@ fn check_exports(
     Ok(())
 }
 
-/// Folded-profile assertions: well-formed collapsed-stack text with
-/// positive counts and at least one on-CPU stack.
-fn check_profile(folded_path: &str) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(folded_path).map_err(|e| format!("{folded_path}: {e}"))?;
-    let mut total = 0u64;
-    let mut oncpu_stacks = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let (frames, count) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("{folded_path}:{}: no `frames count` split", lineno + 1))?;
-        if frames.is_empty() {
-            return Err(format!("{folded_path}:{}: empty frame list", lineno + 1));
-        }
-        let count: u64 = count.parse().map_err(|_| {
-            format!("{folded_path}:{}: count {count:?} is not an integer", lineno + 1)
-        })?;
-        if count == 0 {
-            return Err(format!("{folded_path}:{}: zero sample count", lineno + 1));
-        }
-        total += count;
-        if frames != "idle" {
-            oncpu_stacks += 1;
+/// A report span's total in nanoseconds. `total_ms` is written with
+/// round-trip precision, so this recovers the registry's integer.
+fn total_ns(span: &Json) -> u64 {
+    let ms = span.get("total_ms").and_then(Json::as_f64).unwrap_or(0.0);
+    (ms * 1e6).round() as u64
+}
+
+/// The folded profile must be the report's span tree: one stack per span
+/// path with at least 1 µs of self time, each weighted within 1 µs of it.
+fn check_folded(spans: &[(String, Json)], folded_path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(folded_path).map_err(|e| format!("{folded_path}: {e}"))?;
+    let folded = FoldedProfile::parse(&text).map_err(|e| format!("{folded_path}: {e}"))?;
+    let mut self_ns: BTreeMap<&str, i128> = spans
+        .iter()
+        .map(|(path, s)| (path.as_str(), i128::from(total_ns(s))))
+        .collect();
+    for (path, s) in spans {
+        if let Some(parent) = path.rsplit_once('/').and_then(|(p, _)| self_ns.get_mut(p)) {
+            *parent -= i128::from(total_ns(s));
         }
     }
-    if total == 0 {
-        return Err(format!("{folded_path}: profile holds no samples"));
-    }
-    if oncpu_stacks == 0 {
+    let expected: BTreeMap<String, f64> = self_ns
+        .into_iter()
+        .filter(|&(_, ns)| ns >= 1_000)
+        .map(|(path, ns)| (path.replace('/', ";"), ns as f64 / 1e3))
+        .collect();
+    if let Some(stack) = folded.counts.keys().find(|k| !expected.contains_key(*k)) {
         return Err(format!(
-            "{folded_path}: every sample is idle — worker registration is broken"
+            "{folded_path}: stack {stack:?} is not a report span path with 1 µs of self time"
         ));
     }
-    println!("obs_check: profile has {oncpu_stacks} on-CPU stack(s), {total} samples");
+    for (stack, &us) in &expected {
+        let weight = *folded.counts.get(stack).ok_or_else(|| {
+            format!("{folded_path}: no stack {stack:?} for {us:.1} µs of self time")
+        })?;
+        if (weight as f64 - us).abs() > 1.0 {
+            return Err(format!(
+                "{folded_path}: {stack} weighs {weight} µs, the report's self time is {us:.1} µs"
+            ));
+        }
+    }
+    println!(
+        "obs_check: folded profile matches the report's span tree ({} stacks, {} µs)",
+        folded.counts.len(),
+        folded.total
+    );
     Ok(())
 }
 
 fn check(
-    obs_path: &str,
-    bench_path: &str,
-    committed_path: &str,
-    export_paths: Option<(&str, &str)>,
-    folded_path: Option<&str>,
+    [obs_path, bench_path, committed_path, trace_path, prom_path, folded_path]: [&str; 6],
 ) -> Result<(), String> {
     let report = load(obs_path)?;
     let bench = load(bench_path)?;
@@ -281,22 +289,22 @@ fn check(
             .and_then(|(_, s)| s.get("total_ms"))
             .and_then(Json::as_f64)
     };
-    for required in ["synth", "ingest", "shard"] {
+    for required in ["shard/synth", "shard/ingest", "shard"] {
         if total_ms(required).is_none() {
             return Err(format!("{obs_path}: missing span {required:?}"));
         }
     }
     println!("obs_check: {} span paths", spans.len());
-    let covered = total_ms("synth").unwrap_or(0.0) + total_ms("ingest").unwrap_or(0.0);
+    let covered = total_ms("shard/synth").unwrap_or(0.0) + total_ms("shard/ingest").unwrap_or(0.0);
     let shard = total_ms("shard").unwrap_or(0.0);
     let coverage = covered / shard;
     if coverage.is_nan() || coverage < MIN_SHARD_COVERAGE {
         return Err(format!(
-            "{obs_path}: synth + ingest cover {coverage:.3} of shard ({covered:.1} of \
-             {shard:.1} ms), below {MIN_SHARD_COVERAGE}"
+            "{obs_path}: shard/synth + shard/ingest cover {coverage:.3} of shard \
+             ({covered:.1} of {shard:.1} ms), below {MIN_SHARD_COVERAGE}"
         ));
     }
-    println!("obs_check: synth + ingest cover {coverage:.3} of shard");
+    println!("obs_check: shard/synth + shard/ingest cover {coverage:.3} of shard");
     let gauges = report
         .get("gauges")
         .and_then(Json::members)
@@ -315,19 +323,23 @@ fn check(
     // bench_pipeline keeps heap counting on for the instrumented runs,
     // so the report must carry per-span heap attribution and the
     // end-of-run allocator gauges.
-    let ingest_alloc = spans
-        .iter()
-        .find(|(k, _)| k == "ingest")
-        .and_then(|(_, s)| s.get("alloc_bytes"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if ingest_alloc == 0 {
-        return Err(format!("{obs_path}: ingest span has no alloc_bytes attribution"));
+    for charged in ["shard/synth", "shard/ingest"] {
+        let bytes = spans
+            .iter()
+            .find(|(k, _)| k == charged)
+            .and_then(|(_, s)| s.get("alloc_bytes"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
+        if bytes == 0 {
+            return Err(format!(
+                "{obs_path}: {charged} span has no alloc_bytes attribution"
+            ));
+        }
+        println!("obs_check: {charged} span charged {bytes} heap bytes");
     }
     if gauges.iter().all(|(k, _)| k != "alloc.high_water_bytes") {
         return Err(format!("{obs_path}: missing gauge \"alloc.high_water_bytes\""));
     }
-    println!("obs_check: ingest span charged {ingest_alloc} heap bytes");
 
     // 4. Overhead gate on the fresh in-process measurement.
     let ratio = bench
@@ -416,39 +428,23 @@ fn check(
         .map_err(|e| format!("{bench_path} vs {committed_path}: {e}"))?;
     println!("obs_check: heap totals match {committed_path}: {line}");
 
-    // Exporter artifacts, when bench_pipeline wrote them.
-    if let Some((trace_path, prom_path)) = export_paths {
-        check_exports(&report, &bench, trace_path, prom_path)?;
-    }
-    // Sampling-profiler artifact, when the bench ran with the sampler
-    // armed.
-    if let Some(folded) = folded_path {
-        check_profile(folded)?;
-    }
-    Ok(())
+    // 7–8. Exporter artifacts.
+    check_exports(&report, &bench, trace_path, prom_path)?;
+    check_folded(spans, folded_path)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 3 {
+    let Ok(paths) = <[&str; 6]>::try_from(args.iter().map(String::as_str).collect::<Vec<_>>())
+    else {
         eprintln!(
             "usage: obs_check <obs_run.json> <fresh_bench.json> \
-             <committed_bench.json> [obs_trace.json] [obs_metrics.prom] \
-             [profile.folded]"
+             <committed_bench.json> <obs_trace.json> <obs_metrics.prom> \
+             <profile.folded>"
         );
         return ExitCode::FAILURE;
-    }
-    let export_paths = match (args.get(3), args.get(4)) {
-        (Some(t), Some(p)) => Some((t.as_str(), p.as_str())),
-        _ => None,
     };
-    match check(
-        &args[0],
-        &args[1],
-        &args[2],
-        export_paths,
-        args.get(5).map(String::as_str),
-    ) {
+    match check(paths) {
         Ok(()) => {
             println!("obs_check: OK");
             ExitCode::SUCCESS

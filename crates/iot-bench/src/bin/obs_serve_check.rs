@@ -15,16 +15,16 @@
 //!    dropped + lost + quarantined`) even under an armed fault plan,
 //!    and — with the instrumented allocator counting — carries a live
 //!    `alloc` block while `/metrics` carries the per-span memory series;
-//! 5. with the sampling profiler armed for the campaign, `/profile`
-//!    serves non-empty collapsed-stack text whose lines are well-formed
-//!    `frames count` pairs, and `/metrics` carries the
-//!    `iot_profile_samples_total` series;
+//! 5. `/profile` serves the published span tree as folded stacks that
+//!    parse like any folded profile, include `shard;synth` and
+//!    `shard;ingest;flows`, and name only spans `/metrics` carries;
 //! 6. unknown routes answer 404 and non-GET methods answer 405.
 //!
 //! Exits non-zero on any failure, so `verify.sh` can gate on it.
 
 use iot_analysis::pipeline::Pipeline;
 use iot_analysis::SupervisorConfig;
+use iot_bench::profile_diff::FoldedProfile;
 use iot_core::json::Json;
 use iot_testbed::schedule::CampaignConfig;
 use std::io::{Read, Write};
@@ -87,9 +87,6 @@ fn check() -> Result<(), String> {
     // series: per-span memory counters in /metrics, the alloc block in
     // /progress.
     iot_obs::alloc::set_enabled(true);
-    // Sampling profiler armed, so /profile has stacks to serve and
-    // /metrics carries the sample series.
-    iot_obs::profile::start(997);
 
     // A small campaign, instrumented and lightly faulted so quarantine
     // accounting is exercised, on a worker thread so the endpoint can be
@@ -136,9 +133,8 @@ fn check() -> Result<(), String> {
         "iot_experiment_packets_bucket{le=",
         "_sum ",
         "_count ",
-        "iot_span_duration_ns_bucket{span=\"ingest\",le=",
+        "iot_span_duration_ns_bucket{span=\"shard/ingest\",le=",
         "iot_span_alloc_bytes_total{span=",
-        "# TYPE iot_profile_samples_total counter",
     ] {
         if !metrics.contains(needle) {
             return Err(format!("/metrics: missing {needle:?} in:\n{metrics}"));
@@ -201,25 +197,30 @@ fn check() -> Result<(), String> {
     }
     println!("obs_serve_check: /progress alloc block OK ({alloc_bytes} bytes allocated)");
 
-    // 5. /profile: collapsed-stack text from the armed sampler.
+    // 5. /profile: the published span tree as folded stacks, from the
+    // same snapshot as /metrics.
     let (status, folded) = get(addr, "/profile")?;
     expect_status("/profile", &status, "200")?;
-    if folded.trim().is_empty() {
-        return Err("/profile: empty body with the sampler armed".to_string());
+    let folded = FoldedProfile::parse(&folded).map_err(|e| format!("/profile: {e}"))?;
+    for want in ["shard;synth", "shard;ingest;flows"] {
+        if !folded.counts.contains_key(want) {
+            return Err(format!("/profile: no {want} stack"));
+        }
     }
-    for line in folded.lines() {
-        let (frames, count) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("/profile: malformed line {line:?}"))?;
-        if frames.is_empty() || count.parse::<u64>().is_err() {
-            return Err(format!("/profile: malformed line {line:?}"));
+    for stack in folded.counts.keys() {
+        let series = format!(
+            "iot_span_calls_total{{span=\"{}\"}}",
+            stack.replace(';', "/")
+        );
+        if !metrics.contains(&series) {
+            return Err(format!("/profile: stack {stack} is not a span in /metrics"));
         }
     }
     println!(
-        "obs_serve_check: /profile OK ({} stack line(s))",
-        folded.lines().count()
+        "obs_serve_check: /profile OK ({} stacks, {} µs)",
+        folded.counts.len(),
+        folded.total
     );
-    iot_obs::profile::set_enabled(false);
 
     // 6. Error paths.
     let (status, _) = get(addr, "/nope")?;

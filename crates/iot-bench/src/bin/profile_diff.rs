@@ -6,9 +6,9 @@
 //! profile_diff <head.folded> <baseline.folded>
 //! ```
 //!
-//! Parses two collapsed-stack profiles (the fresh one `bench_pipeline`
+//! Parses two folded span-tree profiles (the fresh one `bench_pipeline`
 //! wrote and the committed baseline under `results/`) and prints the
-//! stacks whose share of samples moved the most. Share shifts are
+//! stacks whose share of self time moved the most. Share shifts are
 //! informational by default — the two profiles come from different
 //! machines and runs, so only gross shape changes mean anything — but
 //! setting `IOT_PROFILE_DIFF_MAX_SHIFT` (a fraction, e.g. `0.25`) turns
@@ -27,7 +27,7 @@ fn run(head_path: &str, base_path: &str) -> Result<bool, String> {
         std::fs::read_to_string(head_path).map_err(|e| format!("{head_path}: {e}"))?;
     let head = FoldedProfile::parse(&head_text).map_err(|e| format!("{head_path}: {e}"))?;
     println!(
-        "profile_diff: head {} stacks / {} samples ({head_path})",
+        "profile_diff: head {} stacks / {} µs ({head_path})",
         head.counts.len(),
         head.total
     );
@@ -44,7 +44,7 @@ fn run(head_path: &str, base_path: &str) -> Result<bool, String> {
     };
     let base = FoldedProfile::parse(&base_text).map_err(|e| format!("{base_path}: {e}"))?;
     println!(
-        "profile_diff: base {} stacks / {} samples ({base_path})",
+        "profile_diff: base {} stacks / {} µs ({base_path})",
         base.counts.len(),
         base.total
     );

@@ -2,28 +2,28 @@
 //!
 //! A folded profile is the collapsed-stack text format flamegraph tools
 //! consume: one line per distinct stack, `frame;frame;frame <count>`.
-//! The profiler's exporter ([`iot_obs::folded_stacks`]) writes it from a
-//! live [`iot_obs::ProfileSnapshot`]; this module reads two such files —
-//! a fresh HEAD profile and a committed baseline — and reports how the
-//! *share* of samples per stack shifted between them.
+//! [`iot_obs::folded_stacks`] writes a registry's span tree in it, each
+//! span path weighted by its self time in microseconds. This module
+//! parses that format for every reader (`obs_check`, `obs_serve_check`,
+//! `profile_diff`), and compares two profiles — a fresh HEAD profile and
+//! a committed baseline — by how the *share* of weight per stack
+//! shifted between them.
 //!
-//! Shares, not raw counts: the two profiles were almost certainly taken
-//! on different machines for different durations, so absolute sample
-//! counts are incomparable, but the fraction of time a stack accounts
-//! for is. The `profile_diff` binary prints the largest shifts and (by
-//! default) treats them as informational, mirroring how `obs_check`
-//! treats committed timings from another machine; setting
-//! `IOT_PROFILE_DIFF_MAX_SHIFT` turns the largest absolute shift into a
-//! hard gate.
+//! Shares, not raw weights: the two profiles were almost certainly taken
+//! on different machines, so absolute times are incomparable, but the
+//! fraction of time a stack accounts for is. The `profile_diff` binary
+//! prints the largest shifts and by default treats them as
+//! informational; setting `IOT_PROFILE_DIFF_MAX_SHIFT` turns the largest
+//! absolute shift into a hard gate.
 
 use std::collections::BTreeMap;
 
 /// A parsed folded-stack profile.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FoldedProfile {
-    /// Total samples across every line (on-CPU and idle together).
+    /// Total weight across every line.
     pub total: u64,
-    /// Per-stack sample counts, keyed by the semicolon-joined frames.
+    /// Per-stack weights, keyed by the semicolon-joined frames.
     pub counts: BTreeMap<String, u64>,
 }
 
@@ -31,7 +31,8 @@ impl FoldedProfile {
     /// Parses collapsed-stack text. Every non-empty line must be
     /// `frames <count>` with a positive integer count; anything else is
     /// a hard error — a malformed profile artifact means the emitting
-    /// pipeline is broken, not that the profile is merely stale.
+    /// pipeline is broken, not that the profile is merely stale. A stack
+    /// listed twice sums its counts.
     pub fn parse(text: &str) -> Result<FoldedProfile, String> {
         let mut profile = FoldedProfile::default();
         for (lineno, line) in text.lines().enumerate() {
@@ -49,19 +50,19 @@ impl FoldedProfile {
                 .parse()
                 .map_err(|_| format!("line {}: count {count:?} is not an integer", lineno + 1))?;
             if count == 0 {
-                return Err(format!("line {}: zero sample count", lineno + 1));
+                return Err(format!("line {}: zero count", lineno + 1));
             }
             *profile.counts.entry(frames.to_string()).or_insert(0) += count;
             profile.total += count;
         }
         if profile.total == 0 {
-            return Err("profile holds no samples".to_string());
+            return Err("profile is empty".to_string());
         }
         Ok(profile)
     }
 
-    /// The fraction of all samples attributed to `frames` (0 when the
-    /// stack never appears).
+    /// The fraction of the total weight on `frames` (0 when the stack
+    /// never appears).
     pub fn share(&self, frames: &str) -> f64 {
         *self.counts.get(frames).unwrap_or(&0) as f64 / self.total.max(1) as f64
     }
@@ -74,9 +75,9 @@ impl FoldedProfile {
 pub struct ShareShift {
     /// Semicolon-joined stack frames.
     pub frames: String,
-    /// Share of samples in the HEAD profile.
+    /// Share of weight in the HEAD profile.
     pub head_share: f64,
-    /// Share of samples in the baseline profile.
+    /// Share of weight in the baseline profile.
     pub base_share: f64,
     /// `head_share - base_share`.
     pub delta: f64,
@@ -137,37 +138,40 @@ mod tests {
 
     #[test]
     fn parse_accepts_folded_and_rejects_malformed() {
-        let p = FoldedProfile::parse("oncpu;ingest 6\noncpu;ingest;flows 3\nidle 1\n").unwrap();
+        let p = FoldedProfile::parse("shard;ingest 6\nshard;ingest;flows 3\nshard 1\n").unwrap();
         assert_eq!(p.total, 10);
-        assert_eq!(p.counts["oncpu;ingest"], 6);
-        assert!((p.share("idle") - 0.1).abs() < 1e-12);
-        assert!(FoldedProfile::parse("").is_err(), "no samples");
-        assert!(FoldedProfile::parse("oncpu;ingest\n").is_err(), "no count");
-        assert!(FoldedProfile::parse("oncpu;ingest x\n").is_err(), "bad count");
+        assert_eq!(p.counts["shard;ingest"], 6);
+        assert!((p.share("shard") - 0.1).abs() < 1e-12);
+        assert!(FoldedProfile::parse("").is_err(), "empty");
+        assert!(FoldedProfile::parse("shard;ingest\n").is_err(), "no count");
+        assert!(
+            FoldedProfile::parse("shard;ingest x\n").is_err(),
+            "bad count"
+        );
         assert!(FoldedProfile::parse(" 5\n").is_err(), "empty frames");
-        assert!(FoldedProfile::parse("oncpu 0\n").is_err(), "zero count");
+        assert!(FoldedProfile::parse("shard 0\n").is_err(), "zero count");
     }
 
     #[test]
     fn diff_orders_by_absolute_shift_and_covers_both_sides() {
-        let head = FoldedProfile::parse("oncpu;a 8\noncpu;b 2\n").unwrap();
-        let base = FoldedProfile::parse("oncpu;a 5\noncpu;c 5\n").unwrap();
+        let head = FoldedProfile::parse("shard;a 8\nshard;b 2\n").unwrap();
+        let base = FoldedProfile::parse("shard;a 5\nshard;c 5\n").unwrap();
         let shifts = diff(&head, &base);
         assert_eq!(shifts.len(), 3, "union of stacks");
         // c vanished (-50%), a grew (+30%), b appeared (+20%).
-        assert_eq!(shifts[0].frames, "oncpu;c");
+        assert_eq!(shifts[0].frames, "shard;c");
         assert!((shifts[0].delta + 0.5).abs() < 1e-12);
-        assert_eq!(shifts[1].frames, "oncpu;a");
+        assert_eq!(shifts[1].frames, "shard;a");
         assert!((shifts[1].delta - 0.3).abs() < 1e-12);
-        assert_eq!(shifts[2].frames, "oncpu;b");
+        assert_eq!(shifts[2].frames, "shard;b");
         let rendered = render(&shifts, 2);
         assert_eq!(rendered.lines().count(), 2);
-        assert!(rendered.contains("oncpu;c"), "{rendered}");
+        assert!(rendered.contains("shard;c"), "{rendered}");
     }
 
     #[test]
     fn identical_profiles_have_zero_shift() {
-        let p = FoldedProfile::parse("oncpu;a 4\nidle 6\n").unwrap();
+        let p = FoldedProfile::parse("shard;a 4\nshard 6\n").unwrap();
         for s in diff(&p, &p) {
             assert_eq!(s.delta, 0.0, "{s:?}");
         }

@@ -1,6 +1,6 @@
 //! Environment-driven configuration.
 //!
-//! Four variables control the layer. They are read **once per process**
+//! Five variables control the layer. They are read **once per process**
 //! into a single [`OnceLock`]-cached [`ObsConfig`] — every call-site
 //! gate (`enabled()`, `verbose()`, report paths, the serve address, the
 //! event-ring capacity) resolves through that one cached struct, so a
@@ -21,10 +21,6 @@
 //!   profiled without span recording and vice versa. The allocator
 //!   itself never reads the environment (that would allocate); this
 //!   module flips its flag when the config is first resolved.
-//! * `IOT_OBS_PROFILE` — `<hz>` arms the span-stack sampling profiler
-//!   (see [`crate::profile`]) at `<hz>` samples per second. Like the
-//!   allocator, the sampler never reads the environment itself; it is
-//!   started here when the config first resolves.
 
 use crate::events::DEFAULT_EVENT_CAPACITY;
 use std::sync::OnceLock;
@@ -45,8 +41,6 @@ pub struct ObsConfig {
     pub event_capacity: usize,
     /// Instrumented-allocator gate (`IOT_OBS_ALLOC`).
     pub alloc: bool,
-    /// Sampling-profiler rate in Hz (`IOT_OBS_PROFILE`), if armed.
-    pub profile_hz: Option<u64>,
 }
 
 impl ObsConfig {
@@ -73,17 +67,12 @@ impl ObsConfig {
                 !v.is_empty() && v != "0"
             })
             .unwrap_or(false);
-        let profile_hz = std::env::var("IOT_OBS_PROFILE")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&hz| hz > 0);
         ObsConfig {
             verbosity,
             out_path,
             serve_addr,
             event_capacity,
             alloc,
-            profile_hz,
         }
     }
 }
@@ -100,11 +89,6 @@ pub fn global() -> &'static ObsConfig {
         // `alloc::set_enabled`.
         if cfg.alloc {
             crate::alloc::set_enabled(true);
-        }
-        // Same one-shot arming for the sampling profiler: the span hot
-        // path only ever checks an atomic, never the environment.
-        if let Some(hz) = cfg.profile_hz {
-            crate::profile::start(hz);
         }
         cfg
     })
@@ -143,9 +127,6 @@ mod tests {
         }
         if std::env::var("IOT_OBS_ALLOC").is_err() {
             assert!(!c.alloc);
-        }
-        if std::env::var("IOT_OBS_PROFILE").is_err() {
-            assert_eq!(c.profile_hz, None);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Exporters: the flight-recorder timeline as Chrome trace-event JSON,
-//! the registry snapshot as Prometheus text exposition, and the
-//! sampling profiler's folded-stack / speedscope renderings.
+//! and the registry snapshot as Prometheus text exposition or as a
+//! folded-stack profile of its span tree.
 //!
 //! ## Chrome trace
 //!
@@ -31,26 +31,23 @@
 //! query in the run report uses, so a p95 read from the stage table and
 //! a p95 computed from the scraped buckets can never disagree. Span
 //! aggregates export as `iot_span_calls_total{span="…"}` counters and
-//! `iot_span_duration_ns{span="…"}` histograms. When the sampling
-//! profiler has accumulated samples, [`prometheus_with_profile`] adds
-//! `iot_profile_samples_total{span,state}` counters.
+//! `iot_span_duration_ns{span="…"}` histograms.
 //!
-//! ## Profiler artifacts
+//! ## Folded profile
 //!
-//! [`folded_stacks`] renders a [`ProfileSnapshot`] in the collapsed
-//! stack format `flamegraph.pl` and speedscope both ingest: one
-//! `frame;frame;... count` line per sampled span path (path separators
-//! `/` become `;`, every stack rooted at an `oncpu` frame) plus a
-//! trailing `idle count` line. Because span paths are hierarchical, a
-//! single leaf count expands to its whole ancestry. [`speedscope_json`]
-//! renders the same data in speedscope's native JSON file format
-//! (`"type": "sampled"`, one synthetic sample per folded count).
+//! [`folded_stacks`] renders a [`Snapshot`]'s span tree in the
+//! collapsed-stack format `flamegraph.pl` and speedscope both ingest:
+//! one `frame;frame;... µs` line per span path (`/` becomes `;`),
+//! weighted by the path's *self* time — its total minus the totals of
+//! its direct child paths. The weights of a tree therefore add up to
+//! its root's total, less each line's sub-microsecond remainder, and
+//! equal snapshots render the same bytes.
 
 use crate::events::{Event, EventKind, Timeline};
 use crate::metrics::Histogram;
-use crate::profile::ProfileSnapshot;
 use crate::registry::Snapshot;
 use iot_core::json::{Json, ToJson};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Timestamp/ordering mode for [`chrome_trace`].
@@ -199,22 +196,7 @@ fn write_histogram(out: &mut String, family: &str, labels: &str, h: &Histogram) 
 }
 
 /// Renders a registry snapshot in Prometheus text exposition format.
-/// When the sampling profiler is armed and has samples, the exposition
-/// includes the live `iot_profile_samples_total` series; scrapes with
-/// the profiler off are byte-identical to the pre-profiler exposition.
 pub fn prometheus(snap: &Snapshot) -> String {
-    let live = if crate::profile::enabled() {
-        let p = crate::profile::snapshot();
-        (!p.is_empty()).then_some(p)
-    } else {
-        None
-    };
-    prometheus_with_profile(snap, live.as_ref())
-}
-
-/// [`prometheus`] with an explicit (possibly absent) profile snapshot —
-/// the deterministic entry point golden tests render through.
-pub fn prometheus_with_profile(snap: &Snapshot, profile: Option<&ProfileSnapshot>) -> String {
     let mut out = String::new();
     for (name, value) in &snap.counters {
         let family = format!("{}_total", sanitize(name));
@@ -266,103 +248,32 @@ pub fn prometheus_with_profile(snap: &Snapshot, profile: Option<&ProfileSnapshot
             }
         }
     }
-    // Profiler series — absent unless a snapshot with samples was
-    // supplied, so profiler-off scrapes are unchanged. The idle series
-    // keeps the same label set with an empty span for consistency.
-    if let Some(p) = profile.filter(|p| !p.is_empty()) {
-        let _ = writeln!(out, "# TYPE iot_profile_samples_total counter");
-        let _ = writeln!(
-            out,
-            "iot_profile_samples_total{{span=\"\",state=\"idle\"}} {}",
-            p.idle_samples
-        );
-        for (path, count) in &p.counts {
-            let _ = writeln!(
-                out,
-                "iot_profile_samples_total{{span=\"{}\",state=\"oncpu\"}} {count}",
-                escape_label(path)
-            );
-        }
-    }
     out
 }
 
-/// Renders a profile snapshot in collapsed-stack ("folded") format:
-/// `oncpu;ingest;flows 123` per span path (ancestry expanded from the
-/// hierarchical path), then a trailing `idle N` line when registered
-/// threads were sampled outside any span. The sum of all counts equals
-/// `total_samples`; line order follows the snapshot's sorted paths, so
-/// identical profiles render byte-identically.
-pub fn folded_stacks(p: &ProfileSnapshot) -> String {
+/// Renders the snapshot's span tree in collapsed-stack ("folded")
+/// format: `shard;ingest;flows 123` per span path, weighted by the
+/// path's self time in whole microseconds. Paths with less than 1 µs of
+/// self time are left out, and lines follow the snapshot's sorted
+/// paths, so equal snapshots render byte-identically.
+pub fn folded_stacks(snap: &Snapshot) -> String {
+    let mut self_ns: BTreeMap<&str, u64> = snap
+        .spans
+        .iter()
+        .map(|(path, s)| (path.as_str(), s.total_ns))
+        .collect();
+    for (path, s) in &snap.spans {
+        if let Some(parent) = path.rsplit_once('/').and_then(|(p, _)| self_ns.get_mut(p)) {
+            *parent = parent.saturating_sub(s.total_ns);
+        }
+    }
     let mut out = String::new();
-    for (path, count) in &p.counts {
-        let _ = writeln!(out, "oncpu;{} {count}", path.replace('/', ";"));
-    }
-    if p.idle_samples > 0 {
-        let _ = writeln!(out, "idle {}", p.idle_samples);
+    for (path, ns) in self_ns {
+        if ns >= 1_000 {
+            let _ = writeln!(out, "{} {}", path.replace('/', ";"), ns / 1_000);
+        }
     }
     out
-}
-
-/// Renders a profile snapshot in speedscope's JSON file format: an
-/// evented-free `"sampled"` profile whose samples are frame-index
-/// stacks weighted by the folded counts.
-pub fn speedscope_json(p: &ProfileSnapshot) -> Json {
-    // Frames are interned per stack prefix (named by the leaf segment)
-    // so sibling spans that share a label under different parents stay
-    // distinct frames.
-    let mut frames: Vec<Json> = Vec::new();
-    let mut frame_index: std::collections::HashMap<String, u64> =
-        std::collections::HashMap::new();
-    let mut intern = |key: &str, name: &str, frames: &mut Vec<Json>| -> u64 {
-        if let Some(&i) = frame_index.get(key) {
-            return i;
-        }
-        let i = frames.len() as u64;
-        let mut f = Json::obj();
-        f.set("name", name.to_json());
-        frames.push(f);
-        frame_index.insert(key.to_string(), i);
-        i
-    };
-    let mut samples: Vec<Json> = Vec::new();
-    let mut weights: Vec<Json> = Vec::new();
-    for (path, &count) in &p.counts {
-        let mut stack = vec![intern("oncpu", "oncpu", &mut frames)];
-        let mut prefix = String::new();
-        for segment in path.split('/') {
-            if !prefix.is_empty() {
-                prefix.push('/');
-            }
-            prefix.push_str(segment);
-            stack.push(intern(&prefix, segment, &mut frames));
-        }
-        samples.push(Json::Arr(stack.into_iter().map(|i| i.to_json()).collect()));
-        weights.push(count.to_json());
-    }
-    if p.idle_samples > 0 {
-        let idle = intern("idle", "idle", &mut frames);
-        samples.push(Json::Arr(vec![idle.to_json()]));
-        weights.push(p.idle_samples.to_json());
-    }
-    let mut shared = Json::obj();
-    shared.set("frames", Json::Arr(frames));
-    let mut prof = Json::obj();
-    prof.set("type", "sampled".to_json());
-    prof.set("name", format!("iot span profile ({} hz)", p.hz).to_json());
-    prof.set("unit", "none".to_json());
-    prof.set("startValue", 0u64.to_json());
-    prof.set("endValue", p.total_samples.to_json());
-    prof.set("samples", Json::Arr(samples));
-    prof.set("weights", Json::Arr(weights));
-    let mut j = Json::obj();
-    j.set(
-        "$schema",
-        "https://www.speedscope.app/file-format-schema.json".to_json(),
-    );
-    j.set("shared", shared);
-    j.set("profiles", Json::Arr(vec![prof]));
-    j
 }
 
 #[cfg(test)]
@@ -483,71 +394,82 @@ mod tests {
         assert_eq!(h.quantile_upper_bound(0.5), Some(3));
     }
 
-    fn fixed_profile() -> ProfileSnapshot {
-        ProfileSnapshot {
-            hz: 97,
-            total_samples: 10,
-            idle_samples: 3,
-            counts: [("ingest".to_string(), 5), ("ingest/flows".to_string(), 2)]
-                .into_iter()
-                .collect(),
-        }
-    }
-
     #[test]
-    fn folded_stacks_expand_ancestry_and_sum_to_total() {
-        let p = fixed_profile();
-        let folded = folded_stacks(&p);
-        assert_eq!(folded, "oncpu;ingest 5\noncpu;ingest;flows 2\nidle 3\n");
-        let sum: u64 = folded
-            .lines()
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(sum, p.total_samples);
-        // Empty profiles render to an empty artifact, not a stray line.
-        assert_eq!(folded_stacks(&ProfileSnapshot::default()), "");
-    }
-
-    #[test]
-    fn speedscope_json_is_well_formed_and_weighted() {
-        let p = fixed_profile();
-        let j = speedscope_json(&p);
-        let doc = j.dump();
-        let parsed = Json::parse(&doc).unwrap();
-        assert_eq!(parsed.dump(), doc);
-        let profiles = j.get("profiles").and_then(Json::items).unwrap();
-        assert_eq!(profiles.len(), 1);
-        assert_eq!(
-            profiles[0].get("endValue").and_then(Json::as_u64),
-            Some(p.total_samples)
-        );
-        let weights = profiles[0].get("weights").and_then(Json::items).unwrap();
-        let total: u64 = weights.iter().filter_map(Json::as_u64).sum();
-        assert_eq!(total, p.total_samples);
-        let samples = profiles[0].get("samples").and_then(Json::items).unwrap();
-        assert_eq!(samples.len(), weights.len());
-        // ingest/flows folds to a three-frame stack: oncpu;ingest;flows.
-        assert!(samples.iter().any(|s| s.items().is_some_and(|v| v.len() == 3)));
-    }
-
-    #[test]
-    fn prometheus_profile_series_appear_only_with_samples() {
+    fn folded_stacks_weight_record_ns_paths_by_self_time() {
         let r = Registry::with_event_capacity(true, 0);
-        r.add("experiments", 1);
-        let snap = r.snapshot();
-        let quiet = prometheus_with_profile(&snap, None);
-        assert!(!quiet.contains("iot_profile"), "{quiet}");
+        let us = Duration::from_micros;
+        r.record_ns("shard", us(100));
+        r.record_ns("shard/synth", us(30));
+        r.record_ns("shard/ingest", us(50));
+        // Children given by full path; they use up all of ingest's time.
+        r.record_ns("shard/ingest/flows", us(20));
+        r.record_ns("shard/ingest/pii", us(30));
+        r.record_ns("finish", Duration::from_nanos(1_500));
+        r.record_ns("report", Duration::from_nanos(999));
+        // Only direct children count against a parent: `shard` keeps
+        // 100 - 30 - 50 µs. `shard/ingest` (0 µs) and `report` (under
+        // 1 µs) are left out.
         assert_eq!(
-            quiet,
-            prometheus_with_profile(&snap, Some(&ProfileSnapshot::default()))
+            folded_stacks(&r.snapshot()),
+            "finish 1\nshard 20\nshard;ingest;flows 20\nshard;ingest;pii 30\nshard;synth 30\n"
         );
-        let text = prometheus_with_profile(&snap, Some(&fixed_profile()));
-        assert!(text.contains("# TYPE iot_profile_samples_total counter"), "{text}");
-        assert!(text.contains("iot_profile_samples_total{span=\"\",state=\"idle\"} 3"));
-        assert!(text.contains("iot_profile_samples_total{span=\"ingest\",state=\"oncpu\"} 5"));
-        assert!(
-            text.contains("iot_profile_samples_total{span=\"ingest/flows\",state=\"oncpu\"} 2")
+    }
+
+    #[test]
+    fn folded_stacks_weight_guard_nested_spans_by_self_time() {
+        let r = Registry::with_event_capacity(true, 0);
+        let nap = || std::thread::sleep(Duration::from_millis(1));
+        r.record_ns("shard", Duration::from_secs(1));
+        for _ in 0..2 {
+            // A label given as a path nests under the `record_ns` parent.
+            let _ingest = r.span("shard/ingest");
+            nap();
+            let _flows = r.span("flows");
+            nap();
+        }
+        let snap = r.snapshot();
+        let total = |path: &str| snap.spans[path].total_ns;
+        let (shard, ingest, flows) = (
+            total("shard"),
+            total("shard/ingest"),
+            total("shard/ingest/flows"),
         );
+        assert!(ingest - flows >= 2_000_000, "two naps outside flows");
+        assert_eq!(
+            folded_stacks(&snap),
+            format!(
+                "shard {}\nshard;ingest {}\nshard;ingest;flows {}\n",
+                (shard - ingest) / 1_000,
+                (ingest - flows) / 1_000,
+                flows / 1_000
+            )
+        );
+    }
+
+    #[test]
+    fn folded_stacks_are_merge_order_independent() {
+        let shard = |k: u64| {
+            let r = Registry::with_event_capacity(true, 0);
+            r.record_ns("shard", Duration::from_micros(110 * k + 7));
+            r.record_ns("shard/synth", Duration::from_micros(10 * k));
+            r.record_ns("shard/ingest", Duration::from_micros(100 * k));
+            r
+        };
+        let render = |order: [u64; 3]| {
+            let driver = Registry::with_event_capacity(true, 0);
+            driver.record_ns("finish", Duration::from_micros(3));
+            for k in order {
+                driver.merge(shard(k));
+            }
+            folded_stacks(&driver.snapshot())
+        };
+        let folded = render([1, 2, 3]);
+        assert_eq!(folded, render([3, 1, 2]));
+        assert_eq!(
+            folded,
+            "finish 3\nshard 21\nshard;ingest 600\nshard;synth 60\n"
+        );
+        assert_eq!(folded_stacks(&Snapshot::default()), "");
     }
 
     #[test]

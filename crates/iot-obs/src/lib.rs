@@ -21,13 +21,9 @@
 //! * [`events`] — the flight recorder: a fixed-capacity, shard-local
 //!   [`EventRing`] of span begin/end and counter-delta [`Event`]s,
 //!   folded at merge time into one [`Timeline`].
-//! * [`profile`] — the span-stack sampling profiler (`IOT_OBS_PROFILE`):
-//!   a lock-free per-thread seqlock slot publishes the current interned
-//!   span path; a sampler thread folds slot contents into flamegraph
-//!   counts at a fixed rate, observational-only.
 //! * [`export`] — [`chrome_trace`] (Perfetto-loadable trace-event JSON),
-//!   [`prometheus`] (text exposition 0.0.4), and the profiler's
-//!   [`folded_stacks`] / [`speedscope_json`] renderers.
+//!   [`prometheus`] (text exposition 0.0.4), and [`folded_stacks`], the
+//!   span tree as a collapsed-stack profile weighted by self time.
 //! * [`serve`] — an optional std-only HTTP endpoint (`IOT_OBS_SERVE`)
 //!   serving `/metrics`, `/trace`, `/progress`, and `/profile` live
 //!   during a run.
@@ -75,7 +71,6 @@ pub mod export;
 pub mod log;
 pub mod metrics;
 pub mod process;
-pub mod profile;
 pub mod registry;
 pub mod report;
 pub mod serve;
@@ -84,9 +79,8 @@ pub mod span;
 pub use alloc::AllocStats;
 pub use config::{enabled, verbose};
 pub use events::{Event, EventKind, EventRing, Timeline};
-pub use export::{chrome_trace, folded_stacks, prometheus, speedscope_json, TraceMode};
+pub use export::{chrome_trace, folded_stacks, prometheus, TraceMode};
 pub use metrics::Histogram;
-pub use profile::ProfileSnapshot;
 pub use registry::{Registry, SpanGuard};
 pub use report::RunReport;
 pub use span::SpanStats;

@@ -62,10 +62,6 @@ struct Inner {
     children: Vec<Vec<(String, usize)>>,
     /// Slots of currently open spans, outermost first.
     stack: Vec<usize>,
-    /// Lazily resolved global profiler-arena id per slot (`u32::MAX`
-    /// until first published). Purely a cache for the sampling
-    /// profiler's publication path; never merged, never serialized.
-    profile_ids: Vec<u32>,
     /// Flight recorder (None when events are disabled).
     events: Option<EventRing>,
     /// Events folded in from merged shard registries, indices into
@@ -87,7 +83,6 @@ impl Inner {
             span_allocs: Vec::new(),
             children: vec![Vec::new()],
             stack: Vec::new(),
-            profile_ids: Vec::new(),
             events,
             merged_events: Vec::new(),
             merged_labels: Vec::new(),
@@ -110,7 +105,6 @@ impl Inner {
         self.span_stats.push(SpanStats::default());
         self.span_hists.push(Histogram::default());
         self.span_allocs.push(AllocStats::default());
-        self.profile_ids.push(u32::MAX);
         self.children.push(Vec::new());
         self.children[ci].push((label.to_string(), slot));
         slot
@@ -128,23 +122,9 @@ impl Inner {
         self.span_stats.push(SpanStats::default());
         self.span_hists.push(Histogram::default());
         self.span_allocs.push(AllocStats::default());
-        self.profile_ids.push(u32::MAX);
         self.children.push(Vec::new());
         self.children[0].push((path.to_string(), slot));
         slot
-    }
-
-    /// Resolves a slot's global profiler-arena id, interning the full
-    /// path on first publication. Span paths are hierarchical, so the
-    /// leaf id alone reconstructs the whole stack at fold time.
-    fn profile_id(&mut self, slot: usize) -> u32 {
-        let cached = self.profile_ids[slot];
-        if cached != u32::MAX {
-            return cached;
-        }
-        let id = crate::profile::intern_path(&self.span_paths[slot]);
-        self.profile_ids[slot] = id;
-        id
     }
 
     /// Aggregated spans keyed by full path. Duplicate slots for one path
@@ -351,7 +331,9 @@ impl Registry {
 
     /// Opens a span named `label`, nested under any span currently open
     /// on this registry. The returned guard records wall-clock and call
-    /// count into the `parent/…/label` path when it drops.
+    /// count into the `parent/…/label` path when it drops. A label may
+    /// itself be a `/`-joined path, which places the span under a parent
+    /// timed with [`Registry::record_ns`].
     pub fn span(&self, label: &str) -> SpanGuard<'_> {
         if !self.enabled {
             return SpanGuard {
@@ -367,13 +349,6 @@ impl Registry {
         let slot = inner.intern_child(parent, label);
         inner.stack.push(slot);
         let depth = inner.stack.len();
-        // Publish the new innermost span to this thread's sampler slot:
-        // a cached-id lookup plus a couple of relaxed stores (no-op when
-        // the sampler is off or the thread never registered).
-        if crate::profile::enabled() {
-            let id = inner.profile_id(slot);
-            crate::profile::publish(id);
-        }
         let Inner {
             span_paths, events, ..
         } = &mut *inner;
@@ -576,17 +551,6 @@ impl Registry {
         // outliving its parent still records under the slot resolved at
         // open time — out-of-order drops cannot corrupt the stack.
         inner.stack.truncate(depth.saturating_sub(1));
-        // Re-publish the span we fell back to (or idle at the root) so
-        // the sampler never attributes time to a closed span.
-        if crate::profile::enabled() {
-            match inner.stack.last().copied() {
-                Some(top) => {
-                    let id = inner.profile_id(top);
-                    crate::profile::publish(id);
-                }
-                None => crate::profile::publish_idle(),
-            }
-        }
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         inner.span_stats[slot].record(ns);
         inner.span_hists[slot].observe(ns);

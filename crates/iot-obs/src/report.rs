@@ -4,9 +4,7 @@
 //! renders it three ways:
 //!
 //! * [`RunReport::to_json`] — the full report: metadata, process-wide
-//!   totals, span timings, counters, gauges, and histograms — plus a
-//!   `profile` block (sampling rate, totals, top paths by share) when
-//!   the sampling profiler was armed and accumulated samples. Sorted
+//!   totals, span timings, counters, gauges, and histograms. Sorted
 //!   (`BTreeMap`) keys and `iot_core::json`'s stable float formatting
 //!   make the *serialization* deterministic; the timing *values* are
 //!   run-dependent by nature.
@@ -94,15 +92,6 @@ impl RunReport {
         }
         j.set("gauges", gauges);
         j.set("histograms", self.histograms_json());
-        // Sample counts are scheduling noise by nature, so the profile
-        // block lives only in the full report — never the deterministic
-        // subset the identity gates byte-compare.
-        if crate::profile::enabled() {
-            let profile = crate::profile::snapshot();
-            if !profile.is_empty() {
-                j.set("profile", profile.to_json());
-            }
-        }
         j
     }
 

@@ -11,17 +11,18 @@
 //!   and experiment counts, composed at request time with the *live*
 //!   process-wide generator counters, so the numbers move while workers
 //!   are mid-shard.
-//! * `/profile` — the sampling profiler's folded stacks, rendered from
-//!   the live accumulator at request time (no publication step), so a
-//!   flamegraph of the run so far is one `curl` away while workers are
-//!   mid-shard. Empty until `IOT_OBS_PROFILE` arms the sampler.
+//! * `/profile` — the published registry's span tree as folded stacks
+//!   weighted by self time (see [`crate::export::folded_stacks`]), from
+//!   the same snapshot as `/metrics`.
 //!
 //! ## Publication model
 //!
 //! Workers never touch the server: the pipeline publishes rendered
 //! documents ([`publish`]) at shard-fold boundaries (run start, each
 //! shard fold, finish), so the hot path stays lock-free and the server
-//! only ever holds three strings behind one mutex. Requests between
+//! only ever holds four strings behind one mutex. Worker spans reach
+//! `/metrics` and `/profile` when the workers finish and their
+//! registries merge. Requests between
 //! publications see the previous snapshot — the flight-recorder
 //! trade-off, not a consistency bug.
 //!
@@ -75,6 +76,7 @@ struct Published {
     metrics: String,
     trace: String,
     progress: String,
+    profile: String,
 }
 
 static PUBLISHED: OnceLock<Mutex<Published>> = OnceLock::new();
@@ -90,13 +92,16 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Publishes the three documents the routes serve. Cheap string swaps
+/// Publishes the four documents the routes serve. Cheap string swaps
 /// under one mutex; call at fold boundaries, not per experiment.
-pub fn publish(metrics: String, trace: String, progress: String) {
+pub fn publish(metrics: String, trace: String, progress: String, profile: String) {
     let mut p = published().lock().unwrap_or_else(|e| e.into_inner());
-    p.metrics = metrics;
-    p.trace = trace;
-    p.progress = progress;
+    *p = Published {
+        metrics,
+        trace,
+        progress,
+        profile,
+    };
 }
 
 /// Starts the server on `addr` (e.g. `127.0.0.1:0` for an ephemeral
@@ -282,10 +287,10 @@ fn response_for(stream: &mut TcpStream) -> (&'static str, &'static str, String) 
             ("200 OK", "application/json", body)
         }
         "/profile" => {
-            // Rendered live from the sampler accumulator rather than a
-            // published snapshot: samples accrue continuously, not at
-            // fold boundaries, and the render is a short string build.
-            let body = crate::export::folded_stacks(&crate::profile::snapshot());
+            let body = {
+                let p = published().lock().unwrap_or_else(|e| e.into_inner());
+                p.profile.clone()
+            };
             ("200 OK", "text/plain", body)
         }
         _ => (
@@ -304,11 +309,12 @@ mod tests {
     // process-global server per test binary); here only the pure pieces.
     #[test]
     fn publish_then_read_back() {
-        publish("m".into(), "t".into(), "{\"x\":1}".into());
+        publish("m".into(), "t".into(), "{\"x\":1}".into(), "a;b 1\n".into());
         let p = published().lock().unwrap();
         assert_eq!(p.metrics, "m");
         assert_eq!(p.trace, "t");
         assert_eq!(p.progress, "{\"x\":1}");
+        assert_eq!(p.profile, "a;b 1\n");
     }
 
     #[test]

@@ -6,11 +6,9 @@
 //! min / max wall-clock — which merges across shards like every other
 //! metric.
 //!
-//! Because the path carries its whole ancestry, a span doubles as a
-//! stack frame for the sampling profiler (see [`crate::profile`]): on
-//! every span open/close the registry publishes the interned id of the
-//! innermost path to the thread's sampler slot, and the full stack is
-//! reconstructed from that single leaf at fold time.
+//! Because the path carries its whole ancestry, the span paths form a
+//! call tree: [`crate::export::folded_stacks`] renders it as a
+//! collapsed-stack profile, each path weighted by its self time.
 
 use iot_core::json::{Json, ToJson};
 

@@ -14,8 +14,7 @@
 //!   gates end to end.
 
 use iot_core::json::Json;
-use iot_obs::export::prometheus_with_profile;
-use iot_obs::{chrome_trace, ProfileSnapshot, Registry, TraceMode};
+use iot_obs::{chrome_trace, prometheus, Registry, TraceMode};
 use std::time::Duration;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.prom");
@@ -60,25 +59,9 @@ fn golden_registry() -> Registry {
     r
 }
 
-/// Fixed profile block for the golden exposition — like the registry
-/// above, every number is a constant so the render is stable. The live
-/// `prometheus()` entry point attaches the real sampler snapshot the
-/// same way.
-fn golden_profile() -> ProfileSnapshot {
-    ProfileSnapshot {
-        hz: 97,
-        total_samples: 10,
-        idle_samples: 3,
-        counts: [("ingest".to_string(), 5), ("ingest/flows".to_string(), 2)]
-            .into_iter()
-            .collect(),
-    }
-}
-
 #[test]
 fn prometheus_matches_committed_golden() {
-    let rendered =
-        prometheus_with_profile(&golden_registry().snapshot(), Some(&golden_profile()));
+    let rendered = prometheus(&golden_registry().snapshot());
     if std::env::var("IOT_OBS_UPDATE_GOLDEN").is_ok() {
         std::fs::write(GOLDEN_PATH, &rendered).expect("write golden");
         return;
@@ -96,8 +79,7 @@ fn golden_exposition_is_well_formed() {
     // Structural guarantees the golden file must keep even when its
     // numbers change: every family is typed, histogram series are
     // complete, and the dotted counter name is sanitized.
-    let text =
-        prometheus_with_profile(&golden_registry().snapshot(), Some(&golden_profile()));
+    let text = prometheus(&golden_registry().snapshot());
     for needle in [
         "# TYPE iot_experiments_total counter",
         "# TYPE iot_ingest_errors_salvage_total counter",
@@ -116,10 +98,6 @@ fn golden_exposition_is_well_formed() {
         "iot_span_allocs_total{span=\"ingest/decode\"} 8",
         "iot_span_freed_bytes_total{span=\"ingest\"} 131072",
         "iot_span_frees_total{span=\"ingest\"} 40",
-        "# TYPE iot_profile_samples_total counter",
-        "iot_profile_samples_total{span=\"\",state=\"idle\"} 3",
-        "iot_profile_samples_total{span=\"ingest\",state=\"oncpu\"} 5",
-        "iot_profile_samples_total{span=\"ingest/flows\",state=\"oncpu\"} 2",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }

@@ -55,10 +55,12 @@ fn endpoint_serves_published_documents() {
     let trace_doc =
         "{\"traceEvents\":[{\"name\":\"ingest\",\"ph\":\"B\",\"ts\":1.5,\"pid\":1,\"tid\":2}]}";
     let progress_doc = "{\"phase\":\"folded\",\"experiments\":7}";
+    let profile_doc = "shard 40\nshard;ingest 60\n";
     iot_obs::serve::publish(
         metrics_doc.to_string(),
         trace_doc.to_string(),
         progress_doc.to_string(),
+        profile_doc.to_string(),
     );
 
     // /metrics: exact published bytes, scrape-ready content type,
@@ -105,6 +107,12 @@ fn endpoint_serves_published_documents() {
         progress.get("process").is_some(),
         "live process counters must be composed in"
     );
+
+    // /profile: the published folded stacks, byte for byte.
+    let (status, headers, body) = get(addr, "/profile");
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(header(&headers, "content-type"), Some("text/plain"));
+    assert_eq!(body, profile_doc);
 
     // Error paths: unknown route, non-GET method, empty request.
     let (status, _, body) = get(addr, "/nope");
@@ -162,7 +170,7 @@ fn endpoint_serves_published_documents() {
 
     // Before any publication after a reset, /trace and /progress fall
     // back to well-formed empty documents instead of empty bodies.
-    iot_obs::serve::publish(String::new(), String::new(), String::new());
+    iot_obs::serve::publish(String::new(), String::new(), String::new(), String::new());
     let (_, _, body) = get(addr, "/trace");
     assert_eq!(body, "{\"traceEvents\":[]}");
     let (_, _, body) = get(addr, "/progress");

@@ -10,7 +10,7 @@
 use iot_analysis::pipeline::{Pipeline, PipelineReport};
 use iot_analysis::SupervisorConfig;
 use iot_chaos::FaultPlan;
-use iot_core::json::ToJson;
+use iot_core::json::{Json, ToJson};
 use iot_obs::{Registry, RunReport};
 use iot_oracle::differential::check_worker_grid;
 use iot_oracle::Violation;
@@ -245,7 +245,7 @@ fn alloc_counting_does_not_change_the_pipeline_report() {
     let report = RunReport::from_registry("det", &counted_reg.expect("1-worker run"));
     let j = report.to_json();
     let spans = j.get("spans").expect("spans section");
-    let ingest = spans.get("ingest").expect("ingest span");
+    let ingest = spans.get("shard/ingest").expect("ingest span");
     assert!(
         ingest.get("alloc_bytes").is_some(),
         "ingest span missing alloc data"
@@ -279,14 +279,23 @@ fn serial_allocation_totals_are_deterministic() {
 
 #[test]
 fn obs_deterministic_report_is_identical_across_workers() {
+    // Both halves at once: with obs on, the pipeline report and the
+    // deterministic subset of the obs report are identical at 1/2/8
+    // workers.
     let (_, v) = check_worker_grid("determinism_obs", |workers| {
-        let (_, reg) = run(true, workers);
+        let (report, reg) = run(true, workers);
         // Counters reflect the corpus, not the topology.
         for name in ["experiments", "packets", "flows", "bytes", "pii_findings"] {
             assert!(reg.counter(name) > 0, "counter {name} must be non-zero");
         }
         assert_eq!(reg.gauge("workers"), Some(workers as f64));
-        RunReport::from_registry("det", &reg).deterministic_json()
+        let mut both = Json::obj();
+        both.set("report", report.to_json());
+        both.set(
+            "obs",
+            RunReport::from_registry("det", &reg).deterministic_json(),
+        );
+        both
     });
     assert_no_violations(&v);
 }

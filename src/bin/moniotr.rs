@@ -12,7 +12,7 @@
 //!                  [--max-retries N] [--report-out PATH]
 //!                                              full instrumented campaign + telemetry;
 //!                                              supervision flags arm the checkpoint
-//!                                              journal, watchdog, and retry loop
+//!                                              journal, deadline, and retry loop
 //! moniotr oracle [quick|medium|full]           correctness oracle: invariants,
 //!                                              metamorphic relations, differential runs
 //! ```
@@ -412,7 +412,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     );
     if s.watchdog_cancelled > 0 {
         println!(
-            "campaign: watchdog cancelled {} stalled experiment(s)",
+            "campaign: {} experiment attempt(s) overran the deadline",
             s.watchdog_cancelled
         );
     }
@@ -421,21 +421,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         .meta("scale", scale.name())
         .meta("workers", &workers.to_string());
     println!("{}", obs_report.stage_table());
-    // Where the time went, when IOT_OBS_PROFILE armed the sampler: top
-    // span stacks by share of wall-clock samples.
-    if intl_iot::obs::profile::enabled() {
-        let prof = intl_iot::obs::profile::snapshot();
-        if !prof.is_empty() {
-            let idle_pct = prof.idle_samples as f64 * 100.0 / prof.total_samples.max(1) as f64;
-            println!(
-                "campaign: profile ({} hz, {} samples, {idle_pct:.1}% idle):",
-                prof.hz, prof.total_samples
-            );
-            for (path, samples, share) in prof.top(8) {
-                println!("  {:>5.1}%  {path} ({samples} samples)", share * 100.0);
-            }
-        }
-    }
     let ingest = &report.ingest;
     println!(
         "campaign: {} experiments ({} quarantined), {} packets generated, \

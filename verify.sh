@@ -8,26 +8,29 @@
 #    name the benchmark calls fails here rather than at the benchmark
 #    run.
 # 2. A quick-scale bench_pipeline run, with observability enabled so it
-#    also emits an obs run report. bench_pipeline exits non-zero if the
-#    report differs between 1, 2 and 8 workers, so divergence fails this
+#    also emits an obs run report and the folded profile of the same
+#    registry's span tree. bench_pipeline exits non-zero if the report
+#    differs between 1, 2 and 8 workers, so divergence fails this
 #    script.
 # 3. obs_check: the observability smoke test and the allocation gate —
-#    the run report must parse, its stage counters must be non-zero, the
-#    measured instrumentation overhead must stay under 5% (with the
-#    sampling profiler armed, so sampling cost sits inside that
-#    ceiling), the Chrome trace, Prometheus, and folded-profile
-#    artifacts written by the bench must be well-formed, and the
-#    deterministic event trace must have matched across worker counts.
-#    The quick serial campaign's heap totals (allocs_total, bytes_total)
-#    must match the committed BENCH_pipeline.json within 0.1% either
-#    way: a rise is a regression, a fall means the baseline is stale.
+#    the run report must parse, its stage counters must be non-zero,
+#    shard/synth + shard/ingest must cover 95% of shard, the measured
+#    instrumentation overhead must stay under 5%, the Chrome trace and
+#    Prometheus artifacts written by the bench must be well-formed, the
+#    folded profile must be exactly the report's span tree weighted by
+#    self time, and the deterministic event trace must have matched
+#    across worker counts. The quick serial campaign's heap totals
+#    (allocs_total, bytes_total) must match the committed
+#    BENCH_pipeline.json within 0.1% either way: a rise is a
+#    regression, a fall means the baseline is stale.
 # 4. obs_serve_check: live-telemetry endpoint smoke — /metrics, /trace,
 #    /progress, and /profile answered over real sockets during an
 #    instrumented (and lightly faulted) campaign, with the ingest ledger
 #    reconciling.
 # 5. profile_diff: parses the fresh folded profile against the
-#    committed results/profile.folded — malformed artifacts fail, share
-#    shifts are informational (gate with IOT_PROFILE_DIFF_MAX_SHIFT).
+#    committed results/profile.folded and prints the stacks whose share
+#    of self time moved most — malformed artifacts fail, share shifts
+#    are informational (gate with IOT_PROFILE_DIFF_MAX_SHIFT).
 # 6. chaos_check: the fault-injection smoke test — a seeded sweep of
 #    degraded-capture rates plus an injected-panic stage. Gates: no
 #    escaped panics, identical faulted reports across worker
@@ -103,15 +106,11 @@ cargo build --release -p iot-bench \
 # observability report that obs_check validates below; the benchmark's
 # obs-off baselines force instrumentation off internally, so the env var
 # does not skew them.
-# IOT_OBS_PROFILE arms the span-stack sampling profiler, so the
-# byte-identity and overhead gates run with sampling live and the bench
-# writes the folded-stack profile artifact checked below.
 IOT_SCALE=quick \
   IOT_BENCH_OUT="${IOT_BENCH_OUT:-target/verify_bench.json}" \
   IOT_OBS=1 IOT_OBS_OUT="${IOT_OBS_OUT:-target/obs_run.json}" \
   IOT_OBS_TRACE_OUT="${IOT_OBS_TRACE_OUT:-target/obs_trace.json}" \
   IOT_OBS_PROM_OUT="${IOT_OBS_PROM_OUT:-target/obs_metrics.prom}" \
-  IOT_OBS_PROFILE=97 \
   IOT_OBS_PROFILE_OUT="${IOT_OBS_PROFILE_OUT:-target/profile.folded}" \
   ./target/release/bench_pipeline
 
