@@ -20,11 +20,10 @@
 //! Workers never touch the server: the pipeline publishes rendered
 //! documents ([`publish`]) at shard-fold boundaries (run start, each
 //! shard fold, finish), so the hot path stays lock-free and the server
-//! only ever holds four strings behind one mutex. Worker spans reach
-//! `/metrics` and `/profile` when the workers finish and their
-//! registries merge. Requests between
+//! only ever holds four strings behind one mutex. Requests between
 //! publications see the previous snapshot — the flight-recorder
-//! trade-off, not a consistency bug.
+//! trade-off, not a consistency bug — and worker spans reach `/metrics`
+//! and `/profile` when the workers finish and their registries merge.
 //!
 //! ## Security posture
 //!
