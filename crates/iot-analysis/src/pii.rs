@@ -153,11 +153,23 @@ fn base64_phase_patterns(value: &[u8]) -> Vec<Vec<u8>> {
         };
         let pattern: Vec<u8> = enc.into_iter().skip(skip).collect();
         // Too-short patterns would match unrelated payloads.
-        if pattern.len() >= 4 {
+        if pattern.len() >= MIN_PATTERN_LEN {
             out.push(pattern);
         }
     }
     out
+}
+
+/// Shortest search pattern; [`PiiPatterns::search`] tries a match only
+/// where at least this many payload bytes remain.
+const MIN_PATTERN_LEN: usize = 4;
+
+/// Word and mask of a two-byte pattern prefix's bit in [`PiiPatterns`]'s
+/// 4,096-bit filter, keyed on `(b0 << 4) ^ b1`: distinct pairs may share
+/// a bit, which only costs a bucket walk.
+fn filter_bit(b0: u8, b1: u8) -> (usize, u64) {
+    let key = (usize::from(b0) << 4) ^ usize::from(b1);
+    (key >> 6, 1 << (key & 63))
 }
 
 /// The search patterns for one device: every identifier in every encoding.
@@ -166,16 +178,24 @@ fn base64_phase_patterns(value: &[u8]) -> Vec<Vec<u8>> {
 /// byte, so a search makes one pass over the payload and only attempts a
 /// `starts_with` where a pattern could actually begin — instead of one
 /// full [`find_subsequence`] pass per pattern (~21 passes per payload).
+/// A filter over the patterns' first two bytes skips almost every
+/// position before its bucket is looked up.
 #[derive(Debug, Clone)]
 pub struct PiiPatterns {
     patterns: Vec<(PiiFindingKind, &'static str, Vec<u8>)>,
-    /// Pattern indices by first byte; almost every payload byte hits an
-    /// empty bucket.
+    /// Pattern indices by first byte.
     buckets: Vec<Vec<u16>>,
+    /// Bit [`filter_bit`]`(p[0], p[1])` is set for every pattern `p`.
+    filter: [u64; 64],
 }
 
 impl PiiPatterns {
     /// Builds the pattern set from a device identity.
+    ///
+    /// # Panics
+    /// Panics if an identifier yields a pattern shorter than four bytes
+    /// (real identities never do), since `search` would miss it at the
+    /// end of a payload.
     pub fn for_identity(identity: &DeviceIdentity) -> Self {
         let mut patterns: Vec<(PiiFindingKind, &'static str, Vec<u8>)> = Vec::new();
         // MAC in its textual wire forms…
@@ -214,12 +234,22 @@ impl PiiPatterns {
         // produce ~21, far under the limit.
         assert!(patterns.len() <= 64, "too many PII patterns for bitmask");
         let mut buckets = vec![Vec::new(); 256];
+        let mut filter = [0u64; 64];
         for (i, (_, _, pattern)) in patterns.iter().enumerate() {
-            if let Some(&first) = pattern.first() {
-                buckets[usize::from(first)].push(i as u16);
-            }
+            assert!(
+                pattern.len() >= MIN_PATTERN_LEN,
+                "PII pattern {:?} is shorter than {MIN_PATTERN_LEN} bytes",
+                String::from_utf8_lossy(pattern)
+            );
+            buckets[usize::from(pattern[0])].push(i as u16);
+            let (word, mask) = filter_bit(pattern[0], pattern[1]);
+            filter[word] |= mask;
         }
-        PiiPatterns { patterns, buckets }
+        PiiPatterns {
+            patterns,
+            buckets,
+            filter,
+        }
     }
 
     /// Searches a payload for any pattern; returns (kind, encoding) hits.
@@ -229,12 +259,12 @@ impl PiiPatterns {
         let total = self.patterns.len();
         let mut found = 0u64;
         let mut nfound = 0usize;
-        'scan: for (i, &b) in payload.iter().enumerate() {
-            let bucket = &self.buckets[usize::from(b)];
-            if bucket.is_empty() {
+        'scan: for (i, w) in payload.windows(MIN_PATTERN_LEN).enumerate() {
+            let (word, mask) = filter_bit(w[0], w[1]);
+            if self.filter[word] & mask == 0 {
                 continue;
             }
-            for &pi in bucket {
+            for &pi in &self.buckets[usize::from(w[0])] {
                 let bit = 1u64 << pi;
                 if found & bit != 0 {
                     continue;
@@ -599,6 +629,83 @@ mod tests {
                 assert_eq!(fast, naive, "{device} case {case} len {}", payload.len());
             }
         }
+    }
+
+    /// The two-byte prefilter and the scan's end bound against
+    /// [`PiiPatterns::search_naive`], at their edges: every identity of
+    /// both labs, plus one whose four-byte identifiers put patterns at
+    /// exactly [`MIN_PATTERN_LEN`]. Each pattern is planted at offset 0,
+    /// flush with the payload's end and as the whole payload; payloads
+    /// of 0–3 bytes; and noise drawn only from the patterns' own bytes,
+    /// so the filter passes often and its 12-bit key collides.
+    #[test]
+    fn filtered_search_matches_naive_at_the_edges() {
+        let mut rng = iot_core::rng::StdRng::seed_from_u64(0xF117_E2ED);
+        let mut identities: Vec<DeviceIdentity> = LabSite::all()
+            .into_iter()
+            .flat_map(|site| {
+                Lab::deploy(site)
+                    .devices
+                    .iter()
+                    .map(identity_of)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        identities.push(DeviceIdentity {
+            mac: iot_net::mac::MacAddr::new(0x02, 0, 0, 0, 0, 0x01),
+            device_id: "0a1b".into(),
+            device_name: "Hall".into(),
+            location: "Oslo".into(),
+        });
+        let mut collisions = 0usize;
+        for identity in &identities {
+            let patterns = PiiPatterns::for_identity(identity);
+            let alphabet: Vec<u8> = patterns
+                .patterns
+                .iter()
+                .flat_map(|p| p.2.iter().copied())
+                .collect();
+            let mut noise = |lens: std::ops::Range<usize>| -> Vec<u8> {
+                let len = rng.gen_range(lens);
+                (0..len)
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect()
+            };
+            let check = |payload: &[u8]| {
+                assert_eq!(
+                    patterns.search(payload),
+                    patterns.search_naive(payload),
+                    "{} in {:?}",
+                    identity.device_name,
+                    String::from_utf8_lossy(payload)
+                );
+            };
+            for (_, _, pattern) in &patterns.patterns {
+                check(pattern);
+                check(&[pattern.clone(), noise(1..32)].concat());
+                check(&[noise(1..32), pattern.clone()].concat());
+                check(&pattern[..MIN_PATTERN_LEN - 1]);
+            }
+            for len in 0..MIN_PATTERN_LEN {
+                check(&noise(len..len + 1));
+            }
+            for _ in 0..16 {
+                let payload = noise(MIN_PATTERN_LEN..256);
+                check(&payload);
+                collisions += payload
+                    .windows(2)
+                    .filter(|w| {
+                        let (word, mask) = filter_bit(w[0], w[1]);
+                        patterns.filter[word] & mask != 0
+                            && !patterns.patterns.iter().any(|p| p.2.starts_with(w))
+                    })
+                    .count();
+            }
+        }
+        assert!(
+            collisions > 0,
+            "the noise never exercised a filter collision"
+        );
     }
 
     /// Scanner completeness: every cataloged leak is detected in the

@@ -5,14 +5,15 @@
 //! - [`normalized_entropy`]: the naive per-byte histogram + per-class
 //!   `log2` reference. Simple, allocation-free, and the semantic ground
 //!   truth.
-//! - [`EntropyScratch`]: the hot-path version. Counts bytes in u64-wide
-//!   chunks into four unrolled lane tables (no same-byte increment
-//!   dependency chain, still std-only — no intrinsics), and replaces the
-//!   per-symbol-class `p·log2(p)` calls with a per-length cached term
-//!   table. The term table entries are computed with *exactly* the same
-//!   floating-point expression and the histogram is folded in exactly
-//!   the same index order, so the result is bit-identical (0 ulps) to
-//!   the reference — a property test in this crate pins that.
+//! - [`EntropyScratch`]: the hot-path version. It counts bytes into one
+//!   reused table and replaces the per-symbol-class `p·log2(p)` calls
+//!   with a per-length cached term table, whose entries are computed
+//!   with *exactly* the reference's floating-point expression. The fold
+//!   subtracts the term of every one of the 256 bins, in the reference's
+//!   index order, with no branch on the count: an absent byte reads the
+//!   table's `+0.0` at index 0, and `x - (+0.0)` is `x` for every `x`,
+//!   so skipping it or not leaves the same bits. The result is 0 ulps
+//!   from the reference; tests in this crate pin that.
 
 /// Computes the normalized Shannon entropy of a byte sequence.
 ///
@@ -64,15 +65,17 @@ pub fn mean_packet_entropy<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> 
 /// bit-identical by definition).
 const MAX_CACHED_N: usize = 8192;
 
-/// Reusable state for the chunked entropy fast path: four byte-count lane
-/// tables plus per-length term tables. One scratch per worker/analysis —
-/// it is deliberately not `Sync`, mirroring the shard-local design of the
-/// rest of the pipeline.
+/// Reusable state for the entropy fast path: one byte-count table plus
+/// per-length term tables. One scratch per worker/analysis — it is
+/// deliberately not `Sync`, mirroring the shard-local design of the rest
+/// of the pipeline.
 pub struct EntropyScratch {
-    /// Four unrolled count lanes; folded (and re-zeroed) after each call.
-    lanes: Box<[[u32; 256]; 4]>,
-    /// `terms[n][c] = (c/n)·log2(c/n)` for `1 ≤ c ≤ n`, built lazily per
-    /// distinct payload length `n`; an empty slice means "not built yet".
+    /// Byte counts of the current input; the fold re-zeroes every bin,
+    /// so the table is all zeros between calls.
+    counts: Box<[u32; 256]>,
+    /// `terms[n][c] = (c/n)·log2(c/n)` for `1 ≤ c ≤ n`, and `+0.0` at
+    /// `c = 0`, built lazily per distinct payload length `n`; an empty
+    /// slice means "not built yet".
     terms: Vec<Box<[f64]>>,
 }
 
@@ -86,7 +89,7 @@ impl EntropyScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         EntropyScratch {
-            lanes: Box::new([[0u32; 256]; 4]),
+            counts: Box::new([0; 256]),
             terms: Vec::new(),
         }
     }
@@ -113,8 +116,8 @@ impl EntropyScratch {
         &terms[n]
     }
 
-    /// Chunked-counting, table-driven [`normalized_entropy`]. Bit-identical
-    /// to the reference for every input.
+    /// Table-driven [`normalized_entropy`]. Bit-identical to the
+    /// reference for every input.
     pub fn normalized_entropy(&mut self, data: &[u8]) -> f64 {
         let n = data.len();
         if n == 0 {
@@ -123,39 +126,17 @@ impl EntropyScratch {
         if n > MAX_CACHED_N {
             return normalized_entropy(data);
         }
-        let EntropyScratch { lanes, terms } = self;
-        let lanes = &mut **lanes;
-        let mut chunks = data.chunks_exact(8);
-        for c in &mut chunks {
-            // One u64 load feeds eight independent lane increments; the
-            // four lanes break the dependency chain a single count table
-            // would have on runs of equal bytes.
-            let w = u64::from_le_bytes(c.try_into().unwrap());
-            lanes[0][(w & 0xff) as usize] += 1;
-            lanes[1][((w >> 8) & 0xff) as usize] += 1;
-            lanes[2][((w >> 16) & 0xff) as usize] += 1;
-            lanes[3][((w >> 24) & 0xff) as usize] += 1;
-            lanes[0][((w >> 32) & 0xff) as usize] += 1;
-            lanes[1][((w >> 40) & 0xff) as usize] += 1;
-            lanes[2][((w >> 48) & 0xff) as usize] += 1;
-            lanes[3][((w >> 56) & 0xff) as usize] += 1;
-        }
-        for (j, &b) in chunks.remainder().iter().enumerate() {
-            lanes[j & 3][usize::from(b)] += 1;
+        let EntropyScratch { counts, terms } = self;
+        for &b in data {
+            counts[usize::from(b)] += 1;
         }
         let table = Self::term_table(terms, n);
         let mut h = 0.0;
-        for i in 0..256 {
-            // Fold the lanes and re-zero them in the same pass, in the
-            // same index order the reference iterates its histogram.
-            let c = lanes[0][i] + lanes[1][i] + lanes[2][i] + lanes[3][i];
-            lanes[0][i] = 0;
-            lanes[1][i] = 0;
-            lanes[2][i] = 0;
-            lanes[3][i] = 0;
-            if c > 0 {
-                h -= table[c as usize];
-            }
+        for c in counts.iter_mut() {
+            // No `c > 0` branch: `table[0]` is `+0.0`, which leaves `h`
+            // unchanged, so this is the reference's sum in its order.
+            h -= table[*c as usize];
+            *c = 0;
         }
         h / 8.0
     }
@@ -303,7 +284,7 @@ mod tests {
         }
     }
 
-    /// Property test (tentpole contract): the chunked/table fast path is
+    /// Property test (tentpole contract): the table-driven fast path is
     /// 0 ulps from the naive reference across ≥64 seeded random cases,
     /// including empty, 1-byte, odd-length, and larger-than-cache inputs.
     #[test]
@@ -341,6 +322,52 @@ mod tests {
             let naive_mean = mean_packet_entropy(data.chunks(160));
             let fast_mean = s.mean_packet_entropy(data.chunks(160));
             assert_eq!(naive_mean.to_bits(), fast_mean.to_bits(), "case {case} mean");
+        }
+    }
+
+    /// One scratch across every chunk length the pipeline can hand it:
+    /// 0..=160, just past a chunk, and both sides of the term-table cache
+    /// bound, in a seeded shuffled order so each call follows a different
+    /// length and input than it would in sequence. Every call must match
+    /// the reference bit for bit, which fails if the fold leaves a stale
+    /// count behind or reads the term table of another length.
+    #[test]
+    fn one_scratch_matches_reference_at_every_chunk_length() {
+        use crate::generators::{text_like, TextStyle};
+        use iot_core::rng::SliceRandom;
+        let mut rng = iot_core::rng::StdRng::seed_from_u64(0xC4_0A7E);
+        let mut cases: Vec<(usize, u8)> = (0..=160)
+            .chain([161, 1024, MAX_CACHED_N, MAX_CACHED_N + 1])
+            .flat_map(|len| (0..4).map(move |input| (len, input)))
+            .collect();
+        cases.shuffle(&mut rng);
+        let mut s = EntropyScratch::new();
+        for (len, input) in cases {
+            let data: Vec<u8> = match input {
+                0 => {
+                    let mut v = vec![0u8; len];
+                    rng.fill(&mut v);
+                    v
+                }
+                1 => vec![rng.gen::<u8>(); len],
+                2 => {
+                    let pair: [u8; 2] = [rng.gen(), rng.gen()];
+                    (0..len)
+                        .map(|_| pair[usize::from(rng.gen::<bool>())])
+                        .collect()
+                }
+                _ => text_like(&mut rng, len, TextStyle::Telemetry),
+            };
+            let naive = normalized_entropy(&data);
+            let fast = s.normalized_entropy(&data);
+            assert_eq!(naive.to_bits(), fast.to_bits(), "input {input} len {len}");
+            let naive_mean = mean_packet_entropy(data.chunks(160));
+            let fast_mean = s.mean_packet_entropy(data.chunks(160));
+            assert_eq!(
+                naive_mean.to_bits(),
+                fast_mean.to_bits(),
+                "input {input} len {len} mean"
+            );
         }
     }
 }

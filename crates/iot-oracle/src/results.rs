@@ -20,7 +20,8 @@
 //! * `results_claims` — the shape claims EXPERIMENTS.md makes about the
 //!   tables hold: power is the most inferrable activity group in every
 //!   Table 10 column, voice has the highest encrypted share in every
-//!   Table 8 column, total support parties outnumber third parties and
+//!   Table 8 column, TVs contact the most third parties in every
+//!   Table 3 column, total support parties outnumber third parties and
 //!   support counts order Control ≥ Power ≥ Voice in every Table 2
 //!   column, smart hubs are almost never inferrable (≤ 1 per Table 9
 //!   column), Passport-style geolocation is at least as accurate as the
@@ -345,28 +346,28 @@ fn check_claims(t: &TableFile, v: &mut Vec<Violation>) {
     match t.name.as_str() {
         // Table 10: power is the most inferrable activity group in
         // every column. Table 8: voice has the highest encrypted share
-        // in every column, among the rows of its `enc` class.
-        "table10" | "table8" => {
-            let (label, first) = if t.name == "table10" {
-                ("Power", 1)
-            } else {
-                ("enc Voice", 2)
+        // in every column, among the rows of its `enc` class. Table 3:
+        // TVs contact the most third parties in every column.
+        "table10" | "table8" | "table3" => {
+            // The top row, the class cell a peer shares with it (if
+            // any), and the first numeric column.
+            let (label, class, first) = match t.name.as_str() {
+                "table10" => ("Power", None, 1),
+                "table8" => ("enc Voice", Some(0), 2),
+                _ => ("TV third", Some(1), 2),
             };
             let Some(top) = row(label) else {
                 return fail("rows".into(), format!("no {label} row"));
             };
-            // Peers share the top row's leading class cells: none in
-            // Table 10, `enc` in Table 8.
-            let key = first - 1;
             let peers = t
                 .rows
                 .iter()
-                .filter(|r| r[..key] == top[..key] && !std::ptr::eq(*r, top));
+                .filter(|r| class.is_none_or(|c| r[c] == top[c]) && !std::ptr::eq(*r, top));
             for other in peers {
                 for col in first..t.headers.len() {
                     if !matches!((num(top, col), num(other, col)), (Some(p), Some(o)) if p > o) {
                         fail(
-                            format!("{}[{}]", t.headers[col], other[key]),
+                            format!("{}[{}]", t.headers[col], other[..first].join(" ")),
                             format!("{} is not below {label}'s {}", other[col], top[col]),
                         );
                     }
@@ -647,6 +648,26 @@ mod tests {
                 "table8",
                 &headers,
                 &[idle, voice, &["enc", "Others", "75.2", "85.0"]],
+            ),
+        );
+    }
+
+    #[test]
+    fn tvs_must_contact_the_most_third_parties() {
+        let headers = ["Category", "Party", "US", "UK"];
+        // Only third-party rows compete: a support row may be higher.
+        let tv: &[&str] = &["TV", "third", "6", "4"];
+        let support: &[&str] = &["Appliances", "support", "7", "4"];
+        assert_claim(
+            &table(
+                "table3",
+                &headers,
+                &[support, tv, &["Cameras", "third", "1", "1"]],
+            ),
+            &table(
+                "table3",
+                &headers,
+                &[support, tv, &["Cameras", "third", "1", "4"]],
             ),
         );
     }
