@@ -4,16 +4,17 @@
 //! (`power`, `local_voice`, `android_wan_on`, …) with the timing/size
 //! features of [`crate::features`], validated with stratified 70/30
 //! splits repeated 10 times. A device or activity is *inferrable* when its
-//! F1 exceeds 0.75.
+//! F1 exceeds 0.75. The same [`TrainedDeviceModel`] serves Tables 9–10
+//! (its cross-validation scores) and §7 (its fitted forest).
 
 use crate::features::timing_features;
-use iot_ml::crossval::{cross_validate, CrossValReport};
+use iot_ml::crossval::cross_validate;
 use iot_ml::dataset::Dataset;
 use iot_ml::forest::{RandomForest, RandomForestConfig};
 use iot_testbed::catalog;
 use iot_testbed::device::{split_interaction_label, ActivityKind};
 use iot_testbed::experiment::LabeledExperiment;
-use iot_testbed::lab::{DeviceInstance, LabSite};
+use iot_testbed::lab::DeviceInstance;
 use iot_testbed::schedule::Campaign;
 use std::collections::HashMap;
 
@@ -50,61 +51,6 @@ impl InferenceConfig {
                 ..RandomForestConfig::default()
             },
         }
-    }
-}
-
-/// The per-device inference result.
-#[derive(Debug, Clone)]
-pub struct DeviceInference {
-    /// Device name.
-    pub device_name: &'static str,
-    /// Deployment site.
-    pub site: LabSite,
-    /// VPN egress.
-    pub vpn: bool,
-    /// Cross-validation report over the device's experiment labels.
-    pub report: CrossValReport,
-}
-
-impl DeviceInference {
-    /// Device-level inferrability (macro F1 > 0.75).
-    pub fn is_inferrable(&self) -> bool {
-        self.report.macro_f1 > F1_INFERRABLE
-    }
-
-    /// Device-level high confidence (macro F1 > 0.9), gating §7 models.
-    pub fn is_high_confidence(&self) -> bool {
-        self.report.macro_f1 > F1_HIGH_CONFIDENCE
-    }
-
-    /// Activity-kind groups with at least one label whose F1 exceeds the
-    /// threshold (Table 10 accounting).
-    pub fn inferrable_activity_kinds(&self, threshold: f64) -> Vec<ActivityKind> {
-        let mut kinds: Vec<ActivityKind> = self
-            .report
-            .label_names
-            .iter()
-            .zip(&self.report.f1_per_class)
-            .filter(|&(_, &f1)| f1 > threshold)
-            .filter_map(|(label, _)| label_activity_kind(self.device_name, label))
-            .collect();
-        kinds.sort();
-        kinds.dedup();
-        kinds
-    }
-
-    /// Activity-kind groups the device exhibits at all (denominators of
-    /// Table 10).
-    pub fn present_activity_kinds(&self) -> Vec<ActivityKind> {
-        let mut kinds: Vec<ActivityKind> = self
-            .report
-            .label_names
-            .iter()
-            .filter_map(|label| label_activity_kind(self.device_name, label))
-            .collect();
-        kinds.sort();
-        kinds.dedup();
-        kinds
     }
 }
 
@@ -148,27 +94,6 @@ pub fn build_dataset(experiments: &[LabeledExperiment]) -> Dataset {
     dataset
 }
 
-/// Runs the §6.3 protocol for one device: generate its experiment corpus,
-/// extract features, cross-validate.
-pub fn infer_device(
-    db: &iot_geodb::registry::GeoDb,
-    campaign: &Campaign,
-    device: &DeviceInstance,
-    vpn: bool,
-    config: &InferenceConfig,
-) -> DeviceInference {
-    let mut experiments = Vec::new();
-    campaign.run_device(db, device, vpn, |exp| experiments.push(exp));
-    let dataset = build_dataset(&experiments);
-    let report = cross_validate(&dataset, &config.forest, config.cv_repeats);
-    DeviceInference {
-        device_name: device.spec().name,
-        site: device.site,
-        vpn,
-        report,
-    }
-}
-
 /// A deployable model for §7: a forest trained on *all* of a device's
 /// labeled data, gated by its cross-validation score.
 #[derive(Debug)]
@@ -204,9 +129,39 @@ impl TrainedDeviceModel {
             .position(|l| l == label)
             .map(|i| self.cv_f1_per_label[i])
     }
+
+    /// Activity-kind groups with at least one label whose F1 exceeds the
+    /// threshold (Table 10 accounting).
+    pub fn inferrable_activity_kinds(&self, threshold: f64) -> Vec<ActivityKind> {
+        let mut kinds: Vec<ActivityKind> = self
+            .label_names
+            .iter()
+            .zip(&self.cv_f1_per_label)
+            .filter(|&(_, &f1)| f1 > threshold)
+            .filter_map(|(label, _)| label_activity_kind(self.device_name, label))
+            .collect();
+        kinds.sort();
+        kinds.dedup();
+        kinds
+    }
+
+    /// Activity-kind groups the device exhibits at all (denominators of
+    /// Table 10).
+    pub fn present_activity_kinds(&self) -> Vec<ActivityKind> {
+        let mut kinds: Vec<ActivityKind> = self
+            .label_names
+            .iter()
+            .filter_map(|label| label_activity_kind(self.device_name, label))
+            .collect();
+        kinds.sort();
+        kinds.dedup();
+        kinds
+    }
 }
 
-/// Trains the deployable model for one device.
+/// Runs the §6.3 protocol for one device at one egress: generate its
+/// experiment corpus, extract features, cross-validate, then fit the
+/// deployable forest on all of it.
 pub fn train_device_model(
     db: &iot_geodb::registry::GeoDb,
     campaign: &Campaign,
@@ -235,7 +190,7 @@ mod tests {
     use iot_geodb::registry::GeoDb;
     use iot_ml::stats::STATS_PER_DISTRIBUTION;
     use iot_net::pcap::Capture;
-    use iot_testbed::lab::Lab;
+    use iot_testbed::lab::{Lab, LabSite};
     use iot_testbed::schedule::CampaignConfig;
 
     fn quick_campaign() -> Campaign {
@@ -254,14 +209,14 @@ mod tests {
         let campaign = quick_campaign();
         let lab = Lab::deploy(LabSite::Us);
         let dev = lab.device("Wansview Cam").unwrap();
-        let inf = infer_device(&db, &campaign, dev, false, &InferenceConfig::quick());
+        let model = train_device_model(&db, &campaign, dev, false, &InferenceConfig::quick());
         assert!(
-            inf.report.macro_f1 > 0.6,
+            model.cv_macro_f1 > 0.6,
             "camera activities are distinctive, macro F1 {}",
-            inf.report.macro_f1
+            model.cv_macro_f1
         );
         // Power and video bursts must individually be recognizable.
-        let kinds = inf.inferrable_activity_kinds(0.6);
+        let kinds = model.inferrable_activity_kinds(0.6);
         assert!(kinds.contains(&ActivityKind::Power), "{kinds:?}");
     }
 
@@ -271,14 +226,13 @@ mod tests {
         let campaign = quick_campaign();
         let lab = Lab::deploy(LabSite::Us);
         let dev = lab.device("TP-Link Plug").unwrap();
-        let inf = infer_device(&db, &campaign, dev, false, &InferenceConfig::quick());
+        let model = train_device_model(&db, &campaign, dev, false, &InferenceConfig::quick());
         // on vs off have identical traffic shapes: per-label F1 for the
         // actuation labels should be mediocre even if power is clean.
-        let onoff_f1: Vec<f64> = inf
-            .report
+        let onoff_f1: Vec<f64> = model
             .label_names
             .iter()
-            .zip(&inf.report.f1_per_class)
+            .zip(&model.cv_f1_per_label)
             .filter(|(l, _)| l.ends_with("_on") || l.ends_with("_off"))
             .map(|(_, &f)| f)
             .collect();

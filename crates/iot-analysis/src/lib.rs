@@ -49,5 +49,4 @@ pub use encryption::EncryptionAnalysis;
 pub use flows::ExperimentFlows;
 pub use ingest::IngestStats;
 pub use pipeline::{Pipeline, PipelineReport};
-pub use inference::DeviceInference;
 pub use supervise::{Coverage, JournalError, SupervisorConfig, SuperviseSummary};

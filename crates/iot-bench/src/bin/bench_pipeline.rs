@@ -319,8 +319,7 @@ fn main() {
     // much live heap the bounded cursor pipeline peaks at relative to
     // the packet stream it walked. high_water_per_packet is the
     // headline bounded-memory number — it must not scale with campaign
-    // size (the streaming smoke in verify.sh gates the absolute
-    // ceiling).
+    // size (obs_check holds the high-water to the committed baseline).
     let mut streaming = Json::obj();
     streaming.set("packets_ingested", packets_ingested.to_json());
     streaming.set("heap_high_water_bytes", alloc_high_water.to_json());

@@ -31,12 +31,15 @@
 //!    allocator gauges, and the Prometheus exposition includes the
 //!    per-span memory series;
 //! 6. the allocation gate: the fresh run's `scale` and `experiments`
-//!    equal the committed bench's (the third argument), and neither
-//!    `alloc.allocs_total` nor `alloc.bytes_total` moved more than 0.1%
-//!    from the committed value in either direction. The totals of a
+//!    equal the committed bench's (the third argument), and none of
+//!    `alloc.allocs_total`, `alloc.bytes_total` and
+//!    `alloc.high_water_bytes` moved more than 0.1% from the committed
+//!    value in either direction. The totals and the heap high-water of a
 //!    serial campaign repeat exactly for a fixed grid, so the gate needs
 //!    no host key; a fall beyond the slack means the committed baseline
 //!    is stale and must be regenerated with the change that lowered it.
+//!    The bench process's kernel peak RSS (`alloc.peak_rss_bytes`, read
+//!    from `VmHWM`) must stay at or under 64 MiB;
 //!
 //! 7. the exporter artifacts `bench_pipeline` wrote: the Chrome trace
 //!    must parse through the in-tree JSON parser with a non-empty
@@ -65,11 +68,15 @@ const ABS_TOLERANCE_MS: f64 = 75.0;
 /// Least share of the workers' `shard` time that `synth` + `ingest`
 /// must cover.
 const MIN_SHARD_COVERAGE: f64 = 0.95;
-/// Largest relative move of either heap total from the committed
-/// baseline, up or down. The totals repeat exactly, so the slack only
-/// absorbs environment-dependent reads; one extra allocation per
-/// experiment (+0.6% of `allocs_total` at quick scale) already trips it.
+/// Largest relative move of a heap total or the heap high-water from the
+/// committed baseline, up or down. The figures repeat exactly, so the
+/// slack only absorbs environment-dependent reads; one extra allocation
+/// per experiment (+0.6% of `allocs_total` at quick scale) already trips
+/// it.
 const MAX_ALLOC_DRIFT: f64 = 0.001;
+/// Ceiling on the bench process's kernel peak RSS: the streaming ingest
+/// keeps the quick campaign's footprint near 35 MiB at 8 workers.
+const MAX_PEAK_RSS_BYTES: u64 = 64 * 1024 * 1024;
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -88,11 +95,13 @@ fn median_ms(bench: &Json, section: &str) -> Option<f64> {
     bench.get(section)?.get("median_ms")?.as_f64()
 }
 
-/// The host-free allocation gate: `fresh`'s heap totals against the
-/// `committed` baseline's. Fails when the runs are not comparable
-/// (different `scale` or `experiments`), when a total rose more than
-/// [`MAX_ALLOC_DRIFT`] (a regression), or fell more than that (a stale
-/// baseline). Returns the comparison line on a pass.
+/// The host-free allocation gate: `fresh`'s heap totals and high-water
+/// against the `committed` baseline's. Fails when the runs are not
+/// comparable (different `scale` or `experiments`), when a figure rose
+/// more than [`MAX_ALLOC_DRIFT`] (a regression), fell more than that (a
+/// stale baseline), or when `fresh`'s peak RSS exceeds
+/// [`MAX_PEAK_RSS_BYTES`] (`bench_pipeline` writes 0 where the platform
+/// has no `VmHWM`). Returns the comparison line on a pass.
 fn alloc_gate(fresh: &Json, committed: &Json) -> Result<String, String> {
     for key in ["scale", "experiments"] {
         let (now, then) = (fresh.get(key), committed.get(key));
@@ -106,7 +115,7 @@ fn alloc_gate(fresh: &Json, committed: &Json) -> Result<String, String> {
         }
     }
     let mut line = Vec::new();
-    for field in ["allocs_total", "bytes_total"] {
+    for field in ["allocs_total", "bytes_total", "high_water_bytes"] {
         let total = |bench: &Json| bench.get("alloc")?.get(field)?.as_u64().filter(|&n| n > 0);
         let (Some(now), Some(then)) = (total(fresh), total(committed)) else {
             return Err(format!(
@@ -130,6 +139,17 @@ fn alloc_gate(fresh: &Json, committed: &Json) -> Result<String, String> {
         }
         line.push(format!("{field} {now} ({:+.3}% vs {then})", drift * 100.0));
     }
+    let rss = fresh
+        .get("alloc")
+        .and_then(|a| a.get("peak_rss_bytes"))
+        .and_then(Json::as_u64)
+        .ok_or("alloc.peak_rss_bytes is missing in the fresh bench")?;
+    if rss > MAX_PEAK_RSS_BYTES {
+        return Err(format!(
+            "alloc.peak_rss_bytes {rss} exceeds the {MAX_PEAK_RSS_BYTES} B ceiling"
+        ));
+    }
+    line.push(format!("peak_rss_bytes {rss} <= {MAX_PEAK_RSS_BYTES}"));
     Ok(line.join(", "))
 }
 
@@ -460,50 +480,82 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn bench(scale: &str, experiments: u64, allocs: u64, bytes: u64) -> Json {
+    /// A bench with `alloc` = [allocs, bytes, high-water, peak RSS].
+    fn bench(scale: &str, experiments: u64, alloc: [u64; 4]) -> Json {
+        let [allocs, bytes, high_water, rss] = alloc;
         Json::parse(&format!(
             r#"{{"scale":"{scale}","experiments":{experiments},
-                "alloc":{{"allocs_total":{allocs},"bytes_total":{bytes}}}}}"#
+                "alloc":{{"allocs_total":{allocs},"bytes_total":{bytes},
+                          "high_water_bytes":{high_water},"peak_rss_bytes":{rss}}}}}"#
         ))
         .expect("test bench parses")
     }
 
-    const BASE: (u64, u64) = (1_000_000, 300_000_000);
+    const BASE: [u64; 4] = [1_000_000, 300_000_000, 1_641_850, 36_450_304];
 
-    fn gate(allocs: u64, bytes: u64) -> Result<String, String> {
-        alloc_gate(
-            &bench("quick", 1928, allocs, bytes),
-            &bench("quick", 1928, BASE.0, BASE.1),
-        )
+    fn gate(alloc: [u64; 4]) -> Result<String, String> {
+        alloc_gate(&bench("quick", 1928, alloc), &bench("quick", 1928, BASE))
+    }
+
+    /// `BASE` with field `i` set to `v`.
+    fn with(i: usize, v: u64) -> [u64; 4] {
+        let mut alloc = BASE;
+        alloc[i] = v;
+        alloc
     }
 
     #[test]
     fn totals_within_tolerance_pass() {
-        assert!(gate(BASE.0, BASE.1).is_ok());
-        // +0.09% on both totals.
-        assert!(gate(1_000_900, 300_270_000).is_ok());
+        assert!(gate(BASE).is_ok());
+        // +0.09% on the totals and the high-water.
+        assert!(gate([1_000_900, 300_270_000, 1_643_327, BASE[3]]).is_ok());
+        // -0.09% on each.
+        assert!(gate([999_100, 299_730_000, 1_640_373, BASE[3]]).is_ok());
     }
 
     #[test]
     fn rise_or_fall_beyond_tolerance_fails() {
-        // +0.2% on either total is a regression.
-        assert!(gate(1_002_000, BASE.1).unwrap_err().contains("above"));
-        assert!(gate(BASE.0, 300_600_000).unwrap_err().contains("above"));
+        // +0.2% on either total or the high-water is a regression.
+        assert!(gate(with(0, 1_002_000)).unwrap_err().contains("above"));
+        assert!(gate(with(1, 300_600_000)).unwrap_err().contains("above"));
+        let err = gate(with(2, 1_645_134)).unwrap_err();
+        assert!(err.contains("high_water_bytes") && err.contains("above"), "{err}");
         // -0.2% means the committed baseline is stale.
-        assert!(gate(998_000, BASE.1).unwrap_err().contains("stale"));
-        assert!(gate(BASE.0, 299_400_000).unwrap_err().contains("stale"));
+        assert!(gate(with(0, 998_000)).unwrap_err().contains("stale"));
+        assert!(gate(with(1, 299_400_000)).unwrap_err().contains("stale"));
+        let err = gate(with(2, 1_638_566)).unwrap_err();
+        assert!(err.contains("high_water_bytes") && err.contains("stale"), "{err}");
+    }
+
+    #[test]
+    fn peak_rss_is_held_under_its_ceiling() {
+        assert!(gate(with(3, MAX_PEAK_RSS_BYTES)).is_ok());
+        let err = gate(with(3, MAX_PEAK_RSS_BYTES + 1)).unwrap_err();
+        assert!(err.contains("peak_rss_bytes"), "{err}");
+        // The committed bench's RSS is not a baseline: only the ceiling holds.
+        let high = bench("quick", 1928, with(3, 2 * MAX_PEAK_RSS_BYTES));
+        assert!(alloc_gate(&bench("quick", 1928, BASE), &high).is_ok());
     }
 
     #[test]
     fn incomparable_or_incomplete_baselines_fail() {
-        let committed = bench("quick", 1928, BASE.0, BASE.1);
+        let committed = bench("quick", 1928, BASE);
         let err = |fresh: &Json, committed: &Json| alloc_gate(fresh, committed).unwrap_err();
-        let medium = bench("medium", 1928, BASE.0, BASE.1);
+        let medium = bench("medium", 1928, BASE);
         assert!(err(&medium, &committed).contains("scale"));
-        let fewer = bench("quick", 1766, BASE.0, BASE.1);
+        let fewer = bench("quick", 1766, BASE);
         assert!(err(&fewer, &committed).contains("experiments"));
         let no_alloc = Json::parse(r#"{"scale":"quick","experiments":1928}"#).unwrap();
         assert!(err(&committed, &no_alloc).contains("missing"));
         assert!(err(&no_alloc, &committed).contains("missing"));
+        for i in 0..3 {
+            assert!(err(&bench("quick", 1928, with(i, 0)), &committed).contains("missing"));
+        }
+        let no_rss = Json::parse(
+            r#"{"scale":"quick","experiments":1928,"alloc":{"allocs_total":1000000,
+                "bytes_total":300000000,"high_water_bytes":1641850}}"#,
+        )
+        .unwrap();
+        assert!(err(&no_rss, &committed).contains("peak_rss_bytes"));
     }
 }

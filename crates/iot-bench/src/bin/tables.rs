@@ -4,9 +4,10 @@
 //! its JSON is written under `results/` (`IOT_RESULTS_DIR`). The scale
 //! comes from `IOT_SCALE`. However many campaign artifacts are named, the
 //! campaign runs at most once, through the one driver on every
-//! available core.
+//! available core; however many model artifacts are named, the model set
+//! is trained at most once.
 
-use iot_bench::tables::{run_campaign, Output, Source, ARTIFACTS};
+use iot_bench::tables::{run_campaign, Models, Output, Source, ARTIFACTS};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -22,6 +23,7 @@ fn main() -> ExitCode {
     let scale = iot_bench::scale();
     let dir = iot_bench::results_dir();
     let mut campaign = None;
+    let mut models = None;
     // Write errors on stdout (a closed pipe) are ignored, so the JSON
     // files are still written.
     let mut stdout = std::io::stdout().lock();
@@ -31,6 +33,9 @@ fn main() -> ExitCode {
         match source {
             Source::Campaign(render) => {
                 render(campaign.get_or_insert_with(|| run_campaign(scale)), &mut out)
+            }
+            Source::Models(render) => {
+                render(models.get_or_insert_with(|| Models::train(scale)), &mut out)
             }
             Source::Scaled(render) => render(scale, &mut out),
         }

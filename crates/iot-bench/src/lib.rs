@@ -6,7 +6,8 @@
 //! * `quick` — a minimal grid for smoke runs.
 //! * `medium` *(default)* — enough repetitions for stable numbers.
 //! * `full` — the paper-scale grid (§3.3's ~34,586 controlled
-//!   experiments); expect several minutes per artifact.
+//!   experiments); Tables 9–11 and §7.3 together take ~21 s on a
+//!   2-vCPU host.
 //!
 //! Results are printed as text tables and also written as JSON under
 //! `results/` (override with `IOT_RESULTS_DIR`).

@@ -6,14 +6,16 @@
 //! Campaign artifacts (Tables 2–8, §4.2, Figure 2, §9) read the finished
 //! [`Pipeline`] of one campaign run through the one driver, so the
 //! oracle, chaos and worker-identity gates check the same path the
-//! published tables come from. The others read the catalog, run the
-//! entropy calibration, or train their own per-device models.
+//! published tables come from. Tables 9–11 and §7.3 read one [`Models`]
+//! set, so every (device, egress) model is trained at most once per
+//! call, and Table 11 applies the very models Tables 9–10 score. The
+//! others read the catalog or run the entropy calibration.
 
 use crate::Scale;
 use iot_analysis::destinations::{ColumnCtx, ExpGroup};
 use iot_analysis::encryption::Table8Row;
 use iot_analysis::inference::{
-    build_dataset, infer_device, train_device_model, DeviceInference, F1_INFERRABLE,
+    build_dataset, train_device_model, TrainedDeviceModel, F1_INFERRABLE,
 };
 use iot_analysis::regional::significantly_different;
 use iot_analysis::report::{pct, TextTable};
@@ -81,8 +83,10 @@ impl Output {
 pub enum Source {
     /// The finished campaign pipeline.
     Campaign(fn(&Pipeline, &mut Output)),
-    /// The scale alone: the catalog, the calibration, or training
-    /// campaigns of its own.
+    /// The scale's activity models.
+    Models(fn(&Models, &mut Output)),
+    /// The scale alone: the catalog, the calibration, or a training
+    /// corpus of its own.
     Scaled(fn(Scale, &mut Output)),
 }
 
@@ -100,10 +104,10 @@ pub const ARTIFACTS: [(&str, Source); 16] = [
     ("table7", Source::Campaign(table7)),
     ("table8", Source::Campaign(table8)),
     ("summary", Source::Campaign(summary)),
-    ("table9", Source::Scaled(table9)),
-    ("table10", Source::Scaled(table10)),
-    ("table11", Source::Scaled(table11)),
-    ("user_study", Source::Scaled(user_study)),
+    ("table9", Source::Models(table9)),
+    ("table10", Source::Models(table10)),
+    ("table11", Source::Models(table11)),
+    ("user_study", Source::Models(user_study)),
 ];
 
 /// Runs the scale's campaign through the one driver with every
@@ -307,10 +311,10 @@ fn ablation(_: Scale, out: &mut Output) {
     );
 
     // 2. Traffic-unit gap sweep on a real idle capture.
-    let db = GeoDb::new();
+    let db = GeoDb::shared();
     let lab = Lab::deploy(LabSite::Us);
     let zmodo = lab.device("Zmodo Doorbell").unwrap();
-    let idle = run_idle(&db, zmodo, false, 4.0, 0);
+    let idle = run_idle(db, zmodo, false, 4.0, 0);
     let idle_packets = idle.packets();
     let mut t2 = TextTable::new(
         "Ablation 2: traffic-unit gap (Zmodo idle, 4h)",
@@ -341,7 +345,7 @@ fn ablation(_: Scale, out: &mut Output) {
     let mut experiments = Vec::new();
     let cam = lab.device("Wansview Cam").unwrap();
     let train_campaign = crate::training_campaign(Scale::Quick);
-    train_campaign.run_device(&db, cam, false, |e| experiments.push(e));
+    train_campaign.run_device(db, cam, false, |e| experiments.push(e));
     let dataset = build_dataset(&experiments);
     let mut t3 = TextTable::new(
         "Ablation 3: forest size vs cross-validated F1 (Wansview)",
@@ -386,8 +390,8 @@ fn ablation(_: Scale, out: &mut Output) {
     );
     for egress in [Region::Americas, Region::Europe] {
         let targets: Vec<_> = hosts.iter().map(|h| db.resolve(h, egress).unwrap()).collect();
-        let p = passport::accuracy(&db, &targets, egress, passport::infer_country);
-        let n = passport::accuracy(&db, &targets, egress, |db, ip, _| db.naive_country(ip));
+        let p = passport::accuracy(db, &targets, egress, passport::infer_country);
+        let n = passport::accuracy(db, &targets, egress, |db, ip, _| db.naive_country(ip));
         t4.row(vec![
             egress.to_string(),
             format!("{:.2}", p),
@@ -738,20 +742,31 @@ fn summary(p: &Pipeline, out: &mut Output) {
     out.emit("summary", &table, "see §9 of the paper for the reference values");
 }
 
-/// Runs `visit` on every deployed device's inference at native and VPN
-/// egress, over the scale's training campaign.
-fn each_inference(scale: Scale, mut visit: impl FnMut(&DeviceInstance, bool, &DeviceInference)) {
-    let config = crate::inference_config(scale);
-    let campaign = crate::training_campaign(scale);
-    let db = GeoDb::new();
-    for lab in campaign.labs() {
-        for device in &lab.devices {
+/// The activity models of Tables 9–11 and §7.3: one per deployed
+/// (site, device) at native and VPN egress, each trained once over the
+/// scale's training campaign.
+pub struct Models {
+    scale: Scale,
+    /// Each model with the device and egress it was trained for, in
+    /// lab × device × egress order.
+    trained: Vec<(DeviceInstance, bool, TrainedDeviceModel)>,
+}
+
+impl Models {
+    /// Cross-validates and fits every model of the scale.
+    pub fn train(scale: Scale) -> Models {
+        let config = crate::inference_config(scale);
+        let campaign = crate::training_campaign(scale);
+        let mut trained = Vec::new();
+        for device in campaign.labs().iter().flat_map(|lab| &lab.devices) {
             for vpn in [false, true] {
                 let name = device.spec().name;
-                iot_obs::progress!("  inferring {name} @ {:?} vpn={vpn}", device.site);
-                visit(device, vpn, &infer_device(&db, &campaign, device, vpn, &config));
+                iot_obs::progress!("  training {name} @ {:?} vpn={vpn}", device.site);
+                let model = train_device_model(GeoDb::shared(), &campaign, device, vpn, &config);
+                trained.push((device.clone(), vpn, model));
             }
         }
+        Models { scale, trained }
     }
 }
 
@@ -768,20 +783,20 @@ fn contexts_of(device: &DeviceInstance, vpn: bool) -> impl Iterator<Item = Colum
 
 /// Table 9: number of inferrable devices (macro F1 > 0.75) per category,
 /// per lab / egress context.
-fn table9(scale: Scale, out: &mut Output) {
+fn table9(models: &Models, out: &mut Output) {
     let mut counts: HashMap<(ColumnCtx, Category), usize> = HashMap::new();
     let mut totals: HashMap<Category, usize> = HashMap::new();
-    each_inference(scale, |device, vpn, inf| {
+    for (device, vpn, model) in &models.trained {
         let category = device.spec().category;
         if !vpn {
             *totals.entry(category).or_default() += 1;
         }
-        if inf.report.macro_f1 > F1_INFERRABLE {
-            for c in contexts_of(device, vpn) {
+        if model.cv_macro_f1 > F1_INFERRABLE {
+            for c in contexts_of(device, *vpn) {
                 *counts.entry((c, category)).or_default() += 1;
             }
         }
-    });
+    }
     let mut table =
         context_table("Table 9: inferrable devices (F1 > 0.75) by category", &["Category (#D)"]);
     for &category in Category::all() {
@@ -800,22 +815,22 @@ fn table9(scale: Scale, out: &mut Output) {
 
 /// Table 10: number of devices whose activities in each activity group are
 /// reliably inferrable (per-activity F1 > 0.75).
-fn table10(scale: Scale, out: &mut Output) {
+fn table10(models: &Models, out: &mut Output) {
     let mut counts: HashMap<(ColumnCtx, ActivityKind), usize> = HashMap::new();
     // Denominators counted once per device across both labs (no VPN).
     let mut denominators: HashMap<ActivityKind, usize> = HashMap::new();
-    each_inference(scale, |device, vpn, inf| {
+    for (device, vpn, model) in &models.trained {
         if !vpn {
-            for kind in inf.present_activity_kinds() {
+            for kind in model.present_activity_kinds() {
                 *denominators.entry(kind).or_default() += 1;
             }
         }
-        for kind in inf.inferrable_activity_kinds(F1_INFERRABLE) {
-            for c in contexts_of(device, vpn) {
+        for kind in model.inferrable_activity_kinds(F1_INFERRABLE) {
+            for c in contexts_of(device, *vpn) {
                 *counts.entry((c, kind)).or_default() += 1;
             }
         }
-    });
+    }
     let mut table = context_table(
         "Table 10: inferrable activities (F1 > 0.75) by activity group",
         &["Activity (#D)"],
@@ -843,41 +858,25 @@ fn table10(scale: Scale, out: &mut Output) {
 
 /// Table 11: activity instances detected in idle traffic using only
 /// high-confidence (F1 > 0.9) models.
-fn table11(scale: Scale, out: &mut Output) {
-    let config = crate::inference_config(scale);
-    let campaign = crate::training_campaign(scale);
-    let idle_hours = match scale {
+fn table11(models: &Models, out: &mut Output) {
+    let idle_hours = match models.scale {
         Scale::Quick => 2.0,
         Scale::Medium => 8.0,
         Scale::Full => 28.0,
     };
-    let db = GeoDb::new();
 
     // (device, activity-label) → [US, UK, US→UK, UK→US] counts
     let mut rows: BTreeMap<(String, String), [usize; 4]> = BTreeMap::new();
     let mut gated = 0usize;
-    let mut total_models = 0usize;
-    for lab in campaign.labs() {
-        for device in &lab.devices {
-            for vpn in [false, true] {
-                let column = usize::from(device.site == LabSite::Uk) + 2 * usize::from(vpn);
-                iot_obs::progress!(
-                    "  training {} @ {:?} vpn={}",
-                    device.spec().name,
-                    device.site,
-                    vpn
-                );
-                let model = train_device_model(&db, &campaign, device, vpn, &config);
-                total_models += 1;
-                let idle = run_idle(&db, device, vpn, idle_hours, 0);
-                match detect_activities(&model, &idle.packets()) {
-                    None => gated += 1,
-                    Some(detections) => {
-                        for (label, count) in detection_counts(&detections) {
-                            rows.entry((device.spec().name.to_string(), label))
-                                .or_insert([0; 4])[column] += count;
-                        }
-                    }
+    for (device, vpn, model) in &models.trained {
+        let column = usize::from(device.site == LabSite::Uk) + 2 * usize::from(*vpn);
+        let idle = run_idle(GeoDb::shared(), device, *vpn, idle_hours, 0);
+        match detect_activities(model, &idle.packets()) {
+            None => gated += 1,
+            Some(detections) => {
+                for (label, count) in detection_counts(&detections) {
+                    rows.entry((device.spec().name.to_string(), label))
+                        .or_insert([0; 4])[column] += count;
                 }
             }
         }
@@ -896,7 +895,8 @@ fn table11(scale: Scale, out: &mut Output) {
         table.row([device, label].into_iter().chain(counts.map(|c| c.to_string())).collect());
     }
     out.line(&format!(
-        "({gated}/{total_models} device models below the F1>0.9 gate were excluded)\n"
+        "({gated}/{} device models below the F1>0.9 gate were excluded)\n",
+        models.trained.len()
     ));
     out.emit(
         "table11",
@@ -909,18 +909,16 @@ fn table11(scale: Scale, out: &mut Output) {
 
 /// §7.3: unexpected behavior in the uncontrolled user study — detections
 /// matched against ground truth, separating intentional interactions from
-/// passive presence-triggered recordings.
-fn user_study(scale: Scale, out: &mut Output) {
-    let config = crate::inference_config(scale);
-    let campaign = crate::training_campaign(scale);
-    let days = match scale {
+/// passive presence-triggered recordings. Each capture is classified by
+/// its device's US native-egress model.
+fn user_study(models: &Models, out: &mut Output) {
+    let days = match models.scale {
         Scale::Quick => 3,
         Scale::Medium => 14,
         Scale::Full => 180,
     };
-    let db = GeoDb::new();
     let (captures, events) = simulate(
-        &db,
+        GeoDb::shared(),
         &StudyConfig {
             days,
             ..StudyConfig::default()
@@ -932,18 +930,17 @@ fn user_study(scale: Scale, out: &mut Output) {
         captures.len()
     ));
 
-    let lab = Lab::deploy(LabSite::Us);
     let mut table = TextTable::new(
         "§7.3: user-study detections vs ground truth",
         &["Device", "Detections", "Intentional", "Passive", "Unmatched"],
     );
     for capture in &captures {
-        let Some(device) = lab.device(capture.device_name) else {
+        let Some((_, _, model)) = models.trained.iter().find(|(device, vpn, _)| {
+            device.site == LabSite::Us && !vpn && device.spec().name == capture.device_name
+        }) else {
             continue;
         };
-        iot_obs::progress!("  training {}", capture.device_name);
-        let model = train_device_model(&db, &campaign, device, false, &config);
-        let Some(detections) = detect_activities(&model, &capture.packets) else {
+        let Some(detections) = detect_activities(model, &capture.packets) else {
             continue; // below the F1 gate
         };
         let report =
@@ -1039,5 +1036,22 @@ mod tests {
         // The resume completed the journal: now every unit is replayed.
         assert_eq!(render_campaign(&run(1, &resume)), reference, "journal replay");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The model set holds one model per deployed (site, device) at each
+    /// egress, each stored with the device it was trained for.
+    #[test]
+    fn models_hold_one_model_per_device_and_egress() {
+        let models = Models::train(Scale::Quick);
+        assert_eq!(models.trained.len(), 162);
+        let keys: std::collections::BTreeSet<_> = models
+            .trained
+            .iter()
+            .map(|(device, vpn, _)| (device.site, device.spec().name, *vpn))
+            .collect();
+        assert_eq!(keys.len(), 162, "one model per (site, device, egress)");
+        for (device, _, model) in &models.trained {
+            assert_eq!(model.device_name, device.spec().name);
+        }
     }
 }

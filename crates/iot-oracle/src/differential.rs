@@ -5,8 +5,7 @@
 //!
 //! [`check_worker_grid`] is the one place that proves worker-count
 //! identity: every gate that needs it (`bench_pipeline`, `chaos_check`,
-//! `streaming_smoke`, the oracle, and the identity tests) hands it a run
-//! closure. Its comparison is *structured*: when worker counts diverge,
+//! the oracle, and the identity tests) hands it a run closure. Its comparison is *structured*: when worker counts diverge,
 //! the violations name the exact table, row, and field, which turns
 //! "reports differ" into an actionable defect report.
 //!

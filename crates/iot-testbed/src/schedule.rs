@@ -155,8 +155,11 @@ impl Campaign {
         }
     }
 
-    /// Streams experiments for a single device (all its interactions at
-    /// native egress), used to train per-device classifiers.
+    /// Streams the training corpus of one device at one egress (`vpn`):
+    /// `max(power_reps, automated_reps)` power experiments, more than
+    /// the grid's `power_reps` (40 against 3 at the default config),
+    /// then every interaction at its grid repetitions. Used to train
+    /// per-device classifiers.
     pub fn run_device<F: FnMut(LabeledExperiment)>(
         &self,
         db: &GeoDb,

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Regenerates every paper table/figure into results/ (IOT_RESULTS_DIR),
-# and their printed form into results/all_tables.txt. IOT_SCALE=full
-# reproduces the paper-scale grid; this script uses medium for corpus
-# analyses and lighter scales for the model-training tables to bound
-# runtime.
+# and their printed form into results/all_tables.txt. The committed
+# artifacts are at reduced scales: medium for the corpus analyses and
+# Table 9, quick for Tables 10, 11 and §7.3. IOT_SCALE=full reproduces
+# the paper-scale grid; there the four model artifacts take ~21 s on a
+# 2-vCPU host.
 set -e
 cd "$(dirname "$0")"
 TABLES=./target/release/tables

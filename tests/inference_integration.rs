@@ -1,7 +1,7 @@
 //! Integration of the §6.3/§7 inference stack: train on labeled captures,
 //! detect activities in unlabeled idle and user-study traffic.
 
-use intl_iot::analysis::inference::{infer_device, train_device_model, InferenceConfig};
+use intl_iot::analysis::inference::{train_device_model, InferenceConfig};
 use intl_iot::analysis::unexpected::{detect_activities, detection_counts};
 use intl_iot::geodb::registry::GeoDb;
 use intl_iot::ml::forest::RandomForestConfig;
@@ -39,24 +39,26 @@ fn inferrability_gradient() {
     let lab = Lab::deploy(LabSite::Us);
 
     let cam = lab.device("Amazon Cloudcam").unwrap();
-    let cam_inf = infer_device(&db, &campaign, cam, false, &config());
+    let cam_model = train_device_model(&db, &campaign, cam, false, &config());
 
     let hub = lab.device("Wink 2 Hub").unwrap();
-    let hub_inf = infer_device(&db, &campaign, hub, false, &config());
+    let hub_model = train_device_model(&db, &campaign, hub, false, &config());
 
     assert!(
-        cam_inf.report.macro_f1 > hub_inf.report.macro_f1,
+        cam_model.cv_macro_f1 > hub_model.cv_macro_f1,
         "camera {:.3} must beat hub {:.3}",
-        cam_inf.report.macro_f1,
-        hub_inf.report.macro_f1
+        cam_model.cv_macro_f1,
+        hub_model.cv_macro_f1
     );
     // At this reduced rep count the absolute score sits below the paper's
     // full-scale numbers; the gradient above is the load-bearing check.
-    assert!(cam_inf.report.macro_f1 > 0.6, "{:.3}", cam_inf.report.macro_f1);
+    assert!(cam_model.cv_macro_f1 > 0.6, "{:.3}", cam_model.cv_macro_f1);
 }
 
 /// §7.2 end to end: a high-confidence Zmodo model finds the spurious
-/// motion uploads in idle traffic.
+/// motion uploads in idle traffic. At this test's rep counts the Zmodo
+/// model is below the F1 > 0.9 gate (CV macro F1 0.810), so only the
+/// fallback branch runs; the detection branch is not exercised here.
 #[test]
 fn zmodo_idle_detections() {
     let db = GeoDb::new();

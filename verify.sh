@@ -20,9 +20,10 @@
 #    folded profile must be exactly the report's span tree weighted by
 #    self time, and the deterministic event trace must have matched
 #    across worker counts. The quick serial campaign's heap totals
-#    (allocs_total, bytes_total) must match the committed
-#    BENCH_pipeline.json within 0.1% either way: a rise is a
-#    regression, a fall means the baseline is stale.
+#    (allocs_total, bytes_total) and heap high-water must match the
+#    committed BENCH_pipeline.json within 0.1% either way: a rise is a
+#    regression, a fall means the baseline is stale. The bench
+#    process's kernel peak RSS (VmHWM) must stay at or under 64 MiB.
 # 4. obs_serve_check: live-telemetry endpoint smoke — /metrics, /trace,
 #    /progress, and /profile answered over real sockets during an
 #    instrumented (and lightly faulted) campaign, with the ingest ledger
@@ -43,12 +44,7 @@
 #    reference run. This drives the rotation/compaction/resume path
 #    through the real binary and a real kill, not just in-process
 #    truncation.
-# 8. streaming smoke: the zero-copy cursor pipeline's bounded-memory
-#    and determinism gates — 1/2/8-worker identity on clean and
-#    faulted campaigns, heap high-water under half the old
-#    materializing baseline, and kernel peak RSS (VmHWM) under a hard
-#    ceiling.
-# 9. oracle_check: the correctness oracle — conservation-law invariants
+# 8. oracle_check: the correctness oracle — conservation-law invariants
 #    over the finished report (ledger reconciliation, percentage sums,
 #    catalog-backed PII findings, recounts from live accumulators),
 #    metamorphic relations (order permutation, rep relabeling, device
@@ -60,7 +56,7 @@
 #    reruns the oracle on the medium campaign grid, warn-only, with the
 #    instrumented allocator counting so the run prints the campaign's
 #    heap high-water and kernel peak RSS at that scale.
-# 10. tables: run_all_tables.sh regenerates every paper artifact into
+# 9. tables: run_all_tables.sh regenerates every paper artifact into
 #    target/verify_tables (~6 s on a 2-vCPU host), and the set must
 #    match results/ file for file: every *.json and all_tables.txt
 #    byte-identical (cmp), none missing and none extra. A change that
@@ -98,8 +94,7 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target
 echo "=== bench: worker-grid identity + heap totals (quick scale, obs on) ==="
 cargo build --release -p iot-bench \
   --bin bench_pipeline --bin obs_check --bin obs_serve_check \
-  --bin profile_diff --bin chaos_check --bin oracle_check \
-  --bin streaming_smoke --bin tables
+  --bin profile_diff --bin chaos_check --bin oracle_check --bin tables
 # Write to scratch paths so routine verification never clobbers the
 # committed BENCH_pipeline.json baseline (regenerate that explicitly
 # with the bench binary's defaults). IOT_OBS=1 makes the run emit the
@@ -162,9 +157,6 @@ cmp target/supervise_ref.json target/supervise_resumed.json || {
   exit 1
 }
 echo "supervise smoke: resumed report byte-identical to the reference"
-
-echo "=== streaming smoke: bounded memory + cursor driver identity ==="
-./target/release/streaming_smoke
 
 echo "=== oracle: invariants + metamorphic relations + differential runs ==="
 IOT_SCALE=quick \
