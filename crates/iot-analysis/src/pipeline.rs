@@ -243,14 +243,11 @@ struct Worker {
 impl Worker {
     /// Sets worker `idx` up on the calling thread.
     fn new(idx: usize, ctx: &RunCtx<'_>) -> Self {
-        let obs = Registry::with_enabled(ctx.obs_enabled);
-        // Event tracks start at 1; track 0 is the driver registry.
-        obs.set_worker(idx as u32 + 1);
         Worker {
             idx,
             label_ctx: LabelCtx::new(),
             pii_patterns: PatternCache::new(),
-            obs,
+            obs: Registry::with_enabled(ctx.obs_enabled),
             experiments: 0,
             started: Instant::now(),
         }
@@ -295,7 +292,6 @@ impl Worker {
              and stays resumable",
             self.idx
         );
-        self.obs.end_stream();
         self.label_ctx = LabelCtx::new();
         self.pii_patterns = PatternCache::new();
         let mut marker = UnitDelta::new(unit);
@@ -325,145 +321,136 @@ impl Worker {
             experiments,
             ..
         } = acc;
-        // The experiment's identity digest doubles as the flight-recorder
-        // stream key: every event inside this scope is attributable to
-        // this experiment regardless of which worker ran it. Fault draws
-        // optionally drop the rep index from their key (the oracle's
-        // rep-relabel relation needs rep-invariant fault schedules); the
-        // obs stream key always keeps the full identity.
-        let skey = experiment_fault_key(&exp);
+        // Fault draws are keyed by the experiment's identity digest,
+        // optionally without the rep index (the oracle's rep-relabel
+        // relation needs rep-invariant fault schedules).
         let fkey = match ctx.fault {
             Some(inj) if inj.plan().rep_invariant_fault_keys => {
                 experiment_fault_key_rep_invariant(&exp)
             }
-            _ => skey,
+            _ => experiment_fault_key(&exp),
         };
         let site = exp.site;
         let device = exp.device_name;
-        obs.begin_stream(skey);
-        {
-            let _ingest_span = obs.span("shard/ingest");
-            let n_generated = exp.packet_count() as u64;
-            ingest.packets_generated += n_generated;
-            // Pristine copy for re-attempts, taken before any degradation
-            // so even a total salvage loss is retryable. Zero-cost when
-            // retries or faults are off, preserving the allocation
-            // profile of a plain run.
-            let pristine =
-                (ctx.max_retries > 0 && ctx.fault.is_some()).then(|| exp.capture.clone());
-            let mut attempt: u32 = 0;
-            loop {
-                if attempt > 0 {
-                    // The re-attempt replays the pristine capture through
-                    // a fresh (attempt-salted) degradation pass.
-                    ingest.packets_reoffered += n_generated;
-                    ingest.retry_attempts += 1;
-                }
-                let mut inject_panic = false;
-                let mut stall: Option<u64> = None;
-                let mut total_loss = false;
-                if let Some(inj) = ctx.fault {
-                    inject_panic = inj.should_panic_at(fkey, attempt);
-                    stall = inj.stall_micros(fkey, attempt);
-                    total_loss = degrade_capture_at(inj, fkey, attempt, &mut exp, ingest, obs);
-                }
-                let salvaged = exp.packet_count() as u64;
-                // Whether a stall is quarantined is this value comparison
-                // — never a race between clocks — so the quarantine set is
-                // byte-identical across worker counts and machines. The
-                // clock only counts overruns, for a gauge.
-                let stall_breached =
-                    matches!((stall, ctx.deadline_micros), (Some(st), Some(d)) if st > d);
-                let overrun_at = ctx
-                    .deadline_micros
-                    .map(|d| Instant::now() + Duration::from_micros(d));
-                if let Some(st) = stall.filter(|_| !total_loss) {
-                    // The experiment hangs, at most until the deadline: a
-                    // stall past it is quarantined whatever happens next.
-                    let cap = ctx.deadline_micros.unwrap_or(u64::MAX);
-                    std::thread::sleep(Duration::from_micros(st.min(cap)));
-                }
-                let failure: Option<&'static str> = if total_loss {
-                    // from_bytes_lenient salvaged nothing at all; with
-                    // retries available this is transient, without them it
-                    // is a permanent loss (of an already-empty capture).
-                    Some("salvage_loss")
-                } else if stall_breached {
-                    Some("stall_deadline")
-                } else {
-                    // The quarantine boundary: a panic here — injected by
-                    // the chaos plan or real — costs this one experiment,
-                    // not the run. The injected panic fires before any
-                    // accumulator or obs mutation, so failed attempts
-                    // contribute exactly nothing and the report stays
-                    // deterministic.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if inject_panic {
-                            panic!("{INJECTED_PANIC_MSG}");
-                        }
-                        analyze_experiment(
-                            ctx.db,
-                            ctx.identities,
-                            destinations,
-                            encryption,
-                            pii,
-                            label_ctx,
-                            pii_patterns,
-                            ingest,
-                            obs,
-                            &exp,
-                        );
-                    }));
-                    match outcome {
-                        Ok(()) => None,
-                        Err(_) => Some("ingest_panic"),
-                    }
-                };
-                if overrun_at.is_some_and(|at| Instant::now() > at) {
-                    ctx.overruns.fetch_add(1, Ordering::Relaxed);
-                }
-                let stage = match failure {
-                    None => {
-                        ingest.packets_ingested += salvaged;
-                        ingest.experiments_ingested += 1;
-                        *experiments += 1;
-                        if attempt > 0 {
-                            ingest.experiments_retried += 1;
-                            coverage.record(site, device, CoverageOutcome::Retried);
-                        } else {
-                            coverage.record(site, device, CoverageOutcome::Completed);
-                        }
-                        break;
-                    }
-                    Some(stage) => stage,
-                };
-                ingest.add_stage_error(stage);
-                obs.mark("quarantine");
-                // An *injected* panic fires before any mutation and is
-                // transient; a real panic may have mutated accumulators
-                // mid-analysis, so re-running it would double-count —
-                // it stays permanent. Stalls and salvage losses never
-                // reach the analyses, so they are always transient.
-                let transient = stage != "ingest_panic" || inject_panic;
-                let retry = transient && attempt < ctx.max_retries;
-                if let Some(pristine) = pristine.as_ref().filter(|_| retry) {
-                    ingest.packets_retried += salvaged;
-                    exp.capture = pristine.clone();
-                    attempt += 1;
-                    continue;
-                }
-                ingest.packets_quarantined += salvaged;
-                if attempt > 0 {
-                    ingest.experiments_abandoned += 1;
-                    coverage.record(site, device, CoverageOutcome::Abandoned);
-                } else {
-                    ingest.experiments_quarantined += 1;
-                    coverage.record(site, device, CoverageOutcome::Quarantined);
-                }
-                break;
+        let _ingest_span = obs.span("shard/ingest");
+        let n_generated = exp.packet_count() as u64;
+        ingest.packets_generated += n_generated;
+        // Pristine copy for re-attempts, taken before any degradation
+        // so even a total salvage loss is retryable. Zero-cost when
+        // retries or faults are off, preserving the allocation
+        // profile of a plain run.
+        let pristine =
+            (ctx.max_retries > 0 && ctx.fault.is_some()).then(|| exp.capture.clone());
+        let mut attempt: u32 = 0;
+        loop {
+            if attempt > 0 {
+                // The re-attempt replays the pristine capture through
+                // a fresh (attempt-salted) degradation pass.
+                ingest.packets_reoffered += n_generated;
+                ingest.retry_attempts += 1;
             }
+            let mut inject_panic = false;
+            let mut stall: Option<u64> = None;
+            let mut total_loss = false;
+            if let Some(inj) = ctx.fault {
+                inject_panic = inj.should_panic_at(fkey, attempt);
+                stall = inj.stall_micros(fkey, attempt);
+                total_loss = degrade_capture_at(inj, fkey, attempt, &mut exp, ingest, obs);
+            }
+            let salvaged = exp.packet_count() as u64;
+            // Whether a stall is quarantined is this value comparison
+            // — never a race between clocks — so the quarantine set is
+            // byte-identical across worker counts and machines. The
+            // clock only counts overruns, for a gauge.
+            let stall_breached =
+                matches!((stall, ctx.deadline_micros), (Some(st), Some(d)) if st > d);
+            let overrun_at = ctx
+                .deadline_micros
+                .map(|d| Instant::now() + Duration::from_micros(d));
+            if let Some(st) = stall.filter(|_| !total_loss) {
+                // The experiment hangs, at most until the deadline: a
+                // stall past it is quarantined whatever happens next.
+                let cap = ctx.deadline_micros.unwrap_or(u64::MAX);
+                std::thread::sleep(Duration::from_micros(st.min(cap)));
+            }
+            let failure: Option<&'static str> = if total_loss {
+                // from_bytes_lenient salvaged nothing at all; with
+                // retries available this is transient, without them it
+                // is a permanent loss (of an already-empty capture).
+                Some("salvage_loss")
+            } else if stall_breached {
+                Some("stall_deadline")
+            } else {
+                // The quarantine boundary: a panic here — injected by
+                // the chaos plan or real — costs this one experiment,
+                // not the run. The injected panic fires before any
+                // accumulator or obs mutation, so failed attempts
+                // contribute exactly nothing and the report stays
+                // deterministic.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if inject_panic {
+                        panic!("{INJECTED_PANIC_MSG}");
+                    }
+                    analyze_experiment(
+                        ctx.db,
+                        ctx.identities,
+                        destinations,
+                        encryption,
+                        pii,
+                        label_ctx,
+                        pii_patterns,
+                        ingest,
+                        obs,
+                        &exp,
+                    );
+                }));
+                match outcome {
+                    Ok(()) => None,
+                    Err(_) => Some("ingest_panic"),
+                }
+            };
+            if overrun_at.is_some_and(|at| Instant::now() > at) {
+                ctx.overruns.fetch_add(1, Ordering::Relaxed);
+            }
+            let stage = match failure {
+                None => {
+                    ingest.packets_ingested += salvaged;
+                    ingest.experiments_ingested += 1;
+                    *experiments += 1;
+                    if attempt > 0 {
+                        ingest.experiments_retried += 1;
+                        coverage.record(site, device, CoverageOutcome::Retried);
+                    } else {
+                        coverage.record(site, device, CoverageOutcome::Completed);
+                    }
+                    break;
+                }
+                Some(stage) => stage,
+            };
+            ingest.add_stage_error(stage);
+            // An *injected* panic fires before any mutation and is
+            // transient; a real panic may have mutated accumulators
+            // mid-analysis, so re-running it would double-count —
+            // it stays permanent. Stalls and salvage losses never
+            // reach the analyses, so they are always transient.
+            let transient = stage != "ingest_panic" || inject_panic;
+            let retry = transient && attempt < ctx.max_retries;
+            if let Some(pristine) = pristine.as_ref().filter(|_| retry) {
+                ingest.packets_retried += salvaged;
+                exp.capture = pristine.clone();
+                attempt += 1;
+                continue;
+            }
+            ingest.packets_quarantined += salvaged;
+            if attempt > 0 {
+                ingest.experiments_abandoned += 1;
+                coverage.record(site, device, CoverageOutcome::Abandoned);
+            } else {
+                ingest.experiments_quarantined += 1;
+                coverage.record(site, device, CoverageOutcome::Quarantined);
+            }
+            break;
         }
-        obs.end_stream();
     }
 }
 
@@ -565,9 +552,7 @@ fn degrade_capture_at(
 ///
 /// Stage timing moves from per-stage spans to per-flow accumulation
 /// recorded once per experiment via `Registry::record_ns` under the
-/// `shard/ingest/…` paths nested spans would produce. `record_ns` emits no
-/// flight-recorder events, so the trace stays deterministic across
-/// worker counts and the overhead gate unaffected.
+/// `shard/ingest/…` paths nested spans would produce.
 #[allow(clippy::too_many_arguments)]
 fn analyze_experiment(
     db: &GeoDb,
@@ -765,13 +750,6 @@ impl Pipeline {
         self.ingest.merge(&delta.ingest);
         self.coverage.merge(&delta.coverage);
         self.experiments += delta.experiments;
-        // Live-heap counter track for the wall-clock Chrome trace,
-        // sampled only at fold boundaries (outside any event stream, so
-        // the deterministic trace subset never sees it).
-        if iot_obs::alloc::enabled() {
-            self.obs
-                .counter_sample("alloc.live_bytes", iot_obs::alloc::process_live_bytes());
-        }
         self.publish_live("folding");
     }
 
@@ -785,7 +763,6 @@ impl Pipeline {
         }
         let snapshot = self.obs.snapshot();
         let metrics = iot_obs::prometheus(&snapshot);
-        let trace = iot_obs::chrome_trace(&self.obs.timeline(), iot_obs::TraceMode::Wall).dump();
         let mut progress = Json::obj();
         progress.set("phase", phase.to_json());
         progress.set("experiments", self.experiments.to_json());
@@ -803,12 +780,7 @@ impl Pipeline {
             );
             progress.set("alloc", alloc);
         }
-        iot_obs::serve::publish(
-            metrics,
-            trace,
-            progress.dump(),
-            iot_obs::folded_stacks(&snapshot),
-        );
+        iot_obs::serve::publish(metrics, progress.dump(), iot_obs::folded_stacks(&snapshot));
     }
 
     /// Runs a full campaign (controlled + idle) through every analysis:
@@ -1245,8 +1217,6 @@ impl Pipeline {
             if let Some(rss) = iot_obs::process::peak_rss_bytes() {
                 self.obs.set_gauge("peak_rss_bytes", rss as f64);
             }
-            self.obs
-                .counter_sample("alloc.live_bytes", iot_obs::alloc::process_live_bytes());
         }
         self.publish_live("finished");
         (report, self.obs)

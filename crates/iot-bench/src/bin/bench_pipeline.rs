@@ -26,12 +26,8 @@
 //!   binary defaults to `quick` since every run is a whole campaign.
 //! * `IOT_BENCH_OUT` — output path (default `BENCH_pipeline.json`).
 //! * `IOT_OBS` / `IOT_OBS_OUT` — run-report emission (see `iot-obs`).
-//! * `IOT_OBS_TRACE_OUT` / `IOT_OBS_TRACE_DET_OUT` / `IOT_OBS_PROM_OUT`
-//!   — exporter artifact paths (default `target/obs_trace.json`,
-//!   `target/obs_trace_det.json`, `target/obs_metrics.prom`). The
-//!   deterministic trace is additionally required to be byte-identical
-//!   between the 1-worker and N-worker instrumented runs whenever no
-//!   ring overflow occurred.
+//! * `IOT_OBS_PROM_OUT` — where the instrumented N-worker run's
+//!   Prometheus exposition is written (default `target/obs_metrics.prom`).
 //! * `IOT_OBS_PROFILE_OUT` — where the instrumented N-worker run's span
 //!   tree is written as folded stacks (default `target/profile.folded`),
 //!   from the same registry as the run report; `obs_check` checks it
@@ -39,13 +35,15 @@
 //!   committed baseline in `verify.sh`.
 //!
 //! The instrumented N-worker run uses the host's available parallelism.
+//! Its one registry feeds the run report, both artifacts and the
+//! `stages` block.
 
 use iot_analysis::pipeline::{Pipeline, PipelineReport};
 use iot_analysis::SupervisorConfig;
 use iot_bench::harness::BenchResult;
 use iot_bench::{campaign_config, Scale};
 use iot_core::json::{Json, ToJson};
-use iot_obs::{chrome_trace, folded_stacks, prometheus, RunReport, TraceMode};
+use iot_obs::{folded_stacks, prometheus, RunReport};
 use iot_oracle::differential::check_worker_grid;
 use iot_testbed::schedule::CampaignConfig;
 use std::io::Write;
@@ -145,7 +143,7 @@ fn main() {
         eprintln!("bench_pipeline: FAIL — allocator-counted report diverged from baseline");
     }
 
-    // The instrumented runs keep counting on so their artifacts (obs
+    // The instrumented run keeps counting on so its artifacts (obs
     // report, Prometheus exposition, stage table) carry per-span heap
     // attribution; the identity gate below then covers obs + allocator
     // combined against the plain baseline.
@@ -156,45 +154,14 @@ fn main() {
             .expect("a run without a journal cannot fail to journal");
         p.finish_with_obs()
     };
+    iot_obs::alloc::set_enabled(false);
     let obs_identical = obs_report.to_json().dump() == serial_json;
     if !obs_identical {
         eprintln!("bench_pipeline: FAIL — instrumented report diverged from baseline");
     }
 
-    // Flight-recorder determinism gate: the logical event timeline (the
-    // deterministic Chrome-trace view) must be byte-identical between an
-    // instrumented serial run and the instrumented parallel run above.
-    // Only enforceable when neither ring overflowed — an overwritten
-    // window is a different (worker-dependent) subset by construction.
-    let serial_obs_registry = {
-        let mut p = Pipeline::with_obs(true);
-        p.run_campaign(config);
-        p.finish_with_obs().1
-    };
-    iot_obs::alloc::set_enabled(false);
-    let serial_timeline = serial_obs_registry.timeline();
-    let parallel_timeline = obs_registry.timeline();
-    let det_serial = chrome_trace(&serial_timeline, TraceMode::Deterministic).dump();
-    let det_parallel = chrome_trace(&parallel_timeline, TraceMode::Deterministic).dump();
-    let events_overwritten = serial_timeline.overwritten + parallel_timeline.overwritten;
-    let trace_det_identical = det_serial == det_parallel;
-    let trace_det_enforced = events_overwritten == 0;
-    if !trace_det_identical && trace_det_enforced {
-        eprintln!(
-            "bench_pipeline: FAIL — deterministic event trace diverged between \
-             serial and parallel runs"
-        );
-    } else if !trace_det_identical {
-        eprintln!(
-            "bench_pipeline: WARN — deterministic traces differ, but \
-             {events_overwritten} events were overwritten (raise IOT_OBS_EVENTS \
-             to enforce at this scale)"
-        );
-    }
-
-    // Exporter artifacts: the parallel run's wall-clock Chrome trace
-    // (Perfetto-loadable), its deterministic counterpart, and the
-    // Prometheus exposition and folded span tree of its registry.
+    // Exporter artifacts: the instrumented run's Prometheus exposition
+    // and folded span tree.
     let write_artifact = |env: &str, default: &str, contents: &str| {
         let path = PathBuf::from(std::env::var(env).unwrap_or_else(|_| default.to_string()));
         if let Some(parent) = path.parent() {
@@ -207,12 +174,6 @@ fn main() {
             Err(e) => eprintln!("bench_pipeline: write {} failed: {e}", path.display()),
         }
     };
-    write_artifact(
-        "IOT_OBS_TRACE_OUT",
-        "target/obs_trace.json",
-        &chrome_trace(&parallel_timeline, TraceMode::Wall).dump(),
-    );
-    write_artifact("IOT_OBS_TRACE_DET_OUT", "target/obs_trace_det.json", &det_parallel);
     let obs_snap = obs_registry.snapshot();
     write_artifact(
         "IOT_OBS_PROM_OUT",
@@ -236,8 +197,7 @@ fn main() {
     );
     // Allocator-counting overhead, measured the same interleaved way but
     // with observability off on both sides. This isolates the
-    // atomic/thread-local counter cost from the span/event cost gated
-    // above.
+    // atomic/thread-local counter cost from the span cost gated above.
     let (serial_alloc_base, serial_alloc) = interleaved(
         ("pipeline_alloc_baseline", || {
             iot_obs::alloc::set_enabled(false);
@@ -252,20 +212,19 @@ fn main() {
     let obs_overhead = serial_obs.median_ms() / serial_base.median_ms();
     let alloc_overhead = serial_alloc.median_ms() / serial_alloc_base.median_ms();
 
-    // Per-stage medians from the instrumented *serial* run's span
-    // histograms — the same histograms the flight-recorder stage table
-    // prints — for the worker's `shard` tree. Captured into the
-    // committed bench snapshot so PRs that shift time between stages are
-    // visible in review, not just in the total.
-    let serial_snap = serial_obs_registry.snapshot();
+    // Per-stage medians from the instrumented run's span histograms —
+    // the same histograms the run report's stage table prints — for the
+    // workers' `shard` tree. Captured into the committed bench snapshot
+    // so PRs that shift time between stages are visible in review, not
+    // just in the total.
     let mut stages = Json::obj();
-    for (path, hist) in &serial_snap.span_durations {
+    for (path, hist) in &obs_snap.span_durations {
         if path != "shard" && !path.starts_with("shard/") {
             continue;
         }
         let mut s = Json::obj();
         s.set("calls", hist.count().to_json());
-        if let Some(stats) = serial_snap.spans.get(path) {
+        if let Some(stats) = obs_snap.spans.get(path) {
             s.set("total_ms", stats.total_ms().to_json());
         }
         let q = |q: f64| hist.quantile_upper_bound(q).map(|ns| ns as f64 / 1e6);
@@ -273,7 +232,7 @@ fn main() {
         s.set("p95_ms", q(0.95).to_json());
         // Heap traffic attributed to the stage while counting was on —
         // the per-stage byte budget the docs table quotes.
-        if let Some(a) = serial_snap.span_allocs.get(path) {
+        if let Some(a) = obs_snap.span_allocs.get(path) {
             s.set("alloc_bytes", a.bytes_allocated.to_json());
             s.set("allocs", a.allocs.to_json());
         }
@@ -288,12 +247,6 @@ fn main() {
     out.set("reports_identical", identical.to_json());
     out.set("obs_report_identical", obs_identical.to_json());
     out.set("alloc_report_identical", alloc_report_identical.to_json());
-    out.set("trace_deterministic_identical", trace_det_identical.to_json());
-    out.set(
-        "events_recorded",
-        (parallel_timeline.events.len() as u64).to_json(),
-    );
-    out.set("events_overwritten", events_overwritten.to_json());
     out.set("serial_obs_baseline", serial_base.to_json());
     out.set("serial_obs", serial_obs.to_json());
     out.set("serial_alloc_baseline", serial_alloc_base.to_json());
@@ -336,7 +289,7 @@ fn main() {
     out.set(
         "note",
         "obs_overhead_ratio = serial median with IOT_OBS instrumentation \
-         (spans + flight-recorder events) forced on / forced off, measured on \
+         (spans, counters, histograms) forced on / forced off, measured on \
          interleaved pairs (serial_obs vs serial_obs_baseline); gated <1.05 by \
          obs_check in verify.sh. alloc_overhead_ratio = the same interleaved \
          comparison with only heap counting toggled (obs off both sides), \
@@ -371,11 +324,7 @@ fn main() {
         alloc_traffic.allocs,
         alloc_high_water as f64 / 1e6
     );
-    if !identical
-        || !obs_identical
-        || !alloc_report_identical
-        || (!trace_det_identical && trace_det_enforced)
-    {
+    if !identical || !obs_identical || !alloc_report_identical {
         std::process::exit(1);
     }
 }

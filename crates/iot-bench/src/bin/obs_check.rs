@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! obs_check <obs_run.json> <fresh_bench.json> <committed_bench.json> \
-//!           <obs_trace.json> <obs_metrics.prom> <profile.folded>
+//!           <obs_metrics.prom> <profile.folded>
 //! ```
 //!
 //! Asserts that the run report written by an `IOT_OBS=1` bench run is
@@ -41,13 +41,8 @@
 //!    The bench process's kernel peak RSS (`alloc.peak_rss_bytes`, read
 //!    from `VmHWM`) must stay at or under 64 MiB;
 //!
-//! 7. the exporter artifacts `bench_pipeline` wrote: the Chrome trace
-//!    must parse through the in-tree JSON parser with a non-empty
-//!    per-worker `traceEvents` array, the Prometheus exposition must
-//!    carry `# TYPE` lines and histogram `_bucket`/`_sum`/`_count`
-//!    series, the run report must have recorded flight-recorder events,
-//!    and the benchmark's `trace_deterministic_identical` gate must have
-//!    held;
+//! 7. the Prometheus exposition `bench_pipeline` wrote carries `# TYPE`
+//!    lines and histogram `_bucket`/`_sum`/`_count` series;
 //! 8. the folded profile is the report's span tree: its stacks are
 //!    exactly the report's span paths with at least 1 µs of self time
 //!    (the path's total less its direct children's), and each weight is
@@ -153,65 +148,9 @@ fn alloc_gate(fresh: &Json, committed: &Json) -> Result<String, String> {
     Ok(line.join(", "))
 }
 
-/// Exporter-artifact assertions (folded-in `obs_export_check`): the
-/// Chrome trace and Prometheus exposition written by `bench_pipeline`
-/// must be well-formed, and the run must actually have recorded events.
-fn check_exports(
-    report: &Json,
-    bench: &Json,
-    trace_path: &str,
-    prom_path: &str,
-) -> Result<(), String> {
-    let events_recorded = report
-        .get("events")
-        .and_then(|e| e.get("recorded"))
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "obs report: no events.recorded field".to_string())?;
-    if events_recorded == 0 {
-        return Err("obs report: zero flight-recorder events recorded".to_string());
-    }
-    println!("obs_check: {events_recorded} flight-recorder events");
-
-    if !bench
-        .get("trace_deterministic_identical")
-        .and_then(Json::as_bool)
-        .unwrap_or(false)
-    {
-        // Only an overflowed ring excuses divergence; bench_pipeline
-        // already exits non-zero otherwise, but belt and braces here.
-        let overwritten = bench
-            .get("events_overwritten")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if overwritten == 0 {
-            return Err("bench: deterministic trace diverged across worker counts".to_string());
-        }
-        println!(
-            "obs_check: deterministic-trace gate skipped ({overwritten} events overwritten)"
-        );
-    }
-
-    let trace = load(trace_path)?;
-    let events = trace
-        .get("traceEvents")
-        .and_then(Json::items)
-        .ok_or_else(|| format!("{trace_path}: no traceEvents array"))?;
-    if events.is_empty() {
-        return Err(format!("{trace_path}: traceEvents is empty"));
-    }
-    let tracks: std::collections::BTreeSet<u64> = events
-        .iter()
-        .filter_map(|e| e.get("tid").and_then(Json::as_u64))
-        .collect();
-    if tracks.is_empty() {
-        return Err(format!("{trace_path}: events carry no tid tracks"));
-    }
-    println!(
-        "obs_check: trace has {} events on {} worker track(s)",
-        events.len(),
-        tracks.len()
-    );
-
+/// The Prometheus exposition `bench_pipeline` wrote must carry the
+/// counter, span-duration and span-memory families.
+fn check_prometheus(prom_path: &str) -> Result<(), String> {
     let prom = std::fs::read_to_string(prom_path).map_err(|e| format!("{prom_path}: {e}"))?;
     for needle in [
         "# TYPE iot_experiments_total counter",
@@ -280,7 +219,7 @@ fn check_folded(spans: &[(String, Json)], folded_path: &str) -> Result<(), Strin
 }
 
 fn check(
-    [obs_path, bench_path, committed_path, trace_path, prom_path, folded_path]: [&str; 6],
+    [obs_path, bench_path, committed_path, prom_path, folded_path]: [&str; 5],
 ) -> Result<(), String> {
     let report = load(obs_path)?;
     let bench = load(bench_path)?;
@@ -449,18 +388,17 @@ fn check(
     println!("obs_check: heap totals match {committed_path}: {line}");
 
     // 7–8. Exporter artifacts.
-    check_exports(&report, &bench, trace_path, prom_path)?;
+    check_prometheus(prom_path)?;
     check_folded(spans, folded_path)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Ok(paths) = <[&str; 6]>::try_from(args.iter().map(String::as_str).collect::<Vec<_>>())
+    let Ok(paths) = <[&str; 5]>::try_from(args.iter().map(String::as_str).collect::<Vec<_>>())
     else {
         eprintln!(
             "usage: obs_check <obs_run.json> <fresh_bench.json> \
-             <committed_bench.json> <obs_trace.json> <obs_metrics.prom> \
-             <profile.folded>"
+             <committed_bench.json> <obs_metrics.prom> <profile.folded>"
         );
         return ExitCode::FAILURE;
     };

@@ -8,17 +8,15 @@
 //! 1. `/progress` responds live during the campaign;
 //! 2. `/metrics` is Prometheus text exposition with `# TYPE` lines,
 //!    counter/histogram series, and the pipeline's stage counters;
-//! 3. `/trace` parses as Chrome trace-event JSON with a non-empty
-//!    `traceEvents` array;
-//! 4. the final `/progress` ledger satisfies the `IngestStats`
+//! 3. the final `/progress` ledger satisfies the `IngestStats`
 //!    conservation invariant (`generated + duplicated == ingested +
 //!    dropped + lost + quarantined`) even under an armed fault plan,
 //!    and — with the instrumented allocator counting — carries a live
 //!    `alloc` block while `/metrics` carries the per-span memory series;
-//! 5. `/profile` serves the published span tree as folded stacks that
+//! 4. `/profile` serves the published span tree as folded stacks that
 //!    parse like any folded profile, include `shard;synth` and
 //!    `shard;ingest;flows`, and name only spans `/metrics` carries;
-//! 6. unknown routes answer 404 and non-GET methods answer 405.
+//! 5. unknown routes answer 404 and non-GET methods answer 405.
 //!
 //! Exits non-zero on any failure, so `verify.sh` can gate on it.
 
@@ -142,20 +140,7 @@ fn check() -> Result<(), String> {
     }
     println!("obs_serve_check: /metrics OK ({} bytes)", metrics.len());
 
-    // 3. /trace: Chrome trace-event JSON, non-empty.
-    let (status, trace) = get(addr, "/trace")?;
-    expect_status("/trace", &status, "200")?;
-    let trace = Json::parse(&trace).map_err(|e| format!("/trace: not JSON: {e}"))?;
-    let events = trace
-        .get("traceEvents")
-        .and_then(Json::items)
-        .ok_or("/trace: no traceEvents array")?;
-    if events.is_empty() {
-        return Err("/trace: traceEvents is empty".to_string());
-    }
-    println!("obs_serve_check: /trace OK ({} events)", events.len());
-
-    // 4. Final /progress must carry the reconciled ingest ledger.
+    // 3. Final /progress must carry the reconciled ingest ledger.
     let (status, progress) = get(addr, "/progress")?;
     expect_status("final /progress", &status, "200")?;
     let progress = Json::parse(&progress).map_err(|e| format!("/progress: not JSON: {e}"))?;
@@ -197,7 +182,7 @@ fn check() -> Result<(), String> {
     }
     println!("obs_serve_check: /progress alloc block OK ({alloc_bytes} bytes allocated)");
 
-    // 5. /profile: the published span tree as folded stacks, from the
+    // 4. /profile: the published span tree as folded stacks, from the
     // same snapshot as /metrics.
     let (status, folded) = get(addr, "/profile")?;
     expect_status("/profile", &status, "200")?;
@@ -222,7 +207,7 @@ fn check() -> Result<(), String> {
         folded.total
     );
 
-    // 6. Error paths.
+    // 5. Error paths.
     let (status, _) = get(addr, "/nope")?;
     expect_status("/nope", &status, "404")?;
     let (status, _) = request(addr, "POST /metrics HTTP/1.1")?;

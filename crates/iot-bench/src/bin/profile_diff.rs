@@ -9,20 +9,17 @@
 //! Parses two folded span-tree profiles (the fresh one `bench_pipeline`
 //! wrote and the committed baseline under `results/`) and prints the
 //! stacks whose share of self time moved the most. Share shifts are
-//! informational by default — the two profiles come from different
-//! machines and runs, so only gross shape changes mean anything — but
-//! setting `IOT_PROFILE_DIFF_MAX_SHIFT` (a fraction, e.g. `0.25`) turns
-//! the largest absolute shift into a hard gate.
+//! informational — the two profiles come from different machines and
+//! runs, so only gross shape changes mean anything.
 //!
 //! Exits non-zero on malformed input (either file unreadable or not
-//! valid folded-stack text) or on a gated shift; a missing *baseline*
-//! is only a warning so the gate can bootstrap before a baseline is
-//! committed.
+//! valid folded-stack text); a missing *baseline* is only a warning so
+//! the check can bootstrap before a baseline is committed.
 
 use iot_bench::profile_diff::{diff, render, FoldedProfile};
 use std::process::ExitCode;
 
-fn run(head_path: &str, base_path: &str) -> Result<bool, String> {
+fn run(head_path: &str, base_path: &str) -> Result<(), String> {
     let head_text =
         std::fs::read_to_string(head_path).map_err(|e| format!("{head_path}: {e}"))?;
     let head = FoldedProfile::parse(&head_text).map_err(|e| format!("{head_path}: {e}"))?;
@@ -39,7 +36,7 @@ fn run(head_path: &str, base_path: &str) -> Result<bool, String> {
                 "profile_diff: WARN — baseline {base_path} unreadable ({e}); \
                  nothing to compare against"
             );
-            return Ok(true);
+            return Ok(());
         }
     };
     let base = FoldedProfile::parse(&base_text).map_err(|e| format!("{base_path}: {e}"))?;
@@ -59,36 +56,11 @@ fn run(head_path: &str, base_path: &str) -> Result<bool, String> {
     }
 
     let max_shift = shifts.first().map(|s| s.delta.abs()).unwrap_or(0.0);
-    match std::env::var("IOT_PROFILE_DIFF_MAX_SHIFT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        Some(ceiling) if max_shift > ceiling => {
-            eprintln!(
-                "profile_diff: FAIL — largest share shift {:.1}% exceeds the \
-                 {:.1}% ceiling",
-                max_shift * 100.0,
-                ceiling * 100.0
-            );
-            Ok(false)
-        }
-        Some(ceiling) => {
-            println!(
-                "profile_diff: largest shift {:.1}% within the {:.1}% ceiling",
-                max_shift * 100.0,
-                ceiling * 100.0
-            );
-            Ok(true)
-        }
-        None => {
-            println!(
-                "profile_diff: largest shift {:.1}% (informational; set \
-                 IOT_PROFILE_DIFF_MAX_SHIFT to gate)",
-                max_shift * 100.0
-            );
-            Ok(true)
-        }
-    }
+    println!(
+        "profile_diff: largest shift {:.1}% (informational)",
+        max_shift * 100.0
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -98,11 +70,10 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     match run(&args[0], &args[1]) {
-        Ok(true) => {
+        Ok(()) => {
             println!("profile_diff: OK");
             ExitCode::SUCCESS
         }
-        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("profile_diff: FAIL — {e}");
             ExitCode::FAILURE

@@ -12,9 +12,7 @@
 //! Shares, not raw weights: the two profiles were almost certainly taken
 //! on different machines, so absolute times are incomparable, but the
 //! fraction of time a stack accounts for is. The `profile_diff` binary
-//! prints the largest shifts and by default treats them as
-//! informational; setting `IOT_PROFILE_DIFF_MAX_SHIFT` turns the largest
-//! absolute shift into a hard gate.
+//! prints the largest shifts; they are informational.
 
 use std::collections::BTreeMap;
 

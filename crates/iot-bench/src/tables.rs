@@ -37,7 +37,7 @@ use iot_testbed::catalog;
 use iot_testbed::device::{ActivityKind, Availability, Category};
 use iot_testbed::experiment::run_idle;
 use iot_testbed::lab::{DeviceInstance, Lab, LabSite};
-use iot_testbed::user_study::{simulate, StudyConfig};
+use iot_testbed::user_study::{device_capture, plan_events, study_devices, StudyConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -910,43 +910,44 @@ fn table11(models: &Models, out: &mut Output) {
 /// §7.3: unexpected behavior in the uncontrolled user study — detections
 /// matched against ground truth, separating intentional interactions from
 /// passive presence-triggered recordings. Each capture is classified by
-/// its device's US native-egress model.
+/// its device's US native-egress model, and only one device's study
+/// traffic is held at a time.
 fn user_study(models: &Models, out: &mut Output) {
     let days = match models.scale {
         Scale::Quick => 3,
         Scale::Medium => 14,
         Scale::Full => 180,
     };
-    let (captures, events) = simulate(
-        GeoDb::shared(),
-        &StudyConfig {
-            days,
-            ..StudyConfig::default()
-        },
-    );
+    let config = StudyConfig {
+        days,
+        ..StudyConfig::default()
+    };
+    let events = plan_events(&config);
+    let devices = study_devices(&events);
     out.line(&format!(
         "simulated {days} study days: {} ground-truth events across {} devices\n",
         events.len(),
-        captures.len()
+        devices.len()
     ));
 
     let mut table = TextTable::new(
         "§7.3: user-study detections vs ground truth",
         &["Device", "Detections", "Intentional", "Passive", "Unmatched"],
     );
-    for capture in &captures {
-        let Some((_, _, model)) = models.trained.iter().find(|(device, vpn, _)| {
-            device.site == LabSite::Us && !vpn && device.spec().name == capture.device_name
+    for device in &devices {
+        let name = device.spec().name;
+        let Some((_, _, model)) = models.trained.iter().find(|(trained, vpn, _)| {
+            trained.site == LabSite::Us && !vpn && trained.spec().name == name
         }) else {
             continue;
         };
-        let Some(detections) = detect_activities(model, &capture.packets) else {
+        let packets = device_capture(GeoDb::shared(), &config, device, &events).to_packets();
+        let Some(detections) = detect_activities(model, &packets) else {
             continue; // below the F1 gate
         };
-        let report =
-            match_against_ground_truth(capture.device_name, &detections, &events, 120.0);
+        let report = match_against_ground_truth(name, &detections, &events, 120.0);
         table.row(vec![
-            capture.device_name.to_string(),
+            name.to_string(),
             detections.len().to_string(),
             report.matched_intentional.to_string(),
             report.matched_passive.to_string(),

@@ -18,7 +18,6 @@
 //! * [`forest`] — bootstrap-aggregated trees with feature subsampling.
 //! * [`metrics`] — confusion matrices, precision/recall/F1.
 //! * [`crossval`] — stratified repeated hold-out validation.
-//! * [`importance`] — permutation feature importance for fitted forests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +25,6 @@
 pub mod crossval;
 pub mod dataset;
 pub mod forest;
-pub mod importance;
 pub mod metrics;
 #[cfg(test)]
 mod reference;

@@ -1,9 +1,9 @@
 //! Environment-driven configuration.
 //!
-//! Five variables control the layer. They are read **once per process**
+//! Four variables control the layer. They are read **once per process**
 //! into a single [`OnceLock`]-cached [`ObsConfig`] — every call-site
 //! gate (`enabled()`, `verbose()`, report paths, the serve address, the
-//! event-ring capacity) resolves through that one cached struct, so a
+//! allocator switch) resolves through that one cached struct, so a
 //! mid-run environment mutation can never produce a half-enabled run
 //! where some shards record and others don't.
 //!
@@ -13,16 +13,12 @@
 //! * `IOT_OBS_OUT` — run-report path (default `results/obs_run.json`).
 //! * `IOT_OBS_SERVE` — bind address (e.g. `127.0.0.1:9464`) for the live
 //!   HTTP telemetry endpoint (see [`crate::serve`]). Unset: no server.
-//! * `IOT_OBS_EVENTS` — per-shard event-ring capacity for the flight
-//!   recorder (default [`DEFAULT_EVENT_CAPACITY`]; `0` disables event
-//!   recording while keeping aggregate metrics).
 //! * `IOT_OBS_ALLOC` — `1` turns on the instrumented global allocator
 //!   (see [`crate::alloc`]); independent of `IOT_OBS` so memory can be
 //!   profiled without span recording and vice versa. The allocator
 //!   itself never reads the environment (that would allocate); this
 //!   module flips its flag when the config is first resolved.
 
-use crate::events::DEFAULT_EVENT_CAPACITY;
 use std::sync::OnceLock;
 
 /// Default run-report path when `IOT_OBS_OUT` is unset.
@@ -37,8 +33,6 @@ pub struct ObsConfig {
     pub out_path: String,
     /// Live telemetry endpoint bind address (`IOT_OBS_SERVE`), if any.
     pub serve_addr: Option<String>,
-    /// Flight-recorder ring capacity per shard (`IOT_OBS_EVENTS`).
-    pub event_capacity: usize,
     /// Instrumented-allocator gate (`IOT_OBS_ALLOC`).
     pub alloc: bool,
 }
@@ -56,10 +50,6 @@ impl ObsConfig {
             .ok()
             .map(|v| v.trim().to_string())
             .filter(|v| !v.is_empty());
-        let event_capacity = std::env::var("IOT_OBS_EVENTS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_EVENT_CAPACITY);
         let alloc = std::env::var("IOT_OBS_ALLOC")
             .ok()
             .map(|v| {
@@ -71,7 +61,6 @@ impl ObsConfig {
             verbosity,
             out_path,
             serve_addr,
-            event_capacity,
             alloc,
         }
     }
@@ -121,9 +110,6 @@ mod tests {
         }
         if std::env::var("IOT_OBS_SERVE").is_err() {
             assert_eq!(c.serve_addr, None);
-        }
-        if std::env::var("IOT_OBS_EVENTS").is_err() {
-            assert_eq!(c.event_capacity, DEFAULT_EVENT_CAPACITY);
         }
         if std::env::var("IOT_OBS_ALLOC").is_err() {
             assert!(!c.alloc);

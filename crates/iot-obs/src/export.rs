@@ -1,26 +1,5 @@
-//! Exporters: the flight-recorder timeline as Chrome trace-event JSON,
-//! and the registry snapshot as Prometheus text exposition or as a
-//! folded-stack profile of its span tree.
-//!
-//! ## Chrome trace
-//!
-//! [`chrome_trace`] renders a [`Timeline`] in the trace-event format
-//! that `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
-//! directly: span begin/end pairs become `B`/`E` duration events on one
-//! track per worker (`tid` = worker, `tid` 0 is the driver), counter
-//! deltas become `C` counter samples, and marks become `i` instants.
-//!
-//! Two modes ([`TraceMode`]):
-//!
-//! * [`TraceMode::Wall`] — microsecond wall-clock timestamps since the
-//!   recorder epoch. What you load into Perfetto; run-dependent by
-//!   nature.
-//! * [`TraceMode::Deterministic`] — the stream-tagged subset only,
-//!   ordered by the logical `(stream, stream_seq, …)` key with the
-//!   running index as the timestamp and every run-dependent coordinate
-//!   (wall clock, worker) dropped. The rendered bytes are a pure
-//!   function of the corpus: byte-identical across 1/2/8 workers, which
-//!   `bench_pipeline` asserts and `obs_check` gates.
+//! Exporters: the registry snapshot as Prometheus text exposition or as
+//! a folded-stack profile of its span tree.
 //!
 //! ## Prometheus
 //!
@@ -43,97 +22,10 @@
 //! its root's total, less each line's sub-microsecond remainder, and
 //! equal snapshots render the same bytes.
 
-use crate::events::{Event, EventKind, Timeline};
 use crate::metrics::Histogram;
 use crate::registry::Snapshot;
-use iot_core::json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Timestamp/ordering mode for [`chrome_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Wall-clock microseconds, one track per worker.
-    Wall,
-    /// Logical sequence numbers, deterministic subset only.
-    Deterministic,
-}
-
-fn wall_event_json(t: &Timeline, e: &Event) -> Json {
-    let mut j = Json::obj();
-    j.set("name", t.label(e).to_json());
-    j.set("ph", chrome_phase(e.kind).to_json());
-    // Trace-event timestamps are microseconds; keep sub-µs resolution.
-    j.set("ts", (e.ts_ns as f64 / 1e3).to_json());
-    j.set("pid", 1u64.to_json());
-    j.set("tid", u64::from(e.worker).to_json());
-    decorate(&mut j, e);
-    j
-}
-
-fn det_event_json(t: &Timeline, e: &Event, index: u64) -> Json {
-    let mut j = Json::obj();
-    j.set("name", t.label(e).to_json());
-    j.set("ph", chrome_phase(e.kind).to_json());
-    j.set("ts", index.to_json());
-    j.set("pid", 1u64.to_json());
-    j.set("tid", 0u64.to_json());
-    let mut args = Json::obj();
-    args.set("stream", format!("{:016x}", e.stream).to_json());
-    args.set("seq", u64::from(e.stream_seq).to_json());
-    if e.kind == EventKind::Counter {
-        args.set("delta", e.delta.to_json());
-    }
-    j.set("args", args);
-    if e.kind == EventKind::Mark {
-        j.set("s", "t".to_json());
-    }
-    j
-}
-
-fn chrome_phase(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::SpanBegin => "B",
-        EventKind::SpanEnd => "E",
-        EventKind::Counter => "C",
-        EventKind::Mark => "i",
-    }
-}
-
-fn decorate(j: &mut Json, e: &Event) {
-    match e.kind {
-        EventKind::Counter => {
-            let mut args = Json::obj();
-            args.set("delta", e.delta.to_json());
-            j.set("args", args);
-        }
-        EventKind::Mark => {
-            // Thread-scoped instant; Perfetto requires the scope field.
-            j.set("s", "t".to_json());
-        }
-        EventKind::SpanBegin | EventKind::SpanEnd => {}
-    }
-}
-
-/// Renders a timeline as a Chrome trace-event JSON document.
-pub fn chrome_trace(t: &Timeline, mode: TraceMode) -> Json {
-    let events: Vec<Json> = match mode {
-        TraceMode::Wall => t.events.iter().map(|e| wall_event_json(t, e)).collect(),
-        TraceMode::Deterministic => t
-            .deterministic_events()
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| det_event_json(t, e, i as u64))
-            .collect(),
-    };
-    let mut j = Json::obj();
-    j.set("traceEvents", Json::Arr(events));
-    j.set("displayTimeUnit", "ms".to_json());
-    if mode == TraceMode::Wall {
-        j.set("overwrittenEvents", t.overwritten.to_json());
-    }
-    j
-}
 
 /// Maps a metric name to a Prometheus-safe identifier: `iot_` prefix,
 /// every character outside `[a-zA-Z0-9_]` folded to `_`.
@@ -283,55 +175,8 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn chrome_trace_wall_has_one_track_per_worker() {
-        let target = Registry::with_event_capacity(true, 32);
-        target.set_worker(0);
-        for w in 1..=2u32 {
-            let shard = Registry::with_event_capacity(true, 32);
-            shard.set_worker(w);
-            let _s = shard.span("work");
-            drop(_s);
-            target.merge(shard);
-        }
-        let j = chrome_trace(&target.timeline(), TraceMode::Wall);
-        let events = j.get("traceEvents").and_then(Json::items).unwrap();
-        assert_eq!(events.len(), 4);
-        let tids: std::collections::BTreeSet<u64> = events
-            .iter()
-            .filter_map(|e| e.get("tid").and_then(Json::as_u64))
-            .collect();
-        assert_eq!(tids.into_iter().collect::<Vec<_>>(), vec![1, 2]);
-        // The document round-trips through the in-tree parser.
-        let parsed = Json::parse(&j.dump()).unwrap();
-        assert_eq!(parsed.dump(), j.dump());
-    }
-
-    #[test]
-    fn deterministic_trace_is_merge_order_independent() {
-        let build = |order: &[u64]| {
-            let target = Registry::with_event_capacity(true, 64);
-            for (i, &stream) in order.iter().enumerate() {
-                let shard = Registry::with_event_capacity(true, 64);
-                shard.set_worker(i as u32 + 1);
-                shard.begin_stream(stream);
-                {
-                    let _s = shard.span("ingest");
-                    shard.add("packets", stream);
-                }
-                shard.end_stream();
-                target.merge(shard);
-            }
-            chrome_trace(&target.timeline(), TraceMode::Deterministic).dump()
-        };
-        assert_eq!(build(&[3, 1, 2]), build(&[2, 3, 1]));
-        let doc = build(&[3, 1, 2]);
-        assert!(doc.contains("\"stream\""), "{doc}");
-        assert!(!doc.contains("\"overwrittenEvents\""));
-    }
-
-    #[test]
     fn prometheus_renders_all_metric_kinds() {
-        let r = Registry::with_event_capacity(true, 0);
+        let r = Registry::with_enabled(true);
         r.add("experiments", 7);
         r.set_gauge("workers", 2.0);
         r.observe("flow_bytes", 100);
@@ -352,7 +197,7 @@ mod tests {
 
     #[test]
     fn prometheus_memory_series_appear_only_with_alloc_data() {
-        let r = Registry::with_event_capacity(true, 0);
+        let r = Registry::with_enabled(true);
         r.record_ns("ingest", Duration::from_nanos(100));
         let quiet = prometheus(&r.snapshot());
         assert!(!quiet.contains("iot_span_alloc"), "{quiet}");
@@ -396,7 +241,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_weight_record_ns_paths_by_self_time() {
-        let r = Registry::with_event_capacity(true, 0);
+        let r = Registry::with_enabled(true);
         let us = Duration::from_micros;
         r.record_ns("shard", us(100));
         r.record_ns("shard/synth", us(30));
@@ -417,7 +262,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_weight_guard_nested_spans_by_self_time() {
-        let r = Registry::with_event_capacity(true, 0);
+        let r = Registry::with_enabled(true);
         let nap = || std::thread::sleep(Duration::from_millis(1));
         r.record_ns("shard", Duration::from_secs(1));
         for _ in 0..2 {
@@ -449,14 +294,14 @@ mod tests {
     #[test]
     fn folded_stacks_are_merge_order_independent() {
         let shard = |k: u64| {
-            let r = Registry::with_event_capacity(true, 0);
+            let r = Registry::with_enabled(true);
             r.record_ns("shard", Duration::from_micros(110 * k + 7));
             r.record_ns("shard/synth", Duration::from_micros(10 * k));
             r.record_ns("shard/ingest", Duration::from_micros(100 * k));
             r
         };
         let render = |order: [u64; 3]| {
-            let driver = Registry::with_event_capacity(true, 0);
+            let driver = Registry::with_enabled(true);
             driver.record_ns("finish", Duration::from_micros(3));
             for k in order {
                 driver.merge(shard(k));

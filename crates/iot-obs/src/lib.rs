@@ -18,20 +18,16 @@
 //!   [`Registry::span`]: wall-clock plus call counts aggregated per
 //!   `parent/child` label path.
 //! * [`metrics`] — the deterministic power-of-two-bucket [`Histogram`].
-//! * [`events`] — the flight recorder: a fixed-capacity, shard-local
-//!   [`EventRing`] of span begin/end and counter-delta [`Event`]s,
-//!   folded at merge time into one [`Timeline`].
-//! * [`export`] — [`chrome_trace`] (Perfetto-loadable trace-event JSON),
-//!   [`prometheus`] (text exposition 0.0.4), and [`folded_stacks`], the
-//!   span tree as a collapsed-stack profile weighted by self time.
+//! * [`export`] — [`prometheus`] (text exposition 0.0.4) and
+//!   [`folded_stacks`], the span tree as a collapsed-stack profile
+//!   weighted by self time.
 //! * [`serve`] — an optional std-only HTTP endpoint (`IOT_OBS_SERVE`)
-//!   serving `/metrics`, `/trace`, `/progress`, and `/profile` live
-//!   during a run.
+//!   serving `/metrics`, `/progress`, and `/profile` live during a run.
 //! * [`report`] — [`RunReport`]: a snapshot of a registry rendered as
 //!   deterministic JSON (via `iot_core::json`) or as a human-readable
 //!   stage table, written to `results/obs_run.json` by default.
 //! * [`config`] — the `IOT_OBS` / `IOT_OBS_OUT` / `IOT_OBS_SERVE` /
-//!   `IOT_OBS_EVENTS` environment gates, parsed once into a cached
+//!   `IOT_OBS_ALLOC` environment gates, parsed once into a cached
 //!   [`config::ObsConfig`].
 //! * [`process`] — process-wide atomic counters for layers (like the
 //!   testbed generators) that have no registry in scope.
@@ -66,7 +62,6 @@
 
 pub mod alloc;
 pub mod config;
-pub mod events;
 pub mod export;
 pub mod log;
 pub mod metrics;
@@ -78,8 +73,7 @@ pub mod span;
 
 pub use alloc::AllocStats;
 pub use config::{enabled, verbose};
-pub use events::{Event, EventKind, EventRing, Timeline};
-pub use export::{chrome_trace, folded_stacks, prometheus, TraceMode};
+pub use export::{folded_stacks, prometheus};
 pub use metrics::Histogram;
 pub use registry::{Registry, SpanGuard};
 pub use report::RunReport;

@@ -16,30 +16,16 @@
 //! overhead in the low microseconds (gated <5% end to end by
 //! `obs_check`).
 //!
-//! Each enabled registry also owns a fixed-capacity
-//! [`EventRing`](crate::events::EventRing): span opens/closes and
-//! counter increments additionally append timestamped events, and
-//! [`Registry::merge`] folds the shards' rings into a single global
-//! [`Timeline`] retrievable via [`Registry::timeline`]. Span durations
-//! are recorded into per-path [`Histogram`]s alongside the aggregate
-//! [`SpanStats`], so reports can derive p50/p95 from exactly the same
-//! bucket bounds the Prometheus exporter emits.
+//! Span durations are recorded into per-path [`Histogram`]s alongside
+//! the aggregate [`SpanStats`], so reports can derive p50/p95 from
+//! exactly the same bucket bounds the Prometheus exporter emits.
 
 use crate::alloc::{self, AllocStats};
-use crate::events::{Event, EventKind, EventRing, Timeline};
 use crate::metrics::Histogram;
 use crate::span::SpanStats;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-fn intern_label(labels: &mut Vec<String>, label: &str) -> u32 {
-    if let Some(i) = labels.iter().position(|l| l == label) {
-        return i as u32;
-    }
-    labels.push(label.to_string());
-    (labels.len() - 1) as u32
-}
 
 struct Inner {
     counters: BTreeMap<String, u64>,
@@ -62,17 +48,10 @@ struct Inner {
     children: Vec<Vec<(String, usize)>>,
     /// Slots of currently open spans, outermost first.
     stack: Vec<usize>,
-    /// Flight recorder (None when events are disabled).
-    events: Option<EventRing>,
-    /// Events folded in from merged shard registries, indices into
-    /// `merged_labels`.
-    merged_events: Vec<Event>,
-    merged_labels: Vec<String>,
-    merged_overwritten: u64,
 }
 
 impl Inner {
-    fn new(events: Option<EventRing>) -> Self {
+    fn new() -> Self {
         Inner {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
@@ -83,10 +62,6 @@ impl Inner {
             span_allocs: Vec::new(),
             children: vec![Vec::new()],
             stack: Vec::new(),
-            events,
-            merged_events: Vec::new(),
-            merged_labels: Vec::new(),
-            merged_overwritten: 0,
         }
     }
 
@@ -175,27 +150,9 @@ impl Inner {
         }
         hists
     }
-
-    /// Folds `(labels, events)` into the merged-event store, remapping
-    /// label indices into `merged_labels`.
-    fn fold_events(&mut self, labels: &[String], events: Vec<Event>, overwritten: u64) {
-        if events.is_empty() && overwritten == 0 {
-            return;
-        }
-        let remap: Vec<u32> = labels
-            .iter()
-            .map(|l| intern_label(&mut self.merged_labels, l))
-            .collect();
-        self.merged_events.extend(events.into_iter().map(|mut e| {
-            e.label = remap[e.label as usize];
-            e
-        }));
-        self.merged_overwritten += overwritten;
-    }
 }
 
-/// A shard-local collection of counters, gauges, histograms, spans, and
-/// flight-recorder events.
+/// A shard-local collection of counters, gauges, histograms, and spans.
 pub struct Registry {
     enabled: bool,
     inner: RefCell<Inner>,
@@ -216,21 +173,11 @@ impl Registry {
 
     /// Creates a registry with recording explicitly forced on or off,
     /// ignoring the environment — used by tests and by the overhead
-    /// benchmark, which measures both modes inside one process. The
-    /// event-ring capacity still follows `IOT_OBS_EVENTS`.
+    /// benchmark, which measures both modes inside one process.
     pub fn with_enabled(enabled: bool) -> Self {
-        Self::with_event_capacity(enabled, crate::config::global().event_capacity)
-    }
-
-    /// Creates a registry with both recording and the flight-recorder
-    /// ring capacity forced (0 disables events while keeping aggregate
-    /// metrics).
-    pub fn with_event_capacity(enabled: bool, event_capacity: usize) -> Self {
-        let events = (enabled && event_capacity > 0)
-            .then(|| EventRing::with_capacity(event_capacity));
         Registry {
             enabled,
-            inner: RefCell::new(Inner::new(events)),
+            inner: RefCell::new(Inner::new()),
         }
     }
 
@@ -239,62 +186,17 @@ impl Registry {
         self.enabled
     }
 
-    /// Whether this registry records flight-recorder events.
-    pub fn events_enabled(&self) -> bool {
-        self.enabled && self.inner.borrow().events.is_some()
-    }
-
-    /// Sets the worker track stamped on this registry's events (0 =
-    /// driver; shard workers use 1..).
-    pub fn set_worker(&self, worker: u32) {
-        if let Some(ring) = self.inner.borrow_mut().events.as_mut() {
-            ring.set_worker(worker);
-        }
-    }
-
-    /// Enters a deterministic event stream (see `crate::events`); all
-    /// events until [`Registry::end_stream`] carry `stream` and a
-    /// logical per-stream sequence number.
-    pub fn begin_stream(&self, stream: u64) {
-        if let Some(ring) = self.inner.borrow_mut().events.as_mut() {
-            ring.begin_stream(stream);
-        }
-    }
-
-    /// Leaves the current event stream.
-    pub fn end_stream(&self) {
-        if let Some(ring) = self.inner.borrow_mut().events.as_mut() {
-            ring.end_stream();
-        }
-    }
-
-    /// Records an instantaneous mark event (e.g. `quarantine`).
-    pub fn mark(&self, label: &str) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(ring) = self.inner.borrow_mut().events.as_mut() {
-            ring.record(EventKind::Mark, label, 0);
-        }
-    }
-
     /// Adds `delta` to the counter `name`, creating it at zero first.
     pub fn add(&self, name: &str, delta: u64) {
         if !self.enabled {
             return;
         }
         let mut inner = self.inner.borrow_mut();
-        let Inner {
-            counters, events, ..
-        } = &mut *inner;
-        match counters.get_mut(name) {
+        match inner.counters.get_mut(name) {
             Some(c) => *c += delta,
             None => {
-                counters.insert(name.to_string(), delta);
+                inner.counters.insert(name.to_string(), delta);
             }
-        }
-        if let Some(ring) = events.as_mut() {
-            ring.record(EventKind::Counter, name, delta);
         }
     }
 
@@ -349,20 +251,7 @@ impl Registry {
         let slot = inner.intern_child(parent, label);
         inner.stack.push(slot);
         let depth = inner.stack.len();
-        let Inner {
-            span_paths, events, ..
-        } = &mut *inner;
-        // One clock read serves both the aggregate timer and the begin
-        // event's timestamp.
         let start = Instant::now();
-        if let Some(ring) = events.as_mut() {
-            ring.record_at(
-                crate::events::ts_ns_at(start),
-                EventKind::SpanBegin,
-                &span_paths[slot],
-                0,
-            );
-        }
         // Snapshot the thread's allocation counters *after* the span's
         // own bookkeeping above, so first-use path interning is not
         // charged to the span. Nested spans include their children's
@@ -380,8 +269,6 @@ impl Registry {
     /// Records an externally timed duration against a span path — for
     /// regions where an RAII guard cannot live (e.g. around a closure
     /// that needs exclusive access to the structure owning the registry).
-    /// No flight-recorder events are emitted: the region's begin time is
-    /// unknown by construction.
     pub fn record_ns(&self, path: &str, d: Duration) {
         if !self.enabled {
             return;
@@ -406,29 +293,13 @@ impl Registry {
         inner.span_allocs[slot].merge(&stats);
     }
 
-    /// Emits a counter-sample flight-recorder event *without* touching
-    /// the counters map — for run-dependent quantities (live heap
-    /// bytes) that belong on a Chrome-trace counter track but must stay
-    /// out of the deterministic counter subset. Callers only sample at
-    /// stream-free boundaries (shard start/end, fold points), so the
-    /// deterministic trace view — stream events only — never sees one.
-    pub fn counter_sample(&self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(ring) = self.inner.borrow_mut().events.as_mut() {
-            ring.record(EventKind::Counter, name, value);
-        }
-    }
-
     /// Folds `other` into `self`. Merged data combines regardless of
     /// either registry's enablement (enablement only gates recording).
     pub fn merge(&self, other: Registry) {
-        let mut other = other.inner.into_inner();
+        let other = other.inner.into_inner();
         let other_spans = other.spans_by_path();
         let other_hists = other.span_hists_by_path();
         let other_allocs = other.span_allocs_by_path();
-        let other_ring = other.events.take().map(EventRing::into_parts);
         let mut inner = self.inner.borrow_mut();
         for (k, v) in other.counters {
             *inner.counters.entry(k).or_insert(0) += v;
@@ -460,15 +331,6 @@ impl Registry {
             let slot = inner.intern_full(&path);
             inner.span_allocs[slot].merge(&stats);
         }
-        // Fold the shard's ring (and anything it had itself merged) into
-        // the unbounded merged-event store; the global timeline is the
-        // union of every worker's surviving window.
-        if let Some((labels, events, overwritten)) = other_ring {
-            inner.fold_events(&labels, events, overwritten);
-        }
-        let merged_labels = std::mem::take(&mut other.merged_labels);
-        let merged_events = std::mem::take(&mut other.merged_events);
-        inner.fold_events(&merged_labels, merged_events, other.merged_overwritten);
     }
 
     /// Current value of a counter (0 when absent).
@@ -509,34 +371,10 @@ impl Registry {
         }
     }
 
-    /// The global event timeline: this registry's own ring plus every
-    /// ring folded in through [`Registry::merge`], label-resolved and
-    /// sorted by `(timestamp, worker, seq)`.
-    pub fn timeline(&self) -> Timeline {
-        let inner = self.inner.borrow();
-        let mut labels = inner.merged_labels.clone();
-        let mut events = inner.merged_events.clone();
-        let mut overwritten = inner.merged_overwritten;
-        if let Some(ring) = inner.events.as_ref() {
-            let (own_labels, own_events, own_overwritten) = ring.parts();
-            let remap: Vec<u32> = own_labels
-                .iter()
-                .map(|l| intern_label(&mut labels, l))
-                .collect();
-            events.extend(own_events.into_iter().map(|mut e| {
-                e.label = remap[e.label as usize];
-                e
-            }));
-            overwritten += own_overwritten;
-        }
-        Timeline::new(labels, events, overwritten)
-    }
-
     fn close_span(
         &self,
         depth: usize,
         slot: usize,
-        start: Instant,
         elapsed: Duration,
         alloc_delta: Option<AllocStats>,
     ) {
@@ -554,15 +392,6 @@ impl Registry {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         inner.span_stats[slot].record(ns);
         inner.span_hists[slot].observe(ns);
-        let Inner {
-            span_paths, events, ..
-        } = &mut *inner;
-        if let Some(ring) = events.as_mut() {
-            // End timestamp derived from begin + elapsed: closing a span
-            // costs no additional clock read.
-            let end_ts = crate::events::ts_ns_at(start).saturating_add(ns);
-            ring.record_at(end_ts, EventKind::SpanEnd, &span_paths[slot], 0);
-        }
     }
 }
 
@@ -586,7 +415,7 @@ impl Drop for SpanGuard<'_> {
                 .alloc_start
                 .map(|s| alloc::thread_snapshot().since(&s));
             self.reg
-                .close_span(self.depth, self.slot, start, elapsed, alloc_delta);
+                .close_span(self.depth, self.slot, elapsed, alloc_delta);
         }
     }
 }
@@ -628,9 +457,7 @@ mod tests {
             let _s = r.span("outer");
         }
         r.record_ns("manual", Duration::from_millis(1));
-        r.mark("m");
         assert_eq!(r.snapshot(), Snapshot::default());
-        assert!(r.timeline().events.is_empty());
     }
 
     #[test]
@@ -706,10 +533,7 @@ mod tests {
     #[test]
     fn merge_is_associative_and_commutative() {
         let build = |counts: &[(&str, u64)], span_ns: &[(&str, u64)]| {
-            // Event capacity 0: wall-clock event timestamps are
-            // run-dependent, so only the aggregate sections take part in
-            // the snapshot-equality check.
-            let r = Registry::with_event_capacity(true, 0);
+            let r = Registry::with_enabled(true);
             for &(k, v) in counts {
                 r.add(k, v);
                 r.observe("values", v);
@@ -756,68 +580,11 @@ mod tests {
     }
 
     #[test]
-    fn spans_and_counters_emit_events() {
-        let r = Registry::with_event_capacity(true, 64);
-        assert!(r.events_enabled());
-        r.set_worker(3);
-        r.begin_stream(77);
-        {
-            let _s = r.span("work");
-            r.add("n", 5);
-        }
-        r.end_stream();
-        r.mark("done");
-        let t = r.timeline();
-        let kinds: Vec<(EventKind, &str)> = t
-            .events
-            .iter()
-            .map(|e| (e.kind, t.label(e)))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (EventKind::SpanBegin, "work"),
-                (EventKind::Counter, "n"),
-                (EventKind::SpanEnd, "work"),
-                (EventKind::Mark, "done"),
-            ]
-        );
-        assert!(t.events.iter().all(|e| e.worker == 3));
-        assert_eq!(t.events[0].stream, 77);
-        assert_eq!(t.events[3].stream, 0, "mark is outside the stream");
-    }
-
-    #[test]
-    fn merge_folds_event_rings_into_one_timeline() {
-        let target = Registry::with_event_capacity(true, 16);
-        target.set_worker(0);
-        target.mark("driver");
-        for w in 1..=2u32 {
-            let shard = Registry::with_event_capacity(true, 16);
-            shard.set_worker(w);
-            shard.begin_stream(u64::from(w) * 100);
-            let _s = shard.span("ingest");
-            drop(_s);
-            shard.end_stream();
-            target.merge(shard);
-        }
-        let t = target.timeline();
-        assert_eq!(t.events.len(), 5, "1 driver mark + 2×(begin+end)");
-        let workers: std::collections::BTreeSet<u32> =
-            t.events.iter().map(|e| e.worker).collect();
-        assert_eq!(workers.into_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        // Chained merges preserve already-folded events.
-        let outer = Registry::with_event_capacity(true, 16);
-        outer.merge(target);
-        assert_eq!(outer.timeline().events.len(), 5);
-    }
-
-    #[test]
     fn span_allocs_attribute_heap_traffic_to_the_open_span() {
         let _g = alloc::test_lock();
         let was = alloc::enabled();
         alloc::set_enabled(true);
-        let r = Registry::with_event_capacity(true, 0);
+        let r = Registry::with_enabled(true);
         {
             let _outer = r.span("outer");
             let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(8192));
@@ -848,7 +615,7 @@ mod tests {
         let _g = alloc::test_lock();
         let was = alloc::enabled();
         alloc::set_enabled(false);
-        let r = Registry::with_event_capacity(true, 0);
+        let r = Registry::with_enabled(true);
         {
             let _s = r.span("quiet");
             let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(4096));
@@ -862,8 +629,8 @@ mod tests {
 
     #[test]
     fn record_alloc_merges_by_path_like_record_ns() {
-        let a = Registry::with_event_capacity(true, 0);
-        let b = Registry::with_event_capacity(true, 0);
+        let a = Registry::with_enabled(true);
+        let b = Registry::with_enabled(true);
         let stats = |bytes, n| AllocStats {
             bytes_allocated: bytes,
             allocs: n,
@@ -879,35 +646,5 @@ mod tests {
         assert_eq!(snap.span_allocs["ingest/pii"], stats(160, 6));
         assert_eq!(snap.span_allocs["ingest/destinations"], stats(8, 2));
         assert!(!snap.span_allocs.contains_key("zero"));
-    }
-
-    #[test]
-    fn counter_sample_emits_event_without_counter() {
-        let r = Registry::with_event_capacity(true, 16);
-        r.counter_sample("alloc.live_bytes", 12345);
-        assert_eq!(r.counter("alloc.live_bytes"), 0);
-        assert!(!r.snapshot().counters.contains_key("alloc.live_bytes"));
-        let t = r.timeline();
-        assert_eq!(t.events.len(), 1);
-        assert_eq!(t.events[0].kind, EventKind::Counter);
-        assert_eq!(t.events[0].delta, 12345);
-        assert_eq!(t.events[0].stream, 0, "samples live outside streams");
-        // With events disabled it is a complete no-op.
-        let quiet = Registry::with_event_capacity(true, 0);
-        quiet.counter_sample("alloc.live_bytes", 1);
-        assert!(quiet.timeline().events.is_empty());
-    }
-
-    #[test]
-    fn event_capacity_zero_disables_events_only() {
-        let r = Registry::with_event_capacity(true, 0);
-        assert!(!r.events_enabled());
-        r.add("c", 1);
-        {
-            let _s = r.span("a");
-        }
-        assert!(r.timeline().events.is_empty());
-        assert_eq!(r.counter("c"), 1);
-        assert_eq!(r.snapshot().spans["a"].calls, 1);
     }
 }

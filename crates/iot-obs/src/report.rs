@@ -28,19 +28,15 @@ pub struct RunReport {
     /// Free-form metadata pairs, in insertion order.
     pub meta: Vec<(String, String)>,
     snapshot: Snapshot,
-    /// Flight-recorder volume: (events retained, events overwritten).
-    events: (u64, u64),
 }
 
 impl RunReport {
     /// Snapshots `reg` into a report named `name`.
     pub fn from_registry(name: &str, reg: &Registry) -> Self {
-        let timeline = reg.timeline();
         RunReport {
             name: name.to_string(),
             meta: Vec::new(),
             snapshot: reg.snapshot(),
-            events: (timeline.events.len() as u64, timeline.overwritten),
         }
     }
 
@@ -60,10 +56,6 @@ impl RunReport {
         }
         j.set("meta", meta);
         j.set("process", crate::process::snapshot_json());
-        let mut events = Json::obj();
-        events.set("recorded", self.events.0.to_json());
-        events.set("overwritten", self.events.1.to_json());
-        j.set("events", events);
         let mut spans = Json::obj();
         for (path, stats) in &self.snapshot.spans {
             let mut s = stats.to_json();

@@ -1,12 +1,10 @@
 //! Live telemetry over HTTP, std-only.
 //!
-//! A minimal GET-only server on `std::net::TcpListener` exposing four
+//! A minimal GET-only server on `std::net::TcpListener` exposing three
 //! routes:
 //!
 //! * `/metrics` — the latest published registry snapshot in Prometheus
 //!   text exposition format (scrapeable by a stock Prometheus).
-//! * `/trace` — the latest published timeline as Chrome trace-event
-//!   JSON (loadable in Perfetto while the campaign is still running).
 //! * `/progress` — run progress as JSON: the published ingest ledger
 //!   and experiment counts, composed at request time with the *live*
 //!   process-wide generator counters, so the numbers move while workers
@@ -20,10 +18,10 @@
 //! Workers never touch the server: the pipeline publishes rendered
 //! documents ([`publish`]) at shard-fold boundaries (run start, each
 //! shard fold, finish), so the hot path stays lock-free and the server
-//! only ever holds four strings behind one mutex. Requests between
-//! publications see the previous snapshot — the flight-recorder
-//! trade-off, not a consistency bug — and worker spans reach `/metrics`
-//! and `/profile` when the workers finish and their registries merge.
+//! only ever holds three strings behind one mutex. Requests between
+//! publications see the previous snapshot — a deliberate trade-off, not
+//! a consistency bug — and worker spans reach `/metrics` and `/profile`
+//! when the workers finish and their registries merge.
 //!
 //! ## Security posture
 //!
@@ -73,7 +71,6 @@ enum HeadError {
 #[derive(Default)]
 struct Published {
     metrics: String,
-    trace: String,
     progress: String,
     profile: String,
 }
@@ -91,13 +88,12 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Publishes the four documents the routes serve. Cheap string swaps
+/// Publishes the three documents the routes serve. Cheap string swaps
 /// under one mutex; call at fold boundaries, not per experiment.
-pub fn publish(metrics: String, trace: String, progress: String, profile: String) {
+pub fn publish(metrics: String, progress: String, profile: String) {
     let mut p = published().lock().unwrap_or_else(|e| e.into_inner());
     *p = Published {
         metrics,
-        trace,
         progress,
         profile,
     };
@@ -134,9 +130,7 @@ pub fn maybe_start_from_env() -> Option<SocketAddr> {
         let addr = crate::config::global().serve_addr.as_deref()?;
         match start(addr) {
             Ok(bound) => {
-                crate::progress!(
-                    "iot-obs: serving /metrics /trace /progress /profile on {bound}"
-                );
+                crate::progress!("iot-obs: serving /metrics /progress /profile on {bound}");
                 Some(bound)
             }
             Err(e) => {
@@ -257,17 +251,6 @@ fn response_for(stream: &mut TcpStream) -> (&'static str, &'static str, String) 
             };
             ("200 OK", "text/plain; version=0.0.4", body)
         }
-        "/trace" => {
-            let body = {
-                let p = published().lock().unwrap_or_else(|e| e.into_inner());
-                if p.trace.is_empty() {
-                    "{\"traceEvents\":[]}".to_string()
-                } else {
-                    p.trace.clone()
-                }
-            };
-            ("200 OK", "application/json", body)
-        }
         "/progress" => {
             let progress = {
                 let p = published().lock().unwrap_or_else(|e| e.into_inner());
@@ -295,7 +278,7 @@ fn response_for(stream: &mut TcpStream) -> (&'static str, &'static str, String) 
         _ => (
             "404 Not Found",
             "text/plain",
-            "routes: /metrics /trace /progress /profile\n".to_string(),
+            "routes: /metrics /progress /profile\n".to_string(),
         ),
     }
 }
@@ -308,10 +291,9 @@ mod tests {
     // process-global server per test binary); here only the pure pieces.
     #[test]
     fn publish_then_read_back() {
-        publish("m".into(), "t".into(), "{\"x\":1}".into(), "a;b 1\n".into());
+        publish("m".into(), "{\"x\":1}".into(), "a;b 1\n".into());
         let p = published().lock().unwrap();
         assert_eq!(p.metrics, "m");
-        assert_eq!(p.trace, "t");
         assert_eq!(p.progress, "{\"x\":1}");
         assert_eq!(p.profile, "a;b 1\n");
     }

@@ -52,13 +52,10 @@ fn endpoint_serves_published_documents() {
     assert!(iot_obs::serve::active(), "start must raise the active flag");
 
     let metrics_doc = "# TYPE iot_experiments_total counter\niot_experiments_total 7\n";
-    let trace_doc =
-        "{\"traceEvents\":[{\"name\":\"ingest\",\"ph\":\"B\",\"ts\":1.5,\"pid\":1,\"tid\":2}]}";
     let progress_doc = "{\"phase\":\"folded\",\"experiments\":7}";
     let profile_doc = "shard 40\nshard;ingest 60\n";
     iot_obs::serve::publish(
         metrics_doc.to_string(),
-        trace_doc.to_string(),
         progress_doc.to_string(),
         profile_doc.to_string(),
     );
@@ -78,23 +75,11 @@ fn endpoint_serves_published_documents() {
     );
     assert_eq!(header(&headers, "connection"), Some("close"));
 
-    // /trace: the published Chrome trace, parseable as JSON; a query
-    // string is ignored.
-    let (status, headers, body) = get(addr, "/trace?window=1");
+    // /progress: the published ledger composed with the live process
+    // counters at request time; a query string is ignored.
+    let (status, headers, body) = get(addr, "/progress?window=1");
     assert!(status.contains("200"), "{status}");
     assert_eq!(header(&headers, "content-type"), Some("application/json"));
-    let trace = Json::parse(&body).expect("/trace body must be JSON");
-    let events = trace.get("traceEvents").and_then(Json::items).unwrap();
-    assert_eq!(events.len(), 1);
-    assert_eq!(
-        events[0].get("name").and_then(Json::as_str),
-        Some("ingest")
-    );
-
-    // /progress: the published ledger composed with the live process
-    // counters at request time.
-    let (status, _, body) = get(addr, "/progress");
-    assert!(status.contains("200"), "{status}");
     let progress = Json::parse(body.trim()).expect("/progress body must be JSON");
     assert_eq!(
         progress
@@ -114,10 +99,14 @@ fn endpoint_serves_published_documents() {
     assert_eq!(header(&headers, "content-type"), Some("text/plain"));
     assert_eq!(body, profile_doc);
 
-    // Error paths: unknown route, non-GET method, empty request.
-    let (status, _, body) = get(addr, "/nope");
-    assert!(status.contains("404"), "{status}");
-    assert!(body.contains("/metrics"), "404 body lists routes: {body}");
+    // Error paths: unknown routes (the retired `/trace` among them),
+    // non-GET method, empty request.
+    for route in ["/nope", "/trace"] {
+        let (status, _, body) = get(addr, route);
+        assert!(status.contains("404"), "{route}: {status}");
+        assert!(body.contains("/metrics"), "404 body lists routes: {body}");
+        assert!(!body.contains("/trace"), "404 body lists routes: {body}");
+    }
     let (status, _, _) = request(addr, "POST /metrics HTTP/1.1");
     assert!(status.contains("405"), "{status}");
     let status = {
@@ -168,11 +157,9 @@ fn endpoint_serves_published_documents() {
     };
     assert!(status.contains("408"), "{status}");
 
-    // Before any publication after a reset, /trace and /progress fall
-    // back to well-formed empty documents instead of empty bodies.
-    iot_obs::serve::publish(String::new(), String::new(), String::new(), String::new());
-    let (_, _, body) = get(addr, "/trace");
-    assert_eq!(body, "{\"traceEvents\":[]}");
+    // Before any publication after a reset, /progress falls back to a
+    // well-formed empty document instead of an empty body.
+    iot_obs::serve::publish(String::new(), String::new(), String::new());
     let (_, _, body) = get(addr, "/progress");
     let progress = Json::parse(body.trim()).expect("empty /progress still JSON");
     assert!(progress.get("progress").is_some());

@@ -11,9 +11,8 @@ use crate::{differential, invariants, metamorphic, Violation};
 use iot_analysis::pipeline::Pipeline;
 use iot_analysis::unexpected::{detection_counts, match_against_ground_truth, Detection};
 use iot_core::json::{Json, ToJson};
-use iot_geodb::registry::GeoDb;
 use iot_testbed::schedule::CampaignConfig;
-use iot_testbed::user_study::{simulate, StudyConfig};
+use iot_testbed::user_study::{plan_events, StudyConfig};
 
 /// Device the removal relation drops: deployed in both labs and a known
 /// PII leaker, so the relation exercises finding rows on both sites.
@@ -121,13 +120,11 @@ fn metamorphic_config(config: CampaignConfig) -> CampaignConfig {
 /// after every event of the study device, plus one an hour past the
 /// last that must land in the unmatched bucket.
 fn detection_and_study_laws() -> Vec<Violation> {
-    let db = GeoDb::new();
-    let study = StudyConfig {
+    let events = plan_events(&StudyConfig {
         days: 5,
         accesses_per_day: 10.0,
         seed: STUDY_SEED,
-    };
-    let (_, events) = simulate(&db, &study);
+    });
     let mut detections: Vec<Detection> = events
         .iter()
         .filter(|e| e.device_name == STUDY_DEVICE)

@@ -281,21 +281,46 @@ fn serial_allocation_totals_are_deterministic() {
 fn obs_deterministic_report_is_identical_across_workers() {
     // Both halves at once: with obs on, the pipeline report and the
     // deterministic subset of the obs report are identical at 1/2/8
-    // workers.
-    let (_, v) = check_worker_grid("determinism_obs", |workers| {
-        let (report, reg) = run(true, workers);
-        // Counters reflect the corpus, not the topology.
-        for name in ["experiments", "packets", "flows", "bytes", "pii_findings"] {
-            assert!(reg.counter(name) > 0, "counter {name} must be non-zero");
-        }
-        assert_eq!(reg.gauge("workers"), Some(workers as f64));
-        let mut both = Json::obj();
-        both.set("report", report.to_json());
-        both.set(
-            "obs",
-            RunReport::from_registry("det", &reg).deterministic_json(),
-        );
-        both
-    });
-    assert_no_violations(&v);
+    // workers — on the clean campaign, and under a faulted plan whose
+    // injected panics are caught and quarantined mid-ingest.
+    let faulted = FaultPlan {
+        panic_rate: 0.02,
+        ..FaultPlan::uniform(0xC0FFEE, 0.02)
+    };
+    for (invariant, config, plan) in [
+        ("determinism_obs", test_config(), None),
+        ("determinism_obs_faulted", tiny_config(), Some(faulted)),
+    ] {
+        let (_, v) = check_worker_grid(invariant, |workers| {
+            let (report, reg) =
+                run_with(config, true, plan, workers, &SupervisorConfig::default());
+            // Counters reflect the corpus, not the topology.
+            for name in ["experiments", "packets", "flows", "bytes", "pii_findings"] {
+                assert!(reg.counter(name) > 0, "counter {name} must be non-zero");
+            }
+            assert_eq!(reg.gauge("workers"), Some(workers as f64));
+            // Quarantines reach the counters exactly as the ledger
+            // counts them.
+            assert_eq!(
+                reg.counter("ingest.experiments_quarantined"),
+                report.ingest.experiments_quarantined
+            );
+            if plan.is_some() {
+                let panics = report.ingest.stage_errors.get("ingest_panic");
+                assert!(
+                    panics.copied().unwrap_or(0) > 0,
+                    "the plan must inject panics at this scale: {:?}",
+                    report.ingest
+                );
+            }
+            let mut both = Json::obj();
+            both.set("report", report.to_json());
+            both.set(
+                "obs",
+                RunReport::from_registry("det", &reg).deterministic_json(),
+            );
+            both
+        });
+        assert_no_violations(&v);
+    }
 }

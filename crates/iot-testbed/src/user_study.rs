@@ -11,15 +11,18 @@
 //! lights, which are … passively triggered by the simple presence of the
 //! participant."
 //!
-//! The simulation produces *unlabeled* traffic plus a ground-truth event
-//! log, so §7.3's comparison of inferred vs actual activity is possible.
+//! The simulation plans a ground-truth event log ([`plan_events`]) and
+//! synthesizes each acting device's *unlabeled* traffic from it
+//! ([`device_capture`]), so §7.3's comparison of inferred vs actual
+//! activity is possible. Captures are built one device at a time: a
+//! caller holds at most one device's study traffic at once.
 
-use crate::lab::{Lab, LabSite};
+use crate::lab::{DeviceInstance, Lab, LabSite};
 use crate::traffic::TrafficGenerator;
 use crate::util::stable_seed;
-use iot_geodb::registry::GeoDb;
-use iot_net::packet::Packet;
 use iot_core::rng::StdRng;
+use iot_geodb::registry::GeoDb;
+use iot_net::pcap::Capture;
 
 /// Ground truth for one user-study event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,15 +36,6 @@ pub struct StudyEvent {
     /// Whether the user deliberately triggered it (false = passive
     /// trigger by mere presence — the §7.3 privacy concern).
     pub intentional: bool,
-}
-
-/// The output of a simulated study period for one device.
-#[derive(Debug, Clone)]
-pub struct DeviceStudyCapture {
-    /// Device name.
-    pub device_name: &'static str,
-    /// Unlabeled captured traffic.
-    pub packets: Vec<Packet>,
 }
 
 /// Study simulation configuration.
@@ -90,17 +84,11 @@ const PASSIVE_TRIGGERS: &[(&str, &str, f64)] = &[
     ("Blink Cam", "move", 0.6),
 ];
 
-/// Simulates the study: returns per-device unlabeled captures plus the
-/// ground-truth event log (time-ordered).
-pub fn simulate(
-    db: &GeoDb,
-    config: &StudyConfig,
-) -> (Vec<DeviceStudyCapture>, Vec<StudyEvent>) {
-    let lab = Lab::deploy(LabSite::Us);
+/// Plans the study: the ground-truth event log, time-ordered. Draws only
+/// the timeline; no traffic is synthesized.
+pub fn plan_events(config: &StudyConfig) -> Vec<StudyEvent> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut events: Vec<StudyEvent> = Vec::new();
-
-    // Plan the event timeline first.
     for day in 0..config.days {
         let accesses = (config.accesses_per_day * rng.gen_range(0.8..1.2)).round() as u32;
         for _ in 0..accesses {
@@ -142,40 +130,49 @@ pub fn simulate(
         }
     }
     events.sort_by_key(|e| e.at_micros);
+    events
+}
 
-    // Generate per-device traffic from its slice of the timeline.
-    let mut captures = Vec::new();
-    for device in &lab.devices {
-        let name = device.spec().name;
-        let mine: Vec<&StudyEvent> = events.iter().filter(|e| e.device_name == name).collect();
-        if mine.is_empty() {
-            continue;
+/// The study's devices: every US-lab device that acts at least once in
+/// `events`, in deployment order.
+pub fn study_devices(events: &[StudyEvent]) -> Vec<DeviceInstance> {
+    Lab::deploy(LabSite::Us)
+        .devices
+        .into_iter()
+        .filter(|d| events.iter().any(|e| e.device_name == d.spec().name))
+        .collect()
+}
+
+/// Synthesizes `device`'s unlabeled study traffic (native egress) from
+/// its slice of the time-ordered `events` planned with `config`.
+pub fn device_capture(
+    db: &GeoDb,
+    config: &StudyConfig,
+    device: &DeviceInstance,
+    events: &[StudyEvent],
+) -> Capture {
+    let name = device.spec().name;
+    let seed = stable_seed(name, config.seed ^ 0xF00D);
+    let mut g = TrafficGenerator::new(db, device, false, seed, 0);
+    let mut last = 0u64;
+    for event in events.iter().filter(|e| e.device_name == name) {
+        let gap_ms = (event.at_micros.saturating_sub(last)) as f64 / 1000.0;
+        g.advance_ms(gap_ms);
+        last = event.at_micros;
+        if let Some(act) = device.spec().activity(event.activity) {
+            let act = act.clone();
+            g.activity(&act);
         }
-        let seed = stable_seed(name, config.seed ^ 0xF00D);
-        let mut g = TrafficGenerator::new(db, device, false, seed, 0);
-        let mut last = 0u64;
-        for event in mine {
-            let gap_ms = (event.at_micros.saturating_sub(last)) as f64 / 1000.0;
-            g.advance_ms(gap_ms);
-            last = event.at_micros;
-            if let Some(act) = device.spec().activity(event.activity) {
-                let act = act.clone();
-                g.activity(&act);
-            }
-        }
-        let capture = g.finish();
-        iot_obs::process::record_study_capture(capture.record_count() as usize);
-        captures.push(DeviceStudyCapture {
-            device_name: name,
-            packets: capture.to_packets(),
-        });
     }
-    (captures, events)
+    let capture = g.finish();
+    iot_obs::process::record_study_capture(capture.record_count());
+    capture
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iot_net::packet::Packet;
 
     fn quick() -> StudyConfig {
         StudyConfig {
@@ -183,6 +180,21 @@ mod tests {
             accesses_per_day: 10.0,
             seed: 9,
         }
+    }
+
+    type Packets = Vec<(&'static str, Vec<Packet>)>;
+
+    /// Every study device's name and packets, plus the event log.
+    fn simulate(db: &GeoDb, config: &StudyConfig) -> (Packets, Vec<StudyEvent>) {
+        let events = plan_events(config);
+        let captures = study_devices(&events)
+            .iter()
+            .map(|d| {
+                let packets = device_capture(db, config, d, &events).to_packets();
+                (d.spec().name, packets)
+            })
+            .collect();
+        (captures, events)
     }
 
     #[test]
@@ -199,8 +211,7 @@ mod tests {
 
     #[test]
     fn passive_triggers_present_and_unintentional() {
-        let db = GeoDb::new();
-        let (_, events) = simulate(&db, &quick());
+        let events = plan_events(&quick());
         let passive = events.iter().filter(|e| !e.intentional).count();
         assert!(passive > 0, "presence must trigger cameras");
         assert!(events
@@ -210,8 +221,7 @@ mod tests {
 
     #[test]
     fn every_event_device_is_deployed_model() {
-        let db = GeoDb::new();
-        let (_, events) = simulate(&db, &quick());
+        let events = plan_events(&quick());
         for e in &events {
             let spec = crate::catalog::by_name(e.device_name)
                 .unwrap_or_else(|| panic!("unknown device {}", e.device_name));
@@ -226,25 +236,22 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let db = GeoDb::new();
-        let (_, e1) = simulate(&db, &quick());
-        let (_, e2) = simulate(&db, &quick());
-        assert_eq!(e1, e2);
+        assert_eq!(plan_events(&quick()), plan_events(&quick()));
     }
 
     #[test]
     fn capture_packets_parse_and_are_ordered() {
         let db = GeoDb::new();
         let (captures, _) = simulate(&db, &quick());
-        let fridge = captures
+        let (_, fridge) = captures
             .iter()
-            .find(|c| c.device_name == "Samsung Fridge")
+            .find(|(name, _)| *name == "Samsung Fridge")
             .expect("fridge is used in every study");
-        assert!(!fridge.packets.is_empty());
-        for w in fridge.packets.windows(2) {
+        assert!(!fridge.is_empty());
+        for w in fridge.windows(2) {
             assert!(w[0].ts_micros <= w[1].ts_micros);
         }
-        for p in fridge.packets.iter().take(50) {
+        for p in fridge.iter().take(50) {
             p.parse().unwrap();
         }
     }

@@ -7,7 +7,7 @@
 //! moniotr capture <device> [uk] [vpn] [DIR]    run power + all interactions → pcap dir
 //! moniotr analyze <device-dir>                 destinations / encryption / PII per label
 //! moniotr idle <device> <hours>                idle capture + traffic-unit summary
-//! moniotr campaign [quick|medium|full] [workers N] [--serve ADDR] [--trace-out PATH]
+//! moniotr campaign [quick|medium|full] [workers N] [--serve ADDR]
 //!                  [--journal PATH | --resume PATH] [--deadline-ms N]
 //!                  [--max-retries N] [--report-out PATH]
 //!                                              full instrumented campaign + telemetry;
@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: moniotr devices\n       moniotr capture <device> [uk] [vpn] [out-dir]\n       \
      moniotr analyze <device-dir>\n       moniotr idle <device> <hours>\n       \
-     moniotr campaign [quick|medium|full] [workers N] [--serve ADDR] [--trace-out PATH]\n                \
+     moniotr campaign [quick|medium|full] [workers N] [--serve ADDR]\n                \
      [--journal PATH | --resume PATH] [--deadline-ms N] [--max-retries N]\n                \
      [--report-out PATH]\n       \
      moniotr oracle [quick|medium|full]";
@@ -267,14 +267,13 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     use iot_bench::{campaign_config, Scale};
     use intl_iot::analysis::pipeline::Pipeline;
     use intl_iot::analysis::SupervisorConfig;
-    use intl_iot::obs::{chrome_trace, RunReport, TraceMode};
+    use intl_iot::obs::RunReport;
 
     let mut scale = Scale::Quick;
     let mut workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut serve_addr: Option<String> = None;
-    let mut trace_out: Option<PathBuf> = None;
     let mut journal: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -299,12 +298,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
                         usage_err("campaign: --serve requires an address, e.g. 127.0.0.1:9100")
                     })?,
                 );
-            }
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| usage_err("campaign: --trace-out requires a path"))?,
-                ));
             }
             "--journal" => {
                 journal = Some(PathBuf::from(it.next().ok_or_else(|| {
@@ -353,7 +346,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     let held = match &serve_addr {
         Some(addr) => {
             let bound = intl_iot::obs::serve::start(addr)?;
-            println!("telemetry: /metrics /trace /progress /profile on http://{bound}");
+            println!("telemetry: /metrics /progress /profile on http://{bound}");
             true
         }
         None => false,
@@ -469,16 +462,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
             "campaign: wrote report JSON to {} ({} bytes)",
             path.display(),
             json.len()
-        );
-    }
-
-    if let Some(path) = trace_out {
-        let trace = chrome_trace(&reg.timeline(), TraceMode::Wall).dump();
-        std::fs::write(&path, &trace)?;
-        println!(
-            "campaign: wrote Chrome trace to {} ({} bytes; load at ui.perfetto.dev)",
-            path.display(),
-            trace.len()
         );
     }
 

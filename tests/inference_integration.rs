@@ -8,7 +8,7 @@ use intl_iot::ml::forest::RandomForestConfig;
 use intl_iot::testbed::experiment::run_idle;
 use intl_iot::testbed::lab::{Lab, LabSite};
 use intl_iot::testbed::schedule::{Campaign, CampaignConfig};
-use intl_iot::testbed::user_study::{simulate, StudyConfig};
+use intl_iot::testbed::user_study::{device_capture, plan_events, study_devices, StudyConfig};
 
 fn campaign() -> Campaign {
     Campaign::new(CampaignConfig {
@@ -88,28 +88,29 @@ fn zmodo_idle_detections() {
 #[test]
 fn user_study_roundtrip() {
     let db = GeoDb::new();
-    let (captures, events) = simulate(
-        &db,
-        &StudyConfig {
-            days: 2,
-            accesses_per_day: 12.0,
-            seed: 3,
-        },
-    );
-    assert!(!captures.is_empty());
+    let study = StudyConfig {
+        days: 2,
+        accesses_per_day: 12.0,
+        seed: 3,
+    };
+    let events = plan_events(&study);
+    let devices = study_devices(&events);
+    assert!(!devices.is_empty());
     let passive = events.iter().filter(|e| !e.intentional).count();
     assert!(passive > 0);
-    // Every capture's packets are valid and time-ordered.
-    for c in &captures {
-        for w in c.packets.windows(2) {
+    // Every capture's packets are valid and time-ordered; captures are
+    // built one device at a time.
+    let mut fridge_units = None;
+    for device in &devices {
+        let packets = device_capture(&db, &study, device, &events).to_packets();
+        for w in packets.windows(2) {
             assert!(w[0].ts_micros <= w[1].ts_micros);
+        }
+        if device.spec().name == "Samsung Fridge" {
+            let units = intl_iot::analysis::unexpected::segment_units(&packets, 2.0);
+            fridge_units = Some(units.len());
         }
     }
     // The fridge (heaviest intentional use) has traffic we can segment.
-    let fridge = captures
-        .iter()
-        .find(|c| c.device_name == "Samsung Fridge")
-        .unwrap();
-    let units = intl_iot::analysis::unexpected::segment_units(&fridge.packets, 2.0);
-    assert!(!units.is_empty());
+    assert!(fridge_units.unwrap() > 0);
 }

@@ -15,23 +15,22 @@
 # 3. obs_check: the observability smoke test and the allocation gate —
 #    the run report must parse, its stage counters must be non-zero,
 #    shard/synth + shard/ingest must cover 95% of shard, the measured
-#    instrumentation overhead must stay under 5%, the Chrome trace and
-#    Prometheus artifacts written by the bench must be well-formed, the
+#    instrumentation overhead must stay under 5%, the Prometheus
+#    exposition written by the bench must be well-formed, and the
 #    folded profile must be exactly the report's span tree weighted by
-#    self time, and the deterministic event trace must have matched
-#    across worker counts. The quick serial campaign's heap totals
+#    self time. The quick serial campaign's heap totals
 #    (allocs_total, bytes_total) and heap high-water must match the
 #    committed BENCH_pipeline.json within 0.1% either way: a rise is a
 #    regression, a fall means the baseline is stale. The bench
 #    process's kernel peak RSS (VmHWM) must stay at or under 64 MiB.
-# 4. obs_serve_check: live-telemetry endpoint smoke — /metrics, /trace,
+# 4. obs_serve_check: live-telemetry endpoint smoke — /metrics,
 #    /progress, and /profile answered over real sockets during an
 #    instrumented (and lightly faulted) campaign, with the ingest ledger
 #    reconciling.
 # 5. profile_diff: parses the fresh folded profile against the
 #    committed results/profile.folded and prints the stacks whose share
 #    of self time moved most — malformed artifacts fail, share shifts
-#    are informational (gate with IOT_PROFILE_DIFF_MAX_SHIFT).
+#    are informational.
 # 6. chaos_check: the fault-injection smoke test — a seeded sweep of
 #    degraded-capture rates plus an injected-panic stage. Gates: no
 #    escaped panics, identical faulted reports across worker
@@ -104,7 +103,6 @@ cargo build --release -p iot-bench \
 IOT_SCALE=quick \
   IOT_BENCH_OUT="${IOT_BENCH_OUT:-target/verify_bench.json}" \
   IOT_OBS=1 IOT_OBS_OUT="${IOT_OBS_OUT:-target/obs_run.json}" \
-  IOT_OBS_TRACE_OUT="${IOT_OBS_TRACE_OUT:-target/obs_trace.json}" \
   IOT_OBS_PROM_OUT="${IOT_OBS_PROM_OUT:-target/obs_metrics.prom}" \
   IOT_OBS_PROFILE_OUT="${IOT_OBS_PROFILE_OUT:-target/profile.folded}" \
   ./target/release/bench_pipeline
@@ -114,7 +112,6 @@ echo "=== obs smoke: run report + overhead + allocation gates + exporter artifac
   "${IOT_OBS_OUT:-target/obs_run.json}" \
   "${IOT_BENCH_OUT:-target/verify_bench.json}" \
   BENCH_pipeline.json \
-  "${IOT_OBS_TRACE_OUT:-target/obs_trace.json}" \
   "${IOT_OBS_PROM_OUT:-target/obs_metrics.prom}" \
   "${IOT_OBS_PROFILE_OUT:-target/profile.folded}"
 
