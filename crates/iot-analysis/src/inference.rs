@@ -122,6 +122,13 @@ impl TrainedDeviceModel {
         (&self.label_names[idx], *share)
     }
 
+    /// Whether the model passes §7.1's F1 > 0.9 gate, the only models
+    /// [`crate::unexpected::detect_activities`] applies. Callers check
+    /// it before building a capture the model would never read.
+    pub fn is_high_confidence(&self) -> bool {
+        self.cv_macro_f1 > F1_HIGH_CONFIDENCE
+    }
+
     /// Cross-validated F1 for a specific label.
     pub fn label_f1(&self, label: &str) -> Option<f64> {
         self.label_names

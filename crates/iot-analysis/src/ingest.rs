@@ -8,19 +8,13 @@
 //! packet offered to ingestion is accounted for exactly once, so
 //!
 //! ```text
-//! packets_generated + packets_duplicated + packets_reoffered
+//! packets_generated + packets_duplicated
 //!     == packets_ingested + packets_dropped + packets_lost
-//!        + packets_quarantined + packets_retried
+//!        + packets_quarantined
 //! ```
 //!
 //! holds for every run ([`IngestStats::reconciles`], gated by
-//! `chaos_check`). The retry terms extend the original equation for
-//! supervised campaigns: a re-attempted experiment *re-offers* its
-//! pristine packets to a fresh degradation pass (`packets_reoffered` on
-//! the generated side), and each failed-but-not-final attempt's
-//! salvaged packets are parked as `packets_retried` instead of being
-//! quarantined. With supervision off, every retry term is zero and the
-//! equation reduces to the original. Like every other pipeline
+//! `chaos_check` and the oracle). Like every other pipeline
 //! accumulator, the stats are kept per work unit and merged
 //! associatively, so every worker count produces byte-identical
 //! totals.
@@ -69,25 +63,14 @@ pub struct IngestStats {
     /// boundary; each is neither journaled nor folded, so a resume
     /// re-runs it.
     pub shards_quarantined: u64,
-    /// Packets re-offered to degradation by retry attempts (the
-    /// pristine capture replayed once per re-attempt).
-    pub packets_reoffered: u64,
-    /// Salvaged packets from failed attempts that were retried rather
-    /// than quarantined (the balancing term for `packets_reoffered`).
-    pub packets_retried: u64,
-    /// Total re-attempts across all experiments (attempt 0 not
-    /// counted).
-    pub retry_attempts: u64,
-    /// Experiments that failed at least once and then succeeded on a
-    /// re-attempt. Disjoint from `experiments_ingested`.
-    pub experiments_retried: u64,
-    /// Experiments abandoned after exhausting every retry. Disjoint
-    /// from `experiments_quarantined`, which stays "failed permanently
-    /// with no retry budget" so un-supervised ledgers are unchanged.
+    /// Always zero, and neither merged, serialized nor journaled. It
+    /// stays only because `perfbench` reads it into its failure count,
+    /// and goes with the next benchmark-definition change (ROADMAP
+    /// item 1).
     pub experiments_abandoned: u64,
     /// Error counts per pipeline stage (`salvage`, `salvage_loss`,
-    /// `flows_parse`, `ingest_panic`, `stall_deadline`,
-    /// `worker_panic`). Sorted, so JSON is stable.
+    /// `flows_parse`, `ingest_panic`, `worker_panic`). Sorted, so JSON
+    /// is stable.
     pub stage_errors: BTreeMap<&'static str, u64>,
 }
 
@@ -116,27 +99,19 @@ impl IngestStats {
         self.experiments_ingested += other.experiments_ingested;
         self.experiments_quarantined += other.experiments_quarantined;
         self.shards_quarantined += other.shards_quarantined;
-        self.packets_reoffered += other.packets_reoffered;
-        self.packets_retried += other.packets_retried;
-        self.retry_attempts += other.retry_attempts;
-        self.experiments_retried += other.experiments_retried;
-        self.experiments_abandoned += other.experiments_abandoned;
         for (stage, n) in &other.stage_errors {
             *self.stage_errors.entry(stage).or_insert(0) += n;
         }
     }
 
-    /// The conservation invariant: every generated, fault-duplicated,
-    /// or retry-re-offered packet is ingested, dropped, lost at
-    /// salvage, quarantined, or parked by a retried attempt. With no
-    /// retries this reduces to the original PR 3 equation.
+    /// The conservation invariant: every generated or fault-duplicated
+    /// packet is ingested, dropped, lost at salvage, or quarantined.
     pub fn reconciles(&self) -> bool {
-        self.packets_generated + self.packets_duplicated + self.packets_reoffered
+        self.packets_generated + self.packets_duplicated
             == self.packets_ingested
                 + self.packets_dropped
                 + self.packets_lost
                 + self.packets_quarantined
-                + self.packets_retried
     }
 
     /// True when ingestion saw no degradation at all — the ledger a
@@ -148,11 +123,6 @@ impl IngestStats {
             && self.packets_quarantined == 0
             && self.experiments_quarantined == 0
             && self.shards_quarantined == 0
-            && self.packets_reoffered == 0
-            && self.packets_retried == 0
-            && self.retry_attempts == 0
-            && self.experiments_retried == 0
-            && self.experiments_abandoned == 0
             && self.stage_errors.is_empty()
     }
 }
@@ -184,14 +154,6 @@ impl ToJson for IngestStats {
             self.experiments_quarantined.to_json(),
         );
         j.set("shards_quarantined", self.shards_quarantined.to_json());
-        j.set("packets_reoffered", self.packets_reoffered.to_json());
-        j.set("packets_retried", self.packets_retried.to_json());
-        j.set("retry_attempts", self.retry_attempts.to_json());
-        j.set("experiments_retried", self.experiments_retried.to_json());
-        j.set(
-            "experiments_abandoned",
-            self.experiments_abandoned.to_json(),
-        );
         let mut errs = Json::obj();
         for (stage, n) in &self.stage_errors {
             errs.set(stage, n.to_json());
@@ -249,44 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_terms_balance_the_ledger() {
-        // One experiment of 10 packets: attempt 0 fails (8 salvaged
-        // parked as retried, 2 dropped), attempt 1 re-offers the 10
-        // pristine packets and succeeds with 9 ingested, 1 dropped.
-        let s = IngestStats {
-            packets_generated: 10,
-            packets_reoffered: 10,
-            packets_retried: 8,
-            packets_dropped: 3,
-            packets_ingested: 9,
-            retry_attempts: 1,
-            experiments_retried: 1,
-            ..IngestStats::default()
-        };
-        assert!(s.reconciles());
-        assert!(!s.is_clean());
-    }
-
-    #[test]
-    fn retry_fields_merge_and_dirty_the_ledger() {
-        let a = IngestStats {
-            packets_generated: 4,
-            packets_ingested: 4,
-            retry_attempts: 2,
-            packets_reoffered: 8,
-            packets_retried: 8,
-            experiments_abandoned: 1,
-            ..IngestStats::default()
-        };
-        let mut m = a.clone();
-        m.merge(&a);
-        assert_eq!(m.retry_attempts, 4);
-        assert_eq!(m.packets_reoffered, 16);
-        assert_eq!(m.experiments_abandoned, 2);
-        assert!(!a.is_clean(), "retries are degradation");
-    }
-
-    #[test]
     fn json_has_every_field_and_stable_order() {
         let mut s = IngestStats {
             packets_generated: 3,
@@ -300,11 +224,6 @@ mod tests {
             "packets_lost",
             "experiments_quarantined",
             "shards_quarantined",
-            "packets_reoffered",
-            "packets_retried",
-            "retry_attempts",
-            "experiments_retried",
-            "experiments_abandoned",
             "stage_errors",
             "flows_parse",
         ] {

@@ -24,9 +24,8 @@
 //! * [`report`] — text/JSON rendering used by the `iot-bench` binaries.
 //! * [`ingest`] — salvage accounting and quarantine: the ledger kept when
 //!   captures arrive degraded (see `iot-chaos` and DESIGN.md §10).
-//! * [`supervise`] — campaign supervision: checkpoint/resume journal,
-//!   per-experiment deadlines, deterministic retry, and the coverage
-//!   manifest (DESIGN.md §15).
+//! * [`supervise`] — campaign supervision: the checkpoint/resume journal
+//!   and the coverage manifest (DESIGN.md §15).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,41 +1,29 @@
-//! Campaign supervision: checkpoint journal, per-experiment deadlines,
-//! deterministic retry, and the degraded-run coverage manifest.
+//! Campaign supervision: the checkpoint journal, resume, and the
+//! coverage manifest.
 //!
-//! Fleet-scale campaigns run for hours; a crash, kill, or hung
-//! experiment must not throw away everything the run already finished.
-//! This module provides the survival layer around the pipeline:
+//! A crash or kill must not throw away the work a campaign already
+//! finished. This module provides that survival layer around the
+//! pipeline:
 //!
 //! - **Checkpoint journal** — an append-only, length-prefixed and
 //!   checksummed binary log of completed per-work-unit accumulator
-//!   deltas ([`UnitDelta`]), written at unit-fold boundaries by
-//!   `Pipeline::run_campaign_supervised`. Resuming replays finished
-//!   units from disk and re-runs only the remainder; because every
-//!   pipeline accumulator merges associatively and commutatively (the
-//!   same property that makes every worker count byte-identical), the
+//!   deltas ([`UnitDelta`]), one flushed record per unit, written by
+//!   `Pipeline::run_campaign_supervised`. Resuming replays the finished
+//!   units, cuts a torn tail back to the clean prefix, and appends the
+//!   units it re-runs to the same file. Because every pipeline
+//!   accumulator merges associatively and commutatively (the same
+//!   property that makes every worker count byte-identical), the
 //!   resumed report is byte-identical to an uninterrupted run.
-//! - **Deadlines** — a per-experiment soft deadline. Whether a stalled
-//!   experiment is quarantined is decided by comparing the injected
-//!   stall *value* against the deadline (never by racing wall clocks), so
-//!   the quarantine set is byte-identical at any worker count; the
-//!   stalled worker sleeps at most the deadline, and attempts whose wall
-//!   time passed it are counted for a gauge.
-//! - **Deterministic retry** — transient failures (injected panics,
-//!   deadline-breaching stalls, total salvage loss) get up to N
-//!   re-attempts. Every attempt's fault draws are keyed by
-//!   `(seed, experiment identity, attempt)`, so retry schedules are
-//!   seed-stable across worker counts, and every attempt is folded into the
-//!   extended `ingest.*` ledger (see `crate::ingest`).
-//! - **Coverage manifest** — [`Coverage`] counts completed / retried /
-//!   quarantined / abandoned experiments per (lab × device) and flags
-//!   degraded runs; it rides in the pipeline report's `"coverage"` key
-//!   and is mirrored into the observability registry.
+//! - **Coverage manifest** — [`Coverage`] counts completed and
+//!   quarantined experiments per (lab × device) and flags degraded
+//!   runs; it rides in the pipeline report's `"coverage"` key and is
+//!   mirrored into the observability registry.
 //!
-//! # Journal format (v3)
+//! # Journal format (v4)
 //!
 //! ```text
-//! header:  magic "IOTJNL03" (8 bytes)
-//!          fingerprint u64 LE   — digest of campaign config + fault
-//!                                 plan + supervision knobs
+//! header:  magic "IOTJNL04" (8 bytes)
+//!          fingerprint u64 LE   — digest of campaign config + fault plan
 //!          total_units u32 LE   — work units in the campaign grid
 //!          total_units × u64 LE — per-unit identity digests, in grid
 //!                                 order (FNV-1a of "site/device")
@@ -43,39 +31,16 @@
 //!          len u32 LE           — payload length
 //!          crc u64 LE           — FNV-1a over the payload
 //!          payload              — one encoded UnitDelta
-//! record:  marker 0xA6 (1 byte)  — compaction checkpoint
-//!          len u32 LE / crc u64 LE as above
-//!          payload              — u32 delta count, then per delta a
-//!                                 u32 length + encoded UnitDelta
 //! ```
 //!
 //! Records are self-delimiting, so a journal torn anywhere (a SIGKILL
 //! mid-write) salvages exactly its clean prefix: [`read_journal`] stops
-//! at the first bad marker, length, checksum, or undecodable payload
-//! and reports what it dropped ([`JournalSalvage`]). Header-level
-//! problems (wrong magic, short file) are typed errors instead — there
-//! is nothing safe to replay.
-//!
-//! ## Rotation, compaction, and grid growth
-//!
-//! Multi-day runs cap per-file size with
-//! [`SupervisorConfig::journal_roll_bytes`]: when an append would push
-//! the active file past the threshold, the writer renames it to
-//! `<journal>.N` (N counts up, never reused) and starts a fresh
-//! headered file at the original path. [`read_journal_set`] replays the
-//! rolled segments oldest-first and the active file last, first
-//! occurrence of a unit winning, each segment salvaged independently.
-//!
-//! Resume always *compacts*: the replayed deltas are rewritten into a
-//! fresh single journal as checkpoint records (marker `0xA6`, chunked
-//! well under [`MAX_RECORD_BYTES`]) and the rolled segments are
-//! deleted, so journal disk usage is bounded by live data, not run
-//! length. Because the header carries per-unit *identities* rather than
-//! a bare count, a resumed campaign may run against a **grown** grid: a
-//! journaled unit is matched to its current index by identity digest
-//! (units added to the catalog simply run fresh), and only a journaled
-//! identity missing from the current grid refuses resume
-//! ([`JournalError::ForeignUnit`]).
+//! at the first bad marker, length, checksum, or undecodable payload,
+//! reports what it dropped ([`JournalSalvage`]) and where the clean
+//! prefix ends ([`JournalContents::clean_len`]). Header-level problems
+//! (wrong magic, short file) are typed errors instead — there is
+//! nothing safe to replay — and so is a journal whose fingerprint or
+//! identity table is not the resuming campaign's.
 
 use crate::destinations::DestinationAnalysis;
 use crate::encryption::EncryptionAnalysis;
@@ -91,7 +56,7 @@ use iot_testbed::lab::LabSite;
 use iot_testbed::schedule::CampaignConfig;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -99,22 +64,13 @@ use std::time::Duration;
 /// Journal magic, versioned: bump the trailing digits on any codec
 /// change so stale journals fail loudly instead of decoding garbage.
 /// v2 added the per-unit identity table to the header; v3 added Table
-/// 7's per-experiment samples to the encryption delta.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"IOTJNL03";
+/// 7's per-experiment samples to the encryption delta; v4 dropped the
+/// retry counters and the compaction checkpoint record.
+pub const JOURNAL_MAGIC: &[u8; 8] = b"IOTJNL04";
 
 /// Record start marker; a cheap first line of defense against torn or
 /// misaligned journals before the checksum is even consulted.
 const RECORD_MARKER: u8 = 0xA5;
-
-/// Marker of a compaction checkpoint record: many unit deltas folded
-/// into one framed payload, written when a resume rewrites its replayed
-/// prefix into a fresh journal.
-const CHECKPOINT_MARKER: u8 = 0xA6;
-
-/// Soft ceiling on one checkpoint record's payload; deltas are chunked
-/// across several checkpoint records to stay comfortably under
-/// [`MAX_RECORD_BYTES`] even at full campaign scale.
-const CHECKPOINT_CHUNK_BYTES: usize = 4 * 1024 * 1024;
 
 /// Upper bound on a single record's payload. A quick-scale unit delta
 /// is a few KiB; anything claiming more than this is corruption, not
@@ -336,7 +292,6 @@ pub(crate) fn intern_stage(name: &str) -> Result<&'static str, DecodeErr> {
         "salvage_loss" => Ok("salvage_loss"),
         "flows_parse" => Ok("flows_parse"),
         "ingest_panic" => Ok("ingest_panic"),
-        "stall_deadline" => Ok("stall_deadline"),
         "worker_panic" => Ok("worker_panic"),
         _ => Err(DecodeErr("unknown stage error")),
     }
@@ -369,28 +324,22 @@ fn kind_from_u8(v: u8) -> Result<PiiFindingKind, DecodeErr> {
 /// report's coverage manifest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoverageCell {
-    /// Experiments ingested on their first attempt.
+    /// Experiments whose analysis landed in the report.
     pub completed: u64,
-    /// Experiments ingested after at least one retry.
-    pub retried: u64,
-    /// Experiments quarantined with no retry budget spent.
+    /// Experiments quarantined at the ingest boundary.
     pub quarantined: u64,
-    /// Experiments abandoned after exhausting every retry.
-    pub abandoned: u64,
 }
 
 impl CoverageCell {
     /// Folds another cell into this one (plain addition).
     pub fn merge(&mut self, other: &CoverageCell) {
         self.completed += other.completed;
-        self.retried += other.retried;
         self.quarantined += other.quarantined;
-        self.abandoned += other.abandoned;
     }
 
-    /// True when no experiment in this cell failed permanently.
+    /// True when no experiment in this cell was quarantined.
     pub fn is_full(&self) -> bool {
-        self.quarantined == 0 && self.abandoned == 0
+        self.quarantined == 0
     }
 }
 
@@ -398,9 +347,7 @@ impl ToJson for CoverageCell {
     fn to_json(&self) -> Json {
         let mut j = Json::obj();
         j.set("completed", self.completed.to_json());
-        j.set("retried", self.retried.to_json());
         j.set("quarantined", self.quarantined.to_json());
-        j.set("abandoned", self.abandoned.to_json());
         j
     }
 }
@@ -419,14 +366,10 @@ pub struct Coverage {
 /// How one experiment ended, for coverage accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoverageOutcome {
-    /// Ingested on the first attempt.
+    /// Analyzed into the report.
     Completed,
-    /// Ingested after at least one retry.
-    Retried,
-    /// Failed permanently with no retries spent.
+    /// Quarantined at the ingest boundary.
     Quarantined,
-    /// Failed permanently after exhausting retries.
-    Abandoned,
 }
 
 impl Coverage {
@@ -440,9 +383,7 @@ impl Coverage {
         let cell = self.cells.entry((site, device)).or_default();
         match outcome {
             CoverageOutcome::Completed => cell.completed += 1,
-            CoverageOutcome::Retried => cell.retried += 1,
             CoverageOutcome::Quarantined => cell.quarantined += 1,
-            CoverageOutcome::Abandoned => cell.abandoned += 1,
         }
     }
 
@@ -467,7 +408,7 @@ impl Coverage {
         t
     }
 
-    /// True when any experiment failed permanently — the report-level
+    /// True when any experiment was quarantined — the report-level
     /// degraded-run flag.
     pub fn is_degraded(&self) -> bool {
         !self.totals().is_full()
@@ -479,9 +420,7 @@ impl Coverage {
             w.u8(site_to_u8(*site));
             w.str(device);
             w.u64(cell.completed);
-            w.u64(cell.retried);
             w.u64(cell.quarantined);
-            w.u64(cell.abandoned);
         }
     }
 
@@ -493,9 +432,7 @@ impl Coverage {
             let device = intern_device(&r.str()?)?;
             let cell = CoverageCell {
                 completed: r.u64()?,
-                retried: r.u64()?,
                 quarantined: r.u64()?,
-                abandoned: r.u64()?,
             };
             cov.cells.entry((site, device)).or_default().merge(&cell);
         }
@@ -565,11 +502,6 @@ fn encode_ingest(w: &mut ByteWriter, s: &IngestStats) {
         s.experiments_ingested,
         s.experiments_quarantined,
         s.shards_quarantined,
-        s.packets_reoffered,
-        s.packets_retried,
-        s.retry_attempts,
-        s.experiments_retried,
-        s.experiments_abandoned,
     ] {
         w.u64(v);
     }
@@ -597,12 +529,7 @@ fn decode_ingest(r: &mut ByteReader<'_>) -> Result<IngestStats, DecodeErr> {
         experiments_ingested: r.u64()?,
         experiments_quarantined: r.u64()?,
         shards_quarantined: r.u64()?,
-        packets_reoffered: r.u64()?,
-        packets_retried: r.u64()?,
-        retry_attempts: r.u64()?,
-        experiments_retried: r.u64()?,
-        experiments_abandoned: r.u64()?,
-        stage_errors: BTreeMap::new(),
+        ..IngestStats::default()
     };
     let n = r.u32()?;
     for _ in 0..n {
@@ -746,25 +673,21 @@ pub enum JournalError {
     /// The file is shorter than a journal header.
     TruncatedHeader,
     /// The journal was written by a campaign with a different
-    /// configuration, fault plan, or supervision knobs.
+    /// configuration or fault plan.
     ConfigMismatch {
         /// Fingerprint the resuming run computed.
         expected: u64,
         /// Fingerprint stored in the journal header.
         found: u64,
     },
-    /// The journal records a work unit whose identity digest does not
-    /// exist in the resuming campaign's grid — the journal belongs to a
-    /// grid this campaign is not a superset of.
-    ForeignUnit {
-        /// The unmatched identity digest from the journal header.
-        identity: u64,
-    },
-    /// A rolled segment's header disagrees with the first segment's —
-    /// files from different runs were mixed under one journal name.
-    SegmentMismatch {
-        /// 1-based index of the offending segment file.
-        segment: u64,
+    /// The journal's identity table is not the resuming campaign's
+    /// grid: the catalog changed since the journal was written, so its
+    /// unit indices would land on the wrong devices.
+    GridMismatch {
+        /// Work units in the resuming campaign's grid.
+        expected_units: usize,
+        /// Work units in the journal's identity table.
+        found_units: usize,
     },
 }
 
@@ -779,14 +702,13 @@ impl fmt::Display for JournalError {
                 "journal belongs to a different campaign \
                  (fingerprint {found:#018x}, this run is {expected:#018x})"
             ),
-            JournalError::ForeignUnit { identity } => write!(
+            JournalError::GridMismatch {
+                expected_units,
+                found_units,
+            } => write!(
                 f,
-                "journal records a work unit (identity {identity:#018x}) \
-                 absent from this campaign's grid"
-            ),
-            JournalError::SegmentMismatch { segment } => write!(
-                f,
-                "rolled journal segment {segment} belongs to a different run"
+                "journal records a different work-unit grid \
+                 ({found_units} units, this run has {expected_units})"
             ),
         }
     }
@@ -816,7 +738,7 @@ pub struct JournalSalvage {
 
 /// A journal successfully opened for replay.
 pub struct JournalContents {
-    /// Header fingerprint (campaign config + fault plan + knobs).
+    /// Header fingerprint (campaign config + fault plan).
     pub fingerprint: u64,
     /// Header unit count.
     pub total_units: u32,
@@ -828,8 +750,8 @@ pub struct JournalContents {
     pub deltas: Vec<UnitDelta>,
     /// Salvage accounting for the read.
     pub salvage: JournalSalvage,
-    /// Byte length of the clean prefix of the *active* file — the
-    /// boundary at which a damaged tail was amputated.
+    /// Byte length of the clean prefix — the boundary at which a
+    /// damaged tail was amputated, and where a resume appends.
     pub clean_len: u64,
 }
 
@@ -843,8 +765,7 @@ fn header_len(total_units: u32) -> usize {
 
 /// Identity digest of one work unit: FNV-1a over the site name and
 /// device name (length-prefixed, so `("a", "bc")` and `("ab", "c")`
-/// cannot collide by concatenation). Stable across catalog growth —
-/// the property that lets a resumed campaign absorb new devices.
+/// cannot collide by concatenation).
 pub fn unit_identity(site: &str, device: &str) -> u64 {
     let mut w = ByteWriter::new();
     w.str(site);
@@ -872,26 +793,6 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     read_journal_bytes(&bytes)
-}
-
-/// Decodes the deltas inside a checkpoint payload: a u32 count, then
-/// per delta a u32 length + encoded bytes.
-fn decode_checkpoint(payload: &[u8]) -> Result<Vec<UnitDelta>, DecodeErr> {
-    let mut r = ByteReader::new(payload);
-    let n = r.u32()?;
-    if n > MAX_RECORD_BYTES {
-        return Err(DecodeErr("checkpoint count implausible"));
-    }
-    let mut deltas = Vec::with_capacity(n.min(4096) as usize);
-    for _ in 0..n {
-        let len = r.u32()? as usize;
-        let bytes = r.take(len)?;
-        deltas.push(UnitDelta::decode(bytes)?);
-    }
-    if !r.done() {
-        return Err(DecodeErr("trailing bytes"));
-    }
-    Ok(deltas)
 }
 
 /// [`read_journal`] over an in-memory image (the fuzz-suite entry
@@ -929,9 +830,7 @@ pub fn read_journal_bytes(bytes: &[u8]) -> Result<JournalContents, JournalError>
         let rest = &bytes[pos..];
         // Record framing: marker + len + crc + payload. Any framing or
         // integrity failure ends the clean prefix right here.
-        if rest.len() < 1 + 4 + 8
-            || (rest[0] != RECORD_MARKER && rest[0] != CHECKPOINT_MARKER)
-        {
+        if rest.len() < 1 + 4 + 8 || rest[0] != RECORD_MARKER {
             salvage.corrupt_dropped += 1;
             break;
         }
@@ -946,30 +845,19 @@ pub fn read_journal_bytes(bytes: &[u8]) -> Result<JournalContents, JournalError>
             salvage.corrupt_dropped += 1;
             break;
         }
-        let decoded = if rest[0] == RECORD_MARKER {
-            UnitDelta::decode(payload).map(|d| vec![d])
-        } else {
-            decode_checkpoint(payload)
-        };
-        let record_deltas = match decoded {
-            Ok(d) => d,
-            Err(_) => {
+        let delta = match UnitDelta::decode(payload) {
+            Ok(d) if d.unit < total_units => d,
+            _ => {
                 salvage.corrupt_dropped += 1;
                 break;
             }
         };
-        if record_deltas.iter().any(|d| d.unit >= total_units) {
-            salvage.corrupt_dropped += 1;
-            break;
-        }
         pos += 13 + len as usize;
-        for delta in record_deltas {
-            if seen.insert(delta.unit) {
-                salvage.records += 1;
-                deltas.push(delta);
-            } else {
-                salvage.duplicate_units += 1;
-            }
+        if seen.insert(delta.unit) {
+            salvage.records += 1;
+            deltas.push(delta);
+        } else {
+            salvage.duplicate_units += 1;
         }
     }
     salvage.dropped_bytes = (bytes.len() - pos) as u64;
@@ -983,202 +871,68 @@ pub fn read_journal_bytes(bytes: &[u8]) -> Result<JournalContents, JournalError>
     })
 }
 
-/// The path of rolled segment `n` of `path`: `<path>.<n>`.
-fn segment_path(path: &Path, n: u64) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(format!(".{n}"));
-    PathBuf::from(name)
-}
-
-/// The rolled segments of `path` that exist on disk, oldest first
-/// (`<path>.1`, `<path>.2`, …, stopping at the first gap).
-pub fn rolled_segments(path: &Path) -> Vec<PathBuf> {
-    let mut segments = Vec::new();
-    for n in 1.. {
-        let seg = segment_path(path, n);
-        if !seg.exists() {
-            break;
-        }
-        segments.push(seg);
-    }
-    segments
-}
-
-/// Reads a rotated journal *set*: every rolled segment oldest-first,
-/// then the active file, each salvaged independently. All segments must
-/// share the first segment's fingerprint and identity table; the first
-/// occurrence of a unit across the set wins (later re-appends count as
-/// `duplicate_units`). `clean_len` reports the active file's clean
-/// prefix.
-pub fn read_journal_set(path: &Path) -> Result<JournalContents, JournalError> {
-    let mut files = rolled_segments(path);
-    files.push(path.to_path_buf());
-    let mut merged: Option<JournalContents> = None;
-    let mut seen = std::collections::BTreeSet::new();
-    for (i, file) in files.iter().enumerate() {
-        let part = read_journal(file)?;
-        match &mut merged {
-            None => {
-                for d in &part.deltas {
-                    seen.insert(d.unit);
-                }
-                merged = Some(part);
-            }
-            Some(m) => {
-                if part.fingerprint != m.fingerprint {
-                    return Err(JournalError::ConfigMismatch {
-                        expected: m.fingerprint,
-                        found: part.fingerprint,
-                    });
-                }
-                if part.identities != m.identities {
-                    return Err(JournalError::SegmentMismatch { segment: i as u64 + 1 });
-                }
-                m.salvage.dropped_bytes += part.salvage.dropped_bytes;
-                m.salvage.corrupt_dropped += part.salvage.corrupt_dropped;
-                m.salvage.duplicate_units += part.salvage.duplicate_units;
-                for delta in part.deltas {
-                    if seen.insert(delta.unit) {
-                        m.salvage.records += 1;
-                        m.deltas.push(delta);
-                    } else {
-                        m.salvage.duplicate_units += 1;
-                    }
-                }
-                m.clean_len = part.clean_len;
-            }
-        }
-    }
-    Ok(merged.expect("at least the active path is always read"))
-}
-
 /// Append-side handle on a checkpoint journal. Every append is written
 /// and flushed as one record, so a SIGKILL between appends loses at
-/// most the record in flight — which salvage then amputates. With a
-/// roll threshold set, the writer rotates the active file into a
-/// numbered segment before an append would push it past the threshold.
+/// most the record in flight — which salvage then amputates.
 pub struct JournalWriter {
     file: File,
-    path: PathBuf,
-    fingerprint: u64,
-    identities: Vec<u64>,
-    roll_bytes: Option<u64>,
-    written: u64,
-}
-
-fn write_header(path: &Path, fingerprint: u64, identities: &[u64]) -> std::io::Result<File> {
-    let mut file = File::create(path)?;
-    file.write_all(JOURNAL_MAGIC)?;
-    file.write_all(&fingerprint.to_le_bytes())?;
-    file.write_all(&(identities.len() as u32).to_le_bytes())?;
-    for id in identities {
-        file.write_all(&id.to_le_bytes())?;
-    }
-    file.flush()?;
-    Ok(file)
 }
 
 impl JournalWriter {
     /// Creates (or truncates) a journal and writes its header: magic,
-    /// fingerprint, and the grid's identity table. `roll_bytes` caps the
-    /// active file's size; `None` never rotates.
+    /// fingerprint, and the grid's identity table.
+    ///
+    /// `roll_bytes` must be `None`; `Some` is an `InvalidInput` error,
+    /// since journals do not rotate. The parameter stays only because
+    /// `perfbench` calls this signature, and goes with the next
+    /// benchmark-definition change (ROADMAP item 1).
     pub fn create(
         path: &Path,
         fingerprint: u64,
         identities: &[u64],
         roll_bytes: Option<u64>,
     ) -> std::io::Result<Self> {
-        let file = write_header(path, fingerprint, identities)?;
-        Ok(JournalWriter {
-            file,
-            path: path.to_path_buf(),
-            fingerprint,
-            identities: identities.to_vec(),
-            roll_bytes,
-            written: header_len(identities.len() as u32) as u64,
-        })
-    }
-
-    /// Rotates the active file into the next free numbered segment and
-    /// starts a fresh headered file at the journal path. Numbering
-    /// continues past any existing segments (a kill between rename and
-    /// re-create must never clobber a previous segment).
-    fn roll(&mut self) -> std::io::Result<()> {
-        self.file.flush()?;
-        let next = rolled_segments(&self.path).len() as u64 + 1;
-        std::fs::rename(&self.path, segment_path(&self.path, next))?;
-        self.file = write_header(&self.path, self.fingerprint, &self.identities)?;
-        self.written = header_len(self.identities.len() as u32) as u64;
-        Ok(())
-    }
-
-    fn write_record(&mut self, marker: u8, payload: &[u8]) -> std::io::Result<()> {
-        let frame_len = (13 + payload.len()) as u64;
-        if let Some(limit) = self.roll_bytes {
-            // Roll only when the file already holds at least one record:
-            // an oversized single record still lands somewhere.
-            if self.written > header_len(self.identities.len() as u32) as u64
-                && self.written + frame_len > limit
-            {
-                self.roll()?;
-            }
+        if roll_bytes.is_some() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "journals do not rotate: pass None",
+            ));
         }
-        let mut frame = Vec::with_capacity(13 + payload.len());
-        frame.push(marker);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
-        self.written += frame_len;
-        Ok(())
+        let mut header = Vec::with_capacity(header_len(identities.len() as u32));
+        header.extend_from_slice(JOURNAL_MAGIC);
+        header.extend_from_slice(&fingerprint.to_le_bytes());
+        header.extend_from_slice(&(identities.len() as u32).to_le_bytes());
+        for id in identities {
+            header.extend_from_slice(&id.to_le_bytes());
+        }
+        let mut file = File::create(path)?;
+        file.write_all(&header)?;
+        file.flush()?;
+        Ok(JournalWriter { file })
+    }
+
+    /// Reopens a salvaged journal for appending: cuts the file back to
+    /// its clean prefix `clean_len` (dropping a torn trailing record)
+    /// and appends after it. The bytes before `clean_len` are never
+    /// rewritten, so a kill during a resume costs at most the record
+    /// that resume was writing.
+    pub fn append_to(path: &Path, clean_len: u64) -> std::io::Result<Self> {
+        let file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(clean_len)?;
+        Ok(JournalWriter { file })
     }
 
     /// Appends one unit delta as a framed, checksummed record.
     pub fn append(&mut self, delta: &UnitDelta) -> std::io::Result<()> {
         let payload = delta.encode();
-        self.write_record(RECORD_MARKER, &payload)
+        let mut frame = Vec::with_capacity(13 + payload.len());
+        frame.push(RECORD_MARKER);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        self.file.write_all(&frame)?;
+        self.file.flush()
     }
-
-    /// Writes `deltas` as compaction checkpoint records, chunked to stay
-    /// well under the record size cap. Called by resume after replay to
-    /// fold a whole journal set back into the fresh active file.
-    pub fn checkpoint(&mut self, deltas: &[UnitDelta]) -> std::io::Result<()> {
-        let mut chunk: Vec<u8> = Vec::new();
-        let mut count: u32 = 0;
-        let flush_chunk =
-            |w: &mut Self, chunk: &mut Vec<u8>, count: &mut u32| -> std::io::Result<()> {
-                if *count == 0 {
-                    return Ok(());
-                }
-                let mut payload = Vec::with_capacity(4 + chunk.len());
-                payload.extend_from_slice(&count.to_le_bytes());
-                payload.extend_from_slice(chunk);
-                w.write_record(CHECKPOINT_MARKER, &payload)?;
-                chunk.clear();
-                *count = 0;
-                Ok(())
-            };
-        for delta in deltas {
-            let bytes = delta.encode();
-            if !chunk.is_empty() && chunk.len() + 4 + bytes.len() > CHECKPOINT_CHUNK_BYTES {
-                flush_chunk(self, &mut chunk, &mut count)?;
-            }
-            chunk.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            chunk.extend_from_slice(&bytes);
-            count += 1;
-        }
-        flush_chunk(self, &mut chunk, &mut count)
-    }
-}
-
-/// Deletes the rolled segments of `path` — called after a resume has
-/// compacted their contents into the fresh active journal.
-pub fn remove_rolled_segments(path: &Path) -> std::io::Result<()> {
-    for seg in rolled_segments(path) {
-        std::fs::remove_file(seg)?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1186,11 +940,14 @@ pub fn remove_rolled_segments(path: &Path) -> std::io::Result<()> {
 // ---------------------------------------------------------------------------
 
 /// Digest of everything that determines a campaign's *result bytes*:
-/// the campaign config, the fault plan, and the supervision knobs that
-/// change what the ledger records (deadline, retry budget). Knobs that
-/// are report-neutral (throttle, journal path and roll size) are
-/// deliberately excluded so operators can tune them between resume
-/// sessions.
+/// the campaign config and the fault plan. Report-neutral knobs
+/// (throttle, journal path) are deliberately excluded so operators can
+/// change them between a run and its resume.
+///
+/// `deadline_micros` and `max_retries` configure nothing;
+/// `Pipeline::run_campaign_supervised` passes `None, 0`. They stay only
+/// because `perfbench` calls this signature, and go with the next
+/// benchmark-definition change (ROADMAP item 1).
 pub fn campaign_fingerprint(
     config: &CampaignConfig,
     fault: Option<&FaultPlan>,
@@ -1219,7 +976,6 @@ pub fn campaign_fingerprint(
                 p.corrupt_header_rate,
                 p.torn_tail_rate,
                 p.panic_rate,
-                p.stall_rate,
             ] {
                 w.u64(rate.to_bits());
             }
@@ -1228,7 +984,6 @@ pub fn campaign_fingerprint(
             w.u64(p.snaplen as u64);
             w.u64(p.reorder_window as u64);
             w.u64(p.skew_max_micros);
-            w.u64(p.stall_max_micros);
             w.bool(p.rep_invariant_fault_keys);
         }
     }
@@ -1248,44 +1003,18 @@ pub fn campaign_fingerprint(
 // ---------------------------------------------------------------------------
 
 /// Knobs for `Pipeline::run_campaign_supervised`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SupervisorConfig {
-    /// Per-experiment soft deadline. Injected stalls longer than this
-    /// are quarantined (deterministically, by value comparison), and a
-    /// stalled worker sleeps at most this long.
-    pub deadline: Option<Duration>,
-    /// Re-attempts granted to transient failures (injected panics,
-    /// deadline-breaching stalls, total salvage loss). Zero disables
-    /// retry and reproduces the un-supervised ledger exactly.
-    pub max_retries: u32,
-    /// Checkpoint journal path. `None` runs supervised (deadline,
-    /// retry, coverage) without checkpointing.
+    /// Checkpoint journal path. `None` runs without checkpointing.
     pub journal: Option<PathBuf>,
-    /// Replay an existing journal at `journal` before running; without
-    /// this flag an existing journal file is truncated and restarted.
+    /// Replay an existing journal at `journal` before running and
+    /// append the remaining units to it; without this flag an existing
+    /// journal file is truncated and restarted.
     pub resume: bool,
-    /// Roll the active journal file into a numbered segment when an
-    /// append would push it past this many bytes. Report-neutral (not
-    /// part of the fingerprint), so the threshold can change between
-    /// resume sessions. `None` never rotates.
-    pub journal_roll_bytes: Option<u64>,
     /// Sleep inserted after each unit is journaled. Report-neutral;
     /// exists so kill-timing tests can reliably interrupt a quick
     /// campaign mid-journal.
     pub unit_throttle: Duration,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            deadline: None,
-            max_retries: 0,
-            journal: None,
-            resume: false,
-            journal_roll_bytes: None,
-            unit_throttle: Duration::ZERO,
-        }
-    }
 }
 
 /// What a supervised run did, beyond the report itself.
@@ -1299,9 +1028,6 @@ pub struct SuperviseSummary {
     pub units_run: usize,
     /// Salvage accounting from the resumed journal, if any.
     pub salvage: Option<JournalSalvage>,
-    /// Attempts whose wall time passed the deadline (wall-clock
-    /// dependent; a gauge, not a report field).
-    pub watchdog_cancelled: u64,
 }
 
 #[cfg(test)]
@@ -1349,7 +1075,7 @@ mod tests {
         assert!(intern_device("Nonexistent Gadget").is_err());
         assert_eq!(intern_encoding("hex").unwrap(), "hex");
         assert!(intern_encoding("rot13").is_err());
-        assert_eq!(intern_stage("stall_deadline").unwrap(), "stall_deadline");
+        assert_eq!(intern_stage("worker_panic").unwrap(), "worker_panic");
         assert!(intern_stage("mystery").is_err());
     }
 
@@ -1358,7 +1084,7 @@ mod tests {
         let mut a = Coverage::new();
         let dev = intern_device("Echo Dot").unwrap();
         a.record(LabSite::Us, dev, CoverageOutcome::Completed);
-        a.record(LabSite::Us, dev, CoverageOutcome::Retried);
+        a.record(LabSite::Us, dev, CoverageOutcome::Completed);
         assert!(!a.is_degraded());
         let mut b = Coverage::new();
         b.record(LabSite::Uk, dev, CoverageOutcome::Quarantined);
@@ -1366,10 +1092,7 @@ mod tests {
         a.merge(&b);
         assert!(a.is_degraded());
         let t = a.totals();
-        assert_eq!(
-            (t.completed, t.retried, t.quarantined, t.abandoned),
-            (1, 1, 1, 0)
-        );
+        assert_eq!((t.completed, t.quarantined), (2, 1));
         let json = a.to_json().dump();
         assert!(json.contains("US/Echo Dot"), "{json}");
         assert!(json.contains("UK/Echo Dot"));
@@ -1381,7 +1104,7 @@ mod tests {
         let mut cov = Coverage::new();
         let dev = intern_device("Echo Dot").unwrap();
         cov.record(LabSite::Us, dev, CoverageOutcome::Completed);
-        cov.record(LabSite::Uk, dev, CoverageOutcome::Abandoned);
+        cov.record(LabSite::Uk, dev, CoverageOutcome::Quarantined);
         let mut w = ByteWriter::new();
         cov.encode(&mut w);
         let bytes = w.into_bytes();
@@ -1399,8 +1122,8 @@ mod tests {
             read_journal_bytes(b"NOTAMAGICxxxxxxxxxxxx"),
             Err(JournalError::BadMagic)
         ));
-        // Stale v1 and v2 journals must fail loudly, not decode garbage.
-        for stale in [b"IOTJNL01", b"IOTJNL02"] {
+        // Stale v1–v3 journals must fail loudly, not decode garbage.
+        for stale in [b"IOTJNL01", b"IOTJNL02", b"IOTJNL03"] {
             let mut old = stale.to_vec();
             old.extend_from_slice(&[0; 12]);
             assert!(matches!(
@@ -1478,71 +1201,43 @@ mod tests {
     }
 
     #[test]
-    fn journal_rolls_and_set_reader_merges_segments() {
-        let dir = std::env::temp_dir().join(format!(
-            "iot_supervise_roll_{}",
+    fn resumed_writer_cuts_the_torn_tail_and_appends_after_it() {
+        let path = std::env::temp_dir().join(format!(
+            "iot_supervise_append_{}.jnl",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("campaign.journal");
         let identities: Vec<u64> = (0..4).map(|u| 1000 + u).collect();
-        // A tiny threshold forces a roll on nearly every append.
-        let mut w = JournalWriter::create(&path, 42, &identities, Some(256)).unwrap();
-        for unit in 0..4 {
+        assert_eq!(
+            JournalWriter::create(&path, 42, &identities, Some(1 << 20))
+                .err()
+                .map(|e| e.kind()),
+            Some(std::io::ErrorKind::InvalidInput),
+            "journals do not rotate"
+        );
+        let mut w = JournalWriter::create(&path, 42, &identities, None).unwrap();
+        for unit in 0..2 {
             w.append(&mini_delta(unit)).unwrap();
         }
         drop(w);
-        let segments = rolled_segments(&path);
-        assert!(!segments.is_empty(), "tiny roll threshold must rotate");
-        // Each segment is a well-formed journal on its own.
-        for seg in &segments {
-            let part = read_journal(seg).unwrap();
-            assert_eq!(part.fingerprint, 42);
-            assert_eq!(part.identities, identities);
+        // Tear the second record, as a kill mid-append would.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let torn = read_journal(&path).unwrap();
+        assert_eq!(torn.deltas.len(), 1);
+        assert_eq!(torn.salvage.corrupt_dropped, 1);
+        let kept = torn.clean_len as usize;
+        let mut w = JournalWriter::append_to(&path, torn.clean_len).unwrap();
+        for unit in 1..4 {
+            w.append(&mini_delta(unit)).unwrap();
         }
-        let set = read_journal_set(&path).unwrap();
-        assert_eq!(set.fingerprint, 42);
-        assert_eq!(set.deltas.len(), 4);
-        let units: Vec<u32> = set.deltas.iter().map(|d| d.unit).collect();
-        assert_eq!(units, vec![0, 1, 2, 3]);
-        assert_eq!(set.salvage.corrupt_dropped, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_records_round_trip_and_compact() {
-        let dir = std::env::temp_dir().join(format!(
-            "iot_supervise_ckpt_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("campaign.journal");
-        let identities: Vec<u64> = (0..3).map(|u| 2000 + u).collect();
-        let deltas: Vec<UnitDelta> = (0..3).map(mini_delta).collect();
-        let mut w = JournalWriter::create(&path, 9, &identities, None).unwrap();
-        w.checkpoint(&deltas).unwrap();
-        // A later plain append coexists with the checkpoint record.
-        w.append(&mini_delta(2)).unwrap();
         drop(w);
+        let after = std::fs::read(&path).unwrap();
+        assert!(after[..kept] == bytes[..kept], "the clean prefix is never rewritten");
         let back = read_journal(&path).unwrap();
-        assert_eq!(back.deltas.len(), 3, "checkpoint deltas replay");
-        assert_eq!(back.salvage.duplicate_units, 1, "re-appended unit deduped");
-        assert_eq!(
-            back.deltas.iter().map(|d| d.experiments).sum::<u64>(),
-            1 + 2 + 3
-        );
-        // Empty checkpoints write nothing.
-        let empty = dir.join("empty.journal");
-        let mut w = JournalWriter::create(&empty, 9, &identities, None).unwrap();
-        w.checkpoint(&[]).unwrap();
-        drop(w);
-        assert_eq!(
-            std::fs::metadata(&empty).unwrap().len(),
-            header_len(3) as u64
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        let units: Vec<u32> = back.deltas.iter().map(|d| d.unit).collect();
+        assert_eq!(units, vec![0, 1, 2, 3]);
+        assert_eq!(back.salvage, JournalSalvage { records: 4, ..JournalSalvage::default() });
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1558,8 +1253,6 @@ mod tests {
         assert_eq!(base, campaign_fingerprint(&config, None, None, 0));
         let plan = FaultPlan::uniform(1, 0.01);
         assert_ne!(base, campaign_fingerprint(&config, Some(&plan), None, 0));
-        assert_ne!(base, campaign_fingerprint(&config, None, Some(10_000), 0));
-        assert_ne!(base, campaign_fingerprint(&config, None, None, 3));
         let mut other = config;
         other.include_vpn = true;
         assert_ne!(base, campaign_fingerprint(&other, None, None, 0));

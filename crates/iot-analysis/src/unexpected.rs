@@ -66,7 +66,7 @@ pub fn detect_activities(
     model: &TrainedDeviceModel,
     packets: &[Packet],
 ) -> Option<Vec<Detection>> {
-    if model.cv_macro_f1 <= F1_HIGH_CONFIDENCE {
+    if !model.is_high_confidence() {
         return None;
     }
     let mut detections = Vec::new();

@@ -22,24 +22,15 @@
 //!    (destination counts, PII findings, encryption mix) stay close to
 //!    the clean baseline; losing 0.1% of packets must not reshape the
 //!    paper's tables.
-//! 6. **Stall quarantine** — seeded stalls that breach the supervised
-//!    driver's watchdog deadline end as `stall_deadline` quarantines,
-//!    with the decision (a value comparison, never a clock race)
-//!    identical at 1, 2 and 8 workers.
-//! 7. **Deterministic retry** — with a retry budget, transient
-//!    failures are re-attempted with seed-stable draws: retries rescue
-//!    experiments, the extended ledger reconciles, and the report is
-//!    identical at 1, 2 and 8 workers and across repeated runs.
-//! 8. **Kill and resume** — a journaled supervised run whose journal is
-//!    amputated mid-record resumes, at 1, 2 and 8 workers, to a report
-//!    identical to the straight-through run; resuming a complete
-//!    journal replays everything and runs nothing.
+//! 6. **Kill and resume** — a journaled run of the panic stage whose
+//!    journal is amputated mid-record resumes, at 1, 2 and 8 workers,
+//!    to a report identical to the straight-through run; resuming a
+//!    complete journal replays everything and runs nothing.
 //!
-//! Environment:
+//! The fault seed is `0xC4A05` and the sweep's rates are 0.001, 0.01
+//! and 0.05. Environment:
 //!
 //! * `IOT_SCALE` — `quick` / `medium` / `full` grid (see `iot-bench`).
-//! * `IOT_CHAOS_RATES` — comma-separated sweep override, e.g. `0.001,0.01`.
-//! * `IOT_CHAOS_SEED` — fault seed (default `0xC4A05`).
 //! * `IOT_CHAOS_OUT` — results JSON path (default `target/chaos_check.json`).
 //!
 //! Exits non-zero on any gate failure.
@@ -54,10 +45,12 @@ use iot_testbed::schedule::CampaignConfig;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Default sweep of uniform fault rates.
-const DEFAULT_RATES: [f64; 3] = [0.001, 0.01, 0.05];
+/// Fault seed of every stage.
+const SEED: u64 = 0xC4A05;
+/// Sweep of uniform fault rates.
+const RATES: [f64; 3] = [0.001, 0.01, 0.05];
 /// Rates at or below this are "low" and must respect the drift gates.
 const LOW_RATE: f64 = 0.011;
 /// Injected ingest-panic probability for the quarantine stage.
@@ -128,33 +121,18 @@ fn mix_delta(a: &Headline, b: &Headline) -> f64 {
     worst
 }
 
-/// A supervised run without a journal, which cannot fail.
-fn supervised(
-    config: CampaignConfig,
-    plan: FaultPlan,
-    workers: usize,
-    sup: &SupervisorConfig,
-) -> PipelineReport {
-    let mut p = Pipeline::with_obs(false);
-    p.set_fault_plan(plan);
-    p.run_campaign_supervised(config, workers, sup)
-        .expect("a run without a journal cannot fail to journal");
-    p.finish()
-}
-
-/// Resumes a supervised run at `workers` workers from the journal at
-/// `path`.
+/// Resumes the panic stage's journaled run at `workers` workers from the
+/// journal at `path`.
 fn resume(
     config: CampaignConfig,
     plan: FaultPlan,
     workers: usize,
-    sup: &SupervisorConfig,
     path: &Path,
 ) -> Result<(PipelineReport, iot_analysis::SuperviseSummary), String> {
     let sup = SupervisorConfig {
         journal: Some(path.to_path_buf()),
         resume: true,
-        ..sup.clone()
+        ..SupervisorConfig::default()
     };
     let mut p = Pipeline::with_obs(false);
     p.set_fault_plan(plan);
@@ -164,7 +142,7 @@ fn resume(
     Ok((p.finish(), summary))
 }
 
-/// Gates 4b, 6, 7 and 8: the worker-grid identity check; returns the
+/// Gates 4b and 6: the worker-grid identity check; returns the
 /// 1-worker result.
 fn identical_across_workers<T: ToJson>(
     stage: &str,
@@ -208,25 +186,14 @@ fn check(out_path: &str) -> Result<(), String> {
 
     let scale = scale();
     let config = campaign_config(scale);
-    let seed = std::env::var("IOT_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC4A05u64);
-    let rates: Vec<f64> = match std::env::var("IOT_CHAOS_RATES") {
-        Ok(s) => s
-            .split(',')
-            .map(|r| r.trim().parse().map_err(|e| format!("bad rate {r:?}: {e}")))
-            .collect::<Result<_, _>>()?,
-        Err(_) => DEFAULT_RATES.to_vec(),
-    };
     println!(
-        "chaos_check: scale={} seed={seed:#x} rates={rates:?}",
+        "chaos_check: scale={} seed={SEED:#x} rates={RATES:?}",
         scale.name()
     );
 
     let mut results = Json::obj();
     results.set("scale", Json::Str(scale.name().to_string()));
-    results.set("seed", seed.to_json());
+    results.set("seed", SEED.to_json());
 
     // Clean baseline for identity and drift comparisons.
     let t = Instant::now();
@@ -247,7 +214,7 @@ fn check(out_path: &str) -> Result<(), String> {
     );
 
     // Gate 4a: an armed all-zero-rate plan is an exact identity.
-    let armed_clean = run(config, Some(FaultPlan::clean(seed)), 1);
+    let armed_clean = run(config, Some(FaultPlan::clean(SEED)), 1);
     if check_valid_json("clean-plan", &armed_clean)? != baseline_json {
         return Err("clean fault plan changed the report: degrade→salvage \
                     round-trip is not an identity"
@@ -256,9 +223,9 @@ fn check(out_path: &str) -> Result<(), String> {
     println!("chaos_check: clean-plan identity OK");
 
     let mut sweep = Vec::new();
-    for &rate in &rates {
+    for rate in RATES {
         let t = Instant::now();
-        let plan = FaultPlan::uniform(seed, rate);
+        let plan = FaultPlan::uniform(SEED, rate);
         // Gate 4b: identity across worker counts under faults.
         let serial = identical_across_workers(&format!("rate {rate}"), |workers| {
             run(config, Some(plan), workers)
@@ -341,12 +308,12 @@ fn check(out_path: &str) -> Result<(), String> {
     let t = Instant::now();
     let panic_plan = FaultPlan {
         panic_rate: PANIC_RATE,
-        ..FaultPlan::uniform(seed, 0.01)
+        ..FaultPlan::uniform(SEED, 0.01)
     };
     let serial = identical_across_workers("panic stage", |workers| {
         run(config, Some(panic_plan), workers)
     })?;
-    check_valid_json("panic stage", &serial)?;
+    let panic_json = check_valid_json("panic stage", &serial)?;
     let ingest = &serial.ingest;
     if ingest.experiments_quarantined == 0 {
         return Err(format!(
@@ -372,105 +339,11 @@ fn check(out_path: &str) -> Result<(), String> {
     panic_stage.set("panic_rate", PANIC_RATE.to_json());
     panic_stage.set("ingest", ingest.to_json());
     results.set("panic_stage", panic_stage);
-    let no_retry_quarantined = ingest.experiments_quarantined;
 
-    // Gate 6: stalls breaching the watchdog deadline are quarantined as
-    // `stall_deadline`, identically across worker counts.
-    let t = Instant::now();
-    let stall_plan = FaultPlan {
-        stall_rate: 0.04,
-        stall_max_micros: 40_000,
-        ..FaultPlan::clean(seed)
-    };
-    let stall_sup = SupervisorConfig {
-        deadline: Some(Duration::from_millis(10)),
-        ..SupervisorConfig::default()
-    };
-    let stall_base = identical_across_workers("stall stage", |workers| {
-        supervised(config, stall_plan, workers, &stall_sup)
-    })?;
-    check_valid_json("stall stage", &stall_base)?;
-    let ingest = &stall_base.ingest;
-    let stalled = ingest.stage_errors.get("stall_deadline").copied().unwrap_or(0);
-    if stalled == 0 {
-        return Err(format!(
-            "stall stage: 4% stalls up to 40ms against a 10ms deadline \
-             quarantined nothing: {ingest:?}"
-        ));
-    }
-    if !ingest.reconciles() {
-        return Err(format!("stall stage: ledger does not reconcile: {ingest:?}"));
-    }
-    if stall_base.experiments + ingest.experiments_quarantined != base.experiments {
-        return Err(format!(
-            "stall stage: {} analyzed + {} quarantined != {} generated",
-            stall_base.experiments, ingest.experiments_quarantined, base.experiments
-        ));
-    }
-    if !stall_base.coverage.is_degraded() {
-        return Err("stall stage: quarantines did not degrade the coverage manifest".to_string());
-    }
-    println!(
-        "chaos_check: stall stage: {stalled} of {} experiments quarantined at the deadline, \
-         worker counts identical ({:.1}s)",
-        base.experiments,
-        t.elapsed().as_secs_f64()
-    );
-    let mut stall_stage = Json::obj();
-    stall_stage.set("stall_rate", 0.04f64.to_json());
-    stall_stage.set("ingest", ingest.to_json());
-    results.set("stall_stage", stall_stage);
-
-    // Gate 7: a retry budget rescues transient failures with seed-stable
-    // draws; the report stays identical across worker counts and runs.
-    let t = Instant::now();
-    let retry_sup = SupervisorConfig {
-        max_retries: 2,
-        ..SupervisorConfig::default()
-    };
-    let retry_base = identical_across_workers("retry stage", |workers| {
-        supervised(config, panic_plan, workers, &retry_sup)
-    })?;
-    let retry_json = check_valid_json("retry stage", &retry_base)?;
-    let ingest = &retry_base.ingest;
-    if ingest.retry_attempts == 0 || ingest.experiments_retried == 0 {
-        return Err(format!(
-            "retry stage: retry budget 2 never fired against panic rate \
-             {PANIC_RATE}: {ingest:?}"
-        ));
-    }
-    if !ingest.reconciles() {
-        return Err(format!("retry stage: ledger does not reconcile: {ingest:?}"));
-    }
-    let permanent = ingest.experiments_quarantined + ingest.experiments_abandoned;
-    if permanent >= no_retry_quarantined {
-        return Err(format!(
-            "retry stage: {permanent} permanent losses with retries, \
-             {no_retry_quarantined} without — retries rescued nothing"
-        ));
-    }
-    let rerun = supervised(config, panic_plan, 1, &retry_sup);
-    if rerun.to_json().dump() != retry_json {
-        return Err("retry stage: repeated run diverged — retry draws are not seed-stable"
-            .to_string());
-    }
-    println!(
-        "chaos_check: retry stage: {} retried ({} attempts), {permanent} permanent \
-         (was {no_retry_quarantined} without retries), worker counts and reruns \
-         identical ({:.1}s)",
-        ingest.experiments_retried,
-        ingest.retry_attempts,
-        t.elapsed().as_secs_f64()
-    );
-    let mut retry_stage = Json::obj();
-    retry_stage.set("max_retries", 2u64.to_json());
-    retry_stage.set("ingest", ingest.to_json());
-    results.set("retry_stage", retry_stage);
-
-    // Gate 8: kill-and-resume. Journal a supervised run, amputate the
-    // journal mid-record as a SIGKILL would, resume a copy of the stump
-    // at every worker count, and demand identity with the
-    // straight-through report (the retry stage's 1-worker run).
+    // Gate 6: kill-and-resume. Journal the panic stage's run, amputate
+    // the journal mid-record as a SIGKILL would, resume a copy of the
+    // stump at every worker count, and demand identity with the
+    // straight-through report (the panic stage's 1-worker run).
     let t = Instant::now();
     let journal_at = |tag: &str| {
         PathBuf::from(format!(
@@ -484,7 +357,7 @@ fn check(out_path: &str) -> Result<(), String> {
     journaled.set_fault_plan(panic_plan);
     let journal_sup = SupervisorConfig {
         journal: Some(full.clone()),
-        ..retry_sup.clone()
+        ..SupervisorConfig::default()
     };
     journaled
         .run_campaign_supervised(config, 2, &journal_sup)
@@ -503,7 +376,7 @@ fn check(out_path: &str) -> Result<(), String> {
         let path = journal_at(&workers.to_string());
         let resumed = std::fs::write(&path, stump)
             .map_err(|e| format!("resume stage: {e}"))
-            .and_then(|()| resume(config, panic_plan, workers, &retry_sup, &path))
+            .and_then(|()| resume(config, panic_plan, workers, &path))
             .and_then(|(report, summary)| {
                 if summary.units_replayed == 0 || summary.units_run == 0 {
                     return Err(format!(
@@ -523,18 +396,18 @@ fn check(out_path: &str) -> Result<(), String> {
     if let Some(e) = failure {
         return Err(e);
     }
-    if grid?.dump() != retry_json {
+    if grid?.dump() != panic_json {
         return Err("resume stage: resumed report diverged from straight-through".to_string());
     }
     // Resuming a journal that is already complete replays everything.
-    let (complete, summary) = resume(config, panic_plan, 2, &retry_sup, &journal_at("1"))?;
+    let (complete, summary) = resume(config, panic_plan, 2, &journal_at("1"))?;
     if summary.units_run != 0 || summary.units_replayed != summary.units_total {
         return Err(format!(
             "resume stage: complete journal re-ran work (replayed {}, ran {})",
             summary.units_replayed, summary.units_run
         ));
     }
-    if complete.to_json().dump() != retry_json {
+    if complete.to_json().dump() != panic_json {
         return Err("resume stage: replay-only report diverged from straight-through"
             .to_string());
     }

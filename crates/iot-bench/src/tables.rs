@@ -869,16 +869,17 @@ fn table11(models: &Models, out: &mut Output) {
     let mut rows: BTreeMap<(String, String), [usize; 4]> = BTreeMap::new();
     let mut gated = 0usize;
     for (device, vpn, model) in &models.trained {
+        // The gate first: an excluded model's idle capture is never read.
+        if !model.is_high_confidence() {
+            gated += 1;
+            continue;
+        }
         let column = usize::from(device.site == LabSite::Uk) + 2 * usize::from(*vpn);
         let idle = run_idle(GeoDb::shared(), device, *vpn, idle_hours, 0);
-        match detect_activities(model, &idle.packets()) {
-            None => gated += 1,
-            Some(detections) => {
-                for (label, count) in detection_counts(&detections) {
-                    rows.entry((device.spec().name.to_string(), label))
-                        .or_insert([0; 4])[column] += count;
-                }
-            }
+        let detections = detect_activities(model, &idle.packets()).expect("gate checked above");
+        for (label, count) in detection_counts(&detections) {
+            rows.entry((device.spec().name.to_string(), label))
+                .or_insert([0; 4])[column] += count;
         }
     }
 
@@ -941,10 +942,11 @@ fn user_study(models: &Models, out: &mut Output) {
         }) else {
             continue;
         };
+        if !model.is_high_confidence() {
+            continue; // below the F1 gate: its capture is never read
+        }
         let packets = device_capture(GeoDb::shared(), &config, device, &events).to_packets();
-        let Some(detections) = detect_activities(model, &packets) else {
-            continue; // below the F1 gate
-        };
+        let detections = detect_activities(model, &packets).expect("gate checked above");
         let report = match_against_ground_truth(name, &detections, &events, 120.0);
         table.row(vec![
             name.to_string(),

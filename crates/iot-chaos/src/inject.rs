@@ -22,26 +22,6 @@ struct DegradedRecord<'a> {
 /// stream, so enabling panic injection never shifts capture faults.
 const PANIC_SALT: u64 = 0x9ac1_c5de_ad0f_a117;
 
-/// Salt separating the stall-decision stream from both the capture and
-/// panic streams, so enabling stall injection shifts neither.
-const STALL_SALT: u64 = 0x57a1_1bad_c0ff_ee42;
-
-/// Salt mixed per re-attempt: attempt 0 contributes nothing (so the
-/// first attempt of every experiment is byte-identical to today's
-/// un-supervised draw), and each retry sees an independent but fully
-/// deterministic fault pattern keyed by `(seed, stream_key, attempt)`.
-const RETRY_SALT: u64 = 0x8e7a_77e5_1057_a9b3;
-
-/// Per-attempt salt contribution. Zero for the first attempt by
-/// construction, so supervised and plain drivers agree on attempt 0.
-fn attempt_salt(attempt: u32) -> u64 {
-    if attempt == 0 {
-        0
-    } else {
-        RETRY_SALT.wrapping_mul(attempt as u64)
-    }
-}
-
 /// What the injector actually did to one stream. Every field is a plain
 /// count, so stats from many streams merge by addition in any order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,49 +90,21 @@ impl FaultInjector {
     /// Deterministic per-stream decision for injected ingest panics —
     /// `true` means the consumer should panic to exercise quarantine.
     pub fn should_panic(&self, stream_key: u64) -> bool {
-        self.should_panic_at(stream_key, 0)
-    }
-
-    /// Like [`FaultInjector::should_panic`], but for re-attempt
-    /// `attempt` of the same stream. Attempt 0 is identical to
-    /// `should_panic`; later attempts draw independently, so a retried
-    /// experiment can deterministically succeed (or fail again).
-    pub fn should_panic_at(&self, stream_key: u64, attempt: u32) -> bool {
         if self.plan.panic_rate <= 0.0 {
             return false;
         }
-        self.rng_for(stream_key, PANIC_SALT ^ attempt_salt(attempt))
-            .gen_bool(self.plan.panic_rate)
-    }
-
-    /// Deterministic per-stream (and per-attempt) stall decision:
-    /// `Some(micros)` means the consumer should sleep that long before
-    /// ingesting, to simulate a hung capture source for the watchdog to
-    /// catch. `None` means no stall. Purely a value — whether a stall
-    /// breaches a deadline is decided by comparing this number against
-    /// the configured deadline, never by racing wall clocks.
-    pub fn stall_micros(&self, stream_key: u64, attempt: u32) -> Option<u64> {
-        if self.plan.stall_rate <= 0.0 || self.plan.stall_max_micros == 0 {
-            return None;
-        }
-        let mut rng = self.rng_for(stream_key, STALL_SALT ^ attempt_salt(attempt));
-        if rng.gen_bool(self.plan.stall_rate) {
-            Some(rng.gen_range(1..=self.plan.stall_max_micros))
-        } else {
-            None
-        }
+        self.rng_for(stream_key, PANIC_SALT).gen_bool(self.plan.panic_rate)
     }
 
     /// Degrades one capture stream: applies the packet-level faults,
     /// serializes to classic pcap bytes, then applies the byte-level
     /// faults (garbled record headers, torn tail). Deterministic in
     /// `(plan.seed, stream_key)` alone. Byte-identical to
-    /// [`FaultInjector::degrade_capture`] at attempt 0 on the same frames.
+    /// [`FaultInjector::degrade_capture`] on the same frames.
     pub fn degrade(&self, stream_key: u64, packets: Vec<Packet>) -> (Vec<u8>, FaultStats) {
         let n = packets.len();
         self.degrade_frames(
             stream_key,
-            0,
             n,
             packets
                 .into_iter()
@@ -163,20 +115,11 @@ impl FaultInjector {
     /// Degrades a serialized [`Capture`] without ever materializing its
     /// packets: frames are borrowed straight out of the capture's byte
     /// buffer through the zero-copy cursor and only copied where a fault
-    /// rewrites payload bytes. Attempt 0 draws exactly the faults
-    /// [`FaultInjector::degrade`] draws; each later `attempt` of the same
-    /// stream draws an independent deterministic fault pattern, so a
-    /// retried experiment re-offers the pristine capture to a fresh
-    /// degradation rather than replaying the exact failure.
-    pub fn degrade_capture(
-        &self,
-        stream_key: u64,
-        attempt: u32,
-        capture: &Capture,
-    ) -> (Vec<u8>, FaultStats) {
+    /// rewrites payload bytes. Draws exactly the faults
+    /// [`FaultInjector::degrade`] draws.
+    pub fn degrade_capture(&self, stream_key: u64, capture: &Capture) -> (Vec<u8>, FaultStats) {
         self.degrade_frames(
             stream_key,
-            attempt,
             capture.record_count(),
             capture.views().map(|v| {
                 let v = v.expect("captures offered to the injector are writer-clean");
@@ -187,17 +130,15 @@ impl FaultInjector {
 
     /// The shared degradation core: packet-level faults over a frame
     /// stream, serialization, then byte-level faults. The RNG draw
-    /// sequence depends only on `(seed, stream_key, attempt)` and the
-    /// frame contents, never on whether frames arrived owned or
-    /// borrowed.
+    /// sequence depends only on `(seed, stream_key)` and the frame
+    /// contents, never on whether frames arrived owned or borrowed.
     fn degrade_frames<'a>(
         &self,
         stream_key: u64,
-        attempt: u32,
         n_frames: usize,
         frames: impl Iterator<Item = (u64, Cow<'a, [u8]>)>,
     ) -> (Vec<u8>, FaultStats) {
-        let mut rng = self.rng_for(stream_key, attempt_salt(attempt));
+        let mut rng = self.rng_for(stream_key, 0);
         let mut stats = FaultStats {
             packets_in: n_frames as u64,
             ..FaultStats::default()
@@ -440,90 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn attempt_zero_matches_unattempted_api() {
-        let inj = FaultInjector::new(FaultPlan {
-            panic_rate: 0.3,
-            stall_rate: 0.3,
-            ..FaultPlan::uniform(21, 0.05)
-        });
-        for k in 0..40 {
-            assert_eq!(inj.should_panic(k), inj.should_panic_at(k, 0));
-        }
-    }
-
-    #[test]
-    fn retries_draw_independently_but_deterministically() {
-        let cap = Capture::from_packets(&sample_packets(60)).unwrap();
-        let inj = FaultInjector::new(FaultPlan {
-            panic_rate: 0.5,
-            stall_rate: 0.5,
-            ..FaultPlan::uniform(33, 0.1)
-        });
-        // Deterministic per (key, attempt).
-        for attempt in 0..4 {
-            assert_eq!(
-                inj.should_panic_at(7, attempt),
-                inj.should_panic_at(7, attempt)
-            );
-            assert_eq!(inj.stall_micros(7, attempt), inj.stall_micros(7, attempt));
-            assert_eq!(
-                inj.degrade_capture(7, attempt, &cap),
-                inj.degrade_capture(7, attempt, &cap)
-            );
-        }
-        // Attempts are independent draws: over many keys, the panic
-        // decision must differ between attempt 0 and 1 somewhere, and
-        // the degraded bytes must differ for at least one key.
-        assert!((0..200).any(|k| inj.should_panic_at(k, 0) != inj.should_panic_at(k, 1)));
-        assert_ne!(
-            inj.degrade_capture(7, 0, &cap).0,
-            inj.degrade_capture(7, 1, &cap).0
-        );
-    }
-
-    #[test]
-    fn stall_decision_is_seeded_and_rate_bound() {
-        let on = FaultInjector::new(FaultPlan {
-            stall_rate: 0.5,
-            stall_max_micros: 10_000,
-            ..FaultPlan::clean(17)
-        });
-        let hits = (0..1000)
-            .filter(|&k| on.stall_micros(k, 0).is_some())
-            .count();
-        assert!((350..650).contains(&hits), "hits = {hits}");
-        for k in 0..50 {
-            if let Some(us) = on.stall_micros(k, 0) {
-                assert!((1..=10_000).contains(&us));
-            }
-        }
-        let off = FaultInjector::new(FaultPlan::clean(17));
-        assert!((0..1000).all(|k| off.stall_micros(k, 0).is_none()));
-    }
-
-    #[test]
-    fn stall_rate_does_not_shift_capture_faults_or_panics() {
-        let packets = sample_packets(80);
-        let base = FaultInjector::new(FaultPlan {
-            panic_rate: 0.3,
-            ..FaultPlan::uniform(9, 0.05)
-        });
-        let with_stalls = FaultInjector::new(FaultPlan {
-            panic_rate: 0.3,
-            stall_rate: 0.9,
-            stall_max_micros: 1_000,
-            ..FaultPlan::uniform(9, 0.05)
-        });
-        assert_eq!(
-            base.degrade(4, packets.clone()).0,
-            with_stalls.degrade(4, packets).0
-        );
-        for k in 0..50 {
-            assert_eq!(base.should_panic(k), with_stalls.should_panic(k));
-        }
-    }
-
-    #[test]
     fn capture_and_packet_entry_points_degrade_identically() {
         // The zero-copy capture path must draw the same faults in the
         // same order as the owned-packet path — byte-identical output,
@@ -539,7 +396,7 @@ mod tests {
         ] {
             let inj = FaultInjector::new(plan);
             let (a, sa) = inj.degrade(9, packets.clone());
-            let (b, sb) = inj.degrade_capture(9, 0, &cap);
+            let (b, sb) = inj.degrade_capture(9, &cap);
             assert_eq!(a, b, "{plan:?}: bytes diverged");
             assert_eq!(sa, sb, "{plan:?}: stats diverged");
         }

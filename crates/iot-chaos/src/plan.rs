@@ -47,14 +47,6 @@ pub struct FaultPlan {
     /// the capture bytes are untouched; the consumer is expected to ask
     /// [`crate::FaultInjector::should_panic`] and blow up on `true`.
     pub panic_rate: f64,
-    /// Per-stream probability of an injected ingest *stall* (a hang),
-    /// for exercising watchdog deadlines. Like panics, not a capture
-    /// fault: the consumer asks [`crate::FaultInjector::stall_micros`]
-    /// and sleeps for the returned duration before ingesting.
-    pub stall_rate: f64,
-    /// Maximum injected stall duration, in microseconds. The drawn
-    /// stall is uniform in `1..=stall_max_micros`.
-    pub stall_max_micros: u64,
     /// When `true`, consumers that key fault draws by experiment
     /// identity should use a *rep-invariant* fault key (device, site,
     /// VPN leg, and activity label — but not the rep index), so the
@@ -83,8 +75,6 @@ impl FaultPlan {
             corrupt_header_rate: 0.0,
             torn_tail_rate: 0.0,
             panic_rate: 0.0,
-            stall_rate: 0.0,
-            stall_max_micros: 50_000,
             rep_invariant_fault_keys: false,
         }
     }
@@ -106,8 +96,8 @@ impl FaultPlan {
         }
     }
 
-    /// True when no *capture* fault class can fire (panic and stall
-    /// injection aside — those never touch the capture bytes).
+    /// True when no *capture* fault class can fire (panic injection
+    /// aside — it never touches the capture bytes).
     pub fn is_clean(&self) -> bool {
         self.drop_rate == 0.0
             && self.burst_rate == 0.0
@@ -139,16 +129,6 @@ mod tests {
         assert_eq!(p.truncate_rate, 0.2);
         assert_eq!(p.torn_tail_rate, 0.2);
         assert_eq!(p.panic_rate, 0.0, "panics are opt-in");
-        assert_eq!(p.stall_rate, 0.0, "stalls are opt-in");
         assert!(!p.rep_invariant_fault_keys);
-    }
-
-    #[test]
-    fn stall_does_not_make_plan_dirty() {
-        let p = FaultPlan {
-            stall_rate: 0.5,
-            ..FaultPlan::clean(3)
-        };
-        assert!(p.is_clean(), "stalls never touch capture bytes");
     }
 }

@@ -21,7 +21,6 @@ use iot_analysis::supervise::SupervisorConfig;
 use iot_chaos::FaultPlan;
 use iot_core::json::ToJson;
 use iot_testbed::schedule::CampaignConfig;
-use std::time::Duration;
 
 /// Worker counts of the identity grid; the first is the baseline.
 pub const WORKER_GRID: [usize; 3] = [1, 2, 8];
@@ -77,23 +76,20 @@ pub fn faulted_plan() -> FaultPlan {
     plan
 }
 
-/// [`faulted_plan`] plus seeded stalls, for the supervised runs: stalls
-/// breach the resume check's watchdog deadline and exercise quarantine
-/// and retry on top of the capture faults.
+/// [`faulted_plan`] plus injected ingest panics, for the resume check:
+/// the quarantine boundary fires on top of the capture faults.
 pub fn supervised_plan() -> FaultPlan {
-    let mut plan = faulted_plan();
-    plan.stall_rate = 0.05;
-    plan.stall_max_micros = 20_000;
-    plan
+    FaultPlan {
+        panic_rate: 0.05,
+        ..faulted_plan()
+    }
 }
 
-/// Supervision knobs for [`check_resume`]: a deadline the injected
-/// stalls can breach and a retry budget so breaches are re-attempted.
-fn resume_supervisor(journal: Option<std::path::PathBuf>, resume: bool) -> SupervisorConfig {
+/// Supervision knobs for [`check_resume`]: the journal, and whether to
+/// resume it.
+fn resume_supervisor(journal: std::path::PathBuf, resume: bool) -> SupervisorConfig {
     SupervisorConfig {
-        deadline: Some(Duration::from_millis(5)),
-        max_retries: 2,
-        journal,
+        journal: Some(journal),
         resume,
         ..SupervisorConfig::default()
     }
@@ -173,38 +169,21 @@ pub fn check_drivers_faulted(config: CampaignConfig) -> Vec<Violation> {
 /// The resume check: a supervised campaign is journaled, the journal is
 /// amputated mid-record (simulating a SIGKILL), and a second run
 /// resumes from the stump — the resumed report must match a
-/// straight-through supervised run field by field. Stall injection plus
-/// the watchdog deadline make the runs quarantine and retry, so the
-/// equality also covers the degraded-coverage bookkeeping.
+/// straight-through run field by field. Injected panics make the runs
+/// quarantine, so the equality also covers the degraded-coverage
+/// bookkeeping.
 pub fn check_resume(config: CampaignConfig) -> Vec<Violation> {
     let plan = supervised_plan();
     let mut v = Vec::new();
 
-    let straight = {
-        let mut p = Pipeline::with_obs(false);
-        p.set_fault_plan(plan);
-        if let Err(e) = p.run_campaign_supervised(config, 2, &resume_supervisor(None, false)) {
-            v.push(Violation::new(
-                "differential_resume",
-                "supervise",
-                "straight",
-                "run",
-                format!("straight-through supervised run failed: {e}"),
-            ));
-            return v;
-        }
-        p.finish()
-    };
-    if straight.ingest.experiments_quarantined + straight.ingest.experiments_abandoned == 0
-        && straight.ingest.experiments_retried == 0
-    {
+    let straight = run(config, Some(plan), 2);
+    if straight.ingest.experiments_quarantined == 0 {
         v.push(Violation::new(
             "differential_resume",
             "ingest",
             "totals",
-            "stalls",
-            "stall plan never breached the deadline — the resume check ran undegraded"
-                .to_string(),
+            "experiments_quarantined",
+            "panic plan quarantined nothing — the resume check ran undegraded".to_string(),
         ));
     }
 
@@ -216,7 +195,7 @@ pub fn check_resume(config: CampaignConfig) -> Vec<Violation> {
     let mut first = Pipeline::with_obs(false);
     first.set_fault_plan(plan);
     if let Err(e) =
-        first.run_campaign_supervised(config, 2, &resume_supervisor(Some(path.clone()), false))
+        first.run_campaign_supervised(config, 2, &resume_supervisor(path.clone(), false))
     {
         v.push(Violation::new(
             "differential_resume",
@@ -247,8 +226,7 @@ pub fn check_resume(config: CampaignConfig) -> Vec<Violation> {
     }
     let mut resumed = Pipeline::with_obs(false);
     resumed.set_fault_plan(plan);
-    match resumed.run_campaign_supervised(config, 2, &resume_supervisor(Some(path.clone()), true))
-    {
+    match resumed.run_campaign_supervised(config, 2, &resume_supervisor(path.clone(), true)) {
         Ok(summary) => {
             if summary.units_replayed == 0 {
                 v.push(Violation::new(

@@ -30,9 +30,8 @@ pub fn check_report(report: &PipelineReport) -> Vec<Violation> {
     let mut v = Vec::new();
 
     // Ingest ledger conservation: every packet offered to ingestion —
-    // generated, duplicated by faults, or re-offered by a retry — is
-    // ingested, dropped, lost, quarantined, or rolled back for retry,
-    // exactly once.
+    // generated or duplicated by faults — is ingested, dropped, lost, or
+    // quarantined, exactly once.
     let ingest = &report.ingest;
     if !ingest.reconciles() {
         v.push(Violation::new(
@@ -41,16 +40,14 @@ pub fn check_report(report: &PipelineReport) -> Vec<Violation> {
             "totals",
             "packets",
             format!(
-                "generated {} + duplicated {} + reoffered {} != ingested {} + dropped {} \
-                 + lost {} + quarantined {} + retried {}",
+                "generated {} + duplicated {} != ingested {} + dropped {} \
+                 + lost {} + quarantined {}",
                 ingest.packets_generated,
                 ingest.packets_duplicated,
-                ingest.packets_reoffered,
                 ingest.packets_ingested,
                 ingest.packets_dropped,
                 ingest.packets_lost,
-                ingest.packets_quarantined,
-                ingest.packets_retried
+                ingest.packets_quarantined
             ),
         ));
     }

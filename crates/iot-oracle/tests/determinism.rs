@@ -1,7 +1,7 @@
 //! End-to-end determinism: the same campaign configuration must produce
 //! the same report at 1, 2 and 8 workers — through
-//! `differential::check_worker_grid`, clean, under capture faults,
-//! injected panics, deadline-breaching stalls, and retries. The
+//! `differential::check_worker_grid`, clean, under capture faults, and
+//! under injected panics. The
 //! observability layer must keep both halves of that contract:
 //! instrumentation must not perturb the pipeline report, and the
 //! deterministic subset of the obs report (counters + histograms) must
@@ -15,7 +15,6 @@ use iot_obs::{Registry, RunReport};
 use iot_oracle::differential::check_worker_grid;
 use iot_oracle::Violation;
 use iot_testbed::schedule::CampaignConfig;
-use std::time::Duration;
 
 fn test_config() -> CampaignConfig {
     CampaignConfig {
@@ -39,29 +38,18 @@ fn run_with(
     obs: bool,
     plan: Option<FaultPlan>,
     workers: usize,
-    sup: &SupervisorConfig,
 ) -> (PipelineReport, Registry) {
     let mut p = Pipeline::with_obs(obs);
     if let Some(plan) = plan {
         p.set_fault_plan(plan);
     }
-    p.run_campaign_supervised(config, workers, sup)
+    p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
         .expect("a run without a journal cannot fail to journal");
     p.finish_with_obs()
 }
 
 fn run(obs: bool, workers: usize) -> (PipelineReport, Registry) {
-    run_with(
-        test_config(),
-        obs,
-        None,
-        workers,
-        &SupervisorConfig::default(),
-    )
-}
-
-fn faulted(plan: FaultPlan, workers: usize, sup: &SupervisorConfig) -> PipelineReport {
-    run_with(tiny_config(), false, Some(plan), workers, sup).0
+    run_with(test_config(), obs, None, workers)
 }
 
 fn report_json(workers: usize) -> String {
@@ -94,16 +82,7 @@ fn faulted_reports_are_identical_across_worker_counts() {
         panic_rate: 0.05,
         ..FaultPlan::uniform(0xD15EA5E, 0.02)
     };
-    let run = |workers| {
-        run_with(
-            test_config(),
-            false,
-            Some(plan),
-            workers,
-            &SupervisorConfig::default(),
-        )
-        .0
-    };
+    let run = |workers| run_with(test_config(), false, Some(plan), workers).0;
     let (report, v) = check_worker_grid("determinism_faulted", run);
     let json = report.to_json().dump();
     assert!(json.contains("\"salvage_resyncs\""));
@@ -119,7 +98,7 @@ fn faulted_reports_are_identical_across_worker_counts() {
 fn uniform_faults_degrade_identically_across_worker_counts() {
     let plan = FaultPlan::uniform(0xC0FFEE, 0.02);
     let (report, v) = check_worker_grid("determinism_uniform_faults", |workers| {
-        faulted(plan, workers, &SupervisorConfig::default())
+        run_with(tiny_config(), false, Some(plan), workers).0
     });
     assert!(
         !report.ingest.is_clean(),
@@ -127,75 +106,6 @@ fn uniform_faults_degrade_identically_across_worker_counts() {
     );
     assert!(report.ingest.reconciles(), "{:?}", report.ingest);
     assert_no_violations(&v);
-}
-
-#[test]
-fn stalls_past_deadline_are_quarantined_identically() {
-    let plan = FaultPlan {
-        stall_rate: 0.05,
-        stall_max_micros: 20_000,
-        ..FaultPlan::clean(0x57A11)
-    };
-    let sup = SupervisorConfig {
-        deadline: Some(Duration::from_millis(5)),
-        ..SupervisorConfig::default()
-    };
-    let (base, v) = check_worker_grid("determinism_stalls", |workers| faulted(plan, workers, &sup));
-    let stalled = base.ingest.stage_errors.get("stall_deadline").copied();
-    assert!(
-        stalled.unwrap_or(0) > 0,
-        "a 5% stall plan against a 5ms deadline must quarantine something: {:?}",
-        base.ingest
-    );
-    assert_eq!(
-        stalled.unwrap_or(0),
-        base.ingest.experiments_quarantined,
-        "without retries every breach is a quarantine"
-    );
-    assert!(base.ingest.reconciles(), "{:?}", base.ingest);
-    assert!(base.coverage.is_degraded());
-    assert_no_violations(&v);
-}
-
-#[test]
-fn retries_recover_transient_failures_identically() {
-    let plan = FaultPlan {
-        panic_rate: 0.08,
-        ..FaultPlan::uniform(0xBAD5EED, 0.01)
-    };
-    // Baseline without retries: every injected panic is a quarantine.
-    let no_retry = faulted(plan, 2, &SupervisorConfig::default());
-    assert!(no_retry.ingest.experiments_quarantined > 0);
-    let sup = SupervisorConfig {
-        max_retries: 2,
-        ..SupervisorConfig::default()
-    };
-    let (retried, v) = check_worker_grid("determinism_retries", |workers| {
-        faulted(plan, workers, &sup)
-    });
-    let ingest = &retried.ingest;
-    assert!(ingest.retry_attempts > 0, "{ingest:?}");
-    assert!(
-        ingest.experiments_retried > 0,
-        "retries must rescue something"
-    );
-    assert!(ingest.reconciles(), "{ingest:?}");
-    assert!(
-        ingest.experiments_quarantined + ingest.experiments_abandoned
-            < no_retry.ingest.experiments_quarantined,
-        "retries must strictly reduce permanent losses: {ingest:?}"
-    );
-    assert_eq!(
-        retried.coverage.totals().retried,
-        ingest.experiments_retried
-    );
-    assert_no_violations(&v);
-    // Seed-stability: same plan + knobs → same bytes across runs.
-    assert_eq!(
-        faulted(plan, 2, &sup).to_json().dump(),
-        retried.to_json().dump(),
-        "re-run must be identical"
-    );
 }
 
 #[test]
@@ -292,8 +202,7 @@ fn obs_deterministic_report_is_identical_across_workers() {
         ("determinism_obs_faulted", tiny_config(), Some(faulted)),
     ] {
         let (_, v) = check_worker_grid(invariant, |workers| {
-            let (report, reg) =
-                run_with(config, true, plan, workers, &SupervisorConfig::default());
+            let (report, reg) = run_with(config, true, plan, workers);
             // Counters reflect the corpus, not the topology.
             for name in ["experiments", "packets", "flows", "bytes", "pii_findings"] {
                 assert!(reg.counter(name) > 0, "counter {name} must be non-zero");

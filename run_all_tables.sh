@@ -2,9 +2,12 @@
 # Regenerates every paper table/figure into results/ (IOT_RESULTS_DIR),
 # and their printed form into results/all_tables.txt. The committed
 # artifacts are at reduced scales: medium for the corpus analyses and
-# Table 9, quick for Tables 10, 11 and §7.3. IOT_SCALE=full reproduces
-# the paper-scale grid; there the four model artifacts take ~21 s on a
-# 2-vCPU host.
+# Table 9 (IOT_SCALE_CORPUS, IOT_SCALE_INFER), quick for Tables 10, 11
+# and §7.3. The script sets IOT_SCALE on every call, so exporting it
+# changes nothing here; for the paper-scale grid run the binary itself,
+# e.g. `IOT_SCALE=full ./target/release/tables table9 table10 table11
+# user_study` (~21 s on a 2-vCPU host), with IOT_RESULTS_DIR pointing
+# away from results/.
 set -e
 cd "$(dirname "$0")"
 TABLES=./target/release/tables

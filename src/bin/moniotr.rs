@@ -8,11 +8,10 @@
 //! moniotr analyze <device-dir>                 destinations / encryption / PII per label
 //! moniotr idle <device> <hours>                idle capture + traffic-unit summary
 //! moniotr campaign [quick|medium|full] [workers N] [--serve ADDR]
-//!                  [--journal PATH | --resume PATH] [--deadline-ms N]
-//!                  [--max-retries N] [--report-out PATH]
+//!                  [--journal PATH | --resume PATH] [--report-out PATH]
 //!                                              full instrumented campaign + telemetry;
-//!                                              supervision flags arm the checkpoint
-//!                                              journal, deadline, and retry loop
+//!                                              --journal/--resume arm the checkpoint
+//!                                              journal
 //! moniotr oracle [quick|medium|full]           correctness oracle: invariants,
 //!                                              metamorphic relations, differential runs
 //! ```
@@ -38,8 +37,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: moniotr devices\n       moniotr capture <device> [uk] [vpn] [out-dir]\n       \
      moniotr analyze <device-dir>\n       moniotr idle <device> <hours>\n       \
      moniotr campaign [quick|medium|full] [workers N] [--serve ADDR]\n                \
-     [--journal PATH | --resume PATH] [--deadline-ms N] [--max-retries N]\n                \
-     [--report-out PATH]\n       \
+     [--journal PATH | --resume PATH] [--report-out PATH]\n       \
      moniotr oracle [quick|medium|full]";
 
 fn main() -> ExitCode {
@@ -276,8 +274,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     let mut serve_addr: Option<String> = None;
     let mut journal: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut max_retries: u32 = 0;
     let mut report_out: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -308,22 +304,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
                 resume = Some(PathBuf::from(it.next().ok_or_else(|| {
                     usage_err("campaign: --resume requires the journal path of the interrupted run")
                 })?));
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| {
-                            usage_err("campaign: --deadline-ms requires a positive millisecond count")
-                        })?,
-                );
-            }
-            "--max-retries" => {
-                max_retries = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .ok_or_else(|| usage_err("campaign: --max-retries requires a count"))?;
             }
             "--report-out" => {
                 report_out = Some(PathBuf::from(
@@ -358,16 +338,10 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         scale.name()
     );
     let mut sup = SupervisorConfig {
-        deadline: deadline_ms.map(std::time::Duration::from_millis),
-        max_retries,
+        resume: resume.is_some(),
+        journal: resume.or(journal),
         ..SupervisorConfig::default()
     };
-    if let Some(path) = resume {
-        sup.journal = Some(path);
-        sup.resume = true;
-    } else {
-        sup.journal = journal;
-    }
     // Test hook: slow the unit loop down so an external killer can
     // reliably interrupt a quick campaign mid-journal.
     if let Some(ms) = std::env::var("IOT_SUPERVISE_THROTTLE_MS")
@@ -375,15 +349,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         .and_then(|v| v.parse::<u64>().ok())
     {
         sup.unit_throttle = std::time::Duration::from_millis(ms);
-    }
-    // Roll the journal into numbered segments past this size; resume
-    // reads the whole set and compacts it back to one file.
-    if let Some(bytes) = std::env::var("IOT_JOURNAL_ROLL_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&b| b > 0)
-    {
-        sup.journal_roll_bytes = Some(bytes);
     }
     let mut p = Pipeline::with_obs(true);
     let s = p.run_campaign_supervised(config, workers, &sup)?;
@@ -403,12 +368,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         "campaign: supervision — {} of {} units replayed from journal, {} run live{salvage}",
         s.units_replayed, s.units_total, s.units_run
     );
-    if s.watchdog_cancelled > 0 {
-        println!(
-            "campaign: {} experiment attempt(s) overran the deadline",
-            s.watchdog_cancelled
-        );
-    }
 
     let obs_report = RunReport::from_registry("campaign", &reg)
         .meta("scale", scale.name())
@@ -426,11 +385,9 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     );
     let cov = report.coverage.totals();
     println!(
-        "campaign: coverage {} completed / {} retried / {} quarantined / {} abandoned{}",
+        "campaign: coverage {} completed / {} quarantined{}",
         cov.completed,
-        cov.retried,
         cov.quarantined,
-        cov.abandoned,
         if report.coverage.is_degraded() {
             " — DEGRADED"
         } else {

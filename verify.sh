@@ -32,15 +32,16 @@
 #    of self time moved most — malformed artifacts fail, share shifts
 #    are informational.
 # 6. chaos_check: the fault-injection smoke test — a seeded sweep of
-#    degraded-capture rates plus an injected-panic stage. Gates: no
-#    escaped panics, identical faulted reports across worker
-#    counts, exact ingest-ledger reconciliation, and bounded headline
-#    drift at low fault rates.
-# 7. supervise smoke: a quick campaign is journaled (with a small roll
-#    threshold, so the journal rotates into numbered segments) and
-#    SIGKILLed mid-run, then resumed from the (possibly torn) segment
-#    set; the resumed report must be byte-identical to an uninterrupted
-#    reference run. This drives the rotation/compaction/resume path
+#    degraded-capture rates, an injected-panic stage, and kill-and-resume
+#    of that stage's journal. Gates: no escaped panics, identical faulted
+#    reports across worker counts, exact ingest-ledger reconciliation,
+#    bounded headline drift at low fault rates, and resumed reports
+#    identical to the straight-through one.
+# 7. supervise smoke: a quick campaign is journaled and SIGKILLed once
+#    its journal holds a few unit records, then resumed from the
+#    (possibly torn) journal. The resume must replay at least one unit
+#    and run at least one live, and its report must be byte-identical
+#    to an uninterrupted reference run. This drives the resume path
 #    through the real binary and a real kill, not just in-process
 #    truncation.
 # 8. oracle_check: the correctness oracle — conservation-law invariants
@@ -133,22 +134,40 @@ echo "=== supervise smoke: journaled campaign, SIGKILL mid-run, resume ==="
 # an interrupted-and-resumed run must be byte-identical to it.
 ./target/release/moniotr campaign quick workers 2 \
   --report-out target/supervise_ref.json >/dev/null
-# Journaled run, slowed enough that the kill reliably lands mid-run,
-# with a small roll threshold so the kill leaves a rotated segment set
-# behind and resume exercises the multi-segment reader + compaction.
-rm -f target/supervise.jnl target/supervise.jnl.* target/supervise_resumed.json
-IOT_SUPERVISE_THROTTLE_MS=25 IOT_JOURNAL_ROLL_BYTES=16384 \
+# Journaled run, slowed so that it is still running when the journal
+# holds a few records (16 KiB, about ten units); killed then.
+rm -f target/supervise.jnl target/supervise_resumed.json
+IOT_SUPERVISE_THROTTLE_MS=25 \
   ./target/release/moniotr campaign quick workers 2 \
   --journal target/supervise.jnl >/dev/null 2>&1 &
 SUPERVISE_PID=$!
-sleep 1
+polls=0
+until [ -f target/supervise.jnl ] && [ "$(wc -c < target/supervise.jnl)" -gt 16384 ]; do
+  polls=$((polls + 1))
+  if [ "$polls" -gt 200 ]; then
+    kill -9 "$SUPERVISE_PID" 2>/dev/null || true
+    echo "verify.sh: FAIL — the journal held no 16 KiB of records within 10 s" >&2
+    exit 1
+  fi
+  sleep 0.05
+done
 kill -9 "$SUPERVISE_PID" 2>/dev/null || true
 wait "$SUPERVISE_PID" 2>/dev/null || true
 # Resume from whatever the kill left behind (a torn trailing record is
-# expected and salvaged) and demand byte-identity with the reference.
+# expected and salvaged). It must both replay and run live units, or
+# the kill did not land mid-run and the smoke proved nothing.
 ./target/release/moniotr campaign quick workers 2 \
   --resume target/supervise.jnl --report-out target/supervise_resumed.json \
-  | grep "supervision" || true
+  > target/supervise_resume.log
+supervision=$(grep "supervision" target/supervise_resume.log || true)
+echo "$supervision"
+replayed=$(echo "$supervision" | sed -n 's/.* \([0-9][0-9]*\) of [0-9][0-9]* units replayed.*/\1/p')
+live=$(echo "$supervision" | sed -n 's/.*, \([0-9][0-9]*\) run live.*/\1/p')
+if [ "${replayed:-0}" -lt 1 ] || [ "${live:-0}" -lt 1 ]; then
+  echo "verify.sh: FAIL — the resume replayed ${replayed:-0} and ran ${live:-0} units live; \
+the kill did not land mid-run" >&2
+  exit 1
+fi
 cmp target/supervise_ref.json target/supervise_resumed.json || {
   echo "verify.sh: FAIL — resumed report differs from the uninterrupted reference" >&2
   exit 1
