@@ -13,11 +13,10 @@
 //!        + packets_quarantined
 //! ```
 //!
-//! holds for every run ([`IngestStats::reconciles`], gated by
-//! `chaos_check` and the oracle). Like every other pipeline
-//! accumulator, the stats are kept per work unit and merged
-//! associatively, so every worker count produces byte-identical
-//! totals.
+//! holds for every run ([`IngestStats::reconciles`], gated by the
+//! oracle, clean and at every fault rate it sweeps). Like every other
+//! pipeline accumulator, the stats are kept per work unit and merged
+//! associatively, so every worker count produces byte-identical totals.
 
 use iot_core::json::{Json, ToJson};
 use std::collections::BTreeMap;
@@ -68,9 +67,8 @@ pub struct IngestStats {
     /// and goes with the next benchmark-definition change (ROADMAP
     /// item 1).
     pub experiments_abandoned: u64,
-    /// Error counts per pipeline stage (`salvage`, `salvage_loss`,
-    /// `flows_parse`, `ingest_panic`, `worker_panic`). Sorted, so JSON
-    /// is stable.
+    /// Error counts per pipeline stage (`salvage`, `flows_parse`,
+    /// `ingest_panic`, `worker_panic`). Sorted, so JSON is stable.
     pub stage_errors: BTreeMap<&'static str, u64>,
 }
 

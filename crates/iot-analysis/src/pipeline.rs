@@ -19,8 +19,8 @@
 //! live per unit, so no lock sits on the hot path. Experiment generation
 //! is seeded per (device, activity, rep, site, vpn), and every
 //! accumulator merge is order-independent, so the report is
-//! byte-identical at any worker count; `iot_oracle::differential::
-//! check_worker_grid` is the one place that checks it.
+//! byte-identical at any worker count; the oracle's differential pillar
+//! (`iot_oracle::differential`) is the one place that checks it.
 //!
 //! # Observability
 //!
@@ -56,7 +56,8 @@
 //! journaled nor folded, the ledger gains one `worker_panic` marker, and
 //! the worker goes on with the next unit. The whole ledger is an
 //! [`IngestStats`] in the report (`"ingest"` in the JSON), whose
-//! conservation invariant `chaos_check` gates.
+//! conservation invariant the oracle checks at every fault rate it
+//! sweeps.
 //!
 //! # Supervision
 //!
@@ -317,7 +318,6 @@ impl Worker {
         let _ingest_span = obs.span("shard/ingest");
         ingest.packets_generated += exp.packet_count() as u64;
         let mut inject_panic = false;
-        let mut total_loss = false;
         if let Some(inj) = ctx.fault {
             // Fault draws are keyed by the experiment's identity digest,
             // optionally without the rep index (the oracle's rep-relabel
@@ -328,47 +328,40 @@ impl Worker {
                 experiment_fault_key(&exp)
             };
             inject_panic = inj.should_panic(fkey);
-            total_loss = degrade_capture(inj, fkey, &mut exp, ingest, obs);
+            degrade_capture(inj, fkey, &mut exp, ingest, obs);
         }
         let salvaged = exp.packet_count() as u64;
-        let failure: Option<&'static str> = if total_loss {
-            // The lenient reader salvaged nothing at all: a permanent
-            // loss of an already-empty capture.
-            Some("salvage_loss")
-        } else {
-            // The quarantine boundary: a panic here — injected by the
-            // chaos plan or real — costs this one experiment, not the
-            // run. The injected panic fires before any accumulator or
-            // obs mutation, so a quarantined experiment contributes
-            // exactly nothing and the report stays deterministic.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if inject_panic {
-                    panic!("{INJECTED_PANIC_MSG}");
-                }
-                analyze_experiment(
-                    ctx.db,
-                    ctx.identities,
-                    destinations,
-                    encryption,
-                    pii,
-                    label_ctx,
-                    pii_patterns,
-                    ingest,
-                    obs,
-                    &exp,
-                );
-            }));
-            outcome.err().map(|_| "ingest_panic")
-        };
-        match failure {
-            None => {
+        // The quarantine boundary: a panic here — injected by the chaos
+        // plan or real — costs this one experiment, not the run. The
+        // injected panic fires before any accumulator or obs mutation,
+        // so a quarantined experiment contributes exactly nothing and
+        // the report stays deterministic.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic {
+                panic!("{INJECTED_PANIC_MSG}");
+            }
+            analyze_experiment(
+                ctx.db,
+                ctx.identities,
+                destinations,
+                encryption,
+                pii,
+                label_ctx,
+                pii_patterns,
+                ingest,
+                obs,
+                &exp,
+            );
+        }));
+        match outcome {
+            Ok(()) => {
                 ingest.packets_ingested += salvaged;
                 ingest.experiments_ingested += 1;
                 *experiments += 1;
                 coverage.record(site, device, CoverageOutcome::Completed);
             }
-            Some(stage) => {
-                ingest.add_stage_error(stage);
+            Err(_) => {
+                ingest.add_stage_error("ingest_panic");
                 ingest.packets_quarantined += salvaged;
                 ingest.experiments_quarantined += 1;
                 coverage.record(site, device, CoverageOutcome::Quarantined);
@@ -404,19 +397,13 @@ impl Sink<'_> {
 /// Degrades one experiment's capture through the fault injector and
 /// re-reads it through the lenient salvage path, keeping the ledger
 /// exact: every generated packet ends up ingested, dropped, or lost.
-///
-/// Returns `true` on *total* salvage loss — the capture yielded nothing
-/// at all — which the caller records as a `salvage_loss` quarantine
-/// instead of silently analyzing an empty experiment. Unreachable with
-/// our injector (the global pcap header is never touched), but a hard
-/// failure mode deserves an explicit path.
 fn degrade_capture(
     inj: &FaultInjector,
     key: u64,
     exp: &mut LabeledExperiment,
     ledger: &mut IngestStats,
     obs: &Registry,
-) -> bool {
+) {
     let _s = obs.span("degrade");
     // The injector borrows frames straight out of the pristine capture's
     // byte buffer — no packet materialization on either side of the
@@ -425,36 +412,32 @@ fn degrade_capture(
     ledger.packets_dropped += fstats.packets_dropped;
     ledger.packets_duplicated += fstats.packets_duplicated;
     ledger.records_corrupted += fstats.headers_corrupted;
-    match PcapCursor::lenient(&bytes) {
-        Ok(mut cur) => {
-            // Walk the degraded bytes once through the lenient salvage
-            // cursor, folding surviving frames into a fresh writer-clean
-            // capture: one contiguous buffer, not a Vec per packet. The
-            // salvage ledger reads off the same walk.
-            let mut salvaged = Capture::new();
-            while let Some(view) = cur.next_view() {
-                let view = view.expect("lenient cursor surfaces no errors");
-                salvaged
-                    .push(view.ts_micros, view.data)
-                    .expect("salvaged timestamps fit the pcap format");
-            }
-            let sstats = cur.stats();
-            ledger.packets_lost += fstats.records_written - salvaged.record_count() as u64;
-            ledger.packets_truncated += sstats.records_truncated;
-            ledger.salvage_resyncs += sstats.resyncs;
-            ledger.salvage_bytes_skipped += sstats.bytes_skipped;
-            ledger.torn_tail_bytes += sstats.torn_tail_bytes;
-            if !sstats.is_pristine() {
-                ledger.add_stage_error("salvage");
-            }
-            exp.capture = salvaged;
-            false
-        }
-        Err(_) => {
-            ledger.packets_lost += fstats.records_written;
-            true
-        }
+    // The injector writes a valid 24-byte global header and never
+    // garbles or tears it (its byte faults start at `GLOBAL_HEADER_LEN`),
+    // and the lenient reader fails only on that header.
+    let mut cur =
+        PcapCursor::lenient(&bytes).expect("the injector leaves the pcap global header intact");
+    // Walk the degraded bytes once through the lenient salvage cursor,
+    // folding surviving frames into a fresh writer-clean capture: one
+    // contiguous buffer, not a Vec per packet. The salvage ledger reads
+    // off the same walk.
+    let mut salvaged = Capture::new();
+    while let Some(view) = cur.next_view() {
+        let view = view.expect("lenient cursor surfaces no errors");
+        salvaged
+            .push(view.ts_micros, view.data)
+            .expect("salvaged timestamps fit the pcap format");
     }
+    let sstats = cur.stats();
+    ledger.packets_lost += fstats.records_written - salvaged.record_count() as u64;
+    ledger.packets_truncated += sstats.records_truncated;
+    ledger.salvage_resyncs += sstats.resyncs;
+    ledger.salvage_bytes_skipped += sstats.bytes_skipped;
+    ledger.torn_tail_bytes += sstats.torn_tail_bytes;
+    if !sstats.is_pristine() {
+        ledger.add_stage_error("salvage");
+    }
+    exp.capture = salvaged;
 }
 
 /// The per-experiment analysis stages, operating on the worker's caches
@@ -754,10 +737,11 @@ impl Pipeline {
     /// unit's accumulator delta is appended to the checkpoint journal
     /// (when `sup.journal` is set) and folded at once.
     ///
-    /// With `sup.resume`, an existing journal is replayed first — its
-    /// completed units folded straight into the accumulators — then cut
-    /// back to its clean prefix, and only the remaining units run,
-    /// appending to the same file; the resulting report is
+    /// With `sup.resume`, the journal is replayed first — its completed
+    /// units folded straight into the accumulators — then cut back to
+    /// its clean prefix, and only the remaining units run, appending to
+    /// the same file; a missing journal is its `NotFound` I/O error, and
+    /// nothing runs. The resulting report is
     /// byte-identical to a straight-through run of the same
     /// configuration. A journal written by a different campaign config,
     /// fault plan or work-unit grid is refused with a typed error rather
@@ -809,7 +793,7 @@ impl Pipeline {
         let mut done = std::collections::BTreeSet::new();
         let mut journal: Option<JournalWriter> = None;
         if let Some(path) = &sup.journal {
-            if sup.resume && path.exists() {
+            if sup.resume {
                 let contents = read_journal(path)?;
                 if contents.fingerprint != fingerprint {
                     return Err(JournalError::ConfigMismatch {

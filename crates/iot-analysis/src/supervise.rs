@@ -289,7 +289,6 @@ pub(crate) fn intern_encoding(name: &str) -> Result<&'static str, DecodeErr> {
 pub(crate) fn intern_stage(name: &str) -> Result<&'static str, DecodeErr> {
     match name {
         "salvage" => Ok("salvage"),
-        "salvage_loss" => Ok("salvage_loss"),
         "flows_parse" => Ok("flows_parse"),
         "ingest_panic" => Ok("ingest_panic"),
         "worker_panic" => Ok("worker_panic"),
@@ -1007,9 +1006,11 @@ pub fn campaign_fingerprint(
 pub struct SupervisorConfig {
     /// Checkpoint journal path. `None` runs without checkpointing.
     pub journal: Option<PathBuf>,
-    /// Replay an existing journal at `journal` before running and
-    /// append the remaining units to it; without this flag an existing
-    /// journal file is truncated and restarted.
+    /// Replay the journal at `journal` before running and append the
+    /// remaining units to it. The journal must exist: a missing one
+    /// fails the run with its `NotFound` I/O error before any unit runs.
+    /// Without this flag an existing journal file is truncated and
+    /// restarted.
     pub resume: bool,
     /// Sleep inserted after each unit is journaled. Report-neutral;
     /// exists so kill-timing tests can reliably interrupt a quick

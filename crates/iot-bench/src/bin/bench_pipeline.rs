@@ -1,16 +1,16 @@
-//! Pipeline identity, heap and instrumentation-overhead bench.
+//! Pipeline heap and instrumentation-overhead bench.
 //!
 //! Runs the full analysis pipeline (destinations + encryption + PII over
-//! a complete campaign, controlled and idle), gates the report's
-//! identity at 1, 2 and 8 workers through
-//! `iot_oracle::differential::check_worker_grid`, and writes its gates
-//! and measurements to `BENCH_pipeline.json`. End-to-end timing lives in
-//! the repository benchmark (`perfbench/`), not here.
+//! a complete campaign, controlled and idle) and writes its gates and
+//! measurements to `BENCH_pipeline.json`. End-to-end timing lives in the
+//! repository benchmark (`perfbench/`), and worker-count identity in the
+//! oracle (`oracle_check`), not here.
 //!
-//! A dedicated serial run with heap counting on and observability off
-//! yields the `alloc` block — total heap traffic, allocations per
-//! experiment, high-water, and kernel peak RSS — and must reproduce the
-//! baseline report byte for byte (`alloc_report_identical`). The totals
+//! A serial baseline run gives the report every other run must
+//! reproduce byte for byte. A dedicated serial run with heap counting on
+//! and observability off yields the `alloc` block — total heap traffic,
+//! allocations per experiment, high-water, and kernel peak RSS — and
+//! must reproduce the baseline (`alloc_report_identical`). The totals
 //! repeat exactly for a fixed grid, so `obs_check` gates them against
 //! the committed `BENCH_pipeline.json` on any host. Interleaved pairs
 //! then re-run the serial driver with observability forced *on*
@@ -31,20 +31,18 @@
 //! * `IOT_OBS_PROFILE_OUT` — where the instrumented N-worker run's span
 //!   tree is written as folded stacks (default `target/profile.folded`),
 //!   from the same registry as the run report; `obs_check` checks it
-//!   against the report and `profile_diff` compares it with the
-//!   committed baseline in `verify.sh`.
+//!   against the report in `verify.sh`.
 //!
 //! The instrumented N-worker run uses the host's available parallelism.
 //! Its one registry feeds the run report, both artifacts and the
-//! `stages` block.
+//! `stages` block, which lists every span path of that registry.
 
-use iot_analysis::pipeline::{Pipeline, PipelineReport};
+use iot_analysis::pipeline::Pipeline;
 use iot_analysis::SupervisorConfig;
 use iot_bench::harness::BenchResult;
 use iot_bench::{campaign_config, Scale};
 use iot_core::json::{Json, ToJson};
 use iot_obs::{folded_stacks, prometheus, RunReport};
-use iot_oracle::differential::check_worker_grid;
 use iot_testbed::schedule::CampaignConfig;
 use std::io::Write;
 use std::path::PathBuf;
@@ -52,17 +50,11 @@ use std::path::PathBuf;
 /// Interleaved off/on pairs behind each overhead ratio.
 const PAIRS: usize = 3;
 
-/// One campaign at `workers` workers; `workers == 1` is `run_campaign`.
-fn report(config: CampaignConfig, workers: usize, obs: bool) -> PipelineReport {
-    let mut p = Pipeline::with_obs(obs);
-    p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
-        .expect("a run without a journal cannot fail to journal");
-    p.finish()
-}
-
 /// One serial campaign's report, serialized.
 fn report_json(config: CampaignConfig, obs: bool) -> String {
-    report(config, 1, obs).to_json().dump()
+    let mut p = Pipeline::with_obs(obs);
+    p.run_campaign(config);
+    p.finish().to_json().dump()
 }
 
 /// Times [`PAIRS`] interleaved runs of `off` then `on`.
@@ -101,31 +93,22 @@ fn main() {
     iot_obs::progress!("bench_pipeline: scale={} workers={workers}", scale.name());
 
     // Resolve the obs config once (it may flip allocator counting on via
-    // IOT_OBS_ALLOC), then take manual control: the gate runs and the
+    // IOT_OBS_ALLOC), then take manual control: the baseline run and the
     // overhead baselines run with heap counting *off*, and the allocator
     // sections below force it on explicitly, so the numbers are
     // comparable regardless of the caller's environment.
     iot_obs::enabled();
     iot_obs::alloc::set_enabled(false);
 
-    // Correctness gates first: the report must be identical at 1, 2 and
-    // 8 workers, and turning instrumentation on must not change it.
-    let (serial_report, violations) =
-        check_worker_grid("bench_workers", |w| report(config, w, false));
-    let serial_json = serial_report.to_json().dump();
-    let identical = violations.is_empty();
-    if !identical {
-        eprintln!(
-            "bench_pipeline: FAIL — report diverged across worker counts: {}",
-            violations[0].render()
-        );
-    }
+    // The serial baseline that heap counting and instrumentation must
+    // not change.
+    let serial_json = report_json(config, false);
     // Allocator byte-identity gate *and* the committed heap measurement,
     // from one serial run with heap counting on and observability off —
     // counting alone must not perturb the report, and with the run on a
     // single thread the thread-local delta is the pipeline's entire heap
     // traffic. The high-water mark is reset first so it reflects this
-    // run's heap growth, not earlier gate runs.
+    // run's heap growth, not the baseline run's.
     iot_obs::alloc::set_enabled(true);
     iot_obs::alloc::reset_high_water();
     let alloc_before = iot_obs::alloc::thread_snapshot();
@@ -213,15 +196,12 @@ fn main() {
     let alloc_overhead = serial_alloc.median_ms() / serial_alloc_base.median_ms();
 
     // Per-stage medians from the instrumented run's span histograms —
-    // the same histograms the run report's stage table prints — for the
-    // workers' `shard` tree. Captured into the committed bench snapshot
-    // so PRs that shift time between stages are visible in review, not
+    // the same histograms the run report's stage table prints — for
+    // every span path. Captured into the committed bench snapshot so a
+    // change that shifts time between stages is visible in review, not
     // just in the total.
     let mut stages = Json::obj();
     for (path, hist) in &obs_snap.span_durations {
-        if path != "shard" && !path.starts_with("shard/") {
-            continue;
-        }
         let mut s = Json::obj();
         s.set("calls", hist.count().to_json());
         if let Some(stats) = obs_snap.spans.get(path) {
@@ -244,7 +224,6 @@ fn main() {
     out.set("scale", scale.name().to_json());
     out.set("experiments", experiments.to_json());
     out.set("workers", workers.to_json());
-    out.set("reports_identical", identical.to_json());
     out.set("obs_report_identical", obs_identical.to_json());
     out.set("alloc_report_identical", alloc_report_identical.to_json());
     out.set("serial_obs_baseline", serial_base.to_json());
@@ -324,7 +303,7 @@ fn main() {
         alloc_traffic.allocs,
         alloc_high_water as f64 / 1e6
     );
-    if !identical || !obs_identical || !alloc_report_identical {
+    if !obs_identical || !alloc_report_identical {
         std::process::exit(1);
     }
 }

@@ -50,7 +50,7 @@
 //!
 //! Exits non-zero on any hard failure, so `verify.sh` can gate on it.
 
-use iot_bench::profile_diff::FoldedProfile;
+use iot_bench::folded::FoldedProfile;
 use iot_core::json::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;

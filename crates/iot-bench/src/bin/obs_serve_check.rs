@@ -22,7 +22,7 @@
 
 use iot_analysis::pipeline::Pipeline;
 use iot_analysis::SupervisorConfig;
-use iot_bench::profile_diff::FoldedProfile;
+use iot_bench::folded::FoldedProfile;
 use iot_core::json::Json;
 use iot_testbed::schedule::CampaignConfig;
 use std::io::{Read, Write};

@@ -1,10 +1,10 @@
 //! Correctness-oracle gate, run by `verify.sh`.
 //!
-//! Identical reports across worker counts (gated by `bench_pipeline` and
-//! `chaos_check`) prove the pipeline is *consistent*; they cannot prove
-//! the numbers are *right*. This binary runs the `iot-oracle` harness,
-//! which checks properties that hold regardless of what the correct
-//! values are:
+//! Identical reports across worker counts prove the pipeline is
+//! *consistent*; they cannot prove the numbers are *right*. This binary
+//! runs the `iot-oracle` harness, which checks both — the first in its
+//! differential pillar, the second through properties that hold
+//! regardless of what the correct values are:
 //!
 //! 1. **Invariants** — the ingest ledger reconciles, per-lab encryption
 //!    percentages sum to 100, every PII finding names a cataloged device
@@ -17,7 +17,13 @@
 //!    the VPN dimension leaves native-egress fields untouched.
 //! 3. **Differential runs** — 2/8-worker and chaos-clean-plan runs
 //!    against the 1-worker baseline, with divergences named by table,
-//!    row, and field.
+//!    row, and field; and the fault gates: a seeded sweep of uniform
+//!    fault rates (ledger reconciles, faults fire, nothing quarantined,
+//!    bounded headline drift at low rates), a plan of injected ingest
+//!    panics that must end in quarantine, and a torn journal resumed at
+//!    every width — each run identical at 1, 2 and 8 workers. Their
+//!    ledgers and drift land in the output's `faults` block.
+//! 4. **Results artifacts** — the committed `results/*.json` tables.
 //!
 //! Environment:
 //!
@@ -26,6 +32,7 @@
 //!
 //! Exits non-zero on any violation.
 
+use iot_analysis::pipeline::INJECTED_PANIC_MSG;
 use iot_bench::{campaign_config, scale};
 use iot_core::json::{Json, ToJson};
 use iot_oracle::{results, run_oracle, Violation};
@@ -34,6 +41,22 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 fn check(out_path: &str) -> Result<(), String> {
+    // Injected panics are drills: silence exactly their payloads so the
+    // log shows gate results, not hundreds of expected backtraces. Any
+    // other panic message still prints.
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if !msg.contains(INJECTED_PANIC_MSG) {
+            prev_hook(info);
+        }
+    }));
+
     let scale = scale();
     let config = campaign_config(scale);
     println!("oracle_check: scale={}", scale.name());

@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod profile_diff;
+pub mod folded;
 pub mod tables;
 
 use iot_testbed::schedule::{Campaign, CampaignConfig};

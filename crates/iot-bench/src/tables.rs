@@ -1010,7 +1010,7 @@ mod tests {
 
     /// The campaign artifacts depend on the campaign only: 1 worker, 2
     /// workers, a resume from a torn journal and a replay of the whole
-    /// journal render the same bytes. `check_worker_grid` compares
+    /// journal render the same bytes. The oracle's worker grid compares
     /// reports, which carry neither Table 7's samples nor most table
     /// cells.
     #[test]

@@ -17,8 +17,13 @@
 //! [`FaultInjector`]: the same `(plan seed, stream key)` pair always
 //! produces the same degraded bytes, no matter in which order streams
 //! are degraded or on how many threads. That determinism is what lets
-//! the analysis pipeline assert byte-identical faulted reports at
-//! every worker count (`chaos_check`).
+//! the oracle (`iot_oracle::differential::check_faults`) assert
+//! byte-identical faulted reports at every worker count.
+//!
+//! The injector never writes the 24-byte pcap global header: its byte
+//! faults start after it and a torn tail never cuts into it. So the
+//! lenient reader, which fails only on that header, always opens a
+//! degraded capture, and the pipeline has no whole-capture loss path.
 //!
 //! The crate is intentionally low-level: it knows about [`iot_net`]
 //! packets and pcap framing, nothing above. Degraded captures are encoded

@@ -80,7 +80,8 @@ impl FaultPlan {
     }
 
     /// Every packet- and byte-level fault class at the same `rate`
-    /// (panic injection stays off) — the knob `chaos_check` sweeps.
+    /// (panic injection stays off) — the knob the oracle's fault sweep
+    /// turns.
     pub fn uniform(seed: u64, rate: f64) -> Self {
         FaultPlan {
             drop_rate: rate,

@@ -1,26 +1,42 @@
-//! Differential runs: the same campaign at 1, 2 and 8 workers, with an
-//! armed all-zero chaos plan, under a *non-clean* fault plan, and as an
-//! interrupted-then-resumed supervised run against its straight-through
-//! twin — compared field by field.
+//! Differential runs: the same campaign at 1, 2 and 8 workers, under an
+//! armed all-zero chaos plan, under a sweep of fault rates, with
+//! injected panics, and as a torn-then-resumed supervised run — each
+//! compared field by field with the run it must equal.
 //!
 //! [`check_worker_grid`] is the one place that proves worker-count
-//! identity: every gate that needs it (`bench_pipeline`, `chaos_check`,
-//! the oracle, and the identity tests) hands it a run closure. Its comparison is *structured*: when worker counts diverge,
+//! identity: every run here, and every identity test, hands it a run
+//! closure. Its comparison is *structured*: when worker counts diverge,
 //! the violations name the exact table, row, and field, which turns
 //! "reports differ" into an actionable defect report.
 //!
-//! The faulted sweep keys faults rep-invariantly
-//! (`rep_invariant_fault_keys`), so the same plan also powers the
-//! faulted rep-relabel metamorphic relation — one fault universe,
-//! checked across worker counts here and across input relabelings there.
+//! [`check_faults`] is the one home of the fault gates. Their baseline,
+//! the clean run, must have a pristine ledger and report JSON that
+//! parses. Every plan is seeded with `0xC4A05`, and every faulted run
+//! must be identical at 1, 2 and 8 workers:
+//!
+//! * **The uniform sweep** at rates 0.001, 0.01 and 0.05. Per rate,
+//!   [`sweep_violations`] requires a reconciled ledger, faults that
+//!   fired, no quarantine, the clean run's experiment count and report
+//!   JSON that parses; at rates up to 1.1% the headline numbers may
+//!   drift from the clean run only within loose ceilings.
+//! * **The panic plan**: 5% injected ingest panics on top of the 1%
+//!   plan. It must quarantine experiments, and analyzed plus quarantined
+//!   experiments must equal the clean run's count.
+//! * **The torn-journal resume**: the panic plan's journal, torn at 60%
+//!   as a kill leaves it, resumes at every width to the straight-through
+//!   report, and a replay-only pass over the completed journal runs
+//!   nothing and matches too.
 
 use crate::diff::diff_json;
 use crate::Violation;
+use iot_analysis::ingest::IngestStats;
 use iot_analysis::pipeline::{Pipeline, PipelineReport};
-use iot_analysis::supervise::SupervisorConfig;
+use iot_analysis::supervise::{JournalError, SuperviseSummary, SupervisorConfig};
 use iot_chaos::FaultPlan;
-use iot_core::json::ToJson;
+use iot_core::json::{Json, ToJson};
 use iot_testbed::schedule::CampaignConfig;
+use std::collections::HashMap;
+use std::path::Path;
 
 /// Worker counts of the identity grid; the first is the baseline.
 pub const WORKER_GRID: [usize; 3] = [1, 2, 8];
@@ -29,8 +45,28 @@ pub const WORKER_GRID: [usize; 3] = [1, 2, 8];
 /// identity, this one just makes runs reproducible.
 const CLEAN_PLAN_SEED: u64 = 0x0B5E55ED;
 
-/// Seed for the non-clean plans below.
-const FAULTED_PLAN_SEED: u64 = 0xFA17ED;
+/// Seed of every plan [`check_faults`] runs.
+const FAULT_SEED: u64 = 0xC4A05;
+
+/// Uniform per-class fault rates of the sweep.
+const SWEEP_RATES: [f64; 3] = [0.001, 0.01, 0.05];
+
+/// Sweep rates at or below this are low and held to the drift ceilings.
+const LOW_RATE: f64 = 0.011;
+
+/// Low-rate ceiling on the relative drift of the support- and
+/// third-party destination totals. Like the two below, a deliberately
+/// loose multiple of the drift EXPERIMENTS.md records, so routine noise
+/// cannot flake the gate while a real regression still trips it.
+const MAX_DEST_REL_DRIFT: f64 = 0.25;
+/// Low-rate ceiling on the relative drift of the PII finding count.
+const MAX_PII_REL_DRIFT: f64 = 0.35;
+/// Low-rate ceiling on any lab's encryption-mix move, in percentage
+/// points.
+const MAX_MIX_DELTA_PTS: f64 = 8.0;
+
+/// Injected ingest-panic probability of the panic plan.
+const PANIC_RATE: f64 = 0.05;
 
 /// The worker-count identity check: runs `run` at every width of
 /// [`WORKER_GRID`] and compares the 2- and 8-worker results against the
@@ -66,35 +102,6 @@ pub fn check_worker_grid<T: ToJson>(
     (baseline, v)
 }
 
-/// The non-clean capture-fault plan shared by the faulted differential
-/// sweep and the faulted rep-relabel metamorphic relation: every
-/// capture fault class at a uniform 1% rate, with fault keys made
-/// rep-invariant so relabeling repetitions preserves the fault draw.
-pub fn faulted_plan() -> FaultPlan {
-    let mut plan = FaultPlan::uniform(FAULTED_PLAN_SEED, 0.01);
-    plan.rep_invariant_fault_keys = true;
-    plan
-}
-
-/// [`faulted_plan`] plus injected ingest panics, for the resume check:
-/// the quarantine boundary fires on top of the capture faults.
-pub fn supervised_plan() -> FaultPlan {
-    FaultPlan {
-        panic_rate: 0.05,
-        ..faulted_plan()
-    }
-}
-
-/// Supervision knobs for [`check_resume`]: the journal, and whether to
-/// resume it.
-fn resume_supervisor(journal: std::path::PathBuf, resume: bool) -> SupervisorConfig {
-    SupervisorConfig {
-        journal: Some(journal),
-        resume,
-        ..SupervisorConfig::default()
-    }
-}
-
 /// One obs-off campaign at `workers` workers, optionally faulted.
 pub fn run(config: CampaignConfig, plan: Option<FaultPlan>, workers: usize) -> PipelineReport {
     let mut p = Pipeline::with_obs(false);
@@ -104,6 +111,26 @@ pub fn run(config: CampaignConfig, plan: Option<FaultPlan>, workers: usize) -> P
     p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
         .expect("a run without a journal cannot fail to journal");
     p.finish()
+}
+
+/// One obs-off campaign of `plan` at `workers` workers, journaled at
+/// `path` — resuming that journal when `resume` is set.
+fn supervised(
+    config: CampaignConfig,
+    plan: FaultPlan,
+    workers: usize,
+    path: &Path,
+    resume: bool,
+) -> Result<(PipelineReport, SuperviseSummary), JournalError> {
+    let mut p = Pipeline::with_obs(false);
+    p.set_fault_plan(plan);
+    let sup = SupervisorConfig {
+        journal: Some(path.to_path_buf()),
+        resume,
+        ..SupervisorConfig::default()
+    };
+    let summary = p.run_campaign_supervised(config, workers, &sup)?;
+    Ok((p.finish(), summary))
 }
 
 fn compare(
@@ -145,119 +172,418 @@ pub fn check_drivers(config: CampaignConfig) -> (PipelineReport, Vec<Violation>)
     (baseline, v)
 }
 
-/// The faulted sweep: the same *non-clean* plan at every worker count
-/// must agree field by field — fault draws are keyed by experiment
-/// identity, never by worker or schedule. The check also guards its own
-/// vacuity: a plan that never bites is a finding.
-pub fn check_drivers_faulted(config: CampaignConfig) -> Vec<Violation> {
-    let plan = faulted_plan();
-    let (baseline, mut v) = check_worker_grid("differential_faulted_workers", |workers| {
-        run(config, Some(plan), workers)
-    });
-    if baseline.ingest.is_clean() {
+/// One rate of the uniform sweep: the 1-worker run's ledger, and how far
+/// its headline numbers drifted from the clean run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepRate {
+    /// Uniform per-class fault rate.
+    pub rate: f64,
+    /// The faulted run's ingest ledger.
+    pub ingest: IngestStats,
+    /// Relative drift of the support-party destination total.
+    pub support_drift: f64,
+    /// Relative drift of the third-party destination total.
+    pub third_drift: f64,
+    /// Relative drift of the PII finding count.
+    pub pii_drift: f64,
+    /// Largest move of any lab's encryption-mix component, in
+    /// percentage points.
+    pub mix_delta_pts: f64,
+}
+
+impl ToJson for SweepRate {
+    fn to_json(&self) -> Json {
+        let mut j = Json::obj();
+        j.set("rate", self.rate.to_json());
+        j.set("ingest", self.ingest.to_json());
+        j.set("support_drift", self.support_drift.to_json());
+        j.set("third_drift", self.third_drift.to_json());
+        j.set("pii_drift", self.pii_drift.to_json());
+        j.set("mix_delta_pts", self.mix_delta_pts.to_json());
+        j
+    }
+}
+
+/// What [`check_faults`] measured, for the oracle's JSON.
+#[derive(Debug, Clone, Default)]
+pub struct FaultRecord {
+    /// One entry per sweep rate, in sweep order.
+    pub sweep: Vec<SweepRate>,
+    /// The panic plan's 1-worker ingest ledger.
+    pub panic_ingest: IngestStats,
+    /// Units each resume replayed from the torn journal.
+    pub units_replayed: usize,
+    /// Work units in the campaign grid.
+    pub units_total: usize,
+}
+
+impl ToJson for FaultRecord {
+    fn to_json(&self) -> Json {
+        let mut panic_stage = Json::obj();
+        panic_stage.set("panic_rate", PANIC_RATE.to_json());
+        panic_stage.set("ingest", self.panic_ingest.to_json());
+        let mut resume_stage = Json::obj();
+        resume_stage.set("units_replayed", self.units_replayed.to_json());
+        resume_stage.set("units_total", self.units_total.to_json());
+        let mut j = Json::obj();
+        j.set("seed", FAULT_SEED.to_json());
+        j.set(
+            "sweep",
+            Json::Arr(self.sweep.iter().map(ToJson::to_json).collect()),
+        );
+        j.set("panic_stage", panic_stage);
+        j.set("resume_stage", resume_stage);
+        j
+    }
+}
+
+/// Relative drift |faulted / clean − 1|; a zero clean value drifts
+/// infinitely unless the faulted value is zero too.
+fn rel_drift(faulted: usize, clean: usize) -> f64 {
+    match (faulted, clean) {
+        (0, 0) => 0.0,
+        (_, 0) => f64::INFINITY,
+        _ => (faulted as f64 / clean as f64 - 1.0).abs(),
+    }
+}
+
+fn total(per_lab: &HashMap<String, usize>) -> usize {
+    per_lab.values().sum()
+}
+
+/// The largest move of any lab's encryption-mix component between the
+/// two reports, in percentage points.
+fn mix_delta(clean: &PipelineReport, faulted: &PipelineReport) -> f64 {
+    clean
+        .encryption_mix
+        .iter()
+        .flat_map(|(lab, mix)| {
+            let moved = faulted.encryption_mix.get(lab).copied().unwrap_or([0.0; 3]);
+            mix.iter().zip(moved).map(|(a, b)| (a - b).abs())
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Why `report`'s JSON does not parse back through the in-tree parser,
+/// if it does not.
+fn json_error(report: &PipelineReport) -> Option<String> {
+    Json::parse(&report.to_json().dump())
+        .err()
+        .map(|e| format!("report JSON does not parse: {e}"))
+}
+
+/// The per-rate gates of the uniform sweep, a pure function of the
+/// rate, the clean report and the rate's faulted report. Returns the
+/// rate's record and one violation per broken gate, each gate its own
+/// class.
+pub fn sweep_violations(
+    rate: f64,
+    clean: &PipelineReport,
+    faulted: &PipelineReport,
+) -> (SweepRate, Vec<Violation>) {
+    let ingest = &faulted.ingest;
+    let entry = SweepRate {
+        rate,
+        ingest: ingest.clone(),
+        support_drift: rel_drift(
+            total(&faulted.support_destinations),
+            total(&clean.support_destinations),
+        ),
+        third_drift: rel_drift(
+            total(&faulted.third_destinations),
+            total(&clean.third_destinations),
+        ),
+        pii_drift: rel_drift(faulted.pii_findings.len(), clean.pii_findings.len()),
+        mix_delta_pts: mix_delta(clean, faulted),
+    };
+    let row = rate.to_string();
+    let mut v = Vec::new();
+    let mut fire = |invariant: &'static str, field: &str, detail: String| {
         v.push(Violation::new(
-            "differential_faulted",
+            invariant,
+            "sweep",
+            row.as_str(),
+            field,
+            detail,
+        ));
+    };
+    if !ingest.reconciles() {
+        fire(
+            "sweep_ledger",
+            "reconciles",
+            format!("ledger does not reconcile: {ingest:?}"),
+        );
+    }
+    if ingest.is_clean() {
+        fire(
+            "sweep_faults_fired",
+            "is_clean",
+            "the plan degraded nothing — this rate checked nothing".to_string(),
+        );
+    }
+    if ingest.experiments_quarantined != 0 || ingest.shards_quarantined != 0 {
+        fire(
+            "sweep_quarantine",
+            "experiments_quarantined",
+            format!(
+                "{} experiments and {} units quarantined with panics off",
+                ingest.experiments_quarantined, ingest.shards_quarantined
+            ),
+        );
+    }
+    if faulted.experiments != clean.experiments {
+        fire(
+            "sweep_experiments",
+            "experiments",
+            format!(
+                "{} != {} in the clean run",
+                faulted.experiments, clean.experiments
+            ),
+        );
+    }
+    if let Some(e) = json_error(faulted) {
+        fire("sweep_json", "json", e);
+    }
+    if rate <= LOW_RATE {
+        if entry.support_drift > MAX_DEST_REL_DRIFT || entry.third_drift > MAX_DEST_REL_DRIFT {
+            fire(
+                "sweep_dest_drift",
+                "destinations",
+                format!(
+                    "support drift {:.3}, third-party drift {:.3} (max {MAX_DEST_REL_DRIFT})",
+                    entry.support_drift, entry.third_drift
+                ),
+            );
+        }
+        if entry.pii_drift > MAX_PII_REL_DRIFT {
+            fire(
+                "sweep_pii_drift",
+                "pii_findings",
+                format!("drift {:.3} (max {MAX_PII_REL_DRIFT})", entry.pii_drift),
+            );
+        }
+        if entry.mix_delta_pts > MAX_MIX_DELTA_PTS {
+            fire(
+                "sweep_mix_drift",
+                "encryption_mix",
+                format!(
+                    "moved {:.2} points (max {MAX_MIX_DELTA_PTS})",
+                    entry.mix_delta_pts
+                ),
+            );
+        }
+    }
+    (entry, v)
+}
+
+/// The panic plan's gates over its 1-worker report: it quarantined
+/// experiments, its ledger reconciles, analyzed plus quarantined
+/// experiments are the clean run's count, and its JSON parses.
+fn panic_violations(clean: &PipelineReport, panicked: &PipelineReport) -> Vec<Violation> {
+    let ingest = &panicked.ingest;
+    let mut v = Vec::new();
+    let mut fire = |field: &str, detail: String| {
+        v.push(Violation::new(
+            "differential_panic",
             "ingest",
             "totals",
-            "is_clean",
-            "faulted plan produced a clean ledger — the sweep checked nothing".to_string(),
+            field,
+            detail,
         ));
+    };
+    if ingest.experiments_quarantined == 0 {
+        fire(
+            "experiments_quarantined",
+            format!("panic_rate {PANIC_RATE} quarantined nothing"),
+        );
+    }
+    if !ingest.reconciles() {
+        fire(
+            "reconciles",
+            format!("ledger does not reconcile: {ingest:?}"),
+        );
+    }
+    if panicked.experiments + ingest.experiments_quarantined != clean.experiments {
+        fire(
+            "experiments",
+            format!(
+                "{} analyzed + {} quarantined != {} in the clean run",
+                panicked.experiments, ingest.experiments_quarantined, clean.experiments
+            ),
+        );
+    }
+    if let Some(e) = json_error(panicked) {
+        fire("json", e);
     }
     v
 }
 
-/// The resume check: a supervised campaign is journaled, the journal is
-/// amputated mid-record (simulating a SIGKILL), and a second run
-/// resumes from the stump — the resumed report must match a
-/// straight-through run field by field. Injected panics make the runs
-/// quarantine, so the equality also covers the degraded-coverage
-/// bookkeeping.
-pub fn check_resume(config: CampaignConfig) -> Vec<Violation> {
-    let plan = supervised_plan();
+/// The fault gates of the module docs, against `clean`: the 1-worker
+/// report of `config` without a fault plan. Returns what they measured
+/// and one violation per broken gate.
+pub fn check_faults(
+    config: CampaignConfig,
+    clean: &PipelineReport,
+) -> (FaultRecord, Vec<Violation>) {
+    let mut record = FaultRecord::default();
+    // Drift is measured against the clean run, so it must be pristine.
     let mut v = Vec::new();
-
-    let straight = run(config, Some(plan), 2);
-    if straight.ingest.experiments_quarantined == 0 {
+    if !clean.ingest.is_clean() {
         v.push(Violation::new(
-            "differential_resume",
+            "differential_baseline",
             "ingest",
             "totals",
-            "experiments_quarantined",
-            "panic plan quarantined nothing — the resume check ran undegraded".to_string(),
+            "is_clean",
+            format!("the clean run's ledger is dirty: {:?}", clean.ingest),
         ));
+    }
+    if let Some(e) = json_error(clean) {
+        v.push(Violation::new(
+            "differential_baseline",
+            "<root>",
+            "",
+            "json",
+            e,
+        ));
+    }
+    for rate in SWEEP_RATES {
+        let plan = FaultPlan::uniform(FAULT_SEED, rate);
+        let (faulted, grid) = check_worker_grid("differential_sweep_workers", |workers| {
+            run(config, Some(plan), workers)
+        });
+        v.extend(grid.into_iter().map(|mut g| {
+            g.detail = format!("rate {rate}, {}", g.detail);
+            g
+        }));
+        let (entry, gates) = sweep_violations(rate, clean, &faulted);
+        record.sweep.push(entry);
+        v.extend(gates);
     }
 
-    let path = std::env::temp_dir().join(format!(
-        "iot_oracle_resume_{}.jnl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let mut first = Pipeline::with_obs(false);
-    first.set_fault_plan(plan);
-    if let Err(e) =
-        first.run_campaign_supervised(config, 2, &resume_supervisor(path.clone(), false))
-    {
-        v.push(Violation::new(
-            "differential_resume",
-            "supervise",
-            "journaled",
-            "run",
-            format!("journaled supervised run failed: {e}"),
-        ));
-        return v;
-    }
-    // Amputate the tail at an arbitrary byte offset — a kill never
-    // lands on a record boundary.
-    match std::fs::read(&path) {
-        Ok(bytes) if bytes.len() > 64 => {
-            let _ = std::fs::write(&path, &bytes[..bytes.len() * 6 / 10]);
+    let plan = FaultPlan {
+        panic_rate: PANIC_RATE,
+        ..FaultPlan::uniform(FAULT_SEED, 0.01)
+    };
+    let (straight, grid) = check_worker_grid("differential_panic_workers", |workers| {
+        run(config, Some(plan), workers)
+    });
+    v.extend(grid);
+    v.extend(panic_violations(clean, &straight));
+    record.panic_ingest = straight.ingest.clone();
+    v.extend(check_resume(config, plan, &straight, &mut record));
+    (record, v)
+}
+
+/// The torn-journal resume of `plan`'s campaign against its
+/// straight-through report. A 2-worker run's journal is torn at 60% —
+/// a kill never lands on a record boundary — and a copy of the stump
+/// resumes at every width of [`WORKER_GRID`], each of which must both
+/// replay and run units. The completed 1-worker journal then resumes
+/// once more and must replay every unit and run none. Records the
+/// resume's split in `record`.
+fn check_resume(
+    config: CampaignConfig,
+    plan: FaultPlan,
+    straight: &PipelineReport,
+    record: &mut FaultRecord,
+) -> Vec<Violation> {
+    let journal = |tag: &str| {
+        std::env::temp_dir().join(format!(
+            "iot_oracle_resume_{}_{tag}.jnl",
+            std::process::id()
+        ))
+    };
+    let fail = |row: String, field: &str, detail: String| {
+        Violation::new("differential_resume", "supervise", row, field, detail)
+    };
+    let full = journal("full");
+    let _ = std::fs::remove_file(&full);
+    let stump = supervised(config, plan, 2, &full, false).and_then(|(_, summary)| {
+        record.units_total = summary.units_total;
+        let bytes = std::fs::read(&full)?;
+        Ok(bytes[..bytes.len() * 6 / 10].to_vec())
+    });
+    let _ = std::fs::remove_file(&full);
+    let stump = match stump {
+        Ok(stump) => stump,
+        Err(e) => {
+            return vec![fail(
+                "journaled".into(),
+                "run",
+                format!("journaled run failed: {e}"),
+            )]
         }
-        other => {
-            v.push(Violation::new(
-                "differential_resume",
-                "supervise",
-                "journal",
-                "bytes",
-                format!("journal unreadable or implausibly small: {other:?}"),
-            ));
-            let _ = std::fs::remove_file(&path);
-            return v;
+    };
+
+    let mut v = Vec::new();
+    let mut failures = Vec::new();
+    let (resumed, grid) = check_worker_grid("differential_resume_workers", |workers| {
+        let path = journal(&workers.to_string());
+        let resumed = std::fs::write(&path, &stump)
+            .map_err(JournalError::from)
+            .and_then(|()| supervised(config, plan, workers, &path, true));
+        match resumed {
+            Ok((report, summary)) => {
+                if summary.units_replayed == 0 || summary.units_run == 0 {
+                    failures.push(fail(
+                        workers.to_string(),
+                        "units_replayed",
+                        format!(
+                            "the tear did not split the work (replayed {}, ran {})",
+                            summary.units_replayed, summary.units_run
+                        ),
+                    ));
+                }
+                record.units_replayed = summary.units_replayed;
+                report.to_json()
+            }
+            Err(e) => {
+                failures.push(fail(
+                    workers.to_string(),
+                    "run",
+                    format!("resume from the torn journal failed: {e}"),
+                ));
+                Json::Null
+            }
         }
-    }
-    let mut resumed = Pipeline::with_obs(false);
-    resumed.set_fault_plan(plan);
-    match resumed.run_campaign_supervised(config, 2, &resume_supervisor(path.clone(), true)) {
-        Ok(summary) => {
-            if summary.units_replayed == 0 {
-                v.push(Violation::new(
-                    "differential_resume",
-                    "supervise",
-                    "journal",
-                    "units_replayed",
-                    "truncated journal replayed nothing — the resume path went unchecked"
-                        .to_string(),
+    });
+    v.extend(grid);
+    v.extend(failures);
+    v.extend(
+        diff_json(&straight.to_json(), &resumed)
+            .into_iter()
+            .map(|d| d.into_violation("differential_resume")),
+    );
+
+    match supervised(config, plan, 2, &journal("1"), true) {
+        Ok((report, summary)) => {
+            if summary.units_run != 0 || summary.units_replayed != summary.units_total {
+                v.push(fail(
+                    "replay".into(),
+                    "units_run",
+                    format!(
+                        "a complete journal re-ran work (replayed {}, ran {})",
+                        summary.units_replayed, summary.units_run
+                    ),
                 ));
             }
-            v.extend(compare("differential_resume", &straight, &resumed.finish()));
+            v.extend(compare("differential_resume", straight, &report));
         }
-        Err(e) => {
-            v.push(Violation::new(
-                "differential_resume",
-                "supervise",
-                "resumed",
-                "run",
-                format!("resume from truncated journal failed: {e}"),
-            ));
-        }
+        Err(e) => v.push(fail(
+            "replay".into(),
+            "run",
+            format!("resume from the complete journal failed: {e}"),
+        )),
     }
-    let _ = std::fs::remove_file(&path);
+    for workers in WORKER_GRID {
+        let _ = std::fs::remove_file(journal(&workers.to_string()));
+    }
     v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iot_core::json::Json;
 
     #[test]
     fn worker_grid_names_the_width_and_field_that_diverged() {

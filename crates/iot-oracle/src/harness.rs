@@ -2,11 +2,13 @@
 //! over a campaign configuration and reports every violated property.
 //!
 //! Pipeline runs are expensive, so the harness is frugal with them: the
-//! 1-worker invariant run doubles as the differential baseline, and the
-//! metamorphic relations — which are scale-independent properties —
-//! run on a bounded copy of the configuration so that holding the full
+//! 1-worker invariant run doubles as the differential baseline and as
+//! the clean run the fault gates compare against, and the metamorphic
+//! relations — which are scale-independent properties — run on a
+//! bounded copy of the configuration so that holding the full
 //! experiment stream in memory stays cheap at any `IOT_SCALE`.
 
+use crate::differential::FaultRecord;
 use crate::{differential, invariants, metamorphic, Violation};
 use iot_analysis::pipeline::Pipeline;
 use iot_analysis::unexpected::{detection_counts, match_against_ground_truth, Detection};
@@ -38,8 +40,12 @@ pub struct OracleOutcome {
     pub invariant: Vec<Violation>,
     /// Broken metamorphic relations (pillar 2).
     pub metamorphic: Vec<Violation>,
-    /// Worker-count and chaos-plan divergences (pillar 3).
+    /// Worker-count, chaos-plan, fault-gate and resume violations
+    /// (pillar 3).
     pub differential: Vec<Violation>,
+    /// What the fault gates measured: the sweep's ledgers and drift,
+    /// the panic plan's ledger and the resume's split.
+    pub faults: FaultRecord,
     /// Experiments in the 1-worker baseline run.
     pub experiments: u64,
     /// PII findings in the 1-worker baseline run.
@@ -97,6 +103,7 @@ impl ToJson for OracleOutcome {
         j.set("invariant", list(&self.invariant));
         j.set("metamorphic", list(&self.metamorphic));
         j.set("differential", list(&self.differential));
+        j.set("faults", self.faults.to_json());
         j
     }
 }
@@ -171,10 +178,10 @@ pub fn run_oracle(config: CampaignConfig) -> OracleOutcome {
     invariant.extend(detection_and_study_laws());
 
     // Pillar 3: the worker grid and the clean chaos plan against the
-    // same baseline, the faulted sweep, and the interrupted-resumed twin.
+    // same baseline, then the fault gates against it.
     let mut differential = differential::check_drivers_against(&report, config);
-    differential.extend(differential::check_drivers_faulted(config));
-    differential.extend(differential::check_resume(config));
+    let (faults, fault_violations) = differential::check_faults(config, &report);
+    differential.extend(fault_violations);
 
     // Pillar 2: metamorphic relations on the bounded configuration.
     let metamorphic = metamorphic::check_all(
@@ -187,6 +194,7 @@ pub fn run_oracle(config: CampaignConfig) -> OracleOutcome {
         invariant,
         metamorphic,
         differential,
+        faults,
         experiments: report.experiments,
         pii_findings: report.pii_findings.len(),
     }
@@ -214,6 +222,7 @@ mod tests {
             )],
             metamorphic: Vec::new(),
             differential: Vec::new(),
+            faults: FaultRecord::default(),
             experiments: 42,
             pii_findings: 7,
         };
@@ -222,6 +231,7 @@ mod tests {
         let dump = outcome.to_json().dump();
         assert!(dump.contains("\"clean\":false"), "{dump}");
         assert!(dump.contains("\"total_violations\":1"), "{dump}");
+        assert!(dump.contains("\"panic_stage\":{\"panic_rate\":0.05"), "{dump}");
         let summary = outcome.summary();
         assert!(summary.contains("invariants 1"), "{summary}");
         assert!(summary.contains("mix_sum @ encryption_mix/US/sum"), "{summary}");

@@ -24,11 +24,13 @@
 //!    1/2/8 workers and under an armed chaos-clean plan, compared field
 //!    by field with a structured diff ([`diff`]), so a divergence names
 //!    the table, row, and field rather than just "bytes differ".
-//!    [`differential::check_worker_grid`] is the worker-count identity
-//!    check every other gate reuses.
+//!    [`differential::check_worker_grid`] is the one worker-count
+//!    identity check, and [`differential::check_faults`] the one home of
+//!    the fault gates: a swept fault rate, injected panics and a
+//!    torn-journal resume, each identical at 1/2/8 workers.
 //!
 //! [`run_oracle`] composes all three into the gate `verify.sh` runs via
-//! the `oracle_check` binary and the CLI exposes as `moniotr oracle`.
+//! the `oracle_check` binary.
 //!
 //! [`PipelineReport`]: iot_analysis::pipeline::PipelineReport
 //! [`Pipeline::build_report`]: iot_analysis::pipeline::Pipeline::build_report

@@ -20,8 +20,7 @@
 //! gap for plans that opt into rep-invariant fault keys
 //! (`rep_invariant_fault_keys`): under such a plan the fault draw
 //! survives relabeling, so the relation must hold even on a degraded
-//! corpus — the same plan the differential pillar sweeps across
-//! drivers.
+//! corpus.
 
 use crate::diff::diff_json;
 use crate::Violation;
@@ -31,6 +30,18 @@ use iot_core::rng::{SliceRandom, StdRng};
 use iot_geodb::registry::GeoDb;
 use iot_testbed::experiment::LabeledExperiment;
 use iot_testbed::schedule::{Campaign, CampaignConfig};
+
+/// Seed of [`faulted_plan`].
+const FAULTED_PLAN_SEED: u64 = 0xFA17ED;
+
+/// The plan of the faulted rep-relabel relation: every capture fault
+/// class at a uniform 1% rate, with fault keys made rep-invariant so
+/// relabeling repetitions preserves the fault draw.
+fn faulted_plan() -> iot_chaos::FaultPlan {
+    let mut plan = iot_chaos::FaultPlan::uniform(FAULTED_PLAN_SEED, 0.01);
+    plan.rep_invariant_fault_keys = true;
+    plan
+}
 
 /// Generates the full experiment stream (controlled + idle) of a
 /// campaign as a vector, unit by unit, for replay through
@@ -368,10 +379,7 @@ pub fn check_all(config: CampaignConfig, device: &str, seed: u64) -> Vec<Violati
     let mut v = Vec::new();
     v.extend(check_order_permutation(&baseline, &experiments, seed));
     v.extend(check_rep_relabel(&baseline, &experiments));
-    v.extend(check_rep_relabel_faulted(
-        &experiments,
-        crate::differential::faulted_plan(),
-    ));
+    v.extend(check_rep_relabel_faulted(&experiments, faulted_plan()));
     v.extend(check_device_removal(&baseline, &experiments, device));
     v.extend(check_vpn_isolation(config));
     v

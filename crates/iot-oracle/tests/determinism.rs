@@ -1,11 +1,13 @@
 //! End-to-end determinism: the same campaign configuration must produce
 //! the same report at 1, 2 and 8 workers — through
-//! `differential::check_worker_grid`, clean, under capture faults, and
-//! under injected panics. The
-//! observability layer must keep both halves of that contract:
-//! instrumentation must not perturb the pipeline report, and the
-//! deterministic subset of the obs report (counters + histograms) must
-//! itself be a pure function of the corpus, independent of worker count.
+//! `differential::check_worker_grid`, with the VPN dimension on, under
+//! capture faults with injected panics, and with heap counting and
+//! observability on; the oracle's fault gates cover the uniform fault
+//! sweep. The observability layer must keep both halves of that
+//! contract: instrumentation must not perturb the pipeline report, and
+//! the deterministic subset of the obs report (counters + histograms)
+//! must itself be a pure function of the corpus, independent of worker
+//! count.
 
 use iot_analysis::pipeline::{Pipeline, PipelineReport};
 use iot_analysis::SupervisorConfig;
@@ -92,20 +94,6 @@ fn faulted_reports_are_identical_across_worker_counts() {
         run(1).to_json().dump(),
         "faulted runs must repeat exactly"
     );
-}
-
-#[test]
-fn uniform_faults_degrade_identically_across_worker_counts() {
-    let plan = FaultPlan::uniform(0xC0FFEE, 0.02);
-    let (report, v) = check_worker_grid("determinism_uniform_faults", |workers| {
-        run_with(tiny_config(), false, Some(plan), workers).0
-    });
-    assert!(
-        !report.ingest.is_clean(),
-        "a 2% fault plan must actually degrade something"
-    );
-    assert!(report.ingest.reconciles(), "{:?}", report.ingest);
-    assert_no_violations(&v);
 }
 
 #[test]

@@ -1,19 +1,22 @@
 //! The oracle's own correctness gate.
 //!
 //! A checker that never fires is worse than no checker, so the heart of
-//! this suite is a corrupted-fixture matrix: one finished report is
+//! this suite is two corrupted-fixture matrices: one finished report
+//! (and one faulted report, for the fault sweep's per-rate gates) is
 //! corrupted one field at a time, and every corruption must trip
 //! *exactly* its expected set of invariant classes — no false
 //! negatives, no duplicate firings, no collateral classes. The clean
-//! fixture, the metamorphic relations, and the differential drivers
-//! must all pass untouched.
+//! fixtures, the metamorphic relations, the differential drivers and
+//! the fault gates must all pass untouched.
 
 use iot_analysis::pii::{PiiFinding, PiiFindingKind};
 use iot_analysis::pipeline::{Pipeline, PipelineReport};
+use iot_chaos::FaultPlan;
 use iot_oracle::{differential, invariants, metamorphic};
 use iot_testbed::lab::LabSite;
 use iot_testbed::schedule::CampaignConfig;
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 fn tiny_config() -> CampaignConfig {
     CampaignConfig {
@@ -191,13 +194,142 @@ fn differential_drivers_agree() {
 }
 
 #[test]
-fn faulted_differential_drivers_agree() {
-    let v = differential::check_drivers_faulted(tiny_config());
+fn fault_gates_hold() {
+    // The sweep, the panic plan and the torn-journal resume, each
+    // identical at 1/2/8 workers, against the fixture's clean report.
+    let clean = with_fixture(|_, report| report.clone());
+    let (record, v) = differential::check_faults(tiny_config(), &clean);
     assert!(v.is_empty(), "{v:?}");
+    let rates: Vec<f64> = record.sweep.iter().map(|r| r.rate).collect();
+    assert_eq!(rates, [0.001, 0.01, 0.05]);
+    for rate in &record.sweep {
+        assert!(
+            !rate.ingest.is_clean(),
+            "rate {} degraded nothing",
+            rate.rate
+        );
+        assert!(rate.ingest.reconciles(), "{:?}", rate.ingest);
+    }
+    assert!(record.panic_ingest.experiments_quarantined > 0);
+    assert!(record.units_replayed > 0 && record.units_replayed < record.units_total);
+}
+
+/// The clean fixture's report and the 1-worker report of the sweep's
+/// 1% plan at the same configuration: the pair every sweep corruption
+/// starts from.
+fn sweep_fixture() -> &'static (PipelineReport, PipelineReport) {
+    static FIXTURE: OnceLock<(PipelineReport, PipelineReport)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let clean = with_fixture(|_, report| report.clone());
+        let plan = FaultPlan::uniform(0xC4A05, 0.01);
+        (clean, differential::run(tiny_config(), Some(plan), 1))
+    })
+}
+
+/// Asserts that corrupting the faulted fixture with `corrupt` (which
+/// also sees the clean report) fires exactly `expected` at `rate`.
+fn assert_sweep_fires(
+    rate: f64,
+    corrupt: impl FnOnce(&PipelineReport, &mut PipelineReport),
+    mut expected: Vec<&'static str>,
+) {
+    let (clean, faulted) = sweep_fixture();
+    let mut bad = faulted.clone();
+    corrupt(clean, &mut bad);
+    let (entry, v) = differential::sweep_violations(rate, clean, &bad);
+    assert_eq!(entry.rate, rate);
+    let mut fired: Vec<&'static str> = v.iter().map(|v| v.invariant).collect();
+    fired.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(fired, expected, "{v:?}");
+}
+
+/// Moves every headline number past its low-rate drift ceiling.
+fn drift_everything(clean: &PipelineReport, r: &mut PipelineReport) {
+    drift_support(clean, r);
+    drift_third(clean, r);
+    drift_pii(clean, r);
+    drift_mix(clean, r);
+}
+
+/// Every lab's count more than doubled, so even an empty lab drifts.
+fn inflated(per_lab: &HashMap<String, usize>) -> HashMap<String, usize> {
+    per_lab
+        .iter()
+        .map(|(lab, n)| (lab.clone(), n * 2 + 1))
+        .collect()
+}
+
+fn drift_support(clean: &PipelineReport, r: &mut PipelineReport) {
+    r.support_destinations = inflated(&clean.support_destinations);
+}
+
+fn drift_third(clean: &PipelineReport, r: &mut PipelineReport) {
+    r.third_destinations = inflated(&clean.third_destinations);
+}
+
+fn drift_pii(_: &PipelineReport, r: &mut PipelineReport) {
+    r.pii_findings.clear();
+}
+
+fn drift_mix(clean: &PipelineReport, r: &mut PipelineReport) {
+    r.encryption_mix = clean.encryption_mix.clone();
+    let us = r.encryption_mix.get_mut("US").unwrap();
+    us[0] += 10.0;
+    us[1] -= 10.0;
 }
 
 #[test]
-fn resumed_run_matches_straight_through() {
-    let v = differential::check_resume(tiny_config());
-    assert!(v.is_empty(), "{v:?}");
+fn clean_sweep_fixture_fires_nothing() {
+    assert_sweep_fires(0.01, |_, _| {}, vec![]);
+}
+
+#[test]
+fn faults_that_never_fired_fire_once() {
+    assert_sweep_fires(
+        0.01,
+        |clean, r| r.ingest = clean.ingest.clone(),
+        vec!["sweep_faults_fired"],
+    );
+}
+
+#[test]
+fn unreconciled_sweep_ledger_fires_once() {
+    assert_sweep_fires(
+        0.01,
+        |_, r| r.ingest.packets_ingested += 1,
+        vec!["sweep_ledger"],
+    );
+}
+
+#[test]
+fn quarantine_with_panics_off_fires_once() {
+    assert_sweep_fires(
+        0.01,
+        |_, r| r.ingest.experiments_quarantined += 1,
+        vec!["sweep_quarantine"],
+    );
+}
+
+#[test]
+fn changed_experiment_count_fires_once() {
+    assert_sweep_fires(0.01, |_, r| r.experiments += 1, vec!["sweep_experiments"]);
+}
+
+#[test]
+fn each_low_rate_drift_ceiling_fires_alone() {
+    assert_sweep_fires(0.01, drift_support, vec!["sweep_dest_drift"]);
+    assert_sweep_fires(0.01, drift_third, vec!["sweep_dest_drift"]);
+    assert_sweep_fires(0.01, drift_pii, vec!["sweep_pii_drift"]);
+    assert_sweep_fires(0.01, drift_mix, vec!["sweep_mix_drift"]);
+    assert_sweep_fires(
+        0.01,
+        drift_everything,
+        vec!["sweep_dest_drift", "sweep_mix_drift", "sweep_pii_drift"],
+    );
+}
+
+#[test]
+fn drift_at_a_high_rate_fires_nothing() {
+    assert_sweep_fires(0.05, drift_everything, vec![]);
 }

@@ -12,8 +12,6 @@
 //!                                              full instrumented campaign + telemetry;
 //!                                              --journal/--resume arm the checkpoint
 //!                                              journal
-//! moniotr oracle [quick|medium|full]           correctness oracle: invariants,
-//!                                              metamorphic relations, differential runs
 //! ```
 //!
 //! Unknown subcommands or flags print the usage text and exit with
@@ -37,8 +35,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: moniotr devices\n       moniotr capture <device> [uk] [vpn] [out-dir]\n       \
      moniotr analyze <device-dir>\n       moniotr idle <device> <hours>\n       \
      moniotr campaign [quick|medium|full] [workers N] [--serve ADDR]\n                \
-     [--journal PATH | --resume PATH] [--report-out PATH]\n       \
-     moniotr oracle [quick|medium|full]";
+     [--journal PATH | --resume PATH] [--report-out PATH]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,7 +45,6 @@ fn main() -> ExitCode {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("idle") => cmd_idle(&args[1..]),
         Some("campaign") => cmd_campaign(&args[1..]),
-        Some("oracle") => cmd_oracle(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             return ExitCode::from(2);
@@ -428,31 +424,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         }
     }
-    Ok(())
-}
-
-fn cmd_oracle(args: &[String]) -> CliResult {
-    use iot_bench::{campaign_config, Scale};
-
-    let mut scale = Scale::Quick;
-    for arg in args {
-        match arg.as_str() {
-            "quick" => scale = Scale::Quick,
-            "medium" => scale = Scale::Medium,
-            "full" => scale = Scale::Full,
-            other => return Err(usage_err(format!("oracle: unknown argument {other:?}"))),
-        }
-    }
-    println!(
-        "oracle: scale={} (1-worker + differential + metamorphic runs)",
-        scale.name()
-    );
-    let outcome = intl_iot::oracle::run_oracle(campaign_config(scale));
-    println!("{}", outcome.summary());
-    if !outcome.is_clean() {
-        return Err(format!("{} correctness violations", outcome.total()).into());
-    }
-    println!("oracle: all invariants, metamorphic relations, and differential runs hold");
     Ok(())
 }
 

@@ -36,7 +36,6 @@ fn unknown_subcommand_exits_2_with_usage() {
 fn unknown_campaign_flag_exits_2_with_usage() {
     assert_usage_exit(&["campaign", "--definitely-not-a-flag"]);
     assert_usage_exit(&["campaign", "turbo"]);
-    assert_usage_exit(&["oracle", "--nope"]);
 }
 
 #[test]
@@ -52,19 +51,26 @@ fn supervision_flags_validate_their_values() {
 
 #[test]
 fn resume_with_missing_journal_is_a_runtime_error_not_usage() {
-    // The flag parses; the missing file fails at run time with exit 1.
+    // The flag parses; a journal missing from a directory that exists
+    // fails at run time with exit 1, before any unit runs, and leaves no
+    // file behind: a mistyped resume path must not rerun the campaign.
+    let path = std::env::temp_dir().join(format!("moniotr_missing_{}.jnl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
     let out = moniotr(&[
         "campaign",
         "quick",
         "workers",
         "1",
         "--resume",
-        "/nonexistent/never/there.jnl",
+        path.to_str().expect("temp paths are UTF-8"),
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
+    let created = path.exists();
+    let _ = std::fs::remove_file(&path);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(
         !stderr.contains("usage: moniotr"),
         "runtime errors must not dump usage, stderr: {stderr}"
     );
+    assert!(!created, "a failed resume must not create the journal");
 }

@@ -9,9 +9,9 @@
 #    run.
 # 2. A quick-scale bench_pipeline run, with observability enabled so it
 #    also emits an obs run report and the folded profile of the same
-#    registry's span tree. bench_pipeline exits non-zero if the report
-#    differs between 1, 2 and 8 workers, so divergence fails this
-#    script.
+#    registry's span tree. It records one serial run's heap totals and
+#    exits non-zero if heap counting or instrumentation changes the
+#    serial report.
 # 3. obs_check: the observability smoke test and the allocation gate —
 #    the run report must parse, its stage counters must be non-zero,
 #    shard/synth + shard/ingest must cover 95% of shard, the measured
@@ -27,36 +27,30 @@
 #    /progress, and /profile answered over real sockets during an
 #    instrumented (and lightly faulted) campaign, with the ingest ledger
 #    reconciling.
-# 5. profile_diff: parses the fresh folded profile against the
-#    committed results/profile.folded and prints the stacks whose share
-#    of self time moved most — malformed artifacts fail, share shifts
-#    are informational.
-# 6. chaos_check: the fault-injection smoke test — a seeded sweep of
-#    degraded-capture rates, an injected-panic stage, and kill-and-resume
-#    of that stage's journal. Gates: no escaped panics, identical faulted
-#    reports across worker counts, exact ingest-ledger reconciliation,
-#    bounded headline drift at low fault rates, and resumed reports
-#    identical to the straight-through one.
-# 7. supervise smoke: a quick campaign is journaled and SIGKILLed once
+# 5. supervise smoke: a quick campaign is journaled and SIGKILLed once
 #    its journal holds a few unit records, then resumed from the
 #    (possibly torn) journal. The resume must replay at least one unit
 #    and run at least one live, and its report must be byte-identical
 #    to an uninterrupted reference run. This drives the resume path
 #    through the real binary and a real kill, not just in-process
 #    truncation.
-# 8. oracle_check: the correctness oracle — conservation-law invariants
+# 6. oracle_check: the correctness oracle — conservation-law invariants
 #    over the finished report (ledger reconciliation, percentage sums,
 #    catalog-backed PII findings, recounts from live accumulators),
 #    metamorphic relations (order permutation, rep relabeling, device
 #    removal, VPN isolation), field-by-field differential runs across
-#    worker counts, and invariant classes over the committed
-#    results/*.json table artifacts (well-formed emit shape, pinned row
-#    counts, percentage sums). Any violation fails this script.
+#    1, 2 and 8 workers — clean, under a seeded sweep of fault rates
+#    (ledger reconciles, faults fire, nothing quarantined, bounded
+#    headline drift at low rates), under injected panics that must end
+#    in quarantine, and resumed from a torn journal — and invariant
+#    classes over the committed results/*.json table artifacts
+#    (well-formed emit shape, pinned row counts, percentage sums). Any
+#    violation fails this script.
 #    Opt-in: ORACLE_SCALE=medium (or the --nightly flag) additionally
 #    reruns the oracle on the medium campaign grid, warn-only, with the
 #    instrumented allocator counting so the run prints the campaign's
 #    heap high-water and kernel peak RSS at that scale.
-# 9. tables: run_all_tables.sh regenerates every paper artifact into
+# 7. tables: run_all_tables.sh regenerates every paper artifact into
 #    target/verify_tables (~6 s on a 2-vCPU host), and the set must
 #    match results/ file for file: every *.json and all_tables.txt
 #    byte-identical (cmp), none missing and none extra. A change that
@@ -91,10 +85,10 @@ cargo test -q --workspace
 echo "=== benchmark: build perfbench + run its self-tests ==="
 cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "=== bench: worker-grid identity + heap totals (quick scale, obs on) ==="
+echo "=== bench: heap totals + obs/alloc identity (quick scale, obs on) ==="
 cargo build --release -p iot-bench \
   --bin bench_pipeline --bin obs_check --bin obs_serve_check \
-  --bin profile_diff --bin chaos_check --bin oracle_check --bin tables
+  --bin oracle_check --bin tables
 # Write to scratch paths so routine verification never clobbers the
 # committed BENCH_pipeline.json baseline (regenerate that explicitly
 # with the bench binary's defaults). IOT_OBS=1 makes the run emit the
@@ -118,16 +112,6 @@ echo "=== obs smoke: run report + overhead + allocation gates + exporter artifac
 
 echo "=== obs serve: live telemetry endpoint over real sockets ==="
 ./target/release/obs_serve_check
-
-echo "=== profile diff: fresh folded profile vs committed baseline ==="
-./target/release/profile_diff \
-  "${IOT_OBS_PROFILE_OUT:-target/profile.folded}" \
-  results/profile.folded
-
-echo "=== chaos smoke: fault-injection sweep + quarantine gates ==="
-IOT_SCALE=quick \
-  IOT_CHAOS_OUT="${IOT_CHAOS_OUT:-target/chaos_check.json}" \
-  ./target/release/chaos_check
 
 echo "=== supervise smoke: journaled campaign, SIGKILL mid-run, resume ==="
 # Uninterrupted reference: the same 2-worker campaign without a journal;
@@ -174,7 +158,7 @@ cmp target/supervise_ref.json target/supervise_resumed.json || {
 }
 echo "supervise smoke: resumed report byte-identical to the reference"
 
-echo "=== oracle: invariants + metamorphic relations + differential runs ==="
+echo "=== oracle: invariants + metamorphic relations + differential runs + fault gates ==="
 IOT_SCALE=quick \
   IOT_ORACLE_OUT="${IOT_ORACLE_OUT:-target/oracle_check.json}" \
   ./target/release/oracle_check
