@@ -27,10 +27,12 @@
 //! Every run is instrumented through `iot-obs` (gated on `IOT_OBS`, or
 //! forced via [`Pipeline::with_obs`]): spans around campaign generation
 //! and [`Pipeline::finish`]; one `shard` span per worker run, with
-//! traffic synthesis (`shard/synth`) and per-experiment ingest
+//! traffic synthesis (`shard/synth`), per-experiment ingest
 //! (`shard/ingest`: capture degradation, flow reconstruction, destination
-//! mapping, encryption classification, PII scan) under it — the tree
-//! `iot_obs::folded_stacks` renders as a profile; counters for
+//! mapping, encryption classification, PII scan) and each unit's commit
+//! (`shard/journal`: the sink lock, the journal append, the fold and
+//! its live publication) under it — the tree `iot_obs::folded_stacks`
+//! renders as a profile; counters for
 //! experiments, packets, flows, total/per-[`EncryptionClass`] bytes, and
 //! PII findings;
 //! histograms of per-experiment packet and per-flow byte sizes; and
@@ -725,7 +727,10 @@ impl Pipeline {
             worker.ingest(&ctx, &mut delta, exp);
         }
         worker.experiments += delta.experiments;
-        self.fold(delta);
+        {
+            let _journal = worker.obs.span("shard/journal");
+            self.fold(delta);
+        }
         self.obs.set_gauge("workers", 1.0);
         self.obs.merge(worker.finish());
         self.publish_live("folded");
@@ -844,36 +849,44 @@ impl Pipeline {
         // every spawned thread.
         let work = |idx: usize| {
             let mut worker = Worker::new(idx, &ctx);
+            // `shard/synth` and `shard/journal` are timed by hand, and
+            // only when obs is on: synthesis interleaves with
+            // `shard/ingest`, and a guard cannot borrow `worker.obs`
+            // across `recover`. Each also carries its heap traffic when
+            // the allocator counts.
+            let counting = iot_obs::alloc::enabled();
+            let mark = || {
+                ctx.obs_enabled.then(|| {
+                    (
+                        Instant::now(),
+                        counting.then(iot_obs::alloc::thread_snapshot),
+                    )
+                })
+            };
+            let record = |obs: &Registry, path: &str, (from, heap): (Instant, Option<AllocStats>)| {
+                let heap = heap.map(|h| iot_obs::alloc::thread_snapshot().since(&h));
+                obs.record_ns(path, from.elapsed());
+                if let Some(heap) = heap {
+                    obs.record_alloc(path, heap);
+                }
+            };
             while let Some(&unit) = remaining.get(queue.fetch_add(1, Ordering::AcqRel)) {
                 let mut delta = UnitDelta::new(unit);
                 let ran = catch_unwind(AssertUnwindSafe(|| {
                     // The source synthesizes each experiment before its
-                    // callback; that time, and its heap traffic when the
-                    // allocator counts, is `shard/synth`. Measured by hand
-                    // because it interleaves with `shard/ingest`, and only
-                    // when obs is on.
-                    let counting = iot_obs::alloc::enabled();
-                    let mark = || {
-                        (
-                            Instant::now(),
-                            counting.then(iot_obs::alloc::thread_snapshot),
-                        )
-                    };
-                    let mut synth_from = ctx.obs_enabled.then(mark);
+                    // callback; that is `shard/synth`.
+                    let mut synth_from = mark();
                     source(ctx.db, unit as usize, &mut |exp| {
-                        if let Some((from, heap)) = synth_from {
-                            let heap = heap.map(|h| iot_obs::alloc::thread_snapshot().since(&h));
-                            worker.obs.record_ns("shard/synth", from.elapsed());
-                            if let Some(heap) = heap {
-                                worker.obs.record_alloc("shard/synth", heap);
-                            }
+                        if let Some(from) = synth_from {
+                            record(&worker.obs, "shard/synth", from);
                         }
                         worker.ingest(&ctx, &mut delta, exp);
-                        if synth_from.is_some() {
-                            synth_from = Some(mark());
-                        }
+                        synth_from = mark();
                     });
                 }));
+                // The sink lock, the journal append, the fold and its live
+                // publication: `shard/journal`, one call per unit run here.
+                let journal_from = mark();
                 // Poisoned only by a fold that panicked; the join below
                 // re-raises that panic, so the others just drain the queue.
                 let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
@@ -891,6 +904,9 @@ impl Pipeline {
                     Err(payload) => sink.pipeline.fold(worker.recover(unit, payload.as_ref())),
                 }
                 drop(sink);
+                if let Some(from) = journal_from {
+                    record(&worker.obs, "shard/journal", from);
+                }
                 if !sup.unit_throttle.is_zero() {
                     // Kill-timing aid for tests; report-neutral.
                     std::thread::sleep(sup.unit_throttle);
@@ -1364,7 +1380,7 @@ mod tests {
             stacks.push(stack);
             weight_us += us.parse::<u64>().unwrap();
         }
-        for want in ["shard;synth", "shard;ingest;flows"] {
+        for want in ["shard;synth", "shard;ingest;flows", "shard;journal"] {
             assert!(stacks.contains(&want), "no {want} in:\n{folded}");
         }
         // Self times add up to the root spans' totals; each path drops
@@ -1373,13 +1389,52 @@ mod tests {
             .spans
             .iter()
             .filter(|(path, _)| !path.contains('/'))
-            .map(|(_, s)| s.total_ns)
+            .map(|(_, h)| h.sum())
             .sum();
         let dropped_ns = roots_ns - weight_us * 1_000;
         assert!(
             dropped_ns < 1_000 * snap.spans.len() as u64,
             "{weight_us} µs of weights against {roots_ns} ns in root spans"
         );
+    }
+
+    /// `shard/journal` times each unit's commit on the worker that ran
+    /// it: one call per unit run live, none for a unit a resume replays.
+    #[test]
+    fn shard_journal_records_one_call_per_live_unit() {
+        let calls = |p: Pipeline| {
+            let snap = p.finish_with_obs().1.snapshot();
+            snap.spans.get("shard/journal").map_or(0, |h| h.count())
+        };
+        let path = temp_journal("journal_span");
+        let _ = std::fs::remove_file(&path);
+        let journal = SupervisorConfig {
+            journal: Some(path.clone()),
+            ..SupervisorConfig::default()
+        };
+        let mut straight = Pipeline::with_obs(true);
+        let summary = straight
+            .run_campaign_supervised(tiny_config(), 2, &journal)
+            .unwrap();
+        assert_eq!(calls(straight), summary.units_total as u64);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let resume = SupervisorConfig {
+            resume: true,
+            ..journal
+        };
+        let mut resumed = Pipeline::with_obs(true);
+        let summary = resumed
+            .run_campaign_supervised(tiny_config(), 2, &resume)
+            .unwrap();
+        assert!(summary.units_replayed > 0 && summary.units_run > 0, "{summary:?}");
+        assert_eq!(calls(resumed), summary.units_run as u64);
+        let _ = std::fs::remove_file(&path);
+        // A caller's experiment stream is one unit.
+        let mut fed = Pipeline::with_obs(true);
+        let experiments = all_experiments(&Campaign::new(tiny_config()), &GeoDb::new());
+        fed.ingest_experiments(experiments);
+        assert_eq!(calls(fed), 1);
     }
 
     #[test]

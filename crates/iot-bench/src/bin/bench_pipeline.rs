@@ -1,54 +1,55 @@
-//! Pipeline heap and instrumentation-overhead bench.
+//! Pipeline heap, instrumentation-overhead and observability bench.
 //!
 //! Runs the full analysis pipeline (destinations + encryption + PII over
-//! a complete campaign, controlled and idle) and writes its gates and
-//! measurements to `BENCH_pipeline.json`. End-to-end timing lives in the
-//! repository benchmark (`perfbench/`), and worker-count identity in the
-//! oracle (`oracle_check`), not here.
+//! the quick campaign, controlled and idle) in five steps, then checks
+//! every observability gate ([`iot_bench::gates`]) in memory:
 //!
-//! A serial baseline run gives the report every other run must
-//! reproduce byte for byte. A dedicated serial run with heap counting on
-//! and observability off yields the `alloc` block — total heap traffic,
-//! allocations per experiment, high-water, and kernel peak RSS — and
-//! must reproduce the baseline (`alloc_report_identical`). The totals
-//! repeat exactly for a fixed grid, so `obs_check` gates them against
-//! the committed `BENCH_pipeline.json` on any host. Interleaved pairs
-//! then re-run the serial driver with observability forced *on*
-//! (`obs_overhead_ratio`) and with only heap counting forced on
-//! (`alloc_overhead_ratio`); `obs_check` gates both ratios in
-//! `verify.sh`. When `IOT_OBS` is set, an `iot_obs::RunReport` for one
-//! instrumented run is written to `IOT_OBS_OUT` (default
-//! `results/obs_run.json`).
+//! 1. A plain serial baseline: the report every other run must reproduce
+//!    byte for byte.
+//! 2. A serial run with heap counting on and observability off. Its
+//!    thread's heap delta is the `alloc` block (heap traffic, allocations
+//!    per experiment, high-water), which repeats exactly for a fixed grid
+//!    and must stay within 0.1% of the committed `BENCH_pipeline.json`,
+//!    either way, on any host.
+//! 3. Interleaved off/on pairs of the serial driver, with observability
+//!    forced on (`obs_overhead_ratio`) and then with only heap counting
+//!    on (`alloc_overhead_ratio`).
+//! 4. The live endpoint starts on an ephemeral localhost port. Not
+//!    sooner: the pipeline publishes at every fold while it listens,
+//!    which would inflate the obs-on side of step 3.
+//! 5. The instrumented run at the host's available parallelism, heap
+//!    counting on, on a spawned thread while this thread probes
+//!    `/progress`. Its one registry feeds the run report, the Prometheus
+//!    exposition, the folded profile and the record's `stages` block.
+//!    Afterwards `/metrics` and `/profile` must equal the in-memory
+//!    renders byte for byte, and `/progress` must carry the report's
+//!    experiment count, ledger and coverage.
 //!
-//! Environment knobs:
-//!
-//! * `IOT_SCALE` — campaign grid (`quick` / `medium` / `full`); this
-//!   binary defaults to `quick` since every run is a whole campaign.
-//! * `IOT_BENCH_OUT` — output path (default `BENCH_pipeline.json`).
-//! * `IOT_OBS` / `IOT_OBS_OUT` — run-report emission (see `iot-obs`).
-//! * `IOT_OBS_PROM_OUT` — where the instrumented N-worker run's
-//!   Prometheus exposition is written (default `target/obs_metrics.prom`).
-//! * `IOT_OBS_PROFILE_OUT` — where the instrumented N-worker run's span
-//!   tree is written as folded stacks (default `target/profile.folded`),
-//!   from the same registry as the run report; `obs_check` checks it
-//!   against the report in `verify.sh`.
-//!
-//! The instrumented N-worker run uses the host's available parallelism.
-//! Its one registry feeds the run report, both artifacts and the
-//! `stages` block, which lists every span path of that registry.
+//! The record always goes to `target/bench_pipeline.json`; to rebaseline,
+//! copy it over `BENCH_pipeline.json`. With `IOT_OBS` set, the run report
+//! also goes to `IOT_OBS_OUT`. End-to-end timing lives in the repository
+//! benchmark (`perfbench/`), and worker-count identity in the oracle
+//! (`oracle_check`), not here. Exits 1 when any gate fails.
 
 use iot_analysis::pipeline::Pipeline;
 use iot_analysis::SupervisorConfig;
+use iot_bench::gates::{self, Verdict};
 use iot_bench::harness::BenchResult;
 use iot_bench::{campaign_config, Scale};
 use iot_core::json::{Json, ToJson};
 use iot_obs::{folded_stacks, prometheus, RunReport};
 use iot_testbed::schedule::CampaignConfig;
-use std::io::Write;
-use std::path::PathBuf;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::process::ExitCode;
+use std::time::Duration;
 
 /// Interleaved off/on pairs behind each overhead ratio.
 const PAIRS: usize = 3;
+/// Where the fresh record goes.
+const RECORD: &str = "target/bench_pipeline.json";
+/// The committed baseline the heap gate compares against.
+const BASELINE: &str = "BENCH_pipeline.json";
 
 /// One serial campaign's report, serialized.
 fn report_json(config: CampaignConfig, obs: bool) -> String {
@@ -78,14 +79,43 @@ fn interleaved(
     )
 }
 
-fn main() {
-    // Whole-campaign iterations are expensive; default to the smallest
-    // grid unless the caller asks for more.
-    let scale = match std::env::var("IOT_SCALE").as_deref() {
-        Ok("medium") => Scale::Medium,
-        Ok("full") => Scale::Full,
-        _ => Scale::Quick,
-    };
+/// Sends one raw HTTP request and returns `(status_line, body)`.
+fn request(addr: SocketAddr, head: &str) -> Result<(String, String), String> {
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .map_err(|e| e.to_string())?;
+    stream
+        .write_all(format!("{head}\r\nHost: localhost\r\n\r\n").as_bytes())
+        .map_err(|e| format!("{head}: write: {e}"))?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| format!("{head}: read: {e}"))?;
+    let (head_part, body) = response
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| format!("{head}: no header/body separator"))?;
+    let status = head_part.lines().next().unwrap_or_default().to_string();
+    Ok((status, body.to_string()))
+}
+
+/// Sends `head` and checks that its status line carries `want`; returns
+/// the body.
+fn answer(addr: SocketAddr, head: &str, want: &str) -> Result<String, String> {
+    let (status, body) = request(addr, head)?;
+    if !status.contains(want) {
+        return Err(format!("{head}: expected {want}, got {status:?}"));
+    }
+    Ok(body)
+}
+
+fn get(addr: SocketAddr, path: &str) -> Result<String, String> {
+    answer(addr, &format!("GET {path} HTTP/1.1"), "200")
+}
+
+fn main() -> ExitCode {
+    let scale = Scale::Quick;
     let config = campaign_config(scale);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -100,15 +130,15 @@ fn main() {
     iot_obs::enabled();
     iot_obs::alloc::set_enabled(false);
 
-    // The serial baseline that heap counting and instrumentation must
+    // 1. The serial baseline that heap counting and instrumentation must
     // not change.
     let serial_json = report_json(config, false);
-    // Allocator byte-identity gate *and* the committed heap measurement,
-    // from one serial run with heap counting on and observability off —
-    // counting alone must not perturb the report, and with the run on a
-    // single thread the thread-local delta is the pipeline's entire heap
-    // traffic. The high-water mark is reset first so it reflects this
-    // run's heap growth, not the baseline run's.
+
+    // 2. The heap-counted serial run: counting alone must not perturb
+    // the report, and with the run on a single thread the thread-local
+    // delta is the pipeline's entire heap traffic. The high-water mark
+    // is reset first so it reflects this run's heap growth, not the
+    // baseline run's.
     iot_obs::alloc::set_enabled(true);
     iot_obs::alloc::reset_high_water();
     let alloc_before = iot_obs::alloc::thread_snapshot();
@@ -121,66 +151,18 @@ fn main() {
     let alloc_traffic = iot_obs::alloc::thread_snapshot().since(&alloc_before);
     let alloc_high_water = iot_obs::alloc::process_high_water_bytes();
     iot_obs::alloc::set_enabled(false);
-    let alloc_report_identical = alloc_json == serial_json;
-    if !alloc_report_identical {
-        eprintln!("bench_pipeline: FAIL — allocator-counted report diverged from baseline");
-    }
+    let alloc_identical = alloc_json == serial_json;
 
-    // The instrumented run keeps counting on so its artifacts (obs
-    // report, Prometheus exposition, stage table) carry per-span heap
-    // attribution; the identity gate below then covers obs + allocator
-    // combined against the plain baseline.
-    iot_obs::alloc::set_enabled(true);
-    let (obs_report, obs_registry) = {
-        let mut p = Pipeline::with_obs(true);
-        p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
-            .expect("a run without a journal cannot fail to journal");
-        p.finish_with_obs()
-    };
-    iot_obs::alloc::set_enabled(false);
-    let obs_identical = obs_report.to_json().dump() == serial_json;
-    if !obs_identical {
-        eprintln!("bench_pipeline: FAIL — instrumented report diverged from baseline");
-    }
-
-    // Exporter artifacts: the instrumented run's Prometheus exposition
-    // and folded span tree.
-    let write_artifact = |env: &str, default: &str, contents: &str| {
-        let path = PathBuf::from(std::env::var(env).unwrap_or_else(|_| default.to_string()));
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        match std::fs::write(&path, contents) {
-            Ok(()) => iot_obs::progress!("bench_pipeline: wrote {}", path.display()),
-            Err(e) => eprintln!("bench_pipeline: write {} failed: {e}", path.display()),
-        }
-    };
-    let obs_snap = obs_registry.snapshot();
-    write_artifact(
-        "IOT_OBS_PROM_OUT",
-        "target/obs_metrics.prom",
-        &prometheus(&obs_snap),
-    );
-    write_artifact(
-        "IOT_OBS_PROFILE_OUT",
-        "target/profile.folded",
-        &folded_stacks(&obs_snap),
-    );
-
-    // Instrumentation overhead is measured on *interleaved* pairs: one
-    // obs-off run, then one obs-on run, per pair. Back-to-back blocks
-    // would let slow drift on a busy machine (thermal, cache, a neighbor
-    // VM) land entirely on one side and bias the ratio; paired runs put
-    // the drift on both sides equally.
+    // 3. Overhead on *interleaved* pairs: one off run, then one on run,
+    // per pair. Back-to-back blocks would let slow drift on a busy
+    // machine (thermal, cache, a neighbor VM) land entirely on one side
+    // and bias the ratio; paired runs put the drift on both sides
+    // equally. The allocator pairs keep observability off on both sides,
+    // isolating the counter cost from the span cost.
     let (serial_base, serial_obs) = interleaved(
         ("pipeline_serial_paired", || report_json(config, false)),
         ("pipeline_serial_obs", || report_json(config, true)),
     );
-    // Allocator-counting overhead, measured the same interleaved way but
-    // with observability off on both sides. This isolates the
-    // atomic/thread-local counter cost from the span cost gated above.
     let (serial_alloc_base, serial_alloc) = interleaved(
         ("pipeline_alloc_baseline", || {
             iot_obs::alloc::set_enabled(false);
@@ -192,46 +174,71 @@ fn main() {
         }),
     );
     iot_obs::alloc::set_enabled(false);
-    let obs_overhead = serial_obs.median_ms() / serial_base.median_ms();
-    let alloc_overhead = serial_alloc.median_ms() / serial_alloc_base.median_ms();
 
-    // Per-stage medians from the instrumented run's span histograms —
-    // the same histograms the run report's stage table prints — for
-    // every span path. Captured into the committed bench snapshot so a
-    // change that shifts time between stages is visible in review, not
-    // just in the total.
+    // 4. The live endpoint.
+    let addr = match iot_obs::serve::start("127.0.0.1:0") {
+        Ok(addr) => addr,
+        Err(e) => {
+            eprintln!("bench_pipeline: FAIL — the live endpoint cannot bind: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    // 5. The instrumented run keeps counting on, so its registry carries
+    // per-span heap attribution; the identity gate then covers obs and
+    // the allocator combined against the plain baseline. The endpoint
+    // must answer while it runs; the first probe may race the first
+    // publication, so any well-formed answer counts.
+    iot_obs::alloc::set_enabled(true);
+    let run = std::thread::spawn(move || {
+        let mut p = Pipeline::with_obs(true);
+        p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
+            .expect("a run without a journal cannot fail to journal");
+        p.finish_with_obs()
+    });
+    let live = get(addr, "/progress").map(|_| "/progress answers during the run".to_string());
+    let (obs_report, registry) = run.join().expect("the instrumented run panicked");
+    iot_obs::alloc::set_enabled(false);
+    let report = obs_report.to_json();
+    let obs_identical = report.dump() == serial_json;
+    let snapshot = registry.snapshot();
+    let (metrics, profile) = (prometheus(&snapshot), folded_stacks(&snapshot));
+
+    // Per-stage figures from the instrumented run's span histograms, for
+    // every span path, so a change that shifts time or heap between
+    // stages is visible in review, not just in the total.
     let mut stages = Json::obj();
-    for (path, hist) in &obs_snap.span_durations {
+    for (path, hist) in &snapshot.spans {
         let mut s = Json::obj();
         s.set("calls", hist.count().to_json());
-        if let Some(stats) = obs_snap.spans.get(path) {
-            s.set("total_ms", stats.total_ms().to_json());
-        }
+        s.set("total_ms", (hist.sum() as f64 / 1e6).to_json());
         let q = |q: f64| hist.quantile_upper_bound(q).map(|ns| ns as f64 / 1e6);
         s.set("p50_ms", q(0.5).to_json());
         s.set("p95_ms", q(0.95).to_json());
-        // Heap traffic attributed to the stage while counting was on —
-        // the per-stage byte budget the docs table quotes.
-        if let Some(a) = obs_snap.span_allocs.get(path) {
+        if let Some(a) = snapshot.span_allocs.get(path) {
             s.set("alloc_bytes", a.bytes_allocated.to_json());
             s.set("allocs", a.allocs.to_json());
         }
         stages.set(path, s);
     }
 
-    let mut out = Json::obj();
-    out.set("benchmark", "pipeline_ingestion".to_json());
-    out.set("scale", scale.name().to_json());
-    out.set("experiments", experiments.to_json());
-    out.set("workers", workers.to_json());
-    out.set("obs_report_identical", obs_identical.to_json());
-    out.set("alloc_report_identical", alloc_report_identical.to_json());
-    out.set("serial_obs_baseline", serial_base.to_json());
-    out.set("serial_obs", serial_obs.to_json());
-    out.set("serial_alloc_baseline", serial_alloc_base.to_json());
-    out.set("serial_alloc", serial_alloc.to_json());
-    out.set("obs_overhead_ratio", obs_overhead.to_json());
-    out.set("alloc_overhead_ratio", alloc_overhead.to_json());
+    let mut record = Json::obj();
+    record.set("benchmark", "pipeline_ingestion".to_json());
+    record.set("scale", scale.name().to_json());
+    record.set("experiments", experiments.to_json());
+    record.set("workers", workers.to_json());
+    record.set("obs_report_identical", obs_identical.to_json());
+    record.set("alloc_report_identical", alloc_identical.to_json());
+    record.set("serial_obs_baseline", serial_base.to_json());
+    record.set("serial_obs", serial_obs.to_json());
+    record.set("serial_alloc_baseline", serial_alloc_base.to_json());
+    record.set("serial_alloc", serial_alloc.to_json());
+    let ratio = |on: &BenchResult, off: &BenchResult| on.median_ms() / off.median_ms();
+    record.set("obs_overhead_ratio", ratio(&serial_obs, &serial_base).to_json());
+    record.set(
+        "alloc_overhead_ratio",
+        ratio(&serial_alloc, &serial_alloc_base).to_json(),
+    );
     let mut alloc_block = Json::obj();
     alloc_block.set("bytes_total", alloc_traffic.bytes_allocated.to_json());
     alloc_block.set("allocs_total", alloc_traffic.allocs.to_json());
@@ -246,12 +253,12 @@ fn main() {
         "peak_rss_bytes",
         iot_obs::process::peak_rss_bytes().unwrap_or(0).to_json(),
     );
-    out.set("alloc", alloc_block);
+    record.set("alloc", alloc_block);
     // Streaming-ingest profile of the same counting-on serial run: how
     // much live heap the bounded cursor pipeline peaks at relative to
     // the packet stream it walked. high_water_per_packet is the
-    // headline bounded-memory number — it must not scale with campaign
-    // size (obs_check holds the high-water to the committed baseline).
+    // headline bounded-memory number; it must not scale with campaign
+    // size.
     let mut streaming = Json::obj();
     streaming.set("packets_ingested", packets_ingested.to_json());
     streaming.set("heap_high_water_bytes", alloc_high_water.to_json());
@@ -263,47 +270,98 @@ fn main() {
         "heap_amplification",
         (alloc_traffic.bytes_allocated as f64 / alloc_high_water.max(1) as f64).to_json(),
     );
-    out.set("streaming", streaming);
-    out.set("stages", stages);
-    out.set(
+    record.set("streaming", streaming);
+    record.set("stages", stages);
+    record.set(
         "note",
         "obs_overhead_ratio = serial median with IOT_OBS instrumentation \
          (spans, counters, histograms) forced on / forced off, measured on \
-         interleaved pairs (serial_obs vs serial_obs_baseline); gated <1.05 by \
-         obs_check in verify.sh. alloc_overhead_ratio = the same interleaved \
-         comparison with only heap counting toggled (obs off both sides), \
-         gated <1.05. alloc = one serial run's heap traffic with counting on; \
-         obs_check fails when allocs_total or bytes_total moves more than 0.1% \
-         either way from the committed BENCH_pipeline.json."
+         interleaved pairs (serial_obs vs serial_obs_baseline); \
+         alloc_overhead_ratio = the same interleaved comparison with only heap \
+         counting toggled (obs off both sides); bench_pipeline fails either above \
+         1.05 with a median delta over 75 ms. alloc = one serial run's heap \
+         traffic with counting on; bench_pipeline fails when allocs_total, \
+         bytes_total or high_water_bytes moves more than 0.1% either way from the \
+         committed BENCH_pipeline.json. stages = the instrumented run's span tree."
             .to_json(),
     );
+    let written = std::fs::create_dir_all("target")
+        .and_then(|()| std::fs::write(RECORD, format!("{}\n", record.pretty())));
+    if let Err(e) = written {
+        eprintln!("bench_pipeline: FAIL — write {RECORD}: {e}");
+        return ExitCode::FAILURE;
+    }
 
-    let path = std::env::var("IOT_BENCH_OUT")
-        .unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
-    let mut f = std::fs::File::create(&path).expect("create bench output");
-    writeln!(f, "{}", out.pretty()).expect("write bench output");
-
+    let run_report = RunReport::from_registry("bench_pipeline", &registry)
+        .meta("scale", scale.name())
+        .meta("workers", &workers.to_string())
+        .meta("experiments", &experiments.to_string());
     if iot_obs::enabled() {
-        let report = RunReport::from_registry("bench_pipeline", &obs_registry)
-            .meta("scale", scale.name())
-            .meta("workers", &workers.to_string())
-            .meta("experiments", &experiments.to_string());
-        match report.write() {
+        match run_report.write() {
             Ok(p) => iot_obs::progress!("bench_pipeline: obs report -> {}", p.display()),
             Err(e) => eprintln!("bench_pipeline: obs report write failed: {e}"),
         }
-        iot_obs::progress!("{}", report.stage_table());
+        iot_obs::progress!("{}", run_report.stage_table());
     }
 
-    iot_obs::progress!(
-        "bench_pipeline: {experiments} experiments, obs overhead {obs_overhead:.3}x, \
-         alloc overhead {alloc_overhead:.3}x, {} B / {} allocs per campaign \
-         (high-water {:.1} MB) -> {path}",
+    let committed = std::fs::read_to_string(BASELINE)
+        .map_err(|e| format!("{BASELINE}: {e}"))
+        .and_then(|text| Json::parse(&text).map_err(|e| format!("{BASELINE}: {e}")));
+    let served = |route: &str, rendered: &str| {
+        get(addr, route).and_then(|body| gates::served_equal(route, &body, rendered))
+    };
+    let verdicts: Vec<(&str, Verdict)> = vec![
+        ("identity", gates::report_identity(alloc_identical, obs_identical)),
+        ("heap", committed.and_then(|c| gates::alloc_gate(&record, &c))),
+        ("obs overhead", gates::overhead("obs", &serial_base, &serial_obs)),
+        (
+            "alloc overhead",
+            gates::overhead("alloc", &serial_alloc_base, &serial_alloc),
+        ),
+        (
+            "run report",
+            gates::report_round_trips(&run_report.to_json().pretty()),
+        ),
+        ("counters", gates::stage_counters(&snapshot)),
+        ("spans", gates::span_tree(&snapshot)),
+        ("span heap", gates::span_allocs(&snapshot)),
+        ("prometheus", gates::prometheus_families(&metrics)),
+        ("folded", gates::folded_matches_spans(&snapshot, &profile)),
+        ("live", live),
+        ("/metrics", served("/metrics", &metrics)),
+        ("/profile", served("/profile", &profile)),
+        (
+            "/progress",
+            get(addr, "/progress").and_then(|body| gates::progress_matches(&body, &report)),
+        ),
+        (
+            "errors",
+            answer(addr, "GET /nope HTTP/1.1", "404")
+                .and_then(|_| answer(addr, "POST /metrics HTTP/1.1", "405"))
+                .map(|_| "unknown route answers 404, POST answers 405".to_string()),
+        ),
+    ];
+    let mut failed = 0;
+    for (gate, verdict) in &verdicts {
+        match verdict {
+            Ok(line) => println!("bench_pipeline: {gate}: {line}"),
+            Err(reason) => {
+                failed += 1;
+                eprintln!("bench_pipeline: FAIL — {gate}: {reason}");
+            }
+        }
+    }
+    println!(
+        "bench_pipeline: {experiments} experiments, {} B / {} allocs per campaign \
+         (high-water {:.1} MB), {failed} of {} gates failed -> {RECORD}",
         alloc_traffic.bytes_allocated,
         alloc_traffic.allocs,
-        alloc_high_water as f64 / 1e6
+        alloc_high_water as f64 / 1e6,
+        verdicts.len()
     );
-    if !obs_identical || !alloc_report_identical {
-        std::process::exit(1);
+    if failed > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -4,8 +4,8 @@
 //! consume: one line per distinct stack, `frame;frame;frame <count>`.
 //! [`iot_obs::folded_stacks`] writes a registry's span tree in it, each
 //! span path weighted by its self time in microseconds, and
-//! [`FoldedProfile::parse`] reads it back for `obs_check` and
-//! `obs_serve_check`.
+//! [`FoldedProfile::parse`] reads it back for
+//! [`crate::gates::folded_matches_spans`].
 
 use std::collections::BTreeMap;
 

@@ -1,8 +1,7 @@
 //! Timing summary for `bench_pipeline`'s paired overhead series.
 //!
-//! A sample of wall-clock times reduced to median / p95 / min / max and
-//! serialized into the in-tree JSON type, so `obs_check` can read the
-//! overhead ratios back.
+//! A sample of wall-clock times reduced to median / p95 / min / max, for
+//! [`crate::gates::overhead`] and for the bench record's JSON.
 
 use iot_core::json::{Json, ToJson};
 

@@ -1,7 +1,10 @@
-//! Shared harness for the `tables` binary and the in-tree benchmarks.
+//! Shared harness for the `tables` binary and the in-tree benchmark.
 //!
 //! `tables` (see [`tables`]) regenerates every paper artifact under
-//! `results/`. It reads the `IOT_SCALE` environment variable:
+//! `results/`. `bench_pipeline` records the quick campaign's heap totals
+//! and instrumentation overhead and checks every observability gate
+//! ([`gates`]) on one instrumented run. `tables` reads the `IOT_SCALE`
+//! environment variable:
 //!
 //! * `quick` — a minimal grid for smoke runs.
 //! * `medium` *(default)* — enough repetitions for stable numbers.
@@ -15,8 +18,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod folded;
+pub mod gates;
+pub mod harness;
 pub mod tables;
 
 use iot_testbed::schedule::{Campaign, CampaignConfig};

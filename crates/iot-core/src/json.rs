@@ -9,8 +9,9 @@
 //!    round-trip form with a trailing `.0` for integral values — so the
 //!    same report always serialises to the same bytes.
 //! 2. **No deps.** Everything in-tree, including the recursive-descent
-//!    [`Json::parse`] used by verification tooling (`obs_check`) to
-//!    validate emitted reports and gate on their values.
+//!    [`Json::parse`] that `bench_pipeline` uses to round-trip the run
+//!    report, read the committed `BENCH_pipeline.json` baseline and
+//!    compare the live `/progress` document with the pipeline report.
 
 use std::fmt::Write as _;
 

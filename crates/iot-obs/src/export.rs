@@ -107,18 +107,16 @@ pub fn prometheus(snap: &Snapshot) -> String {
     }
     if !snap.spans.is_empty() {
         let _ = writeln!(out, "# TYPE iot_span_calls_total counter");
-        for (path, stats) in &snap.spans {
+        for (path, h) in &snap.spans {
             let _ = writeln!(
                 out,
                 "iot_span_calls_total{{span=\"{}\"}} {}",
                 escape_label(path),
-                stats.calls
+                h.count()
             );
         }
-    }
-    if !snap.span_durations.is_empty() {
         let _ = writeln!(out, "# TYPE iot_span_duration_ns histogram");
-        for (path, h) in &snap.span_durations {
+        for (path, h) in &snap.spans {
             let labels = format!("span=\"{}\"", escape_label(path));
             write_histogram(&mut out, "iot_span_duration_ns", &labels, h);
         }
@@ -152,11 +150,11 @@ pub fn folded_stacks(snap: &Snapshot) -> String {
     let mut self_ns: BTreeMap<&str, u64> = snap
         .spans
         .iter()
-        .map(|(path, s)| (path.as_str(), s.total_ns))
+        .map(|(path, h)| (path.as_str(), h.sum()))
         .collect();
-    for (path, s) in &snap.spans {
+    for (path, h) in &snap.spans {
         if let Some(parent) = path.rsplit_once('/').and_then(|(p, _)| self_ns.get_mut(p)) {
-            *parent = parent.saturating_sub(s.total_ns);
+            *parent = parent.saturating_sub(h.sum());
         }
     }
     let mut out = String::new();
@@ -273,7 +271,7 @@ mod tests {
             nap();
         }
         let snap = r.snapshot();
-        let total = |path: &str| snap.spans[path].total_ns;
+        let total = |path: &str| snap.spans[path].sum();
         let (shard, ingest, flows) = (
             total("shard"),
             total("shard/ingest"),

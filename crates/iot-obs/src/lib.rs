@@ -10,13 +10,14 @@
 //! worker count. Concretely:
 //!
 //! * [`registry`] — the [`Registry`]: shard-local counters, gauges,
-//!   fixed-bucket histograms, and hierarchical spans.
+//!   fixed-bucket histograms, and hierarchical spans. A span is timed
+//!   by the RAII [`SpanGuard`] that [`Registry::span`] returns, or by
+//!   hand with [`Registry::record_ns`], and each `parent/child` label
+//!   path keeps one duration [`Histogram`]: calls, total, min, max and
+//!   quantiles all come from it.
 //! * [`alloc`] — the instrumented global allocator (`IOT_OBS_ALLOC`):
 //!   thread-local byte/count/live/high-water accounting whose span
 //!   deltas the registry attributes to the current span path.
-//! * [`span`] — [`SpanStats`] and the RAII [`SpanGuard`] returned by
-//!   [`Registry::span`]: wall-clock plus call counts aggregated per
-//!   `parent/child` label path.
 //! * [`metrics`] — the deterministic power-of-two-bucket [`Histogram`].
 //! * [`export`] — [`prometheus`] (text exposition 0.0.4) and
 //!   [`folded_stacks`], the span tree as a collapsed-stack profile
@@ -29,8 +30,8 @@
 //! * [`config`] — the `IOT_OBS` / `IOT_OBS_OUT` / `IOT_OBS_SERVE` /
 //!   `IOT_OBS_ALLOC` environment gates, parsed once into a cached
 //!   [`config::ObsConfig`].
-//! * [`process`] — process-wide atomic counters for layers (like the
-//!   testbed generators) that have no registry in scope.
+//! * [`process`] — process-wide facts: the allocator's totals and the
+//!   kernel's peak RSS, which the run report and `/progress` carry.
 //! * [`log`] — the [`progress!`](crate::progress) macro: stderr progress
 //!   lines that only print at `IOT_OBS=2`.
 //!
@@ -69,7 +70,6 @@ pub mod process;
 pub mod registry;
 pub mod report;
 pub mod serve;
-pub mod span;
 
 pub use alloc::AllocStats;
 pub use config::{enabled, verbose};
@@ -77,4 +77,3 @@ pub use export::{folded_stacks, prometheus};
 pub use metrics::Histogram;
 pub use registry::{Registry, SpanGuard};
 pub use report::RunReport;
-pub use span::SpanStats;

@@ -1,52 +1,14 @@
-//! Process-wide atomic counters.
+//! Process-wide facts: the instrumented allocator's cumulative totals
+//! and the kernel's peak resident set size.
 //!
-//! The testbed's experiment generators run deep inside campaign
-//! iteration where no [`Registry`](crate::Registry) is in scope, and
-//! threading one through every closure would distort the APIs. These
-//! counters are the escape hatch: a small fixed set of relaxed atomics,
-//! incremented only when `IOT_OBS` enables the layer, summed across all
-//! threads (addition commutes, so totals are exact regardless of
-//! scheduling).
-//!
-//! They are *monotonic for the process lifetime* — a run report includes
-//! them as cumulative totals, and they are deliberately excluded from
-//! the deterministic report subset (concurrent pipelines, e.g. parallel
-//! tests, share them).
+//! They describe the whole process, not one run: concurrent pipelines
+//! (parallel tests, or the runs of one bench process) share them. The
+//! run report includes them as its `process` block and `/progress`
+//! composes them at request time, so the latter moves while workers
+//! are mid-shard; both are deliberately excluded from the deterministic
+//! report subset.
 
 use iot_core::json::{Json, ToJson};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static EXPERIMENTS_GENERATED: AtomicU64 = AtomicU64::new(0);
-static PACKETS_GENERATED: AtomicU64 = AtomicU64::new(0);
-static IDLE_CAPTURES: AtomicU64 = AtomicU64::new(0);
-static STUDY_CAPTURES: AtomicU64 = AtomicU64::new(0);
-
-/// Records one generated labeled experiment and its packet count.
-pub fn record_experiment(packets: usize) {
-    if !crate::config::enabled() {
-        return;
-    }
-    EXPERIMENTS_GENERATED.fetch_add(1, Ordering::Relaxed);
-    PACKETS_GENERATED.fetch_add(packets as u64, Ordering::Relaxed);
-}
-
-/// Records one idle capture (also counted as an experiment by the
-/// generator itself).
-pub fn record_idle_capture() {
-    if !crate::config::enabled() {
-        return;
-    }
-    IDLE_CAPTURES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one uncontrolled user-study capture.
-pub fn record_study_capture(packets: usize) {
-    if !crate::config::enabled() {
-        return;
-    }
-    STUDY_CAPTURES.fetch_add(1, Ordering::Relaxed);
-    PACKETS_GENERATED.fetch_add(packets as u64, Ordering::Relaxed);
-}
 
 /// The process's peak resident set size in bytes, from the kernel's
 /// `VmHWM` accounting (`/proc/self/status`). Measures a different thing
@@ -74,13 +36,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
 pub fn snapshot() -> Vec<(&'static str, u64)> {
     let alloc = crate::alloc::process_totals();
     vec![
-        (
-            "experiments_generated",
-            EXPERIMENTS_GENERATED.load(Ordering::Relaxed),
-        ),
-        ("packets_generated", PACKETS_GENERATED.load(Ordering::Relaxed)),
-        ("idle_captures", IDLE_CAPTURES.load(Ordering::Relaxed)),
-        ("study_captures", STUDY_CAPTURES.load(Ordering::Relaxed)),
         ("alloc_bytes_total", alloc.bytes_allocated),
         ("allocs_total", alloc.allocs),
         ("alloc_live_bytes", crate::alloc::process_live_bytes()),
@@ -112,10 +67,6 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "experiments_generated",
-                "packets_generated",
-                "idle_captures",
-                "study_captures",
                 "alloc_bytes_total",
                 "allocs_total",
                 "alloc_live_bytes",
@@ -124,7 +75,7 @@ mod tests {
             ]
         );
         let j = snapshot_json().dump();
-        assert!(j.starts_with("{\"experiments_generated\":"), "{j}");
+        assert!(j.starts_with("{\"alloc_bytes_total\":"), "{j}");
     }
 
     #[test]

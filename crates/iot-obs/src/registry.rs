@@ -10,19 +10,19 @@
 //!
 //! Span paths are interned into a slot arena on first use: opening a
 //! span peeks the stack, resolves `(parent, label)` to a slot with a
-//! short linear scan, and closing records into `stats[slot]` — after the
-//! first occurrence of a path, the hot path allocates nothing and never
-//! compares full path strings. This keeps per-experiment instrumentation
-//! overhead in the low microseconds (gated <5% end to end by
-//! `obs_check`).
+//! short linear scan, and closing records into `span_hists[slot]` — after
+//! the first occurrence of a path, the hot path allocates nothing and
+//! never compares full path strings. This keeps per-experiment
+//! instrumentation overhead in the low microseconds (`bench_pipeline`
+//! gates it).
 //!
-//! Span durations are recorded into per-path [`Histogram`]s alongside
-//! the aggregate [`SpanStats`], so reports can derive p50/p95 from
-//! exactly the same bucket bounds the Prometheus exporter emits.
+//! Each span path keeps one aggregate, its duration [`Histogram`]:
+//! calls are its count, the total its sum, and min/max its extremes, so
+//! the run report's p50/p95 come from exactly the bucket bounds the
+//! Prometheus exporter emits.
 
 use crate::alloc::{self, AllocStats};
 use crate::metrics::Histogram;
-use crate::span::SpanStats;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -31,10 +31,8 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    /// Interned span arena: full path, aggregate stats, and duration
-    /// histogram per slot.
+    /// Interned span arena: full path and duration histogram per slot.
     span_paths: Vec<String>,
-    span_stats: Vec<SpanStats>,
     span_hists: Vec<Histogram>,
     /// Heap traffic charged to each slot while its span was open (only
     /// populated when the instrumented allocator is counting; all-zero
@@ -57,7 +55,6 @@ impl Inner {
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             span_paths: Vec::new(),
-            span_stats: Vec::new(),
             span_hists: Vec::new(),
             span_allocs: Vec::new(),
             children: vec![Vec::new()],
@@ -77,7 +74,6 @@ impl Inner {
         };
         let slot = self.span_paths.len();
         self.span_paths.push(path);
-        self.span_stats.push(SpanStats::default());
         self.span_hists.push(Histogram::default());
         self.span_allocs.push(AllocStats::default());
         self.children.push(Vec::new());
@@ -94,28 +90,11 @@ impl Inner {
         }
         let slot = self.span_paths.len();
         self.span_paths.push(path.to_string());
-        self.span_stats.push(SpanStats::default());
         self.span_hists.push(Histogram::default());
         self.span_allocs.push(AllocStats::default());
         self.children.push(Vec::new());
         self.children[0].push((path.to_string(), slot));
         slot
-    }
-
-    /// Aggregated spans keyed by full path. Duplicate slots for one path
-    /// can exist (a path may be interned both via nesting and via
-    /// `intern_full`); aggregation folds them.
-    fn spans_by_path(&self) -> BTreeMap<String, SpanStats> {
-        let mut spans: BTreeMap<String, SpanStats> = BTreeMap::new();
-        for (p, s) in self.span_paths.iter().zip(&self.span_stats) {
-            match spans.get_mut(p) {
-                Some(e) => e.merge(s),
-                None => {
-                    spans.insert(p.clone(), *s);
-                }
-            }
-        }
-        spans
     }
 
     /// Aggregated per-span heap traffic keyed by full path; all-zero
@@ -137,8 +116,10 @@ impl Inner {
         allocs
     }
 
-    /// Aggregated span-duration histograms keyed by full path.
-    fn span_hists_by_path(&self) -> BTreeMap<String, Histogram> {
+    /// Aggregated span-duration histograms keyed by full path. Duplicate
+    /// slots for one path can exist (a path may be interned both via
+    /// nesting and via `intern_full`); aggregation folds them.
+    fn spans_by_path(&self) -> BTreeMap<String, Histogram> {
         let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
         for (p, h) in self.span_paths.iter().zip(&self.span_hists) {
             match hists.get_mut(p) {
@@ -232,8 +213,8 @@ impl Registry {
     }
 
     /// Opens a span named `label`, nested under any span currently open
-    /// on this registry. The returned guard records wall-clock and call
-    /// count into the `parent/…/label` path when it drops. A label may
+    /// on this registry. The returned guard records its wall-clock into
+    /// the `parent/…/label` path's histogram when it drops. A label may
     /// itself be a `/`-joined path, which places the span under a parent
     /// timed with [`Registry::record_ns`].
     pub fn span(&self, label: &str) -> SpanGuard<'_> {
@@ -276,7 +257,6 @@ impl Registry {
         let mut inner = self.inner.borrow_mut();
         let slot = inner.intern_full(path);
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        inner.span_stats[slot].record(ns);
         inner.span_hists[slot].observe(ns);
     }
 
@@ -298,7 +278,6 @@ impl Registry {
     pub fn merge(&self, other: Registry) {
         let other = other.inner.into_inner();
         let other_spans = other.spans_by_path();
-        let other_hists = other.span_hists_by_path();
         let other_allocs = other.span_allocs_by_path();
         let mut inner = self.inner.borrow_mut();
         for (k, v) in other.counters {
@@ -319,11 +298,7 @@ impl Registry {
                 }
             }
         }
-        for (path, stats) in other_spans {
-            let slot = inner.intern_full(&path);
-            inner.span_stats[slot].merge(&stats);
-        }
-        for (path, hist) in other_hists {
+        for (path, hist) in other_spans {
             let slot = inner.intern_full(&path);
             inner.span_hists[slot].merge(&hist);
         }
@@ -343,21 +318,6 @@ impl Registry {
         self.inner.borrow().gauges.get(name).copied()
     }
 
-    /// Aggregate stats of a span path.
-    pub fn span_stats(&self, path: &str) -> Option<SpanStats> {
-        let inner = self.inner.borrow();
-        let mut acc: Option<SpanStats> = None;
-        for (p, s) in inner.span_paths.iter().zip(&inner.span_stats) {
-            if p == path {
-                match &mut acc {
-                    Some(a) => a.merge(s),
-                    None => acc = Some(*s),
-                }
-            }
-        }
-        acc
-    }
-
     /// A point-in-time copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.borrow();
@@ -366,7 +326,6 @@ impl Registry {
             gauges: inner.gauges.clone(),
             histograms: inner.histograms.clone(),
             spans: inner.spans_by_path(),
-            span_durations: inner.span_hists_by_path(),
             span_allocs: inner.span_allocs_by_path(),
         }
     }
@@ -390,7 +349,6 @@ impl Registry {
         // open time — out-of-order drops cannot corrupt the stack.
         inner.stack.truncate(depth.saturating_sub(1));
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        inner.span_stats[slot].record(ns);
         inner.span_hists[slot].observe(ns);
     }
 }
@@ -429,12 +387,11 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Aggregated spans keyed by `parent/…/label` path.
-    pub spans: BTreeMap<String, SpanStats>,
-    /// Per-path span duration histograms (nanoseconds), sharing bucket
-    /// bounds with every other [`Histogram`] so table quantiles and the
-    /// Prometheus exposition can never disagree.
-    pub span_durations: BTreeMap<String, Histogram>,
+    /// Span duration histograms (nanoseconds) keyed by `parent/…/label`
+    /// path: calls are the count, the total wall-clock the sum. They
+    /// share bucket bounds with every other [`Histogram`], so table
+    /// quantiles and the Prometheus exposition can never disagree.
+    pub spans: BTreeMap<String, Histogram>,
     /// Heap traffic attributed to each span path (empty unless the
     /// instrumented allocator was counting — see [`crate::alloc`]).
     /// Allocation counts depend on sharding, so this section lives with
@@ -488,16 +445,13 @@ mod tests {
             let _a = r.span("a");
         }
         let snap = r.snapshot();
-        assert_eq!(snap.spans["a"].calls, 2);
-        assert_eq!(snap.spans["a/b"].calls, 3);
-        assert_eq!(snap.spans["a/b/c"].calls, 3);
+        assert_eq!(snap.spans["a"].count(), 2);
+        assert_eq!(snap.spans["a/b"].count(), 3);
+        assert_eq!(snap.spans["a/b/c"].count(), 3);
         assert!(!snap.spans.contains_key("b"), "nesting must use full paths");
         // Parent wall-clock covers its children.
-        assert!(snap.spans["a"].total_ns >= snap.spans["a/b"].total_ns);
-        assert!(snap.spans["a/b"].total_ns >= snap.spans["a/b/c"].total_ns);
-        // Duration histograms track the same paths and call counts.
-        assert_eq!(snap.span_durations["a"].count(), 2);
-        assert_eq!(snap.span_durations["a/b"].count(), 3);
+        assert!(snap.spans["a"].sum() >= snap.spans["a/b"].sum());
+        assert!(snap.spans["a/b"].sum() >= snap.spans["a/b/c"].sum());
     }
 
     #[test]
@@ -512,8 +466,8 @@ mod tests {
             let _w = r.span("work");
         }
         let snap = r.snapshot();
-        assert_eq!(snap.spans["a/work"].calls, 1);
-        assert_eq!(snap.spans["b/work"].calls, 1);
+        assert_eq!(snap.spans["a/work"].count(), 1);
+        assert_eq!(snap.spans["b/work"].count(), 1);
         assert!(!snap.spans.contains_key("work"));
     }
 
@@ -524,10 +478,9 @@ mod tests {
         {
             let _s = r.span("shard");
         }
-        let snap = r.snapshot();
-        assert_eq!(snap.spans["shard"].calls, 2);
-        assert_eq!(snap.span_durations["shard"].count(), 2);
-        assert_eq!(r.span_stats("shard").unwrap().calls, 2);
+        let shard = &r.snapshot().spans["shard"];
+        assert_eq!(shard.count(), 2);
+        assert!(shard.sum() >= 2_000_000);
     }
 
     #[test]
@@ -560,8 +513,8 @@ mod tests {
         assert_eq!(left.snapshot(), right.snapshot());
         assert_eq!(left.counter("x"), 3);
         assert_eq!(left.counter("y"), 13);
-        assert_eq!(left.snapshot().spans["s"].calls, 2);
-        assert_eq!(left.snapshot().span_durations["s"].count(), 2);
+        let s = &left.snapshot().spans["s"];
+        assert_eq!((s.count(), s.sum(), s.min(), s.max()), (2, 150, Some(50), Some(100)));
     }
 
     #[test]
@@ -572,8 +525,8 @@ mod tests {
         drop(a); // closes a (and truncates the leaked b)
         drop(b); // still records under the slot resolved at open time
         let snap = r.snapshot();
-        assert_eq!(snap.spans["a"].calls, 1);
-        assert_eq!(snap.spans["a/b"].calls, 1);
+        assert_eq!(snap.spans["a"].count(), 1);
+        assert_eq!(snap.spans["a/b"].count(), 1);
         let _after = r.span("after");
         drop(_after);
         assert!(r.snapshot().spans.contains_key("after"));
@@ -623,7 +576,7 @@ mod tests {
         }
         alloc::set_enabled(was);
         let snap = r.snapshot();
-        assert_eq!(snap.spans["quiet"].calls, 1);
+        assert_eq!(snap.spans["quiet"].count(), 1);
         assert!(snap.span_allocs.is_empty());
     }
 

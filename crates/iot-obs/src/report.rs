@@ -4,7 +4,8 @@
 //! renders it three ways:
 //!
 //! * [`RunReport::to_json`] — the full report: metadata, process-wide
-//!   totals, span timings, counters, gauges, and histograms. Sorted
+//!   allocator totals and peak RSS, span timings, counters, gauges, and
+//!   histograms. Sorted
 //!   (`BTreeMap`) keys and `iot_core::json`'s stable float formatting
 //!   make the *serialization* deterministic; the timing *values* are
 //!   run-dependent by nature.
@@ -15,6 +16,7 @@
 //!   are excluded because they legitimately vary with scheduling.
 //! * [`RunReport::stage_table`] — a human-readable per-stage table.
 
+use crate::metrics::Histogram;
 use crate::registry::{Registry, Snapshot};
 use iot_core::json::{Json, ToJson};
 use std::io::Write as _;
@@ -57,10 +59,10 @@ impl RunReport {
         j.set("meta", meta);
         j.set("process", crate::process::snapshot_json());
         let mut spans = Json::obj();
-        for (path, stats) in &self.snapshot.spans {
-            let mut s = stats.to_json();
-            // Quantiles come from the per-path duration histogram —
-            // the same buckets the Prometheus exporter emits.
+        for (path, hist) in &self.snapshot.spans {
+            let mut s = span_json(hist);
+            // Quantiles come from the same histogram — the same buckets
+            // the Prometheus exporter emits.
             if let Some((p50, p95)) = self.span_quantiles_ms(path) {
                 s.set("p50_ms", p50.to_json());
                 s.set("p95_ms", p95.to_json());
@@ -118,7 +120,7 @@ impl RunReport {
     /// upper bound — identical to what a Prometheus query over the
     /// exported `iot_span_duration_ns` buckets resolves to).
     pub fn span_quantiles_ms(&self, path: &str) -> Option<(f64, f64)> {
-        let h = self.snapshot.span_durations.get(path)?;
+        let h = self.snapshot.spans.get(path)?;
         let p50 = h.quantile_upper_bound(0.5)? as f64 / 1e6;
         let p95 = h.quantile_upper_bound(0.95)? as f64 / 1e6;
         Some((p50, p95))
@@ -136,9 +138,9 @@ impl RunReport {
             .snapshot
             .spans
             .iter()
-            .map(|(p, s)| {
+            .map(|(p, h)| {
                 let (p50, p95) = self.span_quantiles_ms(p).unwrap_or((0.0, 0.0));
-                (p.clone(), s.calls, s.total_ms(), s.mean_ms(), p50, p95)
+                (p.clone(), h.count(), total_ms(h), mean_ms(h), p50, p95)
             })
             .collect();
         let root_total_ms: f64 = self
@@ -146,7 +148,7 @@ impl RunReport {
             .spans
             .iter()
             .filter(|(p, _)| !p.contains('/'))
-            .map(|(_, s)| s.total_ms())
+            .map(|(_, h)| total_ms(h))
             .sum();
         let name_w = rows
             .iter()
@@ -205,6 +207,33 @@ impl RunReport {
     }
 }
 
+/// A span's total wall-clock in milliseconds.
+fn total_ms(h: &Histogram) -> f64 {
+    h.sum() as f64 / 1e6
+}
+
+/// A span's mean wall-clock per call in milliseconds (0 when never
+/// called).
+fn mean_ms(h: &Histogram) -> f64 {
+    if h.count() == 0 {
+        0.0
+    } else {
+        total_ms(h) / h.count() as f64
+    }
+}
+
+/// A span's aggregate row: calls, total, mean, min and max wall-clock.
+fn span_json(h: &Histogram) -> Json {
+    let ms = |ns: Option<u64>| ns.unwrap_or(0) as f64 / 1e6;
+    let mut j = Json::obj();
+    j.set("calls", h.count().to_json());
+    j.set("total_ms", total_ms(h).to_json());
+    j.set("mean_ms", mean_ms(h).to_json());
+    j.set("min_ms", ms(h.min()).to_json());
+    j.set("max_ms", ms(h.max()).to_json());
+    j
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +268,21 @@ mod tests {
             j.get("meta").and_then(|m| m.get("scale")),
             Some(&Json::Str("quick".into()))
         );
+    }
+
+    #[test]
+    fn span_rows_come_from_the_duration_histogram() {
+        let reg = sample_registry();
+        reg.record_ns("pipeline", Duration::from_millis(3));
+        let j = RunReport::from_registry("test", &reg).to_json();
+        let span = j.get("spans").and_then(|s| s.get("pipeline")).unwrap();
+        let field = |k: &str| span.get(k).and_then(Json::as_f64).unwrap();
+        assert_eq!(span.get("calls"), Some(&Json::UInt(2)));
+        assert_eq!(field("total_ms"), 15.0);
+        assert_eq!(field("mean_ms"), 7.5);
+        assert_eq!(field("min_ms"), 3.0);
+        assert_eq!(field("max_ms"), 12.0);
+        assert!(field("p50_ms") >= 3.0 && field("p95_ms") >= 12.0);
     }
 
     #[test]

@@ -5,20 +5,23 @@
 //!
 //! * `/metrics` — the latest published registry snapshot in Prometheus
 //!   text exposition format (scrapeable by a stock Prometheus).
-//! * `/progress` — run progress as JSON: the published ingest ledger
-//!   and experiment counts, composed at request time with the *live*
-//!   process-wide generator counters, so the numbers move while workers
-//!   are mid-shard.
+//! * `/progress` — run progress as JSON: the published experiment
+//!   count, ingest ledger and coverage manifest (rendered with the same
+//!   `to_json` as the pipeline report, so a finished run's `/progress`
+//!   equals its report's), composed at request time with the *live*
+//!   process-wide allocator totals and peak RSS ([`crate::process`]).
 //! * `/profile` — the published registry's span tree as folded stacks
 //!   weighted by self time (see [`crate::export::folded_stacks`]), from
 //!   the same snapshot as `/metrics`.
 //!
 //! ## Publication model
 //!
-//! Workers never touch the server: the pipeline publishes rendered
-//! documents ([`publish`]) at shard-fold boundaries (run start, each
-//! shard fold, finish), so the hot path stays lock-free and the server
-//! only ever holds three strings behind one mutex. Requests between
+//! The ingest hot path never touches the server: the pipeline publishes
+//! rendered documents ([`publish`]) at fold boundaries (run start, each
+//! unit's fold, finish), and the server only ever holds three strings
+//! behind one mutex. A unit's fold runs on the worker that finished it,
+//! under the driver's sink lock, so rendering and publishing land in
+//! that worker's `shard/journal` span. Requests between
 //! publications see the previous snapshot — a deliberate trade-off, not
 //! a consistency bug — and worker spans reach `/metrics` and `/profile`
 //! when the workers finish and their registries merge.
@@ -261,7 +264,7 @@ fn response_for(stream: &mut TcpStream) -> (&'static str, &'static str, String) 
                 }
             };
             // Compose the published ledger with the live process
-            // counters at request time — the latter tick during a run.
+            // totals at request time — the latter tick during a run.
             let body = format!(
                 "{{\"progress\":{progress},\"process\":{}}}\n",
                 crate::process::snapshot_json().dump()

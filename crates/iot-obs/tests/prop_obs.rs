@@ -137,13 +137,13 @@ fn nested_spans_aggregate_per_path() {
         }
     }
     let snap = reg.snapshot();
-    assert_eq!(snap.spans["campaign"].calls, 1);
-    assert_eq!(snap.spans["campaign/ingest"].calls, 5);
-    assert_eq!(snap.spans["campaign/ingest/flows"].calls, 5);
-    assert_eq!(snap.spans["campaign/finish"].calls, 2);
+    assert_eq!(snap.spans["campaign"].count(), 1);
+    assert_eq!(snap.spans["campaign/ingest"].count(), 5);
+    assert_eq!(snap.spans["campaign/ingest/flows"].count(), 5);
+    assert_eq!(snap.spans["campaign/finish"].count(), 2);
     // Wall-clock is hierarchical: the parent covers all children.
-    let children = snap.spans["campaign/ingest"].total_ns + snap.spans["campaign/finish"].total_ns;
-    assert!(snap.spans["campaign"].total_ns >= children);
+    let children = snap.spans["campaign/ingest"].sum() + snap.spans["campaign/finish"].sum();
+    assert!(snap.spans["campaign"].sum() >= children);
 }
 
 #[test]

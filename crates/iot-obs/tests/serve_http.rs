@@ -76,7 +76,7 @@ fn endpoint_serves_published_documents() {
     assert_eq!(header(&headers, "connection"), Some("close"));
 
     // /progress: the published ledger composed with the live process
-    // counters at request time; a query string is ignored.
+    // totals at request time; a query string is ignored.
     let (status, headers, body) = get(addr, "/progress?window=1");
     assert!(status.contains("200"), "{status}");
     assert_eq!(header(&headers, "content-type"), Some("application/json"));
@@ -90,7 +90,7 @@ fn endpoint_serves_published_documents() {
     );
     assert!(
         progress.get("process").is_some(),
-        "live process counters must be composed in"
+        "live process totals must be composed in"
     );
 
     // /profile: the published folded stacks, byte for byte.

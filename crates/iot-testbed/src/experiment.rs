@@ -83,7 +83,6 @@ pub fn run_power(
     g.ntp_exchange();
     g.keepalive();
     let capture = g.finish();
-    iot_obs::process::record_experiment(capture.record_count());
     LabeledExperiment {
         device_name: device.spec().name,
         site: device.site,
@@ -179,7 +178,6 @@ pub fn run_interaction(
         g.keepalive();
     }
     let capture = g.finish();
-    iot_obs::process::record_experiment(capture.record_count());
     LabeledExperiment {
         device_name: device.spec().name,
         site: device.site,
@@ -264,8 +262,6 @@ pub fn run_idle(
         }
     }
     let capture = g.finish();
-    iot_obs::process::record_experiment(capture.record_count());
-    iot_obs::process::record_idle_capture();
     LabeledExperiment {
         device_name: spec.name,
         site: device.site,

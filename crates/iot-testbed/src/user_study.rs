@@ -165,7 +165,6 @@ pub fn device_capture(
         }
     }
     let capture = g.finish();
-    iot_obs::process::record_study_capture(capture.record_count());
     capture
 }
 

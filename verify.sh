@@ -4,37 +4,38 @@
 # 1. Release build + full test suite with the network disabled — proves
 #    the zero-dependency policy holds (no crates.io access is ever
 #    needed). Then the repository benchmark (perfbench/, its own Cargo
-#    workspace) is built and its self-tests run, so a change to a public
-#    name the benchmark calls fails here rather than at the benchmark
-#    run.
-# 2. A quick-scale bench_pipeline run, with observability enabled so it
-#    also emits an obs run report and the folded profile of the same
-#    registry's span tree. It records one serial run's heap totals and
-#    exits non-zero if heap counting or instrumentation changes the
-#    serial report.
-# 3. obs_check: the observability smoke test and the allocation gate —
-#    the run report must parse, its stage counters must be non-zero,
-#    shard/synth + shard/ingest must cover 95% of shard, the measured
-#    instrumentation overhead must stay under 5%, the Prometheus
-#    exposition written by the bench must be well-formed, and the
-#    folded profile must be exactly the report's span tree weighted by
-#    self time. The quick serial campaign's heap totals
-#    (allocs_total, bytes_total) and heap high-water must match the
-#    committed BENCH_pipeline.json within 0.1% either way: a rise is a
-#    regression, a fall means the baseline is stale. The bench
-#    process's kernel peak RSS (VmHWM) must stay at or under 64 MiB.
-# 4. obs_serve_check: live-telemetry endpoint smoke — /metrics,
-#    /progress, and /profile answered over real sockets during an
-#    instrumented (and lightly faulted) campaign, with the ingest ledger
-#    reconciling.
-# 5. supervise smoke: a quick campaign is journaled and SIGKILLed once
+#    workspace) is built with --locked and its self-tests run, so a
+#    change to a public name the benchmark calls, or a crate-manifest
+#    change that would rewrite perfbench/Cargo.lock, fails here rather
+#    than at the benchmark run.
+# 2. bench_pipeline: the heap totals, the instrumentation overhead and
+#    every observability gate, checked in memory on one instrumented
+#    quick campaign with the live endpoint answering. The serial report
+#    must be unchanged by heap counting and by instrumentation; the
+#    quick serial campaign's heap totals (allocs_total, bytes_total) and
+#    heap high-water must match the committed BENCH_pipeline.json within
+#    0.1% either way (a rise is a regression, a fall means the baseline
+#    is stale) and the process's peak RSS (VmHWM) must stay at or under
+#    64 MiB; both overhead ratios must stay under 1.05 unless the median
+#    delta is under 75 ms; the run report must round-trip through the
+#    in-tree parser, its stage counters must be non-zero, shard's direct
+#    children (synth, ingest, journal) must cover 95% of shard, the
+#    Prometheus families and per-span heap attribution must be present,
+#    and the folded profile must be exactly the span tree weighted by
+#    self time. The served /metrics and /profile must equal the
+#    in-memory renders byte for byte, /progress must carry the report's
+#    experiment count, ledger and coverage, and unknown routes and POSTs
+#    must answer 404 and 405. The record goes to
+#    target/bench_pipeline.json, so the committed baseline stays
+#    untouched.
+# 3. supervise smoke: a quick campaign is journaled and SIGKILLed once
 #    its journal holds a few unit records, then resumed from the
 #    (possibly torn) journal. The resume must replay at least one unit
 #    and run at least one live, and its report must be byte-identical
 #    to an uninterrupted reference run. This drives the resume path
 #    through the real binary and a real kill, not just in-process
 #    truncation.
-# 6. oracle_check: the correctness oracle — conservation-law invariants
+# 4. oracle_check: the correctness oracle — conservation-law invariants
 #    over the finished report (ledger reconciliation, percentage sums,
 #    catalog-backed PII findings, recounts from live accumulators),
 #    metamorphic relations (order permutation, rep relabeling, device
@@ -50,7 +51,7 @@
 #    reruns the oracle on the medium campaign grid, warn-only, with the
 #    instrumented allocator counting so the run prints the campaign's
 #    heap high-water and kernel peak RSS at that scale.
-# 7. tables: run_all_tables.sh regenerates every paper artifact into
+# 5. tables: run_all_tables.sh regenerates every paper artifact into
 #    target/verify_tables (~6 s on a 2-vCPU host), and the set must
 #    match results/ file for file: every *.json and all_tables.txt
 #    byte-identical (cmp), none missing and none extra. A change that
@@ -83,35 +84,12 @@ echo "=== workspace tests ==="
 cargo test -q --workspace
 
 echo "=== benchmark: build perfbench + run its self-tests ==="
-cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+cargo test --release -q --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "=== bench: heap totals + obs/alloc identity (quick scale, obs on) ==="
+echo "=== bench: heap totals + overhead + observability gates (one instrumented run) ==="
 cargo build --release -p iot-bench \
-  --bin bench_pipeline --bin obs_check --bin obs_serve_check \
-  --bin oracle_check --bin tables
-# Write to scratch paths so routine verification never clobbers the
-# committed BENCH_pipeline.json baseline (regenerate that explicitly
-# with the bench binary's defaults). IOT_OBS=1 makes the run emit the
-# observability report that obs_check validates below; the benchmark's
-# obs-off baselines force instrumentation off internally, so the env var
-# does not skew them.
-IOT_SCALE=quick \
-  IOT_BENCH_OUT="${IOT_BENCH_OUT:-target/verify_bench.json}" \
-  IOT_OBS=1 IOT_OBS_OUT="${IOT_OBS_OUT:-target/obs_run.json}" \
-  IOT_OBS_PROM_OUT="${IOT_OBS_PROM_OUT:-target/obs_metrics.prom}" \
-  IOT_OBS_PROFILE_OUT="${IOT_OBS_PROFILE_OUT:-target/profile.folded}" \
-  ./target/release/bench_pipeline
-
-echo "=== obs smoke: run report + overhead + allocation gates + exporter artifacts ==="
-./target/release/obs_check \
-  "${IOT_OBS_OUT:-target/obs_run.json}" \
-  "${IOT_BENCH_OUT:-target/verify_bench.json}" \
-  BENCH_pipeline.json \
-  "${IOT_OBS_PROM_OUT:-target/obs_metrics.prom}" \
-  "${IOT_OBS_PROFILE_OUT:-target/profile.folded}"
-
-echo "=== obs serve: live telemetry endpoint over real sockets ==="
-./target/release/obs_serve_check
+  --bin bench_pipeline --bin oracle_check --bin tables
+./target/release/bench_pipeline
 
 echo "=== supervise smoke: journaled campaign, SIGKILL mid-run, resume ==="
 # Uninterrupted reference: the same 2-worker campaign without a journal;
