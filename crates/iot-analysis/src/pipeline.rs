@@ -24,23 +24,23 @@
 //!
 //! # Observability
 //!
-//! Every run is instrumented through `iot-obs` (gated on `IOT_OBS`, or
-//! forced via [`Pipeline::with_obs`]): spans around campaign generation
+//! A run is instrumented through `iot-obs` when its caller asks with
+//! [`Pipeline::with_obs`]`(true)`: spans around campaign generation
 //! and [`Pipeline::finish`]; one `shard` span per worker run, with
 //! traffic synthesis (`shard/synth`), per-experiment ingest
-//! (`shard/ingest`: capture degradation, flow reconstruction, destination
-//! mapping, encryption classification, PII scan) and each unit's commit
-//! (`shard/journal`: the sink lock, the journal append, the fold and
-//! its live publication) under it — the tree `iot_obs::folded_stacks`
-//! renders as a profile; counters for
+//! (`shard/ingest`, with capture degradation, flow reconstruction,
+//! destination mapping, encryption classification and the PII scan
+//! under it, each named by its full `shard/ingest/…` path) and each
+//! unit's commit (`shard/journal`: the sink lock, the journal append,
+//! the fold and its live publication) under it — the tree
+//! `iot_obs::folded_stacks` renders as a profile; counters for
 //! experiments, packets, flows, total/per-[`EncryptionClass`] bytes, and
-//! PII findings;
-//! histograms of per-experiment packet and per-flow byte sizes; and
-//! per-worker load gauges (`worker.N.experiments`). Each worker records
-//! into its own registry, and the registries merge into the pipeline's
-//! when the workers end. [`Pipeline::finish_with_obs`] returns the merged
-//! registry for report emission; the pipeline report itself is
-//! byte-identical with observability on or off.
+//! PII findings; histograms of per-experiment packet and per-flow byte
+//! sizes; and per-worker load gauges (`worker.N.experiments`). Each
+//! worker records into its own registry, and the registries merge into
+//! the pipeline's when the workers end. [`Pipeline::finish_with_obs`]
+//! returns the merged registry for report emission; the pipeline report
+//! itself is byte-identical with observability on or off.
 //!
 //! # Degraded captures
 //!
@@ -406,7 +406,7 @@ fn degrade_capture(
     ledger: &mut IngestStats,
     obs: &Registry,
 ) {
-    let _s = obs.span("degrade");
+    let _s = obs.span("shard/ingest/degrade");
     // The injector borrows frames straight out of the pristine capture's
     // byte buffer — no packet materialization on either side of the
     // degradation.
@@ -458,7 +458,7 @@ fn degrade_capture(
 ///
 /// Stage timing moves from per-stage spans to per-flow accumulation
 /// recorded once per experiment via `Registry::record_ns` under the
-/// `shard/ingest/…` paths nested spans would produce.
+/// stages' `shard/ingest/…` paths.
 #[allow(clippy::too_many_arguments)]
 fn analyze_experiment(
     db: &GeoDb,
@@ -476,7 +476,7 @@ fn analyze_experiment(
     obs.add("packets", exp.packet_count() as u64);
     obs.observe("experiment_packets", exp.packet_count() as u64);
     let flows = {
-        let _s = obs.span("flows");
+        let _s = obs.span("shard/ingest/flows");
         ExperimentFlows::from_experiment_with(exp, label_ctx)
     };
     if flows.unparsed_packets > 0 {
@@ -595,22 +595,11 @@ pub struct Pipeline {
     obs: Registry,
 }
 
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Pipeline {
-    /// Creates an empty pipeline; observability follows the `IOT_OBS`
-    /// environment gate.
-    pub fn new() -> Self {
-        Self::with_obs(iot_obs::enabled())
-    }
-
-    /// Creates an empty pipeline with observability explicitly forced on
-    /// or off, ignoring the environment. The overhead benchmark measures
-    /// both modes in one process through this.
+    /// Creates an empty pipeline that records metrics when `obs_enabled`.
+    /// The one constructor, so every caller decides whether it records;
+    /// the overhead benchmark measures both modes in one process through
+    /// it.
     pub fn with_obs(obs_enabled: bool) -> Self {
         Pipeline {
             destinations: DestinationAnalysis::new(),
@@ -622,11 +611,6 @@ impl Pipeline {
             fault: None,
             obs: Registry::with_enabled(obs_enabled),
         }
-    }
-
-    /// The pipeline's metric registry (worker registries merge into it).
-    pub fn obs(&self) -> &Registry {
-        &self.obs
     }
 
     /// Experiments successfully ingested so far.
@@ -660,7 +644,7 @@ impl Pipeline {
     }
 
     /// Renders and publishes the live-telemetry documents when an
-    /// `IOT_OBS_SERVE` server is running; no-op (no rendering, no locks)
+    /// `iot_obs::serve` endpoint is running; no-op (no rendering, no locks)
     /// otherwise. Called at fold boundaries only, so the ingest hot path
     /// never pays for a listener.
     fn publish_live(&self, phase: &str) {
@@ -709,7 +693,6 @@ impl Pipeline {
     where
         I: IntoIterator<Item = LabeledExperiment>,
     {
-        iot_obs::serve::maybe_start_from_env();
         let identities = {
             let _s = self.obs.span("identities");
             identities_of(&LabSite::all().map(Lab::deploy))
@@ -760,7 +743,6 @@ impl Pipeline {
         workers: usize,
         sup: &SupervisorConfig,
     ) -> Result<SuperviseSummary, JournalError> {
-        iot_obs::serve::maybe_start_from_env();
         let campaign = {
             let _s = self.obs.span("campaign_new");
             Campaign::new(config)
@@ -1108,7 +1090,7 @@ mod tests {
 
     #[test]
     fn pipeline_end_to_end() {
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::with_obs(false);
         p.run_campaign(CampaignConfig {
             idle_hours: 0.05,
             ..tiny_config()
@@ -1126,7 +1108,7 @@ mod tests {
 
     #[test]
     fn clean_run_ledger_is_clean_and_reconciles() {
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::with_obs(false);
         p.run_campaign(tiny_config());
         let report = p.finish();
         assert!(report.ingest.is_clean(), "{:?}", report.ingest);
@@ -1142,7 +1124,7 @@ mod tests {
             panic_rate: 0.2,
             ..iot_chaos::FaultPlan::clean(0xBAD5EED)
         };
-        let mut with_panics = Pipeline::new();
+        let mut with_panics = Pipeline::with_obs(false);
         with_panics.set_fault_plan(plan);
         with_panics.run_campaign(tiny_config());
         let report = with_panics.finish();
@@ -1162,10 +1144,10 @@ mod tests {
 
     #[test]
     fn clean_fault_plan_leaves_report_unchanged() {
-        let mut plain = Pipeline::new();
+        let mut plain = Pipeline::with_obs(false);
         plain.run_campaign(tiny_config());
         let plain_json = plain.finish().to_json().dump();
-        let mut armed = Pipeline::new();
+        let mut armed = Pipeline::with_obs(false);
         armed.set_fault_plan(iot_chaos::FaultPlan::clean(1234));
         armed.run_campaign(tiny_config());
         let armed_json = armed.finish().to_json().dump();
@@ -1177,7 +1159,7 @@ mod tests {
 
     #[test]
     fn build_report_matches_finish_and_leaves_pipeline_usable() {
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::with_obs(false);
         p.run_campaign(tiny_config());
         let pre = p.build_report().to_json().dump();
         // The pipeline is still alive: accumulators remain inspectable
@@ -1190,12 +1172,12 @@ mod tests {
     #[test]
     fn ingest_experiments_matches_run_campaign() {
         let config = tiny_config();
-        let mut baseline = Pipeline::new();
+        let mut baseline = Pipeline::with_obs(false);
         baseline.run_campaign(config);
         let baseline_json = baseline.finish().to_json().dump();
 
         let experiments = all_experiments(&Campaign::new(config), &GeoDb::new());
-        let mut replay = Pipeline::new();
+        let mut replay = Pipeline::with_obs(false);
         replay.ingest_experiments(experiments);
         assert_eq!(replay.finish().to_json().dump(), baseline_json);
     }
@@ -1330,7 +1312,7 @@ mod tests {
 
     #[test]
     fn supervised_coverage_counts_every_experiment() {
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::with_obs(false);
         let summary = p
             .run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
             .unwrap();
@@ -1460,7 +1442,7 @@ mod tests {
         };
         let mut lost_experiments = 0u64;
         campaign.run_unit(&GeoDb::new(), LOST, |_| lost_experiments += 1);
-        let mut full = Pipeline::new();
+        let mut full = Pipeline::with_obs(false);
         full.run_campaign(tiny_config());
         let full = full.finish();
 
@@ -1480,7 +1462,7 @@ mod tests {
             panic_rate: 0.05,
             ..iot_chaos::FaultPlan::uniform(0x0B5E55ED, 0.01)
         };
-        let mut reference = Pipeline::new();
+        let mut reference = Pipeline::with_obs(false);
         reference.set_fault_plan(plan);
         reference.run_campaign(tiny_config());
         let reference_json = reference.finish().to_json().dump();
@@ -1491,7 +1473,7 @@ mod tests {
             journal: Some(path.clone()),
             ..SupervisorConfig::default()
         };
-        let mut first = Pipeline::new();
+        let mut first = Pipeline::with_obs(false);
         first.set_fault_plan(plan);
         first
             .run_campaign_supervised(tiny_config(), 2, &sup_cfg)
@@ -1506,7 +1488,7 @@ mod tests {
             resume: true,
             ..SupervisorConfig::default()
         };
-        let mut resumed = Pipeline::new();
+        let mut resumed = Pipeline::with_obs(false);
         resumed.set_fault_plan(plan);
         let summary = resumed
             .run_campaign_supervised(tiny_config(), 2, &resume_cfg)
@@ -1524,7 +1506,7 @@ mod tests {
         );
         // Resuming a *complete* journal replays everything and runs
         // nothing — still byte-identical.
-        let mut replay_only = Pipeline::new();
+        let mut replay_only = Pipeline::with_obs(false);
         replay_only.set_fault_plan(plan);
         let summary = replay_only
             .run_campaign_supervised(tiny_config(), 2, &resume_cfg)
@@ -1543,7 +1525,7 @@ mod tests {
             journal: Some(path.clone()),
             ..SupervisorConfig::default()
         };
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::with_obs(false);
         p.run_campaign_supervised(tiny_config(), 1, &write_cfg).unwrap();
         // Same journal, different campaign config → ConfigMismatch.
         let resume_cfg = SupervisorConfig {
@@ -1551,7 +1533,7 @@ mod tests {
             resume: true,
             ..SupervisorConfig::default()
         };
-        let mut other = Pipeline::new();
+        let mut other = Pipeline::with_obs(false);
         let different = CampaignConfig {
             automated_reps: 2,
             ..tiny_config()
@@ -1561,7 +1543,7 @@ mod tests {
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
         // A different fault plan is result-affecting too.
-        let mut faulted = Pipeline::new();
+        let mut faulted = Pipeline::with_obs(false);
         faulted.set_fault_plan(iot_chaos::FaultPlan::uniform(7, 0.01));
         match faulted.run_campaign_supervised(tiny_config(), 1, &resume_cfg) {
             Err(JournalError::ConfigMismatch { .. }) => {}
@@ -1581,7 +1563,7 @@ mod tests {
             panic_rate: 0.05,
             ..iot_chaos::FaultPlan::uniform(0x7EA2, 0.01)
         };
-        let mut reference = Pipeline::new();
+        let mut reference = Pipeline::with_obs(false);
         reference.set_fault_plan(plan);
         reference.run_campaign(tiny_config());
         let reference_json = reference.finish().to_json().dump();
@@ -1592,7 +1574,7 @@ mod tests {
             journal: Some(path.clone()),
             ..SupervisorConfig::default()
         };
-        let mut first = Pipeline::new();
+        let mut first = Pipeline::with_obs(false);
         first.set_fault_plan(plan);
         first.run_campaign_supervised(tiny_config(), 2, &journal).unwrap();
         let resume = SupervisorConfig {
@@ -1606,7 +1588,7 @@ mod tests {
             let bytes = std::fs::read(&path).unwrap();
             std::fs::write(&path, &bytes[..at]).unwrap();
             let clean = read_journal(&path).unwrap().clean_len as usize;
-            let mut resumed = Pipeline::new();
+            let mut resumed = Pipeline::with_obs(false);
             resumed.set_fault_plan(plan);
             let summary = resumed.run_campaign_supervised(tiny_config(), 2, &resume).unwrap();
             assert_eq!(resumed.finish().to_json().dump(), reference_json);
@@ -1636,7 +1618,7 @@ mod tests {
             journal: Some(path.clone()),
             ..SupervisorConfig::default()
         };
-        let mut donor = Pipeline::new();
+        let mut donor = Pipeline::with_obs(false);
         donor
             .run_campaign_supervised(tiny_config(), 1, &sup_cfg)
             .unwrap();
@@ -1659,7 +1641,7 @@ mod tests {
                 w.append(delta).unwrap();
             }
             drop(w);
-            let mut p = Pipeline::new();
+            let mut p = Pipeline::with_obs(false);
             match p.run_campaign_supervised(tiny_config(), 1, &resume_cfg) {
                 Err(JournalError::GridMismatch {
                     expected_units,

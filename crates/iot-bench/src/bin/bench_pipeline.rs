@@ -20,15 +20,18 @@
 //! 5. The instrumented run at the host's available parallelism, heap
 //!    counting on, on a spawned thread while this thread probes
 //!    `/progress`. Its one registry feeds the run report, the Prometheus
-//!    exposition, the folded profile and the record's `stages` block.
-//!    Afterwards `/metrics` and `/profile` must equal the in-memory
-//!    renders byte for byte, and `/progress` must carry the report's
-//!    experiment count, ledger and coverage.
+//!    exposition and the folded profile, and the record's `stages` block
+//!    is the run report's `spans`. Afterwards `/metrics` and `/profile`
+//!    must equal the in-memory renders byte for byte, and `/progress`
+//!    must carry the report's experiment count, ledger and coverage.
 //!
-//! The record always goes to `target/bench_pipeline.json`; to rebaseline,
-//! copy it over `BENCH_pipeline.json`. With `IOT_OBS` set, the run report
-//! also goes to `IOT_OBS_OUT`. End-to-end timing lives in the repository
-//! benchmark (`perfbench/`), and worker-count identity in the oracle
+//! Every switch is set here, in process: observability per pipeline
+//! with [`Pipeline::with_obs`], heap counting with
+//! `iot_obs::alloc::set_enabled`. The record always goes to
+//! `target/bench_pipeline.json`; to rebaseline, copy it over
+//! `BENCH_pipeline.json`. The run report stays in memory, where its
+//! gate checks it. End-to-end timing lives in the repository benchmark
+//! (`perfbench/`), and worker-count identity in the oracle
 //! (`oracle_check`), not here. Exits 1 when any gate fails.
 
 use iot_analysis::pipeline::Pipeline;
@@ -120,15 +123,6 @@ fn main() -> ExitCode {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    iot_obs::progress!("bench_pipeline: scale={} workers={workers}", scale.name());
-
-    // Resolve the obs config once (it may flip allocator counting on via
-    // IOT_OBS_ALLOC), then take manual control: the baseline run and the
-    // overhead baselines run with heap counting *off*, and the allocator
-    // sections below force it on explicitly, so the numbers are
-    // comparable regardless of the caller's environment.
-    iot_obs::enabled();
-    iot_obs::alloc::set_enabled(false);
 
     // 1. The serial baseline that heap counting and instrumentation must
     // not change.
@@ -204,23 +198,11 @@ fn main() -> ExitCode {
     let snapshot = registry.snapshot();
     let (metrics, profile) = (prometheus(&snapshot), folded_stacks(&snapshot));
 
-    // Per-stage figures from the instrumented run's span histograms, for
-    // every span path, so a change that shifts time or heap between
-    // stages is visible in review, not just in the total.
-    let mut stages = Json::obj();
-    for (path, hist) in &snapshot.spans {
-        let mut s = Json::obj();
-        s.set("calls", hist.count().to_json());
-        s.set("total_ms", (hist.sum() as f64 / 1e6).to_json());
-        let q = |q: f64| hist.quantile_upper_bound(q).map(|ns| ns as f64 / 1e6);
-        s.set("p50_ms", q(0.5).to_json());
-        s.set("p95_ms", q(0.95).to_json());
-        if let Some(a) = snapshot.span_allocs.get(path) {
-            s.set("alloc_bytes", a.bytes_allocated.to_json());
-            s.set("allocs", a.allocs.to_json());
-        }
-        stages.set(path, s);
-    }
+    let run_report = RunReport::from_registry("bench_pipeline", &registry)
+        .meta("scale", scale.name())
+        .meta("workers", &workers.to_string())
+        .meta("experiments", &experiments.to_string())
+        .to_json();
 
     let mut record = Json::obj();
     record.set("benchmark", "pipeline_ingestion".to_json());
@@ -271,18 +253,26 @@ fn main() -> ExitCode {
         (alloc_traffic.bytes_allocated as f64 / alloc_high_water.max(1) as f64).to_json(),
     );
     record.set("streaming", streaming);
+    // Every span path's row from the run report, so a change that shifts
+    // time or heap between stages is visible in review, not just in the
+    // total.
+    let stages = run_report
+        .get("spans")
+        .cloned()
+        .expect("a run report has spans");
     record.set("stages", stages);
     record.set(
         "note",
-        "obs_overhead_ratio = serial median with IOT_OBS instrumentation \
-         (spans, counters, histograms) forced on / forced off, measured on \
+        "obs_overhead_ratio = serial median with instrumentation (spans, \
+         counters, histograms) switched on / off per pipeline, measured on \
          interleaved pairs (serial_obs vs serial_obs_baseline); \
          alloc_overhead_ratio = the same interleaved comparison with only heap \
          counting toggled (obs off both sides); bench_pipeline fails either above \
          1.05 with a median delta over 75 ms. alloc = one serial run's heap \
          traffic with counting on; bench_pipeline fails when allocs_total, \
          bytes_total or high_water_bytes moves more than 0.1% either way from the \
-         committed BENCH_pipeline.json. stages = the instrumented run's span tree."
+         committed BENCH_pipeline.json. stages = the instrumented run's span \
+         tree, as its run report's spans block renders it."
             .to_json(),
     );
     let written = std::fs::create_dir_all("target")
@@ -290,18 +280,6 @@ fn main() -> ExitCode {
     if let Err(e) = written {
         eprintln!("bench_pipeline: FAIL — write {RECORD}: {e}");
         return ExitCode::FAILURE;
-    }
-
-    let run_report = RunReport::from_registry("bench_pipeline", &registry)
-        .meta("scale", scale.name())
-        .meta("workers", &workers.to_string())
-        .meta("experiments", &experiments.to_string());
-    if iot_obs::enabled() {
-        match run_report.write() {
-            Ok(p) => iot_obs::progress!("bench_pipeline: obs report -> {}", p.display()),
-            Err(e) => eprintln!("bench_pipeline: obs report write failed: {e}"),
-        }
-        iot_obs::progress!("{}", run_report.stage_table());
     }
 
     let committed = std::fs::read_to_string(BASELINE)
@@ -320,7 +298,7 @@ fn main() -> ExitCode {
         ),
         (
             "run report",
-            gates::report_round_trips(&run_report.to_json().pretty()),
+            gates::report_round_trips(&run_report.pretty()),
         ),
         ("counters", gates::stage_counters(&snapshot)),
         ("spans", gates::span_tree(&snapshot)),

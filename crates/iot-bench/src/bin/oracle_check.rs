@@ -60,9 +60,6 @@ fn check(out_path: &str) -> Result<(), String> {
     let scale = scale();
     let config = campaign_config(scale);
     println!("oracle_check: scale={}", scale.name());
-    // Resolve the obs config up front so IOT_OBS_ALLOC=1 turns heap
-    // counting on before the campaign allocates anything.
-    iot_obs::enabled();
 
     let t = Instant::now();
     let outcome = run_oracle(config);
@@ -71,19 +68,6 @@ fn check(out_path: &str) -> Result<(), String> {
         outcome.summary(),
         t.elapsed().as_secs_f64()
     );
-    // Campaign memory footprint at this scale, when the instrumented
-    // allocator is counting (IOT_OBS_ALLOC=1) — the number the nightly
-    // medium-scale run exists to surface.
-    if iot_obs::alloc::enabled() {
-        let high_water = iot_obs::alloc::process_high_water_bytes();
-        let rss = iot_obs::process::peak_rss_bytes().unwrap_or(0);
-        println!(
-            "oracle_check: heap high-water {:.1} MB, kernel peak RSS {:.1} MB",
-            high_water as f64 / 1e6,
-            rss as f64 / 1e6
-        );
-    }
-
     // Fourth pillar: the committed `results/*.json` table artifacts —
     // well-formed `emit` shape, row counts pinned by the catalog/enums,
     // percentage columns summing within rounding tolerance, and the

@@ -3,8 +3,10 @@
 //! `tables` (see [`tables`]) regenerates every paper artifact under
 //! `results/`. `bench_pipeline` records the quick campaign's heap totals
 //! and instrumentation overhead and checks every observability gate
-//! ([`gates`]) on one instrumented run. `tables` reads the `IOT_SCALE`
-//! environment variable:
+//! ([`gates`]) on one instrumented run. Observability is switched on in
+//! code, never by the environment: `bench_pipeline` turns it on for the
+//! runs it measures, and `tables` runs with it off. `tables` reads the
+//! `IOT_SCALE` environment variable:
 //!
 //! * `quick` — a minimal grid for smoke runs.
 //! * `medium` *(default)* — enough repetitions for stable numbers.

@@ -6,7 +6,9 @@
 //! Campaign artifacts (Tables 2–8, §4.2, Figure 2, §9) read the finished
 //! [`Pipeline`] of one campaign run through the one driver, so the
 //! oracle, chaos and worker-identity gates check the same path the
-//! published tables come from. Tables 9–11 and §7.3 read one [`Models`]
+//! published tables come from. That run records no metrics
+//! (`Pipeline::with_obs(false)`); `bench_pipeline` and `moniotr
+//! campaign` are the instrumented runs. Tables 9–11 and §7.3 read one [`Models`]
 //! set, so every (device, egress) model is trained at most once per
 //! call, and Table 11 applies the very models Tables 9–10 score. The
 //! others read the catalog or run the entropy calibration.
@@ -32,7 +34,6 @@ use iot_geodb::passport;
 use iot_geodb::registry::GeoDb;
 use iot_ml::crossval::cross_validate;
 use iot_ml::forest::RandomForestConfig;
-use iot_obs::RunReport;
 use iot_testbed::catalog;
 use iot_testbed::device::{ActivityKind, Availability, Category};
 use iot_testbed::experiment::run_idle;
@@ -111,12 +112,10 @@ pub const ARTIFACTS: [(&str, Source); 16] = [
 ];
 
 /// Runs the scale's campaign through the one driver with every
-/// available core. With `IOT_OBS` set, the run report is written to
-/// `IOT_OBS_OUT` (default `results/obs_run.json`).
+/// available core.
 pub fn run_campaign(scale: Scale) -> Pipeline {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    iot_obs::progress!("running the {} campaign on {workers} workers…", scale.name());
-    let mut pipeline = Pipeline::new();
+    let mut pipeline = Pipeline::with_obs(false);
     pipeline
         .run_campaign_supervised(
             crate::campaign_config(scale),
@@ -124,17 +123,6 @@ pub fn run_campaign(scale: Scale) -> Pipeline {
             &SupervisorConfig::default(),
         )
         .expect("a run without a journal cannot fail to journal");
-    iot_obs::progress!("ingested {} experiments", pipeline.experiments());
-    if pipeline.obs().enabled() {
-        let report = RunReport::from_registry("tables", pipeline.obs())
-            .meta("scale", scale.name())
-            .meta("workers", &workers.to_string())
-            .meta("experiments", &pipeline.experiments().to_string());
-        match report.write() {
-            Ok(path) => iot_obs::progress!("obs report written to {}", path.display()),
-            Err(e) => eprintln!("obs report write failed: {e}"),
-        }
-    }
     pipeline
 }
 
@@ -760,8 +748,6 @@ impl Models {
         let mut trained = Vec::new();
         for device in campaign.labs().iter().flat_map(|lab| &lab.devices) {
             for vpn in [false, true] {
-                let name = device.spec().name;
-                iot_obs::progress!("  training {name} @ {:?} vpn={vpn}", device.site);
                 let model = train_device_model(GeoDb::shared(), &campaign, device, vpn, &config);
                 trained.push((device.clone(), vpn, model));
             }

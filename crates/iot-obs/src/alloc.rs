@@ -1,12 +1,12 @@
 //! Instrumented global allocator: per-thread and process-wide heap
-//! accounting, gated by `IOT_OBS_ALLOC` and near-zero-cost when off.
+//! accounting, switched on by its caller and near-zero-cost when off.
 //!
 //! [`CountingAlloc`] wraps [`std::alloc::System`] and is registered as
 //! the crate's `#[global_allocator]`, so every binary that links
 //! `iot-obs` routes its heap traffic through it. When disabled (the
 //! default) each allocation pays exactly one relaxed atomic load and a
-//! predictable branch; no other state is touched. When enabled
-//! (`IOT_OBS_ALLOC=1`, or programmatically via [`set_enabled`]) it
+//! predictable branch; no other state is touched. When enabled with
+//! [`set_enabled`] (the benches do, around the runs they measure) it
 //! maintains:
 //!
 //! * **thread-local counters** — bytes/count allocated and freed, live
@@ -26,10 +26,8 @@
 //! ## Invariants the design leans on
 //!
 //! * The counting path never allocates: `Cell` arithmetic plus relaxed
-//!   atomics only. Reading environment variables allocates, so the
-//!   allocator never consults the environment itself — enablement is a
-//!   single `AtomicBool` flipped by [`config::global`](crate::config)
-//!   (first registry construction) or [`set_enabled`].
+//!   atomics only. Enablement is a single `AtomicBool` flipped by
+//!   [`set_enabled`].
 //! * A thread that frees memory after its TLS is torn down (possible
 //!   during thread exit) falls back to the process-wide atomics via
 //!   `try_with`, so process totals stay conserved.
@@ -164,9 +162,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Relaxed)
 }
 
-/// Turns allocation counting on or off programmatically (benches and
-/// tests; normal runs are driven by `IOT_OBS_ALLOC` through
-/// [`config::global`](crate::config::global)).
+/// Turns allocation counting on or off for the whole process.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }

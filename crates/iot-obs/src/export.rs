@@ -122,8 +122,8 @@ pub fn prometheus(snap: &Snapshot) -> String {
         }
     }
     // Memory series — absent unless the instrumented allocator counted
-    // (span_allocs drops all-zero entries), so scrapes with
-    // IOT_OBS_ALLOC=0 are byte-identical to the pre-memory exposition.
+    // (span_allocs drops all-zero entries), so a scrape of a run without
+    // heap counting is byte-identical to the pre-memory exposition.
     if !snap.span_allocs.is_empty() {
         for (family, pick) in [
             ("iot_span_alloc_bytes_total", 0usize),
@@ -264,10 +264,10 @@ mod tests {
         let nap = || std::thread::sleep(Duration::from_millis(1));
         r.record_ns("shard", Duration::from_secs(1));
         for _ in 0..2 {
-            // A label given as a path nests under the `record_ns` parent.
+            // Guards name full paths under the `record_ns` parent.
             let _ingest = r.span("shard/ingest");
             nap();
-            let _flows = r.span("flows");
+            let _flows = r.span("shard/ingest/flows");
             nap();
         }
         let snap = r.snapshot();

@@ -10,39 +10,38 @@
 //! worker count. Concretely:
 //!
 //! * [`registry`] — the [`Registry`]: shard-local counters, gauges,
-//!   fixed-bucket histograms, and hierarchical spans. A span is timed
-//!   by the RAII [`SpanGuard`] that [`Registry::span`] returns, or by
-//!   hand with [`Registry::record_ns`], and each `parent/child` label
-//!   path keeps one duration [`Histogram`]: calls, total, min, max and
-//!   quantiles all come from it.
-//! * [`alloc`] — the instrumented global allocator (`IOT_OBS_ALLOC`):
-//!   thread-local byte/count/live/high-water accounting whose span
-//!   deltas the registry attributes to the current span path.
+//!   fixed-bucket histograms, and spans. A span is named by its full
+//!   `parent/…/label` path and timed by the RAII [`SpanGuard`] that
+//!   [`Registry::span`] returns, or by hand with
+//!   [`Registry::record_ns`]; each path keeps one duration
+//!   [`Histogram`]: calls, total, min, max and quantiles all come from
+//!   it.
+//! * [`alloc`] — the instrumented global allocator, switched on by its
+//!   caller with [`alloc::set_enabled`]: thread-local
+//!   byte/count/live/high-water accounting whose span deltas the
+//!   registry attributes to the open span's path.
 //! * [`metrics`] — the deterministic power-of-two-bucket [`Histogram`].
 //! * [`export`] — [`prometheus`] (text exposition 0.0.4) and
 //!   [`folded_stacks`], the span tree as a collapsed-stack profile
 //!   weighted by self time.
-//! * [`serve`] — an optional std-only HTTP endpoint (`IOT_OBS_SERVE`)
-//!   serving `/metrics`, `/progress`, and `/profile` live during a run.
+//! * [`serve`] — an optional std-only HTTP endpoint, started with
+//!   [`serve::start`], serving `/metrics`, `/progress`, and `/profile`
+//!   live during a run.
 //! * [`report`] — [`RunReport`]: a snapshot of a registry rendered as
 //!   deterministic JSON (via `iot_core::json`) or as a human-readable
-//!   stage table, written to `results/obs_run.json` by default.
-//! * [`config`] — the `IOT_OBS` / `IOT_OBS_OUT` / `IOT_OBS_SERVE` /
-//!   `IOT_OBS_ALLOC` environment gates, parsed once into a cached
-//!   [`config::ObsConfig`].
+//!   stage table.
 //! * [`process`] — process-wide facts: the allocator's totals and the
 //!   kernel's peak RSS, which the run report and `/progress` carry.
-//! * [`log`] — the [`progress!`](crate::progress) macro: stderr progress
-//!   lines that only print at `IOT_OBS=2`.
 //!
 //! ## Enablement
 //!
-//! The layer is off by default and compiles down to a branch per call
-//! site when disabled: no clocks are read, no strings are allocated,
-//! nothing is written. `IOT_OBS=1` turns recording (and report writing)
-//! on; `IOT_OBS=2` additionally prints progress lines. Registries can
-//! also be forced on or off programmatically with
-//! [`Registry::with_enabled`] — benches use this to measure
+//! The layer reads no environment: every switch is an argument of the
+//! code that wants it. A registry records only when built with
+//! [`Registry::with_enabled`]`(true)`, and compiles down to a branch
+//! per call site otherwise: no clocks are read, no strings are
+//! allocated. The allocator counts only between
+//! [`alloc::set_enabled`] calls, and the endpoint listens only once
+//! [`serve::start`] is called. Benches use this to measure
 //! instrumentation overhead inside one process.
 //!
 //! ## Determinism
@@ -62,9 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod config;
 pub mod export;
-pub mod log;
 pub mod metrics;
 pub mod process;
 pub mod registry;
@@ -72,7 +69,6 @@ pub mod report;
 pub mod serve;
 
 pub use alloc::AllocStats;
-pub use config::{enabled, verbose};
 pub use export::{folded_stacks, prometheus};
 pub use metrics::Histogram;
 pub use registry::{Registry, SpanGuard};

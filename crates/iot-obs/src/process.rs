@@ -30,9 +30,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Cumulative totals since process start, in a stable order. The
-/// allocator totals are zero unless `IOT_OBS_ALLOC` (or
-/// [`crate::alloc::set_enabled`]) turned counting on; `peak_rss_bytes`
-/// is zero on platforms without `/proc`.
+/// allocator totals are zero unless [`crate::alloc::set_enabled`]
+/// turned counting on; `peak_rss_bytes` is zero on platforms without
+/// `/proc`.
 pub fn snapshot() -> Vec<(&'static str, u64)> {
     let alloc = crate::alloc::process_totals();
     vec![

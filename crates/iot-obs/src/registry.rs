@@ -8,13 +8,14 @@
 //! independent of worker count and fold order. Gauges merge by maximum
 //! (they record high-water marks / topology facts, not sums).
 //!
-//! Span paths are interned into a slot arena on first use: opening a
-//! span peeks the stack, resolves `(parent, label)` to a slot with a
-//! short linear scan, and closing records into `span_hists[slot]` — after
-//! the first occurrence of a path, the hot path allocates nothing and
-//! never compares full path strings. This keeps per-experiment
-//! instrumentation overhead in the low microseconds (`bench_pipeline`
-//! gates it).
+//! A span is named by its full `parent/…/label` path, whichever way it
+//! is timed: a [`SpanGuard`], [`Registry::record_ns`] or
+//! [`Registry::record_alloc`]. Nesting is spelled in the path, never
+//! inferred from which guards are open, so each path has exactly one
+//! slot. Paths are interned into a slot arena on first use with a short
+//! linear scan over the run's dozen-odd paths; after that, recording
+//! allocates nothing. This keeps per-experiment instrumentation
+//! overhead in the low microseconds (`bench_pipeline` gates it).
 //!
 //! Each span path keeps one aggregate, its duration [`Histogram`]:
 //! calls are its count, the total its sum, and min/max its extremes, so
@@ -39,13 +40,6 @@ struct Inner {
     /// entries are dropped from snapshots so reports stay clean when
     /// memory profiling is off).
     span_allocs: Vec<AllocStats>,
-    /// `children[0]` holds slots opened at the root; `children[s + 1]`
-    /// holds slots opened while slot `s` was the innermost open span.
-    /// Entries are `(label, slot)`; the lists are short (one per distinct
-    /// child label), so a linear scan beats any map here.
-    children: Vec<Vec<(String, usize)>>,
-    /// Slots of currently open spans, outermost first.
-    stack: Vec<usize>,
 }
 
 impl Inner {
@@ -57,79 +51,39 @@ impl Inner {
             span_paths: Vec::new(),
             span_hists: Vec::new(),
             span_allocs: Vec::new(),
-            children: vec![Vec::new()],
-            stack: Vec::new(),
         }
     }
 
-    /// Resolves `(parent, label)` to a slot, interning on first use.
-    fn intern_child(&mut self, parent: Option<usize>, label: &str) -> usize {
-        let ci = parent.map_or(0, |p| p + 1);
-        if let Some(&(_, slot)) = self.children[ci].iter().find(|(l, _)| l == label) {
-            return slot;
-        }
-        let path = match parent {
-            Some(p) => format!("{}/{label}", self.span_paths[p]),
-            None => label.to_string(),
-        };
-        let slot = self.span_paths.len();
-        self.span_paths.push(path);
-        self.span_hists.push(Histogram::default());
-        self.span_allocs.push(AllocStats::default());
-        self.children.push(Vec::new());
-        self.children[ci].push((label.to_string(), slot));
-        slot
-    }
-
-    /// Resolves a full path to a slot, interning a root-level entry on
-    /// first use — for externally recorded durations and merges, where
-    /// the path arrives pre-composed. Cold relative to `intern_child`.
-    fn intern_full(&mut self, path: &str) -> usize {
+    /// Resolves a full span path to its slot, interning it on first use.
+    fn intern(&mut self, path: &str) -> usize {
         if let Some(slot) = self.span_paths.iter().position(|p| p == path) {
             return slot;
         }
-        let slot = self.span_paths.len();
         self.span_paths.push(path.to_string());
         self.span_hists.push(Histogram::default());
         self.span_allocs.push(AllocStats::default());
-        self.children.push(Vec::new());
-        self.children[0].push((path.to_string(), slot));
-        slot
+        self.span_paths.len() - 1
     }
 
-    /// Aggregated per-span heap traffic keyed by full path; all-zero
-    /// entries are omitted so the map is empty (and serializes to
-    /// nothing) whenever the allocator never counted.
+    /// Per-span heap traffic keyed by full path; all-zero entries are
+    /// omitted so the map is empty (and serializes to nothing) whenever
+    /// the allocator never counted.
     fn span_allocs_by_path(&self) -> BTreeMap<String, AllocStats> {
-        let mut allocs: BTreeMap<String, AllocStats> = BTreeMap::new();
-        for (p, a) in self.span_paths.iter().zip(&self.span_allocs) {
-            if a.is_zero() {
-                continue;
-            }
-            match allocs.get_mut(p) {
-                Some(e) => e.merge(a),
-                None => {
-                    allocs.insert(p.clone(), *a);
-                }
-            }
-        }
-        allocs
+        self.span_paths
+            .iter()
+            .zip(&self.span_allocs)
+            .filter(|(_, a)| !a.is_zero())
+            .map(|(p, a)| (p.clone(), *a))
+            .collect()
     }
 
-    /// Aggregated span-duration histograms keyed by full path. Duplicate
-    /// slots for one path can exist (a path may be interned both via
-    /// nesting and via `intern_full`); aggregation folds them.
+    /// Span-duration histograms keyed by full path.
     fn spans_by_path(&self) -> BTreeMap<String, Histogram> {
-        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
-        for (p, h) in self.span_paths.iter().zip(&self.span_hists) {
-            match hists.get_mut(p) {
-                Some(e) => e.merge(h),
-                None => {
-                    hists.insert(p.clone(), h.clone());
-                }
-            }
-        }
-        hists
+        self.span_paths
+            .iter()
+            .cloned()
+            .zip(self.span_hists.iter().cloned())
+            .collect()
     }
 }
 
@@ -139,22 +93,10 @@ pub struct Registry {
     inner: RefCell<Inner>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Registry {
-    /// Creates a registry whose enablement follows the `IOT_OBS`
-    /// environment gate.
-    pub fn new() -> Self {
-        Self::with_enabled(crate::config::enabled())
-    }
-
-    /// Creates a registry with recording explicitly forced on or off,
-    /// ignoring the environment — used by tests and by the overhead
-    /// benchmark, which measures both modes inside one process.
+    /// Creates a registry that records when `enabled` and is inert
+    /// otherwise; the caller decides, so the overhead benchmark can
+    /// measure both modes inside one process.
     pub fn with_enabled(enabled: bool) -> Self {
         Registry {
             enabled,
@@ -212,36 +154,30 @@ impl Registry {
         }
     }
 
-    /// Opens a span named `label`, nested under any span currently open
-    /// on this registry. The returned guard records its wall-clock into
-    /// the `parent/…/label` path's histogram when it drops. A label may
-    /// itself be a `/`-joined path, which places the span under a parent
-    /// timed with [`Registry::record_ns`].
-    pub fn span(&self, label: &str) -> SpanGuard<'_> {
+    /// Opens a span at the full path `path` (`parent/…/label`). The
+    /// returned guard records its wall-clock into that path's histogram
+    /// when it drops. A guard opened inside another records under its
+    /// own path only: nesting is spelled in the path, so a guard shares
+    /// its slot with [`Registry::record_ns`] on the same path.
+    pub fn span(&self, path: &str) -> SpanGuard<'_> {
         if !self.enabled {
             return SpanGuard {
                 reg: self,
                 start: None,
-                depth: 0,
                 slot: 0,
                 alloc_start: None,
             };
         }
-        let mut inner = self.inner.borrow_mut();
-        let parent = inner.stack.last().copied();
-        let slot = inner.intern_child(parent, label);
-        inner.stack.push(slot);
-        let depth = inner.stack.len();
+        let slot = self.inner.borrow_mut().intern(path);
         let start = Instant::now();
         // Snapshot the thread's allocation counters *after* the span's
         // own bookkeeping above, so first-use path interning is not
-        // charged to the span. Nested spans include their children's
-        // traffic, exactly as wall-clock does.
+        // charged to the span. A span opened inside another is charged
+        // to both, exactly as wall-clock is.
         let alloc_start = alloc::enabled().then(alloc::thread_snapshot);
         SpanGuard {
             reg: self,
             start: Some(start),
-            depth,
             slot,
             alloc_start,
         }
@@ -255,7 +191,7 @@ impl Registry {
             return;
         }
         let mut inner = self.inner.borrow_mut();
-        let slot = inner.intern_full(path);
+        let slot = inner.intern(path);
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         inner.span_hists[slot].observe(ns);
     }
@@ -269,7 +205,7 @@ impl Registry {
             return;
         }
         let mut inner = self.inner.borrow_mut();
-        let slot = inner.intern_full(path);
+        let slot = inner.intern(path);
         inner.span_allocs[slot].merge(&stats);
     }
 
@@ -277,8 +213,6 @@ impl Registry {
     /// either registry's enablement (enablement only gates recording).
     pub fn merge(&self, other: Registry) {
         let other = other.inner.into_inner();
-        let other_spans = other.spans_by_path();
-        let other_allocs = other.span_allocs_by_path();
         let mut inner = self.inner.borrow_mut();
         for (k, v) in other.counters {
             *inner.counters.entry(k).or_insert(0) += v;
@@ -298,13 +232,11 @@ impl Registry {
                 }
             }
         }
-        for (path, hist) in other_spans {
-            let slot = inner.intern_full(&path);
-            inner.span_hists[slot].merge(&hist);
-        }
-        for (path, stats) in other_allocs {
-            let slot = inner.intern_full(&path);
-            inner.span_allocs[slot].merge(&stats);
+        let other_slots = other.span_hists.iter().zip(&other.span_allocs);
+        for (path, (hist, stats)) in other.span_paths.iter().zip(other_slots) {
+            let slot = inner.intern(path);
+            inner.span_hists[slot].merge(hist);
+            inner.span_allocs[slot].merge(stats);
         }
     }
 
@@ -330,24 +262,13 @@ impl Registry {
         }
     }
 
-    fn close_span(
-        &self,
-        depth: usize,
-        slot: usize,
-        elapsed: Duration,
-        alloc_delta: Option<AllocStats>,
-    ) {
+    fn close_span(&self, slot: usize, elapsed: Duration, alloc_delta: Option<AllocStats>) {
         let mut inner = self.inner.borrow_mut();
         if let Some(d) = alloc_delta {
             if !d.is_zero() {
                 inner.span_allocs[slot].merge(&d);
             }
         }
-        // Guards normally drop innermost-first; truncating below this
-        // guard's depth also closes any leaked inner spans, and a guard
-        // outliving its parent still records under the slot resolved at
-        // open time — out-of-order drops cannot corrupt the stack.
-        inner.stack.truncate(depth.saturating_sub(1));
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         inner.span_hists[slot].observe(ns);
     }
@@ -357,7 +278,6 @@ impl Registry {
 pub struct SpanGuard<'a> {
     reg: &'a Registry,
     start: Option<Instant>,
-    depth: usize,
     slot: usize,
     /// Thread allocation counters at open time, captured only when the
     /// instrumented allocator was counting; the close charges the delta
@@ -372,8 +292,7 @@ impl Drop for SpanGuard<'_> {
             let alloc_delta = self
                 .alloc_start
                 .map(|s| alloc::thread_snapshot().since(&s));
-            self.reg
-                .close_span(self.depth, self.slot, elapsed, alloc_delta);
+            self.reg.close_span(self.slot, elapsed, alloc_delta);
         }
     }
 }
@@ -432,55 +351,23 @@ mod tests {
     }
 
     #[test]
-    fn span_nesting_builds_paths() {
+    fn a_guard_records_under_its_full_path_only() {
         let r = Registry::with_enabled(true);
+        r.record_ns("shard/ingest/flows", Duration::from_millis(2));
         {
-            let _a = r.span("a");
-            for _ in 0..3 {
-                let _b = r.span("b");
-                let _c = r.span("c");
-            }
-        }
-        {
-            let _a = r.span("a");
+            let _ingest = r.span("shard/ingest");
+            let _flows = r.span("shard/ingest/flows");
         }
         let snap = r.snapshot();
-        assert_eq!(snap.spans["a"].count(), 2);
-        assert_eq!(snap.spans["a/b"].count(), 3);
-        assert_eq!(snap.spans["a/b/c"].count(), 3);
-        assert!(!snap.spans.contains_key("b"), "nesting must use full paths");
-        // Parent wall-clock covers its children.
-        assert!(snap.spans["a"].sum() >= snap.spans["a/b"].sum());
-        assert!(snap.spans["a/b"].sum() >= snap.spans["a/b/c"].sum());
-    }
-
-    #[test]
-    fn same_label_under_different_parents_stays_distinct() {
-        let r = Registry::with_enabled(true);
-        {
-            let _a = r.span("a");
-            let _w = r.span("work");
-        }
-        {
-            let _b = r.span("b");
-            let _w = r.span("work");
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.spans["a/work"].count(), 1);
-        assert_eq!(snap.spans["b/work"].count(), 1);
-        assert!(!snap.spans.contains_key("work"));
-    }
-
-    #[test]
-    fn record_ns_and_nested_spans_share_one_path() {
-        let r = Registry::with_enabled(true);
-        r.record_ns("shard", Duration::from_millis(2));
-        {
-            let _s = r.span("shard");
-        }
-        let shard = &r.snapshot().spans["shard"];
-        assert_eq!(shard.count(), 2);
-        assert!(shard.sum() >= 2_000_000);
+        // Opened inside `shard/ingest`, the inner guard adds no path of
+        // its own ...
+        let paths: Vec<&str> = snap.spans.keys().map(String::as_str).collect();
+        assert_eq!(paths, ["shard/ingest", "shard/ingest/flows"]);
+        assert_eq!(snap.spans["shard/ingest"].count(), 1);
+        // ... and shares one slot with `record_ns` on the same path.
+        let flows = &snap.spans["shard/ingest/flows"];
+        assert_eq!(flows.count(), 2);
+        assert!(flows.sum() >= 2_000_000);
     }
 
     #[test]
@@ -518,21 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_guard_drop_keeps_stack_sane() {
-        let r = Registry::with_enabled(true);
-        let a = r.span("a");
-        let b = r.span("b");
-        drop(a); // closes a (and truncates the leaked b)
-        drop(b); // still records under the slot resolved at open time
-        let snap = r.snapshot();
-        assert_eq!(snap.spans["a"].count(), 1);
-        assert_eq!(snap.spans["a/b"].count(), 1);
-        let _after = r.span("after");
-        drop(_after);
-        assert!(r.snapshot().spans.contains_key("after"));
-    }
-
-    #[test]
     fn span_allocs_attribute_heap_traffic_to_the_open_span() {
         let _g = alloc::test_lock();
         let was = alloc::enabled();
@@ -543,7 +415,7 @@ mod tests {
             let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(8192));
             drop(v);
             {
-                let _inner = r.span("leaf");
+                let _inner = r.span("outer/leaf");
                 let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(2048));
                 drop(v);
             }
@@ -564,7 +436,8 @@ mod tests {
     #[test]
     fn snapshot_omits_zero_alloc_spans() {
         // Allocator off: spans record time but span_allocs stays empty,
-        // so reports with IOT_OBS_ALLOC=0 serialize no alloc fields.
+        // so reports of a run without heap counting serialize no alloc
+        // fields.
         let _g = alloc::test_lock();
         let was = alloc::enabled();
         alloc::set_enabled(false);

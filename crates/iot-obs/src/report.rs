@@ -19,8 +19,6 @@
 use crate::metrics::Histogram;
 use crate::registry::{Registry, Snapshot};
 use iot_core::json::{Json, ToJson};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 /// A finished run's observability report.
 #[derive(Debug, Clone)]
@@ -69,7 +67,8 @@ impl RunReport {
             }
             // Heap traffic charged to the span while it was open — only
             // present when the instrumented allocator was counting, so
-            // IOT_OBS_ALLOC=0 reports serialize exactly as before.
+            // a report without heap counting serializes exactly as
+            // before.
             if let Some(a) = self.snapshot.span_allocs.get(path) {
                 s.set("alloc_bytes", a.bytes_allocated.to_json());
                 s.set("allocs", a.allocs.to_json());
@@ -129,11 +128,8 @@ impl RunReport {
     /// Renders the spans as an aligned text table: one row per label
     /// path with call count, total/mean wall-clock, histogram-derived
     /// per-call p50/p95, and the percentage column relative to the total
-    /// wall-clock of the top-level (un-nested) spans. When the
-    /// instrumented allocator contributed data, two extra columns show
-    /// the heap traffic charged to each span (`alloc_mb`, `allocs`).
+    /// wall-clock of the top-level (un-nested) spans.
     pub fn stage_table(&self) -> String {
-        let has_alloc = !self.snapshot.span_allocs.is_empty();
         let rows: Vec<(String, u64, f64, f64, f64, f64)> = self
             .snapshot
             .spans
@@ -158,13 +154,9 @@ impl RunReport {
             .unwrap_or(5);
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<name_w$}  {:>9}  {:>12}  {:>10}  {:>10}  {:>10}  {:>6}",
+            "{:<name_w$}  {:>9}  {:>12}  {:>10}  {:>10}  {:>10}  {:>6}\n",
             "stage", "calls", "total_ms", "mean_ms", "p50_ms", "p95_ms", "%"
         ));
-        if has_alloc {
-            out.push_str(&format!("  {:>11}  {:>11}", "alloc_mb", "allocs"));
-        }
-        out.push('\n');
         for (path, calls, total, mean, p50, p95) in rows {
             let pct = if root_total_ms > 0.0 {
                 total * 100.0 / root_total_ms
@@ -173,37 +165,10 @@ impl RunReport {
             };
             out.push_str(&format!(
                 "{path:<name_w$}  {calls:>9}  {total:>12.3}  {mean:>10.4}  \
-                 {p50:>10.4}  {p95:>10.4}  {pct:>6.1}"
+                 {p50:>10.4}  {p95:>10.4}  {pct:>6.1}\n"
             ));
-            if has_alloc {
-                let a = self.snapshot.span_allocs.get(&path);
-                let mb = a.map_or(0.0, |a| a.bytes_allocated as f64 / 1e6);
-                let n = a.map_or(0, |a| a.allocs);
-                out.push_str(&format!("  {mb:>11.2}  {n:>11}"));
-            }
-            out.push('\n');
         }
         out
-    }
-
-    /// Writes the pretty-printed full report to `path`, creating parent
-    /// directories as needed.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{}", self.to_json().pretty())
-    }
-
-    /// Writes the report to the configured `IOT_OBS_OUT` path (default
-    /// `results/obs_run.json`) and returns it.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(&crate::config::global().out_path);
-        self.write_to(&path)?;
-        Ok(path)
     }
 }
 
@@ -317,7 +282,6 @@ mod tests {
         let j = quiet.to_json();
         let span = j.get("spans").and_then(|s| s.get("pipeline")).unwrap();
         assert!(span.get("alloc_bytes").is_none());
-        assert!(!quiet.stage_table().contains("alloc_mb"));
 
         let reg = sample_registry();
         reg.record_alloc(
@@ -336,26 +300,10 @@ mod tests {
         assert_eq!(span.get("allocs"), Some(&Json::UInt(7)));
         assert_eq!(span.get("freed_bytes"), Some(&Json::UInt(1_500_000)));
         assert_eq!(span.get("frees"), Some(&Json::UInt(5)));
-        let table = loud.stage_table();
-        assert!(table.contains("alloc_mb"), "{table}");
-        assert!(table.contains("2.00"), "{table}");
         // The deterministic subset never carries alloc data.
         assert_eq!(
             loud.deterministic_json().dump(),
             quiet.deterministic_json().dump()
         );
-    }
-
-    #[test]
-    fn write_to_creates_parents_and_valid_json() {
-        let dir = std::env::temp_dir().join("iot_obs_report_test");
-        let path = dir.join("nested").join("obs.json");
-        let _ = std::fs::remove_dir_all(&dir);
-        let reg = sample_registry();
-        RunReport::from_registry("test", &reg).write_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = Json::parse(&text).expect("report must parse");
-        assert!(parsed.get("counters").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,12 +28,13 @@
 //!
 //! ## Security posture
 //!
-//! Off by default; enabled only by `IOT_OBS_SERVE=addr` or an explicit
-//! [`start`]. Bind to `127.0.0.1:<port>` unless you mean to expose it.
-//! The parser accepts only `GET`, reads at most one small request head,
-//! never parses a request body, and closes every connection after one
-//! response. There is no TLS and no authentication — this is a
-//! lab-network diagnostic port, not a public API.
+//! Off by default; enabled only by an explicit [`start`] (`moniotr
+//! campaign --serve ADDR` from the command line). Bind to
+//! `127.0.0.1:<port>` unless you mean to expose it. The parser accepts
+//! only `GET`, reads at most one small request head, never parses a
+//! request body, and closes every connection after one response. There
+//! is no TLS and no authentication — this is a lab-network diagnostic
+//! port, not a public API.
 //!
 //! Abusive clients are bounded on three axes: the request line may not
 //! exceed [`MAX_REQUEST_LINE_BYTES`] and the whole head may not exceed
@@ -122,26 +123,6 @@ pub fn start(addr: &str) -> std::io::Result<SocketAddr> {
             }
         })?;
     Ok(bound)
-}
-
-/// Starts the server on the `IOT_OBS_SERVE` address if configured and
-/// not already running. Bind failures are reported to stderr, never
-/// fatal — telemetry must not take down a measurement run.
-pub fn maybe_start_from_env() -> Option<SocketAddr> {
-    static STARTED: OnceLock<Option<SocketAddr>> = OnceLock::new();
-    *STARTED.get_or_init(|| {
-        let addr = crate::config::global().serve_addr.as_deref()?;
-        match start(addr) {
-            Ok(bound) => {
-                crate::progress!("iot-obs: serving /metrics /progress /profile on {bound}");
-                Some(bound)
-            }
-            Err(e) => {
-                eprintln!("iot-obs: IOT_OBS_SERVE bind {addr} failed: {e}");
-                None
-            }
-        }
-    })
 }
 
 /// Reads the request head (first line is enough; we never read bodies)

@@ -1,7 +1,7 @@
 //! Property-style tests for the observability layer: registry merge is
-//! associative and commutative over randomized shard splits, span
-//! nesting aggregates correctly, and report JSON round-trips through the
-//! in-tree parser.
+//! associative and commutative over randomized shard splits, nested
+//! spans aggregate per full path, and report JSON round-trips through
+//! the in-tree parser.
 
 use iot_core::json::Json;
 use iot_core::rng::StdRng;
@@ -129,11 +129,11 @@ fn nested_spans_aggregate_per_path() {
     {
         let _campaign = reg.span("campaign");
         for _ in 0..5 {
-            let _ingest = reg.span("ingest");
-            let _flows = reg.span("flows");
+            let _ingest = reg.span("campaign/ingest");
+            let _flows = reg.span("campaign/ingest/flows");
         }
         for _ in 0..2 {
-            let _finish = reg.span("finish");
+            let _finish = reg.span("campaign/finish");
         }
     }
     let snap = reg.snapshot();

@@ -467,10 +467,6 @@ pub fn check_results_dir(dir: &Path) -> Vec<Violation> {
             let stem = p.file_stem()?.to_str()?.to_string();
             Some((stem, p))
         })
-        // `IOT_OBS=1` drops its run report at `results/obs_run.json` by
-        // default (see iot-obs); it is a telemetry artifact, not a
-        // table, and has no `headers`/`rows` shape to check.
-        .filter(|(stem, _)| stem != "obs_run")
         .collect();
     names.sort();
     if names.is_empty() {

@@ -2,8 +2,8 @@
 # Regenerates every paper table/figure into results/ (IOT_RESULTS_DIR),
 # and their printed form into results/all_tables.txt. The committed
 # artifacts are at reduced scales: medium for the corpus analyses and
-# Table 9 (IOT_SCALE_CORPUS, IOT_SCALE_INFER), quick for Tables 10, 11
-# and §7.3. The script sets IOT_SCALE on every call, so exporting it
+# Table 9, quick for Tables 10, 11 and §7.3. The script sets IOT_SCALE
+# on every call, so exporting it
 # changes nothing here; for the paper-scale grid run the binary itself,
 # e.g. `IOT_SCALE=full ./target/release/tables table9 table10 table11
 # user_study` (~21 s on a 2-vCPU host), with IOT_RESULTS_DIR pointing
@@ -21,9 +21,8 @@ if [ "${IOT_SKIP_VERIFY:-0}" != "1" ]; then
   ./verify.sh
 fi
 {
-  IOT_SCALE="${IOT_SCALE_CORPUS:-medium}" $TABLES table1 entropy_calibration ablation \
-    table2 table3 table4 figure2 table5 table6 table7 table8 summary
-  IOT_SCALE="${IOT_SCALE_INFER:-medium}" $TABLES table9 2>/dev/null
-  IOT_SCALE=quick $TABLES table10 table11 user_study 2>/dev/null
+  IOT_SCALE=medium $TABLES table1 entropy_calibration ablation \
+    table2 table3 table4 figure2 table5 table6 table7 table8 summary table9
+  IOT_SCALE=quick $TABLES table10 table11 user_study
 } > "$OUT/all_tables.txt"
 cat "$OUT/all_tables.txt"

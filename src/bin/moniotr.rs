@@ -316,9 +316,8 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         ));
     }
 
-    // An explicit --serve starts the endpoint before the run so every
-    // fold-boundary publication is scrapeable; without it the pipeline
-    // still honors IOT_OBS_SERVE.
+    // --serve starts the endpoint before the run so every fold-boundary
+    // publication is scrapeable.
     let held = match &serve_addr {
         Some(addr) => {
             let bound = intl_iot::obs::serve::start(addr)?;
@@ -392,20 +391,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     );
     let (d, total) = report.devices_with_non_first;
     println!("campaign: {d}/{total} devices contacted non-first parties");
-    // Heap footprint, when IOT_OBS_ALLOC turned the instrumented
-    // allocator on (the stage table above then also carries per-stage
-    // alloc columns).
-    if intl_iot::obs::alloc::enabled() {
-        let totals = intl_iot::obs::alloc::process_totals();
-        println!(
-            "campaign: heap {:.1} MB allocated in {} allocations, high-water \
-             {:.1} MB, kernel peak RSS {:.1} MB",
-            totals.bytes_allocated as f64 / 1e6,
-            totals.allocs,
-            intl_iot::obs::alloc::process_high_water_bytes() as f64 / 1e6,
-            intl_iot::obs::process::peak_rss_bytes().unwrap_or(0) as f64 / 1e6
-        );
-    }
 
     if let Some(path) = report_out {
         use iot_core::json::ToJson;

@@ -47,10 +47,9 @@
 #    classes over the committed results/*.json table artifacts
 #    (well-formed emit shape, pinned row counts, percentage sums). Any
 #    violation fails this script.
-#    Opt-in: ORACLE_SCALE=medium (or the --nightly flag) additionally
-#    reruns the oracle on the medium campaign grid, warn-only, with the
-#    instrumented allocator counting so the run prints the campaign's
-#    heap high-water and kernel peak RSS at that scale.
+#    Opt-in: the --nightly flag additionally reruns the oracle on the
+#    medium campaign grid, warn-only, into
+#    target/oracle_check_medium.json.
 # 5. tables: run_all_tables.sh regenerates every paper artifact into
 #    target/verify_tables (~6 s on a 2-vCPU host), and the set must
 #    match results/ file for file: every *.json and all_tables.txt
@@ -61,7 +60,7 @@
 #
 # Flags:
 #   --nightly   run the deeper, slower sweeps too (currently: the
-#               warn-only medium-scale oracle with heap accounting).
+#               warn-only medium-scale oracle).
 set -e
 cd "$(dirname "$0")"
 export CARGO_NET_OFFLINE=true
@@ -137,21 +136,15 @@ cmp target/supervise_ref.json target/supervise_resumed.json || {
 echo "supervise smoke: resumed report byte-identical to the reference"
 
 echo "=== oracle: invariants + metamorphic relations + differential runs + fault gates ==="
-IOT_SCALE=quick \
-  IOT_ORACLE_OUT="${IOT_ORACLE_OUT:-target/oracle_check.json}" \
-  ./target/release/oracle_check
+IOT_SCALE=quick ./target/release/oracle_check
 
-# Deeper sweep: the medium-scale oracle, part of the nightly tier
-# (./verify.sh --nightly) and still reachable via ORACLE_SCALE=medium.
-# Warn-only — the quick-scale run above is the gate; this surfaces
-# scale-dependent drift without making routine verification minutes
-# slower or flaky on loaded hosts. IOT_OBS_ALLOC=1 turns the
-# instrumented allocator on so the run reports the campaign's heap
-# high-water and kernel peak RSS at medium scale.
-if [ "$NIGHTLY" = 1 ] || [ "${ORACLE_SCALE:-}" = "medium" ]; then
-  echo "=== oracle (nightly tier): medium scale + heap accounting, warn-only ==="
-  if ! IOT_SCALE=medium IOT_OBS_ALLOC=1 \
-    IOT_ORACLE_OUT="${IOT_ORACLE_MEDIUM_OUT:-target/oracle_check_medium.json}" \
+# Deeper sweep: the medium-scale oracle, the nightly tier
+# (./verify.sh --nightly). Warn-only — the quick-scale run above is the
+# gate; this surfaces scale-dependent drift without making routine
+# verification minutes slower or flaky on loaded hosts.
+if [ "$NIGHTLY" = 1 ]; then
+  echo "=== oracle (nightly tier): medium scale, warn-only ==="
+  if ! IOT_SCALE=medium IOT_ORACLE_OUT=target/oracle_check_medium.json \
     ./target/release/oracle_check; then
     echo "verify.sh: WARN — medium-scale oracle reported violations (non-gating)"
   fi
@@ -160,9 +153,7 @@ fi
 echo "=== tables: regenerate every results/ artifact, cmp against results/ ==="
 rm -rf target/verify_tables
 IOT_SKIP_VERIFY=1 IOT_RESULTS_DIR=target/verify_tables ./run_all_tables.sh >/dev/null
-# A local IOT_OBS run may leave results/obs_run.json behind; it is a
-# telemetry artifact, not a table.
-artifacts() { (cd "$1" && ls -- *.json all_tables.txt | grep -vx obs_run.json); }
+artifacts() { (cd "$1" && ls -- *.json all_tables.txt); }
 artifacts results > target/verify_tables.list
 if ! artifacts target/verify_tables | diff target/verify_tables.list - >&2; then
   echo "verify.sh: FAIL — regenerated artifact set differs from results/ (< missing, > extra)" >&2
