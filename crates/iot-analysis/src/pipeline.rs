@@ -5,11 +5,15 @@
 //! # One driver
 //!
 //! A campaign splits into work units, one per (lab × device) slot of the
-//! grid ([`Campaign::run_unit`]). [`Pipeline::run_campaign_supervised`] is
-//! the only campaign driver: workers pull units from a shared queue, and
-//! each finished unit's accumulator delta ([`UnitDelta`]) is journaled
-//! (when a checkpoint journal is configured) and folded into the pipeline
-//! at once. The calling thread runs worker 0, so a 1-worker run spawns no
+//! grid ([`Campaign::lend_unit`]). A unit's experiments are synthesized
+//! into one capture buffer and lent to the worker one at a time; the
+//! worker analyzes each by reference, so only a faulted run copies an
+//! experiment (its degraded capture).
+//! [`Pipeline::run_campaign_supervised`] is the only campaign driver:
+//! workers pull units from a shared queue, and each finished unit's
+//! accumulator delta ([`UnitDelta`]) is journaled (when a checkpoint
+//! journal is configured) and folded into the pipeline at once. The
+//! calling thread runs worker 0, so a 1-worker run spawns no
 //! thread; [`Pipeline::run_campaign`] is that 1-worker run with default
 //! [`SupervisorConfig`] knobs. [`Pipeline::ingest_experiments`] feeds a
 //! caller's experiment stream through the same worker and the same fold.
@@ -84,7 +88,7 @@ use iot_core::json::{Json, ToJson};
 use iot_entropy::EncryptionClass;
 use iot_geodb::party::PartyType;
 use iot_geodb::registry::GeoDb;
-use iot_net::pcap::{Capture, PcapCursor};
+use iot_net::pcap::{Capture, PcapCursor, GLOBAL_HEADER_LEN};
 use iot_obs::{AllocStats, Registry};
 use iot_protocols::analyzer::ProtocolId;
 use iot_testbed::catalog;
@@ -295,8 +299,10 @@ impl Worker {
     }
 
     /// Ingests one experiment into the unit accumulator `acc`: fault
-    /// injection, the quarantine boundary, and the ledger.
-    fn ingest(&mut self, ctx: &RunCtx<'_>, acc: &mut UnitDelta, mut exp: LabeledExperiment) {
+    /// injection, the quarantine boundary, and the ledger. The
+    /// experiment is borrowed: only a faulted run builds a degraded copy
+    /// to analyze instead.
+    fn ingest(&mut self, ctx: &RunCtx<'_>, acc: &mut UnitDelta, exp: &LabeledExperiment) {
         let Worker {
             label_ctx,
             pii_patterns,
@@ -320,18 +326,24 @@ impl Worker {
         let _ingest_span = obs.span("shard/ingest");
         ingest.packets_generated += exp.packet_count() as u64;
         let mut inject_panic = false;
-        if let Some(inj) = ctx.fault {
-            // Fault draws are keyed by the experiment's identity digest,
-            // optionally without the rep index (the oracle's rep-relabel
-            // relation needs rep-invariant fault schedules).
-            let fkey = if inj.plan().rep_invariant_fault_keys {
-                experiment_fault_key_rep_invariant(&exp)
-            } else {
-                experiment_fault_key(&exp)
-            };
-            inject_panic = inj.should_panic(fkey);
-            degrade_capture(inj, fkey, &mut exp, ingest, obs);
-        }
+        let degraded;
+        let exp = match ctx.fault {
+            None => exp,
+            Some(inj) => {
+                // Fault draws are keyed by the experiment's identity
+                // digest, optionally without the rep index (the oracle's
+                // rep-relabel relation needs rep-invariant fault
+                // schedules).
+                let fkey = if inj.plan().rep_invariant_fault_keys {
+                    experiment_fault_key_rep_invariant(exp)
+                } else {
+                    experiment_fault_key(exp)
+                };
+                inject_panic = inj.should_panic(fkey);
+                degraded = degrade_capture(inj, fkey, exp, ingest, obs);
+                &degraded
+            }
+        };
         let salvaged = exp.packet_count() as u64;
         // The quarantine boundary: a panic here — injected by the chaos
         // plan or real — costs this one experiment, not the run. The
@@ -352,7 +364,7 @@ impl Worker {
                 pii_patterns,
                 ingest,
                 obs,
-                &exp,
+                exp,
             );
         }));
         match outcome {
@@ -397,15 +409,16 @@ impl Sink<'_> {
 }
 
 /// Degrades one experiment's capture through the fault injector and
-/// re-reads it through the lenient salvage path, keeping the ledger
-/// exact: every generated packet ends up ingested, dropped, or lost.
+/// re-reads it through the lenient salvage path into an owned copy of the
+/// experiment, keeping the ledger exact: every generated packet ends up
+/// ingested, dropped, or lost.
 fn degrade_capture(
     inj: &FaultInjector,
     key: u64,
-    exp: &mut LabeledExperiment,
+    exp: &LabeledExperiment,
     ledger: &mut IngestStats,
     obs: &Registry,
-) {
+) -> LabeledExperiment {
     let _s = obs.span("shard/ingest/degrade");
     // The injector borrows frames straight out of the pristine capture's
     // byte buffer — no packet materialization on either side of the
@@ -421,9 +434,10 @@ fn degrade_capture(
         PcapCursor::lenient(&bytes).expect("the injector leaves the pcap global header intact");
     // Walk the degraded bytes once through the lenient salvage cursor,
     // folding surviving frames into a fresh writer-clean capture: one
-    // contiguous buffer, not a Vec per packet. The salvage ledger reads
-    // off the same walk.
-    let mut salvaged = Capture::new();
+    // contiguous buffer, not a Vec per packet, allocated once: salvage
+    // keeps at most the degraded records. The salvage ledger reads off
+    // the same walk.
+    let mut salvaged = Capture::with_capacity(bytes.len() - GLOBAL_HEADER_LEN);
     while let Some(view) = cur.next_view() {
         let view = view.expect("lenient cursor surfaces no errors");
         salvaged
@@ -439,7 +453,16 @@ fn degrade_capture(
     if !sstats.is_pristine() {
         ledger.add_stage_error("salvage");
     }
-    exp.capture = salvaged;
+    LabeledExperiment {
+        device_name: exp.device_name,
+        site: exp.site,
+        vpn: exp.vpn,
+        kind: exp.kind,
+        label: exp.label.clone(),
+        activity: exp.activity,
+        rep: exp.rep,
+        capture: salvaged,
+    }
 }
 
 /// The per-experiment analysis stages, operating on the worker's caches
@@ -707,7 +730,7 @@ impl Pipeline {
         let mut worker = Worker::new(0, &ctx);
         let mut delta = UnitDelta::new(0);
         for exp in experiments {
-            worker.ingest(&ctx, &mut delta, exp);
+            worker.ingest(&ctx, &mut delta, &exp);
         }
         worker.experiments += delta.experiments;
         {
@@ -747,13 +770,13 @@ impl Pipeline {
             let _s = self.obs.span("campaign_new");
             Campaign::new(config)
         };
-        self.run_units(&campaign, workers, sup, |db, unit, consume| {
-            campaign.run_unit(db, unit, consume)
+        self.run_units(&campaign, workers, sup, |db, unit, lend| {
+            campaign.lend_unit(db, unit, lend)
         })
     }
 
     /// The driver behind [`Pipeline::run_campaign_supervised`]. `source`
-    /// streams one unit's experiments; outside tests it is the campaign's
+    /// lends one unit's experiments; outside tests it is the campaign's
     /// own generator.
     fn run_units<S>(
         &mut self,
@@ -763,7 +786,7 @@ impl Pipeline {
         source: S,
     ) -> Result<SuperviseSummary, JournalError>
     where
-        S: Fn(&GeoDb, usize, &mut dyn FnMut(LabeledExperiment)) + Sync,
+        S: Fn(&GeoDb, usize, &mut dyn FnMut(&LabeledExperiment)) + Sync,
     {
         assert!(workers > 0, "workers must be positive");
         let identities = {
@@ -1306,6 +1329,38 @@ mod tests {
         assert_eq!(measured.bytes_allocated, 0);
     }
 
+    /// The driver's source lends each experiment out of one capture
+    /// buffer per unit, so walking a unit allocates fewer bytes than the
+    /// captures it lends. A walk that grew every capture from empty in
+    /// 1.25× steps allocated about six times their bytes.
+    #[test]
+    fn lending_walk_does_not_regrow_captures() {
+        let db = GeoDb::new();
+        let campaign = Campaign::new(CampaignConfig {
+            automated_reps: 8,
+            manual_reps: 3,
+            power_reps: 3,
+            idle_hours: 0.01,
+            include_vpn: true,
+        });
+        let was = iot_obs::alloc::enabled();
+        iot_obs::alloc::set_enabled(true);
+        let mut capture_bytes = 0u64;
+        let before = iot_obs::alloc::thread_snapshot();
+        campaign.lend_unit(&db, 0, |exp| capture_bytes += exp.capture.byte_len() as u64);
+        let walk = iot_obs::alloc::thread_snapshot().since(&before);
+        iot_obs::alloc::set_enabled(was);
+        assert!(
+            capture_bytes > 1_000_000,
+            "need a real unit: {capture_bytes} B"
+        );
+        assert!(
+            walk.bytes_allocated < capture_bytes,
+            "the walk allocated {} B for {capture_bytes} B of captures",
+            walk.bytes_allocated
+        );
+    }
+
     fn temp_journal(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("iot_pipeline_{tag}_{}.jnl", std::process::id()))
     }
@@ -1427,14 +1482,14 @@ mod tests {
         let campaign = Campaign::new(tiny_config());
         let run = |workers: usize| {
             let mut p = Pipeline::with_obs(false);
-            p.run_units(&campaign, workers, &SupervisorConfig::default(), |db, unit, consume| {
+            p.run_units(&campaign, workers, &SupervisorConfig::default(), |db, unit, lend| {
                 let mut seen = 0;
-                campaign.run_unit(db, unit, |exp| {
+                campaign.lend_unit(db, unit, |exp| {
                     if unit == LOST && seen == 2 {
                         panic!("synthetic generator defect");
                     }
                     seen += 1;
-                    consume(exp);
+                    lend(exp);
                 });
             })
             .unwrap();

@@ -418,6 +418,14 @@ impl Capture {
         Capture { bytes, records: 0 }
     }
 
+    /// Empties the capture back to its global header, keeping the
+    /// buffer's capacity, so one buffer can hold capture after capture
+    /// without regrowing.
+    pub fn clear(&mut self) {
+        self.bytes.truncate(GLOBAL_HEADER_LEN);
+        self.records = 0;
+    }
+
     /// Appends one record whose frame `write` encodes in place — the only
     /// code that encodes a record header. `write` gets the capture buffer
     /// just past the new record header and must append exactly `incl_len`
@@ -480,9 +488,14 @@ impl Capture {
         self.push_record(ts_micros, frame.len() as u32, frame)
     }
 
-    /// Serializes a packet slice (equivalent to [`to_bytes`]).
+    /// Serializes a packet slice (equivalent to [`to_bytes`]) into a
+    /// buffer allocated once, at its final size.
     pub fn from_packets(packets: &[Packet]) -> Result<Self> {
-        let mut cap = Capture::new();
+        let record_bytes = packets
+            .iter()
+            .map(|p| RECORD_HEADER_LEN + p.data.len())
+            .sum();
+        let mut cap = Capture::with_capacity(record_bytes);
         for p in packets {
             cap.push(p.ts_micros, &p.data)?;
         }
@@ -672,6 +685,22 @@ mod tests {
             assert_eq!(got, want, "{what}: packets differ");
             assert_eq!(got_stats, want_stats, "{what}: salvage stats differ");
         }
+    }
+
+    /// A cleared capture is a new one with the old buffer: refilled with
+    /// fewer records, it holds exactly those, with no stale tail.
+    #[test]
+    fn clear_keeps_the_buffer_and_drops_every_record() {
+        let packets = sample_packets();
+        let mut cap = Capture::from_packets(&packets).unwrap();
+        assert_eq!(cap.bytes.capacity(), cap.byte_len(), "sized once");
+        let capacity = cap.bytes.capacity();
+        cap.clear();
+        assert_eq!(cap, Capture::new());
+        assert_eq!(cap.bytes.capacity(), capacity);
+        cap.push(packets[1].ts_micros, &packets[1].data).unwrap();
+        assert_eq!(cap, Capture::from_packets(&packets[1..2]).unwrap());
+        assert_eq!(cap.bytes.capacity(), capacity);
     }
 
     #[test]

@@ -72,11 +72,23 @@ pub fn run_power(
     rep: u32,
     start_micros: u64,
 ) -> LabeledExperiment {
+    power_into(db, device, vpn, rep, start_micros, Capture::new())
+}
+
+/// [`run_power`] writing its capture into `cap`.
+pub(crate) fn power_into(
+    db: &GeoDb,
+    device: &DeviceInstance,
+    vpn: bool,
+    rep: u32,
+    start_micros: u64,
+    cap: Capture,
+) -> LabeledExperiment {
     let seed = stable_seed(
         device.spec().name,
         0x1000 ^ u64::from(rep) ^ ((device.site as u64) << 32) ^ ((vpn as u64) << 40),
     );
-    let mut g = TrafficGenerator::new(db, device, vpn, seed, start_micros);
+    let mut g = TrafficGenerator::writing_into(db, device, vpn, seed, start_micros, cap);
     g.power_on();
     // Residual chatter within the two-minute window.
     g.advance_ms(5_000.0);
@@ -107,6 +119,30 @@ pub fn run_interaction(
     rep: u32,
     start_micros: u64,
 ) -> LabeledExperiment {
+    interaction_into(
+        db,
+        device,
+        activity,
+        method,
+        vpn,
+        rep,
+        start_micros,
+        Capture::new(),
+    )
+}
+
+/// [`run_interaction`] writing its capture into `cap`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn interaction_into(
+    db: &GeoDb,
+    device: &DeviceInstance,
+    activity: &ActivitySpec,
+    method: InteractionMethod,
+    vpn: bool,
+    rep: u32,
+    start_micros: u64,
+    cap: Capture,
+) -> LabeledExperiment {
     let seed = stable_seed(
         device.spec().name,
         stable_seed(activity.name, u64::from(rep))
@@ -114,7 +150,7 @@ pub fn run_interaction(
             ^ ((vpn as u64) << 40)
             ^ ((method as u64) << 48),
     );
-    let mut g = TrafficGenerator::new(db, device, vpn, seed, start_micros);
+    let mut g = TrafficGenerator::writing_into(db, device, vpn, seed, start_micros, cap);
     // §6.1: experiments contain traffic unrelated to the interaction
     // (e.g. NTP); the classifier must tolerate it.
     let mut noise = iot_core::rng::StdRng::seed_from_u64(seed ^ 0xA0A0);
@@ -201,11 +237,23 @@ pub fn run_idle(
     hours: f64,
     start_micros: u64,
 ) -> LabeledExperiment {
+    idle_into(db, device, vpn, hours, start_micros, Capture::new())
+}
+
+/// [`run_idle`] writing its capture into `cap`.
+pub(crate) fn idle_into(
+    db: &GeoDb,
+    device: &DeviceInstance,
+    vpn: bool,
+    hours: f64,
+    start_micros: u64,
+    cap: Capture,
+) -> LabeledExperiment {
     let seed = stable_seed(
         device.spec().name,
         0x1D7E ^ ((device.site as u64) << 32) ^ ((vpn as u64) << 40),
     );
-    let mut g = TrafficGenerator::new(db, device, vpn, seed, start_micros);
+    let mut g = TrafficGenerator::writing_into(db, device, vpn, seed, start_micros, cap);
     let spec = device.spec();
     // §7.2: differences in idle power events across labs are explained by
     // "different reliability of the Wi-Fi in the two labs".

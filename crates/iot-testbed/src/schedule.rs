@@ -5,12 +5,17 @@
 //! ≥3× per device, everything repeated in both labs and again over the
 //! VPN, plus ~112 hours of idle capture. [`Campaign`] enumerates the same
 //! grid as work units, one per deployed (lab × device) instance;
-//! [`Campaign::run_unit`] streams one unit's experiments to a consumer so
-//! the whole corpus never has to sit in memory at once.
+//! [`Campaign::lend_unit`] lends one unit's experiments to a consumer so
+//! the whole corpus never has to sit in memory at once. The unit's
+//! experiments are written one after another into one capture buffer,
+//! and each is lent by reference before the next overwrites it, so a
+//! unit's heap traffic does not grow with its packets. A consumer that
+//! keeps experiments takes owned copies through [`Campaign::run_unit`].
 
-use crate::experiment::{run_idle, run_interaction, run_power, LabeledExperiment};
-use crate::lab::{Lab, LabSite};
+use crate::experiment::{idle_into, interaction_into, power_into, LabeledExperiment};
+use crate::lab::{DeviceInstance, Lab, LabSite};
 use iot_geodb::registry::GeoDb;
+use iot_net::pcap::Capture;
 
 /// Scaling knobs for the campaign. Defaults mirror §3.3; tests shrink them.
 #[derive(Debug, Clone, Copy)]
@@ -115,63 +120,85 @@ impl Campaign {
         self.labs.iter().map(|l| l.devices.len()).sum()
     }
 
-    /// Streams every experiment of exactly one work unit (unit `unit` of
+    /// Lends every experiment of exactly one work unit (unit `unit` of
     /// [`Campaign::unit_count`], in the flattened (lab × device) grid
-    /// order): the device's controlled experiments (power +
+    /// order) to `lend`: the device's controlled experiments (power +
     /// interactions) at every egress, then its idle captures. This is
     /// the granularity the pipeline's driver schedules and checkpoints
     /// at: the units partition the campaign, and each unit's experiment
     /// stream is self-contained and deterministic.
     ///
+    /// The unit owns one capture buffer. Each experiment is written into
+    /// it, emptied by [`Capture::clear`], so a capture costs no heap once
+    /// the buffer has grown to the unit's largest; the buffer dies with
+    /// the unit.
+    ///
     /// # Panics
     /// Panics if `unit >= unit_count()`.
-    pub fn run_unit<F: FnMut(LabeledExperiment)>(&self, db: &GeoDb, unit: usize, mut consume: F) {
+    pub fn lend_unit<F: FnMut(&LabeledExperiment)>(&self, db: &GeoDb, unit: usize, mut lend: F) {
         let device = self
             .labs
             .iter()
             .flat_map(|lab| &lab.devices)
             .nth(unit)
             .unwrap_or_else(|| panic!("unit {unit} out of {}", self.unit_count()));
-        let spec = device.spec();
+        let mut buf = Capture::new();
         for &vpn in self.vpn_options() {
-            for rep in 0..self.config.power_reps {
-                consume(run_power(db, device, vpn, rep, 0));
-            }
-            for activity in &spec.activities {
-                for &method in activity.methods {
-                    let reps = if method.is_automated() {
-                        self.config.automated_reps
-                    } else {
-                        self.config.manual_reps
-                    };
-                    for rep in 0..reps {
-                        consume(run_interaction(db, device, activity, method, vpn, rep, 0));
-                    }
-                }
-            }
+            buf = self.lend_controlled(db, device, vpn, self.config.power_reps, buf, &mut lend);
         }
         for &vpn in self.vpn_options() {
-            consume(run_idle(db, device, vpn, self.config.idle_hours, 0));
+            buf = lend_back(
+                &mut lend,
+                idle_into(db, device, vpn, self.config.idle_hours, 0, buf),
+            );
         }
+    }
+
+    /// Streams one work unit's experiments as [`Campaign::lend_unit`]
+    /// lends them, each an owned copy sized to its capture.
+    ///
+    /// # Panics
+    /// Panics if `unit >= unit_count()`.
+    pub fn run_unit<F: FnMut(LabeledExperiment)>(&self, db: &GeoDb, unit: usize, mut consume: F) {
+        self.lend_unit(db, unit, |exp| consume(exp.clone()));
     }
 
     /// Streams the training corpus of one device at one egress (`vpn`):
     /// `max(power_reps, automated_reps)` power experiments, more than
     /// the grid's `power_reps` (40 against 3 at the default config),
     /// then every interaction at its grid repetitions. Used to train
-    /// per-device classifiers.
+    /// per-device classifiers. Like [`Campaign::run_unit`], it writes
+    /// into one buffer and hands out owned copies sized to their
+    /// captures.
     pub fn run_device<F: FnMut(LabeledExperiment)>(
         &self,
         db: &GeoDb,
-        device: &crate::lab::DeviceInstance,
+        device: &DeviceInstance,
         vpn: bool,
         mut consume: F,
     ) {
-        let spec = device.spec();
-        for rep in 0..self.config.power_reps.max(self.config.automated_reps) {
-            consume(run_power(db, device, vpn, rep, 0));
+        let power_reps = self.config.power_reps.max(self.config.automated_reps);
+        self.lend_controlled(db, device, vpn, power_reps, Capture::new(), &mut |exp| {
+            consume(exp.clone())
+        });
+    }
+
+    /// Lends one device's controlled experiments at one egress,
+    /// `power_reps` power experiments and then every interaction at its
+    /// grid repetitions, each written into `buf`; returns the buffer.
+    fn lend_controlled(
+        &self,
+        db: &GeoDb,
+        device: &DeviceInstance,
+        vpn: bool,
+        power_reps: u32,
+        mut buf: Capture,
+        lend: &mut impl FnMut(&LabeledExperiment),
+    ) -> Capture {
+        for rep in 0..power_reps {
+            buf = lend_back(lend, power_into(db, device, vpn, rep, 0, buf));
         }
-        for activity in &spec.activities {
+        for activity in &device.spec().activities {
             for &method in activity.methods {
                 let reps = if method.is_automated() {
                     self.config.automated_reps
@@ -179,11 +206,22 @@ impl Campaign {
                     self.config.manual_reps
                 };
                 for rep in 0..reps {
-                    consume(run_interaction(db, device, activity, method, vpn, rep, 0));
+                    buf = lend_back(
+                        lend,
+                        interaction_into(db, device, activity, method, vpn, rep, 0, buf),
+                    );
                 }
             }
         }
+        buf
     }
+}
+
+/// Lends `exp`, then takes its capture back as the buffer the next
+/// experiment is written into.
+fn lend_back(lend: &mut impl FnMut(&LabeledExperiment), exp: LabeledExperiment) -> Capture {
+    lend(&exp);
+    exp.capture
 }
 
 #[cfg(test)]
@@ -265,8 +303,10 @@ mod tests {
     /// Pins every synthesized capture byte. The grid covers all 81
     /// deployed devices, both egresses and idle; the digest is FNV-1a
     /// over the concatenated `capture.as_bytes()` of every experiment in
-    /// `run_unit` order. Any change to frame encoding, payload
-    /// generation or RNG draw order moves it.
+    /// unit order. Any change to frame encoding, payload generation or
+    /// RNG draw order moves it. Both walks must read it: the owned copies
+    /// of `run_unit`, and `lend_unit`'s one buffer, whose captures shrink
+    /// and grow within each unit, so a stale tail would move it too.
     #[test]
     fn capture_bytes_pinned_across_grid() {
         let db = GeoDb::new();
@@ -277,23 +317,29 @@ mod tests {
             idle_hours: 0.1,
             include_vpn: true,
         });
-        let (mut experiments, mut packets, mut bytes) = (0u64, 0u64, 0u64);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for unit in 0..campaign.unit_count() {
-            campaign.run_unit(&db, unit, |exp| {
-                experiments += 1;
-                packets += exp.capture.record_count() as u64;
-                bytes += exp.capture.byte_len() as u64;
-                for &b in exp.capture.as_bytes() {
-                    digest ^= u64::from(b);
-                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            });
+        type Walk = fn(&Campaign, &GeoDb, usize, &mut dyn FnMut(&LabeledExperiment));
+        let owned: Walk = |c, db, unit, f| c.run_unit(db, unit, |exp| f(&exp));
+        let lent: Walk = |c, db, unit, f| c.lend_unit(db, unit, f);
+        for (walk, name) in [(owned, "run_unit"), (lent, "lend_unit")] {
+            let (mut experiments, mut packets, mut bytes) = (0u64, 0u64, 0u64);
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for unit in 0..campaign.unit_count() {
+                walk(&campaign, &db, unit, &mut |exp| {
+                    experiments += 1;
+                    packets += exp.capture.record_count() as u64;
+                    bytes += exp.capture.byte_len() as u64;
+                    for &b in exp.capture.as_bytes() {
+                        digest ^= u64::from(b);
+                        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                });
+            }
+            assert_eq!(
+                (experiments, packets, bytes, format!("{digest:016x}")),
+                (1_204, 56_045, 24_694_930, "4d99d5e448b73be9".to_string()),
+                "{name}"
+            );
         }
-        assert_eq!(
-            (experiments, packets, bytes, format!("{digest:016x}")),
-            (1_204, 56_045, 24_694_930, "4d99d5e448b73be9".to_string())
-        );
     }
 
     #[test]

@@ -104,6 +104,22 @@ impl<'a> TrafficGenerator<'a> {
         seed: u64,
         start_micros: u64,
     ) -> Self {
+        Self::writing_into(db, device, vpn, seed, start_micros, Capture::new())
+    }
+
+    /// [`TrafficGenerator::new`] writing into `cap`, emptied first: a
+    /// buffer lent from capture to capture keeps its capacity, so the
+    /// capture does not regrow from empty. [`TrafficGenerator::finish`]
+    /// hands it back.
+    pub(crate) fn writing_into(
+        db: &'a GeoDb,
+        device: &'a DeviceInstance,
+        vpn: bool,
+        seed: u64,
+        start_micros: u64,
+        mut cap: Capture,
+    ) -> Self {
+        cap.clear();
         let egress = device.site.egress(vpn);
         TrafficGenerator {
             db,
@@ -112,7 +128,7 @@ impl<'a> TrafficGenerator<'a> {
             identity: identity_of(device),
             rng: StdRng::seed_from_u64(seed),
             now: start_micros,
-            cap: Capture::new(),
+            cap,
             scratch: Vec::new(),
             resolved: HashMap::new(),
             conns: HashMap::new(),
