@@ -78,25 +78,46 @@ impl IngestStats {
         *self.stage_errors.entry(stage).or_insert(0) += 1;
     }
 
+    /// The ledger's counters with their names, in report order: the one
+    /// list that [`IngestStats::merge`], the JSON report, the journal
+    /// codec and the pipeline's metric mirror read.
+    pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); 15] {
+        [
+            ("packets_generated", &mut self.packets_generated),
+            ("packets_duplicated", &mut self.packets_duplicated),
+            ("packets_dropped", &mut self.packets_dropped),
+            ("packets_lost", &mut self.packets_lost),
+            ("packets_ingested", &mut self.packets_ingested),
+            ("packets_quarantined", &mut self.packets_quarantined),
+            ("packets_truncated", &mut self.packets_truncated),
+            ("packets_unparseable", &mut self.packets_unparseable),
+            ("records_corrupted", &mut self.records_corrupted),
+            ("salvage_resyncs", &mut self.salvage_resyncs),
+            ("salvage_bytes_skipped", &mut self.salvage_bytes_skipped),
+            ("torn_tail_bytes", &mut self.torn_tail_bytes),
+            ("experiments_ingested", &mut self.experiments_ingested),
+            ("experiments_quarantined", &mut self.experiments_quarantined),
+            ("shards_quarantined", &mut self.shards_quarantined),
+        ]
+    }
+
+    /// The names and values of [`IngestStats::counters_mut`], read off a
+    /// copy of the counters (an empty stage map allocates nothing).
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 15] {
+        let mut copy = IngestStats {
+            stage_errors: BTreeMap::new(),
+            ..*self
+        };
+        copy.counters_mut().map(|(name, value)| (name, *value))
+    }
+
     /// Folds another shard's ledger into this one. Addition only, so
     /// merging is associative and commutative — the contract that keeps
     /// serial and parallel reports byte-identical.
     pub fn merge(&mut self, other: &IngestStats) {
-        self.packets_generated += other.packets_generated;
-        self.packets_duplicated += other.packets_duplicated;
-        self.packets_dropped += other.packets_dropped;
-        self.packets_lost += other.packets_lost;
-        self.packets_ingested += other.packets_ingested;
-        self.packets_quarantined += other.packets_quarantined;
-        self.packets_truncated += other.packets_truncated;
-        self.packets_unparseable += other.packets_unparseable;
-        self.records_corrupted += other.records_corrupted;
-        self.salvage_resyncs += other.salvage_resyncs;
-        self.salvage_bytes_skipped += other.salvage_bytes_skipped;
-        self.torn_tail_bytes += other.torn_tail_bytes;
-        self.experiments_ingested += other.experiments_ingested;
-        self.experiments_quarantined += other.experiments_quarantined;
-        self.shards_quarantined += other.shards_quarantined;
+        for ((_, mine), (_, theirs)) in self.counters_mut().into_iter().zip(other.counters()) {
+            *mine += theirs;
+        }
         for (stage, n) in &other.stage_errors {
             *self.stage_errors.entry(stage).or_insert(0) += n;
         }
@@ -128,30 +149,9 @@ impl IngestStats {
 impl ToJson for IngestStats {
     fn to_json(&self) -> Json {
         let mut j = Json::obj();
-        j.set("packets_generated", self.packets_generated.to_json());
-        j.set("packets_duplicated", self.packets_duplicated.to_json());
-        j.set("packets_dropped", self.packets_dropped.to_json());
-        j.set("packets_lost", self.packets_lost.to_json());
-        j.set("packets_ingested", self.packets_ingested.to_json());
-        j.set("packets_quarantined", self.packets_quarantined.to_json());
-        j.set("packets_truncated", self.packets_truncated.to_json());
-        j.set("packets_unparseable", self.packets_unparseable.to_json());
-        j.set("records_corrupted", self.records_corrupted.to_json());
-        j.set("salvage_resyncs", self.salvage_resyncs.to_json());
-        j.set(
-            "salvage_bytes_skipped",
-            self.salvage_bytes_skipped.to_json(),
-        );
-        j.set("torn_tail_bytes", self.torn_tail_bytes.to_json());
-        j.set(
-            "experiments_ingested",
-            self.experiments_ingested.to_json(),
-        );
-        j.set(
-            "experiments_quarantined",
-            self.experiments_quarantined.to_json(),
-        );
-        j.set("shards_quarantined", self.shards_quarantined.to_json());
+        for (name, value) in self.counters() {
+            j.set(name, value.to_json());
+        }
         let mut errs = Json::obj();
         for (stage, n) in &self.stage_errors {
             errs.set(stage, n.to_json());

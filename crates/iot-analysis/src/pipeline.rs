@@ -16,7 +16,16 @@
 //! calling thread runs worker 0, so a 1-worker run spawns no
 //! thread; [`Pipeline::run_campaign`] is that 1-worker run with default
 //! [`SupervisorConfig`] knobs. [`Pipeline::ingest_experiments`] feeds a
-//! caller's experiment stream through the same worker and the same fold.
+//! caller's experiment stream through the same worker and the same fold;
+//! captures read back from disk (`iot_testbed::capture::read_experiments`,
+//! `moniotr analyze`) take that path, so a file and a campaign run the
+//! same analyses.
+//!
+//! Each experiment's analyses are flow reconstruction and then one
+//! per-flow loop (`analyze_flows`) that feeds every flow to destination
+//! mapping, encryption classification and the PII scan, with their
+//! per-experiment context built once before it. It is the only place
+//! those three stages see a flow, and the zero-allocation test runs it.
 //!
 //! A worker keeps its result-neutral state — memo caches and its metric
 //! registry — for its whole run, while the report-bearing accumulators
@@ -40,9 +49,14 @@
 //! `iot_obs::folded_stacks` renders as a profile; counters for
 //! experiments, packets, flows, total/per-[`EncryptionClass`] bytes, and
 //! PII findings; histograms of per-experiment packet and per-flow byte
-//! sizes; and per-worker load gauges (`worker.N.experiments`). Each
-//! worker records into its own registry, and the registries merge into
-//! the pipeline's when the workers end. [`Pipeline::finish_with_obs`]
+//! sizes; and per-worker load gauges (`worker.N.experiments`). Every
+//! span is measured by the one stage meter, `iot_obs::Meter` (time, plus
+//! heap traffic while the allocator counts): inside a guard for nested
+//! regions, held by hand for `shard`, `shard/synth` and `shard/journal`,
+//! and summed over an experiment's flows for the three per-flow stages,
+//! each recorded once per experiment. Each worker records into its own
+//! registry, and the registries merge into the pipeline's when the
+//! workers end. [`Pipeline::finish_with_obs`]
 //! returns the merged registry for report emission; the pipeline report
 //! itself is byte-identical with observability on or off.
 //!
@@ -75,10 +89,10 @@
 //! the JSON): what completed and what was quarantined, per lab × device.
 
 use crate::destinations::{ColumnCtx, DestCtx, DestinationAnalysis};
-use crate::encryption::{ClassBytes, EncryptionAnalysis};
-use crate::flows::{ExperimentFlows, LabelCtx};
+use crate::encryption::{ClassBytes, EncryptionAnalysis, Table8Row};
+use crate::flows::{ExperimentFlows, LabelCtx, LabeledFlow};
 use crate::ingest::IngestStats;
-use crate::pii::{findings_for_flow, scan_flow, PatternCache, PiiFinding};
+use crate::pii::{findings_for_flow, scan_flow, PatternCache, PiiFinding, PiiPatterns};
 use crate::supervise::{
     campaign_fingerprint, read_journal, unit_identities, Coverage, CoverageOutcome, JournalError,
     JournalWriter, SuperviseSummary, SupervisorConfig, UnitDelta,
@@ -89,7 +103,7 @@ use iot_entropy::EncryptionClass;
 use iot_geodb::party::PartyType;
 use iot_geodb::registry::GeoDb;
 use iot_net::pcap::{Capture, PcapCursor, GLOBAL_HEADER_LEN};
-use iot_obs::{AllocStats, Registry};
+use iot_obs::{Meter, Registry};
 use iot_protocols::analyzer::ProtocolId;
 use iot_testbed::catalog;
 use iot_testbed::experiment::LabeledExperiment;
@@ -101,7 +115,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Message carried by chaos-injected ingest panics, so logs can tell a
 /// drill from a real defect.
@@ -235,28 +248,30 @@ struct Worker {
     obs: Registry,
     /// Experiments ingested by this worker's folded units.
     experiments: u64,
-    started: Instant,
+    /// The worker's whole run: `shard`.
+    shard: Meter,
 }
 
 impl Worker {
     /// Sets worker `idx` up on the calling thread.
     fn new(idx: usize, ctx: &RunCtx<'_>) -> Self {
+        let obs = Registry::with_enabled(ctx.obs_enabled);
         Worker {
             idx,
+            shard: Meter::started(&obs),
             label_ctx: LabelCtx::new(),
             pii_patterns: PatternCache::new(),
-            obs: Registry::with_enabled(ctx.obs_enabled),
+            obs,
             experiments: 0,
-            started: Instant::now(),
         }
     }
 
     /// Stamps the worker's run time and gauges, and hands back its
     /// registry for merging.
     fn finish(self) -> Registry {
-        // Timed by hand: a guard cannot borrow the registry the worker
-        // owns. Its children are recorded by full path, `shard/…`.
-        self.obs.record_ns("shard", self.started.elapsed());
+        // A meter, not a guard: a guard cannot borrow the registry the
+        // worker owns. Its children are recorded by full path, `shard/…`.
+        self.shard.record(&self.obs, "shard");
         if self.obs.enabled() {
             let idx = self.idx;
             self.obs.set_gauge(
@@ -303,28 +318,19 @@ impl Worker {
     /// experiment is borrowed: only a faulted run builds a degraded copy
     /// to analyze instead.
     fn ingest(&mut self, ctx: &RunCtx<'_>, acc: &mut UnitDelta, exp: &LabeledExperiment) {
+        // Split the borrow: the span guard pins `obs` (shared) for the
+        // whole ingest while the quarantine closure below captures the
+        // caches mutably.
         let Worker {
             label_ctx,
             pii_patterns,
             obs,
             ..
         } = self;
-        // Split the borrow: the span guard pins `obs` (shared) for the
-        // whole ingest while the quarantine closure below captures the
-        // accumulators mutably.
-        let UnitDelta {
-            destinations,
-            encryption,
-            pii,
-            ingest,
-            coverage,
-            experiments,
-            ..
-        } = acc;
         let site = exp.site;
         let device = exp.device_name;
         let _ingest_span = obs.span("shard/ingest");
-        ingest.packets_generated += exp.packet_count() as u64;
+        acc.ingest.packets_generated += exp.packet_count() as u64;
         let mut inject_panic = false;
         let degraded;
         let exp = match ctx.fault {
@@ -340,7 +346,7 @@ impl Worker {
                     experiment_fault_key(exp)
                 };
                 inject_panic = inj.should_panic(fkey);
-                degraded = degrade_capture(inj, fkey, exp, ingest, obs);
+                degraded = degrade_capture(inj, fkey, exp, &mut acc.ingest, obs);
                 &degraded
             }
         };
@@ -350,37 +356,28 @@ impl Worker {
         // injected panic fires before any accumulator or obs mutation,
         // so a quarantined experiment contributes exactly nothing and
         // the report stays deterministic.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let ran = catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("{INJECTED_PANIC_MSG}");
             }
-            analyze_experiment(
-                ctx.db,
-                ctx.identities,
-                destinations,
-                encryption,
-                pii,
-                label_ctx,
-                pii_patterns,
-                ingest,
-                obs,
-                exp,
-            );
+            analyze_experiment(ctx, label_ctx, pii_patterns, acc, obs, exp);
         }));
-        match outcome {
+        let ingest = &mut acc.ingest;
+        let outcome = match ran {
             Ok(()) => {
                 ingest.packets_ingested += salvaged;
                 ingest.experiments_ingested += 1;
-                *experiments += 1;
-                coverage.record(site, device, CoverageOutcome::Completed);
+                acc.experiments += 1;
+                CoverageOutcome::Completed
             }
             Err(_) => {
                 ingest.add_stage_error("ingest_panic");
                 ingest.packets_quarantined += salvaged;
                 ingest.experiments_quarantined += 1;
-                coverage.record(site, device, CoverageOutcome::Quarantined);
+                CoverageOutcome::Quarantined
             }
-        }
+        };
+        acc.coverage.record(site, device, outcome);
     }
 }
 
@@ -465,33 +462,17 @@ fn degrade_capture(
     }
 }
 
-/// The per-experiment analysis stages, operating on the worker's caches
-/// and the unit's accumulators. A free function (not a `Worker` method)
-/// so the quarantine closure can capture the fields disjointly from the
-/// live ingest span.
-///
-/// Fused single pass: flow reconstruction still materializes the
-/// experiment's `Vec<LabeledFlow>` once (several analyses borrow each
-/// flow), but destination mapping, encryption classification, and the
-/// PII scan then run per flow in one loop — no per-stage re-traversal,
-/// and per-experiment stage context (destination labeling inputs, Table 8
-/// rows, compiled PII patterns) hoisted out of the flow loop. Each
-/// accumulator still sees exactly the flow subsequence, in exactly the
-/// order, the staged loops fed it, so reports are byte-identical.
-///
-/// Stage timing moves from per-stage spans to per-flow accumulation
-/// recorded once per experiment via `Registry::record_ns` under the
-/// stages' `shard/ingest/…` paths.
-#[allow(clippy::too_many_arguments)]
+/// One experiment's analyses into the unit accumulator `acc`: flow
+/// reconstruction materializes the experiment's flows once (several
+/// stages borrow each flow), then [`analyze_flows`] runs the per-flow
+/// stages over them in one pass. A free function (not a `Worker`
+/// method) so the quarantine closure can capture the worker's caches
+/// disjointly from the live ingest span.
 fn analyze_experiment(
-    db: &GeoDb,
-    identities: &Identities,
-    destinations: &mut DestinationAnalysis,
-    encryption: &mut EncryptionAnalysis,
-    pii: &mut Vec<PiiFinding>,
+    run: &RunCtx<'_>,
     label_ctx: &mut LabelCtx,
     pii_patterns: &mut PatternCache,
-    ledger: &mut IngestStats,
+    acc: &mut UnitDelta,
     obs: &Registry,
     exp: &LabeledExperiment,
 ) {
@@ -505,99 +486,98 @@ fn analyze_experiment(
     if flows.unparsed_packets > 0 {
         // Frames salvage recovered but frame parsing rejected: still
         // ingested, classified as unparseable rather than erroring out.
-        ledger.packets_unparseable += flows.unparsed_packets;
-        ledger.add_stage_error("flows_parse");
+        acc.ingest.packets_unparseable += flows.unparsed_packets;
+        acc.ingest.add_stage_error("flows_parse");
     }
     obs.add("flows", flows.flows.len() as u64);
     obs.add("bytes", flows.total_bytes());
-    // Per-experiment stage context, hoisted out of the flow loop.
-    let dest_ctx = DestCtx::of(exp);
-    let enc_rows = EncryptionAnalysis::rows_of(exp);
-    let identity = identities.get(&(exp.device_name, exp.site));
-    let spec = catalog::by_name(exp.device_name);
-    let scan = match (identity, spec) {
-        (Some(identity), Some(spec)) => Some((
-            pii_patterns.get(exp.device_name, exp.site, identity),
-            spec.manufacturer_org,
-        )),
-        _ => None,
-    };
-    let pii_before = pii.len();
-    let timing = obs.enabled();
-    // Per-stage heap accounting rides the same accumulate-then-record
-    // shape as the timers: snapshot the thread's allocator counters
-    // around each stage call, sum the deltas, record once per
-    // experiment. Only paid when the instrumented allocator is counting.
-    let counting = timing && iot_obs::alloc::enabled();
-    let mut dest_ns = Duration::ZERO;
-    let mut enc_ns = Duration::ZERO;
-    let mut pii_ns = Duration::ZERO;
-    let mut dest_alloc = AllocStats::default();
-    let mut enc_alloc = AllocStats::default();
-    let mut pii_alloc = AllocStats::default();
-    let mut enc_tally = ClassBytes::default();
-    for lf in &flows.flows {
-        if timing {
+    if obs.enabled() {
+        for lf in &flows.flows {
             obs.observe("flow_bytes", lf.flow.total_bytes());
         }
-        // The paper's destination and PII analyses skip LAN-side
-        // infrastructure chatter (ExperimentFlows::internet_flows).
+    }
+    let ctx = FlowCtx::of(exp, run.identities, pii_patterns);
+    let pii_before = acc.pii.len();
+    let tally = analyze_flows(&ctx, run.db, &flows.flows, acc, obs);
+    acc.encryption.add_sample(exp, &tally);
+    if ctx.scan.is_some() {
+        obs.add("pii_findings", (acc.pii.len() - pii_before) as u64);
+    }
+}
+
+/// What the per-flow stages need of one experiment, built once before
+/// its flow loop: the destination labeling inputs, the experiment's
+/// Table 8 rows, and the compiled PII patterns with the manufacturer's
+/// organization (`None` for a device without an identity: no scan).
+struct FlowCtx<'a> {
+    exp: &'a LabeledExperiment,
+    dest: Option<DestCtx>,
+    rows: Vec<Table8Row>,
+    scan: Option<(&'a PiiPatterns, &'static str)>,
+}
+
+impl<'a> FlowCtx<'a> {
+    fn of(
+        exp: &'a LabeledExperiment,
+        identities: &Identities,
+        pii_patterns: &'a mut PatternCache,
+    ) -> Self {
+        let identity = identities.get(&(exp.device_name, exp.site));
+        let scan = match (identity, catalog::by_name(exp.device_name)) {
+            (Some(identity), Some(spec)) => Some((
+                pii_patterns.get(exp.device_name, exp.site, identity),
+                spec.manufacturer_org,
+            )),
+            _ => None,
+        };
+        FlowCtx {
+            exp,
+            dest: DestCtx::of(exp),
+            rows: EncryptionAnalysis::rows_of(exp),
+            scan,
+        }
+    }
+}
+
+/// The one per-flow loop: feeds each flow to destination mapping,
+/// encryption classification and the PII scan, in that order, and
+/// returns the experiment's bytes per encryption class. DNS and DHCP
+/// flows, LAN-side infrastructure chatter, skip destinations and PII
+/// (`ExperimentFlows::internet_flows`). Each stage is timed on its own
+/// meter, summed over the flows and recorded once per experiment under
+/// its `shard/ingest/…` path. Once the caches and accumulator keys are
+/// warm, the loop allocates only to build PII findings
+/// (`fused_per_flow_loop_is_allocation_free_after_warmup`).
+fn analyze_flows(
+    ctx: &FlowCtx<'_>,
+    db: &GeoDb,
+    flows: &[LabeledFlow],
+    acc: &mut UnitDelta,
+    obs: &Registry,
+) -> ClassBytes {
+    let mut dest_meter = Meter::new(obs);
+    let mut enc_meter = Meter::new(obs);
+    let mut pii_meter = Meter::new(obs);
+    let mut tally = ClassBytes::default();
+    for lf in flows {
         let internet = !matches!(lf.protocol, ProtocolId::Dns | ProtocolId::Dhcp);
-        if internet {
-            if let Some(ctx) = &dest_ctx {
-                let t = timing.then(Instant::now);
-                let a = counting.then(iot_obs::alloc::thread_snapshot);
-                destinations.add_flow(exp, ctx, lf);
-                if let Some(a) = a {
-                    dest_alloc.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                }
-                if let Some(t) = t {
-                    dest_ns += t.elapsed();
-                }
-            }
+        if let (true, Some(dest)) = (internet, &ctx.dest) {
+            dest_meter.measure(|| acc.destinations.add_flow(ctx.exp, dest, lf));
         }
-        {
-            let t = timing.then(Instant::now);
-            let a = counting.then(iot_obs::alloc::thread_snapshot);
-            encryption.add_flow(exp, &enc_rows, lf, &mut enc_tally);
-            if let Some(a) = a {
-                enc_alloc.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-            }
-            if let Some(t) = t {
-                enc_ns += t.elapsed();
-            }
-        }
-        if internet {
-            if let Some((patterns, manufacturer_org)) = scan {
-                let t = timing.then(Instant::now);
-                let a = counting.then(iot_obs::alloc::thread_snapshot);
+        enc_meter.measure(|| acc.encryption.add_flow(ctx.exp, &ctx.rows, lf, &mut tally));
+        if let (true, Some((patterns, manufacturer_org))) = (internet, ctx.scan) {
+            pii_meter.measure(|| {
                 let hits = scan_flow(patterns, lf);
                 if !hits.is_empty() {
-                    findings_for_flow(db, exp, manufacturer_org, lf, hits, pii);
+                    findings_for_flow(db, ctx.exp, manufacturer_org, lf, hits, &mut acc.pii);
                 }
-                if let Some(a) = a {
-                    pii_alloc.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                }
-                if let Some(t) = t {
-                    pii_ns += t.elapsed();
-                }
-            }
+            });
         }
     }
-    encryption.add_sample(exp, &enc_tally);
-    if timing {
-        obs.record_ns("shard/ingest/destinations", dest_ns);
-        obs.record_ns("shard/ingest/encryption", enc_ns);
-        obs.record_ns("shard/ingest/pii", pii_ns);
-    }
-    if counting {
-        obs.record_alloc("shard/ingest/destinations", dest_alloc);
-        obs.record_alloc("shard/ingest/encryption", enc_alloc);
-        obs.record_alloc("shard/ingest/pii", pii_alloc);
-    }
-    if identity.is_some() {
-        obs.add("pii_findings", (pii.len() - pii_before) as u64);
-    }
+    dest_meter.record(obs, "shard/ingest/destinations");
+    enc_meter.record(obs, "shard/ingest/encryption");
+    pii_meter.record(obs, "shard/ingest/pii");
+    tally
 }
 
 /// The pipeline driver. Owns the registry and the accumulated analyses so
@@ -854,44 +834,24 @@ impl Pipeline {
         // every spawned thread.
         let work = |idx: usize| {
             let mut worker = Worker::new(idx, &ctx);
-            // `shard/synth` and `shard/journal` are timed by hand, and
-            // only when obs is on: synthesis interleaves with
-            // `shard/ingest`, and a guard cannot borrow `worker.obs`
-            // across `recover`. Each also carries its heap traffic when
-            // the allocator counts.
-            let counting = iot_obs::alloc::enabled();
-            let mark = || {
-                ctx.obs_enabled.then(|| {
-                    (
-                        Instant::now(),
-                        counting.then(iot_obs::alloc::thread_snapshot),
-                    )
-                })
-            };
-            let record = |obs: &Registry, path: &str, (from, heap): (Instant, Option<AllocStats>)| {
-                let heap = heap.map(|h| iot_obs::alloc::thread_snapshot().since(&h));
-                obs.record_ns(path, from.elapsed());
-                if let Some(heap) = heap {
-                    obs.record_alloc(path, heap);
-                }
-            };
+            // `shard/synth` and `shard/journal` are meters, not guards:
+            // synthesis interleaves with `shard/ingest`, and a guard
+            // cannot borrow `worker.obs` across `recover`.
             while let Some(&unit) = remaining.get(queue.fetch_add(1, Ordering::AcqRel)) {
                 let mut delta = UnitDelta::new(unit);
                 let ran = catch_unwind(AssertUnwindSafe(|| {
                     // The source synthesizes each experiment before its
                     // callback; that is `shard/synth`.
-                    let mut synth_from = mark();
+                    let mut synth = Meter::started(&worker.obs);
                     source(ctx.db, unit as usize, &mut |exp| {
-                        if let Some(from) = synth_from {
-                            record(&worker.obs, "shard/synth", from);
-                        }
+                        synth.record(&worker.obs, "shard/synth");
                         worker.ingest(&ctx, &mut delta, exp);
-                        synth_from = mark();
+                        synth = Meter::started(&worker.obs);
                     });
                 }));
                 // The sink lock, the journal append, the fold and its live
                 // publication: `shard/journal`, one call per unit run here.
-                let journal_from = mark();
+                let journal = Meter::started(&worker.obs);
                 // Poisoned only by a fold that panicked; the join below
                 // re-raises that panic, so the others just drain the queue.
                 let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
@@ -909,9 +869,7 @@ impl Pipeline {
                     Err(payload) => sink.pipeline.fold(worker.recover(unit, payload.as_ref())),
                 }
                 drop(sink);
-                if let Some(from) = journal_from {
-                    record(&worker.obs, "shard/journal", from);
-                }
+                journal.record(&worker.obs, "shard/journal");
                 if !sup.unit_throttle.is_zero() {
                     // Kill-timing aid for tests; report-neutral.
                     std::thread::sleep(sup.unit_throttle);
@@ -1015,7 +973,7 @@ impl Pipeline {
     /// records corpus-level counters (`bytes_unencrypted` / `_encrypted`
     /// / `_unknown`) so the byte mix survives into the run report.
     pub fn finish_with_obs(self) -> (PipelineReport, Registry) {
-        let start = Instant::now();
+        let finish = self.obs.span("finish");
         if self.obs.enabled() {
             let ingest = &self.ingest;
             let mix = self.encryption.total_bytes_by_class();
@@ -1025,26 +983,15 @@ impl Pipeline {
             // Mirror the ingest ledger as counters, nonzero values only:
             // a clean run's metric report keeps exactly its pre-chaos
             // counter set, while any degradation becomes visible to the
-            // same tooling that reads the rest of the metrics.
-            for (name, value) in [
-                ("ingest.packets_dropped", ingest.packets_dropped),
-                ("ingest.packets_duplicated", ingest.packets_duplicated),
-                ("ingest.packets_lost", ingest.packets_lost),
-                ("ingest.packets_quarantined", ingest.packets_quarantined),
-                ("ingest.packets_truncated", ingest.packets_truncated),
-                ("ingest.packets_unparseable", ingest.packets_unparseable),
-                ("ingest.records_corrupted", ingest.records_corrupted),
-                ("ingest.salvage_resyncs", ingest.salvage_resyncs),
-                ("ingest.salvage_bytes_skipped", ingest.salvage_bytes_skipped),
-                ("ingest.torn_tail_bytes", ingest.torn_tail_bytes),
-                (
-                    "ingest.experiments_quarantined",
-                    ingest.experiments_quarantined,
-                ),
-                ("ingest.shards_quarantined", ingest.shards_quarantined),
-            ] {
-                if value > 0 {
-                    self.obs.add(name, value);
+            // same tooling that reads the rest of the metrics. The three
+            // volume counters stay out: they are non-zero in every run.
+            for (name, value) in ingest.counters() {
+                let volume = matches!(
+                    name,
+                    "packets_generated" | "packets_ingested" | "experiments_ingested"
+                );
+                if value > 0 && !volume {
+                    self.obs.add(&format!("ingest.{name}"), value);
                 }
             }
             for (stage, n) in &ingest.stage_errors {
@@ -1064,7 +1011,7 @@ impl Pipeline {
             }
         }
         let report = self.build_report();
-        self.obs.record_ns("finish", start.elapsed());
+        drop(finish);
         // Campaign memory footprint, stamped once the report exists so
         // the gauges cover the whole run: the allocator's own live/peak
         // view plus the kernel's VmHWM upper bound. Gauges are excluded
@@ -1205,12 +1152,12 @@ mod tests {
         assert_eq!(replay.finish().to_json().dump(), baseline_json);
     }
 
-    /// The PR 6 hot-path invariant, pinned with the PR 7 instrument:
-    /// once the memo caches are warm (interned labels, compiled PII
-    /// patterns, protocol-ID memos, entropy term tables) and the
-    /// accumulator tables have seen every key, the fused per-flow loop
-    /// performs zero heap allocations per flow. Experiments whose scan
-    /// produced PII findings are excluded from the measured PII stage —
+    /// The hot-path invariant: once the memo caches are warm (interned
+    /// labels, compiled PII patterns, protocol-ID memos, entropy term
+    /// tables) and the accumulator tables have seen every key, the
+    /// driver's per-flow loop, [`analyze_flows`], performs zero heap
+    /// allocations per flow, its stage meters included. Experiments
+    /// whose scan produced PII findings run without the PII stage:
     /// constructing a finding allocates by design; that is per-finding
     /// work, not loop overhead.
     #[test]
@@ -1218,113 +1165,65 @@ mod tests {
         let db = GeoDb::new();
         let campaign = Campaign::new(tiny_config());
         let identities = identities_of(campaign.labs());
-        let experiments = all_experiments(&campaign, &db);
-
-        let mut destinations = DestinationAnalysis::new();
-        let mut encryption = EncryptionAnalysis::default();
-        let mut pii: Vec<PiiFinding> = Vec::new();
+        let run = RunCtx {
+            db: &db,
+            identities: &identities,
+            fault: None,
+            obs_enabled: true,
+        };
+        let obs = Registry::with_enabled(true);
         let mut label_ctx = LabelCtx::new();
         let mut pii_patterns = PatternCache::new();
+        let mut acc = UnitDelta::new(0);
 
-        // Warmup pass through the driver's own per-experiment analysis,
-        // which warms every memo and accumulator key; remember each
+        // Warm-up through the driver's own per-experiment analysis, which
+        // warms every memo, accumulator key and span path; remember each
         // experiment's flows and whether it produced findings.
-        let mut ledger = IngestStats::default();
-        let obs = Registry::with_enabled(false);
-        let mut corpus: Vec<(LabeledExperiment, ExperimentFlows, bool)> = Vec::new();
-        for exp in experiments {
-            let pii_before = pii.len();
+        let mut corpus = Vec::new();
+        for exp in all_experiments(&campaign, &db) {
+            let pii_before = acc.pii.len();
             analyze_experiment(
-                &db,
-                &identities,
-                &mut destinations,
-                &mut encryption,
-                &mut pii,
+                &run,
                 &mut label_ctx,
                 &mut pii_patterns,
-                &mut ledger,
+                &mut acc,
                 &obs,
                 &exp,
             );
             let flows = ExperimentFlows::from_experiment_with(&exp, &mut label_ctx);
-            let had_findings = pii.len() > pii_before;
+            let had_findings = acc.pii.len() > pii_before;
             corpus.push((exp, flows, had_findings));
         }
         assert!(corpus.iter().any(|(.., f)| *f), "corpus must exercise PII");
 
-        // Measured pass over the very same flows: per-experiment stage
-        // context is rebuilt *outside* the measurement window (it is
-        // hoisted out of the flow loop in analyze_experiment too), then
-        // the loop itself must not touch the heap.
+        // Measured pass over the very same flows: each experiment's
+        // context is built outside the measurement window, as the driver
+        // builds it outside the loop; the loop itself must not touch the
+        // heap. Its meters charge each stage's traffic to the registry.
+        let stages_before = obs.snapshot().span_allocs;
         let was = iot_obs::alloc::enabled();
         iot_obs::alloc::set_enabled(true);
-        let mut measured = AllocStats::default();
-        let mut stage_dest = AllocStats::default();
-        let mut stage_enc = AllocStats::default();
-        let mut stage_pii = AllocStats::default();
-        let mut flows_measured = 0u64;
+        let mut measured = iot_obs::AllocStats::default();
+        let mut flows_measured = 0;
         for (exp, flows, had_findings) in &corpus {
-            let dest_ctx = DestCtx::of(exp);
-            let enc_rows = EncryptionAnalysis::rows_of(exp);
-            let scan = if *had_findings {
-                None
-            } else {
-                match (
-                    identities.get(&(exp.device_name, exp.site)),
-                    catalog::by_name(exp.device_name),
-                ) {
-                    (Some(identity), Some(spec)) => Some((
-                        pii_patterns.get(exp.device_name, exp.site, identity),
-                        spec.manufacturer_org,
-                    )),
-                    _ => None,
-                }
-            };
-            let mut tally = ClassBytes::default();
-            let before = iot_obs::alloc::thread_snapshot();
-            for lf in &flows.flows {
-                let internet =
-                    !matches!(lf.protocol, ProtocolId::Dns | ProtocolId::Dhcp);
-                if internet {
-                    if let Some(ctx) = &dest_ctx {
-                        let a = iot_obs::alloc::thread_snapshot();
-                        destinations.add_flow(exp, ctx, lf);
-                        stage_dest.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                    }
-                }
-                {
-                    let a = iot_obs::alloc::thread_snapshot();
-                    encryption.add_flow(exp, &enc_rows, lf, &mut tally);
-                    stage_enc.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                }
-                if internet {
-                    if let Some((patterns, manufacturer_org)) = scan {
-                        let a = iot_obs::alloc::thread_snapshot();
-                        let hits = scan_flow(patterns, lf);
-                        if !hits.is_empty() {
-                            findings_for_flow(
-                                &db,
-                                exp,
-                                manufacturer_org,
-                                lf,
-                                hits,
-                                &mut pii,
-                            );
-                        }
-                        stage_pii.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                    }
-                }
-                flows_measured += 1;
+            let mut ctx = FlowCtx::of(exp, &identities, &mut pii_patterns);
+            if *had_findings {
+                ctx.scan = None;
             }
+            let before = iot_obs::alloc::thread_snapshot();
+            analyze_flows(&ctx, &db, &flows.flows, &mut acc, &obs);
             measured.merge(&iot_obs::alloc::thread_snapshot().since(&before));
+            flows_measured += flows.flows.len();
         }
         iot_obs::alloc::set_enabled(was);
         assert!(flows_measured > 1000, "need a real corpus: {flows_measured}");
         assert_eq!(
-            measured.allocs, 0,
-            "fused per-flow loop must be allocation-free after warmup \
-             ({flows_measured} flows): {measured:?}\n dest: {stage_dest:?}\n \
-             enc: {stage_enc:?}\n pii: {stage_pii:?}"
+            measured.allocs,
+            0,
+            "the per-flow loop must be allocation-free after warm-up \
+             ({flows_measured} flows): {measured:?}\n stages before: \
+             {stages_before:?}\n stages after: {:?}",
+            obs.snapshot().span_allocs
         );
         assert_eq!(measured.bytes_allocated, 0);
     }

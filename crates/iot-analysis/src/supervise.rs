@@ -485,24 +485,8 @@ pub struct UnitDelta {
 }
 
 fn encode_ingest(w: &mut ByteWriter, s: &IngestStats) {
-    for v in [
-        s.packets_generated,
-        s.packets_duplicated,
-        s.packets_dropped,
-        s.packets_lost,
-        s.packets_ingested,
-        s.packets_quarantined,
-        s.packets_truncated,
-        s.packets_unparseable,
-        s.records_corrupted,
-        s.salvage_resyncs,
-        s.salvage_bytes_skipped,
-        s.torn_tail_bytes,
-        s.experiments_ingested,
-        s.experiments_quarantined,
-        s.shards_quarantined,
-    ] {
-        w.u64(v);
+    for (_, value) in s.counters() {
+        w.u64(value);
     }
     w.u32(s.stage_errors.len() as u32);
     for (stage, n) in &s.stage_errors {
@@ -512,24 +496,10 @@ fn encode_ingest(w: &mut ByteWriter, s: &IngestStats) {
 }
 
 fn decode_ingest(r: &mut ByteReader<'_>) -> Result<IngestStats, DecodeErr> {
-    let mut s = IngestStats {
-        packets_generated: r.u64()?,
-        packets_duplicated: r.u64()?,
-        packets_dropped: r.u64()?,
-        packets_lost: r.u64()?,
-        packets_ingested: r.u64()?,
-        packets_quarantined: r.u64()?,
-        packets_truncated: r.u64()?,
-        packets_unparseable: r.u64()?,
-        records_corrupted: r.u64()?,
-        salvage_resyncs: r.u64()?,
-        salvage_bytes_skipped: r.u64()?,
-        torn_tail_bytes: r.u64()?,
-        experiments_ingested: r.u64()?,
-        experiments_quarantined: r.u64()?,
-        shards_quarantined: r.u64()?,
-        ..IngestStats::default()
-    };
+    let mut s = IngestStats::default();
+    for (_, value) in s.counters_mut() {
+        *value = r.u64()?;
+    }
     let n = r.u32()?;
     for _ in 0..n {
         let stage = intern_stage(&r.str()?)?;
@@ -978,11 +948,6 @@ pub fn campaign_fingerprint(
             ] {
                 w.u64(rate.to_bits());
             }
-            w.u32(p.burst_len.0);
-            w.u32(p.burst_len.1);
-            w.u64(p.snaplen as u64);
-            w.u64(p.reorder_window as u64);
-            w.u64(p.skew_max_micros);
             w.bool(p.rep_invariant_fault_keys);
         }
     }

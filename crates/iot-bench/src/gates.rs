@@ -37,8 +37,9 @@ const MAX_PEAK_RSS_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Counters every stage of the pipeline feeds.
 const STAGE_COUNTERS: [&str; 4] = ["experiments", "packets", "flows", "bytes"];
-/// Spans whose heap traffic must be attributed while counting is on.
-const CHARGED_SPANS: [&str; 2] = ["shard/synth", "shard/ingest"];
+/// Spans whose heap traffic must be attributed while counting is on:
+/// the worker's run, synthesis and ingest under it, and the report build.
+const CHARGED_SPANS: [&str; 4] = ["shard", "shard/synth", "shard/ingest", "finish"];
 
 /// The run report's text parses through the in-tree parser and
 /// re-serializes to the same bytes.
@@ -108,7 +109,7 @@ pub fn span_tree(snap: &Snapshot) -> Verdict {
     ))
 }
 
-/// Heap traffic is attributed to the synthesis and ingest spans, and the
+/// Heap traffic is attributed to every span of [`CHARGED_SPANS`], and the
 /// end-of-run allocator gauge is present.
 pub fn span_allocs(snap: &Snapshot) -> Verdict {
     let mut line = Vec::new();

@@ -1,6 +1,6 @@
 //! The fault injector: applies a [`FaultPlan`] to one capture stream.
 
-use crate::plan::FaultPlan;
+use crate::plan::{FaultPlan, BURST_LEN, REORDER_WINDOW, SKEW_MAX_MICROS, SNAPLEN};
 use iot_core::rng::StdRng;
 use iot_net::packet::Packet;
 use iot_net::pcap::{Capture, GLOBAL_HEADER_LEN, MAX_TS_MICROS, RECORD_HEADER_LEN};
@@ -32,7 +32,7 @@ pub struct FaultStats {
     pub packets_dropped: u64,
     /// Extra copies inserted by duplication.
     pub packets_duplicated: u64,
-    /// Records cut to the plan's snaplen (`incl_len < orig_len`).
+    /// Records cut to the snaplen (`incl_len < orig_len`).
     pub packets_truncated: u64,
     /// Packets whose payload had bits flipped.
     pub packets_bitflipped: u64,
@@ -169,8 +169,7 @@ impl FaultInjector {
                 continue;
             }
             if plan.burst_rate > 0.0 && rng.gen_bool(plan.burst_rate) {
-                let (lo, hi) = plan.burst_len;
-                burst_remaining = rng.gen_range(lo.min(hi)..=hi.max(lo)).saturating_sub(1);
+                burst_remaining = rng.gen_range(BURST_LEN.0..=BURST_LEN.1) - 1;
                 stats.packets_dropped += 1;
                 continue;
             }
@@ -181,14 +180,12 @@ impl FaultInjector {
             let orig_len = frame.len() as u32;
             let mut ts_micros = ts;
             let mut data = frame;
-            if plan.truncate_rate > 0.0
-                && data.len() > plan.snaplen
-                && rng.gen_bool(plan.truncate_rate)
+            if plan.truncate_rate > 0.0 && data.len() > SNAPLEN && rng.gen_bool(plan.truncate_rate)
             {
                 // Truncation narrows the borrow; no copy needed.
                 match data {
-                    Cow::Borrowed(b) => data = Cow::Borrowed(&b[..plan.snaplen]),
-                    Cow::Owned(ref mut v) => v.truncate(plan.snaplen),
+                    Cow::Borrowed(b) => data = Cow::Borrowed(&b[..SNAPLEN]),
+                    Cow::Owned(ref mut v) => v.truncate(SNAPLEN),
                 }
                 stats.packets_truncated += 1;
             }
@@ -200,8 +197,8 @@ impl FaultInjector {
                 }
                 stats.packets_bitflipped += 1;
             }
-            if plan.skew_rate > 0.0 && plan.skew_max_micros > 0 && rng.gen_bool(plan.skew_rate) {
-                let delta = rng.gen_range(1..=plan.skew_max_micros);
+            if plan.skew_rate > 0.0 && rng.gen_bool(plan.skew_rate) {
+                let delta = rng.gen_range(1..=SKEW_MAX_MICROS);
                 // Half the skew events step the clock backwards.
                 ts_micros = if rng.gen_bool(0.5) {
                     ts_micros.saturating_sub(delta)
@@ -225,10 +222,10 @@ impl FaultInjector {
             }
             out.push(rec);
         }
-        if plan.reorder_rate > 0.0 && plan.reorder_window > 0 && out.len() > 1 {
+        if plan.reorder_rate > 0.0 && out.len() > 1 {
             for i in 0..out.len() {
                 if rng.gen_bool(plan.reorder_rate) {
-                    let j = (i + rng.gen_range(1..=plan.reorder_window)).min(out.len() - 1);
+                    let j = (i + rng.gen_range(1..=REORDER_WINDOW)).min(out.len() - 1);
                     if j != i {
                         out.swap(i, j);
                         stats.packets_reordered += 1;
@@ -409,7 +406,6 @@ mod tests {
         let pkt = Packet::new(MAX_TS_MICROS - 2, vec![0xAB; 64]);
         let inj = FaultInjector::new(FaultPlan {
             skew_rate: 1.0,
-            skew_max_micros: 1_000_000,
             ..FaultPlan::clean(3)
         });
         // Try several keys so at least one draws a forward skew.

@@ -1,4 +1,15 @@
-//! The fault model: which degradations to apply, and how often.
+//! The fault model: which degradations to apply, and how often. A plan
+//! sets the seed and the rates; the shape of each fault is fixed.
+
+/// Inclusive range of a drop burst's length, in packets.
+pub(crate) const BURST_LEN: (u32, u32) = (2, 8);
+/// The capture cap a truncation fault applies, in bytes.
+pub(crate) const SNAPLEN: usize = 96;
+/// Maximum displacement of a reordered packet, in packets.
+pub(crate) const REORDER_WINDOW: usize = 4;
+/// Maximum absolute timestamp perturbation of a skew fault, in
+/// microseconds.
+pub(crate) const SKEW_MAX_MICROS: u64 = 2_000_000;
 
 /// A seeded, declarative description of capture degradation. All rates
 /// are probabilities in `[0, 1]`; a rate of zero disables that fault
@@ -12,30 +23,24 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Per-packet probability of a uniform (isolated) drop.
     pub drop_rate: f64,
-    /// Per-packet probability that a drop *burst* starts here.
+    /// Per-packet probability that a drop *burst* of 2–8 packets starts
+    /// here.
     pub burst_rate: f64,
-    /// Inclusive range of burst lengths in packets.
-    pub burst_len: (u32, u32),
-    /// Per-packet probability of snaplen truncation
+    /// Per-packet probability of snaplen truncation to 96 bytes
     /// (`incl_len < orig_len`, like tcpdump `-s`).
     pub truncate_rate: f64,
-    /// Capture cap applied by a truncation fault, in bytes.
-    pub snaplen: usize,
     /// Per-packet probability of duplication.
     pub duplicate_rate: f64,
-    /// Per-packet probability of being displaced forward in the stream.
+    /// Per-packet probability of being displaced forward in the stream,
+    /// by up to 4 packets.
     pub reorder_rate: f64,
-    /// Maximum displacement (in packets) of a reordered packet.
-    pub reorder_window: usize,
     /// Per-packet probability of payload bit corruption (1–4 flipped
     /// bits somewhere in the frame).
     pub bitflip_rate: f64,
-    /// Per-packet probability of timestamp skew; half of skew events
-    /// step the clock *backwards* (regression), so faulted captures are
-    /// not monotonic.
+    /// Per-packet probability of timestamp skew by up to 2 s; half of
+    /// skew events step the clock *backwards* (regression), so faulted
+    /// captures are not monotonic.
     pub skew_rate: f64,
-    /// Maximum absolute timestamp perturbation, in microseconds.
-    pub skew_max_micros: u64,
     /// Per-record probability that the 16-byte pcap record header is
     /// garbled on disk (random bytes overwritten).
     pub corrupt_header_rate: f64,
@@ -63,15 +68,11 @@ impl FaultPlan {
             seed,
             drop_rate: 0.0,
             burst_rate: 0.0,
-            burst_len: (2, 8),
             truncate_rate: 0.0,
-            snaplen: 96,
             duplicate_rate: 0.0,
             reorder_rate: 0.0,
-            reorder_window: 4,
             bitflip_rate: 0.0,
             skew_rate: 0.0,
-            skew_max_micros: 2_000_000,
             corrupt_header_rate: 0.0,
             torn_tail_rate: 0.0,
             panic_rate: 0.0,

@@ -55,11 +55,6 @@ impl StdRng {
         result
     }
 
-    /// Next 32 raw bits (upper half — the better-scrambled bits).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value of any [`FromRng`] type, driven by type inference
     /// exactly like `rand::Rng::gen`.
     pub fn gen<T: FromRng>(&mut self) -> T {

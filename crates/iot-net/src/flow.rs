@@ -90,11 +90,6 @@ impl Flow {
         self.bytes_out + self.bytes_in
     }
 
-    /// Total packets in both directions.
-    pub fn total_packets(&self) -> u64 {
-        self.packets_out + self.packets_in
-    }
-
     /// Flow duration in seconds.
     pub fn duration_secs(&self) -> f64 {
         (self.last_ts.saturating_sub(self.first_ts)) as f64 / 1e6

@@ -49,11 +49,6 @@ impl MacAddr {
         self.0[0] & 0x02 != 0
     }
 
-    /// Canonical lowercase colon-separated form, e.g. `a4:cf:12:00:01:02`.
-    pub fn to_colon_string(&self) -> String {
-        self.to_string()
-    }
-
     /// Hyphen-separated uppercase form, e.g. `A4-CF-12-00-01-02` (seen in
     /// Windows-style device registrations).
     pub fn to_hyphen_string(&self) -> String {

@@ -11,11 +11,12 @@
 //!
 //! * [`registry`] — the [`Registry`]: shard-local counters, gauges,
 //!   fixed-bucket histograms, and spans. A span is named by its full
-//!   `parent/…/label` path and timed by the RAII [`SpanGuard`] that
-//!   [`Registry::span`] returns, or by hand with
-//!   [`Registry::record_ns`]; each path keeps one duration
-//!   [`Histogram`]: calls, total, min, max and quantiles all come from
-//!   it.
+//!   `parent/…/label` path and measured by the one stage meter,
+//!   [`Meter`] (time, plus heap traffic while the allocator counts),
+//!   either inside the RAII [`SpanGuard`] that [`Registry::span`]
+//!   returns or held by the caller and recorded with
+//!   [`Meter::record`]; each path keeps one duration [`Histogram`]:
+//!   calls, total, min, max and quantiles all come from it.
 //! * [`alloc`] — the instrumented global allocator, switched on by its
 //!   caller with [`alloc::set_enabled`]: thread-local
 //!   byte/count/live/high-water accounting whose span deltas the
@@ -71,5 +72,5 @@ pub mod serve;
 pub use alloc::AllocStats;
 pub use export::{folded_stacks, prometheus};
 pub use metrics::Histogram;
-pub use registry::{Registry, SpanGuard};
+pub use registry::{Meter, Registry, SpanGuard};
 pub use report::RunReport;

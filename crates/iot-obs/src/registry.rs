@@ -9,10 +9,20 @@
 //! (they record high-water marks / topology facts, not sums).
 //!
 //! A span is named by its full `parent/…/label` path, whichever way it
-//! is timed: a [`SpanGuard`], [`Registry::record_ns`] or
-//! [`Registry::record_alloc`]. Nesting is spelled in the path, never
-//! inferred from which guards are open, so each path has exactly one
-//! slot. Paths are interned into a slot arena on first use with a short
+//! is recorded: a [`SpanGuard`], a [`Meter`], or the fixture primitives
+//! [`Registry::record_ns`] and [`Registry::record_alloc`]. Nesting is
+//! spelled in the path, never inferred from which guards are open, so
+//! each path has exactly one slot.
+//!
+//! A [`Meter`] is the one stage meter: it marks a start (the clock, plus
+//! the thread's heap counters while the allocator counts), sums any
+//! number of short calls, and records the sum under a span path in one
+//! call. A guard is a meter that records into its slot when it drops;
+//! code that cannot hold a guard across a borrow, or that times a stage
+//! interleaved with others call by call, keeps a meter instead. A meter
+//! built from a disabled registry is inert: it reads no clock.
+//!
+//! Paths are interned into a slot arena on first use with a short
 //! linear scan over the run's dozen-odd paths; after that, recording
 //! allocates nothing. This keeps per-experiment instrumentation
 //! overhead in the low microseconds (`bench_pipeline` gates it).
@@ -155,37 +165,30 @@ impl Registry {
     }
 
     /// Opens a span at the full path `path` (`parent/…/label`). The
-    /// returned guard records its wall-clock into that path's histogram
-    /// when it drops. A guard opened inside another records under its
-    /// own path only: nesting is spelled in the path, so a guard shares
-    /// its slot with [`Registry::record_ns`] on the same path.
+    /// returned guard records its wall-clock (and heap traffic, while
+    /// the allocator counts) into that path's slot when it drops. A
+    /// guard opened inside another records under its own path only:
+    /// nesting is spelled in the path, so a guard shares its slot with a
+    /// [`Meter`] or [`Registry::record_ns`] on the same path.
     pub fn span(&self, path: &str) -> SpanGuard<'_> {
-        if !self.enabled {
-            return SpanGuard {
-                reg: self,
-                start: None,
-                slot: 0,
-                alloc_start: None,
-            };
-        }
-        let slot = self.inner.borrow_mut().intern(path);
-        let start = Instant::now();
-        // Snapshot the thread's allocation counters *after* the span's
-        // own bookkeeping above, so first-use path interning is not
-        // charged to the span. A span opened inside another is charged
-        // to both, exactly as wall-clock is.
-        let alloc_start = alloc::enabled().then(alloc::thread_snapshot);
+        // Interned before the meter starts, so first-use interning is
+        // not charged to the span. A span opened inside another is
+        // charged to both, exactly as wall-clock is.
+        let slot = if self.enabled {
+            self.inner.borrow_mut().intern(path)
+        } else {
+            0
+        };
         SpanGuard {
             reg: self,
-            start: Some(start),
             slot,
-            alloc_start,
+            meter: Meter::started(self),
         }
     }
 
-    /// Records an externally timed duration against a span path — for
-    /// regions where an RAII guard cannot live (e.g. around a closure
-    /// that needs exclusive access to the structure owning the registry).
+    /// Records a duration against a span path as one call. Fixtures use
+    /// it to build registries with known figures; measured code records
+    /// through a [`Meter`].
     pub fn record_ns(&self, path: &str, d: Duration) {
         if !self.enabled {
             return;
@@ -196,10 +199,9 @@ impl Registry {
         inner.span_hists[slot].observe(ns);
     }
 
-    /// Records externally measured heap traffic against a span path —
-    /// the allocation analogue of [`Registry::record_ns`], for fused
-    /// regions that accumulate per-stage deltas manually instead of
-    /// opening one guard per stage.
+    /// Charges heap traffic to a span path without adding a call — the
+    /// allocation analogue of [`Registry::record_ns`]; all-zero traffic
+    /// records nothing.
     pub fn record_alloc(&self, path: &str, stats: AllocStats) {
         if !self.enabled || stats.is_zero() {
             return;
@@ -262,37 +264,105 @@ impl Registry {
         }
     }
 
-    fn close_span(&self, slot: usize, elapsed: Duration, alloc_delta: Option<AllocStats>) {
+    fn close_span(&self, slot: usize, meter: &Meter) {
         let mut inner = self.inner.borrow_mut();
-        if let Some(d) = alloc_delta {
-            if !d.is_zero() {
-                inner.span_allocs[slot].merge(&d);
-            }
+        if !meter.heap.is_zero() {
+            inner.span_allocs[slot].merge(&meter.heap);
         }
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let ns = u64::try_from(meter.time.as_nanos()).unwrap_or(u64::MAX);
         inner.span_hists[slot].observe(ns);
     }
 }
 
-/// RAII guard returned by [`Registry::span`]; records on drop.
+/// A stage meter: wall-clock time and, while the allocator counts, the
+/// calling thread's heap traffic, summed over one or many calls and
+/// recorded under a span path at once. Built from a disabled registry
+/// it is inert: [`Meter::start`] and [`Meter::stop`] read no clock and
+/// no counter, and [`Meter::record`] records nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Meter {
+    on: bool,
+    /// The open call's clock and, while the allocator counted at its
+    /// start, the thread's heap counters.
+    from: Option<(Instant, Option<AllocStats>)>,
+    time: Duration,
+    heap: AllocStats,
+}
+
+impl Meter {
+    /// A stopped meter that measures only if `reg` records.
+    pub fn new(reg: &Registry) -> Self {
+        Meter {
+            on: reg.enabled,
+            from: None,
+            time: Duration::ZERO,
+            heap: AllocStats::default(),
+        }
+    }
+
+    /// A meter whose first call is already open.
+    pub fn started(reg: &Registry) -> Self {
+        let mut meter = Meter::new(reg);
+        meter.start();
+        meter
+    }
+
+    /// Opens a call: marks the clock and, while the allocator counts,
+    /// the thread's heap counters.
+    #[inline]
+    pub fn start(&mut self) {
+        if self.on {
+            self.from = Some((
+                Instant::now(),
+                alloc::enabled().then(alloc::thread_snapshot),
+            ));
+        }
+    }
+
+    /// Closes the open call, if any, adding its time and heap traffic.
+    #[inline]
+    pub fn stop(&mut self) {
+        if let Some((at, heap)) = self.from.take() {
+            self.time += at.elapsed();
+            if let Some(heap) = heap {
+                self.heap.merge(&alloc::thread_snapshot().since(&heap));
+            }
+        }
+    }
+
+    /// Runs `f` as one call.
+    #[inline]
+    pub fn measure<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.start();
+        let out = f();
+        self.stop();
+        out
+    }
+
+    /// Closes the open call and records the sum under `path` as one
+    /// call, with its heap traffic when there was any.
+    pub fn record(mut self, reg: &Registry, path: &str) {
+        self.stop();
+        if self.on {
+            reg.record_ns(path, self.time);
+            reg.record_alloc(path, self.heap);
+        }
+    }
+}
+
+/// RAII guard returned by [`Registry::span`]: a running [`Meter`] that
+/// records into its span's slot on drop.
 pub struct SpanGuard<'a> {
     reg: &'a Registry,
-    start: Option<Instant>,
     slot: usize,
-    /// Thread allocation counters at open time, captured only when the
-    /// instrumented allocator was counting; the close charges the delta
-    /// to this span's path.
-    alloc_start: Option<AllocStats>,
+    meter: Meter,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let elapsed = start.elapsed();
-            let alloc_delta = self
-                .alloc_start
-                .map(|s| alloc::thread_snapshot().since(&s));
-            self.reg.close_span(self.slot, elapsed, alloc_delta);
+        if self.meter.on {
+            self.meter.stop();
+            self.reg.close_span(self.slot, &self.meter);
         }
     }
 }
@@ -333,7 +403,34 @@ mod tests {
             let _s = r.span("outer");
         }
         r.record_ns("manual", Duration::from_millis(1));
+        let mut meter = Meter::started(&r);
+        meter.measure(|| ());
+        meter.record(&r, "metered");
         assert_eq!(r.snapshot(), Snapshot::default());
+    }
+
+    #[test]
+    fn a_meter_records_its_calls_as_one() {
+        let _g = alloc::test_lock();
+        let was = alloc::enabled();
+        alloc::set_enabled(true);
+        let r = Registry::with_enabled(true);
+        let mut meter = Meter::new(&r);
+        for _ in 0..3 {
+            meter.measure(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(1024))));
+            // Between calls: not charged.
+            drop(std::hint::black_box(Vec::<u8>::with_capacity(4096)));
+        }
+        meter.record(&r, "stage");
+        alloc::set_enabled(was);
+        let snap = r.snapshot();
+        assert_eq!(snap.spans["stage"].count(), 1);
+        let heap = snap.span_allocs["stage"];
+        assert_eq!(
+            (heap.allocs, heap.bytes_allocated),
+            (3, 3 * 1024),
+            "{heap:?}"
+        );
     }
 
     #[test]

@@ -13,9 +13,16 @@
 //!
 //! Captures written here round-trip through the byte-exact pcap layer, so
 //! external tools (tcpdump, Wireshark, the authors' own analysis scripts)
-//! can consume them directly.
+//! can consume them directly. Every appended experiment keeps its label
+//! row, one that captured nothing included (an empty window at its slot
+//! on the device clock), and [`read_experiments`] turns a device
+//! directory back into the labeled experiments those rows describe: the
+//! input `iot_analysis::Pipeline::ingest_experiments` takes from a
+//! campaign. The layout does not record the egress (native or VPN), so
+//! the reader's caller names it; one root per egress keeps them apart.
 
-use crate::experiment::LabeledExperiment;
+use crate::device::split_interaction_label;
+use crate::experiment::{ExperimentKind, LabeledExperiment};
 use crate::lab::LabSite;
 use iot_net::packet::Packet;
 use iot_net::pcap::{from_bytes_lenient, Capture, SalvageStats};
@@ -69,6 +76,8 @@ impl CaptureStore {
 
     /// Appends one experiment's capture, shifting its timestamps onto the
     /// device's running clock (experiments are generated starting at t≈0).
+    /// An experiment without packets still gets its label row, with an
+    /// empty window at the clock's current value.
     pub fn append(&mut self, exp: &LabeledExperiment) {
         let device_id = crate::catalog::by_name(exp.device_name)
             .map(|s| s.id())
@@ -86,14 +95,12 @@ impl CaptureStore {
                 log.unwritable.get_or_insert(e);
             }
         }
-        if let Some(start_micros) = first {
-            log.labels.push(LabelSpan {
-                start_micros,
-                end_micros: end,
-                label: exp.label.clone(),
-                rep: exp.rep,
-            });
-        }
+        log.labels.push(LabelSpan {
+            start_micros: first.unwrap_or(base),
+            end_micros: end,
+            label: exp.label.clone(),
+            rep: exp.rep,
+        });
         log.clock = end + EXPERIMENT_GAP;
     }
 
@@ -170,6 +177,66 @@ pub fn read_device_dir(
         });
     }
     Ok((packets, labels, stats))
+}
+
+/// Reads a device directory back as the labeled experiments its label
+/// rows describe, in row order, with the salvage totals of its capture.
+/// The lab and device come from the path (`<root>/<us|uk>/<device-id>`);
+/// an unknown lab directory or device id is an error. Each row gives
+/// the label and rep; `power` and `idle` name their kinds, and any
+/// other label is an interaction whose activity is the part after the
+/// method prefix. Each experiment's capture is the row's slice of the
+/// device capture ([`slice_by_label`]). The layout does not record the
+/// egress, so `vpn` names it.
+pub fn read_experiments(
+    dir: &Path,
+    vpn: bool,
+) -> std::io::Result<(Vec<LabeledExperiment>, SalvageStats)> {
+    fn name(p: Option<&Path>) -> Option<&str> {
+        p?.file_name()?.to_str()
+    }
+    let bad = |what: String| std::io::Error::other(format!("{}: {what}", dir.display()));
+    let lab = name(dir.parent()).unwrap_or_default();
+    let site = LabSite::all()
+        .into_iter()
+        .find(|s| s.name().to_lowercase() == lab)
+        .ok_or_else(|| {
+            bad(format!(
+                "lab directory {lab:?} is neither \"us\" nor \"uk\""
+            ))
+        })?;
+    let device_id = name(Some(dir)).unwrap_or_default();
+    let spec = crate::catalog::all()
+        .iter()
+        .find(|s| s.id() == device_id)
+        .ok_or_else(|| bad(format!("unknown device id {device_id:?}")))?;
+    let (packets, labels, salvage) = read_device_dir(dir)?;
+    let mut experiments = Vec::with_capacity(labels.len());
+    for span in labels {
+        let (kind, activity) = match span.label.as_str() {
+            "power" => (ExperimentKind::Power, None),
+            "idle" => (ExperimentKind::Idle, None),
+            label => (
+                ExperimentKind::Interaction,
+                split_interaction_label(label)
+                    .and_then(|(_, a)| spec.activity(a))
+                    .map(|a| a.name),
+            ),
+        };
+        let capture = Capture::from_packets(slice_by_label(&packets, &span))
+            .map_err(|e| bad(e.to_string()))?;
+        experiments.push(LabeledExperiment {
+            device_name: spec.name,
+            site,
+            vpn,
+            kind,
+            label: span.label,
+            activity,
+            rep: span.rep,
+            capture,
+        });
+    }
+    Ok((experiments, salvage))
 }
 
 /// Parses one numeric `labels.tsv` column; a missing, malformed or
@@ -271,6 +338,47 @@ mod tests {
             // Payload bytes survive the disk round-trip.
             assert_eq!(slice[0].data, exp.packets()[0].data);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_experiments_rebuilds_each_labeled_experiment() {
+        let (mut store, mut exps) = store_with_experiments();
+        // An experiment that captured nothing keeps its row.
+        let mut empty = exps[1].clone();
+        empty.rep = 2;
+        empty.capture = Capture::new();
+        store.append(&empty);
+        exps.push(empty);
+        let dir = std::env::temp_dir().join(format!("intl-iot-read-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        store.write_to(&dir).unwrap();
+        let device_dir = dir.join("us").join("tp-link-plug");
+        let (read, salvage) = read_experiments(&device_dir, true).unwrap();
+        assert!(salvage.is_pristine(), "{salvage:?}");
+        let identity = |e: &LabeledExperiment| {
+            (
+                e.device_name,
+                e.site,
+                e.kind,
+                e.label.clone(),
+                e.activity,
+                e.rep,
+                e.packet_count(),
+            )
+        };
+        assert_eq!(
+            read.iter().map(identity).collect::<Vec<_>>(),
+            exps.iter().map(identity).collect::<Vec<_>>()
+        );
+        assert!(read.iter().all(|e| e.vpn), "the caller names the egress");
+        // The lab comes from the path: any other directory name is an
+        // error, not a silent US.
+        let elsewhere = dir.join("lab").join("tp-link-plug");
+        std::fs::create_dir_all(dir.join("lab")).unwrap();
+        std::fs::rename(&device_dir, &elsewhere).unwrap();
+        let err = read_experiments(&elsewhere, false).unwrap_err();
+        assert!(err.to_string().contains("lab directory \"lab\""), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,7 +5,8 @@
 //! ```text
 //! moniotr devices                              list the 81-device catalog
 //! moniotr capture <device> [uk] [vpn] [DIR]    run power + all interactions → pcap dir
-//! moniotr analyze <device-dir>                 destinations / encryption / PII per label
+//! moniotr analyze <device-dir>                 the campaign driver's report JSON for
+//!                                              one device directory
 //! moniotr idle <device> <hours>                idle capture + traffic-unit summary
 //! moniotr campaign [quick|medium|full] [workers N] [--serve ADDR]
 //!                  [--journal PATH | --resume PATH] [--report-out PATH]
@@ -17,18 +18,14 @@
 //! Unknown subcommands or flags print the usage text and exit with
 //! status 2; runtime failures exit with status 1.
 
-use intl_iot::analysis::encryption::{classify_flow, ClassBytes};
-use intl_iot::analysis::flows::ExperimentFlows;
-use intl_iot::analysis::pii::PiiPatterns;
 use intl_iot::analysis::unexpected::segment_units;
-use intl_iot::entropy::{EncryptionClass, Thresholds};
-use intl_iot::geodb::party::classify;
 use intl_iot::geodb::registry::GeoDb;
-use intl_iot::testbed::capture::{read_device_dir, slice_by_label, CaptureStore};
+use intl_iot::testbed::capture::{read_experiments, CaptureStore};
 use intl_iot::testbed::experiment::{run_idle, run_interaction, run_power, LabeledExperiment};
 use intl_iot::testbed::lab::{Lab, LabSite};
-use intl_iot::testbed::traffic::identity_of;
 use intl_iot::testbed::{catalog, device::Availability};
+use iot_core::json::ToJson;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -115,7 +112,9 @@ fn find_device<'a>(lab: &'a Lab, name: &str) -> Result<&'a intl_iot::testbed::la
 }
 
 fn cmd_capture(args: &[String]) -> CliResult {
-    let name = args.first().ok_or("capture: device name required")?;
+    let name = args
+        .first()
+        .ok_or_else(|| usage_err("capture: device name required"))?;
     let site = if args.iter().any(|a| a == "uk") {
         LabSite::Uk
     } else {
@@ -162,98 +161,29 @@ fn cmd_capture(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Reads a device directory back into its labeled experiments, runs
+/// them through the campaign driver, and prints the report JSON — the
+/// bytes `campaign --report-out` writes.
 fn cmd_analyze(args: &[String]) -> CliResult {
-    let dir = args.first().ok_or("analyze: device directory required")?;
-    let dir = Path::new(dir);
-    let device_id = dir
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or("analyze: bad path")?;
-    let site = match dir.parent().and_then(|p| p.file_name()).and_then(|n| n.to_str()) {
-        Some("uk") => LabSite::Uk,
-        _ => LabSite::Us,
-    };
-    let spec = catalog::all()
-        .iter()
-        .find(|s| s.id() == device_id)
-        .ok_or_else(|| format!("unknown device id {device_id:?}"))?;
+    use intl_iot::analysis::pipeline::Pipeline;
 
-    let (packets, labels, salvage) = read_device_dir(dir)?;
-    println!(
-        "{}: {} packets, {} labeled experiments\n",
-        spec.name,
-        packets.len(),
-        labels.len()
-    );
+    let dir = args
+        .first()
+        .ok_or_else(|| usage_err("analyze: device directory required"))?;
+    // The layout does not record the egress; a lab's own captures leave
+    // through its native one.
+    let (experiments, salvage) = read_experiments(Path::new(dir), false)?;
     if !salvage.is_pristine() {
-        println!(
-            "warning: degraded capture — {} resyncs, {} bytes skipped, {} torn tail bytes\n",
+        eprintln!(
+            "warning: degraded capture — {} resyncs, {} bytes skipped, {} torn tail bytes",
             salvage.resyncs, salvage.bytes_skipped, salvage.torn_tail_bytes
         );
     }
-
-    let db = GeoDb::new();
-    let lab = Lab::deploy(site);
-    let identity = identity_of(find_device(&lab, spec.name)?);
-    let patterns = PiiPatterns::for_identity(&identity);
-    let thresholds = Thresholds::default();
-
-    println!(
-        "{:<22} {:>7} {:>8}  {:<40} {}",
-        "label", "packets", "unenc%", "destinations (party)", "PII"
-    );
-    for span in &labels {
-        let slice = slice_by_label(&packets, span);
-        let pseudo = LabeledExperiment {
-            device_name: spec.name,
-            site,
-            vpn: false,
-            kind: intl_iot::testbed::experiment::ExperimentKind::Interaction,
-            label: span.label.clone(),
-            activity: None,
-            rep: span.rep,
-            capture: iot_net::pcap::Capture::from_packets(slice)
-                .map_err(|e| e.to_string())?,
-        };
-        let flows = ExperimentFlows::from_experiment(&pseudo);
-        let mut bytes = ClassBytes::default();
-        let mut dests = std::collections::BTreeSet::new();
-        let mut pii = std::collections::BTreeSet::new();
-        for lf in &flows.flows {
-            let class = classify_flow(lf, &thresholds);
-            let n = lf.flow.total_bytes();
-            match class {
-                EncryptionClass::LikelyUnencrypted => bytes.unencrypted += n,
-                EncryptionClass::LikelyEncrypted => bytes.encrypted += n,
-                EncryptionClass::Unknown => bytes.unknown += n,
-            }
-            for (kind, enc) in patterns
-                .search(&lf.flow.payload_out)
-                .into_iter()
-                .chain(patterns.search(&lf.flow.payload_in))
-            {
-                pii.insert(format!("{kind:?}/{enc}"));
-            }
-        }
-        for lf in flows.internet_flows() {
-            if let Some((org, role)) = lf.domain.as_deref().and_then(|d| db.org_for_domain(d)) {
-                let party = classify(org, Some(role), spec.manufacturer_org);
-                dests.insert(format!("{} ({party})", org.name));
-            }
-        }
-        println!(
-            "{:<22} {:>7} {:>7.1}%  {:<40} {}",
-            format!("{}#{}", span.label, span.rep),
-            slice.len(),
-            bytes.percent(EncryptionClass::LikelyUnencrypted),
-            dests.into_iter().collect::<Vec<_>>().join(", "),
-            if pii.is_empty() {
-                "-".to_string()
-            } else {
-                pii.into_iter().collect::<Vec<_>>().join(", ")
-            }
-        );
-    }
+    let mut p = Pipeline::with_obs(false);
+    p.ingest_experiments(experiments);
+    let mut out = std::io::stdout().lock();
+    out.write_all(p.finish().to_json().dump().as_bytes())?;
+    out.flush()?;
     Ok(())
 }
 
@@ -393,7 +323,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     println!("campaign: {d}/{total} devices contacted non-first parties");
 
     if let Some(path) = report_out {
-        use iot_core::json::ToJson;
         let json = report.to_json().dump();
         std::fs::write(&path, &json)?;
         println!(
@@ -413,11 +342,16 @@ fn cmd_campaign(args: &[String]) -> CliResult {
 }
 
 fn cmd_idle(args: &[String]) -> CliResult {
-    let name = args.first().ok_or("idle: device name required")?;
+    let name = args
+        .first()
+        .ok_or_else(|| usage_err("idle: device name required"))?;
     let hours: f64 = args
         .get(1)
         .and_then(|h| h.parse().ok())
-        .ok_or("idle: hours required, e.g. `moniotr idle \"Zmodo Doorbell\" 4`")?;
+        .filter(|h: &f64| h.is_finite() && *h > 0.0)
+        .ok_or_else(|| {
+            usage_err("idle: positive hours required, e.g. `moniotr idle \"Zmodo Doorbell\" 4`")
+        })?;
     let db = GeoDb::new();
     let lab = Lab::deploy(LabSite::Us);
     let device = find_device(&lab, name)?;

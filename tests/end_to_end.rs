@@ -6,9 +6,11 @@ use intl_iot::analysis::Pipeline;
 use intl_iot::entropy::EncryptionClass;
 use intl_iot::geodb::party::PartyType;
 use intl_iot::geodb::registry::GeoDb;
+use intl_iot::testbed::capture::{read_experiments, CaptureStore};
 use intl_iot::testbed::experiment::ExperimentKind;
 use intl_iot::testbed::lab::LabSite;
 use intl_iot::testbed::schedule::{Campaign, CampaignConfig};
+use iot_core::json::ToJson;
 
 const TINY: CampaignConfig = CampaignConfig {
     automated_reps: 1,
@@ -143,4 +145,53 @@ fn idle_traffic_analyzable() {
         EncryptionClass::LikelyEncrypted,
     );
     assert!(pct > 0.0, "idle traffic contains encrypted keepalives");
+}
+
+/// A campaign written to disk through `CaptureStore`, one root per
+/// egress, and read back device directory by device directory through
+/// `read_experiments` reports exactly what the campaign reports. At 0.02
+/// idle hours, 131 of the grid's 162 idle captures hold no packet, and
+/// each must come back as an empty experiment rather than vanish.
+#[test]
+fn disk_round_trip_reports_byte_identically_to_the_campaign() {
+    let config = CampaignConfig {
+        idle_hours: 0.02,
+        ..TINY
+    };
+    let mut direct = Pipeline::with_obs(false);
+    direct.run_campaign(config);
+    let want = direct.finish().to_json().dump();
+
+    let db = GeoDb::new();
+    let campaign = Campaign::new(config);
+    let mut stores = [CaptureStore::new(), CaptureStore::new()];
+    let mut empty = 0;
+    for unit in 0..campaign.unit_count() {
+        campaign.run_unit(&db, unit, |exp| {
+            empty += usize::from(exp.packet_count() == 0);
+            stores[usize::from(exp.vpn)].append(&exp);
+        });
+    }
+    assert_eq!(empty, 131, "empty idle captures in the grid");
+    let root = std::env::temp_dir().join(format!("intl-iot-round-trip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut dirs = Vec::new();
+    for (vpn, store) in [false, true].into_iter().zip(stores) {
+        let egress = root.join(if vpn { "vpn" } else { "native" });
+        store.write_to(&egress).expect("write the capture tree");
+        for (site, id) in store.devices() {
+            dirs.push((egress.join(site.name().to_lowercase()).join(id), vpn));
+        }
+    }
+    let experiments = dirs.iter().flat_map(|(dir, vpn)| {
+        let (experiments, salvage) = read_experiments(dir, *vpn).expect("read a device directory");
+        assert!(salvage.is_pristine(), "{}: {salvage:?}", dir.display());
+        experiments
+    });
+    let mut read_back = Pipeline::with_obs(false);
+    read_back.ingest_experiments(experiments);
+    std::fs::remove_dir_all(&root).expect("remove the capture tree");
+    let report = read_back.finish();
+    assert_eq!(report.experiments, 1_204);
+    assert_eq!(report.to_json().dump(), want);
 }
