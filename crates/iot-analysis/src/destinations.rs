@@ -436,7 +436,7 @@ impl DestinationAnalysis {
             *agg.entry((category, country)).or_default() += val.bytes;
         }
         let mut out: Vec<_> = agg.into_iter().map(|((c, n), b)| (c, n, b)).collect();
-        out.sort_by(|a, b| b.2.cmp(&a.2));
+        out.sort_by_key(|&(.., bytes)| std::cmp::Reverse(bytes));
         out
     }
 

@@ -8,9 +8,9 @@
 //! domain. If none of the above approaches yields a domain, we leave the
 //! IP's SLD unlabeled."
 
-use iot_geodb::registry::fnv1a;
 use iot_net::flow::{Flow, FlowProto, FlowTable};
-use iot_protocols::analyzer::{IdentifyMemo, ProtocolId, Transport};
+use iot_net::packet::{ParsedPacket, TransportHeader};
+use iot_protocols::analyzer::{identify_flow, ProtocolId, Transport};
 use iot_protocols::{dns, http, tls};
 use iot_testbed::experiment::LabeledExperiment;
 use std::collections::{HashMap, HashSet};
@@ -50,37 +50,25 @@ impl LabeledFlow {
     pub fn remote_ip(&self) -> Ipv4Addr {
         self.flow.key.remote_ip
     }
+
+    /// True unless the flow is DNS or DHCP: LAN-side infrastructure
+    /// chatter, which the paper's destination and PII analyses ignore.
+    pub fn is_internet(&self) -> bool {
+        !matches!(self.protocol, ProtocolId::Dns | ProtocolId::Dhcp)
+    }
 }
 
-/// Cross-experiment labeling state: the protocol-identification memo,
-/// the domain-name intern pool, and a bounded memo of SNI/Host lookups.
-/// One per shard — hit rates compound across that shard's experiments,
-/// and dropping the context never changes results (every cached value is
-/// keyed by the full content that produced it).
+/// Cross-experiment labeling state: the domain-name intern pool, one
+/// `Arc<str>` per distinct name ever labeled. One per worker; it only
+/// shares allocations, so results are identical with any pool.
+///
+/// Protocol identification and the SNI/Host fallback run afresh for
+/// every flow: each flow opens with fresh random bytes (a ClientHello's
+/// random, a nonce), so a cache keyed on payload prefixes never hits.
 #[derive(Default)]
 pub struct LabelCtx {
-    memo: IdentifyMemo,
-    /// Domain intern pool: `Arc<str>` per distinct name ever labeled.
     domains: HashSet<Arc<str>>,
-    /// Memoized §4.1 SNI/Host fallback, keyed by the exact outbound
-    /// payload prefix (bounded like the identify memo). `None` = the
-    /// payload yields no label.
-    sni_host: HashMap<u64, Vec<(Vec<u8>, Option<(Arc<str>, DomainSource)>)>>,
-    /// Payload bytes copied into `sni_host` so far; learning stops at
-    /// [`SNI_MEMO_MAX_STORED_BYTES`].
-    sni_stored_bytes: usize,
 }
-
-/// Size bound for SNI/Host memo keys, matching the identify memo's.
-const SNI_MEMO_MAX_BYTES: usize = 1024;
-
-/// Total payload bytes the SNI/Host memo may retain per shard. The
-/// per-key bound alone lets a diverse corpus grow the memo without limit
-/// (every distinct payload ≤ 1 KB became an entry); past this budget the
-/// memo keeps serving hits but stops copying new keys, which bounds the
-/// shard's live heap without changing any result — the fallback is a
-/// pure function of the payload.
-const SNI_MEMO_MAX_STORED_BYTES: usize = 192 * 1024;
 
 impl LabelCtx {
     /// Creates an empty context.
@@ -98,43 +86,10 @@ impl LabelCtx {
         arc
     }
 
-    /// The §4.1 SNI → HTTP-Host fallback, memoized on the outbound
-    /// payload prefix (both parses are pure functions of it).
+    /// The §4.1 SNI → HTTP-Host fallback on the outbound payload prefix.
     fn sni_or_host(&mut self, payload_out: &[u8]) -> (Option<Arc<str>>, DomainSource) {
-        if payload_out.len() <= SNI_MEMO_MAX_BYTES {
-            let h = fnv1a(payload_out);
-            if let Some(bucket) = self.sni_host.get(&h) {
-                for (key, v) in bucket {
-                    if key == payload_out {
-                        return match v {
-                            Some((d, src)) => (Some(Arc::clone(d)), *src),
-                            None => (None, DomainSource::Unlabeled),
-                        };
-                    }
-                }
-            }
-            let computed = self.compute_sni_or_host(payload_out);
-            if self.sni_stored_bytes + payload_out.len() <= SNI_MEMO_MAX_STORED_BYTES {
-                self.sni_stored_bytes += payload_out.len();
-                let cached = match &computed {
-                    (Some(d), src) => Some((Arc::clone(d), *src)),
-                    (None, _) => None,
-                };
-                self.sni_host
-                    .entry(h)
-                    .or_default()
-                    .push((payload_out.to_vec(), cached));
-            }
-            computed
-        } else {
-            self.compute_sni_or_host(payload_out)
-        }
-    }
-
-    fn compute_sni_or_host(&mut self, payload_out: &[u8]) -> (Option<Arc<str>>, DomainSource) {
         if let Some(sni) = tls::sni_from_stream(payload_out) {
-            let interned = self.intern(&sni);
-            (Some(interned), DomainSource::Sni)
+            (Some(self.intern(&sni)), DomainSource::Sni)
         } else if let Some(host) = http::Request::parse(payload_out)
             .ok()
             .and_then(|r| r.host().map(|h| self.intern(h)))
@@ -162,73 +117,58 @@ pub struct ExperimentFlows {
     pub unparsed_packets: u64,
 }
 
-/// Incremental §4.1 flow reconstruction: feed one frame at a time,
-/// finish into [`ExperimentFlows`].
-///
-/// This is the streaming counterpart of the old materialize-then-scan
-/// loop, and the per-frame order is *exactly* the old per-packet order —
-/// parse, skip `Unsupported` silently, count other parse failures,
-/// harvest DNS answers, then update the flow table — so the finished
-/// flows are byte-identical regardless of whether frames arrived from a
-/// `Vec<Packet>` or a zero-copy [`iot_net::pcap::PcapCursor`]. Frames are
-/// borrowed for the duration of one call only; nothing in the builder
-/// retains a reference to them (payload prefixes the flow table keeps
-/// are copied into its own bounded buffers).
-pub struct FlowBuilder {
-    table: FlowTable,
-    dns_map: HashMap<Ipv4Addr, Arc<str>>,
-    unparsed_packets: u64,
-}
-
-impl FlowBuilder {
-    /// Creates a builder for a capture taken on `subnet`/`prefix_len`.
-    pub fn new(subnet: Ipv4Addr, prefix_len: u8) -> Self {
-        FlowBuilder {
-            table: FlowTable::new(subnet, prefix_len),
-            dns_map: HashMap::new(),
-            unparsed_packets: 0,
-        }
+impl ExperimentFlows {
+    /// Reconstructs and labels the flows of an experiment with a fresh
+    /// labeling context. Prefer [`ExperimentFlows::from_experiment_with`]
+    /// on hot paths, where one context's intern pool serves every
+    /// experiment.
+    pub fn from_experiment(exp: &LabeledExperiment) -> Self {
+        Self::from_experiment_with(exp, &mut LabelCtx::new())
     }
 
-    /// Observes one raw Ethernet frame at `ts_micros`.
-    pub fn observe_frame(&mut self, ts_micros: u64, frame: &[u8], ctx: &mut LabelCtx) {
-        let parsed = match iot_net::packet::ParsedPacket::parse(frame) {
-            Ok(p) => p,
-            Err(iot_net::Error::Unsupported { .. }) => {
+    /// Reconstructs and labels the flows of an experiment, reusing the
+    /// caller's [`LabelCtx`]. Results are identical with any context
+    /// state, including an empty one.
+    ///
+    /// Walks the experiment's serialized capture with a zero-copy strict
+    /// cursor, one borrowed [`iot_net::pcap::PacketView`] at a time, in
+    /// §4.1's per-frame order: parse, skip non-IP frames, count damaged
+    /// ones, harvest DNS answers, then update the flow table. Nothing
+    /// keeps a reference to a frame; the flow table copies the payload
+    /// prefixes it keeps into its own bounded buffers. Then every flow
+    /// is closed and labeled.
+    pub fn from_experiment_with(exp: &LabeledExperiment, ctx: &mut LabelCtx) -> Self {
+        let mut table = FlowTable::new(exp.site.subnet(), 24);
+        let mut dns_map = HashMap::new();
+        let mut unparsed_packets = 0;
+        for view in exp.capture.views() {
+            let view = view.expect("experiment captures are writer-clean");
+            let parsed = match ParsedPacket::parse(view.data) {
+                Ok(p) => p,
                 // Non-IP frames (ARP and friends) are normal gateway
-                // chatter, not damage; skip silently as before.
-                return;
-            }
-            Err(_) => {
+                // chatter, not damage.
+                Err(iot_net::Error::Unsupported { .. }) => continue,
                 // Corrupt frame (truncated, length-inconsistent, or
                 // checksum-garbled): skip it, as tcpdump would, but
                 // count it so degraded captures are visible downstream.
-                self.unparsed_packets += 1;
-                return;
-            }
-        };
-        // Harvest DNS answers before flow accounting so lookups
-        // precede the flows they label.
-        if let iot_net::packet::TransportHeader::Udp(udp) = &parsed.transport {
-            if udp.src_port == dns::PORT {
-                if let Ok(msg) = dns::Message::parse(parsed.payload) {
-                    for (name, addr) in msg.a_records() {
-                        let interned = ctx.intern(&name);
-                        self.dns_map.insert(addr, interned);
+                Err(_) => {
+                    unparsed_packets += 1;
+                    continue;
+                }
+            };
+            // Harvest DNS answers before flow accounting so lookups
+            // precede the flows they label.
+            if let TransportHeader::Udp(udp) = &parsed.transport {
+                if udp.src_port == dns::PORT {
+                    if let Ok(msg) = dns::Message::parse(parsed.payload) {
+                        for (name, addr) in msg.a_records() {
+                            dns_map.insert(addr, ctx.intern(name));
+                        }
                     }
                 }
             }
+            table.observe(&parsed, view.ts_micros);
         }
-        self.table.observe(&parsed, ts_micros);
-    }
-
-    /// Closes out every flow and labels it per §4.1.
-    pub fn finish(self, ctx: &mut LabelCtx) -> ExperimentFlows {
-        let FlowBuilder {
-            table,
-            dns_map,
-            unparsed_packets,
-        } = self;
         let flows = table
             .into_flows()
             .into_iter()
@@ -240,38 +180,11 @@ impl FlowBuilder {
             unparsed_packets,
         }
     }
-}
-
-impl ExperimentFlows {
-    /// Reconstructs and labels the flows of an experiment with a fresh
-    /// labeling context. Prefer [`ExperimentFlows::from_experiment_with`]
-    /// on hot paths, where the context's memos pay off across experiments.
-    pub fn from_experiment(exp: &LabeledExperiment) -> Self {
-        Self::from_experiment_with(exp, &mut LabelCtx::new())
-    }
-
-    /// Reconstructs and labels the flows of an experiment, reusing the
-    /// caller's [`LabelCtx`]. Results are identical with any context
-    /// state, including an empty one.
-    ///
-    /// Walks the experiment's serialized capture with a zero-copy strict
-    /// cursor — one borrowed [`iot_net::pcap::PacketView`] at a time, no
-    /// per-packet `Vec<u8>` materialization.
-    pub fn from_experiment_with(exp: &LabeledExperiment, ctx: &mut LabelCtx) -> Self {
-        let mut builder = FlowBuilder::new(exp.site.subnet(), 24);
-        for view in exp.capture.views() {
-            let view = view.expect("experiment captures are writer-clean");
-            builder.observe_frame(view.ts_micros, view.data, ctx);
-        }
-        builder.finish(ctx)
-    }
 
     /// Flows excluding the LAN-side infrastructure chatter (DNS to the
     /// gateway and DHCP), which the paper's destination analysis ignores.
     pub fn internet_flows(&self) -> impl Iterator<Item = &LabeledFlow> {
-        self.flows
-            .iter()
-            .filter(|f| !matches!(f.protocol, ProtocolId::Dns | ProtocolId::Dhcp))
+        self.flows.iter().filter(|f| f.is_internet())
     }
 
     /// Total payload bytes across all flows.
@@ -289,19 +202,16 @@ fn label_flow(
         FlowProto::Tcp => Transport::Tcp,
         FlowProto::Udp => Transport::Udp,
     };
-    let protocol = ctx.memo.identify(
+    let protocol = identify_flow(
         transport,
         flow.key.remote_port,
         &flow.payload_out,
         &flow.payload_in,
     );
-    // §4.1 label hierarchy: DNS first, then SNI / Host. The DNS arm is a
-    // cheap Arc clone of the interned name; the fallback is memoized on
-    // the payload prefix that determines it.
-    let (domain, domain_source) = if let Some(name) = dns_map.get(&flow.key.remote_ip) {
-        (Some(Arc::clone(name)), DomainSource::Dns)
-    } else {
-        ctx.sni_or_host(&flow.payload_out)
+    // §4.1 label hierarchy: DNS first, then SNI / Host.
+    let (domain, domain_source) = match dns_map.get(&flow.key.remote_ip) {
+        Some(name) => (Some(Arc::clone(name)), DomainSource::Dns),
+        None => ctx.sni_or_host(&flow.payload_out),
     };
     LabeledFlow {
         flow,
@@ -317,6 +227,8 @@ mod tests {
     use iot_geodb::registry::GeoDb;
     use iot_testbed::experiment::run_power;
     use iot_testbed::lab::{Lab, LabSite};
+    use iot_testbed::schedule::{Campaign, CampaignConfig};
+    use std::mem::size_of;
 
     fn power_flows(device: &str) -> ExperimentFlows {
         let db = GeoDb::new();
@@ -376,6 +288,46 @@ mod tests {
         // never appear as Internet flows at all — but their *evidence* was
         // harvested into the DNS map.
         assert!(!flows.dns_map.is_empty());
+    }
+
+    /// The labeling context holds its intern pool and nothing else:
+    /// after a whole work unit, dropping it frees no more than its names
+    /// (one `Arc<str>` each: two counters and the bytes) and the set's
+    /// table (at most two slots of a fat pointer and a control byte per
+    /// unit of capacity, plus a control group and its padding).
+    #[test]
+    fn a_label_ctx_keeps_only_its_interned_names() {
+        let db = GeoDb::new();
+        // The quick grid; unit 0 is its first device in the US lab.
+        let campaign = Campaign::new(CampaignConfig {
+            automated_reps: 2,
+            manual_reps: 1,
+            power_reps: 1,
+            idle_hours: 0.5,
+            include_vpn: true,
+        });
+        let was = iot_obs::alloc::enabled();
+        iot_obs::alloc::set_enabled(true);
+        let mut ctx = LabelCtx::new();
+        let mut flows = 0;
+        campaign.lend_unit(&db, 0, |exp| {
+            let labeled = ExperimentFlows::from_experiment_with(exp, &mut ctx);
+            flows += labeled.flows.len();
+        });
+        let arc_counts = 2 * size_of::<usize>();
+        let names: usize = ctx.domains.iter().map(|d| arc_counts + d.len()).sum();
+        let table = 2 * ctx.domains.capacity() * (size_of::<Arc<str>>() + 1) + 32;
+        let count = ctx.domains.len();
+        let before = iot_obs::alloc::thread_snapshot();
+        drop(ctx);
+        let freed = iot_obs::alloc::thread_snapshot().since(&before).bytes_freed;
+        iot_obs::alloc::set_enabled(was);
+        assert!(flows > 100, "need a real unit: {flows} flows");
+        assert!(
+            freed <= (names + table) as u64,
+            "dropping the context freed {freed} B; its {count} names take {names} B \
+             and their table at most {table} B"
+        );
     }
 
     #[test]

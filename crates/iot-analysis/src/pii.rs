@@ -407,7 +407,7 @@ pub fn expected_leaks(device: &str, site: LabSite) -> Vec<&'static PiiLeak> {
         .map(|spec| {
             spec.pii_leaks
                 .iter()
-                .filter(|l| l.site_filter.map_or(true, |s| s == site))
+                .filter(|l| l.site_filter.is_none_or(|s| s == site))
                 .collect()
         })
         .unwrap_or_default()

@@ -27,13 +27,14 @@
 //! per-experiment context built once before it. It is the only place
 //! those three stages see a flow, and the zero-allocation test runs it.
 //!
-//! A worker keeps its result-neutral state — memo caches and its metric
-//! registry — for its whole run, while the report-bearing accumulators
-//! live per unit, so no lock sits on the hot path. Experiment generation
-//! is seeded per (device, activity, rep, site, vpn), and every
-//! accumulator merge is order-independent, so the report is
-//! byte-identical at any worker count; the oracle's differential pillar
-//! (`iot_oracle::differential`) is the one place that checks it.
+//! A worker keeps its result-neutral state — the domain intern pool,
+//! compiled PII patterns and its metric registry — for its whole run,
+//! while the report-bearing accumulators live per unit, so no lock sits
+//! on the hot path. Experiment generation is seeded per (device,
+//! activity, rep, site, vpn), and every accumulator merge is
+//! order-independent, so the report is byte-identical at any worker
+//! count; the oracle's differential pillar (`iot_oracle::differential`)
+//! is the one place that checks it.
 //!
 //! # Observability
 //!
@@ -104,7 +105,6 @@ use iot_geodb::party::PartyType;
 use iot_geodb::registry::GeoDb;
 use iot_net::pcap::{Capture, PcapCursor, GLOBAL_HEADER_LEN};
 use iot_obs::{Meter, Registry};
-use iot_protocols::analyzer::ProtocolId;
 use iot_testbed::catalog;
 use iot_testbed::experiment::LabeledExperiment;
 use iot_testbed::lab::{Lab, LabSite};
@@ -230,15 +230,14 @@ impl ToJson for PipelineReport {
     }
 }
 
-/// One worker of a run. Its memo caches and metric registry are
+/// One worker of a run. Its caches and metric registry are
 /// result-neutral, so they live as long as the worker; everything that
 /// reaches the report accumulates per unit in a [`UnitDelta`].
 struct Worker {
     idx: usize,
-    /// Cross-experiment labeling memos (protocol identify, domain intern
-    /// pool, SNI/Host). Every cached value is keyed by the full content
-    /// that produced it, so hit rates differ per worker but results
-    /// never do.
+    /// The domain intern pool: the flows this worker labels with one name
+    /// share one allocation. Which pool a name came from never reaches a
+    /// result.
     label_ctx: LabelCtx,
     /// Compiled PII pattern sets per (device, site); the same
     /// result-neutral caching story as `label_ctx`.
@@ -543,7 +542,7 @@ impl<'a> FlowCtx<'a> {
 /// encryption classification and the PII scan, in that order, and
 /// returns the experiment's bytes per encryption class. DNS and DHCP
 /// flows, LAN-side infrastructure chatter, skip destinations and PII
-/// (`ExperimentFlows::internet_flows`). Each stage is timed on its own
+/// ([`LabeledFlow::is_internet`]). Each stage is timed on its own
 /// meter, summed over the flows and recorded once per experiment under
 /// its `shard/ingest/…` path. Once the caches and accumulator keys are
 /// warm, the loop allocates only to build PII findings
@@ -560,7 +559,7 @@ fn analyze_flows(
     let mut pii_meter = Meter::new(obs);
     let mut tally = ClassBytes::default();
     for lf in flows {
-        let internet = !matches!(lf.protocol, ProtocolId::Dns | ProtocolId::Dhcp);
+        let internet = lf.is_internet();
         if let (true, Some(dest)) = (internet, &ctx.dest) {
             dest_meter.measure(|| acc.destinations.add_flow(ctx.exp, dest, lf));
         }
@@ -870,10 +869,6 @@ impl Pipeline {
                 }
                 drop(sink);
                 journal.record(&worker.obs, "shard/journal");
-                if !sup.unit_throttle.is_zero() {
-                    // Kill-timing aid for tests; report-neutral.
-                    std::thread::sleep(sup.unit_throttle);
-                }
             }
             worker.finish()
         };
@@ -1152,9 +1147,9 @@ mod tests {
         assert_eq!(replay.finish().to_json().dump(), baseline_json);
     }
 
-    /// The hot-path invariant: once the memo caches are warm (interned
-    /// labels, compiled PII patterns, protocol-ID memos, entropy term
-    /// tables) and the accumulator tables have seen every key, the
+    /// The hot-path invariant: once the caches are warm (interned
+    /// labels, compiled PII patterns, entropy term tables) and the
+    /// accumulator tables have seen every key, the
     /// driver's per-flow loop, [`analyze_flows`], performs zero heap
     /// allocations per flow, its stage meters included. Experiments
     /// whose scan produced PII findings run without the PII stage:
@@ -1177,7 +1172,7 @@ mod tests {
         let mut acc = UnitDelta::new(0);
 
         // Warm-up through the driver's own per-experiment analysis, which
-        // warms every memo, accumulator key and span path; remember each
+        // warms every cache, accumulator key and span path; remember each
         // experiment's flows and whether it produced findings.
         let mut corpus = Vec::new();
         for exp in all_experiments(&campaign, &db) {
@@ -1440,7 +1435,6 @@ mod tests {
         let resume_cfg = SupervisorConfig {
             journal: Some(path.clone()),
             resume: true,
-            ..SupervisorConfig::default()
         };
         let mut resumed = Pipeline::with_obs(false);
         resumed.set_fault_plan(plan);
@@ -1485,7 +1479,6 @@ mod tests {
         let resume_cfg = SupervisorConfig {
             journal: Some(path.clone()),
             resume: true,
-            ..SupervisorConfig::default()
         };
         let mut other = Pipeline::with_obs(false);
         let different = CampaignConfig {

@@ -59,7 +59,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Journal magic, versioned: bump the trailing digits on any codec
 /// change so stale journals fail loudly instead of decoding garbage.
@@ -463,10 +462,9 @@ impl ToJson for Coverage {
 /// through — so replay cannot change the report.
 ///
 /// Deliberately *not* included: worker-local caches (label interning,
-/// compiled PII patterns, protocol memos) and the observability
-/// registry. The caches are result-neutral by construction; metrics
-/// describe work a process actually performed, so a resumed process
-/// reports only its own.
+/// compiled PII patterns) and the observability registry. The caches
+/// are result-neutral by construction; metrics describe work a process
+/// actually performed, so a resumed process reports only its own.
 pub struct UnitDelta {
     /// Work-unit index in the campaign grid (`0..unit_count`).
     pub unit: u32,
@@ -909,9 +907,9 @@ impl JournalWriter {
 // ---------------------------------------------------------------------------
 
 /// Digest of everything that determines a campaign's *result bytes*:
-/// the campaign config and the fault plan. Report-neutral knobs
-/// (throttle, journal path) are deliberately excluded so operators can
-/// change them between a run and its resume.
+/// the campaign config and the fault plan. Report-neutral settings
+/// (the journal path, the worker count) are deliberately excluded so
+/// operators can change them between a run and its resume.
 ///
 /// `deadline_micros` and `max_retries` configure nothing;
 /// `Pipeline::run_campaign_supervised` passes `None, 0`. They stay only
@@ -977,10 +975,6 @@ pub struct SupervisorConfig {
     /// Without this flag an existing journal file is truncated and
     /// restarted.
     pub resume: bool,
-    /// Sleep inserted after each unit is journaled. Report-neutral;
-    /// exists so kill-timing tests can reliably interrupt a quick
-    /// campaign mid-journal.
-    pub unit_throttle: Duration,
 }
 
 /// What a supervised run did, beyond the report itself.

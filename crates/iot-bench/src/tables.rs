@@ -536,7 +536,7 @@ fn figure2(p: &Pipeline, out: &mut Output) {
             *per_country.entry(country.code()).or_default() += bytes;
         }
         let mut rollup: Vec<_> = per_country.into_iter().collect();
-        rollup.sort_by(|a, b| b.1.cmp(&a.1));
+        rollup.sort_by_key(|&(_, bytes)| std::cmp::Reverse(bytes));
         let summary: Vec<String> = rollup
             .iter()
             .take(7)

@@ -6,7 +6,7 @@
 use iot_chaos::{stream_key, FaultInjector, FaultPlan};
 use iot_core::rng::StdRng;
 use iot_net::pcap::from_bytes_lenient;
-use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags};
+use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags, TcpHeader};
 use std::net::Ipv4Addr;
 
 const SEEDS: u64 = 64;
@@ -26,7 +26,15 @@ fn capture(rng: &mut StdRng) -> Vec<Packet> {
             ts += rng.gen_range(100..50_000u64);
             let payload = vec![rng.gen_range(0..256u32) as u8; rng.gen_range(0..300usize)];
             if rng.gen_bool(0.5) {
-                b.tcp(ts, 49000 + i as u16, 443, i as u32, 0, TcpFlags::ACK, &payload)
+                let header = TcpHeader {
+                    src_port: 49000 + i as u16,
+                    dst_port: 443,
+                    seq: i as u32,
+                    ack: 0,
+                    flags: TcpFlags::ACK,
+                    window: 65535,
+                };
+                b.tcp(ts, &header, &payload)
             } else {
                 b.udp(ts, 50000 + i as u16, 53, &payload)
             }

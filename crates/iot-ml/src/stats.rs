@@ -14,7 +14,7 @@ pub const STATS_PER_DISTRIBUTION: usize = 14;
 /// skewness/kurtosis.
 pub fn append_distribution_stats(sample: &[f64], out: &mut Vec<f64>) {
     if sample.is_empty() {
-        out.extend(std::iter::repeat(0.0).take(STATS_PER_DISTRIBUTION));
+        out.extend(std::iter::repeat_n(0.0, STATS_PER_DISTRIBUTION));
         return;
     }
     let n = sample.len() as f64;

@@ -304,7 +304,7 @@ mod tests {
     use super::*;
     use crate::mac::MacAddr;
     use crate::packet::PacketBuilder;
-    use crate::tcp::TcpFlags;
+    use crate::tcp::{TcpFlags, TcpHeader};
 
     const DEV_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 10, 31);
     const CLOUD_IP: Ipv4Addr = Ipv4Addr::new(52, 84, 3, 3);
@@ -320,8 +320,22 @@ mod tests {
         let mut t = table();
         let mut out_b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
         let mut in_b = PacketBuilder::new(GW_MAC, DEV_MAC, CLOUD_IP, DEV_IP);
-        let p1 = out_b.tcp(0, 40000, 443, 0, 0, TcpFlags::PSH | TcpFlags::ACK, b"req");
-        let p2 = in_b.tcp(5_000, 443, 40000, 0, 3, TcpFlags::PSH | TcpFlags::ACK, b"resp!");
+        let req = TcpHeader {
+            src_port: 40000,
+            dst_port: 443,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::PSH | TcpFlags::ACK,
+            window: 65535,
+        };
+        let resp = TcpHeader {
+            src_port: 443,
+            dst_port: 40000,
+            ack: 3,
+            ..req.clone()
+        };
+        let p1 = out_b.tcp(0, &req, b"req");
+        let p2 = in_b.tcp(5_000, &resp, b"resp!");
         assert_eq!(t.observe(&p1.parse().unwrap(), p1.ts_micros), Some(Direction::Outbound));
         assert_eq!(t.observe(&p2.parse().unwrap(), p2.ts_micros), Some(Direction::Inbound));
         assert_eq!(t.len(), 1);
@@ -388,7 +402,15 @@ mod tests {
         let mut t = table();
         let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
         let p1 = b.udp(0, 40000, 443, b"quic-ish");
-        let p2 = b.tcp(1, 40000, 443, 0, 0, TcpFlags::SYN, &[]);
+        let syn = TcpHeader {
+            src_port: 40000,
+            dst_port: 443,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            window: 65535,
+        };
+        let p2 = b.tcp(1, &syn, &[]);
         t.observe(&p1.parse().unwrap(), 0);
         t.observe(&p2.parse().unwrap(), 1);
         assert_eq!(t.len(), 2);

@@ -10,7 +10,7 @@ use crate::ethernet::{EtherType, EthernetFrame};
 use crate::ipv4::{protocol, Ipv4Header};
 use crate::mac::MacAddr;
 use crate::pcap::Capture;
-use crate::tcp::{TcpFlags, TcpHeader};
+use crate::tcp::TcpHeader;
 use crate::udp::UdpHeader;
 use crate::Result;
 use std::net::Ipv4Addr;
@@ -215,25 +215,8 @@ impl PacketBuilder {
     }
 
     /// Builds a TCP segment frame.
-    pub fn tcp(
-        &mut self,
-        ts_micros: u64,
-        src_port: u16,
-        dst_port: u16,
-        seq: u32,
-        ack: u32,
-        flags: TcpFlags,
-        payload: &[u8],
-    ) -> Packet {
-        let tcp = TcpHeader {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window: 65535,
-        };
-        self.packet(ts_micros, Segment::Tcp(&tcp), payload)
+    pub fn tcp(&mut self, ts_micros: u64, header: &TcpHeader, payload: &[u8]) -> Packet {
+        self.packet(ts_micros, Segment::Tcp(header), payload)
     }
 
     /// Builds a UDP datagram frame.
@@ -311,6 +294,7 @@ impl PacketBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::TcpFlags;
 
     fn builder() -> PacketBuilder {
         PacketBuilder::new(
@@ -324,15 +308,15 @@ mod tests {
     #[test]
     fn tcp_frame_roundtrip() {
         let mut b = builder();
-        let pkt = b.tcp(
-            1_000_000,
-            49152,
-            443,
-            7,
-            0,
-            TcpFlags::PSH | TcpFlags::ACK,
-            b"application bytes",
-        );
+        let header = TcpHeader {
+            src_port: 49152,
+            dst_port: 443,
+            seq: 7,
+            ack: 0,
+            flags: TcpFlags::PSH | TcpFlags::ACK,
+            window: 65535,
+        };
+        let pkt = b.tcp(1_000_000, &header, b"application bytes");
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.src_mac, MacAddr::new(0xa4, 0xcf, 0x12, 0, 0, 1));
         assert_eq!(parsed.ip.dst, Ipv4Addr::new(52, 84, 9, 9));

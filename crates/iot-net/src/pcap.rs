@@ -580,7 +580,7 @@ mod tests {
     use super::*;
     use crate::mac::MacAddr;
     use crate::packet::PacketBuilder;
-    use crate::tcp::TcpFlags;
+    use crate::tcp::{TcpFlags, TcpHeader};
     use std::net::Ipv4Addr;
 
     fn sample_packets() -> Vec<Packet> {
@@ -590,10 +590,24 @@ mod tests {
             Ipv4Addr::new(192, 168, 10, 2),
             Ipv4Addr::new(93, 184, 216, 34),
         );
+        let syn = TcpHeader {
+            src_port: 5000,
+            dst_port: 443,
+            seq: 1,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            window: 65535,
+        };
+        let data = TcpHeader {
+            seq: 2,
+            ack: 1,
+            flags: TcpFlags::ACK,
+            ..syn.clone()
+        };
         vec![
-            b.tcp(1_500_000, 5000, 443, 1, 0, TcpFlags::SYN, &[]),
+            b.tcp(1_500_000, &syn, &[]),
             b.udp(2_250_000, 5001, 53, b"dns"),
-            b.tcp(90_000_000_000, 5000, 443, 2, 1, TcpFlags::ACK, b"data"),
+            b.tcp(90_000_000_000, &data, b"data"),
         ]
     }
 

@@ -269,9 +269,7 @@ mod tests {
                         flags: TcpFlags(rng.gen()),
                         window: 65535,
                     };
-                    let got = ours
-                        .clone()
-                        .tcp(ts, h.src_port, h.dst_port, h.seq, h.ack, h.flags, &body);
+                    let got = ours.clone().tcp(ts, &h, &body);
                     ours.write_tcp(&mut in_place, ts, &h, &body).unwrap();
                     let want = reference.tcp(ts, &h, &body);
                     assert_eq!(got, want, "case {case}: tcp packet");

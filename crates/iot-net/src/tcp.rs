@@ -80,7 +80,7 @@ pub struct TcpHeader {
 impl TcpHeader {
     /// Parses a header, verifies the checksum against the pseudo-header, and
     /// returns it with the segment payload.
-    pub fn parse<'a>(data: &'a [u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(Self, &'a [u8])> {
+    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(Self, &[u8])> {
         if data.len() < MIN_HEADER_LEN {
             return Err(Error::Truncated {
                 layer: "tcp",

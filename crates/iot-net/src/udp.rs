@@ -20,7 +20,7 @@ pub struct UdpHeader {
 impl UdpHeader {
     /// Parses a datagram, verifying length and checksum, and returns the
     /// header with the payload slice.
-    pub fn parse<'a>(data: &'a [u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(Self, &'a [u8])> {
+    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(Self, &[u8])> {
         if data.len() < HEADER_LEN {
             return Err(Error::Truncated {
                 layer: "udp",

@@ -9,7 +9,7 @@ use iot_core::rng::StdRng;
 use iot_net::pcap::{
     from_bytes, from_bytes_lenient, to_bytes, PcapCursor, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN,
 };
-use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags};
+use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags, TcpHeader};
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -31,7 +31,18 @@ fn valid_frames() -> Vec<Packet> {
         Ipv4Addr::new(52, 84, 9, 9),
     );
     vec![
-        b.tcp(1_000_000, 49152, 443, 7, 0, TcpFlags::SYN, b"hello over tcp"),
+        b.tcp(
+            1_000_000,
+            &TcpHeader {
+                src_port: 49152,
+                dst_port: 443,
+                seq: 7,
+                ack: 0,
+                flags: TcpFlags::SYN,
+                window: 65535,
+            },
+            b"hello over tcp",
+        ),
         b.udp(2_000_000, 50000, 53, b"dns-ish payload bytes"),
     ]
 }

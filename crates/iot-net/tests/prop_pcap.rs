@@ -6,7 +6,7 @@
 
 use iot_core::rng::StdRng;
 use iot_net::pcap::{from_bytes, from_bytes_lenient, Capture, PcapCursor};
-use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags};
+use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags, TcpHeader};
 use std::net::Ipv4Addr;
 
 const CASES: usize = 64;
@@ -27,15 +27,15 @@ fn random_packets(rng: &mut StdRng) -> Vec<Packet> {
         ts += rng.gen_range(1..500_000) as u64;
         let payload: Vec<u8> = (0..rng.gen_range(0..512)).map(|_| rng.gen_range(0..256) as u8).collect();
         if rng.gen_range(0..2) == 0 {
-            out.push(b.tcp(
-                ts,
-                49152 + i as u16,
-                443,
-                i as u32,
-                0,
-                TcpFlags::ACK,
-                &payload,
-            ));
+            let header = TcpHeader {
+                src_port: 49152 + i as u16,
+                dst_port: 443,
+                seq: i as u32,
+                ack: 0,
+                flags: TcpFlags::ACK,
+                window: 65535,
+            };
+            out.push(b.tcp(ts, &header, &payload));
         } else {
             out.push(b.udp(ts, 50000 + i as u16, 53, &payload));
         }

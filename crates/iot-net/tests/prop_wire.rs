@@ -8,7 +8,7 @@ use iot_net::checksum::checksum;
 use iot_net::mac::MacAddr;
 use iot_net::packet::{PacketBuilder, TransportHeader};
 use iot_net::pcap;
-use iot_net::tcp::TcpFlags;
+use iot_net::tcp::{TcpFlags, TcpHeader};
 use std::net::Ipv4Addr;
 
 const CASES: usize = 64;
@@ -51,7 +51,15 @@ fn tcp_build_parse_roundtrip() {
         let payload = random_payload(&mut rng, 0..1500);
         let ts = rng.gen::<u32>() as u64;
         let mut b = PacketBuilder::new(src_mac, dst_mac, src_ip, dst_ip);
-        let pkt = b.tcp(ts, sport, dport, seq, ack, TcpFlags::PSH | TcpFlags::ACK, &payload);
+        let header = TcpHeader {
+            src_port: sport,
+            dst_port: dport,
+            seq,
+            ack,
+            flags: TcpFlags::PSH | TcpFlags::ACK,
+            window: 65535,
+        };
+        let pkt = b.tcp(ts, &header, &payload);
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.src_mac, src_mac);
         assert_eq!(parsed.dst_mac, dst_mac);
@@ -107,7 +115,15 @@ fn single_bit_corruption_never_silent() {
             Ipv4Addr::new(192, 168, 10, 4),
             Ipv4Addr::new(8, 8, 4, 4),
         );
-        let pkt = b.tcp(0, 40000, 443, 1, 2, TcpFlags::ACK, &payload);
+        let header = TcpHeader {
+            src_port: 40000,
+            dst_port: 443,
+            seq: 1,
+            ack: 2,
+            flags: TcpFlags::ACK,
+            window: 65535,
+        };
+        let pkt = b.tcp(0, &header, &payload);
         let mut bytes = pkt.data.to_vec();
         let bit = bit % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);

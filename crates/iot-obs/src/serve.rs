@@ -113,13 +113,11 @@ pub fn start(addr: &str) -> std::io::Result<SocketAddr> {
     std::thread::Builder::new()
         .name("iot-obs-serve".to_string())
         .spawn(move || {
-            for conn in listener.incoming() {
-                if let Ok(stream) = conn {
-                    // One wedged client must not hold the accept loop.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                    let _ = handle(stream);
-                }
+            for stream in listener.incoming().flatten() {
+                // One wedged client must not hold the accept loop.
+                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+                let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+                let _ = handle(stream);
             }
         })?;
     Ok(bound)

@@ -127,7 +127,6 @@ fn supervised(
     let sup = SupervisorConfig {
         journal: Some(path.to_path_buf()),
         resume,
-        ..SupervisorConfig::default()
     };
     let summary = p.run_campaign_supervised(config, workers, &sup)?;
     Ok((p.finish(), summary))

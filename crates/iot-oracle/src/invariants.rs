@@ -85,7 +85,7 @@ pub fn check_report(report: &PipelineReport) -> Vec<Violation> {
         }
         if let Some(bad) = mix
             .iter()
-            .find(|&&p| !p.is_finite() || p < -PCT_EPS || p > 100.0 + PCT_EPS)
+            .find(|&&p| !p.is_finite() || !(-PCT_EPS..=100.0 + PCT_EPS).contains(&p))
         {
             v.push(Violation::new(
                 "mix_sum",

@@ -182,7 +182,7 @@ fn check_row_counts(t: &TableFile, v: &mut Vec<Violation>) {
 /// Splits a class-triple table into its x / enc / ? blocks, verifying
 /// the three blocks carry identical key sequences. Returns the blocks
 /// (rows of each class, in order) when structurally sound.
-fn class_triple_blocks<'t>(t: &'t TableFile) -> Option<[Vec<&'t Vec<String>>; 3]> {
+fn class_triple_blocks(t: &TableFile) -> Option<[Vec<&Vec<String>>; 3]> {
     let mut blocks: [Vec<&Vec<String>>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for row in &t.rows {
         let class = row.first()?;

@@ -87,127 +87,6 @@ pub fn identify_flow(
     }
 }
 
-/// Memo entries only cover flows whose combined payload prefix is at most
-/// this many bytes: big streams are rare, expensive to copy into the
-/// cache, and their parse cost is already amortized over many bytes.
-pub const MEMO_MAX_BYTES: usize = 1024;
-
-/// Cap on stored verdicts; beyond it the memo stops learning (and keeps
-/// serving its existing entries), bounding memory on adversarial corpora.
-const MEMO_MAX_ENTRIES: usize = 4096;
-
-/// Cap on total payload bytes copied into the memo. The entry cap alone
-/// still admits `MEMO_MAX_ENTRIES * MEMO_MAX_BYTES` ≈ 4 MB of keys on a
-/// worst-case corpus — more than the whole streaming core's memory
-/// budget — so learning also stops when the stored bytes reach this.
-const MEMO_MAX_STORED_BYTES: usize = 256 * 1024;
-
-struct MemoEntry {
-    transport: Transport,
-    remote_port: u16,
-    outbound: Vec<u8>,
-    inbound: Vec<u8>,
-    verdict: ProtocolId,
-}
-
-/// Exact-match memoization cache for [`identify_flow`].
-///
-/// IoT traffic is massively repetitive — the same checkins, heartbeats,
-/// and handshake prefixes recur across experiments — so most flows hit a
-/// verdict that was already computed. Correctness does not depend on the
-/// hit pattern: a hit requires the *full* `(transport, remote_port,
-/// outbound, inbound)` tuple to compare equal (the hash only shortlists
-/// candidates), and `identify_flow` is a pure function of that tuple, so
-/// the memoized result is the result. Entries are therefore never
-/// invalidated — they are keyed by complete content, which cannot go
-/// stale — only bounded: flows beyond [`MEMO_MAX_BYTES`] bypass the cache
-/// entirely, and the cache stops learning at its entry cap.
-#[derive(Default)]
-pub struct IdentifyMemo {
-    entries: std::collections::HashMap<u64, Vec<MemoEntry>>,
-    len: usize,
-    stored_bytes: usize,
-    hits: u64,
-    misses: u64,
-}
-
-fn memo_hash(transport: Transport, remote_port: u16, outbound: &[u8], inbound: &[u8]) -> u64 {
-    // FNV-1a over the discriminating fields; collisions are resolved by
-    // the full comparison in `identify`, never by trusting the hash.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    eat(matches!(transport, Transport::Tcp) as u8);
-    eat(remote_port as u8);
-    eat((remote_port >> 8) as u8);
-    eat(outbound.len() as u8);
-    for &b in outbound {
-        eat(b);
-    }
-    for &b in inbound {
-        eat(b);
-    }
-    h
-}
-
-impl IdentifyMemo {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(hits, misses)` since construction — bypassed oversized flows
-    /// count as misses.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// [`identify_flow`] through the cache. Guaranteed to return exactly
-    /// what `identify_flow` would.
-    pub fn identify(
-        &mut self,
-        transport: Transport,
-        remote_port: u16,
-        outbound: &[u8],
-        inbound: &[u8],
-    ) -> ProtocolId {
-        if outbound.len() + inbound.len() > MEMO_MAX_BYTES {
-            self.misses += 1;
-            return identify_flow(transport, remote_port, outbound, inbound);
-        }
-        let h = memo_hash(transport, remote_port, outbound, inbound);
-        if let Some(bucket) = self.entries.get(&h) {
-            for e in bucket {
-                if e.transport == transport
-                    && e.remote_port == remote_port
-                    && e.outbound == outbound
-                    && e.inbound == inbound
-                {
-                    self.hits += 1;
-                    return e.verdict;
-                }
-            }
-        }
-        self.misses += 1;
-        let verdict = identify_flow(transport, remote_port, outbound, inbound);
-        let key_bytes = outbound.len() + inbound.len();
-        if self.len < MEMO_MAX_ENTRIES && self.stored_bytes + key_bytes <= MEMO_MAX_STORED_BYTES {
-            self.len += 1;
-            self.stored_bytes += key_bytes;
-            self.entries.entry(h).or_default().push(MemoEntry {
-                transport,
-                remote_port,
-                outbound: outbound.to_vec(),
-                inbound: inbound.to_vec(),
-                verdict,
-            });
-        }
-        verdict
-    }
-}
-
 fn identify_udp(remote_port: u16, outbound: &[u8], inbound: &[u8]) -> ProtocolId {
     let sample = if outbound.is_empty() { inbound } else { outbound };
     if remote_port == dns::PORT && dns::Message::parse(sample).is_ok() {
@@ -449,74 +328,6 @@ mod tests {
         assert!(ProtocolId::Http.is_structurally_plaintext());
         assert!(!ProtocolId::Unknown.is_structurally_plaintext());
         assert!(!ProtocolId::Unknown.is_structurally_encrypted());
-    }
-
-    /// Property test (tentpole contract): the memoized identifier agrees
-    /// with the direct one across ≥64 seeded cases mixing real protocol
-    /// encodings, random binary, repeated payloads (to exercise hits),
-    /// and empty/1-byte/oversized inputs.
-    #[test]
-    fn memo_matches_identify_flow_seeded() {
-        let mut rng = iot_core::rng::StdRng::seed_from_u64(0x1DE_47_1F);
-        let mut memo = IdentifyMemo::new();
-        let mut corpus: Vec<(Transport, u16, Vec<u8>, Vec<u8>)> = Vec::new();
-        for case in 0..200u32 {
-            let (transport, port, out, inb): (Transport, u16, Vec<u8>, Vec<u8>) =
-                if !corpus.is_empty() && rng.gen_bool(0.4) {
-                    // Replay an earlier flow verbatim — must hit the memo.
-                    corpus[rng.gen_range(0usize..corpus.len())].clone()
-                } else {
-                    match case % 7 {
-                        0 => (
-                            Transport::Udp,
-                            53,
-                            dns::Message::query(case as u16, "example.com").encode(),
-                            vec![],
-                        ),
-                        1 => (
-                            Transport::Tcp,
-                            443,
-                            ClientHello::new([case as u8; 32], "example.com")
-                                .to_record()
-                                .encode(),
-                            vec![],
-                        ),
-                        2 => (
-                            Transport::Tcp,
-                            80,
-                            http::Request::new("GET", "example.com", "/x").encode(),
-                            http::Response::new(200, "OK", &b"y"[..]).encode(),
-                        ),
-                        3 => (
-                            Transport::Udp,
-                            123,
-                            ntp::NtpPacket::client(case.into()).encode().to_vec(),
-                            vec![],
-                        ),
-                        4 => (Transport::Tcp, rng.gen(), vec![], vec![]),
-                        5 => (Transport::Udp, rng.gen(), vec![rng.gen::<u8>()], vec![]),
-                        _ => {
-                            let mut out = vec![0u8; rng.gen_range(0usize..MEMO_MAX_BYTES + 64)];
-                            rng.fill(&mut out);
-                            let mut inb = vec![0u8; rng.gen_range(0usize..128)];
-                            rng.fill(&mut inb);
-                            (
-                                if rng.gen_bool(0.5) { Transport::Tcp } else { Transport::Udp },
-                                rng.gen(),
-                                out,
-                                inb,
-                            )
-                        }
-                    }
-                };
-            let direct = identify_flow(transport, port, &out, &inb);
-            let memoized = memo.identify(transport, port, &out, &inb);
-            assert_eq!(direct, memoized, "case {case} {transport:?}:{port}");
-            corpus.push((transport, port, out, inb));
-        }
-        let (hits, misses) = memo.stats();
-        assert!(hits > 0, "replayed flows must actually hit the memo");
-        assert!(misses > 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl NtpPacket {
             Mode::Client => 3,
             Mode::Server => 4,
         };
-        out[0] = (0 << 6) | (4 << 3) | mode_bits; // LI=0, VN=4, mode
+        out[0] = (4 << 3) | mode_bits; // LI=0, VN=4, mode
         out[1] = self.stratum;
         out[2] = 6; // poll interval 2^6 s
         out[3] = 0xec; // precision ~1 µs, two's complement
@@ -105,7 +105,7 @@ pub fn unix_micros_to_ntp(micros: u64) -> u64 {
 pub fn ntp_to_unix_micros(ts: u64) -> u64 {
     let secs = (ts >> 32).saturating_sub(NTP_UNIX_OFFSET);
     let frac = ts & 0xffff_ffff;
-    secs * 1_000_000 + (frac * 1_000_000 >> 32)
+    secs * 1_000_000 + ((frac * 1_000_000) >> 32)
 }
 
 #[cfg(test)]

@@ -202,7 +202,7 @@ impl<'a> TrafficGenerator<'a> {
 
     /// True when the endpoint is used under the current egress.
     pub fn endpoint_active(&self, endpoint: &Endpoint) -> bool {
-        endpoint.egress_filter.map_or(true, |r| r == self.egress)
+        endpoint.egress_filter.is_none_or(|r| r == self.egress)
     }
 
     /// Resolves an endpoint to a remote address, emitting DNS traffic for
@@ -449,7 +449,7 @@ impl<'a> TrafficGenerator<'a> {
     fn applicable_leak(&self, endpoint: usize, ctx: TriggerContext<'_>) -> Option<&'a PiiLeak> {
         self.spec().pii_leaks.iter().find(|l| {
             l.endpoint == endpoint
-                && l.site_filter.map_or(true, |s| s == self.device.site)
+                && l.site_filter.is_none_or(|s| s == self.device.site)
                 && match (l.trigger, ctx) {
                     (PiiTrigger::OnPower, TriggerContext::Power) => true,
                     (PiiTrigger::OnActivity(a), TriggerContext::Activity(b)) => a == b,

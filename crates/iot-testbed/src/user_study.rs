@@ -94,8 +94,7 @@ pub fn plan_events(config: &StudyConfig) -> Vec<StudyEvent> {
         for _ in 0..accesses {
             // Accesses cluster in waking hours (8:00–23:00).
             let hour = rng.gen_range(8.0..23.0);
-            let at_micros =
-                (u64::from(day) * 24 + 0) * 3_600_000_000 + (hour * 3_600_000_000.0) as u64;
+            let at_micros = u64::from(day) * 24 * 3_600_000_000 + (hour * 3_600_000_000.0) as u64;
             for &(device, activity, p) in PASSIVE_TRIGGERS {
                 if rng.gen_bool(p) {
                     events.push(StudyEvent {
@@ -164,8 +163,7 @@ pub fn device_capture(
             g.activity(&act);
         }
     }
-    let capture = g.finish();
-    capture
+    g.finish()
 }
 
 #[cfg(test)]

@@ -262,19 +262,10 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         "campaign: scale={} workers={workers} (obs on)",
         scale.name()
     );
-    let mut sup = SupervisorConfig {
+    let sup = SupervisorConfig {
         resume: resume.is_some(),
         journal: resume.or(journal),
-        ..SupervisorConfig::default()
     };
-    // Test hook: slow the unit loop down so an external killer can
-    // reliably interrupt a quick campaign mid-journal.
-    if let Some(ms) = std::env::var("IOT_SUPERVISE_THROTTLE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        sup.unit_throttle = std::time::Duration::from_millis(ms);
-    }
     let mut p = Pipeline::with_obs(true);
     let s = p.run_campaign_supervised(config, workers, &sup)?;
     let (report, reg) = p.finish_with_obs();

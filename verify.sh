@@ -7,7 +7,8 @@
 #    workspace) is built with --locked and its self-tests run, so a
 #    change to a public name the benchmark calls, or a crate-manifest
 #    change that would rewrite perfbench/Cargo.lock, fails here rather
-#    than at the benchmark run.
+#    than at the benchmark run. Last, clippy must pass on the library
+#    code with warnings denied (tests and examples are outside the gate).
 # 2. bench_pipeline: the heap totals, the instrumentation overhead and
 #    every observability gate, checked in memory on one instrumented
 #    quick campaign with the live endpoint answering. The serial report
@@ -28,7 +29,7 @@
 #    must answer 404 and 405. The record goes to
 #    target/bench_pipeline.json, so the committed baseline stays
 #    untouched.
-# 3. supervise smoke: a quick campaign is journaled and SIGKILLed once
+# 3. supervise smoke: a medium campaign is journaled and SIGKILLed once
 #    its journal holds a few unit records, then resumed from the
 #    (possibly torn) journal. The resume must replay at least one unit
 #    and run at least one live, and its report must be byte-identical
@@ -85,6 +86,9 @@ cargo test -q --workspace
 echo "=== benchmark: build perfbench + run its self-tests ==="
 cargo test --release -q --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
+echo "=== lint: clippy on library code, warnings denied ==="
+cargo clippy -q --workspace --lib -- -D warnings
+
 echo "=== bench: heap totals + overhead + observability gates (one instrumented run) ==="
 cargo build --release -p iot-bench \
   --bin bench_pipeline --bin oracle_check --bin tables
@@ -93,13 +97,13 @@ cargo build --release -p iot-bench \
 echo "=== supervise smoke: journaled campaign, SIGKILL mid-run, resume ==="
 # Uninterrupted reference: the same 2-worker campaign without a journal;
 # an interrupted-and-resumed run must be byte-identical to it.
-./target/release/moniotr campaign quick workers 2 \
+./target/release/moniotr campaign medium workers 2 \
   --report-out target/supervise_ref.json >/dev/null
-# Journaled run, slowed so that it is still running when the journal
-# holds a few records (16 KiB, about ten units); killed then.
+# Journaled run, killed once its journal holds a few records (16 KiB of
+# the medium grid's ~198 KB, a few of its 81 units). The grid runs for
+# about 0.4 s on 2 vCPUs, so the 50 ms poll lands the kill mid-run.
 rm -f target/supervise.jnl target/supervise_resumed.json
-IOT_SUPERVISE_THROTTLE_MS=25 \
-  ./target/release/moniotr campaign quick workers 2 \
+./target/release/moniotr campaign medium workers 2 \
   --journal target/supervise.jnl >/dev/null 2>&1 &
 SUPERVISE_PID=$!
 polls=0
@@ -117,7 +121,7 @@ wait "$SUPERVISE_PID" 2>/dev/null || true
 # Resume from whatever the kill left behind (a torn trailing record is
 # expected and salvaged). It must both replay and run live units, or
 # the kill did not land mid-run and the smoke proved nothing.
-./target/release/moniotr campaign quick workers 2 \
+./target/release/moniotr campaign medium workers 2 \
   --resume target/supervise.jnl --report-out target/supervise_resumed.json \
   > target/supervise_resume.log
 supervision=$(grep "supervision" target/supervise_resume.log || true)
