@@ -11,6 +11,11 @@
 //!    (real A/V streams defeat the entropy test, H≈0.873).
 //! 4. Everything else: byte-entropy thresholds (>0.8 encrypted, <0.4
 //!    unencrypted, otherwise unknown).
+//!
+//! [`EncryptionAnalysis`] holds only what reaches the report. The entropy
+//! term tables are a cache, so the caller owns them: the driver keeps one
+//! `EntropyScratch` per worker for its whole run, and
+//! [`EncryptionAnalysis::add_flows`] builds its own.
 
 use crate::flows::ExperimentFlows;
 use iot_entropy::{EncryptionClass, EntropyScratch, Thresholds};
@@ -174,7 +179,6 @@ pub fn classify_flow_with(
 /// Accumulates encryption classifications across experiments.
 pub struct EncryptionAnalysis {
     thresholds: Thresholds,
-    scratch: EntropyScratch,
     per_device: HashMap<(LabSite, bool, &'static str), ClassBytes>,
     per_row: HashMap<(LabSite, bool, Table8Row), ClassBytes>,
     /// Table 7's Welch samples: one unencrypted-byte percentage per
@@ -193,7 +197,6 @@ impl EncryptionAnalysis {
     pub fn new(thresholds: Thresholds) -> Self {
         EncryptionAnalysis {
             thresholds,
-            scratch: EntropyScratch::new(),
             per_device: HashMap::new(),
             per_row: HashMap::new(),
             unencrypted_samples: HashMap::new(),
@@ -206,28 +209,32 @@ impl EncryptionAnalysis {
         self.add_flows(exp, &flows);
     }
 
-    /// Ingests pre-extracted flows: one experiment's worth.
+    /// Ingests pre-extracted flows: one experiment's worth, with entropy
+    /// tables of its own.
     pub fn add_flows(&mut self, exp: &LabeledExperiment, flows: &ExperimentFlows) {
         let rows = Self::rows_of(exp);
+        let mut scratch = EntropyScratch::new();
         let mut tally = ClassBytes::default();
         for lf in &flows.flows {
-            self.add_flow(exp, &rows, lf, &mut tally);
+            self.add_flow(exp, rows, lf, &mut tally, &mut scratch);
         }
         self.add_sample(exp, &tally);
     }
 
     /// Ingests one labeled flow — the fused-pipeline entry point. The
-    /// `rows` slice is [`Self::rows_of`] for the experiment, computed once
+    /// `rows` slice is [`Self::rows_of`] for the experiment, looked up once
     /// per experiment rather than per flow; `tally` sums the experiment's
-    /// bytes for [`Self::add_sample`].
+    /// bytes for [`Self::add_sample`]; `scratch` is the caller's entropy
+    /// tables.
     pub(crate) fn add_flow(
         &mut self,
         exp: &LabeledExperiment,
         rows: &[Table8Row],
         lf: &crate::flows::LabeledFlow,
         tally: &mut ClassBytes,
+        scratch: &mut EntropyScratch,
     ) {
-        let class = classify_flow_with(lf, &self.thresholds, &mut self.scratch);
+        let class = classify_flow_with(lf, &self.thresholds, scratch);
         let bytes = lf.flow.total_bytes();
         tally.add(class, bytes);
         self.per_device
@@ -289,22 +296,22 @@ impl EncryptionAnalysis {
         agg
     }
 
-    pub(crate) fn rows_of(exp: &LabeledExperiment) -> Vec<Table8Row> {
+    /// The Table 8 rows an experiment's bytes count under: one static
+    /// slice per experiment kind, and per activity kind for interactions.
+    pub(crate) fn rows_of(exp: &LabeledExperiment) -> &'static [Table8Row] {
         match exp.kind {
-            ExperimentKind::Idle => vec![Table8Row::Idle],
-            ExperimentKind::Uncontrolled => vec![Table8Row::Uncontrolled],
-            ExperimentKind::Power => vec![Table8Row::Control, Table8Row::Power],
+            ExperimentKind::Idle => &[Table8Row::Idle],
+            ExperimentKind::Uncontrolled => &[Table8Row::Uncontrolled],
+            ExperimentKind::Power => &[Table8Row::Control, Table8Row::Power],
             ExperimentKind::Interaction => {
-                let specific = exp
+                let kind = exp
                     .activity
-                    .and_then(|a| catalog::by_name(exp.device_name)?.activity(a).map(|s| s.kind))
-                    .map(|k| match k {
-                        ActivityKind::Voice => Table8Row::Voice,
-                        ActivityKind::Video => Table8Row::Video,
-                        _ => Table8Row::Others,
-                    })
-                    .unwrap_or(Table8Row::Others);
-                vec![Table8Row::Control, specific]
+                    .and_then(|a| catalog::by_name(exp.device_name)?.activity(a).map(|s| s.kind));
+                match kind {
+                    Some(ActivityKind::Voice) => &[Table8Row::Control, Table8Row::Voice],
+                    Some(ActivityKind::Video) => &[Table8Row::Control, Table8Row::Video],
+                    _ => &[Table8Row::Control, Table8Row::Others],
+                }
             }
         }
     }

@@ -7,6 +7,14 @@
 //! field) and/or TLS handshakes (Server Name Indication field) for the
 //! domain. If none of the above approaches yields a domain, we leave the
 //! IP's SLD unlabeled."
+//!
+//! A worker keeps one [`ExperimentFlows`] and rebuilds it in place for
+//! every experiment ([`ExperimentFlows::rebuild`]): the flow table, its
+//! flows' payload buffers, the labeled-flow list and the DNS map keep
+//! their capacity, every protocol probe reads a borrowed view of the
+//! payload, and DNS names decode into one reused buffer. Once the worker
+//! has seen its largest experiment, reconstruction allocates only to
+//! intern a name it has not seen before.
 
 use iot_net::flow::{Flow, FlowProto, FlowTable};
 use iot_net::packet::{ParsedPacket, TransportHeader};
@@ -89,12 +97,13 @@ impl LabelCtx {
     /// The §4.1 SNI → HTTP-Host fallback on the outbound payload prefix.
     fn sni_or_host(&mut self, payload_out: &[u8]) -> (Option<Arc<str>>, DomainSource) {
         if let Some(sni) = tls::sni_from_stream(payload_out) {
-            (Some(self.intern(&sni)), DomainSource::Sni)
-        } else if let Some(host) = http::Request::parse(payload_out)
+            // Borrowed unless the name is not UTF-8.
+            (Some(self.intern(&String::from_utf8_lossy(sni))), DomainSource::Sni)
+        } else if let Some(host) = http::RequestView::parse(payload_out)
             .ok()
-            .and_then(|r| r.host().map(|h| self.intern(h)))
+            .and_then(|r| r.host())
         {
-            (Some(host), DomainSource::HttpHost)
+            (Some(self.intern(host)), DomainSource::HttpHost)
         } else {
             (None, DomainSource::Unlabeled)
         }
@@ -115,20 +124,47 @@ pub struct ExperimentFlows {
     /// pristine capture this is zero; under fault injection it feeds the
     /// pipeline's `IngestStats` quarantine accounting.
     pub unparsed_packets: u64,
+    /// The flow table, kept for the next rebuild: its arrays, and every
+    /// flow with its payload buffers, lent to `flows` meanwhile.
+    table: FlowTable,
+    /// The DNS name being decoded.
+    name: String,
+}
+
+impl Default for ExperimentFlows {
+    /// No flows, and nothing allocated but the flow table's first slots.
+    fn default() -> Self {
+        ExperimentFlows {
+            flows: Vec::new(),
+            dns_map: HashMap::new(),
+            unparsed_packets: 0,
+            table: FlowTable::new(Ipv4Addr::UNSPECIFIED, 0),
+            name: String::new(),
+        }
+    }
 }
 
 impl ExperimentFlows {
     /// Reconstructs and labels the flows of an experiment with a fresh
-    /// labeling context. Prefer [`ExperimentFlows::from_experiment_with`]
-    /// on hot paths, where one context's intern pool serves every
-    /// experiment.
+    /// labeling context. Prefer [`ExperimentFlows::rebuild`] on hot
+    /// paths, where one context's intern pool and one set of buffers
+    /// serve every experiment.
     pub fn from_experiment(exp: &LabeledExperiment) -> Self {
         Self::from_experiment_with(exp, &mut LabelCtx::new())
     }
 
     /// Reconstructs and labels the flows of an experiment, reusing the
-    /// caller's [`LabelCtx`]. Results are identical with any context
-    /// state, including an empty one.
+    /// caller's [`LabelCtx`]: [`ExperimentFlows::rebuild`] on fresh
+    /// buffers.
+    pub fn from_experiment_with(exp: &LabeledExperiment, ctx: &mut LabelCtx) -> Self {
+        let mut flows = Self::default();
+        flows.rebuild(exp, ctx);
+        flows
+    }
+
+    /// Replaces these flows with `exp`'s, reconstructed and labeled in
+    /// place. Results are identical with any context state and any
+    /// earlier contents, including none.
     ///
     /// Walks the experiment's serialized capture with a zero-copy strict
     /// cursor, one borrowed [`iot_net::pcap::PacketView`] at a time, in
@@ -136,11 +172,22 @@ impl ExperimentFlows {
     /// ones, harvest DNS answers, then update the flow table. Nothing
     /// keeps a reference to a frame; the flow table copies the payload
     /// prefixes it keeps into its own bounded buffers. Then every flow
-    /// is closed and labeled.
-    pub fn from_experiment_with(exp: &LabeledExperiment, ctx: &mut LabelCtx) -> Self {
-        let mut table = FlowTable::new(exp.site.subnet(), 24);
-        let mut dns_map = HashMap::new();
-        let mut unparsed_packets = 0;
+    /// is closed and labeled. The previous experiment's flows go back to
+    /// the table first, so their buffers serve this experiment's.
+    pub fn rebuild(&mut self, exp: &LabeledExperiment, ctx: &mut LabelCtx) {
+        let ExperimentFlows {
+            flows,
+            dns_map,
+            unparsed_packets,
+            table,
+            name,
+        } = self;
+        for lf in flows.drain(..) {
+            table.recycle(lf.flow);
+        }
+        table.reset(exp.site.subnet(), 24);
+        dns_map.clear();
+        *unparsed_packets = 0;
         for view in exp.capture.views() {
             let view = view.expect("experiment captures are writer-clean");
             let parsed = match ParsedPacket::parse(view.data) {
@@ -152,7 +199,7 @@ impl ExperimentFlows {
                 // checksum-garbled): skip it, as tcpdump would, but
                 // count it so degraded captures are visible downstream.
                 Err(_) => {
-                    unparsed_packets += 1;
+                    *unparsed_packets += 1;
                     continue;
                 }
             };
@@ -160,25 +207,16 @@ impl ExperimentFlows {
             // precede the flows they label.
             if let TransportHeader::Udp(udp) = &parsed.transport {
                 if udp.src_port == dns::PORT {
-                    if let Ok(msg) = dns::Message::parse(parsed.payload) {
-                        for (name, addr) in msg.a_records() {
-                            dns_map.insert(addr, ctx.intern(name));
+                    if let Ok(msg) = dns::MessageView::parse(parsed.payload) {
+                        for (owner, addr) in msg.a_records() {
+                            dns_map.insert(addr, ctx.intern(owner.decode_into(name)));
                         }
                     }
                 }
             }
             table.observe(&parsed, view.ts_micros);
         }
-        let flows = table
-            .into_flows()
-            .into_iter()
-            .map(|flow| label_flow(flow, &dns_map, ctx))
-            .collect();
-        ExperimentFlows {
-            flows,
-            dns_map,
-            unparsed_packets,
-        }
+        flows.extend(table.take_sorted().map(|flow| label_flow(flow, dns_map, ctx)));
     }
 
     /// Flows excluding the LAN-side infrastructure chatter (DNS to the

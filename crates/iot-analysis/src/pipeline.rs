@@ -28,13 +28,16 @@
 //! those three stages see a flow, and the zero-allocation test runs it.
 //!
 //! A worker keeps its result-neutral state — the domain intern pool,
-//! compiled PII patterns and its metric registry — for its whole run,
-//! while the report-bearing accumulators live per unit, so no lock sits
-//! on the hot path. Experiment generation is seeded per (device,
-//! activity, rep, site, vpn), and every accumulator merge is
-//! order-independent, so the report is byte-identical at any worker
-//! count; the oracle's differential pillar (`iot_oracle::differential`)
-//! is the one place that checks it.
+//! compiled PII patterns, entropy term tables, the flow pool in which it
+//! rebuilds each experiment's flows, and its metric registry — for its
+//! whole run, while the report-bearing accumulators live per unit, so no
+//! lock sits on the hot path. Once a worker has met its largest
+//! experiment, flow reconstruction and the per-flow loop allocate only to
+//! intern a new name or build a PII finding. Experiment generation is
+//! seeded per (device, activity, rep, site, vpn), and every accumulator
+//! merge is order-independent, so the report is byte-identical at any
+//! worker count; the oracle's differential pillar
+//! (`iot_oracle::differential`) is the one place that checks it.
 //!
 //! # Observability
 //!
@@ -100,7 +103,7 @@ use crate::supervise::{
 };
 use iot_chaos::{stream_key, FaultInjector, FaultPlan};
 use iot_core::json::{Json, ToJson};
-use iot_entropy::EncryptionClass;
+use iot_entropy::{EncryptionClass, EntropyScratch};
 use iot_geodb::party::PartyType;
 use iot_geodb::registry::GeoDb;
 use iot_net::pcap::{Capture, PcapCursor, GLOBAL_HEADER_LEN};
@@ -230,18 +233,29 @@ impl ToJson for PipelineReport {
     }
 }
 
+/// A worker's result-neutral state, kept from one experiment to the next:
+/// which cache a value came from never reaches a result.
+#[derive(Default)]
+struct Caches {
+    /// The domain intern pool: the flows this worker labels with one name
+    /// share one allocation.
+    label_ctx: LabelCtx,
+    /// Compiled PII pattern sets per (device, site).
+    pii_patterns: PatternCache,
+    /// Entropy term tables, one per payload length seen.
+    entropy: EntropyScratch,
+    /// The flow pool: every experiment's flows are rebuilt in it, so its
+    /// table and payload buffers grow to the worker's largest experiment
+    /// (at most 16 KiB of payload per flow) and then stop.
+    flows: ExperimentFlows,
+}
+
 /// One worker of a run. Its caches and metric registry are
 /// result-neutral, so they live as long as the worker; everything that
 /// reaches the report accumulates per unit in a [`UnitDelta`].
 struct Worker {
     idx: usize,
-    /// The domain intern pool: the flows this worker labels with one name
-    /// share one allocation. Which pool a name came from never reaches a
-    /// result.
-    label_ctx: LabelCtx,
-    /// Compiled PII pattern sets per (device, site); the same
-    /// result-neutral caching story as `label_ctx`.
-    pii_patterns: PatternCache,
+    caches: Caches,
     /// Worker-local metrics, merged into the pipeline's registry when
     /// the worker ends.
     obs: Registry,
@@ -258,8 +272,7 @@ impl Worker {
         Worker {
             idx,
             shard: Meter::started(&obs),
-            label_ctx: LabelCtx::new(),
-            pii_patterns: PatternCache::new(),
+            caches: Caches::default(),
             obs,
             experiments: 0,
         }
@@ -304,8 +317,7 @@ impl Worker {
              and stays resumable",
             self.idx
         );
-        self.label_ctx = LabelCtx::new();
-        self.pii_patterns = PatternCache::new();
+        self.caches = Caches::default();
         let mut marker = UnitDelta::new(unit);
         marker.ingest.shards_quarantined = 1;
         marker.ingest.add_stage_error("worker_panic");
@@ -320,12 +332,7 @@ impl Worker {
         // Split the borrow: the span guard pins `obs` (shared) for the
         // whole ingest while the quarantine closure below captures the
         // caches mutably.
-        let Worker {
-            label_ctx,
-            pii_patterns,
-            obs,
-            ..
-        } = self;
+        let Worker { caches, obs, .. } = self;
         let site = exp.site;
         let device = exp.device_name;
         let _ingest_span = obs.span("shard/ingest");
@@ -359,7 +366,7 @@ impl Worker {
             if inject_panic {
                 panic!("{INJECTED_PANIC_MSG}");
             }
-            analyze_experiment(ctx, label_ctx, pii_patterns, acc, obs, exp);
+            analyze_experiment(ctx, caches, acc, obs, exp);
         }));
         let ingest = &mut acc.ingest;
         let outcome = match ran {
@@ -462,15 +469,14 @@ fn degrade_capture(
 }
 
 /// One experiment's analyses into the unit accumulator `acc`: flow
-/// reconstruction materializes the experiment's flows once (several
-/// stages borrow each flow), then [`analyze_flows`] runs the per-flow
-/// stages over them in one pass. A free function (not a `Worker`
-/// method) so the quarantine closure can capture the worker's caches
-/// disjointly from the live ingest span.
+/// reconstruction rebuilds the worker's flow pool with the experiment's
+/// flows (several stages borrow each flow), then [`analyze_flows`] runs
+/// the per-flow stages over them in one pass. A free function (not a
+/// `Worker` method) so the quarantine closure can capture the worker's
+/// caches disjointly from the live ingest span.
 fn analyze_experiment(
     run: &RunCtx<'_>,
-    label_ctx: &mut LabelCtx,
-    pii_patterns: &mut PatternCache,
+    caches: &mut Caches,
     acc: &mut UnitDelta,
     obs: &Registry,
     exp: &LabeledExperiment,
@@ -478,10 +484,16 @@ fn analyze_experiment(
     obs.add("experiments", 1);
     obs.add("packets", exp.packet_count() as u64);
     obs.observe("experiment_packets", exp.packet_count() as u64);
-    let flows = {
+    let Caches {
+        label_ctx,
+        pii_patterns,
+        entropy,
+        flows,
+    } = caches;
+    {
         let _s = obs.span("shard/ingest/flows");
-        ExperimentFlows::from_experiment_with(exp, label_ctx)
-    };
+        flows.rebuild(exp, label_ctx);
+    }
     if flows.unparsed_packets > 0 {
         // Frames salvage recovered but frame parsing rejected: still
         // ingested, classified as unparseable rather than erroring out.
@@ -497,7 +509,7 @@ fn analyze_experiment(
     }
     let ctx = FlowCtx::of(exp, run.identities, pii_patterns);
     let pii_before = acc.pii.len();
-    let tally = analyze_flows(&ctx, run.db, &flows.flows, acc, obs);
+    let tally = analyze_flows(&ctx, run.db, &flows.flows, acc, entropy, obs);
     acc.encryption.add_sample(exp, &tally);
     if ctx.scan.is_some() {
         obs.add("pii_findings", (acc.pii.len() - pii_before) as u64);
@@ -505,13 +517,14 @@ fn analyze_experiment(
 }
 
 /// What the per-flow stages need of one experiment, built once before
-/// its flow loop: the destination labeling inputs, the experiment's
-/// Table 8 rows, and the compiled PII patterns with the manufacturer's
-/// organization (`None` for a device without an identity: no scan).
+/// its flow loop, without allocating: the destination labeling inputs,
+/// the experiment's Table 8 rows, and the compiled PII patterns with the
+/// manufacturer's organization (`None` for a device without an identity:
+/// no scan).
 struct FlowCtx<'a> {
     exp: &'a LabeledExperiment,
     dest: Option<DestCtx>,
-    rows: Vec<Table8Row>,
+    rows: &'static [Table8Row],
     scan: Option<(&'a PiiPatterns, &'static str)>,
 }
 
@@ -552,6 +565,7 @@ fn analyze_flows(
     db: &GeoDb,
     flows: &[LabeledFlow],
     acc: &mut UnitDelta,
+    entropy: &mut EntropyScratch,
     obs: &Registry,
 ) -> ClassBytes {
     let mut dest_meter = Meter::new(obs);
@@ -563,7 +577,7 @@ fn analyze_flows(
         if let (true, Some(dest)) = (internet, &ctx.dest) {
             dest_meter.measure(|| acc.destinations.add_flow(ctx.exp, dest, lf));
         }
-        enc_meter.measure(|| acc.encryption.add_flow(ctx.exp, &ctx.rows, lf, &mut tally));
+        enc_meter.measure(|| acc.encryption.add_flow(ctx.exp, ctx.rows, lf, &mut tally, entropy));
         if let (true, Some((patterns, manufacturer_org))) = (internet, ctx.scan) {
             pii_meter.measure(|| {
                 let hits = scan_flow(patterns, lf);
@@ -1147,14 +1161,15 @@ mod tests {
         assert_eq!(replay.finish().to_json().dump(), baseline_json);
     }
 
-    /// The hot-path invariant: once the caches are warm (interned
-    /// labels, compiled PII patterns, entropy term tables) and the
-    /// accumulator tables have seen every key, the
-    /// driver's per-flow loop, [`analyze_flows`], performs zero heap
-    /// allocations per flow, its stage meters included. Experiments
-    /// whose scan produced PII findings run without the PII stage:
-    /// constructing a finding allocates by design; that is per-finding
-    /// work, not loop overhead.
+    /// The hot-path invariant: once a worker's caches are warm (interned
+    /// labels, compiled PII patterns, entropy term tables, the flow pool)
+    /// and the accumulator tables have seen every key, a second pass over
+    /// the same experiments builds each one's flow context, rebuilds its
+    /// flows in the pool ([`ExperimentFlows::rebuild`]) and runs the
+    /// per-flow loop ([`analyze_flows`]) with zero heap allocations, its
+    /// stage meters included. Experiments whose scan produced PII
+    /// findings run without the PII stage: constructing a finding
+    /// allocates by design; that is per-finding work, not loop overhead.
     #[test]
     fn fused_per_flow_loop_is_allocation_free_after_warmup() {
         let db = GeoDb::new();
@@ -1167,57 +1182,55 @@ mod tests {
             obs_enabled: true,
         };
         let obs = Registry::with_enabled(true);
-        let mut label_ctx = LabelCtx::new();
-        let mut pii_patterns = PatternCache::new();
+        let mut caches = Caches::default();
         let mut acc = UnitDelta::new(0);
 
         // Warm-up through the driver's own per-experiment analysis, which
-        // warms every cache, accumulator key and span path; remember each
-        // experiment's flows and whether it produced findings.
-        let mut corpus = Vec::new();
-        for exp in all_experiments(&campaign, &db) {
+        // warms every cache, the flow pool, every accumulator key and span
+        // path; remember whether each experiment produced findings.
+        let corpus = all_experiments(&campaign, &db);
+        let mut had_findings = Vec::with_capacity(corpus.len());
+        for exp in &corpus {
             let pii_before = acc.pii.len();
-            analyze_experiment(
-                &run,
-                &mut label_ctx,
-                &mut pii_patterns,
-                &mut acc,
-                &obs,
-                &exp,
-            );
-            let flows = ExperimentFlows::from_experiment_with(&exp, &mut label_ctx);
-            let had_findings = acc.pii.len() > pii_before;
-            corpus.push((exp, flows, had_findings));
+            analyze_experiment(&run, &mut caches, &mut acc, &obs, exp);
+            had_findings.push(acc.pii.len() > pii_before);
         }
-        assert!(corpus.iter().any(|(.., f)| *f), "corpus must exercise PII");
+        assert!(had_findings.contains(&true), "corpus must exercise PII");
 
-        // Measured pass over the very same flows: each experiment's
-        // context is built outside the measurement window, as the driver
-        // builds it outside the loop; the loop itself must not touch the
-        // heap. Its meters charge each stage's traffic to the registry.
+        // The measured pass, experiment by experiment as the worker runs
+        // it. Its meters charge each stage's traffic to the registry.
+        let Caches {
+            label_ctx,
+            pii_patterns,
+            entropy,
+            flows,
+        } = &mut caches;
         let stages_before = obs.snapshot().span_allocs;
         let was = iot_obs::alloc::enabled();
         iot_obs::alloc::set_enabled(true);
         let mut measured = iot_obs::AllocStats::default();
-        let mut flows_measured = 0;
-        for (exp, flows, had_findings) in &corpus {
-            let mut ctx = FlowCtx::of(exp, &identities, &mut pii_patterns);
-            if *had_findings {
+        let (mut flows_measured, mut packets) = (0, 0);
+        for (exp, &had_findings) in corpus.iter().zip(&had_findings) {
+            let before = iot_obs::alloc::thread_snapshot();
+            let mut ctx = FlowCtx::of(exp, &identities, pii_patterns);
+            if had_findings {
                 ctx.scan = None;
             }
-            let before = iot_obs::alloc::thread_snapshot();
-            analyze_flows(&ctx, &db, &flows.flows, &mut acc, &obs);
+            flows.rebuild(exp, label_ctx);
+            analyze_flows(&ctx, &db, &flows.flows, &mut acc, entropy, &obs);
             measured.merge(&iot_obs::alloc::thread_snapshot().since(&before));
             flows_measured += flows.flows.len();
+            packets += exp.packet_count();
         }
         iot_obs::alloc::set_enabled(was);
         assert!(flows_measured > 1000, "need a real corpus: {flows_measured}");
         assert_eq!(
             measured.allocs,
             0,
-            "the per-flow loop must be allocation-free after warm-up \
-             ({flows_measured} flows): {measured:?}\n stages before: \
-             {stages_before:?}\n stages after: {:?}",
+            "rebuilding flows and the per-flow loop must be allocation-free after \
+             warm-up ({} experiments, {packets} packets, {flows_measured} flows): \
+             {measured:?}\n stages before: {stages_before:?}\n stages after: {:?}",
+            corpus.len(),
             obs.snapshot().span_allocs
         );
         assert_eq!(measured.bytes_allocated, 0);

@@ -46,17 +46,19 @@ fn temp_path(tag: &str) -> PathBuf {
 /// PII finding, so every codec branch (maps, options, enums, strings)
 /// is exercised by the fuzz corpus.
 fn delta(unit: u32) -> UnitDelta {
-    let mut ingest = IngestStats::default();
-    ingest.packets_generated = 1000 + u64::from(unit);
-    ingest.packets_ingested = 990 + u64::from(unit);
-    ingest.packets_dropped = 6;
-    ingest.packets_lost = 4;
-    ingest.experiments_ingested = 40;
+    let mut ingest = IngestStats {
+        packets_generated: 1000 + u64::from(unit),
+        packets_ingested: 990 + u64::from(unit),
+        packets_dropped: 6,
+        packets_lost: 4,
+        experiments_ingested: 40,
+        ..IngestStats::default()
+    };
     ingest.add_stage_error("salvage");
     let mut coverage = Coverage::new();
     coverage.record(LabSite::Us, "Echo Dot", CoverageOutcome::Completed);
     coverage.record(LabSite::Uk, "Samsung TV", CoverageOutcome::Completed);
-    if unit % 2 == 0 {
+    if unit.is_multiple_of(2) {
         coverage.record(LabSite::Us, "Echo Dot", CoverageOutcome::Quarantined);
     }
     UnitDelta {
@@ -220,13 +222,10 @@ fn seeded_random_blobs_never_panic() {
         let blob: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         // Random bytes almost surely fail the magic check; whatever
         // happens must be a typed error or an (empty-ish) salvage.
-        match read_journal_bytes(&blob) {
-            Ok(contents) => {
-                // Only possible if the blob accidentally starts with
-                // the magic — records must still be checksum-valid.
-                assert_eq!(contents.salvage.records, contents.deltas.len() as u64);
-            }
-            Err(_) => {}
+        if let Ok(contents) = read_journal_bytes(&blob) {
+            // Only possible if the blob accidentally starts with the
+            // magic — records must still be checksum-valid.
+            assert_eq!(contents.salvage.records, contents.deltas.len() as u64);
         }
         // And with a valid header grafted on, the random tail is pure
         // salvage input: typed errors are no longer acceptable.

@@ -27,7 +27,8 @@
 //!
 //! Environment:
 //!
-//! * `IOT_SCALE` — `quick` / `medium` / `full` campaign (see `iot-bench`).
+//! * `IOT_SCALE` — `quick` / `medium` / `full` campaign (see `iot-bench`);
+//!   medium when unset, and any other word fails before anything runs.
 //! * `IOT_ORACLE_OUT` — results JSON path (default `target/oracle_check.json`).
 //!
 //! Exits non-zero on any violation.
@@ -57,7 +58,7 @@ fn check(out_path: &str) -> Result<(), String> {
         }
     }));
 
-    let scale = scale();
+    let scale = scale().map_err(|e| format!("IOT_SCALE: {e}"))?;
     let config = campaign_config(scale);
     println!("oracle_check: scale={}", scale.name());
 

@@ -2,10 +2,11 @@
 //!
 //! Each artifact is printed under an `=== name (scale) ===` header and
 //! its JSON is written under `results/` (`IOT_RESULTS_DIR`). The scale
-//! comes from `IOT_SCALE`. However many campaign artifacts are named, the
-//! campaign runs at most once, through the one driver on every
-//! available core; however many model artifacts are named, the model set
-//! is trained at most once.
+//! comes from `IOT_SCALE` (medium when unset; any word but `quick`,
+//! `medium` and `full` exits 2 before anything runs). However many
+//! campaign artifacts are named, the campaign runs at most once, through
+//! the one driver on every available core; however many model artifacts
+//! are named, the model set is trained at most once.
 
 use iot_bench::tables::{run_campaign, Models, Output, Source, ARTIFACTS};
 use std::io::Write;
@@ -20,7 +21,13 @@ fn main() -> ExitCode {
         eprintln!("usage: tables <artifact>...\nartifacts: {}", known.join(" "));
         return ExitCode::from(2);
     };
-    let scale = iot_bench::scale();
+    let scale = match iot_bench::scale() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("tables: IOT_SCALE: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let dir = iot_bench::results_dir();
     let mut campaign = None;
     let mut models = None;

@@ -27,6 +27,7 @@ pub mod tables;
 
 use iot_testbed::schedule::{Campaign, CampaignConfig};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Where artifacts are written: `IOT_RESULTS_DIR`, default `results`.
 pub fn results_dir() -> PathBuf {
@@ -55,12 +56,25 @@ impl Scale {
     }
 }
 
-/// Reads the scale from `IOT_SCALE`.
-pub fn scale() -> Scale {
-    match std::env::var("IOT_SCALE").as_deref() {
-        Ok("quick") => Scale::Quick,
-        Ok("full") => Scale::Full,
-        _ => Scale::Medium,
+/// The one parser of scale words: `quick`, `medium` or `full`, nothing
+/// else; the error names the three.
+impl FromStr for Scale {
+    type Err = String;
+
+    fn from_str(word: &str) -> Result<Self, String> {
+        [Scale::Quick, Scale::Medium, Scale::Full]
+            .into_iter()
+            .find(|s| s.name() == word)
+            .ok_or_else(|| format!("unknown scale {word:?}: expected quick, medium or full"))
+    }
+}
+
+/// Reads the scale from `IOT_SCALE`: medium when it is unset, and an
+/// error for any value but the three words.
+pub fn scale() -> Result<Scale, String> {
+    match std::env::var_os("IOT_SCALE") {
+        None => Ok(Scale::Medium),
+        Some(word) => word.to_string_lossy().parse(),
     }
 }
 
@@ -124,6 +138,18 @@ pub fn training_campaign(scale: Scale) -> Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_words_parse_and_nothing_else_does() {
+        for scale in [Scale::Quick, Scale::Medium, Scale::Full] {
+            assert_eq!(scale.name().parse(), Ok(scale));
+        }
+        for word in ["ful", "", "Quick", " medium", "fast"] {
+            let msg = word.parse::<Scale>().unwrap_err();
+            assert!(msg.contains(&format!("{word:?}")), "{msg}");
+            assert!(["quick", "medium", "full"].iter().all(|w| msg.contains(w)), "{msg}");
+        }
+    }
 
     #[test]
     fn scale_configs_ordered() {

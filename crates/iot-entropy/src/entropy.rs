@@ -234,7 +234,7 @@ mod tests {
         let a = [0u8; 16];
         let b: Vec<u8> = (0..=255).collect();
         let payloads: Vec<&[u8]> = vec![&a, &[], &b];
-        let m = mean_packet_entropy(payloads.into_iter());
+        let m = mean_packet_entropy(payloads);
         assert!((m - 0.5).abs() < 1e-12);
     }
 

@@ -94,7 +94,7 @@ mod tests {
         let s = stats(&sample);
         // Deciles occupy indices 3..12; for 0..=100 they are 10,20,…,90.
         for (i, expected) in (10..=90).step_by(10).enumerate() {
-            assert!((s[3 + i] - f64::from(expected as i32)).abs() < 1e-9);
+            assert!((s[3 + i] - f64::from(expected)).abs() < 1e-9);
         }
     }
 

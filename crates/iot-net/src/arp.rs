@@ -111,16 +111,16 @@ impl ArpPacket {
         if htype != 1 || ptype != 0x0800 || data[4] != 6 || data[5] != 4 {
             return Err(Error::Unsupported {
                 layer: "arp",
-                what: format!("htype={htype} ptype=0x{ptype:04x}"),
+                what: "hardware or protocol type",
             });
         }
         let op = match u16::from_be_bytes([data[6], data[7]]) {
             1 => ArpOp::Request,
             2 => ArpOp::Reply,
-            other => {
+            _ => {
                 return Err(Error::Unsupported {
                     layer: "arp",
-                    what: format!("op {other}"),
+                    what: "op",
                 })
             }
         };

@@ -28,7 +28,7 @@ pub enum Error {
         /// Layer containing the field.
         layer: &'static str,
         /// Description of the unsupported value.
-        what: String,
+        what: &'static str,
     },
     /// A checksum failed verification.
     BadChecksum {
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn io_error_source_preserved() {
-        let e = Error::from(std::io::Error::new(std::io::ErrorKind::Other, "boom"));
+        let e = Error::from(std::io::Error::other("boom"));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -7,6 +7,12 @@
 //! byte/packet counts per direction plus a bounded prefix of the application
 //! payload in each direction, which downstream analyses use for protocol
 //! identification, entropy measurement, and PII scanning.
+//!
+//! A [`FlowTable`] can serve capture after capture: [`FlowTable::reset`]
+//! empties it but keeps its slot and key arrays and every flow in its
+//! arena, payload buffers included, and [`FlowTable::take_sorted`] with
+//! [`FlowTable::recycle`] lends the flows out and takes them back. Once
+//! a table has seen its largest capture, the next ones allocate nothing.
 
 use crate::packet::{ParsedPacket, TransportHeader};
 use std::net::Ipv4Addr;
@@ -95,6 +101,20 @@ impl Flow {
         (self.last_ts.saturating_sub(self.first_ts)) as f64 / 1e6
     }
 
+    /// Starts the flow over as `key`'s, first seen at `ts`, keeping the
+    /// payload buffers' capacity.
+    fn restart(&mut self, key: FlowKey, ts: u64) {
+        let mut payload_out = std::mem::take(&mut self.payload_out);
+        let mut payload_in = std::mem::take(&mut self.payload_in);
+        payload_out.clear();
+        payload_in.clear();
+        *self = Flow {
+            payload_out,
+            payload_in,
+            ..Flow::new(key, ts)
+        };
+    }
+
     fn observe(&mut self, dir: Direction, ts: u64, payload: &[u8], cap: usize) {
         self.last_ts = self.last_ts.max(ts);
         self.first_ts = self.first_ts.min(ts);
@@ -104,10 +124,14 @@ impl Flow {
         };
         *pkts += 1;
         *bytes += payload.len() as u64;
-        let room = cap.saturating_sub(buf.len());
-        if room > 0 {
-            buf.extend_from_slice(&payload[..payload.len().min(room)]);
+        let take = payload.len().min(cap.saturating_sub(buf.len()));
+        if take > buf.capacity() - buf.len() {
+            // Double as `Vec` would, but never past the cap: a buffer
+            // kept for the next flow holds at most `cap` bytes.
+            let grown = (2 * buf.capacity()).max(buf.len() + take).min(cap);
+            buf.reserve_exact(grown - buf.len());
         }
+        buf.extend_from_slice(&payload[..take]);
     }
 }
 
@@ -115,7 +139,7 @@ impl FlowKey {
     /// Packs the 5-tuple into one `u128`, field-ordered so that comparing
     /// packed keys is exactly [`FlowKey`]'s derived lexicographic `Ord`
     /// (local ip, local port, remote ip, remote port, proto) — the sort
-    /// in [`FlowTable::into_flows`] depends on this equivalence.
+    /// in [`FlowTable::take_sorted`] depends on this equivalence.
     pub fn packed(&self) -> u128 {
         (u128::from(u32::from(self.local_ip)) << 72)
             | (u128::from(self.local_port) << 56)
@@ -142,15 +166,23 @@ fn hash_packed(key: u128) -> u64 {
 /// per-entry heap box like `HashMap<FlowKey, Flow>` had. Iteration order
 /// over the arena is insertion order (first-packet order), which is
 /// deterministic; [`FlowTable::into_flows`] still sorts explicitly.
-#[derive(Debug)]
+///
+/// The arena outlives the flows in it: after [`FlowTable::reset`], the
+/// flow first observed `k`-th lands in the arena entry the previous
+/// capture's `k`-th flow used, and fills that entry's payload buffers, so
+/// a table replaying captures it has seen never grows a buffer.
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     /// `flow index + 1` per slot; 0 marks an empty slot. Power-of-two
-    /// sized, linear probing, grown at ¾ load.
+    /// sized, linear probing, grown at ¾ load; the size survives a reset.
     slots: Vec<u32>,
-    /// Packed key per arena entry, parallel to `flows`.
+    /// Packed key per live flow, parallel to the front of `flows`.
     keys: Vec<u128>,
-    /// Flow arena, in first-observation order.
+    /// Flow arena, in first-observation order: the first `keys.len()`
+    /// entries are live, the rest are spares from earlier captures.
     flows: Vec<Flow>,
+    /// Live arena indices in [`FlowTable::take_sorted`] order.
+    order: Vec<u32>,
     local_net: (Ipv4Addr, u8),
     payload_cap: usize,
 }
@@ -165,6 +197,7 @@ impl FlowTable {
             slots: vec![0; INITIAL_SLOTS],
             keys: Vec::new(),
             flows: Vec::new(),
+            order: Vec::new(),
             local_net: (local_net, prefix_len),
             payload_cap: DEFAULT_PAYLOAD_CAP,
         }
@@ -177,21 +210,26 @@ impl FlowTable {
         (hash_packed(packed) >> shift) as usize
     }
 
-    /// Finds the arena index for `packed`, inserting a new flow (created
-    /// by `make`) on first sight. Grows the slot array at ¾ load.
-    fn index_of(&mut self, packed: u128, make: impl FnOnce() -> Flow) -> usize {
-        if (self.flows.len() + 1) * 4 >= self.slots.len() * 3 {
+    /// Finds the arena index for `key`, starting a flow first seen at
+    /// `ts` in the next arena entry on first sight. Grows the slot array
+    /// at ¾ load.
+    fn index_of(&mut self, key: FlowKey, ts: u64) -> usize {
+        if (self.keys.len() + 1) * 4 >= self.slots.len() * 3 {
             self.grow();
         }
+        let packed = key.packed();
         let mask = self.slots.len() - 1;
         let mut i = self.probe_start(packed);
         loop {
             match self.slots[i] {
                 0 => {
-                    let idx = self.flows.len();
+                    let idx = self.keys.len();
                     self.slots[i] = idx as u32 + 1;
                     self.keys.push(packed);
-                    self.flows.push(make());
+                    match self.flows.get_mut(idx) {
+                        Some(spare) => spare.restart(key, ts),
+                        None => self.flows.push(Flow::new(key, ts)),
+                    }
                     return idx;
                 }
                 s => {
@@ -217,6 +255,56 @@ impl FlowTable {
                 i = (i + 1) & mask;
             }
             self.slots[i] = idx as u32 + 1;
+        }
+    }
+
+    /// The live arena index of `packed`, if the table holds it.
+    fn find(&self, packed: u128) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.probe_start(packed);
+        loop {
+            let idx = (self.slots[i] as usize).checked_sub(1)?;
+            if self.keys[idx] == packed {
+                return Some(idx);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Empties the table for a capture of devices inside `local_net`,
+    /// keeping its allocations: the slot and key arrays, and every flow
+    /// of the arena, whose payload buffers serve the next capture's
+    /// flows. Give flows lent by [`FlowTable::take_sorted`] back with
+    /// [`FlowTable::recycle`] first.
+    pub fn reset(&mut self, local_net: Ipv4Addr, prefix_len: u8) {
+        self.slots.fill(0);
+        self.keys.clear();
+        self.local_net = (local_net, prefix_len);
+    }
+
+    /// Lends the live flows out, sorted by first-packet time, then by
+    /// key. Each leaves an empty flow in its arena entry until
+    /// [`FlowTable::recycle`] returns it; the table still knows the keys
+    /// until [`FlowTable::reset`].
+    pub fn take_sorted(&mut self) -> impl Iterator<Item = Flow> + '_ {
+        let FlowTable { keys, flows, order, .. } = self;
+        order.clear();
+        order.extend(0..keys.len() as u32);
+        // Keys are unique, so the unstable sort is a total order.
+        order.sort_unstable_by_key(|&i| (flows[i as usize].first_ts, flows[i as usize].key));
+        order.iter().map(|&i| {
+            let flow = &mut flows[i as usize];
+            let spare = Flow::new(flow.key, 0);
+            std::mem::replace(flow, spare)
+        })
+    }
+
+    /// Returns a flow lent by [`FlowTable::take_sorted`] to its arena
+    /// entry, so its payload buffers serve the flow that next lands
+    /// there. A flow whose key the table does not hold is dropped.
+    pub fn recycle(&mut self, flow: Flow) {
+        if let Some(idx) = self.find(flow.key.packed()) {
+            self.flows[idx] = flow;
         }
     }
 
@@ -271,31 +359,29 @@ impl FlowTable {
             _ => return None,
         };
         let cap = self.payload_cap;
-        let idx = self.index_of(key.packed(), || Flow::new(key, ts_micros));
+        let idx = self.index_of(key, ts_micros);
         self.flows[idx].observe(dir, ts_micros, pkt.payload, cap);
         Some(dir)
     }
 
     /// Number of flows seen so far.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.keys.len()
     }
 
     /// True when no flows have been observed.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.keys.is_empty()
     }
 
     /// Iterates over flows in first-observation order.
     pub fn iter(&self) -> impl Iterator<Item = &Flow> {
-        self.flows.iter()
+        self.flows[..self.keys.len()].iter()
     }
 
     /// Consumes the table, returning flows sorted by first-packet time.
-    pub fn into_flows(self) -> Vec<Flow> {
-        let mut flows = self.flows;
-        flows.sort_by_key(|f| (f.first_ts, f.key));
-        flows
+    pub fn into_flows(mut self) -> Vec<Flow> {
+        self.take_sorted().collect()
     }
 }
 
@@ -438,19 +524,34 @@ mod tests {
         }
     }
 
+    fn assert_same_flow(a: &Flow, e: &Flow, case: u64) {
+        assert_eq!(a.key, e.key, "case {case}");
+        assert_eq!(a.first_ts, e.first_ts, "case {case}");
+        assert_eq!(a.last_ts, e.last_ts, "case {case}");
+        assert_eq!((a.packets_out, a.packets_in), (e.packets_out, e.packets_in), "case {case}");
+        assert_eq!((a.bytes_out, a.bytes_in), (e.bytes_out, e.bytes_in), "case {case}");
+        assert_eq!(a.payload_out, e.payload_out, "case {case}");
+        assert_eq!(a.payload_in, e.payload_in, "case {case}");
+    }
+
     /// Property test (tentpole contract): the packed-key open-addressing
     /// table is observationally identical to a naive `HashMap<FlowKey,
     /// Flow>` across ≥64 seeded packet streams, including streams whose
     /// 5-tuples are crafted to collide heavily in the probe space (tiny
-    /// IP/port ranges → many keys landing in the same buckets).
+    /// IP/port ranges → many keys landing in the same buckets). Every
+    /// case also runs through one table reused across all 64: reset
+    /// before the case, its flows lent out and recycled after it, so a
+    /// stale slot, count or payload byte from an earlier case shows.
     #[test]
     fn packed_table_matches_hashmap_reference_seeded() {
         use std::collections::HashMap;
+        let mut reused = table();
         for case in 0..64u64 {
             let mut rng = iot_core::rng::StdRng::seed_from_u64(0xAB1E ^ (case << 8));
             // Collision-heavy on even cases: 2 remote IPs × 8 ports etc.
             let tight = case % 2 == 0;
             let mut t = table();
+            reused.reset(Ipv4Addr::new(192, 168, 10, 0), 24);
             let mut reference: HashMap<FlowKey, Flow> = HashMap::new();
             for _ in 0..rng.gen_range(1usize..400) {
                 let (src, dst, sport, dport, out) = if rng.gen_bool(0.5) {
@@ -474,6 +575,7 @@ mod tests {
                 let raw = b.udp(ts, sport, dport, &payload);
                 let parsed = raw.parse().unwrap();
                 let dir = t.observe(&parsed, ts);
+                assert_eq!(reused.observe(&parsed, ts), dir, "case {case}");
                 // Reference: the pre-optimization HashMap logic, verbatim.
                 let (key, rdir) = if src == DEV_IP {
                     (
@@ -505,18 +607,45 @@ mod tests {
                     .observe(rdir, ts, &payload, DEFAULT_PAYLOAD_CAP);
             }
             assert_eq!(t.len(), reference.len(), "case {case}");
+            assert_eq!(reused.len(), reference.len(), "case {case}");
             let mut expected: Vec<Flow> = reference.into_values().collect();
             expected.sort_by_key(|f| (f.first_ts, f.key));
             let actual = t.into_flows();
-            for (a, e) in actual.iter().zip(&expected) {
-                assert_eq!(a.key, e.key, "case {case}");
-                assert_eq!(a.first_ts, e.first_ts);
-                assert_eq!(a.last_ts, e.last_ts);
-                assert_eq!((a.packets_out, a.packets_in), (e.packets_out, e.packets_in));
-                assert_eq!((a.bytes_out, a.bytes_in), (e.bytes_out, e.bytes_in));
-                assert_eq!(a.payload_out, e.payload_out);
-                assert_eq!(a.payload_in, e.payload_in);
+            let lent: Vec<Flow> = reused.take_sorted().collect();
+            assert_eq!((actual.len(), lent.len()), (expected.len(), expected.len()));
+            for ((a, r), e) in actual.iter().zip(&lent).zip(&expected) {
+                assert_same_flow(a, e, case);
+                assert_same_flow(r, e, case);
+            }
+            for flow in lent {
+                reused.recycle(flow);
             }
         }
+    }
+
+    /// A reused table serves the next capture from the same payload
+    /// buffers, and grows none past the cap.
+    #[test]
+    fn reset_keeps_buffers_within_the_cap() {
+        let mut t = table().with_payload_cap(100);
+        let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
+        let packets: Vec<_> = (0..12u64).map(|i| b.udp(i, 50000, 9999, &[7; 30])).collect();
+        let mut buffers = Vec::new();
+        for _ in 0..2 {
+            t.reset(Ipv4Addr::new(192, 168, 10, 0), 24);
+            for p in &packets {
+                t.observe(&p.parse().unwrap(), p.ts_micros);
+            }
+            let flows: Vec<Flow> = t.take_sorted().collect();
+            assert_eq!(flows.len(), 1);
+            assert_eq!(flows[0].payload_out, [7; 100]);
+            assert_eq!(flows[0].packets_out, 12);
+            buffers.push((flows[0].payload_out.as_ptr(), flows[0].payload_out.capacity()));
+            for flow in flows {
+                t.recycle(flow);
+            }
+        }
+        assert_eq!(buffers[0], buffers[1], "the second capture reuses the buffer");
+        assert_eq!(buffers[0].1, 100, "growth stops at the cap");
     }
 }

@@ -71,7 +71,7 @@ impl Ipv4Header {
         if version != 4 {
             return Err(Error::Unsupported {
                 layer: "ipv4",
-                what: format!("version {version}"),
+                what: "version",
             });
         }
         let ihl = usize::from(data[0] & 0x0f) * 4;
@@ -149,7 +149,7 @@ mod tests {
     fn roundtrip_with_payload() {
         let h = sample();
         let mut wire = h.encode().to_vec();
-        wire.extend_from_slice(&vec![0xaa; 100]);
+        wire.extend_from_slice(&[0xaa; 100]);
         let (parsed, payload) = Ipv4Header::parse(&wire).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(payload.len(), 100);
@@ -160,7 +160,7 @@ mod tests {
     fn corrupted_checksum_detected() {
         let h = sample();
         let mut wire = h.encode().to_vec();
-        wire.extend_from_slice(&vec![0u8; 100]);
+        wire.extend_from_slice(&[0u8; 100]);
         wire[8] ^= 0xff; // flip TTL, invalidating the checksum
         assert!(matches!(
             Ipv4Header::parse(&wire),

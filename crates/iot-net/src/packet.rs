@@ -125,13 +125,15 @@ pub struct ParsedPacket<'a> {
 }
 
 impl<'a> ParsedPacket<'a> {
-    /// Parses a raw Ethernet frame carrying IPv4.
+    /// Parses a raw Ethernet frame carrying IPv4. Any other frame (ARP,
+    /// say) is `Unsupported`, an error that touches no heap: flow
+    /// reconstruction skips such frames by the thousand.
     pub fn parse(frame: &'a [u8]) -> Result<Self> {
         let eth = EthernetFrame::parse(frame)?;
         if eth.ethertype != EtherType::Ipv4 {
             return Err(crate::Error::Unsupported {
                 layer: "ethernet",
-                what: format!("ethertype {:?}", eth.ethertype),
+                what: "ethertype",
             });
         }
         let (ip, ip_payload) = Ipv4Header::parse(eth.payload)?;

@@ -796,7 +796,7 @@ mod tests {
         // Splice 100 bytes of high-valued garbage between records 1 and 2.
         let splice_at = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + packets[0].data.len();
         let mut bytes = clean[..splice_at].to_vec();
-        bytes.extend(std::iter::repeat(0xEEu8).take(100));
+        bytes.extend(std::iter::repeat_n(0xEEu8, 100));
         bytes.extend_from_slice(&clean[splice_at..]);
         let (back, stats) = from_bytes_lenient(&bytes).unwrap();
         assert!(back.len() >= 2, "salvaged {} records", back.len());
@@ -868,7 +868,7 @@ mod tests {
         let r0_end = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + packets[0].data.len();
         let r2_start = clean.len() - RECORD_HEADER_LEN - packets[2].data.len();
         let mut bytes = clean[..r0_end].to_vec();
-        bytes.extend(std::iter::repeat(0x00u8).take(64));
+        bytes.extend(std::iter::repeat_n(0x00u8, 64));
         bytes.extend_from_slice(&clean[r2_start..clean.len() - 2]);
         let torn_len = (clean.len() - 2 - r2_start) as u64;
         let (back, stats) = from_bytes_lenient(&bytes).unwrap();

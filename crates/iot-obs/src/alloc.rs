@@ -343,8 +343,7 @@ mod tests {
     fn realloc_counts_both_sides() {
         with_counting(|| {
             let before = thread_snapshot();
-            let mut v: Vec<u8> = Vec::with_capacity(64);
-            v.resize(64, 0);
+            let mut v: Vec<u8> = vec![0; 64];
             // Force growth reallocation(s).
             for i in 0..4096u32 {
                 v.push(i as u8);

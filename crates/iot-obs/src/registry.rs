@@ -480,7 +480,9 @@ mod tests {
             }
             r
         };
-        let specs: [(&[(&str, u64)], &[(&str, u64)]); 3] = [
+        // Per registry: its counters, then its span times.
+        type Spec<'a> = (&'a [(&'a str, u64)], &'a [(&'a str, u64)]);
+        let specs: [Spec<'_>; 3] = [
             (&[("x", 1), ("y", 10)], &[("s", 100)]),
             (&[("x", 2)], &[("s", 50), ("t", 5)]),
             (&[("y", 3), ("z", 7)], &[("t", 9)]),

@@ -7,6 +7,10 @@
 //! hints, and returns [`ProtocolId::Unknown`] for everything else
 //! (vendor-proprietary framings), which downstream code must resolve with
 //! entropy analysis.
+//!
+//! Every probe reads a borrowed view of the payload prefix and rejects
+//! without building an error message, so identifying a flow touches no
+//! heap, whatever the bytes.
 
 use crate::{dhcp, dns, mqtt, ntp, quic, tls};
 
@@ -89,7 +93,8 @@ pub fn identify_flow(
 
 fn identify_udp(remote_port: u16, outbound: &[u8], inbound: &[u8]) -> ProtocolId {
     let sample = if outbound.is_empty() { inbound } else { outbound };
-    if remote_port == dns::PORT && dns::Message::parse(sample).is_ok() {
+    let dns = || dns::MessageView::parse(sample).is_ok();
+    if remote_port == dns::PORT && dns() {
         return ProtocolId::Dns;
     }
     if remote_port == ntp::PORT && ntp::NtpPacket::parse(sample).is_ok() {
@@ -104,7 +109,7 @@ fn identify_udp(remote_port: u16, outbound: &[u8], inbound: &[u8]) -> ProtocolId
         return ProtocolId::Quic;
     }
     // Content-based fallbacks on non-standard ports.
-    if dns::Message::parse(sample).is_ok() && sample.len() >= 17 {
+    if dns() && sample.len() >= 17 {
         return ProtocolId::Dns;
     }
     ProtocolId::Unknown
@@ -130,7 +135,7 @@ fn identify_tcp(remote_port: u16, outbound: &[u8], inbound: &[u8]) -> ProtocolId
 
 /// True when the stream prefix parses as at least one TLS record.
 fn is_tls_stream(stream: &[u8]) -> bool {
-    match tls::Record::parse(stream) {
+    match tls::RecordView::parse(stream) {
         Ok(_) => true,
         // A capped prefix may cut the first record short: accept when the
         // 5-byte header is valid and claims more data than we kept.

@@ -46,7 +46,7 @@ impl MessageType {
             2 => Ok(MessageType::Offer),
             3 => Ok(MessageType::Request),
             5 => Ok(MessageType::Ack),
-            other => Err(ProtoError::malformed("dhcp", format!("message type {other}"))),
+            _ => Err(ProtoError::malformed("dhcp", "message type")),
         }
     }
 }

@@ -4,7 +4,8 @@
 //! level domain of the DNS lookup that produced it, so the pipeline needs a
 //! faithful DNS codec: the simulated devices emit real query/response
 //! messages and the analyzer decodes them, including compression pointers
-//! in responses.
+//! in responses. [`Message`] builds and encodes messages; the one parser,
+//! [`MessageView`], validates a message where it lies.
 
 use crate::error::ProtoError;
 use crate::Result;
@@ -139,14 +140,6 @@ impl Message {
         }
     }
 
-    /// Returns all A-record addresses in the answer section.
-    pub fn a_records(&self) -> impl Iterator<Item = (&str, Ipv4Addr)> {
-        self.answers.iter().filter_map(|rr| match &rr.rdata {
-            RData::A(addr) => Some((rr.name.as_str(), *addr)),
-            _ => None,
-        })
-    }
-
     /// Encodes to wire format. Names are emitted uncompressed.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
@@ -196,89 +189,203 @@ impl Message {
         }
         out
     }
+}
 
-    /// Decodes a message from wire format, following compression pointers.
-    pub fn parse(data: &[u8]) -> Result<Self> {
+/// A DNS message validated in place: [`MessageView::parse`] walks every
+/// question and answer record, following compression pointers, without
+/// copying a byte or touching the heap, and names decode on demand into
+/// the caller's buffer ([`NameRef::decode_into`]). The flow-labeling
+/// path probes every UDP payload with it, so a rejection costs nothing
+/// but the walk.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    data: &'a [u8],
+    /// Offset of the first answer record.
+    answers_at: usize,
+}
+
+/// A (possibly compressed) domain name inside a validated message.
+#[derive(Debug, Clone, Copy)]
+pub struct NameRef<'a> {
+    message: &'a [u8],
+    offset: usize,
+}
+
+/// One answer record of a [`MessageView`].
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    /// Record owner name.
+    pub name: NameRef<'a>,
+    /// Record type.
+    pub rtype: RecordType,
+    /// Time to live in seconds.
+    pub ttl: u32,
+    /// Record data, uninterpreted.
+    pub rdata: &'a [u8],
+}
+
+impl<'a> MessageView<'a> {
+    /// Validates `data` as one message. Every question and answer must be
+    /// whole, every name must resolve (at most 64 labels and pointer
+    /// hops), an A record's data must be four bytes and a CNAME's a name;
+    /// bytes after the last answer are ignored.
+    pub fn parse(data: &'a [u8]) -> Result<Self> {
         if data.len() < 12 {
             return Err(ProtoError::truncated("dns", "header"));
         }
-        let id = u16::from_be_bytes([data[0], data[1]]);
-        let flags = u16::from_be_bytes([data[2], data[3]]);
-        let qdcount = u16::from_be_bytes([data[4], data[5]]);
-        let ancount = u16::from_be_bytes([data[6], data[7]]);
-        let mut offset = 12usize;
-        // qdcount/ancount come straight off the wire: random payloads
-        // probed by content-based identification can claim 65535 entries,
-        // and preallocating from the claim turns a 2 KB datagram into a
-        // multi-MB transient. Bound each reservation by what the
-        // remaining bytes could actually encode (a question needs >= 5
-        // bytes, a resource record >= 11).
-        let remaining = data.len() - offset;
-        let mut questions = Vec::with_capacity((qdcount as usize).min(remaining / 5));
-        for _ in 0..qdcount {
-            let (name, next) = decode_name(data, offset)?;
-            if data.len() < next + 4 {
-                return Err(ProtoError::truncated("dns", "question"));
-            }
-            let qtype = u16::from_be_bytes([data[next], data[next + 1]]).into();
-            offset = next + 4;
-            questions.push(Question { name, qtype });
+        let mut view = MessageView {
+            data,
+            answers_at: 12,
+        };
+        for _ in 0..view.count(4) {
+            view.answers_at = question_at(data, view.answers_at)?.2;
         }
-        let remaining = data.len().saturating_sub(offset);
-        let mut answers = Vec::with_capacity((ancount as usize).min(remaining / 11));
-        for _ in 0..ancount {
-            let (name, next) = decode_name(data, offset)?;
-            if data.len() < next + 10 {
-                return Err(ProtoError::truncated("dns", "resource record"));
-            }
-            let rtype: RecordType = u16::from_be_bytes([data[next], data[next + 1]]).into();
-            let ttl = u32::from_be_bytes([
-                data[next + 4],
-                data[next + 5],
-                data[next + 6],
-                data[next + 7],
-            ]);
-            let rdlen = usize::from(u16::from_be_bytes([data[next + 8], data[next + 9]]));
-            let rdata_start = next + 10;
-            if data.len() < rdata_start + rdlen {
-                return Err(ProtoError::truncated("dns", "rdata"));
-            }
-            let rdata_bytes = &data[rdata_start..rdata_start + rdlen];
-            let rdata = match rtype {
-                RecordType::A => {
-                    if rdlen != 4 {
-                        return Err(ProtoError::malformed("dns", "A rdata length"));
-                    }
-                    RData::A(Ipv4Addr::new(
-                        rdata_bytes[0],
-                        rdata_bytes[1],
-                        rdata_bytes[2],
-                        rdata_bytes[3],
-                    ))
-                }
-                RecordType::Cname => {
-                    let (target, _) = decode_name(data, rdata_start)?;
-                    RData::Cname(target)
-                }
-                _ => RData::Raw(rdata_bytes.to_vec()),
-            };
-            offset = rdata_start + rdlen;
-            answers.push(ResourceRecord {
-                name,
-                rtype,
-                ttl,
-                rdata,
-            });
+        let mut offset = view.answers_at;
+        for _ in 0..view.count(6) {
+            offset = record_at(data, offset)?.1;
         }
-        Ok(Message {
-            id,
-            is_response: flags & 0x8000 != 0,
-            recursion_desired: flags & 0x0100 != 0,
-            rcode: (flags & 0x000f) as u8,
-            questions,
-            answers,
+        Ok(view)
+    }
+
+    fn count(&self, at: usize) -> u16 {
+        u16::from_be_bytes([self.data[at], self.data[at + 1]])
+    }
+
+    fn flags(&self) -> u16 {
+        self.count(2)
+    }
+
+    /// Transaction id.
+    pub fn id(&self) -> u16 {
+        self.count(0)
+    }
+
+    /// True for responses (QR bit).
+    pub fn is_response(&self) -> bool {
+        self.flags() & 0x8000 != 0
+    }
+
+    /// Recursion desired.
+    pub fn recursion_desired(&self) -> bool {
+        self.flags() & 0x0100 != 0
+    }
+
+    /// Response code (0 = NOERROR, 3 = NXDOMAIN).
+    pub fn rcode(&self) -> u8 {
+        (self.flags() & 0x000f) as u8
+    }
+
+    /// The question section: each queried name and type.
+    pub fn questions(&self) -> impl Iterator<Item = (NameRef<'a>, RecordType)> + 'a {
+        let data = self.data;
+        (0..self.count(4)).scan(12, move |offset, _| {
+            let (name, qtype, next) = question_at(data, *offset).ok()?;
+            *offset = next;
+            Some((name, qtype))
         })
     }
+
+    /// The answer section, in wire order.
+    pub fn answers(&self) -> impl Iterator<Item = RecordView<'a>> + 'a {
+        let data = self.data;
+        (0..self.count(6)).scan(self.answers_at, move |offset, _| {
+            let (record, next) = record_at(data, *offset).ok()?;
+            *offset = next;
+            Some(record)
+        })
+    }
+
+    /// Every A record of the answer section: owner name and address.
+    pub fn a_records(&self) -> impl Iterator<Item = (NameRef<'a>, Ipv4Addr)> + 'a {
+        self.answers().filter_map(|rr| match rr.rtype {
+            RecordType::A => {
+                let [a, b, c, d] = rr.rdata.try_into().ok()?;
+                Some((rr.name, Ipv4Addr::new(a, b, c, d)))
+            }
+            _ => None,
+        })
+    }
+}
+
+impl NameRef<'_> {
+    /// Decodes the name into `out`, replacing its contents: labels joined
+    /// by dots, ASCII lowercased, bytes that are not UTF-8 replaced by
+    /// U+FFFD as `String::from_utf8_lossy` does. Allocates only while
+    /// `out` grows.
+    pub fn decode_into<'o>(&self, out: &'o mut String) -> &'o str {
+        out.clear();
+        let mut first = true;
+        // The message was validated, so the walk cannot fail.
+        let _ = walk_name(self.message, self.offset, |label| {
+            if !first {
+                out.push('.');
+            }
+            first = false;
+            let start = out.len();
+            for chunk in label.utf8_chunks() {
+                out.push_str(chunk.valid());
+                if !chunk.invalid().is_empty() {
+                    out.push(char::REPLACEMENT_CHARACTER);
+                }
+            }
+            out[start..].make_ascii_lowercase();
+        });
+        out
+    }
+}
+
+/// The question at `offset`: its name, its type and the offset after it.
+fn question_at(data: &[u8], offset: usize) -> Result<(NameRef<'_>, RecordType, usize)> {
+    let next = walk_name(data, offset, |_| {})?;
+    if data.len() < next + 4 {
+        return Err(ProtoError::truncated("dns", "question"));
+    }
+    let qtype = u16::from_be_bytes([data[next], data[next + 1]]).into();
+    let name = NameRef {
+        message: data,
+        offset,
+    };
+    Ok((name, qtype, next + 4))
+}
+
+/// The resource record at `offset` and the offset after it.
+fn record_at(data: &[u8], offset: usize) -> Result<(RecordView<'_>, usize)> {
+    let next = walk_name(data, offset, |_| {})?;
+    if data.len() < next + 10 {
+        return Err(ProtoError::truncated("dns", "resource record"));
+    }
+    let rtype: RecordType = u16::from_be_bytes([data[next], data[next + 1]]).into();
+    let ttl = u32::from_be_bytes([
+        data[next + 4],
+        data[next + 5],
+        data[next + 6],
+        data[next + 7],
+    ]);
+    let rdlen = usize::from(u16::from_be_bytes([data[next + 8], data[next + 9]]));
+    let rdata_at = next + 10;
+    let rdata = data
+        .get(rdata_at..rdata_at + rdlen)
+        .ok_or_else(|| ProtoError::truncated("dns", "rdata"))?;
+    match rtype {
+        RecordType::A if rdlen != 4 => {
+            return Err(ProtoError::malformed("dns", "A rdata length"));
+        }
+        RecordType::Cname => {
+            walk_name(data, rdata_at, |_| {})?;
+        }
+        _ => {}
+    }
+    let name = NameRef {
+        message: data,
+        offset,
+    };
+    let record = RecordView {
+        name,
+        rtype,
+        ttl,
+        rdata,
+    };
+    Ok((record, rdata_at + rdlen))
 }
 
 /// Encodes a domain name as length-prefixed labels.
@@ -291,10 +398,11 @@ fn encode_name(out: &mut Vec<u8>, name: &str) {
     out.push(0);
 }
 
-/// Decodes a (possibly compressed) domain name starting at `offset`.
-/// Returns the name and the offset just past it in the *original* stream.
-fn decode_name(data: &[u8], mut offset: usize) -> Result<(String, usize)> {
-    let mut labels: Vec<String> = Vec::new();
+/// Walks the (possibly compressed) domain name at `offset`, handing each
+/// label's bytes to `label`, and returns the offset just past the name in
+/// the *original* stream. More than 64 labels and pointer hops together
+/// is a compression loop.
+fn walk_name(data: &[u8], mut offset: usize, mut label: impl FnMut(&[u8])) -> Result<usize> {
     let mut jumped = false;
     let mut end_offset = offset;
     let mut hops = 0usize;
@@ -309,7 +417,7 @@ fn decode_name(data: &[u8], mut offset: usize) -> Result<(String, usize)> {
             if !jumped {
                 end_offset = offset + 1;
             }
-            break;
+            return Ok(end_offset);
         }
         if len & 0xc0 == 0xc0 {
             let lo = *data
@@ -325,55 +433,55 @@ fn decode_name(data: &[u8], mut offset: usize) -> Result<(String, usize)> {
             continue;
         }
         if len > 63 {
-            return Err(ProtoError::malformed("dns", format!("label length {len}")));
+            return Err(ProtoError::malformed("dns", "label length"));
         }
         let start = offset + 1;
         let bytes = data
             .get(start..start + len)
             .ok_or_else(|| ProtoError::truncated("dns", "label"))?;
-        labels.push(String::from_utf8_lossy(bytes).to_ascii_lowercase());
+        label(bytes);
         offset = start + len;
         if !jumped {
             end_offset = offset + 1; // provisional; fixed when the 0 byte is hit
         }
         hops += 1;
     }
-    Ok((labels.join("."), end_offset))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn decode(name: NameRef<'_>) -> String {
+        name.decode_into(&mut String::new()).to_string()
+    }
+
     #[test]
-    fn wire_counts_do_not_drive_preallocation() {
-        // A 2 KB "datagram" claiming 65535 questions/answers: the parse
-        // must fail on the malformed body without ever reserving more
-        // entries than the remaining bytes could encode. (Content-based
-        // protocol identification probes arbitrary UDP payloads with this
-        // parser, so the claim is attacker/noise-controlled.)
+    fn wire_counts_are_claims_not_reservations() {
+        // A 2 KB "datagram" claiming 65535 questions/answers: content-based
+        // identification probes arbitrary UDP payloads, so the counts are
+        // noise, and the walk rejects the body without reserving anything.
         let mut bytes = vec![0u8; 2048];
         bytes[4] = 0xff; // qdcount = 65535
         bytes[5] = 0xff;
         bytes[6] = 0xff; // ancount = 65535
         bytes[7] = 0xff;
-        assert!(Message::parse(&bytes).is_err());
-        // Same shape, but with a parseable body: capacity is still bounded
-        // by the byte budget, and the message parses normally.
-        let q = Message::query(9, "bounded.example.com");
-        let msg = Message::parse(&q.encode()).unwrap();
-        assert!(msg.questions.capacity() <= q.encode().len() / 5 + 1);
+        assert!(MessageView::parse(&bytes).is_err());
+        let q = Message::query(9, "bounded.example.com").encode();
+        assert_eq!(MessageView::parse(&q).unwrap().questions().count(), 1);
     }
 
     #[test]
     fn query_roundtrip() {
         let q = Message::query(0x1234, "Echo.Amazon.com");
         let bytes = q.encode();
-        let parsed = Message::parse(&bytes).unwrap();
-        assert_eq!(parsed.id, 0x1234);
-        assert!(!parsed.is_response);
-        assert_eq!(parsed.questions[0].name, "echo.amazon.com");
-        assert_eq!(parsed.questions[0].qtype, RecordType::A);
+        let parsed = MessageView::parse(&bytes).unwrap();
+        assert_eq!(parsed.id(), 0x1234);
+        assert!(!parsed.is_response());
+        assert!(parsed.recursion_desired());
+        let (name, qtype) = parsed.questions().next().unwrap();
+        assert_eq!(decode(name), "echo.amazon.com");
+        assert_eq!(qtype, RecordType::A);
     }
 
     #[test]
@@ -381,13 +489,13 @@ mod tests {
         let q = Message::query(7, "device.tuyaus.com");
         let a = Message::answer(&q, &[Ipv4Addr::new(47, 89, 1, 2), Ipv4Addr::new(47, 89, 1, 3)], 300);
         let bytes = a.encode();
-        let parsed = Message::parse(&bytes).unwrap();
-        assert!(parsed.is_response);
-        assert_eq!(parsed.id, 7);
-        let records: Vec<_> = parsed.a_records().collect();
+        let parsed = MessageView::parse(&bytes).unwrap();
+        assert!(parsed.is_response());
+        assert_eq!(parsed.id(), 7);
+        let records: Vec<_> = parsed.a_records().map(|(n, a)| (decode(n), a)).collect();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0], ("device.tuyaus.com", Ipv4Addr::new(47, 89, 1, 2)));
-        assert_eq!(parsed.answers[0].ttl, 300);
+        assert_eq!(records[0], ("device.tuyaus.com".to_string(), Ipv4Addr::new(47, 89, 1, 2)));
+        assert_eq!(parsed.answers().next().unwrap().ttl, 300);
     }
 
     #[test]
@@ -406,8 +514,18 @@ mod tests {
             ttl: 60,
             rdata: RData::A(Ipv4Addr::new(35, 1, 1, 1)),
         });
-        let parsed = Message::parse(&msg.encode()).unwrap();
-        assert_eq!(parsed.answers[0].rdata, RData::Cname("frontdoor.nest.com".into()));
+        let bytes = msg.encode();
+        let parsed = MessageView::parse(&bytes).unwrap();
+        let cname = parsed.answers().next().unwrap();
+        assert_eq!(cname.rtype, RecordType::Cname);
+        assert_eq!(cname.rdata, b"\x09frontdoor\x04nest\x03com\x00");
+        let records: Vec<_> = parsed.a_records().map(|(n, a)| (decode(n), a)).collect();
+        assert_eq!(records, [("frontdoor.nest.com".to_string(), Ipv4Addr::new(35, 1, 1, 1))]);
+        // A CNAME whose target runs off the message is no message.
+        let target = bytes.windows(10).position(|w| w == b"\x09frontdoor").unwrap();
+        let mut broken = bytes.clone();
+        broken[target] = 60;
+        assert!(MessageView::parse(&broken).is_err());
     }
 
     #[test]
@@ -438,12 +556,33 @@ mod tests {
         bytes.extend_from_slice(&120u32.to_be_bytes()); // ttl
         bytes.extend_from_slice(&4u16.to_be_bytes()); // rdlen
         bytes.extend_from_slice(&[93, 184, 216, 34]);
-        let parsed = Message::parse(&bytes).unwrap();
-        assert_eq!(parsed.answers[0].name, "a.example.com");
+        let parsed = MessageView::parse(&bytes).unwrap();
+        let records: Vec<_> = parsed.a_records().map(|(n, a)| (decode(n), a)).collect();
         assert_eq!(
-            parsed.answers[0].rdata,
-            RData::A(Ipv4Addr::new(93, 184, 216, 34))
+            records,
+            [("a.example.com".to_string(), Ipv4Addr::new(93, 184, 216, 34))]
         );
+    }
+
+    #[test]
+    fn names_decode_lossily_and_lowercase() {
+        let mut bytes = Message::query(5, "x.com").encode();
+        // The one-byte label "x" becomes a byte that is not UTF-8.
+        bytes[13] = 0xff;
+        let parsed = MessageView::parse(&bytes).unwrap();
+        let mut buf = String::from("stale contents");
+        let (name, _) = parsed.questions().next().unwrap();
+        assert_eq!(name.decode_into(&mut buf), "\u{fffd}.com");
+        let upper = Message {
+            questions: vec![Question {
+                name: "A.B".into(),
+                qtype: RecordType::A,
+            }],
+            ..Message::query(6, "")
+        }
+        .encode();
+        let (name, _) = MessageView::parse(&upper).unwrap().questions().next().unwrap();
+        assert_eq!(name.decode_into(&mut buf), "a.b");
     }
 
     #[test]
@@ -453,14 +592,14 @@ mod tests {
         bytes.extend_from_slice(&[0xc0, 0x0c]); // pointer to itself
         bytes.extend_from_slice(&1u16.to_be_bytes());
         bytes.extend_from_slice(&1u16.to_be_bytes());
-        assert!(Message::parse(&bytes).is_err());
+        assert!(MessageView::parse(&bytes).is_err());
     }
 
     #[test]
     fn truncated_rejected() {
-        assert!(Message::parse(&[0u8; 5]).is_err());
+        assert!(MessageView::parse(&[0u8; 5]).is_err());
         let q = Message::query(9, "x.com").encode();
-        assert!(Message::parse(&q[..q.len() - 2]).is_err());
+        assert!(MessageView::parse(&q[..q.len() - 2]).is_err());
     }
 
     #[test]
@@ -468,7 +607,6 @@ mod tests {
         let mut m = Message::query(3, "missing.example");
         m.is_response = true;
         m.rcode = 3;
-        let parsed = Message::parse(&m.encode()).unwrap();
-        assert_eq!(parsed.rcode, 3);
+        assert_eq!(MessageView::parse(&m.encode()).unwrap().rcode(), 3);
     }
 }

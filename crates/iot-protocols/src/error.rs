@@ -1,9 +1,13 @@
 //! Errors for application-protocol codecs.
+//!
+//! Every variant names its failure with static strings, so rejecting a
+//! buffer never touches the heap: content-based identification probes
+//! arbitrary payloads, and most of them are rejected.
 
 use std::fmt;
 
 /// Error produced while encoding or decoding an application protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtoError {
     /// Buffer ended before the message did.
     Truncated {
@@ -17,14 +21,14 @@ pub enum ProtoError {
         /// Protocol being parsed.
         proto: &'static str,
         /// Description of the problem.
-        what: String,
+        what: &'static str,
     },
     /// The value is valid but this codec does not support it.
     Unsupported {
         /// Protocol being parsed.
         proto: &'static str,
         /// Description of the unsupported feature.
-        what: String,
+        what: &'static str,
     },
 }
 
@@ -33,11 +37,8 @@ impl ProtoError {
         ProtoError::Truncated { proto, what }
     }
 
-    pub(crate) fn malformed(proto: &'static str, what: impl Into<String>) -> Self {
-        ProtoError::Malformed {
-            proto,
-            what: what.into(),
-        }
+    pub(crate) fn malformed(proto: &'static str, what: &'static str) -> Self {
+        ProtoError::Malformed { proto, what }
     }
 }
 

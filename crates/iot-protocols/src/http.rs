@@ -4,7 +4,9 @@
 //! addresses and device metadata sent to support-party clouds, firmware
 //! downloads, and unauthenticated device-action queries. The `Host` header
 //! is also the second fallback (after DNS) for labeling destination IPs
-//! with domains (§4.1).
+//! with domains (§4.1). [`Request`] and [`Response`] encode what the
+//! simulated devices and clouds send; [`RequestView`] parses a request
+//! where it lies, which is all the analyses read.
 
 use crate::error::ProtoError;
 use crate::Result;
@@ -53,19 +55,6 @@ impl Request {
         self
     }
 
-    /// Case-insensitive header lookup.
-    pub fn get_header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The `Host` header value, if present.
-    pub fn host(&self) -> Option<&str> {
-        self.get_header("host")
-    }
-
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = format!("{} {} HTTP/1.1\r\n", self.method, self.path).into_bytes();
@@ -76,10 +65,39 @@ impl Request {
         out.extend_from_slice(&self.body);
         out
     }
+}
 
-    /// Parses a request from the front of a byte stream.
-    pub fn parse(data: &[u8]) -> Result<Request> {
-        let (start_line, headers, body) = split_message(data)?;
+/// An HTTP/1.x request borrowed from the front of a byte stream: method,
+/// path and header lines stay where they are, and the body is whatever
+/// follows the blank line, cut at `Content-Length` when that is present
+/// (flow payload prefixes may be capped mid-body; the remainder is kept
+/// as-is).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestView<'a> {
+    /// Method, e.g. `GET`.
+    pub method: &'a str,
+    /// Request target.
+    pub path: &'a str,
+    /// The head: start line and header lines, CRLF-separated.
+    head: &'a str,
+    /// Message body.
+    pub body: &'a [u8],
+}
+
+impl<'a> RequestView<'a> {
+    /// Parses a request head: it must end in a blank line, be UTF-8, and
+    /// every header line must hold a colon; the start line must be an
+    /// upper-case method, a path and an `HTTP/1.x` version.
+    pub fn parse(data: &'a [u8]) -> Result<Self> {
+        let head_end = find_subsequence(data, b"\r\n\r\n")
+            .ok_or_else(|| ProtoError::truncated("http", "header terminator"))?;
+        let head = std::str::from_utf8(&data[..head_end])
+            .map_err(|_| ProtoError::malformed("http", "non-utf8 header"))?;
+        let mut lines = head.split("\r\n");
+        let start_line = lines.next().unwrap_or_default();
+        if lines.any(|line| !line.contains(':')) {
+            return Err(ProtoError::malformed("http", "header line"));
+        }
         let mut parts = start_line.splitn(3, ' ');
         let method = parts
             .next()
@@ -92,14 +110,42 @@ impl Request {
             .next()
             .ok_or_else(|| ProtoError::malformed("http", "version"))?;
         if !version.starts_with("HTTP/1.") {
-            return Err(ProtoError::malformed("http", format!("version {version:?}")));
+            return Err(ProtoError::malformed("http", "version"));
         }
-        Ok(Request {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers,
-            body,
-        })
+        let mut view = RequestView {
+            method,
+            path,
+            head,
+            body: &data[head_end + 4..],
+        };
+        if let Some(cl) = view
+            .header("content-length")
+            .and_then(|v| v.parse::<usize>().ok())
+        {
+            view.body = &view.body[..view.body.len().min(cl)];
+        }
+        Ok(view)
+    }
+
+    /// Header name/value pairs in order of appearance, trimmed.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        self.head
+            .split("\r\n")
+            .skip(1)
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, value)| (name.trim(), value.trim()))
+    }
+
+    /// Case-insensitive header lookup: the first header so named.
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    /// The `Host` header value, if present.
+    pub fn host(&self) -> Option<&'a str> {
+        self.header("host")
     }
 }
 
@@ -134,14 +180,6 @@ impl Response {
         self
     }
 
-    /// Case-insensitive header lookup.
-    pub fn get_header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).into_bytes();
@@ -152,62 +190,6 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Parses a response from the front of a byte stream.
-    pub fn parse(data: &[u8]) -> Result<Response> {
-        let (start_line, headers, body) = split_message(data)?;
-        let rest = start_line
-            .strip_prefix("HTTP/1.")
-            .ok_or_else(|| ProtoError::malformed("http", "status line"))?;
-        let mut parts = rest.splitn(3, ' ');
-        let _minor = parts.next();
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ProtoError::malformed("http", "status code"))?;
-        let reason = parts.next().unwrap_or("").to_string();
-        Ok(Response {
-            status,
-            reason,
-            headers,
-            body,
-        })
-    }
-}
-
-/// Splits raw bytes into (start line, headers, body). The body is whatever
-/// follows the blank line, truncated to `Content-Length` when present (flow
-/// payload prefixes may be capped mid-body, in which case the remainder is
-/// kept as-is).
-#[allow(clippy::type_complexity)]
-fn split_message(data: &[u8]) -> Result<(String, Vec<(String, String)>, Vec<u8>)> {
-    let head_end = find_subsequence(data, b"\r\n\r\n")
-        .ok_or_else(|| ProtoError::truncated("http", "header terminator"))?;
-    let head = std::str::from_utf8(&data[..head_end])
-        .map_err(|_| ProtoError::malformed("http", "non-utf8 header"))?;
-    let mut lines = head.split("\r\n");
-    let start_line = lines
-        .next()
-        .ok_or_else(|| ProtoError::malformed("http", "empty message"))?
-        .to_string();
-    let mut headers = Vec::new();
-    for line in lines {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ProtoError::malformed("http", format!("header line {line:?}")))?;
-        headers.push((name.trim().to_string(), value.trim().to_string()));
-    }
-    let mut body = data[head_end + 4..].to_vec();
-    if let Some(cl) = headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-    {
-        if body.len() > cl {
-            body.truncate(cl);
-        }
-    }
-    Ok((start_line, headers, body))
 }
 
 /// Finds the first occurrence of `needle` in `haystack`.
@@ -230,50 +212,57 @@ mod tests {
             .header("User-Agent", "SmartFridge/2.1")
             .body(&b"mac=a4cf12000102&model=RF28"[..]);
         let bytes = req.encode();
-        let parsed = Request::parse(&bytes).unwrap();
-        assert_eq!(parsed, req);
+        let parsed = RequestView::parse(&bytes).unwrap();
+        assert_eq!(parsed.method, req.method);
+        assert_eq!(parsed.path, req.path);
+        assert!(parsed
+            .headers()
+            .eq(req.headers.iter().map(|(n, v)| (n.as_str(), v.as_str()))));
+        assert_eq!(parsed.body, &req.body[..]);
         assert_eq!(parsed.host(), Some("api.samsungcloud.com"));
-        assert_eq!(parsed.get_header("user-agent"), Some("SmartFridge/2.1"));
+        assert_eq!(parsed.header("user-agent"), Some("SmartFridge/2.1"));
     }
 
     #[test]
-    fn response_roundtrip() {
+    fn response_encodes_status_headers_and_body() {
         let resp = Response::new(200, "OK", &b"{\"ok\":true}"[..])
             .header("Content-Type", "application/json");
-        let parsed = Response::parse(&resp.encode()).unwrap();
-        assert_eq!(parsed, resp);
-        assert_eq!(parsed.status, 200);
+        assert_eq!(
+            resp.encode(),
+            b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\nContent-Type: application/json\r\n\r\n{\"ok\":true}"
+        );
     }
 
     #[test]
     fn content_length_truncates_pipelined_data() {
-        let mut bytes = Response::new(200, "OK", &b"abc"[..]).encode();
+        let mut bytes = Request::new("POST", "x", "/").body(&b"abc"[..]).encode();
         bytes.extend_from_slice(b"EXTRA PIPELINED JUNK");
-        let parsed = Response::parse(&bytes).unwrap();
-        assert_eq!(parsed.body, b"abc");
+        assert_eq!(RequestView::parse(&bytes).unwrap().body, b"abc");
     }
 
     #[test]
     fn missing_terminator_is_truncated_error() {
         assert!(matches!(
-            Request::parse(b"GET / HTTP/1.1\r\nHost: x"),
+            RequestView::parse(b"GET / HTTP/1.1\r\nHost: x"),
             Err(ProtoError::Truncated { .. })
         ));
     }
 
     #[test]
     fn non_http_rejected() {
-        assert!(Request::parse(b"\x16\x03\x03\x00\x10aaaaaaaaaaaaaaaa\r\n\r\n").is_err());
-        assert!(Request::parse(b"get / HTTP/1.1\r\n\r\n").is_err(), "lowercase method");
-        assert!(Response::parse(b"ICY 200 OK\r\n\r\n").is_err());
+        assert!(RequestView::parse(b"\x16\x03\x03\x00\x10aaaaaaaaaaaaaaaa\r\n\r\n").is_err());
+        assert!(RequestView::parse(b"get / HTTP/1.1\r\n\r\n").is_err(), "lowercase method");
+        assert!(RequestView::parse(b"GET / HTTP/1.1\r\nno colon\r\n\r\n").is_err());
+        assert!(RequestView::parse(b"GET / ICY/1.0\r\n\r\n").is_err());
     }
 
     #[test]
     fn header_lookup_case_insensitive() {
-        let req = Request::new("GET", "example.com", "/");
-        assert_eq!(req.get_header("HOST"), Some("example.com"));
-        assert_eq!(req.get_header("HoSt"), Some("example.com"));
-        assert_eq!(req.get_header("nope"), None);
+        let bytes = Request::new("GET", "example.com", "/").encode();
+        let req = RequestView::parse(&bytes).unwrap();
+        assert_eq!(req.header("HOST"), Some("example.com"));
+        assert_eq!(req.header("HoSt"), Some("example.com"));
+        assert_eq!(req.header("nope"), None);
     }
 
     #[test]

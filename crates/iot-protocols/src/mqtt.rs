@@ -6,6 +6,8 @@
 //! Wireshark, which are often partly encrypted" — in the simulator those
 //! devices speak MQTT (recognizable) and vendor-proprietary framing
 //! (unrecognizable), reproducing the mixed classification outcome.
+//! [`MqttPacket`] encodes; [`PacketView`] parses, borrowing from the
+//! stream.
 
 use crate::error::ProtoError;
 use crate::Result;
@@ -70,7 +72,7 @@ fn encode_utf8(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn decode_utf8(data: &[u8]) -> Result<(String, &[u8])> {
+fn decode_utf8(data: &[u8]) -> Result<(&str, &[u8])> {
     if data.len() < 2 {
         return Err(ProtoError::truncated("mqtt", "string length"));
     }
@@ -80,7 +82,7 @@ fn decode_utf8(data: &[u8]) -> Result<(String, &[u8])> {
         .ok_or_else(|| ProtoError::truncated("mqtt", "string body"))?;
     let s = std::str::from_utf8(bytes)
         .map_err(|_| ProtoError::malformed("mqtt", "non-utf8 string"))?;
-    Ok((s.to_string(), &data[2 + len..]))
+    Ok((s, &data[2 + len..]))
 }
 
 impl MqttPacket {
@@ -111,9 +113,35 @@ impl MqttPacket {
         out.extend_from_slice(&body);
         out
     }
+}
 
-    /// Parses one packet from the front of a stream; returns it and the rest.
-    pub fn parse(data: &[u8]) -> Result<(MqttPacket, &[u8])> {
+/// An MQTT control packet borrowed from the front of a stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PacketView<'a> {
+    /// Client CONNECT.
+    Connect {
+        /// Client identifier.
+        client_id: &'a str,
+    },
+    /// Server CONNACK.
+    ConnAck,
+    /// PUBLISH (QoS 0).
+    Publish {
+        /// Topic name.
+        topic: &'a str,
+        /// Application payload.
+        payload: &'a [u8],
+    },
+    /// PINGREQ keepalive.
+    PingReq,
+    /// PINGRESP keepalive reply.
+    PingResp,
+}
+
+impl<'a> PacketView<'a> {
+    /// Parses one whole packet from the front of a stream; returns it and
+    /// the rest.
+    pub fn parse(data: &'a [u8]) -> Result<(Self, &'a [u8])> {
         if data.is_empty() {
             return Err(ProtoError::truncated("mqtt", "fixed header"));
         }
@@ -128,28 +156,25 @@ impl MqttPacket {
             1 => {
                 let (proto, after) = decode_utf8(body)?;
                 if proto != "MQTT" {
-                    return Err(ProtoError::malformed("mqtt", format!("protocol {proto:?}")));
+                    return Err(ProtoError::malformed("mqtt", "protocol name"));
                 }
                 if after.len() < 4 {
                     return Err(ProtoError::truncated("mqtt", "connect flags"));
                 }
                 let (client_id, _) = decode_utf8(&after[4..])?;
-                MqttPacket::Connect { client_id }
+                PacketView::Connect { client_id }
             }
-            2 => MqttPacket::ConnAck,
+            2 => PacketView::ConnAck,
             3 => {
                 let (topic, payload) = decode_utf8(body)?;
-                MqttPacket::Publish {
-                    topic,
-                    payload: payload.to_vec(),
-                }
+                PacketView::Publish { topic, payload }
             }
-            12 => MqttPacket::PingReq,
-            13 => MqttPacket::PingResp,
-            other => {
+            12 => PacketView::PingReq,
+            13 => PacketView::PingResp,
+            _ => {
                 return Err(ProtoError::Unsupported {
                     proto: "mqtt",
-                    what: format!("packet type {other}"),
+                    what: "packet type",
                 })
             }
         };
@@ -159,10 +184,7 @@ impl MqttPacket {
 
 /// Heuristic: does this byte stream begin with a plausible MQTT CONNECT?
 pub fn looks_like_mqtt(stream: &[u8]) -> bool {
-    matches!(
-        MqttPacket::parse(stream),
-        Ok((MqttPacket::Connect { .. }, _))
-    )
+    matches!(PacketView::parse(stream), Ok((PacketView::Connect { .. }, _)))
 }
 
 #[cfg(test)]
@@ -171,23 +193,35 @@ mod tests {
 
     #[test]
     fn connect_roundtrip() {
-        let pkt = MqttPacket::Connect {
+        let bytes = MqttPacket::Connect {
             client_id: "xiaomi-cleaner-01ab".into(),
-        };
-        let bytes = pkt.encode();
-        let (parsed, rest) = MqttPacket::parse(&bytes).unwrap();
-        assert_eq!(parsed, pkt);
+        }
+        .encode();
+        let (parsed, rest) = PacketView::parse(&bytes).unwrap();
+        assert_eq!(
+            parsed,
+            PacketView::Connect {
+                client_id: "xiaomi-cleaner-01ab"
+            }
+        );
         assert!(rest.is_empty());
     }
 
     #[test]
     fn publish_roundtrip() {
-        let pkt = MqttPacket::Publish {
+        let bytes = MqttPacket::Publish {
             topic: "device/telemetry".into(),
             payload: vec![1, 2, 3, 4],
-        };
-        let (parsed, _) = MqttPacket::parse(&pkt.encode()).unwrap();
-        assert_eq!(parsed, pkt);
+        }
+        .encode();
+        let (parsed, _) = PacketView::parse(&bytes).unwrap();
+        assert_eq!(
+            parsed,
+            PacketView::Publish {
+                topic: "device/telemetry",
+                payload: &[1, 2, 3, 4]
+            }
+        );
     }
 
     #[test]
@@ -197,23 +231,29 @@ mod tests {
         }
         .encode();
         stream.extend_from_slice(&MqttPacket::PingReq.encode());
-        let (first, rest) = MqttPacket::parse(&stream).unwrap();
-        assert!(matches!(first, MqttPacket::Connect { .. }));
-        let (second, rest2) = MqttPacket::parse(rest).unwrap();
-        assert_eq!(second, MqttPacket::PingReq);
+        let (first, rest) = PacketView::parse(&stream).unwrap();
+        assert!(matches!(first, PacketView::Connect { .. }));
+        let (second, rest2) = PacketView::parse(rest).unwrap();
+        assert_eq!(second, PacketView::PingReq);
         assert!(rest2.is_empty());
     }
 
     #[test]
     fn large_publish_uses_multibyte_length() {
-        let pkt = MqttPacket::Publish {
+        let bytes = MqttPacket::Publish {
             topic: "t".into(),
             payload: vec![0xAA; 300],
-        };
-        let bytes = pkt.encode();
+        }
+        .encode();
         assert!(bytes[1] & 0x80 != 0, "length must be multi-byte");
-        let (parsed, _) = MqttPacket::parse(&bytes).unwrap();
-        assert_eq!(parsed, pkt);
+        let (parsed, _) = PacketView::parse(&bytes).unwrap();
+        assert_eq!(
+            parsed,
+            PacketView::Publish {
+                topic: "t",
+                payload: &[0xAA; 300]
+            }
+        );
     }
 
     #[test]
@@ -234,7 +274,7 @@ mod tests {
             client_id: "abc".into(),
         }
         .encode();
-        assert!(MqttPacket::parse(&bytes[..bytes.len() - 2]).is_err());
-        assert!(MqttPacket::parse(&[]).is_err());
+        assert!(PacketView::parse(&bytes[..bytes.len() - 2]).is_err());
+        assert!(PacketView::parse(&[]).is_err());
     }
 }

@@ -76,12 +76,12 @@ impl NtpPacket {
         }
         let version = (data[0] >> 3) & 0x07;
         if !(3..=4).contains(&version) {
-            return Err(ProtoError::malformed("ntp", format!("version {version}")));
+            return Err(ProtoError::malformed("ntp", "version"));
         }
         let mode = match data[0] & 0x07 {
             3 => Mode::Client,
             4 => Mode::Server,
-            other => return Err(ProtoError::malformed("ntp", format!("mode {other}"))),
+            _ => return Err(ProtoError::malformed("ntp", "mode")),
         };
         Ok(NtpPacket {
             mode,

@@ -14,16 +14,16 @@ pub const PORT: u16 = 443;
 /// QUIC version 1.
 pub const VERSION_1: u32 = 0x0000_0001;
 
-/// Summary of a QUIC long-header packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuicLongHeader {
+/// Summary of a QUIC long-header packet, borrowed from the datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuicLongHeader<'a> {
     /// Version field.
     pub version: u32,
     /// Destination connection id.
-    pub dcid: Vec<u8>,
+    pub dcid: &'a [u8],
 }
 
-impl QuicLongHeader {
+impl<'a> QuicLongHeader<'a> {
     /// Builds an Initial-like long-header datagram of `total_len` bytes;
     /// everything after the header is `payload_fill` ciphertext.
     pub fn encode_initial(dcid: &[u8], payload_fill: &[u8]) -> Vec<u8> {
@@ -44,7 +44,7 @@ impl QuicLongHeader {
     }
 
     /// Parses the long-header prefix of a datagram.
-    pub fn parse(data: &[u8]) -> Result<Self> {
+    pub fn parse(data: &'a [u8]) -> Result<Self> {
         if data.len() < 7 {
             return Err(ProtoError::truncated("quic", "long header"));
         }
@@ -62,8 +62,7 @@ impl QuicLongHeader {
         }
         let dcid = data
             .get(6..6 + dcid_len)
-            .ok_or_else(|| ProtoError::truncated("quic", "dcid"))?
-            .to_vec();
+            .ok_or_else(|| ProtoError::truncated("quic", "dcid"))?;
         Ok(QuicLongHeader { version, dcid })
     }
 }
@@ -84,7 +83,7 @@ mod tests {
         let datagram = QuicLongHeader::encode_initial(&[1, 2, 3, 4, 5, 6, 7, 8], &[0xEE; 1180]);
         let parsed = QuicLongHeader::parse(&datagram).unwrap();
         assert_eq!(parsed.version, VERSION_1);
-        assert_eq!(parsed.dcid, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(parsed.dcid, [1, 2, 3, 4, 5, 6, 7, 8]);
         assert!(looks_like_quic(&datagram));
     }
 

@@ -7,7 +7,9 @@
 //! TLS to generate and recognize those artifacts: record framing,
 //! ClientHello/ServerHello with extensions, and opaque application-data
 //! records. No cryptography is performed — payload bytes come from
-//! `iot-entropy`'s calibrated generators.
+//! `iot-entropy`'s calibrated generators. [`Record`] and [`ClientHello`]
+//! encode; [`RecordView`] and [`ClientHelloView`] parse, borrowing from
+//! the stream, so probing a flow's payload prefix copies nothing.
 
 use crate::error::ProtoError;
 use crate::Result;
@@ -36,10 +38,7 @@ impl TryFrom<u8> for ContentType {
             21 => Ok(ContentType::Alert),
             22 => Ok(ContentType::Handshake),
             23 => Ok(ContentType::ApplicationData),
-            other => Err(ProtoError::malformed(
-                "tls",
-                format!("content type {other}"),
-            )),
+            _ => Err(ProtoError::malformed("tls", "content type")),
         }
     }
 }
@@ -91,41 +90,41 @@ impl Record {
         out.extend_from_slice(&version.to_be_bytes());
         out.extend_from_slice(&(len as u16).to_be_bytes());
     }
+}
 
-    /// Parses one record from the front of `data`; returns it and the rest.
-    pub fn parse(data: &[u8]) -> Result<(Record, &[u8])> {
+/// One TLS record, borrowed from the stream it heads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// Record content type.
+    pub content_type: ContentType,
+    /// Protocol version field.
+    pub version: u16,
+    /// Record payload (fragment).
+    pub payload: &'a [u8],
+}
+
+impl<'a> RecordView<'a> {
+    /// Parses one whole record from the front of `data`; returns it and
+    /// the rest.
+    pub fn parse(data: &'a [u8]) -> Result<(Self, &'a [u8])> {
         if data.len() < 5 {
             return Err(ProtoError::truncated("tls", "record header"));
         }
         let content_type = ContentType::try_from(data[0])?;
         let version = u16::from_be_bytes([data[1], data[2]]);
         if version >> 8 != 0x03 {
-            return Err(ProtoError::malformed("tls", format!("version 0x{version:04x}")));
+            return Err(ProtoError::malformed("tls", "version"));
         }
         let len = usize::from(u16::from_be_bytes([data[3], data[4]]));
         if data.len() < 5 + len {
             return Err(ProtoError::truncated("tls", "record body"));
         }
-        Ok((
-            Record {
-                content_type,
-                version,
-                payload: data[5..5 + len].to_vec(),
-            },
-            &data[5 + len..],
-        ))
-    }
-
-    /// Parses every complete record in a stream prefix, ignoring a trailing
-    /// partial record (flow payload prefixes are truncated at the capture
-    /// cap).
-    pub fn parse_stream(mut data: &[u8]) -> Vec<Record> {
-        let mut out = Vec::new();
-        while let Ok((rec, rest)) = Record::parse(data) {
-            out.push(rec);
-            data = rest;
-        }
-        out
+        let record = RecordView {
+            content_type,
+            version,
+            payload: &data[5..5 + len],
+        };
+        Ok((record, &data[5 + len..]))
     }
 }
 
@@ -197,9 +196,21 @@ impl ClientHello {
             payload: hs,
         }
     }
+}
 
-    /// Parses a ClientHello from a handshake record payload.
-    pub fn parse(handshake: &[u8]) -> Result<Self> {
+/// A ClientHello handshake message, borrowed from its record's payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientHelloView<'a> {
+    /// Client random.
+    pub random: &'a [u8; 32],
+    /// Server name indication: the host name's bytes, as sent.
+    pub sni: Option<&'a [u8]>,
+}
+
+impl<'a> ClientHelloView<'a> {
+    /// Parses a ClientHello from a handshake record payload. Every
+    /// extension must be whole; the last server-name extension wins.
+    pub fn parse(handshake: &'a [u8]) -> Result<Self> {
         if handshake.len() < 4 || handshake[0] != 1 {
             return Err(ProtoError::malformed("tls", "not a client hello"));
         }
@@ -211,22 +222,17 @@ impl ClientHello {
         if body.len() < 35 {
             return Err(ProtoError::truncated("tls", "client hello fixed fields"));
         }
-        let mut random = [0u8; 32];
-        random.copy_from_slice(&body[2..34]);
+        let random = body[2..34].try_into().expect("32 bytes");
         let session_len = usize::from(body[34]);
         let mut off = 35 + session_len;
-        let cs_len = usize::from(u16::from_be_bytes([
-            *body.get(off).ok_or_else(|| ProtoError::truncated("tls", "cipher suites"))?,
-            *body.get(off + 1).ok_or_else(|| ProtoError::truncated("tls", "cipher suites"))?,
-        ]));
+        let cs_len = match body.get(off..off + 2) {
+            Some(len) => usize::from(u16::from_be_bytes([len[0], len[1]])),
+            None => return Err(ProtoError::truncated("tls", "cipher suites")),
+        };
         off += 2;
-        let cs_bytes = body
-            .get(off..off + cs_len)
-            .ok_or_else(|| ProtoError::truncated("tls", "cipher suites"))?;
-        let cipher_suites = cs_bytes
-            .chunks_exact(2)
-            .map(|c| u16::from_be_bytes([c[0], c[1]]))
-            .collect();
+        if body.len() < off + cs_len {
+            return Err(ProtoError::truncated("tls", "cipher suites"));
+        }
         off += cs_len;
         let comp_len = usize::from(
             *body
@@ -253,27 +259,24 @@ impl ClientHello {
                     let name = edata
                         .get(5..5 + name_len)
                         .ok_or_else(|| ProtoError::truncated("tls", "sni host"))?;
-                    sni = Some(String::from_utf8_lossy(name).to_string());
+                    sni = Some(name);
                 }
                 ext_off += 4 + elen;
             }
         }
-        Ok(ClientHello {
-            random,
-            cipher_suites,
-            sni,
-        })
+        Ok(ClientHelloView { random, sni })
     }
 }
 
-/// Extracts the SNI host name from the client-side byte stream of a flow, if
-/// the stream begins with a TLS ClientHello.
-pub fn sni_from_stream(stream: &[u8]) -> Option<String> {
-    let (record, _) = Record::parse(stream).ok()?;
+/// The SNI host name's bytes in the client-side byte stream of a flow, if
+/// the stream begins with a whole handshake record holding a valid
+/// ClientHello.
+pub fn sni_from_stream(stream: &[u8]) -> Option<&[u8]> {
+    let (record, _) = RecordView::parse(stream).ok()?;
     if record.content_type != ContentType::Handshake {
         return None;
     }
-    ClientHello::parse(&record.payload).ok()?.sni
+    ClientHelloView::parse(record.payload).ok()?.sni
 }
 
 /// Builds an opaque application-data record around pre-generated ciphertext.
@@ -328,8 +331,10 @@ mod tests {
             payload: vec![9; 100],
         };
         let bytes = rec.encode();
-        let (parsed, rest) = Record::parse(&bytes).unwrap();
-        assert_eq!(parsed, rec);
+        let (parsed, rest) = RecordView::parse(&bytes).unwrap();
+        assert_eq!(parsed.content_type, rec.content_type);
+        assert_eq!(parsed.version, rec.version);
+        assert_eq!(parsed.payload, &rec.payload[..]);
         assert!(rest.is_empty());
     }
 
@@ -338,11 +343,10 @@ mod tests {
         let ch = ClientHello::new([7u8; 32], "dcape-na.amazon.com");
         let record = ch.to_record();
         let bytes = record.encode();
-        let (parsed_rec, _) = Record::parse(&bytes).unwrap();
-        let parsed = ClientHello::parse(&parsed_rec.payload).unwrap();
-        assert_eq!(parsed.sni.as_deref(), Some("dcape-na.amazon.com"));
-        assert_eq!(parsed.random, [7u8; 32]);
-        assert_eq!(parsed.cipher_suites, DEFAULT_CIPHER_SUITES.to_vec());
+        let (parsed_rec, _) = RecordView::parse(&bytes).unwrap();
+        let parsed = ClientHelloView::parse(parsed_rec.payload).unwrap();
+        assert_eq!(parsed.sni, Some(&b"dcape-na.amazon.com"[..]));
+        assert_eq!(parsed.random, &[7u8; 32]);
     }
 
     #[test]
@@ -350,10 +354,7 @@ mod tests {
         let ch = ClientHello::new([1u8; 32], "updates.tplinkcloud.com");
         let mut stream = ch.to_record().encode();
         stream.extend_from_slice(&application_data(vec![0xAB; 64]).encode());
-        assert_eq!(
-            sni_from_stream(&stream).as_deref(),
-            Some("updates.tplinkcloud.com")
-        );
+        assert_eq!(sni_from_stream(&stream), Some(&b"updates.tplinkcloud.com"[..]));
     }
 
     #[test]
@@ -364,8 +365,8 @@ mod tests {
             sni: None,
         };
         let bytes = ch.to_record().encode();
-        let (rec, _) = Record::parse(&bytes).unwrap();
-        assert_eq!(ClientHello::parse(&rec.payload).unwrap().sni, None);
+        let (rec, _) = RecordView::parse(&bytes).unwrap();
+        assert_eq!(ClientHelloView::parse(rec.payload).unwrap().sni, None);
         assert_eq!(sni_from_stream(&bytes), None);
     }
 
@@ -376,28 +377,29 @@ mod tests {
     }
 
     #[test]
-    fn parse_stream_handles_partial_tail() {
+    fn partial_tail_record_is_truncated() {
         let mut stream = application_data(vec![5; 50]).encode();
         stream.extend_from_slice(&application_data(vec![6; 50]).encode());
         stream.truncate(stream.len() - 10); // second record incomplete
-        let records = Record::parse_stream(&stream);
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].payload, vec![5; 50]);
+        let (first, rest) = RecordView::parse(&stream).unwrap();
+        assert_eq!(first.payload, &[5; 50]);
+        assert!(matches!(RecordView::parse(rest), Err(ProtoError::Truncated { .. })));
     }
 
     #[test]
     fn server_hello_parses_as_records() {
         let bytes = server_hello([3u8; 32], 0xc02f);
-        let records = Record::parse_stream(&bytes);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].content_type, ContentType::Handshake);
-        assert_eq!(records[1].content_type, ContentType::ChangeCipherSpec);
+        let (hello, rest) = RecordView::parse(&bytes).unwrap();
+        let (ccs, rest) = RecordView::parse(rest).unwrap();
+        assert_eq!(hello.content_type, ContentType::Handshake);
+        assert_eq!(ccs.content_type, ContentType::ChangeCipherSpec);
+        assert!(rest.is_empty());
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(Record::parse(&[0xff, 0x00, 0x00, 0x00, 0x01, 0x00]).is_err());
-        assert!(Record::parse(&[23, 0x04, 0x03, 0x00, 0x01]).is_err()); // bad version
-        assert!(ClientHello::parse(&[2, 0, 0, 0]).is_err()); // server hello type
+        assert!(RecordView::parse(&[0xff, 0x00, 0x00, 0x00, 0x01, 0x00]).is_err());
+        assert!(RecordView::parse(&[23, 0x04, 0x03, 0x00, 0x01]).is_err()); // bad version
+        assert!(ClientHelloView::parse(&[2, 0, 0, 0]).is_err()); // server hello type
     }
 }

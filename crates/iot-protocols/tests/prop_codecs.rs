@@ -44,9 +44,14 @@ fn dns_query_roundtrip() {
     for _ in 0..CASES {
         let id: u16 = rng.gen();
         let name = random_domain(&mut rng);
-        let msg = dns::Message::query(id, &name);
-        let parsed = dns::Message::parse(&msg.encode()).unwrap();
-        assert_eq!(parsed, msg);
+        let bytes = dns::Message::query(id, &name).encode();
+        let parsed = dns::MessageView::parse(&bytes).unwrap();
+        assert_eq!(parsed.id(), id);
+        let questions: Vec<_> = parsed
+            .questions()
+            .map(|(q, t)| (q.decode_into(&mut String::new()).to_string(), t))
+            .collect();
+        assert_eq!(questions, [(name, dns::RecordType::A)]);
     }
 }
 
@@ -62,7 +67,8 @@ fn dns_answer_roundtrip() {
         let ttl: u32 = rng.gen();
         let q = dns::Message::query(id, &name);
         let a = dns::Message::answer(&q, &addrs, ttl);
-        let parsed = dns::Message::parse(&a.encode()).unwrap();
+        let bytes = a.encode();
+        let parsed = dns::MessageView::parse(&bytes).unwrap();
         assert_eq!(parsed.a_records().count(), addrs.len());
         for ((_, got), want) in parsed.a_records().zip(addrs.iter()) {
             assert_eq!(got, *want);
@@ -75,7 +81,7 @@ fn dns_parse_never_panics() {
     let mut rng = StdRng::seed_from_u64(0xC3);
     for _ in 0..CASES {
         let data = random_bytes(&mut rng, 0..256);
-        let _ = dns::Message::parse(&data);
+        let _ = dns::MessageView::parse(&data);
     }
 }
 
@@ -87,10 +93,11 @@ fn tls_client_hello_roundtrip() {
         let sni = random_domain(&mut rng);
         let ch = tls::ClientHello::new(random, &sni);
         let rec = ch.to_record();
-        let (parsed_rec, _) = tls::Record::parse(&rec.encode()).unwrap();
-        let parsed = tls::ClientHello::parse(&parsed_rec.payload).unwrap();
-        assert_eq!(parsed.sni.as_deref(), Some(sni.as_str()));
-        assert_eq!(parsed.random, random);
+        let bytes = rec.encode();
+        let (parsed_rec, _) = tls::RecordView::parse(&bytes).unwrap();
+        let parsed = tls::ClientHelloView::parse(parsed_rec.payload).unwrap();
+        assert_eq!(parsed.sni, Some(sni.as_bytes()));
+        assert_eq!(parsed.random, &random);
     }
 }
 
@@ -99,8 +106,8 @@ fn tls_parse_never_panics() {
     let mut rng = StdRng::seed_from_u64(0xC5);
     for _ in 0..CASES {
         let data = random_bytes(&mut rng, 0..512);
-        let _ = tls::Record::parse(&data);
-        let _ = tls::ClientHello::parse(&data);
+        let _ = tls::RecordView::parse(&data);
+        let _ = tls::ClientHelloView::parse(&data);
         let _ = tls::sni_from_stream(&data);
     }
 }
@@ -113,7 +120,8 @@ fn http_request_roundtrip() {
         let path = format!("/{}", random_label(&mut rng));
         let body = random_bytes(&mut rng, 0..256);
         let req = http::Request::new("POST", &host, &path).body(body.clone());
-        let parsed = http::Request::parse(&req.encode()).unwrap();
+        let bytes = req.encode();
+        let parsed = http::RequestView::parse(&bytes).unwrap();
         assert_eq!(parsed.host(), Some(host.as_str()));
         assert_eq!(parsed.body, body);
     }
@@ -124,8 +132,7 @@ fn http_parse_never_panics() {
     let mut rng = StdRng::seed_from_u64(0xC7);
     for _ in 0..CASES {
         let data = random_bytes(&mut rng, 0..512);
-        let _ = http::Request::parse(&data);
-        let _ = http::Response::parse(&data);
+        let _ = http::RequestView::parse(&data);
     }
 }
 
@@ -135,10 +142,19 @@ fn mqtt_roundtrip() {
     for _ in 0..CASES {
         let topic = random_label(&mut rng);
         let payload = random_bytes(&mut rng, 0..512);
-        let pkt = mqtt::MqttPacket::Publish { topic, payload };
-        let bytes = pkt.encode();
-        let (parsed, rest) = mqtt::MqttPacket::parse(&bytes).unwrap();
-        assert_eq!(parsed, pkt);
+        let bytes = mqtt::MqttPacket::Publish {
+            topic: topic.clone(),
+            payload: payload.clone(),
+        }
+        .encode();
+        let (parsed, rest) = mqtt::PacketView::parse(&bytes).unwrap();
+        assert_eq!(
+            parsed,
+            mqtt::PacketView::Publish {
+                topic: &topic,
+                payload: &payload
+            }
+        );
         assert!(rest.is_empty());
     }
 }
@@ -148,7 +164,7 @@ fn mqtt_parse_never_panics() {
     let mut rng = StdRng::seed_from_u64(0xC9);
     for _ in 0..CASES {
         let data = random_bytes(&mut rng, 0..256);
-        let _ = mqtt::MqttPacket::parse(&data);
+        let _ = mqtt::PacketView::parse(&data);
     }
 }
 

@@ -308,7 +308,7 @@ mod tests {
         }
         assert_eq!(
             packets.len(),
-            exps.iter().map(|e| e.packet_count() as usize).sum::<usize>()
+            exps.iter().map(|e| e.packet_count()).sum::<usize>()
         );
         let labels = &store.devices[&key].labels;
         assert_eq!(labels.len(), 3);
@@ -334,7 +334,7 @@ mod tests {
         // Each label slice contains exactly its experiment's packets.
         for (span, exp) in labels.iter().zip(&exps) {
             let slice = slice_by_label(&packets, span);
-            assert_eq!(slice.len(), exp.packet_count() as usize, "{}", span.label);
+            assert_eq!(slice.len(), exp.packet_count(), "{}", span.label);
             // Payload bytes survive the disk round-trip.
             assert_eq!(slice[0].data, exp.packets()[0].data);
         }

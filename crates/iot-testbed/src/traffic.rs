@@ -1046,7 +1046,7 @@ mod tests {
             .filter_map(|f| iot_protocols::tls::sni_from_stream(&f.payload_out))
             .collect();
         assert!(
-            snis.iter().any(|s| s == "avs-alexa-na.amazon.com"),
+            snis.iter().any(|s| s == b"avs-alexa-na.amazon.com"),
             "SNI should expose the Alexa endpoint, got {snis:?}"
         );
     }
@@ -1064,8 +1064,9 @@ mod tests {
                 continue;
             };
             if parsed.transport.dst_port() == Some(53) {
-                let msg = iot_protocols::dns::Message::parse(parsed.payload).unwrap();
-                saw_dns_to.insert(msg.questions[0].name.clone());
+                let msg = iot_protocols::dns::MessageView::parse(parsed.payload).unwrap();
+                let (name, _) = msg.questions().next().unwrap();
+                saw_dns_to.insert(name.decode_into(&mut String::new()).to_string());
             }
         }
         assert!(saw_dns_to.iter().any(|d| d.contains("samsung")));

@@ -34,7 +34,7 @@ fn main() {
     // DNS answer → SNI → HTTP Host, then WHOIS + party classification.
     let flows = ExperimentFlows::from_experiment(&experiment);
     let spec = device.spec();
-    println!("{:<34} {:>9} {:>8}  {:<8} {}", "destination", "bytes", "proto", "party", "country");
+    println!("{:<34} {:>9} {:>8}  {:<8} country", "destination", "bytes", "proto", "party");
     for lf in flows.internet_flows() {
         let label = lf
             .domain

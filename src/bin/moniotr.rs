@@ -204,9 +204,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "quick" => scale = Scale::Quick,
-            "medium" => scale = Scale::Medium,
-            "full" => scale = Scale::Full,
             "workers" => {
                 workers = it
                     .next()
@@ -237,7 +234,14 @@ fn cmd_campaign(args: &[String]) -> CliResult {
                         .ok_or_else(|| usage_err("campaign: --report-out requires a path"))?,
                 ));
             }
-            other => return Err(usage_err(format!("campaign: unknown argument {other:?}"))),
+            flag if flag.starts_with('-') => {
+                return Err(usage_err(format!("campaign: unknown argument {flag:?}")))
+            }
+            word => {
+                scale = word
+                    .parse()
+                    .map_err(|e: String| usage_err(format!("campaign: {e}")))?
+            }
         }
     }
     if journal.is_some() && resume.is_some() {

@@ -40,6 +40,18 @@ fn unknown_campaign_flag_exits_2_with_usage() {
 }
 
 #[test]
+fn campaign_rejects_an_unknown_scale_word() {
+    // The scale word goes through the one scale parser, which names the
+    // words it takes; an unset scale stays quick.
+    let out = moniotr(&["campaign", "ful", "workers", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    for word in ["\"ful\"", "quick", "medium", "full", "usage: moniotr"] {
+        assert!(stderr.contains(word), "stderr must name {word}: {stderr}");
+    }
+}
+
+#[test]
 fn supervision_flags_validate_their_values() {
     // Missing or malformed values are parse errors, not runtime errors.
     assert_usage_exit(&["campaign", "--resume"]);

@@ -41,7 +41,7 @@ fn full_campaign_streams_valid_experiments() {
             count += 1;
             bytes += exp.total_bytes();
             // Every frame of every experiment is valid, parseable traffic.
-            if count % 37 == 0 {
+            if count.is_multiple_of(37) {
                 for p in exp.packets() {
                     p.parse_frame().expect("frame parses");
                 }

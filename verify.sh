@@ -7,8 +7,8 @@
 #    workspace) is built with --locked and its self-tests run, so a
 #    change to a public name the benchmark calls, or a crate-manifest
 #    change that would rewrite perfbench/Cargo.lock, fails here rather
-#    than at the benchmark run. Last, clippy must pass on the library
-#    code with warnings denied (tests and examples are outside the gate).
+#    than at the benchmark run. Last, clippy must pass on every target
+#    (libraries, binaries, tests, examples) with warnings denied.
 # 2. bench_pipeline: the heap totals, the instrumentation overhead and
 #    every observability gate, checked in memory on one instrumented
 #    quick campaign with the live endpoint answering. The serial report
@@ -86,8 +86,8 @@ cargo test -q --workspace
 echo "=== benchmark: build perfbench + run its self-tests ==="
 cargo test --release -q --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "=== lint: clippy on library code, warnings denied ==="
-cargo clippy -q --workspace --lib -- -D warnings
+echo "=== lint: clippy on every target, warnings denied ==="
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "=== bench: heap totals + overhead + observability gates (one instrumented run) ==="
 cargo build --release -p iot-bench \
