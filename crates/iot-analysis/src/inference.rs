@@ -4,11 +4,12 @@
 //! (`power`, `local_voice`, `android_wan_on`, …) with the timing/size
 //! features of [`crate::features`], validated with stratified 70/30
 //! splits repeated 10 times. A device or activity is *inferrable* when its
-//! F1 exceeds 0.75. The same [`TrainedDeviceModel`] serves Tables 9–10
-//! (its cross-validation scores) and §7 (its fitted forest).
+//! F1 exceeds 0.75. Tables 9–10 read a device's cross-validation scores
+//! alone; §7 applies a [`TrainedDeviceModel`], which adds the forest
+//! fitted on all of the device's data, seeded by the configuration alone.
 
 use crate::features::timing_features;
-use iot_ml::crossval::cross_validate;
+use iot_ml::crossval::{cross_validate, CrossValReport};
 use iot_ml::dataset::Dataset;
 use iot_ml::forest::{RandomForest, RandomForestConfig};
 use iot_testbed::catalog;
@@ -137,33 +138,51 @@ impl TrainedDeviceModel {
             .map(|i| self.cv_f1_per_label[i])
     }
 
-    /// Activity-kind groups with at least one label whose F1 exceeds the
-    /// threshold (Table 10 accounting).
-    pub fn inferrable_activity_kinds(&self, threshold: f64) -> Vec<ActivityKind> {
-        let mut kinds: Vec<ActivityKind> = self
-            .label_names
-            .iter()
-            .zip(&self.cv_f1_per_label)
-            .filter(|&(_, &f1)| f1 > threshold)
-            .filter_map(|(label, _)| label_activity_kind(self.device_name, label))
-            .collect();
-        kinds.sort();
-        kinds.dedup();
-        kinds
+    /// Fits the deployable forest on all of `dataset`, gated by the
+    /// dataset's cross-validation `report`.
+    pub fn fit(
+        device_name: &'static str,
+        dataset: &Dataset,
+        report: &CrossValReport,
+        forest: &RandomForestConfig,
+    ) -> Self {
+        TrainedDeviceModel {
+            device_name,
+            label_names: report.label_names.clone(),
+            forest: RandomForest::fit(dataset, forest),
+            cv_macro_f1: report.macro_f1,
+            cv_f1_per_label: report.f1_per_class.clone(),
+        }
     }
+}
 
-    /// Activity-kind groups the device exhibits at all (denominators of
-    /// Table 10).
-    pub fn present_activity_kinds(&self) -> Vec<ActivityKind> {
-        let mut kinds: Vec<ActivityKind> = self
-            .label_names
-            .iter()
-            .filter_map(|label| label_activity_kind(self.device_name, label))
-            .collect();
-        kinds.sort();
-        kinds.dedup();
-        kinds
-    }
+/// The activity-kind groups of a device's experiment `labels`, sorted and
+/// deduplicated: a device's labels give Table 10's denominators, and its
+/// inferrable labels ([`CrossValReport::inferrable_classes`]) its counts.
+pub fn activity_kinds<'a>(
+    device: &str,
+    labels: impl IntoIterator<Item = &'a str>,
+) -> Vec<ActivityKind> {
+    let mut kinds: Vec<ActivityKind> = labels
+        .into_iter()
+        .filter_map(|label| label_activity_kind(device, label))
+        .collect();
+    kinds.sort();
+    kinds.dedup();
+    kinds
+}
+
+/// The §6.3 corpus of one device at one egress: its experiments from the
+/// training campaign, as a labeled dataset.
+pub fn device_dataset(
+    db: &iot_geodb::registry::GeoDb,
+    campaign: &Campaign,
+    device: &DeviceInstance,
+    vpn: bool,
+) -> Dataset {
+    let mut experiments = Vec::new();
+    campaign.run_device(db, device, vpn, |exp| experiments.push(exp));
+    build_dataset(&experiments)
 }
 
 /// Runs the §6.3 protocol for one device at one egress: generate its
@@ -176,18 +195,9 @@ pub fn train_device_model(
     vpn: bool,
     config: &InferenceConfig,
 ) -> TrainedDeviceModel {
-    let mut experiments = Vec::new();
-    campaign.run_device(db, device, vpn, |exp| experiments.push(exp));
-    let dataset = build_dataset(&experiments);
+    let dataset = device_dataset(db, campaign, device, vpn);
     let report = cross_validate(&dataset, &config.forest, config.cv_repeats);
-    let forest = RandomForest::fit(&dataset, &config.forest);
-    TrainedDeviceModel {
-        device_name: device.spec().name,
-        label_names: report.label_names.clone(),
-        forest,
-        cv_macro_f1: report.macro_f1,
-        cv_f1_per_label: report.f1_per_class.clone(),
-    }
+    TrainedDeviceModel::fit(device.spec().name, &dataset, &report, &config.forest)
 }
 
 #[cfg(test)]
@@ -223,7 +233,13 @@ mod tests {
             model.cv_macro_f1
         );
         // Power and video bursts must individually be recognizable.
-        let kinds = model.inferrable_activity_kinds(0.6);
+        let inferrable = model
+            .label_names
+            .iter()
+            .zip(&model.cv_f1_per_label)
+            .filter(|&(_, &f1)| f1 > 0.6)
+            .map(|(label, _)| label.as_str());
+        let kinds = activity_kinds(model.device_name, inferrable);
         assert!(kinds.contains(&ActivityKind::Power), "{kinds:?}");
     }
 

@@ -109,7 +109,7 @@ pub fn span_tree(snap: &Snapshot) -> Verdict {
     ))
 }
 
-/// Heap traffic is attributed to every span of [`CHARGED_SPANS`], and the
+/// Heap traffic is attributed to every span of `CHARGED_SPANS`, and the
 /// end-of-run allocator gauge is present.
 pub fn span_allocs(snap: &Snapshot) -> Verdict {
     let mut line = Vec::new();

@@ -11,7 +11,7 @@
 //! * `quick` — a minimal grid for smoke runs.
 //! * `medium` *(default)* — enough repetitions for stable numbers.
 //! * `full` — the paper-scale grid (§3.3's ~34,586 controlled
-//!   experiments); Tables 9–11 and §7.3 together take ~21 s on a
+//!   experiments); Tables 9–11 and §7.3 together take ~6 s on a
 //!   2-vCPU host.
 //!
 //! Results are printed as text tables and also written as JSON under

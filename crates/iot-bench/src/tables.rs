@@ -9,15 +9,17 @@
 //! published tables come from. That run records no metrics
 //! (`Pipeline::with_obs(false)`); `bench_pipeline` and `moniotr
 //! campaign` are the instrumented runs. Tables 9–11 and §7.3 read one [`Models`]
-//! set, so every (device, egress) model is trained at most once per
-//! call, and Table 11 applies the very models Tables 9–10 score. The
-//! others read the catalog or run the entropy calibration.
+//! set, so every (device, egress) model is cross-validated at most once
+//! per call, and Table 11 applies the very models Tables 9–10 score;
+//! a model's forest is fitted only when Table 11 or §7.3 first applies
+//! it. The others read the catalog or run the entropy calibration.
 
 use crate::Scale;
 use iot_analysis::destinations::{ColumnCtx, ExpGroup};
 use iot_analysis::encryption::Table8Row;
 use iot_analysis::inference::{
-    build_dataset, train_device_model, TrainedDeviceModel, F1_INFERRABLE,
+    activity_kinds, build_dataset, device_dataset, TrainedDeviceModel, F1_HIGH_CONFIDENCE,
+    F1_INFERRABLE,
 };
 use iot_analysis::regional::significantly_different;
 use iot_analysis::report::{pct, TextTable};
@@ -32,13 +34,15 @@ use iot_geodb::geo::Region;
 use iot_geodb::party::PartyType;
 use iot_geodb::passport;
 use iot_geodb::registry::GeoDb;
-use iot_ml::crossval::cross_validate;
+use iot_ml::crossval::{cross_validate, CrossValReport};
+use iot_ml::dataset::Dataset;
 use iot_ml::forest::RandomForestConfig;
 use iot_testbed::catalog;
 use iot_testbed::device::{ActivityKind, Availability, Category};
 use iot_testbed::experiment::run_idle;
 use iot_testbed::lab::{DeviceInstance, Lab, LabSite};
 use iot_testbed::user_study::{device_capture, plan_events, study_devices, StudyConfig};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -731,28 +735,66 @@ fn summary(p: &Pipeline, out: &mut Output) {
 }
 
 /// The activity models of Tables 9–11 and §7.3: one per deployed
-/// (site, device) at native and VPN egress, each trained once over the
-/// scale's training campaign.
+/// (site, device) at native and VPN egress, each cross-validated once
+/// over the scale's training campaign.
 pub struct Models {
     scale: Scale,
-    /// Each model with the device and egress it was trained for, in
-    /// lab × device × egress order.
-    trained: Vec<(DeviceInstance, bool, TrainedDeviceModel)>,
+    forest: RandomForestConfig,
+    /// In lab × device × egress order.
+    trained: Vec<Model>,
+}
+
+/// One (device, egress) model: the dataset and cross-validation scores
+/// that Tables 9–10 read, and the deployable forest, fitted on the first
+/// call to [`Model::deployed`]. A fit is seeded by the configuration
+/// alone, so when it happens changes no artifact.
+struct Model {
+    device: DeviceInstance,
+    vpn: bool,
+    dataset: Dataset,
+    cv: CrossValReport,
+    deployed: OnceCell<TrainedDeviceModel>,
 }
 
 impl Models {
-    /// Cross-validates and fits every model of the scale.
+    /// Cross-validates every model of the scale.
     pub fn train(scale: Scale) -> Models {
         let config = crate::inference_config(scale);
         let campaign = crate::training_campaign(scale);
         let mut trained = Vec::new();
         for device in campaign.labs().iter().flat_map(|lab| &lab.devices) {
             for vpn in [false, true] {
-                let model = train_device_model(GeoDb::shared(), &campaign, device, vpn, &config);
-                trained.push((device.clone(), vpn, model));
+                let dataset = device_dataset(GeoDb::shared(), &campaign, device, vpn);
+                let cv = cross_validate(&dataset, &config.forest, config.cv_repeats);
+                trained.push(Model {
+                    device: device.clone(),
+                    vpn,
+                    dataset,
+                    cv,
+                    deployed: OnceCell::new(),
+                });
             }
         }
-        Models { scale, trained }
+        Models {
+            scale,
+            forest: config.forest,
+            trained,
+        }
+    }
+}
+
+impl Model {
+    /// Whether the model passes §7.1's F1 > 0.9 gate, read before any
+    /// forest is fitted.
+    fn is_high_confidence(&self) -> bool {
+        self.cv.macro_f1 > F1_HIGH_CONFIDENCE
+    }
+
+    /// The model with its forest, fitted on all of the dataset.
+    fn deployed(&self, forest: &RandomForestConfig) -> &TrainedDeviceModel {
+        self.deployed.get_or_init(|| {
+            TrainedDeviceModel::fit(self.device.spec().name, &self.dataset, &self.cv, forest)
+        })
     }
 }
 
@@ -772,13 +814,14 @@ fn contexts_of(device: &DeviceInstance, vpn: bool) -> impl Iterator<Item = Colum
 fn table9(models: &Models, out: &mut Output) {
     let mut counts: HashMap<(ColumnCtx, Category), usize> = HashMap::new();
     let mut totals: HashMap<Category, usize> = HashMap::new();
-    for (device, vpn, model) in &models.trained {
+    for model in &models.trained {
+        let (device, vpn, cv) = (&model.device, model.vpn, &model.cv);
         let category = device.spec().category;
         if !vpn {
             *totals.entry(category).or_default() += 1;
         }
-        if model.cv_macro_f1 > F1_INFERRABLE {
-            for c in contexts_of(device, *vpn) {
+        if cv.macro_f1 > F1_INFERRABLE {
+            for c in contexts_of(device, vpn) {
                 *counts.entry((c, category)).or_default() += 1;
             }
         }
@@ -805,14 +848,16 @@ fn table10(models: &Models, out: &mut Output) {
     let mut counts: HashMap<(ColumnCtx, ActivityKind), usize> = HashMap::new();
     // Denominators counted once per device across both labs (no VPN).
     let mut denominators: HashMap<ActivityKind, usize> = HashMap::new();
-    for (device, vpn, model) in &models.trained {
+    for model in &models.trained {
+        let (device, vpn, cv) = (&model.device, model.vpn, &model.cv);
+        let name = device.spec().name;
         if !vpn {
-            for kind in model.present_activity_kinds() {
+            for kind in activity_kinds(name, cv.label_names.iter().map(String::as_str)) {
                 *denominators.entry(kind).or_default() += 1;
             }
         }
-        for kind in model.inferrable_activity_kinds(F1_INFERRABLE) {
-            for c in contexts_of(device, *vpn) {
+        for kind in activity_kinds(name, cv.inferrable_classes(F1_INFERRABLE)) {
+            for c in contexts_of(device, vpn) {
                 *counts.entry((c, kind)).or_default() += 1;
             }
         }
@@ -854,15 +899,18 @@ fn table11(models: &Models, out: &mut Output) {
     // (device, activity-label) → [US, UK, US→UK, UK→US] counts
     let mut rows: BTreeMap<(String, String), [usize; 4]> = BTreeMap::new();
     let mut gated = 0usize;
-    for (device, vpn, model) in &models.trained {
-        // The gate first: an excluded model's idle capture is never read.
+    for model in &models.trained {
+        // The gate first: an excluded model's forest is never fitted and
+        // its idle capture never read.
         if !model.is_high_confidence() {
             gated += 1;
             continue;
         }
+        let Model { device, vpn, .. } = model;
         let column = usize::from(device.site == LabSite::Uk) + 2 * usize::from(*vpn);
         let idle = run_idle(GeoDb::shared(), device, *vpn, idle_hours, 0);
-        let detections = detect_activities(model, &idle.packets()).expect("gate checked above");
+        let detections = detect_activities(model.deployed(&models.forest), &idle.packets())
+            .expect("gate checked above");
         for (label, count) in detection_counts(&detections) {
             rows.entry((device.spec().name.to_string(), label))
                 .or_insert([0; 4])[column] += count;
@@ -923,16 +971,19 @@ fn user_study(models: &Models, out: &mut Output) {
     );
     for device in &devices {
         let name = device.spec().name;
-        let Some((_, _, model)) = models.trained.iter().find(|(trained, vpn, _)| {
-            trained.site == LabSite::Us && !vpn && trained.spec().name == name
-        }) else {
+        let Some(model) = models
+            .trained
+            .iter()
+            .find(|m| m.device.site == LabSite::Us && !m.vpn && m.device.spec().name == name)
+        else {
             continue;
         };
         if !model.is_high_confidence() {
             continue; // below the F1 gate: its capture is never read
         }
         let packets = device_capture(GeoDb::shared(), &config, device, &events).to_packets();
-        let detections = detect_activities(model, &packets).expect("gate checked above");
+        let detections = detect_activities(model.deployed(&models.forest), &packets)
+            .expect("gate checked above");
         let report = match_against_ground_truth(name, &detections, &events, 120.0);
         table.row(vec![
             name.to_string(),
@@ -1036,11 +1087,14 @@ mod tests {
         let keys: std::collections::BTreeSet<_> = models
             .trained
             .iter()
-            .map(|(device, vpn, _)| (device.site, device.spec().name, *vpn))
+            .map(|m| (m.device.site, m.device.spec().name, m.vpn))
             .collect();
         assert_eq!(keys.len(), 162, "one model per (site, device, egress)");
-        for (device, _, model) in &models.trained {
-            assert_eq!(model.device_name, device.spec().name);
+        for model in &models.trained {
+            assert_eq!(
+                model.deployed(&models.forest).device_name,
+                model.device.spec().name
+            );
         }
     }
 }

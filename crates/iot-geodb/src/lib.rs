@@ -12,7 +12,7 @@
 //! 3. a **party type** ([`party`]) — first / support / third relative to the
 //!    device's manufacturer,
 //! 4. a **country** ([`passport`]) via traceroute-informed inference,
-//!    because "public geolocation databases alone … [are] highly
+//!    because "public geolocation databases alone … \[are\] highly
 //!    inaccurate".
 //!
 //! The database is seeded from the organizations the paper itself names

@@ -1,13 +1,25 @@
 //! The paper's validation protocol: stratified 70/30 hold-out, repeated 10
 //! times, metrics averaged across repeats (§6.3).
 //!
-//! One column-major copy of the dataset serves every repeat: a train
-//! split is a vector of row ids into it, not a copy of the rows.
+//! One rank-coded, column-major copy of the dataset serves every repeat:
+//! a train split is a vector of row ids into it, not a copy of the rows.
+//!
+//! The repeats run on `min(available_parallelism, repeats)` threads, the
+//! calling thread one of them, which pull repeat indices from one
+//! counter. Repeat `r` draws from generators seeded by `r` alone (split
+//! `seed ^ r·0x9e37_79b9`, forest `seed ^ r`), and the per-repeat
+//! confusion matrices are folded in ascending `r`, so the report is the
+//! serial loop's bit for bit at any thread count. A panic inside a
+//! repeat (a NaN feature's "non-finite feature") resurfaces with its own
+//! payload.
 
 use crate::dataset::{Columns, Dataset};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::metrics::ConfusionMatrix;
 use iot_core::rng::{SliceRandom, StdRng};
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Aggregated cross-validation results.
 #[derive(Debug, Clone)]
@@ -68,38 +80,63 @@ pub fn stratified_split(
 }
 
 /// Runs the §6.3 protocol: `repeats` random stratified 70/30 splits, a
-/// fresh forest per split, metrics averaged over repeats.
+/// fresh forest per split, metrics averaged over repeats. The repeats
+/// share the host's cores (see the module docs); the report does not
+/// depend on how many there are.
 pub fn cross_validate(
     data: &Dataset,
     config: &RandomForestConfig,
     repeats: usize,
 ) -> CrossValReport {
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    cross_validate_on(data, config, repeats, workers)
+}
+
+/// [`cross_validate`] on at most `workers` threads, the calling thread
+/// one of them, so one worker spawns nothing.
+pub(crate) fn cross_validate_on(
+    data: &Dataset,
+    config: &RandomForestConfig,
+    repeats: usize,
+    workers: usize,
+) -> CrossValReport {
     assert!(repeats > 0, "need at least one repeat");
+    let columns = Columns::new(data);
+    // Hands out repeat indices; `Relaxed` suffices, since it publishes no
+    // data: each result comes back through `join` or the caller's stack.
+    let next = AtomicUsize::new(0);
+    // Runs the next unclaimed repeat until none is left.
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let r = next.fetch_add(1, Ordering::Relaxed);
+            if r >= repeats {
+                return done;
+            }
+            done.push((r, run_repeat(data, &columns, config, r)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.min(repeats)).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        done
+    });
+    // Folded in repeat order, the sums round as the serial loop's do.
+    done.sort_unstable_by_key(|&(r, _)| r);
+
     let n_classes = data.n_classes();
     let mut f1_sum = vec![0.0f64; n_classes];
     let mut support_sum = vec![0.0f64; n_classes];
     let mut macro_sum = 0.0;
     let mut acc_sum = 0.0;
     let mut effective = 0usize;
-    let columns = Columns::new(data);
-    for r in 0..repeats {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ (r as u64).wrapping_mul(0x9e37_79b9));
-        let (train_idx, test_idx) = stratified_split(data, 0.7, &mut rng);
-        if train_idx.is_empty() || test_idx.is_empty() {
-            continue;
-        }
-        let forest = RandomForest::fit_rows(
-            &columns,
-            &train_idx,
-            &RandomForestConfig {
-                seed: config.seed ^ (r as u64),
-                ..*config
-            },
-        );
-        let mut cm = ConfusionMatrix::new(n_classes);
-        for &i in &test_idx {
-            cm.record(data.labels[i], forest.predict(&data.features[i]));
-        }
+    for cm in done.into_iter().filter_map(|(_, cm)| cm) {
         for c in 0..n_classes {
             f1_sum[c] += cm.f1(c);
             support_sum[c] += cm.support(c) as f64;
@@ -117,6 +154,34 @@ pub fn cross_validate(
         accuracy: acc_sum / n,
         repeats: effective,
     }
+}
+
+/// Repeat `r`: its split, a forest fit to the train side, and the
+/// confusion matrix over the test side; `None` when either side is empty.
+pub(crate) fn run_repeat(
+    data: &Dataset,
+    columns: &Columns,
+    config: &RandomForestConfig,
+    r: usize,
+) -> Option<ConfusionMatrix> {
+    let mut rng = StdRng::seed_from_u64(config.seed ^ (r as u64).wrapping_mul(0x9e37_79b9));
+    let (train_idx, test_idx) = stratified_split(data, 0.7, &mut rng);
+    if train_idx.is_empty() || test_idx.is_empty() {
+        return None;
+    }
+    let forest = RandomForest::fit_rows(
+        columns,
+        &train_idx,
+        &RandomForestConfig {
+            seed: config.seed ^ (r as u64),
+            ..*config
+        },
+    );
+    let mut cm = ConfusionMatrix::new(data.n_classes());
+    for &i in &test_idx {
+        cm.record(data.labels[i], forest.predict(&data.features[i]));
+    }
+    Some(cm)
 }
 
 #[cfg(test)]

@@ -391,6 +391,67 @@ mod prop {
         }
     }
 
+    /// The panic message of a caught unwind.
+    fn message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// At 1, 2, 3 and `repeats + 1` workers, cross-validation reports the
+    /// serial reference's figures bit for bit, and on every other case,
+    /// which holds one NaN, it panics with "non-finite feature" exactly
+    /// when the reference does, whichever repeat meets the NaN.
+    #[test]
+    fn parallel_repeats_match_reference_at_every_worker_count() {
+        let mut rng = StdRng::seed_from_u64(0xC005);
+        let (mut panicked, mut only_later_repeats) = (0, 0);
+        for case in 0..CASES {
+            let mut d = random_dataset(&mut rng);
+            let cfg = random_forest_config(&mut rng);
+            let repeats = rng.gen_range(1usize..6);
+            if case % 2 == 1 {
+                let (row, col) = (rng.gen_range(0..d.len()), rng.gen_range(0..d.width()));
+                d.features[row][col] = f64::NAN;
+            }
+            let reference = catch_unwind(AssertUnwindSafe(|| cross_validate(&d, &cfg, repeats)));
+            if reference.is_err() {
+                panicked += 1;
+                let columns = crate::dataset::Columns::new(&d);
+                let meets = |r| {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        crossval::run_repeat(&d, &columns, &cfg, r)
+                    }))
+                    .is_err()
+                };
+                if !meets(0) {
+                    only_later_repeats += 1;
+                }
+            }
+            for workers in [1, 2, 3, repeats + 1] {
+                let new = catch_unwind(AssertUnwindSafe(|| {
+                    crossval::cross_validate_on(&d, &cfg, repeats, workers)
+                }));
+                match (new, &reference) {
+                    (Ok(a), Ok(b)) => assert_reports_equal(&a, b, case),
+                    (Err(payload), Err(_)) => {
+                        let msg = message(payload.as_ref());
+                        assert!(msg.contains("non-finite feature"), "case {case}: {msg}");
+                    }
+                    (new, _) => panic!(
+                        "case {case}, {workers} workers: new panicked {}, reference panicked {}",
+                        new.is_err(),
+                        reference.is_err()
+                    ),
+                }
+            }
+        }
+        assert!(panicked > CASES / 8, "only {panicked} NaN cases panicked");
+        assert!(only_later_repeats > 0, "no NaN met only by a later repeat");
+    }
+
     /// A NaN feature panics with "non-finite feature" exactly when the
     /// reference does, in trees and forests alike.
     #[test]

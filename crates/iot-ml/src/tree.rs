@@ -1,15 +1,20 @@
 //! CART decision trees with Gini impurity.
 //!
-//! Induction reads a column-major copy of the training data
-//! ([`Columns`]) through a slice of row ids, so a bootstrap sample or a
-//! train split is a row-id vector rather than a copy of the rows. Each
-//! tree reuses one set of scratch buffers at every node, and children
-//! grow on an in-place stable partition of their parent's row ids. The
-//! splits chosen are exactly those of sorting each node's row copies:
-//! the same random draws happen in the same order, and every shortcut
-//! below provably leaves the chosen split unchanged (DESIGN §13).
+//! Induction reads a rank-coded, column-major copy of the training data
+//! (`dataset::Columns`) through a slice of row ids, so a bootstrap
+//! sample or a train split is a row-id vector rather than a copy of the
+//! rows. Split search sorts one 8-byte key per row, `rank << 32 |
+//! label`, with a plain integer sort: rows of equal value share a rank,
+//! and the threshold between two ranks is the midpoint of their stored
+//! values. Children grow on an in-place stable partition of their
+//! parent's row ids by `value <= threshold`, and each tree reuses one
+//! set of scratch buffers at every node. The splits chosen are exactly
+//! those of sorting each node's row copies by value: the same random
+//! draws happen in the same order, a NaN panics where that sort compared
+//! it, and every shortcut below provably leaves the chosen split
+//! unchanged (DESIGN §13).
 
-use crate::dataset::{Columns, Dataset};
+use crate::dataset::{Columns, Dataset, NAN_RANK};
 use iot_core::rng::{SliceRandom, StdRng};
 
 /// A node of a fitted tree.
@@ -79,7 +84,7 @@ impl DecisionTree {
             config,
             nodes: Vec::new(),
             candidates: Vec::with_capacity(columns.width()),
-            pairs: Vec::with_capacity(rows.len()),
+            keys: Vec::with_capacity(rows.len()),
             counts: vec![0; n_classes],
             present: Vec::with_capacity(n_classes),
             left: vec![0; n_classes],
@@ -128,8 +133,8 @@ struct Grower<'a> {
     nodes: Vec<Node>,
     /// The node's candidate features.
     candidates: Vec<usize>,
-    /// The node's `(value, label)` pairs for one feature, sorted by value.
-    pairs: Vec<(f64, usize)>,
+    /// The node's `rank << 32 | label` keys for one feature, sorted.
+    keys: Vec<u64>,
     /// The node's class counts.
     counts: Vec<usize>,
     /// The classes present in the node, ascending.
@@ -187,7 +192,7 @@ impl Grower<'_> {
             columns,
             config,
             candidates,
-            pairs,
+            keys,
             counts,
             present,
             left,
@@ -209,12 +214,20 @@ impl Grower<'_> {
         let node_squares: usize = present.iter().map(|&c| counts[c] * counts[c]).sum();
         let mut best: Option<(f64, usize, f64)> = None;
         for &f in candidates.iter() {
-            let column = columns.column(f);
-            pairs.clear();
-            pairs.extend(rows.iter().map(|&r| (column[r], columns.label(r))));
-            // Equal values may land in any order: a split is only scored
-            // between distinct values, where the left side is the same set.
-            pairs.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("non-finite feature"));
+            let (ranks, values) = (columns.ranks(f), columns.values(f));
+            keys.clear();
+            keys.extend(
+                rows.iter()
+                    .map(|&r| (u64::from(ranks[r]) << 32) | columns.label(r) as u64),
+            );
+            // Equal ranks may land in any order: a split is only scored
+            // between distinct ranks, where the left side is the same set.
+            keys.sort_unstable();
+            // NaN's rank sorts last, and a sort by value would have
+            // compared it.
+            if keys[total - 1] >> 32 == u64::from(NAN_RANK) {
+                panic!("non-finite feature");
+            }
             // Only the present classes' slots are read below.
             for &c in present.iter() {
                 left[c] = 0;
@@ -223,13 +236,13 @@ impl Grower<'_> {
             // Sums of squared class counts on each side.
             let (mut left_squares, mut right_squares) = (0usize, node_squares);
             for w in 0..total - 1 {
-                let (v, label) = pairs[w];
+                let label = keys[w] as u32 as usize;
                 left_squares += 2 * left[label] + 1;
                 left[label] += 1;
                 right[label] -= 1;
                 right_squares -= 2 * right[label] + 1;
-                let v_next = pairs[w + 1].0;
-                if v == v_next {
+                let (rank, next) = (keys[w] >> 32, keys[w + 1] >> 32);
+                if rank == next {
                     continue; // cannot split between equal values
                 }
                 let n_left = w + 1;
@@ -258,6 +271,7 @@ impl Grower<'_> {
                     }
                 };
                 if better {
+                    let (v, v_next) = (values[rank as usize], values[next as usize]);
                     best = Some((score, f, (v + v_next) / 2.0));
                 }
             }
@@ -272,13 +286,16 @@ impl Grower<'_> {
 
     /// Stable in-place partition of `rows` by `feature <= threshold`: left
     /// rows first, each side in its original order. Returns the left count.
+    /// It compares values, not ranks: the midpoint of two adjacent floats
+    /// can round onto the upper one, which then goes left. No row here is
+    /// NaN in `feature`, or `best_split` would have panicked.
     fn partition(&mut self, rows: &mut [usize], feature: usize, threshold: f64) -> usize {
-        let column = self.columns.column(feature);
+        let (ranks, values) = (self.columns.ranks(feature), self.columns.values(feature));
         self.spill.clear();
         let mut n_left = 0;
         for i in 0..rows.len() {
             let r = rows[i];
-            if column[r] <= threshold {
+            if values[ranks[r] as usize] <= threshold {
                 rows[n_left] = r;
                 n_left += 1;
             } else {

@@ -161,7 +161,7 @@ enum CursorMode {
 /// streaming ingest core walks captures packet-at-a-time through this
 /// cursor instead of materializing a `Vec<Packet>`. Reads either byte
 /// order. Both modes classify every header through the same
-/// [`header_violation`] rules, so they agree on every clean capture and
+/// `header_violation` rules, so they agree on every clean capture and
 /// differ only in what happens on a violation.
 pub struct PcapCursor<'a> {
     buf: &'a [u8],

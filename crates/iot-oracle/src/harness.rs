@@ -166,7 +166,7 @@ fn detection_and_study_laws() -> Vec<Violation> {
 ///
 /// One 1-worker pipeline run serves both as the invariant subject and
 /// the differential baseline; the metamorphic relations run on a bounded
-/// copy of the configuration (see [`metamorphic_config`]).
+/// copy of the configuration (see `metamorphic_config`).
 pub fn run_oracle(config: CampaignConfig) -> OracleOutcome {
     // Pillar 1: invariants over a live 1-worker run, with the pipeline
     // still inspectable for the recount cross-checks.

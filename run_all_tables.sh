@@ -6,7 +6,7 @@
 # on every call, so exporting it
 # changes nothing here; for the paper-scale grid run the binary itself,
 # e.g. `IOT_SCALE=full ./target/release/tables table9 table10 table11
-# user_study` (~21 s on a 2-vCPU host), with IOT_RESULTS_DIR pointing
+# user_study` (~6 s on a 2-vCPU host), with IOT_RESULTS_DIR pointing
 # away from results/.
 set -e
 cd "$(dirname "$0")"

@@ -8,7 +8,9 @@
 #    change to a public name the benchmark calls, or a crate-manifest
 #    change that would rewrite perfbench/Cargo.lock, fails here rather
 #    than at the benchmark run. Last, clippy must pass on every target
-#    (libraries, binaries, tests, examples) with warnings denied.
+#    (libraries, binaries, tests, examples) with warnings denied, and
+#    rustdoc must build the workspace's docs without a warning (a broken
+#    or private intra-doc link fails it).
 # 2. bench_pipeline: the heap totals, the instrumentation overhead and
 #    every observability gate, checked in memory on one instrumented
 #    quick campaign with the live endpoint answering. The serial report
@@ -88,6 +90,9 @@ cargo test --release -q --locked --manifest-path perfbench/Cargo.toml --target-d
 
 echo "=== lint: clippy on every target, warnings denied ==="
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "=== lint: rustdoc, warnings denied ==="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "=== bench: heap totals + overhead + observability gates (one instrumented run) ==="
 cargo build --release -p iot-bench \
