@@ -216,12 +216,6 @@ impl DestinationAnalysis {
         bits
     }
 
-    /// Ingests one experiment's flows.
-    pub fn add_experiment(&mut self, exp: &LabeledExperiment) {
-        let flows = ExperimentFlows::from_experiment(exp);
-        self.add_flows(exp, &flows);
-    }
-
     /// Ingests pre-extracted flows (lets callers share the extraction with
     /// other analyses).
     pub fn add_flows(&mut self, exp: &LabeledExperiment, flows: &ExperimentFlows) {
@@ -619,14 +613,14 @@ mod tests {
             ] {
                 if let Some(dev) = lab.device(name) {
                     for vpn in [false, true] {
-                        analysis.add_experiment(&run_power(&db, dev, vpn, 0, 0));
+                        let exp = run_power(&db, dev, vpn, 0, 0);
+                        analysis.add_flows(&exp, &ExperimentFlows::from_experiment(&exp));
                         let spec = dev.spec();
                         let act = &spec.activities[0];
                         let method = act.methods[0];
                         for rep in 0..3 {
-                            analysis.add_experiment(&run_interaction(
-                                &db, dev, act, method, vpn, rep, 0,
-                            ));
+                            let exp = run_interaction(&db, dev, act, method, vpn, rep, 0);
+                            analysis.add_flows(&exp, &ExperimentFlows::from_experiment(&exp));
                         }
                     }
                 }

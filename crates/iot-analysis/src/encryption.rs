@@ -203,12 +203,6 @@ impl EncryptionAnalysis {
         }
     }
 
-    /// Ingests one experiment.
-    pub fn add_experiment(&mut self, exp: &LabeledExperiment) {
-        let flows = ExperimentFlows::from_experiment(exp);
-        self.add_flows(exp, &flows);
-    }
-
     /// Ingests pre-extracted flows: one experiment's worth, with entropy
     /// tables of its own.
     pub fn add_flows(&mut self, exp: &LabeledExperiment, flows: &ExperimentFlows) {
@@ -563,28 +557,32 @@ mod tests {
     use iot_testbed::experiment::{run_interaction, run_power};
     use iot_testbed::lab::Lab;
 
+    /// Every experiment's flows, ingested one experiment at a time.
+    fn ingest(
+        analysis: &mut EncryptionAnalysis,
+        exps: impl IntoIterator<Item = LabeledExperiment>,
+    ) {
+        for exp in exps {
+            analysis.add_flows(&exp, &ExperimentFlows::from_experiment(&exp));
+        }
+    }
+
     fn corpus(names: &[&str]) -> EncryptionAnalysis {
         let db = GeoDb::new();
         let lab = Lab::deploy(LabSite::Us);
         let mut analysis = EncryptionAnalysis::default();
         for name in names {
             let dev = lab.device(name).unwrap();
-            for rep in 0..2 {
-                analysis.add_experiment(&run_power(&db, dev, false, rep, 0));
-            }
+            ingest(
+                &mut analysis,
+                (0..2).map(|rep| run_power(&db, dev, false, rep, 0)),
+            );
             let spec = dev.spec();
             for act in &spec.activities {
-                for rep in 0..2 {
-                    analysis.add_experiment(&run_interaction(
-                        &db,
-                        dev,
-                        act,
-                        act.methods[0],
-                        false,
-                        rep,
-                        0,
-                    ));
-                }
+                ingest(
+                    &mut analysis,
+                    (0..2).map(|rep| run_interaction(&db, dev, act, act.methods[0], false, rep, 0)),
+                );
             }
         }
         analysis
@@ -616,10 +614,13 @@ mod tests {
         let lab = Lab::deploy(LabSite::Uk);
         let dev = lab.device("Smarter iKettle").unwrap();
         let mut analysis2 = EncryptionAnalysis::default();
-        analysis2.add_experiment(&run_power(&db, dev, false, 0, 0));
+        ingest(&mut analysis2, [run_power(&db, dev, false, 0, 0)]);
         let spec = dev.spec();
         for act in &spec.activities {
-            analysis2.add_experiment(&run_interaction(&db, dev, act, act.methods[0], false, 0, 0));
+            ingest(
+                &mut analysis2,
+                [run_interaction(&db, dev, act, act.methods[0], false, 0, 0)],
+            );
         }
         let cb = analysis2.device_bytes(LabSite::Uk, false)[0].1;
         let unknown = cb.percent(EncryptionClass::Unknown);

@@ -680,10 +680,6 @@ impl Pipeline {
             alloc.set("bytes_total", totals.bytes_allocated.to_json());
             alloc.set("allocs_total", totals.allocs.to_json());
             alloc.set("live_bytes", iot_obs::alloc::process_live_bytes().to_json());
-            alloc.set(
-                "high_water_bytes",
-                iot_obs::alloc::process_high_water_bytes().to_json(),
-            );
             progress.set("alloc", alloc);
         }
         iot_obs::serve::publish(metrics, progress.dump(), iot_obs::folded_stacks(&snapshot));
@@ -1022,15 +1018,12 @@ impl Pipeline {
         let report = self.build_report();
         drop(finish);
         // Campaign memory footprint, stamped once the report exists so
-        // the gauges cover the whole run: the allocator's own live/peak
-        // view plus the kernel's VmHWM upper bound. Gauges are excluded
-        // from the deterministic subset, so worker-dependent byte counts
-        // never threaten report identity.
+        // the gauges cover the whole run: the allocator's live bytes and
+        // the kernel's VmHWM, the process's peak (each worker's own heap
+        // peak is its `worker.N.alloc_high_water_bytes`). Gauges are
+        // excluded from the deterministic subset, so worker-dependent
+        // byte counts never threaten report identity.
         if self.obs.enabled() && iot_obs::alloc::enabled() {
-            self.obs.set_gauge(
-                "alloc.high_water_bytes",
-                iot_obs::alloc::process_high_water_bytes() as f64,
-            );
             self.obs.set_gauge(
                 "alloc.live_bytes",
                 iot_obs::alloc::process_live_bytes() as f64,

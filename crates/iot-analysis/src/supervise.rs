@@ -1145,9 +1145,9 @@ mod tests {
         let dev = lab.device("TP-Link Plug").unwrap();
         let mut delta = mini_delta(5);
         for rep in 0..3 {
-            delta
-                .encryption
-                .add_experiment(&iot_testbed::experiment::run_power(&db, dev, false, rep, 0));
+            let exp = iot_testbed::experiment::run_power(&db, dev, false, rep, 0);
+            let flows = crate::flows::ExperimentFlows::from_experiment(&exp);
+            delta.encryption.add_flows(&exp, &flows);
         }
         let samples = delta.encryption.unencrypted_samples("TP-Link Plug", LabSite::Us, false);
         assert_eq!(samples.len(), 3, "one sample per experiment");

@@ -129,10 +129,10 @@ fn main() -> ExitCode {
     let serial_json = report_json(config, false);
 
     // 2. The heap-counted serial run: counting alone must not perturb
-    // the report, and with the run on a single thread the thread-local
-    // delta is the pipeline's entire heap traffic. The high-water mark
-    // is reset first so it reflects this run's heap growth, not the
-    // baseline run's.
+    // the report, and with the run on a single thread this thread's
+    // delta and high-water are the pipeline's entire heap traffic and
+    // peak. The high-water mark is reset first so it reflects this run's
+    // heap growth, not the baseline run's.
     iot_obs::alloc::set_enabled(true);
     iot_obs::alloc::reset_high_water();
     let alloc_before = iot_obs::alloc::thread_snapshot();
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
         (p.finish().to_json().dump(), experiments, packets)
     };
     let alloc_traffic = iot_obs::alloc::thread_snapshot().since(&alloc_before);
-    let alloc_high_water = iot_obs::alloc::process_high_water_bytes();
+    let alloc_high_water = iot_obs::alloc::thread_high_water_bytes().max(0) as u64;
     iot_obs::alloc::set_enabled(false);
     let alloc_identical = alloc_json == serial_json;
 

@@ -109,8 +109,9 @@ pub fn span_tree(snap: &Snapshot) -> Verdict {
     ))
 }
 
-/// Heap traffic is attributed to every span of `CHARGED_SPANS`, and the
-/// end-of-run allocator gauge is present.
+/// Heap traffic is attributed to every span of `CHARGED_SPANS`, and every
+/// worker with a `worker.N.experiments` gauge has its heap peak,
+/// `worker.N.alloc_high_water_bytes`.
 pub fn span_allocs(snap: &Snapshot) -> Verdict {
     let mut line = Vec::new();
     for span in CHARGED_SPANS {
@@ -121,8 +122,12 @@ pub fn span_allocs(snap: &Snapshot) -> Verdict {
             _ => return Err(format!("{span} span has no alloc_bytes attribution")),
         }
     }
-    if !snap.gauges.contains_key("alloc.high_water_bytes") {
-        return Err("missing gauge \"alloc.high_water_bytes\"".to_string());
+    let workers = snap.gauges.keys();
+    for idx in workers.filter_map(|k| k.strip_prefix("worker.")?.strip_suffix(".experiments")) {
+        let peak = format!("worker.{idx}.alloc_high_water_bytes");
+        if !snap.gauges.contains_key(&peak) {
+            return Err(format!("missing gauge {peak:?}"));
+        }
     }
     Ok(format!("heap charged to {}", line.join(", ")))
 }
@@ -415,8 +420,10 @@ mod tests {
         }
         r.observe("experiment_packets", 49);
         r.set_gauge("workers", 2.0);
-        r.set_gauge("worker.0.experiments", 7.0);
-        r.set_gauge("alloc.high_water_bytes", 4096.0);
+        for idx in 0..2 {
+            r.set_gauge(&format!("worker.{idx}.experiments"), 7.0);
+            r.set_gauge(&format!("worker.{idx}.alloc_high_water_bytes"), 4096.0);
+        }
         r.record_ns("shard", us(1_000));
         r.record_ns("shard/synth", us(500));
         r.record_ns("shard/journal", us(50));
@@ -471,14 +478,17 @@ mod tests {
         no_journal.spans.remove("shard/journal");
         assert!(span_tree(&no_journal).unwrap_err().contains("shard/journal"));
         let mut no_workers = snap.clone();
-        no_workers.gauges.remove("worker.0.experiments");
+        no_workers.gauges.retain(|k, _| !k.ends_with(".experiments"));
         assert!(span_tree(&no_workers).unwrap_err().contains("per-worker"));
         let mut uncharged = snap.clone();
         uncharged.span_allocs.remove("shard/ingest");
         assert!(span_allocs(&uncharged).unwrap_err().contains("shard/ingest"));
-        let mut no_high_water = snap;
-        no_high_water.gauges.remove("alloc.high_water_bytes");
-        assert!(span_allocs(&no_high_water).unwrap_err().contains("high_water"));
+        for idx in 0..2 {
+            let peak = format!("worker.{idx}.alloc_high_water_bytes");
+            let mut no_peak = snap.clone();
+            no_peak.gauges.remove(&peak);
+            assert!(span_allocs(&no_peak).unwrap_err().contains(&peak));
+        }
     }
 
     #[test]

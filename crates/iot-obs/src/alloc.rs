@@ -1,114 +1,141 @@
-//! Instrumented global allocator: per-thread and process-wide heap
-//! accounting, switched on by its caller and near-zero-cost when off.
+//! Instrumented global allocator: one heap ledger per thread, summed
+//! on read; switched on by its caller and near-zero-cost when off.
 //!
 //! [`CountingAlloc`] wraps [`std::alloc::System`] and is registered as
 //! the crate's `#[global_allocator]`, so every binary that links
 //! `iot-obs` routes its heap traffic through it. When disabled (the
 //! default) each allocation pays exactly one relaxed atomic load and a
 //! predictable branch; no other state is touched. When enabled with
-//! [`set_enabled`] (the benches do, around the runs they measure) it
-//! maintains:
-//!
-//! * **thread-local counters** — bytes/count allocated and freed, live
-//!   bytes, and a high-water mark, in const-initialized `Cell`s (no
-//!   lazy init, no destructor, therefore no recursion into the
-//!   allocator and no TLS-teardown hazard);
-//! * **process-wide atomics** — the same totals summed across threads,
-//!   plus a process live/high-water pair maintained with `fetch_max`.
+//! [`set_enabled`] each thread counts into a ledger of its own (bytes and
+//! count allocated and freed, and a live-bytes high-water mark), made
+//! from [`System`] on its first counted event so counting cannot
+//! recurse. Only that thread writes it, with a relaxed load and store
+//! and no read-modify-write, and ledgers are 128-byte aligned, so workers
+//! never contend on a cache line. Ledgers sit on a push-only list and
+//! are never freed: [`process_totals`] sums them, joined threads
+//! included. The process's peak is the kernel's,
+//! [`crate::process::peak_rss_bytes`].
 //!
 //! Attribution to pipeline stages does **not** happen here: the
 //! allocator only counts. [`Registry::span`](crate::Registry::span)
-//! snapshots the thread counters when a span opens and charges the
+//! snapshots the thread's ledger when a span opens and charges the
 //! delta to the span's interned path when it closes, so every stage
 //! gets an allocation profile alongside its time profile, flowing
 //! through the same associative/commutative shard merge.
 //!
-//! ## Invariants the design leans on
-//!
-//! * The counting path never allocates: `Cell` arithmetic plus relaxed
-//!   atomics only. Enablement is a single `AtomicBool` flipped by
-//!   [`set_enabled`].
-//! * A thread that frees memory after its TLS is torn down (possible
-//!   during thread exit) falls back to the process-wide atomics via
-//!   `try_with`, so process totals stay conserved.
-//! * `realloc` counts as free(old) + alloc(new) — total bytes measure
-//!   traffic, not peak; peak is what `live`/`high_water` capture.
+//! `realloc` counts as free(old) + alloc(new): the totals measure
+//! traffic, not peak; peak is what live/high-water capture.
 
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::ptr;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64};
 
 /// Whether the allocator is currently counting.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Process-wide totals (monotonic while enabled).
-static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FREED_BYTES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FREES: AtomicU64 = AtomicU64::new(0);
-/// Process-wide live bytes (allocs minus frees; may transiently skew
-/// negative if counting was enabled after memory was already live).
-static LIVE: AtomicI64 = AtomicI64::new(0);
-/// Process-wide high-water of `LIVE` since enablement (or the last
-/// [`reset_high_water`]).
-static HIGH_WATER: AtomicI64 = AtomicI64::new(0);
-
-struct ThreadCounters {
-    bytes_allocated: Cell<u64>,
-    allocs: Cell<u64>,
-    bytes_freed: Cell<u64>,
-    frees: Cell<u64>,
-    live: Cell<i64>,
-    high_water: Cell<i64>,
+/// One thread's heap counts. Only the owning thread writes them; any
+/// thread may read them. All-zero bytes are a valid, empty ledger.
+#[repr(align(128))]
+struct Ledger {
+    bytes_allocated: AtomicU64,
+    allocs: AtomicU64,
+    bytes_freed: AtomicU64,
+    frees: AtomicU64,
+    /// The peak of [`Ledger::live`] since the ledger was made or the
+    /// thread's last [`reset_high_water`].
+    high_water: AtomicI64,
+    /// The ledger published before this one; fixed once published.
+    next: *const Ledger,
 }
 
-// Const-initialized: no lazy-init allocation inside the allocator, and
-// no interior Drop, so the thread_local has no destructor to run at
-// thread exit.
-thread_local! {
-    static COUNTERS: ThreadCounters = const {
-        ThreadCounters {
-            bytes_allocated: Cell::new(0),
-            allocs: Cell::new(0),
-            bytes_freed: Cell::new(0),
-            frees: Cell::new(0),
-            live: Cell::new(0),
-            high_water: Cell::new(0),
+impl Ledger {
+    fn stats(&self) -> AllocStats {
+        AllocStats {
+            bytes_allocated: self.bytes_allocated.load(Relaxed),
+            allocs: self.allocs.load(Relaxed),
+            bytes_freed: self.bytes_freed.load(Relaxed),
+            frees: self.frees.load(Relaxed),
         }
-    };
+    }
+
+    /// Allocated minus freed on this thread: negative when the thread
+    /// frees memory another thread allocated.
+    fn live(&self) -> i64 {
+        self.bytes_allocated
+            .load(Relaxed)
+            .wrapping_sub(self.bytes_freed.load(Relaxed)) as i64
+    }
+}
+
+/// The head of the push-only list of every ledger ever made.
+static LEDGERS: AtomicPtr<Ledger> = AtomicPtr::new(ptr::null_mut());
+
+// The calling thread's ledger, null until its first counted event.
+// Const-initialized and without Drop: no lazy-init allocation inside the
+// allocator, and no destructor to run at thread exit.
+thread_local! {
+    static MINE: Cell<*const Ledger> = const { Cell::new(ptr::null()) };
+}
+
+/// Makes an empty ledger from [`System`] and pushes it onto `LEDGERS`;
+/// null if `System` has no memory for it.
+#[cold]
+fn publish() -> *const Ledger {
+    // SAFETY: `Ledger` has a non-zero size.
+    let fresh = unsafe { System.alloc_zeroed(Layout::new::<Ledger>()) }.cast::<Ledger>();
+    if !fresh.is_null() {
+        // Release: a reader that acquires the head sees `next` written.
+        let _ = LEDGERS.fetch_update(Release, Relaxed, |head| {
+            // SAFETY: `fresh` is a zeroed, so valid, `Ledger` that no
+            // other thread can see until this exchange succeeds.
+            unsafe { (*fresh).next = head };
+            Some(fresh)
+        });
+    }
+    fresh
+}
+
+/// The calling thread's ledger; with `make`, made on first use.
+#[inline]
+fn own(make: bool) -> Option<&'static Ledger> {
+    MINE.try_with(|mine| {
+        if make && mine.get().is_null() {
+            mine.set(publish());
+        }
+        // SAFETY: `MINE` is null or a ledger `publish` made, and ledgers
+        // are never freed.
+        unsafe { mine.get().as_ref() }
+    })
+    .ok()
+    .flatten()
+}
+
+/// Adds `by` to a counter that only the calling thread writes.
+#[inline]
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Relaxed) + by, Relaxed);
 }
 
 #[inline]
 fn count_alloc(size: usize) {
-    let size = size as u64;
-    TOTAL_BYTES.fetch_add(size, Relaxed);
-    TOTAL_ALLOCS.fetch_add(1, Relaxed);
-    let live = LIVE.fetch_add(size as i64, Relaxed) + size as i64;
-    HIGH_WATER.fetch_max(live, Relaxed);
-    let _ = COUNTERS.try_with(|c| {
-        c.bytes_allocated.set(c.bytes_allocated.get() + size);
-        c.allocs.set(c.allocs.get() + 1);
-        let live = c.live.get() + size as i64;
-        c.live.set(live);
-        if live > c.high_water.get() {
-            c.high_water.set(live);
-        }
-    });
+    let Some(ledger) = own(true) else { return };
+    bump(&ledger.bytes_allocated, size as u64);
+    bump(&ledger.allocs, 1);
+    let live = ledger.live();
+    if live > ledger.high_water.load(Relaxed) {
+        ledger.high_water.store(live, Relaxed);
+    }
 }
 
 #[inline]
 fn count_dealloc(size: usize) {
-    let size = size as u64;
-    TOTAL_FREED_BYTES.fetch_add(size, Relaxed);
-    TOTAL_FREES.fetch_add(1, Relaxed);
-    LIVE.fetch_sub(size as i64, Relaxed);
-    let _ = COUNTERS.try_with(|c| {
-        c.bytes_freed.set(c.bytes_freed.get() + size);
-        c.frees.set(c.frees.get() + 1);
-        c.live.set(c.live.get() - size as i64);
-    });
+    let Some(ledger) = own(true) else { return };
+    bump(&ledger.bytes_freed, size as u64);
+    bump(&ledger.frees, 1);
 }
 
 /// The instrumented allocator. Forwards every operation to
@@ -116,8 +143,8 @@ fn count_dealloc(size: usize) {
 pub struct CountingAlloc;
 
 // SAFETY: all four methods delegate directly to `System`, which
-// upholds the `GlobalAlloc` contract; the counting side never
-// allocates (Cell writes + relaxed atomics) and never dereferences the
+// upholds the `GlobalAlloc` contract; the counting side allocates only
+// from `System` (one ledger per thread) and never dereferences the
 // returned pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -210,59 +237,46 @@ impl AllocStats {
     }
 }
 
-/// Snapshot of the calling thread's cumulative counters.
+/// Snapshot of the calling thread's cumulative counters (zeros for a
+/// thread that never counted).
 pub fn thread_snapshot() -> AllocStats {
-    COUNTERS
-        .try_with(|c| AllocStats {
-            bytes_allocated: c.bytes_allocated.get(),
-            allocs: c.allocs.get(),
-            bytes_freed: c.bytes_freed.get(),
-            frees: c.frees.get(),
-        })
-        .unwrap_or_default()
-}
-
-/// The calling thread's current live bytes (allocated minus freed on
-/// this thread; cross-thread frees make this approximate per thread —
-/// process totals stay exact).
-pub fn thread_live_bytes() -> i64 {
-    COUNTERS.try_with(|c| c.live.get()).unwrap_or(0)
+    own(false).map(Ledger::stats).unwrap_or_default()
 }
 
 /// The calling thread's live-bytes high-water mark.
 pub fn thread_high_water_bytes() -> i64 {
-    COUNTERS.try_with(|c| c.high_water.get()).unwrap_or(0)
+    own(false).map_or(0, |ledger| ledger.high_water.load(Relaxed))
 }
 
-/// Process-wide cumulative totals across all threads.
+/// Cumulative totals across every thread that has counted, joined
+/// threads included.
 pub fn process_totals() -> AllocStats {
-    AllocStats {
-        bytes_allocated: TOTAL_BYTES.load(Relaxed),
-        allocs: TOTAL_ALLOCS.load(Relaxed),
-        bytes_freed: TOTAL_FREED_BYTES.load(Relaxed),
-        frees: TOTAL_FREES.load(Relaxed),
+    let mut total = AllocStats::default();
+    let mut next = LEDGERS.load(Acquire).cast_const();
+    // SAFETY: every pointer on the list is a ledger whose `next` was
+    // written before the release that published it (the exchanges form
+    // one release sequence), and none is freed.
+    while let Some(ledger) = unsafe { next.as_ref() } {
+        total.merge(&ledger.stats());
+        next = ledger.next;
     }
+    total
 }
 
 /// Process-wide live bytes (clamped at zero: counting enabled mid-run
 /// can observe more frees than allocs).
 pub fn process_live_bytes() -> u64 {
-    LIVE.load(Relaxed).max(0) as u64
+    let totals = process_totals();
+    totals.bytes_allocated.saturating_sub(totals.bytes_freed)
 }
 
-/// Process-wide live-bytes high-water mark since enablement or the
-/// last [`reset_high_water`].
-pub fn process_high_water_bytes() -> u64 {
-    HIGH_WATER.load(Relaxed).max(0) as u64
-}
-
-/// Resets the process and calling-thread high-water marks to the
-/// current live level, so a bench can measure the peak of *its own*
-/// run rather than inherit the process's startup peak.
+/// Resets the calling thread's high-water mark to its current live
+/// bytes, so a bench can measure the peak of *its own* run rather than
+/// inherit the thread's earlier peak.
 pub fn reset_high_water() {
-    let live = LIVE.load(Relaxed);
-    HIGH_WATER.store(live, Relaxed);
-    let _ = COUNTERS.try_with(|c| c.high_water.set(c.live.get()));
+    if let Some(ledger) = own(false) {
+        ledger.high_water.store(ledger.live(), Relaxed);
+    }
 }
 
 /// Serializes tests that toggle the process-wide `ENABLED` flag — the
@@ -328,14 +342,14 @@ mod tests {
     fn high_water_tracks_live_peak() {
         with_counting(|| {
             reset_high_water();
-            let base = thread_live_bytes();
+            let base = thread_high_water_bytes();
             let v: Vec<u8> = std::hint::black_box(vec![0u8; 1 << 16]);
-            let peak_live = thread_live_bytes();
             drop(v);
-            assert!(peak_live >= base + (1 << 16));
-            assert!(thread_high_water_bytes() >= peak_live);
-            // After the drop, live recedes but high-water holds.
-            assert!(thread_live_bytes() < peak_live);
+            // After the drop, live recedes but high-water holds ...
+            assert!(thread_high_water_bytes() >= base + (1 << 16));
+            // ... until a reset brings it back to live.
+            reset_high_water();
+            assert!(thread_high_water_bytes() < base + (1 << 16));
         });
     }
 

@@ -18,9 +18,9 @@
 //!   [`Meter::record`]; each path keeps one duration [`Histogram`]:
 //!   calls, total, min, max and quantiles all come from it.
 //! * [`alloc`] — the instrumented global allocator, switched on by its
-//!   caller with [`alloc::set_enabled`]: thread-local
-//!   byte/count/live/high-water accounting whose span deltas the
-//!   registry attributes to the open span's path.
+//!   caller with [`alloc::set_enabled`]: one heap ledger per thread,
+//!   summed on read, whose span deltas the registry attributes to the
+//!   open span's path.
 //! * [`metrics`] — the deterministic power-of-two-bucket [`Histogram`].
 //! * [`export`] — [`prometheus`] (text exposition 0.0.4) and
 //!   [`folded_stacks`], the span tree as a collapsed-stack profile
@@ -32,7 +32,7 @@
 //!   deterministic JSON (via `iot_core::json`) or as a human-readable
 //!   stage table.
 //! * [`process`] — process-wide facts: the allocator's totals and the
-//!   kernel's peak RSS, which the run report and `/progress` carry.
+//!   kernel's peak RSS, the one process peak, for the run report.
 //!
 //! ## Enablement
 //!

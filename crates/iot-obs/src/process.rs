@@ -1,5 +1,6 @@
-//! Process-wide facts: the instrumented allocator's cumulative totals
-//! and the kernel's peak resident set size.
+//! Process-wide facts: the instrumented allocator's cumulative totals,
+//! summed over every thread's ledger, and the kernel's peak resident set
+//! size, the one process-wide peak.
 //!
 //! They describe the whole process, not one run: concurrent pipelines
 //! (parallel tests, or the runs of one bench process) share them. The
@@ -12,7 +13,7 @@ use iot_core::json::{Json, ToJson};
 
 /// The process's peak resident set size in bytes, from the kernel's
 /// `VmHWM` accounting (`/proc/self/status`). Measures a different thing
-/// than the allocator's high-water: RSS includes code, stacks, and
+/// than a thread's allocator high-water: RSS includes code, stacks, and
 /// allocator slack, but only counts pages actually *touched* — a large
 /// `Vec::with_capacity` reservation or calloc-backed zero pages raise
 /// the requested high-water without ever becoming resident, so neither
@@ -39,10 +40,6 @@ pub fn snapshot() -> Vec<(&'static str, u64)> {
         ("alloc_bytes_total", alloc.bytes_allocated),
         ("allocs_total", alloc.allocs),
         ("alloc_live_bytes", crate::alloc::process_live_bytes()),
-        (
-            "alloc_high_water_bytes",
-            crate::alloc::process_high_water_bytes(),
-        ),
         ("peak_rss_bytes", peak_rss_bytes().unwrap_or(0)),
     ]
 }
@@ -70,7 +67,6 @@ mod tests {
                 "alloc_bytes_total",
                 "allocs_total",
                 "alloc_live_bytes",
-                "alloc_high_water_bytes",
                 "peak_rss_bytes",
             ]
         );

@@ -270,6 +270,8 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         resume: resume.is_some(),
         journal: resume.or(journal),
     };
+    // Heap counting too, so `/metrics` and `/progress` carry heap.
+    intl_iot::obs::alloc::set_enabled(true);
     let mut p = Pipeline::with_obs(true);
     let s = p.run_campaign_supervised(config, workers, &sup)?;
     let (report, reg) = p.finish_with_obs();

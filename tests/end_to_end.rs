@@ -2,6 +2,7 @@
 
 use intl_iot::analysis::destinations::{ColumnCtx, ExpGroup};
 use intl_iot::analysis::encryption::EncryptionAnalysis;
+use intl_iot::analysis::flows::ExperimentFlows;
 use intl_iot::analysis::Pipeline;
 use intl_iot::entropy::EncryptionClass;
 use intl_iot::geodb::party::PartyType;
@@ -132,7 +133,7 @@ fn idle_traffic_analyzable() {
     for unit in 0..campaign.unit_count() {
         campaign.run_unit(&db, unit, |exp| {
             if exp.kind == ExperimentKind::Idle {
-                enc.add_experiment(&exp);
+                enc.add_flows(&exp, &ExperimentFlows::from_experiment(&exp));
                 n += 1;
             }
         });

@@ -7,10 +7,11 @@
 #    workspace) is built with --locked and its self-tests run, so a
 #    change to a public name the benchmark calls, or a crate-manifest
 #    change that would rewrite perfbench/Cargo.lock, fails here rather
-#    than at the benchmark run. Last, clippy must pass on every target
+#    than at the benchmark run. Then clippy must pass on every target
 #    (libraries, binaries, tests, examples) with warnings denied, and
 #    rustdoc must build the workspace's docs without a warning (a broken
-#    or private intra-doc link fails it).
+#    or private intra-doc link fails it). Last, each of the four examples
+#    runs and must exit 0.
 # 2. bench_pipeline: the heap totals, the instrumentation overhead and
 #    every observability gate, checked in memory on one instrumented
 #    quick campaign with the live endpoint answering. The serial report
@@ -93,6 +94,12 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "=== lint: rustdoc, warnings denied ==="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
+echo "=== examples: run each ==="
+cargo run --release -q --example quickstart >/dev/null
+cargo run --release -q --example pcap_roundtrip >/dev/null
+cargo run --release -q --example eavesdropper >/dev/null
+cargo run --release -q --example privacy_audit >/dev/null
 
 echo "=== bench: heap totals + overhead + observability gates (one instrumented run) ==="
 cargo build --release -p iot-bench \
