@@ -674,14 +674,6 @@ impl Pipeline {
         progress.set("experiments", self.experiments.to_json());
         progress.set("ingest", self.ingest.to_json());
         progress.set("coverage", self.coverage.to_json());
-        if iot_obs::alloc::enabled() {
-            let totals = iot_obs::alloc::process_totals();
-            let mut alloc = Json::obj();
-            alloc.set("bytes_total", totals.bytes_allocated.to_json());
-            alloc.set("allocs_total", totals.allocs.to_json());
-            alloc.set("live_bytes", iot_obs::alloc::process_live_bytes().to_json());
-            progress.set("alloc", alloc);
-        }
         iot_obs::serve::publish(metrics, progress.dump(), iot_obs::folded_stacks(&snapshot));
     }
 
@@ -1018,18 +1010,21 @@ impl Pipeline {
         let report = self.build_report();
         drop(finish);
         // Campaign memory footprint, stamped once the report exists so
-        // the gauges cover the whole run: the allocator's live bytes and
-        // the kernel's VmHWM, the process's peak (each worker's own heap
-        // peak is its `worker.N.alloc_high_water_bytes`). Gauges are
-        // excluded from the deterministic subset, so worker-dependent
-        // byte counts never threaten report identity.
-        if self.obs.enabled() && iot_obs::alloc::enabled() {
-            self.obs.set_gauge(
-                "alloc.live_bytes",
-                iot_obs::alloc::process_live_bytes() as f64,
-            );
+        // the gauges cover the whole run: the kernel's VmHWM, the
+        // process's peak, and with heap counting on the allocator's live
+        // bytes (each worker's own heap peak is its
+        // `worker.N.alloc_high_water_bytes`). Gauges are excluded from the
+        // deterministic subset, so worker-dependent byte counts never
+        // threaten report identity.
+        if self.obs.enabled() {
             if let Some(rss) = iot_obs::process::peak_rss_bytes() {
                 self.obs.set_gauge("peak_rss_bytes", rss as f64);
+            }
+            if iot_obs::alloc::enabled() {
+                self.obs.set_gauge(
+                    "alloc.live_bytes",
+                    iot_obs::alloc::process_live_bytes() as f64,
+                );
             }
         }
         self.publish_live("finished");
@@ -1232,9 +1227,14 @@ mod tests {
     /// The driver's source lends each experiment out of one capture
     /// buffer per unit, so walking a unit allocates fewer bytes than the
     /// captures it lends. A walk that grew every capture from empty in
-    /// 1.25× steps allocated about six times their bytes.
+    /// 1.25× steps allocated about six times their bytes. The generator
+    /// writes every message into one reused buffer, so a walk's
+    /// allocations follow its experiments, not its messages: unit 9, the
+    /// HTTP-heavy Microseven Cam, made 230 per experiment when each
+    /// message took a buffer of its own.
     #[test]
     fn lending_walk_does_not_regrow_captures() {
+        const ALLOCS_PER_EXPERIMENT: u64 = 64;
         let db = GeoDb::new();
         let campaign = Campaign::new(CampaignConfig {
             automated_reps: 8,
@@ -1245,20 +1245,35 @@ mod tests {
         });
         let was = iot_obs::alloc::enabled();
         iot_obs::alloc::set_enabled(true);
-        let mut capture_bytes = 0u64;
-        let before = iot_obs::alloc::thread_snapshot();
-        campaign.lend_unit(&db, 0, |exp| capture_bytes += exp.capture.byte_len() as u64);
-        let walk = iot_obs::alloc::thread_snapshot().since(&before);
+        let walks = [(0, "Wansview Cam"), (9, "Microseven Cam")].map(|(unit, device)| {
+            let (mut capture_bytes, mut experiments, mut only_device) = (0u64, 0u64, true);
+            let before = iot_obs::alloc::thread_snapshot();
+            campaign.lend_unit(&db, unit, |exp| {
+                only_device &= exp.device_name == device;
+                capture_bytes += exp.capture.byte_len() as u64;
+                experiments += 1;
+            });
+            let walk = iot_obs::alloc::thread_snapshot().since(&before);
+            (unit, device, only_device, capture_bytes, experiments, walk)
+        });
         iot_obs::alloc::set_enabled(was);
-        assert!(
-            capture_bytes > 1_000_000,
-            "need a real unit: {capture_bytes} B"
-        );
-        assert!(
-            walk.bytes_allocated < capture_bytes,
-            "the walk allocated {} B for {capture_bytes} B of captures",
-            walk.bytes_allocated
-        );
+        for (unit, device, only_device, capture_bytes, experiments, walk) in walks {
+            assert!(only_device, "unit {unit} is not {device}'s");
+            assert!(
+                capture_bytes > 1_000_000,
+                "need a real unit: {capture_bytes} B"
+            );
+            assert!(
+                walk.bytes_allocated < capture_bytes,
+                "unit {unit}: the walk allocated {} B for {capture_bytes} B of captures",
+                walk.bytes_allocated
+            );
+            assert!(
+                walk.allocs <= ALLOCS_PER_EXPERIMENT * experiments,
+                "unit {unit}: {} allocations for {experiments} experiments",
+                walk.allocs
+            );
+        }
     }
 
     fn temp_journal(tag: &str) -> std::path::PathBuf {
@@ -1297,6 +1312,12 @@ mod tests {
             .collect();
         assert_eq!(reg.gauge("workers"), Some(2.0));
         assert_eq!(per_worker.iter().sum::<f64>(), report.experiments as f64);
+        // The process peak is the kernel's, so a run that leaves heap
+        // counting off reports it too.
+        assert_eq!(
+            reg.gauge("peak_rss_bytes").is_some(),
+            iot_obs::process::peak_rss_bytes().is_some()
+        );
     }
 
     #[test]

@@ -298,7 +298,8 @@ pub fn served_equal(route: &str, served: &str, rendered: &str) -> Verdict {
 }
 
 /// The finished run's `/progress` body carries the report's experiment
-/// count, ingest ledger and coverage manifest, and live heap totals.
+/// count, ingest ledger and coverage manifest, and its `process` block
+/// the live heap totals.
 pub fn progress_matches(progress: &str, report: &Json) -> Verdict {
     let body = Json::parse(progress).map_err(|e| format!("/progress is not JSON: {e}"))?;
     let published = body.get("progress").ok_or("/progress has no progress block")?;
@@ -310,17 +311,17 @@ pub fn progress_matches(progress: &str, report: &Json) -> Verdict {
             return Err(format!("/progress {key} differs from the report's"));
         }
     }
-    let alloc_bytes = published
-        .get("alloc")
-        .and_then(|a| a.get("bytes_total"))
+    let alloc_bytes = body
+        .get("process")
+        .and_then(|p| p.get("alloc_bytes_total"))
         .and_then(Json::as_u64)
         .unwrap_or(0);
     if alloc_bytes == 0 {
-        return Err("/progress alloc.bytes_total is zero or missing".to_string());
+        return Err("/progress process.alloc_bytes_total is zero or missing".to_string());
     }
     Ok(format!(
         "/progress experiments, ingest and coverage equal the report's; \
-         alloc.bytes_total {alloc_bytes}"
+         process.alloc_bytes_total {alloc_bytes}"
     ))
 }
 
@@ -544,9 +545,8 @@ mod tests {
         format!(
             r#"{{"progress":{{"phase":"finished","experiments":{experiments},
                 "ingest":{{"packets_generated":90,"experiments_quarantined":{quarantined}}},
-                "coverage":{{"degraded":false,"completed":12}},
-                "alloc":{{"bytes_total":{alloc_bytes}}}}},
-              "process":{{"peak_rss_bytes":1}}}}"#
+                "coverage":{{"degraded":false,"completed":12}}}},
+              "process":{{"alloc_bytes_total":{alloc_bytes},"peak_rss_bytes":1}}}}"#
         )
     }
 
@@ -559,7 +559,13 @@ mod tests {
         let err = progress_matches(&progress(11, 0, 4096), &report).unwrap_err();
         assert!(err.contains("experiments"), "{err}");
         let err = progress_matches(&progress(12, 0, 0), &report).unwrap_err();
-        assert!(err.contains("alloc.bytes_total"), "{err}");
+        assert!(err.contains("process.alloc_bytes_total"), "{err}");
+        // The gate reads the request-time totals, never a fold-time copy.
+        let folded = progress(12, 0, 0).replace(
+            "\"coverage\":{",
+            "\"alloc\":{\"bytes_total\":4096},\"coverage\":{",
+        );
+        assert!(progress_matches(&folded, &report).is_err());
         assert!(progress_matches("{}", &report).is_err());
         let no_coverage = progress(12, 0, 4096).replace("\"coverage\"", "\"cover\"");
         let err = progress_matches(&no_coverage, &report).unwrap_err();

@@ -223,11 +223,11 @@ pub fn detect_media_encoding(stream: &[u8]) -> Option<MediaEncoding> {
 mod tests {
     use super::*;
     use crate::http;
-    use crate::tls::ClientHello;
 
     #[test]
     fn identifies_dns() {
-        let q = dns::Message::query(1, "example.com").encode();
+        let mut q = Vec::new();
+        dns::write_query(&mut q, 1, "example.com");
         assert_eq!(
             identify_flow(Transport::Udp, 53, &q, &[]),
             ProtocolId::Dns
@@ -245,7 +245,8 @@ mod tests {
 
     #[test]
     fn identifies_tls_by_content() {
-        let stream = ClientHello::new([0u8; 32], "example.com").to_record().encode();
+        let mut stream = Vec::new();
+        tls::write_client_hello(&mut stream, &[0u8; 32], "example.com");
         assert_eq!(
             identify_flow(Transport::Tcp, 443, &stream, &[]),
             ProtocolId::Tls
@@ -259,8 +260,9 @@ mod tests {
 
     #[test]
     fn identifies_truncated_tls_record() {
-        let mut stream = crate::tls::application_data(vec![7; 4000]).encode();
-        stream.truncate(100); // capped prefix cuts the record short
+        let mut stream = Vec::new();
+        tls::write_record_header(&mut stream, tls::ContentType::ApplicationData, 4000);
+        stream.resize(100, 7); // capped prefix cuts the record short
         assert_eq!(
             identify_flow(Transport::Tcp, 443, &stream, &[]),
             ProtocolId::Tls
@@ -269,13 +271,16 @@ mod tests {
 
     #[test]
     fn identifies_http() {
-        let req = http::Request::new("GET", "example.com", "/index.html").encode();
+        let mut req = Vec::new();
+        http::write_request_head(&mut req, "GET", "example.com", "/index.html", &[], None);
         assert_eq!(
             identify_flow(Transport::Tcp, 80, &req, &[]),
             ProtocolId::Http
         );
         // Response-only evidence also suffices.
-        let resp = http::Response::new(200, "OK", &b"x"[..]).encode();
+        let mut resp = Vec::new();
+        http::write_response_head(&mut resp, 200, "OK", 1, &[]);
+        resp.push(b'x');
         assert_eq!(
             identify_flow(Transport::Tcp, 8080, &[], &resp),
             ProtocolId::Http
@@ -284,7 +289,9 @@ mod tests {
 
     #[test]
     fn identifies_quic() {
-        let d = quic::QuicLongHeader::encode_initial(&[1, 2, 3, 4], &[0xAB; 1000]);
+        let mut d = Vec::new();
+        quic::QuicLongHeader::write_initial_header(&mut d, &[1, 2, 3, 4]);
+        d.resize(d.len() + 1000, 0xAB);
         assert_eq!(
             identify_flow(Transport::Udp, 443, &d, &[]),
             ProtocolId::Quic
@@ -293,10 +300,8 @@ mod tests {
 
     #[test]
     fn identifies_mqtt() {
-        let c = mqtt::MqttPacket::Connect {
-            client_id: "dev1".into(),
-        }
-        .encode();
+        let mut c = Vec::new();
+        mqtt::write_connect(&mut c, "dev1");
         assert_eq!(
             identify_flow(Transport::Tcp, 1883, &c, &[]),
             ProtocolId::Mqtt
@@ -305,7 +310,8 @@ mod tests {
 
     #[test]
     fn identifies_dhcp() {
-        let d = dhcp::DhcpMessage::discover(7, iot_net::mac::MacAddr::new(1, 2, 3, 4, 5, 6)).encode();
+        let mut d = Vec::new();
+        dhcp::DhcpMessage::discover(7, iot_net::mac::MacAddr::new(1, 2, 3, 4, 5, 6)).encode(&mut d);
         assert_eq!(
             identify_flow(Transport::Udp, 67, &d, &[]),
             ProtocolId::Dhcp

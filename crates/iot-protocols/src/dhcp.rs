@@ -100,20 +100,21 @@ impl DhcpMessage {
         }
     }
 
-    /// Serializes to wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0u8; FIXED_LEN];
+    /// Appends the message in wire format to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + FIXED_LEN, 0);
+        let fixed = &mut out[start..];
         let is_request = matches!(self.mtype, MessageType::Discover | MessageType::Request);
-        out[0] = if is_request { 1 } else { 2 }; // op
-        out[1] = 1; // htype: ethernet
-        out[2] = 6; // hlen
-        out[4..8].copy_from_slice(&self.xid.to_be_bytes());
-        out[16..20].copy_from_slice(&self.yiaddr.octets());
-        out[28..34].copy_from_slice(&self.chaddr.octets());
+        fixed[0] = if is_request { 1 } else { 2 }; // op
+        fixed[1] = 1; // htype: ethernet
+        fixed[2] = 6; // hlen
+        fixed[4..8].copy_from_slice(&self.xid.to_be_bytes());
+        fixed[16..20].copy_from_slice(&self.yiaddr.octets());
+        fixed[28..34].copy_from_slice(&self.chaddr.octets());
         out.extend_from_slice(&MAGIC_COOKIE);
         out.extend_from_slice(&[53, 1, self.mtype.to_byte()]); // option 53
         out.push(255); // end option
-        out
     }
 
     /// Parses a DHCP message.
@@ -164,35 +165,37 @@ mod tests {
 
     const MAC: MacAddr = MacAddr::new(0xa4, 0xcf, 0x12, 0xaa, 0xbb, 0xcc);
 
+    fn roundtrip(msg: &DhcpMessage) {
+        let mut bytes = vec![0xEE]; // appends after what the buffer holds
+        msg.encode(&mut bytes);
+        assert_eq!(bytes[0], 0xEE);
+        assert_eq!(&DhcpMessage::parse(&bytes[1..]).unwrap(), msg);
+    }
+
     #[test]
     fn discover_roundtrip() {
-        let msg = DhcpMessage::discover(0xdeadbeef, MAC);
-        let parsed = DhcpMessage::parse(&msg.encode()).unwrap();
-        assert_eq!(parsed, msg);
+        roundtrip(&DhcpMessage::discover(0xdeadbeef, MAC));
     }
 
     #[test]
     fn request_ack_roundtrip() {
         let addr = Ipv4Addr::new(192, 168, 10, 44);
-        for msg in [
-            DhcpMessage::request(1, MAC, addr),
-            DhcpMessage::ack(1, MAC, addr),
-        ] {
-            let parsed = DhcpMessage::parse(&msg.encode()).unwrap();
-            assert_eq!(parsed, msg);
-        }
+        roundtrip(&DhcpMessage::request(1, MAC, addr));
+        roundtrip(&DhcpMessage::ack(1, MAC, addr));
     }
 
     #[test]
     fn bad_cookie_rejected() {
-        let mut bytes = DhcpMessage::discover(5, MAC).encode();
+        let mut bytes = Vec::new();
+        DhcpMessage::discover(5, MAC).encode(&mut bytes);
         bytes[FIXED_LEN] = 0;
         assert!(DhcpMessage::parse(&bytes).is_err());
     }
 
     #[test]
     fn missing_option53_rejected() {
-        let mut bytes = DhcpMessage::discover(5, MAC).encode();
+        let mut bytes = Vec::new();
+        DhcpMessage::discover(5, MAC).encode(&mut bytes);
         let len = bytes.len();
         bytes.truncate(len - 4); // drop option 53 + end
         bytes.push(255);

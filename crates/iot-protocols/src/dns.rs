@@ -4,8 +4,9 @@
 //! level domain of the DNS lookup that produced it, so the pipeline needs a
 //! faithful DNS codec: the simulated devices emit real query/response
 //! messages and the analyzer decodes them, including compression pointers
-//! in responses. [`Message`] builds and encodes messages; the one parser,
-//! [`MessageView`], validates a message where it lies.
+//! in responses. [`write_query`] and [`write_answer`] append a message to
+//! the caller's buffer; the one parser, [`MessageView`], validates a
+//! message where it lies.
 
 use crate::error::ProtoError;
 use crate::Result;
@@ -49,146 +50,49 @@ impl From<RecordType> for u16 {
     }
 }
 
-/// A question section entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Question {
-    /// Queried name, lowercase, without trailing dot.
-    pub name: String,
-    /// Query type.
-    pub qtype: RecordType,
+/// Appends a standard recursive A query for `name`, lowercased and
+/// uncompressed.
+pub fn write_query(out: &mut Vec<u8>, id: u16, name: &str) {
+    write_header(out, id, 0x0100, 0); // recursion desired
+    write_question(out, name);
 }
 
-/// Resource-record data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RData {
-    /// An IPv4 address.
-    A(Ipv4Addr),
-    /// A canonical-name target.
-    Cname(String),
-    /// Uninterpreted bytes for other record types.
-    Raw(Vec<u8>),
-}
-
-/// An answer/authority/additional resource record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResourceRecord {
-    /// Record owner name.
-    pub name: String,
-    /// Record type.
-    pub rtype: RecordType,
-    /// Time to live in seconds.
-    pub ttl: u32,
-    /// Record data.
-    pub rdata: RData,
-}
-
-/// A DNS message (query or response).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Transaction id.
-    pub id: u16,
-    /// True for responses (QR bit).
-    pub is_response: bool,
-    /// Recursion desired.
-    pub recursion_desired: bool,
-    /// Response code (0 = NOERROR, 3 = NXDOMAIN).
-    pub rcode: u8,
-    /// Question section.
-    pub questions: Vec<Question>,
-    /// Answer section.
-    pub answers: Vec<ResourceRecord>,
-}
-
-impl Message {
-    /// Builds a standard recursive A query.
-    pub fn query(id: u16, name: &str) -> Self {
-        Message {
-            id,
-            is_response: false,
-            recursion_desired: true,
-            rcode: 0,
-            questions: vec![Question {
-                name: name.to_ascii_lowercase(),
-                qtype: RecordType::A,
-            }],
-            answers: Vec::new(),
-        }
+/// Appends the response to [`write_query`]'s query: the question again,
+/// then one A record per address, each owned by `name` and living `ttl`
+/// seconds.
+pub fn write_answer(out: &mut Vec<u8>, id: u16, name: &str, addrs: &[Ipv4Addr], ttl: u32) {
+    // Response, recursion desired and available, NOERROR.
+    write_header(out, id, 0x8180, addrs.len() as u16);
+    write_question(out, name);
+    for addr in addrs {
+        write_record(out, name, RecordType::A, ttl, &addr.octets());
     }
+}
 
-    /// Builds a response answering `query` with the given addresses.
-    pub fn answer(query: &Message, addrs: &[Ipv4Addr], ttl: u32) -> Self {
-        let name = query
-            .questions
-            .first()
-            .map(|q| q.name.clone())
-            .unwrap_or_default();
-        Message {
-            id: query.id,
-            is_response: true,
-            recursion_desired: true,
-            rcode: 0,
-            questions: query.questions.clone(),
-            answers: addrs
-                .iter()
-                .map(|a| ResourceRecord {
-                    name: name.clone(),
-                    rtype: RecordType::A,
-                    ttl,
-                    rdata: RData::A(*a),
-                })
-                .collect(),
-        }
-    }
+/// Appends a header with one question and `answers` answers.
+fn write_header(out: &mut Vec<u8>, id: u16, flags: u16, answers: u16) {
+    out.extend_from_slice(&id.to_be_bytes());
+    out.extend_from_slice(&flags.to_be_bytes());
+    out.extend_from_slice(&1u16.to_be_bytes()); // QDCOUNT
+    out.extend_from_slice(&answers.to_be_bytes());
+    out.extend_from_slice(&[0; 4]); // NSCOUNT, ARCOUNT
+}
 
-    /// Encodes to wire format. Names are emitted uncompressed.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&self.id.to_be_bytes());
-        let mut flags: u16 = 0;
-        if self.is_response {
-            flags |= 0x8000;
-        }
-        if self.recursion_desired {
-            flags |= 0x0100;
-        }
-        if self.is_response {
-            flags |= 0x0080; // recursion available
-        }
-        flags |= u16::from(self.rcode & 0x0f);
-        out.extend_from_slice(&flags.to_be_bytes());
-        out.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        out.extend_from_slice(&0u16.to_be_bytes()); // NSCOUNT
-        out.extend_from_slice(&0u16.to_be_bytes()); // ARCOUNT
-        for q in &self.questions {
-            encode_name(&mut out, &q.name);
-            out.extend_from_slice(&u16::from(q.qtype).to_be_bytes());
-            out.extend_from_slice(&1u16.to_be_bytes()); // IN
-        }
-        for rr in &self.answers {
-            encode_name(&mut out, &rr.name);
-            out.extend_from_slice(&u16::from(rr.rtype).to_be_bytes());
-            out.extend_from_slice(&1u16.to_be_bytes());
-            out.extend_from_slice(&rr.ttl.to_be_bytes());
-            match &rr.rdata {
-                RData::A(addr) => {
-                    out.extend_from_slice(&4u16.to_be_bytes());
-                    out.extend_from_slice(&addr.octets());
-                }
-                RData::Cname(target) => {
-                    let mut name_bytes = Vec::new();
-                    encode_name(&mut name_bytes, target);
-                    out.extend_from_slice(&(name_bytes.len() as u16).to_be_bytes());
-                    out.extend_from_slice(&name_bytes);
-                }
-                RData::Raw(bytes) => {
-                    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-                    out.extend_from_slice(bytes);
-                }
-            }
-        }
-        out
-    }
+/// Appends an A question for `name`, class IN.
+fn write_question(out: &mut Vec<u8>, name: &str) {
+    write_name(out, name);
+    out.extend_from_slice(&u16::from(RecordType::A).to_be_bytes());
+    out.extend_from_slice(&1u16.to_be_bytes()); // IN
+}
+
+/// Appends a resource record, class IN.
+fn write_record(out: &mut Vec<u8>, name: &str, rtype: RecordType, ttl: u32, rdata: &[u8]) {
+    write_name(out, name);
+    out.extend_from_slice(&u16::from(rtype).to_be_bytes());
+    out.extend_from_slice(&1u16.to_be_bytes()); // IN
+    out.extend_from_slice(&ttl.to_be_bytes());
+    out.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+    out.extend_from_slice(rdata);
 }
 
 /// A DNS message validated in place: [`MessageView::parse`] walks every
@@ -388,12 +292,13 @@ fn record_at(data: &[u8], offset: usize) -> Result<(RecordView<'_>, usize)> {
     Ok((record, rdata_at + rdlen))
 }
 
-/// Encodes a domain name as length-prefixed labels.
-fn encode_name(out: &mut Vec<u8>, name: &str) {
+/// Appends `name` as length-prefixed labels, ASCII lowercased; a label
+/// longer than 63 bytes is cut to 63.
+fn write_name(out: &mut Vec<u8>, name: &str) {
     for label in name.split('.').filter(|l| !l.is_empty()) {
-        let bytes = label.as_bytes();
-        out.push(bytes.len().min(63) as u8);
-        out.extend_from_slice(&bytes[..bytes.len().min(63)]);
+        let bytes = &label.as_bytes()[..label.len().min(63)];
+        out.push(bytes.len() as u8);
+        out.extend(bytes.iter().map(u8::to_ascii_lowercase));
     }
     out.push(0);
 }
@@ -467,14 +372,15 @@ mod tests {
         bytes[6] = 0xff; // ancount = 65535
         bytes[7] = 0xff;
         assert!(MessageView::parse(&bytes).is_err());
-        let q = Message::query(9, "bounded.example.com").encode();
+        let mut q = Vec::new();
+        write_query(&mut q, 9, "bounded.example.com");
         assert_eq!(MessageView::parse(&q).unwrap().questions().count(), 1);
     }
 
     #[test]
     fn query_roundtrip() {
-        let q = Message::query(0x1234, "Echo.Amazon.com");
-        let bytes = q.encode();
+        let mut bytes = Vec::new();
+        write_query(&mut bytes, 0x1234, "Echo.Amazon.com");
         let parsed = MessageView::parse(&bytes).unwrap();
         assert_eq!(parsed.id(), 0x1234);
         assert!(!parsed.is_response());
@@ -486,9 +392,9 @@ mod tests {
 
     #[test]
     fn answer_roundtrip() {
-        let q = Message::query(7, "device.tuyaus.com");
-        let a = Message::answer(&q, &[Ipv4Addr::new(47, 89, 1, 2), Ipv4Addr::new(47, 89, 1, 3)], 300);
-        let bytes = a.encode();
+        let mut bytes = Vec::new();
+        let addrs = [Ipv4Addr::new(47, 89, 1, 2), Ipv4Addr::new(47, 89, 1, 3)];
+        write_answer(&mut bytes, 7, "device.tuyaus.com", &addrs, 300);
         let parsed = MessageView::parse(&bytes).unwrap();
         assert!(parsed.is_response());
         assert_eq!(parsed.id(), 7);
@@ -500,21 +406,14 @@ mod tests {
 
     #[test]
     fn cname_roundtrip() {
-        let mut msg = Message::query(1, "www.nest.com");
-        msg.is_response = true;
-        msg.answers.push(ResourceRecord {
-            name: "www.nest.com".into(),
-            rtype: RecordType::Cname,
-            ttl: 60,
-            rdata: RData::Cname("frontdoor.nest.com".into()),
-        });
-        msg.answers.push(ResourceRecord {
-            name: "frontdoor.nest.com".into(),
-            rtype: RecordType::A,
-            ttl: 60,
-            rdata: RData::A(Ipv4Addr::new(35, 1, 1, 1)),
-        });
-        let bytes = msg.encode();
+        let mut bytes = Vec::new();
+        write_header(&mut bytes, 1, 0x8180, 2);
+        write_question(&mut bytes, "www.nest.com");
+        let mut target = Vec::new();
+        write_name(&mut target, "frontdoor.nest.com");
+        write_record(&mut bytes, "www.nest.com", RecordType::Cname, 60, &target);
+        let addr = [35, 1, 1, 1];
+        write_record(&mut bytes, "frontdoor.nest.com", RecordType::A, 60, &addr);
         let parsed = MessageView::parse(&bytes).unwrap();
         let cname = parsed.answers().next().unwrap();
         assert_eq!(cname.rtype, RecordType::Cname);
@@ -566,21 +465,18 @@ mod tests {
 
     #[test]
     fn names_decode_lossily_and_lowercase() {
-        let mut bytes = Message::query(5, "x.com").encode();
+        let mut bytes = Vec::new();
+        write_query(&mut bytes, 5, "x.com");
         // The one-byte label "x" becomes a byte that is not UTF-8.
         bytes[13] = 0xff;
         let parsed = MessageView::parse(&bytes).unwrap();
         let mut buf = String::from("stale contents");
         let (name, _) = parsed.questions().next().unwrap();
         assert_eq!(name.decode_into(&mut buf), "\u{fffd}.com");
-        let upper = Message {
-            questions: vec![Question {
-                name: "A.B".into(),
-                qtype: RecordType::A,
-            }],
-            ..Message::query(6, "")
-        }
-        .encode();
+        // The writer lowercases; upper-case the labels of "a.b" on the wire.
+        let mut upper = Vec::new();
+        write_query(&mut upper, 6, "a.b");
+        upper[13..16].make_ascii_uppercase();
         let (name, _) = MessageView::parse(&upper).unwrap().questions().next().unwrap();
         assert_eq!(name.decode_into(&mut buf), "a.b");
     }
@@ -598,15 +494,18 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert!(MessageView::parse(&[0u8; 5]).is_err());
-        let q = Message::query(9, "x.com").encode();
+        let mut q = Vec::new();
+        write_query(&mut q, 9, "x.com");
         assert!(MessageView::parse(&q[..q.len() - 2]).is_err());
     }
 
     #[test]
     fn nxdomain_rcode_roundtrip() {
-        let mut m = Message::query(3, "missing.example");
-        m.is_response = true;
-        m.rcode = 3;
-        assert_eq!(MessageView::parse(&m.encode()).unwrap().rcode(), 3);
+        let mut bytes = Vec::new();
+        write_answer(&mut bytes, 3, "missing.example", &[], 60);
+        bytes[3] |= 3; // NXDOMAIN
+        let parsed = MessageView::parse(&bytes).unwrap();
+        assert!(parsed.is_response());
+        assert_eq!(parsed.rcode(), 3);
     }
 }

@@ -4,67 +4,62 @@
 //! addresses and device metadata sent to support-party clouds, firmware
 //! downloads, and unauthenticated device-action queries. The `Host` header
 //! is also the second fallback (after DNS) for labeling destination IPs
-//! with domains (§4.1). [`Request`] and [`Response`] encode what the
-//! simulated devices and clouds send; [`RequestView`] parses a request
-//! where it lies, which is all the analyses read.
+//! with domains (§4.1). [`write_request_head`] and [`write_response_head`]
+//! append what the simulated devices and clouds send, and the caller
+//! appends the body; [`RequestView`] parses a request where it lies,
+//! which is all the analyses read.
 
 use crate::error::ProtoError;
 use crate::Result;
+use std::io::Write as _;
 
 /// Standard HTTP port.
 pub const PORT: u16 = 80;
 
-/// An HTTP/1.1 request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// Method, e.g. `GET`.
-    pub method: String,
-    /// Request target, e.g. `/v1/checkin?mac=…`.
-    pub path: String,
-    /// Header name/value pairs in order of appearance.
-    pub headers: Vec<(String, String)>,
-    /// Message body.
-    pub body: Vec<u8>,
+/// Appends an HTTP/1.1 request head: the start line, `Host`,
+/// `Connection: keep-alive`, `headers` in order, `Content-Length` when the
+/// request has a body, and the blank line. The caller appends the
+/// `content_length`-byte body next.
+pub fn write_request_head(
+    out: &mut Vec<u8>,
+    method: &str,
+    host: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    content_length: Option<usize>,
+) {
+    // A `Vec` takes every write, so these results are all `Ok`.
+    let _ = write!(
+        out,
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: keep-alive\r\n"
+    );
+    for (name, value) in headers {
+        let _ = write!(out, "{name}: {value}\r\n");
+    }
+    if let Some(len) = content_length {
+        let _ = write!(out, "Content-Length: {len}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
 }
 
-impl Request {
-    /// Builds a request with a `Host` header.
-    pub fn new(method: &str, host: &str, path: &str) -> Self {
-        Request {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers: vec![
-                ("Host".to_string(), host.to_string()),
-                ("Connection".to_string(), "keep-alive".to_string()),
-            ],
-            body: Vec::new(),
-        }
+/// Appends an HTTP/1.1 response head: the status line, `Content-Length`,
+/// `headers` in order, and the blank line. The caller appends the
+/// `content_length`-byte body next.
+pub fn write_response_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    content_length: usize,
+    headers: &[(&str, &str)],
+) {
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Length: {content_length}\r\n"
+    );
+    for (name, value) in headers {
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-
-    /// Appends a header.
-    pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.headers.push((name.to_string(), value.to_string()));
-        self
-    }
-
-    /// Sets the body and a matching `Content-Length` header.
-    pub fn body(mut self, body: impl Into<Vec<u8>>) -> Self {
-        self.body = body.into();
-        self.headers
-            .push(("Content-Length".to_string(), self.body.len().to_string()));
-        self
-    }
-
-    /// Serializes to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = format!("{} {} HTTP/1.1\r\n", self.method, self.path).into_bytes();
-        for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out
-    }
+    out.extend_from_slice(b"\r\n");
 }
 
 /// An HTTP/1.x request borrowed from the front of a byte stream: method,
@@ -149,49 +144,6 @@ impl<'a> RequestView<'a> {
     }
 }
 
-/// An HTTP/1.1 response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
-    /// Status code.
-    pub status: u16,
-    /// Reason phrase.
-    pub reason: String,
-    /// Header name/value pairs.
-    pub headers: Vec<(String, String)>,
-    /// Message body.
-    pub body: Vec<u8>,
-}
-
-impl Response {
-    /// Builds a response with a body and `Content-Length`.
-    pub fn new(status: u16, reason: &str, body: impl Into<Vec<u8>>) -> Self {
-        let body = body.into();
-        Response {
-            status,
-            reason: reason.to_string(),
-            headers: vec![("Content-Length".to_string(), body.len().to_string())],
-            body,
-        }
-    }
-
-    /// Appends a header.
-    pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.headers.push((name.to_string(), value.to_string()));
-        self
-    }
-
-    /// Serializes to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).into_bytes();
-        for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out
-    }
-}
-
 /// Finds the first occurrence of `needle` in `haystack`.
 pub fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     if needle.is_empty() || haystack.len() < needle.len() {
@@ -208,35 +160,44 @@ mod tests {
 
     #[test]
     fn request_roundtrip() {
-        let req = Request::new("POST", "api.samsungcloud.com", "/fridge/checkin")
-            .header("User-Agent", "SmartFridge/2.1")
-            .body(&b"mac=a4cf12000102&model=RF28"[..]);
-        let bytes = req.encode();
+        let body = b"mac=a4cf12000102&model=RF28";
+        let (host, path) = ("api.samsungcloud.com", "/fridge/checkin");
+        let user_agent = ("User-Agent", "SmartFridge/2.1");
+        let mut bytes = Vec::new();
+        let length = Some(body.len());
+        write_request_head(&mut bytes, "POST", host, path, &[user_agent], length);
+        bytes.extend_from_slice(body);
         let parsed = RequestView::parse(&bytes).unwrap();
-        assert_eq!(parsed.method, req.method);
-        assert_eq!(parsed.path, req.path);
-        assert!(parsed
-            .headers()
-            .eq(req.headers.iter().map(|(n, v)| (n.as_str(), v.as_str()))));
-        assert_eq!(parsed.body, &req.body[..]);
+        assert_eq!(parsed.method, "POST");
+        assert_eq!(parsed.path, path);
+        assert!(parsed.headers().eq([
+            ("Host", host),
+            ("Connection", "keep-alive"),
+            user_agent,
+            ("Content-Length", "27"),
+        ]));
+        assert_eq!(parsed.body, body);
         assert_eq!(parsed.host(), Some("api.samsungcloud.com"));
         assert_eq!(parsed.header("user-agent"), Some("SmartFridge/2.1"));
     }
 
     #[test]
     fn response_encodes_status_headers_and_body() {
-        let resp = Response::new(200, "OK", &b"{\"ok\":true}"[..])
-            .header("Content-Type", "application/json");
+        let mut resp = Vec::new();
+        let content_type = ("Content-Type", "application/json");
+        write_response_head(&mut resp, 200, "OK", 11, &[content_type]);
+        resp.extend_from_slice(b"{\"ok\":true}");
         assert_eq!(
-            resp.encode(),
+            resp,
             b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\nContent-Type: application/json\r\n\r\n{\"ok\":true}"
         );
     }
 
     #[test]
     fn content_length_truncates_pipelined_data() {
-        let mut bytes = Request::new("POST", "x", "/").body(&b"abc"[..]).encode();
-        bytes.extend_from_slice(b"EXTRA PIPELINED JUNK");
+        let mut bytes = Vec::new();
+        write_request_head(&mut bytes, "POST", "x", "/", &[], Some(3));
+        bytes.extend_from_slice(b"abcEXTRA PIPELINED JUNK");
         assert_eq!(RequestView::parse(&bytes).unwrap().body, b"abc");
     }
 
@@ -258,7 +219,8 @@ mod tests {
 
     #[test]
     fn header_lookup_case_insensitive() {
-        let bytes = Request::new("GET", "example.com", "/").encode();
+        let mut bytes = Vec::new();
+        write_request_head(&mut bytes, "GET", "example.com", "/", &[], None);
         let req = RequestView::parse(&bytes).unwrap();
         assert_eq!(req.header("HOST"), Some("example.com"));
         assert_eq!(req.header("HoSt"), Some("example.com"));

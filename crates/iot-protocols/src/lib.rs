@@ -7,13 +7,16 @@
 //! destination IPs to domains (§4.1), TLS SNI and HTTP `Host` headers
 //! provide fallback domain labels, and a Wireshark-style protocol analyzer
 //! decides which traffic is identifiably encrypted (§5.1). This crate
-//! implements each of those wire formats from scratch:
+//! implements each of those wire formats from scratch. Each protocol has
+//! writers that append a message to the caller's buffer, so the
+//! simulator writes every message where its frame is built, and readers
+//! that parse a message where it lies:
 //!
-//! * [`dns`] — DNS message encode/decode, including compression-pointer
+//! * [`dns`] — DNS queries and answers, including compression-pointer
 //!   decoding.
 //! * [`tls`] — TLS record layer plus ClientHello/ServerHello handshakes with
 //!   SNI and cipher-suite extensions.
-//! * [`http`] — HTTP/1.1 request/response codec.
+//! * [`http`] — HTTP/1.1 request and response heads.
 //! * [`ntp`] — NTPv4 packets (the background "noise" traffic the paper's
 //!   classifier must tolerate).
 //! * [`dhcp`] — DHCP DISCOVER/REQUEST, used to model Wi-Fi reconnects that

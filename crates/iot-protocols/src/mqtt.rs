@@ -6,8 +6,9 @@
 //! Wireshark, which are often partly encrypted" — in the simulator those
 //! devices speak MQTT (recognizable) and vendor-proprietary framing
 //! (unrecognizable), reproducing the mixed classification outcome.
-//! [`MqttPacket`] encodes; [`PacketView`] parses, borrowing from the
-//! stream.
+//! [`write_connect`] and [`write_publish_head`] append to the caller's
+//! buffer, and [`CONNACK`] and [`PINGRESP`] are fixed bytes;
+//! [`PacketView`] parses, borrowing from the stream.
 
 use crate::error::ProtoError;
 use crate::Result;
@@ -15,31 +16,34 @@ use crate::Result;
 /// Standard MQTT port.
 pub const PORT: u16 = 1883;
 
-/// MQTT control packets understood by this codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MqttPacket {
-    /// Client CONNECT with a client identifier.
-    Connect {
-        /// Client identifier (often contains the device id).
-        client_id: String,
-    },
-    /// Server CONNACK.
-    ConnAck,
-    /// PUBLISH with topic and payload (QoS 0).
-    Publish {
-        /// Topic name.
-        topic: String,
-        /// Application payload.
-        payload: Vec<u8>,
-    },
-    /// PINGREQ keepalive.
-    PingReq,
-    /// PINGRESP keepalive reply.
-    PingResp,
+/// A server CONNACK accepting the session, whole.
+pub const CONNACK: [u8; 4] = [0x20, 0x02, 0x00, 0x00];
+
+/// A PINGRESP keepalive reply, whole.
+pub const PINGRESP: [u8; 2] = [0xd0, 0x00];
+
+/// Appends a client CONNECT for `client_id`: MQTT 3.1.1, clean session,
+/// 60 s keepalive.
+pub fn write_connect(out: &mut Vec<u8>, client_id: &str) {
+    out.push(0x10);
+    write_remaining_len(out, 10 + 2 + client_id.len());
+    write_utf8(out, "MQTT"); // protocol name
+    out.push(4); // protocol level 3.1.1
+    out.push(0x02); // clean session
+    out.extend_from_slice(&60u16.to_be_bytes()); // keepalive
+    write_utf8(out, client_id);
 }
 
-/// Encodes the MQTT variable-length "remaining length" field.
-fn encode_remaining_len(out: &mut Vec<u8>, mut len: usize) {
+/// Appends the head of a QoS 0 PUBLISH to `topic`; the caller appends
+/// the `payload_len`-byte payload next.
+pub fn write_publish_head(out: &mut Vec<u8>, topic: &str, payload_len: usize) {
+    out.push(0x30);
+    write_remaining_len(out, 2 + topic.len() + payload_len);
+    write_utf8(out, topic);
+}
+
+/// Appends the MQTT variable-length "remaining length" field.
+fn write_remaining_len(out: &mut Vec<u8>, mut len: usize) {
     loop {
         let mut byte = (len % 128) as u8;
         len /= 128;
@@ -67,7 +71,7 @@ fn decode_remaining_len(data: &[u8]) -> Result<(usize, usize)> {
     Err(ProtoError::malformed("mqtt", "remaining length"))
 }
 
-fn encode_utf8(out: &mut Vec<u8>, s: &str) {
+fn write_utf8(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u16).to_be_bytes());
     out.extend_from_slice(s.as_bytes());
 }
@@ -83,36 +87,6 @@ fn decode_utf8(data: &[u8]) -> Result<(&str, &[u8])> {
     let s = std::str::from_utf8(bytes)
         .map_err(|_| ProtoError::malformed("mqtt", "non-utf8 string"))?;
     Ok((s, &data[2 + len..]))
-}
-
-impl MqttPacket {
-    /// Serializes the packet.
-    pub fn encode(&self) -> Vec<u8> {
-        let (first_byte, body): (u8, Vec<u8>) = match self {
-            MqttPacket::Connect { client_id } => {
-                let mut body = Vec::new();
-                encode_utf8(&mut body, "MQTT"); // protocol name
-                body.push(4); // protocol level 3.1.1
-                body.push(0x02); // clean session
-                body.extend_from_slice(&60u16.to_be_bytes()); // keepalive
-                encode_utf8(&mut body, client_id);
-                (0x10, body)
-            }
-            MqttPacket::ConnAck => (0x20, vec![0, 0]),
-            MqttPacket::Publish { topic, payload } => {
-                let mut body = Vec::new();
-                encode_utf8(&mut body, topic);
-                body.extend_from_slice(payload);
-                (0x30, body)
-            }
-            MqttPacket::PingReq => (0xc0, Vec::new()),
-            MqttPacket::PingResp => (0xd0, Vec::new()),
-        };
-        let mut out = vec![first_byte];
-        encode_remaining_len(&mut out, body.len());
-        out.extend_from_slice(&body);
-        out
-    }
 }
 
 /// An MQTT control packet borrowed from the front of a stream.
@@ -191,12 +165,13 @@ pub fn looks_like_mqtt(stream: &[u8]) -> bool {
 mod tests {
     use super::*;
 
+    /// A PINGREQ keepalive, whole.
+    const PINGREQ: [u8; 2] = [0xc0, 0x00];
+
     #[test]
     fn connect_roundtrip() {
-        let bytes = MqttPacket::Connect {
-            client_id: "xiaomi-cleaner-01ab".into(),
-        }
-        .encode();
+        let mut bytes = Vec::new();
+        write_connect(&mut bytes, "xiaomi-cleaner-01ab");
         let (parsed, rest) = PacketView::parse(&bytes).unwrap();
         assert_eq!(
             parsed,
@@ -209,11 +184,9 @@ mod tests {
 
     #[test]
     fn publish_roundtrip() {
-        let bytes = MqttPacket::Publish {
-            topic: "device/telemetry".into(),
-            payload: vec![1, 2, 3, 4],
-        }
-        .encode();
+        let mut bytes = Vec::new();
+        write_publish_head(&mut bytes, "device/telemetry", 4);
+        bytes.extend_from_slice(&[1, 2, 3, 4]);
         let (parsed, _) = PacketView::parse(&bytes).unwrap();
         assert_eq!(
             parsed,
@@ -226,25 +199,27 @@ mod tests {
 
     #[test]
     fn stream_of_packets() {
-        let mut stream = MqttPacket::Connect {
-            client_id: "c".into(),
-        }
-        .encode();
-        stream.extend_from_slice(&MqttPacket::PingReq.encode());
+        let mut stream = Vec::new();
+        write_connect(&mut stream, "c");
+        stream.extend_from_slice(&PINGREQ);
+        stream.extend_from_slice(&CONNACK);
+        stream.extend_from_slice(&PINGRESP);
         let (first, rest) = PacketView::parse(&stream).unwrap();
         assert!(matches!(first, PacketView::Connect { .. }));
-        let (second, rest2) = PacketView::parse(rest).unwrap();
+        let (second, rest) = PacketView::parse(rest).unwrap();
         assert_eq!(second, PacketView::PingReq);
-        assert!(rest2.is_empty());
+        let (third, rest) = PacketView::parse(rest).unwrap();
+        assert_eq!(third, PacketView::ConnAck);
+        let (fourth, rest) = PacketView::parse(rest).unwrap();
+        assert_eq!(fourth, PacketView::PingResp);
+        assert!(rest.is_empty());
     }
 
     #[test]
     fn large_publish_uses_multibyte_length() {
-        let bytes = MqttPacket::Publish {
-            topic: "t".into(),
-            payload: vec![0xAA; 300],
-        }
-        .encode();
+        let mut bytes = Vec::new();
+        write_publish_head(&mut bytes, "t", 300);
+        bytes.resize(bytes.len() + 300, 0xAA);
         assert!(bytes[1] & 0x80 != 0, "length must be multi-byte");
         let (parsed, _) = PacketView::parse(&bytes).unwrap();
         assert_eq!(
@@ -258,22 +233,18 @@ mod tests {
 
     #[test]
     fn looks_like_mqtt_detects_connect_only() {
-        let connect = MqttPacket::Connect {
-            client_id: "dev".into(),
-        }
-        .encode();
+        let mut connect = Vec::new();
+        write_connect(&mut connect, "dev");
         assert!(looks_like_mqtt(&connect));
-        assert!(!looks_like_mqtt(&MqttPacket::PingReq.encode()));
+        assert!(!looks_like_mqtt(&PINGREQ));
         assert!(!looks_like_mqtt(b"GET / HTTP/1.1\r\n\r\n"));
         assert!(!looks_like_mqtt(&[0x10, 0x05, 0x00, 0x03, b'X', b'Y', b'Z']));
     }
 
     #[test]
     fn truncated_rejected() {
-        let bytes = MqttPacket::Connect {
-            client_id: "abc".into(),
-        }
-        .encode();
+        let mut bytes = Vec::new();
+        write_connect(&mut bytes, "abc");
         assert!(PacketView::parse(&bytes[..bytes.len() - 2]).is_err());
         assert!(PacketView::parse(&[]).is_err());
     }

@@ -24,15 +24,6 @@ pub struct QuicLongHeader<'a> {
 }
 
 impl<'a> QuicLongHeader<'a> {
-    /// Builds an Initial-like long-header datagram of `total_len` bytes;
-    /// everything after the header is `payload_fill` ciphertext.
-    pub fn encode_initial(dcid: &[u8], payload_fill: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(7 + dcid.len() + payload_fill.len());
-        Self::write_initial_header(&mut out, dcid);
-        out.extend_from_slice(payload_fill);
-        out
-    }
-
     /// Appends the long header of an Initial-like datagram; the caller
     /// appends the ciphertext fill next.
     pub fn write_initial_header(out: &mut Vec<u8>, dcid: &[u8]) {
@@ -78,9 +69,17 @@ pub fn looks_like_quic(datagram: &[u8]) -> bool {
 mod tests {
     use super::*;
 
+    /// An Initial datagram: the long header for `dcid`, then `fill_len`
+    /// bytes of 0xEE standing in for ciphertext.
+    fn initial(out: &mut Vec<u8>, dcid: &[u8], fill_len: usize) {
+        QuicLongHeader::write_initial_header(out, dcid);
+        out.resize(out.len() + fill_len, 0xEE);
+    }
+
     #[test]
     fn roundtrip() {
-        let datagram = QuicLongHeader::encode_initial(&[1, 2, 3, 4, 5, 6, 7, 8], &[0xEE; 1180]);
+        let mut datagram = Vec::new();
+        initial(&mut datagram, &[1, 2, 3, 4, 5, 6, 7, 8], 1180);
         let parsed = QuicLongHeader::parse(&datagram).unwrap();
         assert_eq!(parsed.version, VERSION_1);
         assert_eq!(parsed.dcid, [1, 2, 3, 4, 5, 6, 7, 8]);
@@ -101,7 +100,8 @@ mod tests {
 
     #[test]
     fn wrong_version_not_recognized() {
-        let mut d = QuicLongHeader::encode_initial(&[1], &[0; 32]);
+        let mut d = Vec::new();
+        initial(&mut d, &[1], 32);
         d[4] = 9; // version 9
         assert!(!looks_like_quic(&d));
     }
@@ -109,7 +109,8 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert!(QuicLongHeader::parse(&[0xc3, 0, 0]).is_err());
-        let mut d = QuicLongHeader::encode_initial(&[9; 20], &[]);
+        let mut d = Vec::new();
+        initial(&mut d, &[9; 20], 0);
         d.truncate(10);
         assert!(QuicLongHeader::parse(&d).is_err());
     }

@@ -7,9 +7,11 @@
 //! TLS to generate and recognize those artifacts: record framing,
 //! ClientHello/ServerHello with extensions, and opaque application-data
 //! records. No cryptography is performed — payload bytes come from
-//! `iot-entropy`'s calibrated generators. [`Record`] and [`ClientHello`]
-//! encode; [`RecordView`] and [`ClientHelloView`] parse, borrowing from
-//! the stream, so probing a flow's payload prefix copies nothing.
+//! `iot-entropy`'s calibrated generators. [`write_record_header`],
+//! [`write_client_hello`] and [`write_server_hello`] append to the
+//! caller's buffer; [`RecordView`] and [`ClientHelloView`] parse,
+//! borrowing from the stream, so probing a flow's payload prefix copies
+//! nothing.
 
 use crate::error::ProtoError;
 use crate::Result;
@@ -57,39 +59,13 @@ impl From<ContentType> for u8 {
 /// TLS 1.2 on the wire.
 pub const VERSION_TLS12: u16 = 0x0303;
 
-/// One TLS record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Record content type.
-    pub content_type: ContentType,
-    /// Protocol version field.
-    pub version: u16,
-    /// Record payload (fragment).
-    pub payload: Vec<u8>,
-}
-
-impl Record {
-    /// Encodes the record header + payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + self.payload.len());
-        Record::write_header(
-            &mut out,
-            self.content_type,
-            self.version,
-            self.payload.len(),
-        );
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Appends the 5-byte header of a record whose `len`-byte fragment
-    /// the caller appends next, so a fragment can be generated straight
-    /// into the buffer that carries the record.
-    pub fn write_header(out: &mut Vec<u8>, content_type: ContentType, version: u16, len: usize) {
-        out.push(content_type.into());
-        out.extend_from_slice(&version.to_be_bytes());
-        out.extend_from_slice(&(len as u16).to_be_bytes());
-    }
+/// Appends the 5-byte header of a TLS 1.2 record whose `len`-byte
+/// fragment the caller appends next, so a fragment can be generated
+/// straight into the buffer that carries the record.
+pub fn write_record_header(out: &mut Vec<u8>, content_type: ContentType, len: usize) {
+    out.push(content_type.into());
+    out.extend_from_slice(&VERSION_TLS12.to_be_bytes());
+    out.extend_from_slice(&(len as u16).to_be_bytes());
 }
 
 /// One TLS record, borrowed from the stream it heads.
@@ -135,67 +111,32 @@ pub const DEFAULT_CIPHER_SUITES: [u16; 14] = [
     0x0035, 0x000a, 0x009e,
 ];
 
-/// A ClientHello handshake message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientHello {
-    /// Client random (32 bytes).
-    pub random: [u8; 32],
-    /// Offered cipher suites.
-    pub cipher_suites: Vec<u16>,
-    /// Server name indication, when present.
-    pub sni: Option<String>,
-}
-
-impl ClientHello {
-    /// Builds a ClientHello offering [`DEFAULT_CIPHER_SUITES`] for `sni`.
-    pub fn new(random: [u8; 32], sni: &str) -> Self {
-        ClientHello {
-            random,
-            cipher_suites: DEFAULT_CIPHER_SUITES.to_vec(),
-            sni: Some(sni.to_string()),
-        }
+/// Appends a handshake record holding a ClientHello that offers
+/// [`DEFAULT_CIPHER_SUITES`] and names `sni` in a server-name extension.
+pub fn write_client_hello(out: &mut Vec<u8>, random: &[u8; 32], sni: &str) {
+    let host = sni.as_bytes();
+    // The one server_name extension, then the body: version, random,
+    // session id, suites, compression and extensions.
+    let extensions = 9 + host.len();
+    let body = 2 + 32 + 1 + 2 + 2 * DEFAULT_CIPHER_SUITES.len() + 2 + 2 + extensions;
+    write_record_header(out, ContentType::Handshake, 4 + body);
+    out.push(1); // handshake type: client_hello
+    out.extend_from_slice(&(body as u32).to_be_bytes()[1..]); // 24-bit length
+    out.extend_from_slice(&VERSION_TLS12.to_be_bytes()); // client_version
+    out.extend_from_slice(random);
+    out.push(0); // session id length
+    out.extend_from_slice(&((DEFAULT_CIPHER_SUITES.len() * 2) as u16).to_be_bytes());
+    for cs in DEFAULT_CIPHER_SUITES {
+        out.extend_from_slice(&cs.to_be_bytes());
     }
-
-    /// Encodes the handshake body (type 1) and wraps it in a handshake
-    /// record.
-    pub fn to_record(&self) -> Record {
-        let mut body = Vec::with_capacity(128);
-        body.extend_from_slice(&VERSION_TLS12.to_be_bytes()); // client_version
-        body.extend_from_slice(&self.random);
-        body.push(0); // session id length
-        body.extend_from_slice(&((self.cipher_suites.len() * 2) as u16).to_be_bytes());
-        for cs in &self.cipher_suites {
-            body.extend_from_slice(&cs.to_be_bytes());
-        }
-        body.push(1); // compression methods length
-        body.push(0); // null compression
-        let mut extensions = Vec::new();
-        if let Some(sni) = &self.sni {
-            let host = sni.as_bytes();
-            let mut ext = Vec::with_capacity(host.len() + 9);
-            ext.extend_from_slice(&0u16.to_be_bytes()); // extension type: server_name
-            let list_len = host.len() + 3;
-            ext.extend_from_slice(&((list_len + 2) as u16).to_be_bytes()); // ext length
-            ext.extend_from_slice(&(list_len as u16).to_be_bytes()); // server_name_list length
-            ext.push(0); // name_type: host_name
-            ext.extend_from_slice(&(host.len() as u16).to_be_bytes());
-            ext.extend_from_slice(host);
-            extensions.extend_from_slice(&ext);
-        }
-        body.extend_from_slice(&(extensions.len() as u16).to_be_bytes());
-        body.extend_from_slice(&extensions);
-
-        let mut hs = Vec::with_capacity(body.len() + 4);
-        hs.push(1); // handshake type: client_hello
-        let len = body.len() as u32;
-        hs.extend_from_slice(&len.to_be_bytes()[1..]); // 24-bit length
-        hs.extend_from_slice(&body);
-        Record {
-            content_type: ContentType::Handshake,
-            version: VERSION_TLS12,
-            payload: hs,
-        }
-    }
+    out.extend_from_slice(&[1, 0]); // one compression method: null
+    out.extend_from_slice(&(extensions as u16).to_be_bytes());
+    out.extend_from_slice(&0u16.to_be_bytes()); // extension type: server_name
+    out.extend_from_slice(&((host.len() + 5) as u16).to_be_bytes()); // extension length
+    out.extend_from_slice(&((host.len() + 3) as u16).to_be_bytes()); // server_name_list length
+    out.push(0); // name_type: host_name
+    out.extend_from_slice(&(host.len() as u16).to_be_bytes());
+    out.extend_from_slice(host);
 }
 
 /// A ClientHello handshake message, borrowed from its record's payload.
@@ -279,71 +220,50 @@ pub fn sni_from_stream(stream: &[u8]) -> Option<&[u8]> {
     ClientHelloView::parse(record.payload).ok()?.sni
 }
 
-/// Builds an opaque application-data record around pre-generated ciphertext.
-pub fn application_data(ciphertext: Vec<u8>) -> Record {
-    Record {
-        content_type: ContentType::ApplicationData,
-        version: VERSION_TLS12,
-        payload: ciphertext,
-    }
-}
-
-/// Builds a minimal ServerHello + ChangeCipherSpec reply used by simulated
-/// cloud endpoints.
-pub fn server_hello(random: [u8; 32], cipher_suite: u16) -> Vec<u8> {
-    let mut body = Vec::with_capacity(48);
-    body.extend_from_slice(&VERSION_TLS12.to_be_bytes());
-    body.extend_from_slice(&random);
-    body.push(0); // session id length
-    body.extend_from_slice(&cipher_suite.to_be_bytes());
-    body.push(0); // null compression
-    body.extend_from_slice(&0u16.to_be_bytes()); // no extensions
-    let mut hs = Vec::with_capacity(body.len() + 4);
-    hs.push(2); // server_hello
-    hs.extend_from_slice(&(body.len() as u32).to_be_bytes()[1..]);
-    hs.extend_from_slice(&body);
-    let mut out = Record {
-        content_type: ContentType::Handshake,
-        version: VERSION_TLS12,
-        payload: hs,
-    }
-    .encode();
-    out.extend_from_slice(
-        &Record {
-            content_type: ContentType::ChangeCipherSpec,
-            version: VERSION_TLS12,
-            payload: vec![1],
-        }
-        .encode(),
-    );
-    out
+/// Appends the reply of a simulated cloud endpoint: a minimal
+/// ServerHello choosing `cipher_suite`, then a ChangeCipherSpec record.
+pub fn write_server_hello(out: &mut Vec<u8>, random: &[u8; 32], cipher_suite: u16) {
+    // Version, random, session id, suite, compression, extensions.
+    const BODY: usize = 2 + 32 + 1 + 2 + 1 + 2;
+    write_record_header(out, ContentType::Handshake, 4 + BODY);
+    out.extend_from_slice(&[2, 0, 0, BODY as u8]); // server_hello, 24-bit length
+    out.extend_from_slice(&VERSION_TLS12.to_be_bytes());
+    out.extend_from_slice(random);
+    out.push(0); // session id length
+    out.extend_from_slice(&cipher_suite.to_be_bytes());
+    out.push(0); // null compression
+    out.extend_from_slice(&0u16.to_be_bytes()); // no extensions
+    write_record_header(out, ContentType::ChangeCipherSpec, 1);
+    out.push(1);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Appends an application-data record of `len` bytes of `fill`.
+    fn write_application_data(out: &mut Vec<u8>, fill: u8, len: usize) {
+        write_record_header(out, ContentType::ApplicationData, len);
+        out.resize(out.len() + len, fill);
+    }
+
     #[test]
     fn record_roundtrip() {
-        let rec = Record {
-            content_type: ContentType::ApplicationData,
-            version: VERSION_TLS12,
-            payload: vec![9; 100],
-        };
-        let bytes = rec.encode();
+        let mut bytes = Vec::new();
+        write_application_data(&mut bytes, 9, 100);
         let (parsed, rest) = RecordView::parse(&bytes).unwrap();
-        assert_eq!(parsed.content_type, rec.content_type);
-        assert_eq!(parsed.version, rec.version);
-        assert_eq!(parsed.payload, &rec.payload[..]);
+        assert_eq!(parsed.content_type, ContentType::ApplicationData);
+        assert_eq!(parsed.version, VERSION_TLS12);
+        assert_eq!(parsed.payload, &[9; 100]);
         assert!(rest.is_empty());
     }
 
     #[test]
     fn client_hello_roundtrip_with_sni() {
-        let ch = ClientHello::new([7u8; 32], "dcape-na.amazon.com");
-        let record = ch.to_record();
-        let bytes = record.encode();
-        let (parsed_rec, _) = RecordView::parse(&bytes).unwrap();
+        let mut bytes = Vec::new();
+        write_client_hello(&mut bytes, &[7u8; 32], "dcape-na.amazon.com");
+        let (parsed_rec, rest) = RecordView::parse(&bytes).unwrap();
+        assert!(rest.is_empty());
         let parsed = ClientHelloView::parse(parsed_rec.payload).unwrap();
         assert_eq!(parsed.sni, Some(&b"dcape-na.amazon.com"[..]));
         assert_eq!(parsed.random, &[7u8; 32]);
@@ -351,20 +271,20 @@ mod tests {
 
     #[test]
     fn sni_from_stream_extracts() {
-        let ch = ClientHello::new([1u8; 32], "updates.tplinkcloud.com");
-        let mut stream = ch.to_record().encode();
-        stream.extend_from_slice(&application_data(vec![0xAB; 64]).encode());
+        let mut stream = Vec::new();
+        write_client_hello(&mut stream, &[1u8; 32], "updates.tplinkcloud.com");
+        write_application_data(&mut stream, 0xAB, 64);
         assert_eq!(sni_from_stream(&stream), Some(&b"updates.tplinkcloud.com"[..]));
     }
 
     #[test]
     fn sni_absent_when_no_extension() {
-        let ch = ClientHello {
-            random: [0u8; 32],
-            cipher_suites: vec![0xc02b],
-            sni: None,
-        };
-        let bytes = ch.to_record().encode();
+        // A ClientHello offering one suite, with an empty extension block.
+        let mut bytes = Vec::new();
+        write_record_header(&mut bytes, ContentType::Handshake, 4 + 43);
+        bytes.extend_from_slice(&[1, 0, 0, 43, 0x03, 0x03]);
+        bytes.extend_from_slice(&[0u8; 32]);
+        bytes.extend_from_slice(&[0, 0, 2, 0xc0, 0x2b, 1, 0, 0, 0]);
         let (rec, _) = RecordView::parse(&bytes).unwrap();
         assert_eq!(ClientHelloView::parse(rec.payload).unwrap().sni, None);
         assert_eq!(sni_from_stream(&bytes), None);
@@ -372,14 +292,17 @@ mod tests {
 
     #[test]
     fn sni_from_application_data_is_none() {
-        let stream = application_data(vec![1, 2, 3]).encode();
+        let mut stream = Vec::new();
+        write_record_header(&mut stream, ContentType::ApplicationData, 3);
+        stream.extend_from_slice(&[1, 2, 3]);
         assert_eq!(sni_from_stream(&stream), None);
     }
 
     #[test]
     fn partial_tail_record_is_truncated() {
-        let mut stream = application_data(vec![5; 50]).encode();
-        stream.extend_from_slice(&application_data(vec![6; 50]).encode());
+        let mut stream = Vec::new();
+        write_application_data(&mut stream, 5, 50);
+        write_application_data(&mut stream, 6, 50);
         stream.truncate(stream.len() - 10); // second record incomplete
         let (first, rest) = RecordView::parse(&stream).unwrap();
         assert_eq!(first.payload, &[5; 50]);
@@ -388,11 +311,16 @@ mod tests {
 
     #[test]
     fn server_hello_parses_as_records() {
-        let bytes = server_hello([3u8; 32], 0xc02f);
+        let mut bytes = Vec::new();
+        write_server_hello(&mut bytes, &[3u8; 32], 0xc02f);
         let (hello, rest) = RecordView::parse(&bytes).unwrap();
         let (ccs, rest) = RecordView::parse(rest).unwrap();
         assert_eq!(hello.content_type, ContentType::Handshake);
+        assert_eq!(hello.payload[0], 2, "server_hello");
+        assert_eq!(hello.payload[6..38], [3u8; 32]);
+        assert_eq!(hello.payload[39..41], 0xc02fu16.to_be_bytes());
         assert_eq!(ccs.content_type, ContentType::ChangeCipherSpec);
+        assert_eq!(ccs.payload, [1]);
         assert!(rest.is_empty());
     }
 

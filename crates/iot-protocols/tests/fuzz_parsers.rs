@@ -69,9 +69,11 @@ fn fuzz(codec: &str, seed: u64, valid: &[Vec<u8>], parse: impl Fn(&[u8])) {
 
 #[test]
 fn dns_never_panics() {
-    let query = dns::Message::query(0x1234, "device.example.com");
-    let answer = dns::Message::answer(&query, &[Ipv4Addr::new(93, 184, 216, 34)], 300);
-    let valid = vec![query.encode(), answer.encode()];
+    let (mut query, mut answer) = (Vec::new(), Vec::new());
+    dns::write_query(&mut query, 0x1234, "device.example.com");
+    let addr = Ipv4Addr::new(93, 184, 216, 34);
+    dns::write_answer(&mut answer, 0x1234, "device.example.com", &[addr], 300);
+    let valid = vec![query, answer];
     fuzz("dns", 0xD25, &valid, |buf| {
         if let Ok(msg) = dns::MessageView::parse(buf) {
             let mut name = String::new();
@@ -84,8 +86,10 @@ fn dns_never_panics() {
 
 #[test]
 fn tls_never_panics() {
-    let hello = tls::ClientHello::new([7u8; 32], "iot.vendor.example").to_record();
-    let valid = vec![hello.encode()];
+    let mut hello = Vec::new();
+    tls::write_client_hello(&mut hello, &[7u8; 32], "iot.vendor.example");
+    let handshake = hello[5..].to_vec();
+    let valid = vec![hello];
     fuzz("tls.record", 0x715, &valid, |buf| {
         let _ = tls::RecordView::parse(buf);
     });
@@ -93,15 +97,17 @@ fn tls_never_panics() {
         let _ = tls::sni_from_stream(buf);
     });
     // ClientHelloView::parse consumes the record payload, not the record.
-    fuzz("tls.client_hello", 0x718, std::slice::from_ref(&hello.payload), |buf| {
+    fuzz("tls.client_hello", 0x718, &[handshake], |buf| {
         let _ = tls::ClientHelloView::parse(buf);
     });
 }
 
 #[test]
 fn http_never_panics() {
-    let req = http::Request::new("GET", "iot.vendor.example", "/checkin").encode();
-    let resp = http::Response::new(200, "OK", b"{\"ok\":true}".to_vec()).encode();
+    let (mut req, mut resp) = (Vec::new(), Vec::new());
+    http::write_request_head(&mut req, "GET", "iot.vendor.example", "/checkin", &[], None);
+    http::write_response_head(&mut resp, 200, "OK", 11, &[]);
+    resp.extend_from_slice(b"{\"ok\":true}");
     fuzz("http.request", 0x477, &[req], |buf| {
         let _ = http::RequestView::parse(buf).map(|r| r.host());
     });
@@ -114,10 +120,15 @@ fn http_never_panics() {
 #[test]
 fn dhcp_never_panics() {
     let mac = MacAddr::new(0x02, 0x42, 0xac, 0x11, 0x00, 0x02);
-    let valid = vec![
-        dhcp::DhcpMessage::discover(0xBEEF, mac).encode(),
-        dhcp::DhcpMessage::ack(0xBEEF, mac, Ipv4Addr::new(192, 168, 10, 7)).encode(),
-    ];
+    let valid = [
+        dhcp::DhcpMessage::discover(0xBEEF, mac),
+        dhcp::DhcpMessage::ack(0xBEEF, mac, Ipv4Addr::new(192, 168, 10, 7)),
+    ]
+    .map(|msg| {
+        let mut bytes = Vec::new();
+        msg.encode(&mut bytes);
+        bytes
+    });
     fuzz("dhcp", 0xDCB, &valid, |buf| {
         let _ = dhcp::DhcpMessage::parse(buf);
     });
@@ -125,18 +136,12 @@ fn dhcp_never_panics() {
 
 #[test]
 fn mqtt_never_panics() {
-    let valid = vec![
-        mqtt::MqttPacket::Connect {
-            client_id: "plug-0042".to_string(),
-        }
-        .encode(),
-        mqtt::MqttPacket::Publish {
-            topic: "device/state".to_string(),
-            payload: b"on".to_vec(),
-        }
-        .encode(),
-        mqtt::MqttPacket::PingReq.encode(),
-    ];
+    let (mut connect, mut publish) = (Vec::new(), Vec::new());
+    mqtt::write_connect(&mut connect, "plug-0042");
+    mqtt::write_publish_head(&mut publish, "device/state", 2);
+    publish.extend_from_slice(b"on");
+    let pingreq = vec![0xc0, 0x00];
+    let valid = vec![connect, publish, pingreq];
     fuzz("mqtt", 0x3077, &valid, |buf| {
         let _ = mqtt::PacketView::parse(buf);
     });
@@ -155,10 +160,10 @@ fn ntp_never_panics() {
 
 #[test]
 fn quic_never_panics() {
-    let valid = vec![quic::QuicLongHeader::encode_initial(
-        &[0xAB; 8],
-        &[0x5A; 120],
-    )];
+    let mut initial = Vec::new();
+    quic::QuicLongHeader::write_initial_header(&mut initial, &[0xAB; 8]);
+    initial.extend_from_slice(&[0x5A; 120]);
+    let valid = vec![initial];
     fuzz("quic", 0x901C, &valid, |buf| {
         let _ = quic::QuicLongHeader::parse(buf);
     });

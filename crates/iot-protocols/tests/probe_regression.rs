@@ -191,69 +191,71 @@ fn compressed_response(rng: &mut StdRng) -> Vec<u8> {
 
 /// One encode of codec family `family`.
 fn encode(rng: &mut StdRng, family: usize) -> Vec<u8> {
+    let mut out = Vec::new();
     match family {
-        0 => compressed_response(rng),
+        0 => return compressed_response(rng),
         1 => {
-            let q = dns::Message::query(rng.gen(), &name(rng));
+            let (id, qname) = (rng.gen(), name(rng));
             if rng.gen_bool(0.3) {
-                q.encode()
+                dns::write_query(&mut out, id, &qname);
             } else {
                 let addrs: Vec<Ipv4Addr> = (0..rng.gen_range(0..4usize))
                     .map(|_| Ipv4Addr::from(rng.gen::<u32>()))
                     .collect();
-                dns::Message::answer(&q, &addrs, rng.gen()).encode()
+                dns::write_answer(&mut out, id, &qname, &addrs, rng.gen());
             }
         }
         2 => {
             let mut random = [0u8; 32];
             rng.fill(&mut random);
-            let mut out = tls::ClientHello::new(random, &name(rng)).to_record().encode();
+            tls::write_client_hello(&mut out, &random, &name(rng));
             if rng.gen_bool(0.5) {
-                out.extend_from_slice(&tls::application_data(bytes(rng, 300)).encode());
+                let ciphertext = bytes(rng, 300);
+                let len = ciphertext.len();
+                tls::write_record_header(&mut out, tls::ContentType::ApplicationData, len);
+                out.extend_from_slice(&ciphertext);
             }
-            out
         }
         3 => {
             const METHODS: [&str; 4] = ["GET", "POST", "PUT", "HEAD"];
             let method = METHODS[rng.gen_range(0..METHODS.len())];
-            let mut req = http::Request::new(method, &name(rng), &format!("/{}", name(rng)));
-            if rng.gen_bool(0.5) {
-                req = req.header("User-Agent", &name(rng));
-            }
-            if rng.gen_bool(0.5) {
-                req = req.body(bytes(rng, 200));
-            }
-            req.encode()
+            let (host, path) = (name(rng), format!("/{}", name(rng)));
+            let user_agent = rng.gen_bool(0.5).then(|| name(rng));
+            let headers: Vec<(&str, &str)> = user_agent
+                .iter()
+                .map(|ua| ("User-Agent", ua.as_str()))
+                .collect();
+            let body = rng.gen_bool(0.5).then(|| bytes(rng, 200));
+            let content_length = body.as_ref().map(Vec::len);
+            http::write_request_head(&mut out, method, &host, &path, &headers, content_length);
+            out.extend_from_slice(body.as_deref().unwrap_or_default());
         }
         4 => {
-            let pkt = if rng.gen_bool(0.5) {
-                mqtt::MqttPacket::Connect {
-                    client_id: name(rng),
-                }
+            if rng.gen_bool(0.5) {
+                mqtt::write_connect(&mut out, &name(rng));
             } else {
-                mqtt::MqttPacket::Publish {
-                    topic: name(rng),
-                    payload: bytes(rng, 300),
-                }
-            };
-            pkt.encode()
+                let (topic, payload) = (name(rng), bytes(rng, 300));
+                mqtt::write_publish_head(&mut out, &topic, payload.len());
+                out.extend_from_slice(&payload);
+            }
         }
         5 => {
             let dcid = bytes(rng, 20);
-            quic::QuicLongHeader::encode_initial(&dcid, &bytes(rng, 1200))
+            quic::QuicLongHeader::write_initial_header(&mut out, &dcid);
+            out.extend_from_slice(&bytes(rng, 1200));
         }
         _ => {
             if rng.gen_bool(0.5) {
-                ntp::NtpPacket::client(rng.gen_range(0..4_000_000_000_000_000u64))
-                    .encode()
-                    .to_vec()
+                let micros = rng.gen_range(0..4_000_000_000_000_000u64);
+                out.extend_from_slice(&ntp::NtpPacket::client(micros).encode());
             } else {
                 let mut mac = [0u8; 6];
                 rng.fill(&mut mac);
-                dhcp::DhcpMessage::discover(rng.gen(), MacAddr(mac)).encode()
+                dhcp::DhcpMessage::discover(rng.gen(), MacAddr(mac)).encode(&mut out);
             }
         }
     }
+    out
 }
 
 /// Leaves one encode in five as written; flips one to four bytes of

@@ -44,7 +44,8 @@ fn dns_query_roundtrip() {
     for _ in 0..CASES {
         let id: u16 = rng.gen();
         let name = random_domain(&mut rng);
-        let bytes = dns::Message::query(id, &name).encode();
+        let mut bytes = Vec::new();
+        dns::write_query(&mut bytes, id, &name);
         let parsed = dns::MessageView::parse(&bytes).unwrap();
         assert_eq!(parsed.id(), id);
         let questions: Vec<_> = parsed
@@ -65,9 +66,8 @@ fn dns_answer_roundtrip() {
             .map(|_| Ipv4Addr::from(rng.gen::<u32>()))
             .collect();
         let ttl: u32 = rng.gen();
-        let q = dns::Message::query(id, &name);
-        let a = dns::Message::answer(&q, &addrs, ttl);
-        let bytes = a.encode();
+        let mut bytes = Vec::new();
+        dns::write_answer(&mut bytes, id, &name, &addrs, ttl);
         let parsed = dns::MessageView::parse(&bytes).unwrap();
         assert_eq!(parsed.a_records().count(), addrs.len());
         for ((_, got), want) in parsed.a_records().zip(addrs.iter()) {
@@ -91,9 +91,8 @@ fn tls_client_hello_roundtrip() {
     for _ in 0..CASES {
         let random: [u8; 32] = random_array(&mut rng);
         let sni = random_domain(&mut rng);
-        let ch = tls::ClientHello::new(random, &sni);
-        let rec = ch.to_record();
-        let bytes = rec.encode();
+        let mut bytes = Vec::new();
+        tls::write_client_hello(&mut bytes, &random, &sni);
         let (parsed_rec, _) = tls::RecordView::parse(&bytes).unwrap();
         let parsed = tls::ClientHelloView::parse(parsed_rec.payload).unwrap();
         assert_eq!(parsed.sni, Some(sni.as_bytes()));
@@ -119,8 +118,9 @@ fn http_request_roundtrip() {
         let host = random_domain(&mut rng);
         let path = format!("/{}", random_label(&mut rng));
         let body = random_bytes(&mut rng, 0..256);
-        let req = http::Request::new("POST", &host, &path).body(body.clone());
-        let bytes = req.encode();
+        let mut bytes = Vec::new();
+        http::write_request_head(&mut bytes, "POST", &host, &path, &[], Some(body.len()));
+        bytes.extend_from_slice(&body);
         let parsed = http::RequestView::parse(&bytes).unwrap();
         assert_eq!(parsed.host(), Some(host.as_str()));
         assert_eq!(parsed.body, body);
@@ -142,11 +142,9 @@ fn mqtt_roundtrip() {
     for _ in 0..CASES {
         let topic = random_label(&mut rng);
         let payload = random_bytes(&mut rng, 0..512);
-        let bytes = mqtt::MqttPacket::Publish {
-            topic: topic.clone(),
-            payload: payload.clone(),
-        }
-        .encode();
+        let mut bytes = Vec::new();
+        mqtt::write_publish_head(&mut bytes, &topic, payload.len());
+        bytes.extend_from_slice(&payload);
         let (parsed, rest) = mqtt::PacketView::parse(&bytes).unwrap();
         assert_eq!(
             parsed,
@@ -191,7 +189,9 @@ fn dhcp_roundtrip() {
             iot_net::mac::MacAddr(mac),
             Ipv4Addr::new(192, 168, 10, d),
         );
-        let parsed = dhcp::DhcpMessage::parse(&msg.encode()).unwrap();
+        let mut bytes = Vec::new();
+        msg.encode(&mut bytes);
+        let parsed = dhcp::DhcpMessage::parse(&bytes).unwrap();
         assert_eq!(parsed, msg);
     }
 }
@@ -205,16 +205,21 @@ fn identifier_is_consistent() {
         let name = random_domain(&mut rng);
         let random: [u8; 32] = random_array(&mut rng);
 
-        let dns_q = dns::Message::query(1, &name).encode();
+        let mut dns_q = Vec::new();
+        dns::write_query(&mut dns_q, 1, &name);
         assert_eq!(identify_flow(Transport::Udp, 53, &dns_q, &[]), ProtocolId::Dns);
 
-        let tls_stream = tls::ClientHello::new(random, &name).to_record().encode();
+        let mut tls_stream = Vec::new();
+        tls::write_client_hello(&mut tls_stream, &random, &name);
         assert_eq!(identify_flow(Transport::Tcp, 443, &tls_stream, &[]), ProtocolId::Tls);
 
-        let http_req = http::Request::new("GET", &name, "/").encode();
+        let mut http_req = Vec::new();
+        http::write_request_head(&mut http_req, "GET", &name, "/", &[], None);
         assert_eq!(identify_flow(Transport::Tcp, 80, &http_req, &[]), ProtocolId::Http);
 
-        let quic_d = quic::QuicLongHeader::encode_initial(&random[..8], &random);
+        let mut quic_d = Vec::new();
+        quic::QuicLongHeader::write_initial_header(&mut quic_d, &random[..8]);
+        quic_d.extend_from_slice(&random);
         assert_eq!(identify_flow(Transport::Udp, 443, &quic_d, &[]), ProtocolId::Quic);
     }
 }

@@ -404,17 +404,19 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// Kebab-case identifier used in file names and labels.
+    /// Kebab-case identifier used in file names and labels: the name's
+    /// runs of ASCII letters and digits, lowercased and joined by `-`.
     pub fn id(&self) -> String {
-        self.name
-            .to_ascii_lowercase()
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect::<String>()
-            .split('-')
-            .filter(|s| !s.is_empty())
-            .collect::<Vec<_>>()
-            .join("-")
+        let mut id = String::with_capacity(self.name.len());
+        let words = self.name.split(|c: char| !c.is_ascii_alphanumeric());
+        for word in words.filter(|w| !w.is_empty()) {
+            if !id.is_empty() {
+                id.push('-');
+            }
+            id.push_str(word);
+        }
+        id.make_ascii_lowercase();
+        id
     }
 
     /// Looks up an activity by name.

@@ -303,8 +303,7 @@ pub(crate) fn idle_into(
             IdleEvent::Spontaneous(i) => {
                 let name = spec.idle.spontaneous[i].0;
                 if let Some(act) = spec.activity(name) {
-                    let act = act.clone();
-                    g.activity(&act);
+                    g.activity(act);
                 }
             }
         }

@@ -16,6 +16,10 @@ use crate::util::{base64_encode, hex_encode, stable_seed};
 use iot_entropy::generators;
 use iot_geodb::geo::Region;
 use iot_geodb::registry::GeoDb;
+use iot_net::arp::{ArpOp, ArpPacket};
+use iot_net::ethernet::{self, EtherType};
+use iot_net::flow::Direction;
+use iot_net::mac::MacAddr;
 use iot_net::packet::PacketBuilder;
 use iot_net::pcap::Capture;
 use iot_net::tcp::{TcpFlags, TcpHeader};
@@ -64,6 +68,18 @@ pub enum TriggerContext<'a> {
     Background,
 }
 
+/// The flags of a segment that carries data.
+const DATA: TcpFlags = TcpFlags(TcpFlags::PSH.0 | TcpFlags::ACK.0);
+
+/// The TCP connection a flight's segments travel: the endpoint whose
+/// [`ConnState`] numbers them, the remote address and the remote port.
+#[derive(Clone, Copy)]
+struct Link {
+    endpoint: usize,
+    remote: Ipv4Addr,
+    port: u16,
+}
+
 /// Per-TCP-connection bookkeeping.
 struct ConnState {
     src_port: u16,
@@ -80,11 +96,18 @@ pub struct TrafficGenerator<'a> {
     /// Egress region in effect (native or VPN-swapped).
     pub egress: Region,
     identity: DeviceIdentity,
+    /// The catalog id ([`DeviceSpec::id`]) the device's messages carry,
+    /// and the two strings built on it, computed once.
+    catalog_id: String,
+    /// `<catalog id>/2.4`, every HTTP request's `User-Agent`.
+    user_agent: String,
+    /// `<catalog id>/telemetry`, every MQTT PUBLISH's topic.
+    topic: String,
     rng: StdRng,
     now: u64,
     cap: Capture,
-    /// Reused buffer the hot payloads are generated into before their
-    /// frame is written to `cap`.
+    /// Reused buffer every message is written into before the frame that
+    /// carries it is written to `cap`.
     scratch: Vec<u8>,
     resolved: HashMap<&'static str, Ipv4Addr>,
     conns: HashMap<usize, ConnState>,
@@ -121,11 +144,15 @@ impl<'a> TrafficGenerator<'a> {
     ) -> Self {
         cap.clear();
         let egress = device.site.egress(vpn);
+        let catalog_id = device.spec().id();
         TrafficGenerator {
             db,
             device,
             egress,
             identity: identity_of(device),
+            user_agent: format!("{catalog_id}/2.4"),
+            topic: format!("{catalog_id}/telemetry"),
+            catalog_id,
             rng: StdRng::seed_from_u64(seed),
             now: start_micros,
             cap,
@@ -160,9 +187,9 @@ impl<'a> TrafficGenerator<'a> {
         .expect("generated timestamps fit the pcap format");
     }
 
-    /// Takes the reused scratch buffer, emptied, to build a payload in.
-    /// Put it back in `self.scratch` once the frame carrying it is
-    /// written, so its allocation serves the next payload.
+    /// Takes the reused scratch buffer, emptied, to write a message in.
+    /// Put it back in `self.scratch` once the frames carrying it are
+    /// written, so its allocation serves the next message.
     fn take_scratch(&mut self) -> Vec<u8> {
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
@@ -233,16 +260,19 @@ impl<'a> TrafficGenerator<'a> {
 
     fn emit_dns(&mut self, host: &str, answer: Ipv4Addr) {
         self.dns_id = self.dns_id.wrapping_add(1);
-        let query = dns::Message::query(self.dns_id, host);
-        let response = dns::Message::answer(&query, &[answer], 300);
         let gw = self.gateway_ip();
         let sport = self.take_port();
         let t1 = self.tick((1.0, 5.0));
+        let mut message = self.take_scratch();
+        dns::write_query(&mut message, self.dns_id, host);
         let mut out_b = self.device.builder_out(gw);
-        self.send_udp(&mut out_b, t1, sport, dns::PORT, &query.encode());
+        self.send_udp(&mut out_b, t1, sport, dns::PORT, &message);
         let t2 = self.tick((5.0, 40.0));
+        message.clear();
+        dns::write_answer(&mut message, self.dns_id, host, &[answer], 300);
         let mut in_b = self.device.builder_in(gw);
-        self.send_udp(&mut in_b, t2, dns::PORT, sport, &response.encode());
+        self.send_udp(&mut in_b, t2, dns::PORT, sport, &message);
+        self.scratch = message;
     }
 
     /// Emits a DHCP DISCOVER/REQUEST/ACK association (Wi-Fi reconnect).
@@ -251,68 +281,47 @@ impl<'a> TrafficGenerator<'a> {
         let gw = self.gateway_ip();
         let mac = self.device.mac;
         let ip = self.device.ip;
-        let t1 = self.tick((1.0, 10.0));
         let mut out_b = self.device.builder_out(gw);
-        self.send_udp(
-            &mut out_b,
-            t1,
-            dhcp::CLIENT_PORT,
-            dhcp::SERVER_PORT,
-            &dhcp::DhcpMessage::discover(xid, mac).encode(),
-        );
-        let t2 = self.tick((5.0, 30.0));
-        self.send_udp(
-            &mut out_b,
-            t2,
-            dhcp::CLIENT_PORT,
-            dhcp::SERVER_PORT,
-            &dhcp::DhcpMessage::request(xid, mac, ip).encode(),
-        );
-        let t3 = self.tick((2.0, 15.0));
         let mut in_b = self.device.builder_in(gw);
-        self.send_udp(
-            &mut in_b,
-            t3,
-            dhcp::SERVER_PORT,
-            dhcp::CLIENT_PORT,
-            &dhcp::DhcpMessage::ack(xid, mac, ip).encode(),
-        );
+        let mut message = self.take_scratch();
+        for (msg, iat) in [
+            (dhcp::DhcpMessage::discover(xid, mac), (1.0, 10.0)),
+            (dhcp::DhcpMessage::request(xid, mac, ip), (5.0, 30.0)),
+            (dhcp::DhcpMessage::ack(xid, mac, ip), (2.0, 15.0)),
+        ] {
+            let ts = self.tick(iat);
+            message.clear();
+            msg.encode(&mut message);
+            let (b, ports) = match msg.mtype {
+                dhcp::MessageType::Ack => (&mut in_b, (dhcp::SERVER_PORT, dhcp::CLIENT_PORT)),
+                _ => (&mut out_b, (dhcp::CLIENT_PORT, dhcp::SERVER_PORT)),
+            };
+            self.send_udp(b, ts, ports.0, ports.1, &message);
+        }
+        self.scratch = message;
         // Post-lease ARP: a gratuitous announcement, then resolve the
         // gateway before the first IP packet — exactly what real captures
         // show after every (re)association.
-        self.emit_arp(
-            iot_net::arp::ArpPacket::gratuitous(mac, ip),
-            iot_net::mac::MacAddr::BROADCAST,
-        );
-        let who_has = iot_net::arp::ArpPacket::request(mac, ip, gw);
-        self.emit_arp(who_has.clone(), iot_net::mac::MacAddr::BROADCAST);
-        let reply = iot_net::arp::ArpPacket::reply_to(&who_has, crate::lab::Lab::GATEWAY_MAC);
-        self.emit_arp_from_gateway(reply);
+        self.emit_arp(&ArpPacket::gratuitous(mac, ip));
+        let who_has = ArpPacket::request(mac, ip, gw);
+        self.emit_arp(&who_has);
+        self.emit_arp(&ArpPacket::reply_to(&who_has, crate::lab::Lab::GATEWAY_MAC));
     }
 
-    fn emit_arp(&mut self, arp: iot_net::arp::ArpPacket, dst: iot_net::mac::MacAddr) {
+    /// Writes one ARP frame from its sender's MAC: a request is
+    /// broadcast, a reply goes to its target.
+    fn emit_arp(&mut self, arp: &ArpPacket) {
+        const LEN: usize = ethernet::HEADER_LEN + iot_net::arp::PACKET_LEN;
         let ts = self.tick((1.0, 8.0));
-        let frame = iot_net::ethernet::EthernetFrame {
-            dst,
-            src: self.device.mac,
-            ethertype: iot_net::ethernet::EtherType::Arp,
-            payload: &arp.encode(),
+        let dst = match arp.op {
+            ArpOp::Request => MacAddr::BROADCAST,
+            ArpOp::Reply => arp.target_mac,
         };
         self.cap
-            .push(ts, &frame.encode())
-            .expect("generated timestamps fit the pcap format");
-    }
-
-    fn emit_arp_from_gateway(&mut self, arp: iot_net::arp::ArpPacket) {
-        let ts = self.tick((1.0, 8.0));
-        let frame = iot_net::ethernet::EthernetFrame {
-            dst: self.device.mac,
-            src: crate::lab::Lab::GATEWAY_MAC,
-            ethertype: iot_net::ethernet::EtherType::Arp,
-            payload: &arp.encode(),
-        };
-        self.cap
-            .push(ts, &frame.encode())
+            .write_record(ts, LEN as u32, LEN, |out| {
+                ethernet::write_header(out, dst, arp.sender_mac, EtherType::Arp);
+                out.extend_from_slice(&arp.encode());
+            })
             .expect("generated timestamps fit the pcap format");
     }
 
@@ -389,8 +398,7 @@ impl<'a> TrafficGenerator<'a> {
             };
             self.flight(&hello, TriggerContext::Power);
         }
-        let flights = self.spec().power_flights.clone();
-        for f in &flights {
+        for f in &spec.power_flights {
             self.flight(f, TriggerContext::Power);
         }
     }
@@ -477,14 +485,6 @@ impl<'a> TrafficGenerator<'a> {
         }
     }
 
-    /// A `kind` payload of `len` bytes in a buffer of its own, for the
-    /// protocol messages that take ownership of their body.
-    fn payload_bytes(&mut self, kind: PayloadKind, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        write_payload(&mut self.rng, kind, len, &mut out);
-        out
-    }
-
     /// A `kind` payload of `len` bytes in the scratch buffer (see
     /// [`TrafficGenerator::take_scratch`]), prefixed with `id=<leak>;`
     /// when a proprietary channel carries `leak`.
@@ -496,7 +496,9 @@ impl<'a> TrafficGenerator<'a> {
     ) -> Vec<u8> {
         let mut buf = self.take_scratch();
         if let Some(l) = leak {
-            buf.extend_from_slice(format!("id={};", self.leak_text(l)).as_bytes());
+            for part in ["id=", &self.leak_text(l), ";"] {
+                buf.extend_from_slice(part.as_bytes());
+            }
         }
         write_payload(&mut self.rng, kind, len, &mut buf);
         buf
@@ -504,14 +506,9 @@ impl<'a> TrafficGenerator<'a> {
 
     /// A TLS application-data record of `len` ciphertext bytes, header
     /// and fragment generated straight into the scratch buffer.
-    fn application_data(&mut self, len: usize) -> Vec<u8> {
+    fn app_data_record(&mut self, len: usize) -> Vec<u8> {
         let mut buf = self.take_scratch();
-        tls::Record::write_header(
-            &mut buf,
-            tls::ContentType::ApplicationData,
-            tls::VERSION_TLS12,
-            len,
-        );
+        tls::write_record_header(&mut buf, tls::ContentType::ApplicationData, len);
         generators::ciphertext_into(&mut self.rng, len, &mut buf);
         buf
     }
@@ -544,128 +541,101 @@ impl<'a> TrafficGenerator<'a> {
         }
     }
 
-    fn tcp_out(&mut self, endpoint: usize, remote: Ipv4Addr, port: u16, flags: TcpFlags, payload: &[u8], iat: (f64, f64)) {
+    /// Writes one segment of `link`'s connection in direction `dir`,
+    /// after a gap drawn from `iat`, and advances that direction's
+    /// sequence number past it.
+    fn segment(
+        &mut self,
+        link: Link,
+        dir: Direction,
+        flags: TcpFlags,
+        payload: &[u8],
+        iat: (f64, f64),
+    ) {
         let ts = self.tick(iat);
-        let (src_port, seq_out, seq_in) = {
-            let c = self.conns.get(&endpoint).expect("conn exists");
-            (c.src_port, c.seq_out, c.seq_in)
+        let c = self.conns.get_mut(&link.endpoint).expect("conn exists");
+        let (mut builder, src_port, dst_port, seq, ack) = match dir {
+            Direction::Outbound => (
+                self.device.builder_out(link.remote),
+                c.src_port,
+                link.port,
+                &mut c.seq_out,
+                c.seq_in,
+            ),
+            Direction::Inbound => (
+                self.device.builder_in(link.remote),
+                link.port,
+                c.src_port,
+                &mut c.seq_in,
+                c.seq_out,
+            ),
         };
         let header = TcpHeader {
             src_port,
-            dst_port: port,
-            seq: seq_out,
-            ack: seq_in,
+            dst_port,
+            seq: *seq,
+            ack,
             flags,
             window: 65535,
         };
-        self.device
-            .builder_out(remote)
+        builder
             .write_tcp(&mut self.cap, ts, &header, payload)
             .expect("generated timestamps fit the pcap format");
-        let c = self.conns.get_mut(&endpoint).expect("conn exists");
-        c.seq_out = seq_out.wrapping_add(payload.len() as u32).wrapping_add(u32::from(
-            flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN),
-        ));
+        let syn_or_fin = flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN);
+        *seq = seq
+            .wrapping_add(payload.len() as u32)
+            .wrapping_add(u32::from(syn_or_fin));
     }
 
-    fn tcp_in(&mut self, endpoint: usize, remote: Ipv4Addr, port: u16, flags: TcpFlags, payload: &[u8], iat: (f64, f64)) {
-        let ts = self.tick(iat);
-        let (src_port, seq_out, seq_in) = {
-            let c = self.conns.get(&endpoint).expect("conn exists");
-            (c.src_port, c.seq_out, c.seq_in)
-        };
-        let header = TcpHeader {
-            src_port: port,
-            dst_port: src_port,
-            seq: seq_in,
-            ack: seq_out,
-            flags,
-            window: 65535,
-        };
-        self.device
-            .builder_in(remote)
-            .write_tcp(&mut self.cap, ts, &header, payload)
-            .expect("generated timestamps fit the pcap format");
-        let c = self.conns.get_mut(&endpoint).expect("conn exists");
-        c.seq_in = seq_in.wrapping_add(payload.len() as u32).wrapping_add(u32::from(
-            flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN),
-        ));
-    }
-
-    fn ensure_tcp_established(&mut self, endpoint: usize, remote: Ipv4Addr, port: u16) {
-        let (_, established) = self.conn_entry(endpoint);
+    fn ensure_tcp_established(&mut self, link: Link) {
+        let (_, established) = self.conn_entry(link.endpoint);
         if established {
             return;
         }
-        self.tcp_out(endpoint, remote, port, TcpFlags::SYN, &[], (1.0, 8.0));
-        self.tcp_in(
-            endpoint,
-            remote,
-            port,
-            TcpFlags::SYN | TcpFlags::ACK,
-            &[],
-            (10.0, 70.0),
-        );
-        self.tcp_out(endpoint, remote, port, TcpFlags::ACK, &[], (0.5, 3.0));
-        self.conns.get_mut(&endpoint).expect("conn").established = true;
+        self.segment(link, Direction::Outbound, TcpFlags::SYN, &[], (1.0, 8.0));
+        let syn_ack = TcpFlags::SYN | TcpFlags::ACK;
+        self.segment(link, Direction::Inbound, syn_ack, &[], (10.0, 70.0));
+        self.segment(link, Direction::Outbound, TcpFlags::ACK, &[], (0.5, 3.0));
+        self.conns
+            .get_mut(&link.endpoint)
+            .expect("conn")
+            .established = true;
     }
 
     fn tls_flight(&mut self, flight: &Flight, remote: Ipv4Addr, host: &str) {
-        self.ensure_tcp_established(flight.endpoint, remote, tls::PORT);
-        let need_handshake = !self.conns[&flight.endpoint].app_started;
-        if need_handshake {
+        let link = Link {
+            endpoint: flight.endpoint,
+            remote,
+            port: tls::PORT,
+        };
+        self.ensure_tcp_established(link);
+        if !self.conns[&flight.endpoint].app_started {
             let mut random = [0u8; 32];
             self.rng.fill(&mut random);
-            let hello = tls::ClientHello::new(random, host).to_record().encode();
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &hello,
-                (2.0, 10.0),
-            );
-            let mut server_random = [0u8; 32];
-            self.rng.fill(&mut server_random);
+            let mut hello = self.take_scratch();
+            tls::write_client_hello(&mut hello, &random, host);
+            self.segment(link, Direction::Outbound, DATA, &hello, (2.0, 10.0));
+            self.rng.fill(&mut random);
             let cs = tls::DEFAULT_CIPHER_SUITES
                 [self.rng.gen_range(0..tls::DEFAULT_CIPHER_SUITES.len())];
-            let reply = tls::server_hello(server_random, cs);
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &reply,
-                (15.0, 90.0),
-            );
+            hello.clear();
+            tls::write_server_hello(&mut hello, &random, cs);
+            self.segment(link, Direction::Inbound, DATA, &hello, (15.0, 90.0));
+            self.scratch = hello;
             self.conns.get_mut(&flight.endpoint).expect("conn").app_started = true;
         }
         let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
         for _ in 0..out_n {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let record = self.application_data(size);
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &record,
-                flight.iat_ms,
-            );
+            let record = self.app_data_record(size);
+            self.segment(link, Direction::Outbound, DATA, &record, flight.iat_ms);
             self.scratch = record;
         }
         let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
         for _ in 0..in_n {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let record = self.application_data(size);
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &record,
-                flight.iat_ms,
-            );
+            let record = self.app_data_record(size);
+            self.segment(link, Direction::Inbound, DATA, &record, flight.iat_ms);
             self.scratch = record;
         }
     }
@@ -677,53 +647,53 @@ impl<'a> TrafficGenerator<'a> {
         host: &str,
         leak: Option<&PiiLeak>,
     ) {
-        self.ensure_tcp_established(flight.endpoint, remote, http::PORT);
+        let link = Link {
+            endpoint: flight.endpoint,
+            remote,
+            port: http::PORT,
+        };
+        self.ensure_tcp_established(link);
         let body_size = self
             .rng
             .gen_range(flight.out_size.0..=flight.out_size.1)
             .max(32) as usize;
-        let mut body = self.payload_bytes(flight.payload, body_size);
-        let path = match leak {
-            Some(l) => {
-                let param = match l.kind {
-                    PiiKind::MacAddress => "mac",
-                    PiiKind::DeviceId => "device_id",
-                    PiiKind::Geolocation => "loc",
-                    PiiKind::DeviceName => "name",
-                };
-                let text = self.leak_text(l);
-                let mut prefix = format!("{param}={text}&").into_bytes();
-                prefix.append(&mut body);
-                body = prefix;
-                format!("/v1/checkin?{param}={}", self.leak_text(l).replace(' ', "%20"))
-            }
-            None => "/v1/status".to_string(),
-        };
-        let request = http::Request::new("POST", host, &path)
-            .header("User-Agent", &format!("{}/2.4", self.spec().id()))
-            .body(body)
-            .encode();
-        // First packet carries headers + start of body; spill the rest.
-        let first_len = request.len().min(1200);
-        let (first, rest) = request.split_at(first_len);
-        self.tcp_out(
-            flight.endpoint,
-            remote,
-            http::PORT,
-            TcpFlags::PSH | TcpFlags::ACK,
-            first,
-            flight.iat_ms,
+        // A leak rides in the query string and at the head of the body.
+        let leak = leak.map(|l| {
+            let param = match l.kind {
+                PiiKind::MacAddress => "mac",
+                PiiKind::DeviceId => "device_id",
+                PiiKind::Geolocation => "loc",
+                PiiKind::DeviceName => "name",
+            };
+            (param, self.leak_text(l))
+        });
+        let path = leak
+            .as_ref()
+            .map(|(param, text)| format!("/v1/checkin?{param}={}", text.replace(' ', "%20")));
+        let prefix_len = leak
+            .as_ref()
+            .map_or(0, |(param, text)| param.len() + text.len() + 2);
+        let mut request = self.take_scratch();
+        http::write_request_head(
+            &mut request,
+            "POST",
+            host,
+            path.as_deref().unwrap_or("/v1/status"),
+            &[("User-Agent", &self.user_agent)],
+            Some(prefix_len + body_size),
         );
-        for chunk in rest.chunks(1200) {
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                chunk,
-                flight.iat_ms,
-            );
+        if let Some((param, text)) = &leak {
+            for part in [param, "=", text, "&"] {
+                request.extend_from_slice(part.as_bytes());
+            }
         }
+        write_payload(&mut self.rng, flight.payload, body_size, &mut request);
+        // The first segment carries the head and the start of the body;
+        // the rest spills into further 1,200-byte segments.
+        for chunk in request.chunks(1200) {
+            self.segment(link, Direction::Outbound, DATA, chunk, flight.iat_ms);
+        }
+        self.scratch = request;
         // Extra outbound data packets (e.g. plaintext video frames).
         let extra = self
             .rng
@@ -732,14 +702,7 @@ impl<'a> TrafficGenerator<'a> {
         for _ in 0..extra {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
             let bytes = self.scratch_payload(None, flight.payload, size);
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &bytes,
-                flight.iat_ms,
-            );
+            self.segment(link, Direction::Outbound, DATA, &bytes, flight.iat_ms);
             self.scratch = bytes;
         }
         // Response.
@@ -748,20 +711,14 @@ impl<'a> TrafficGenerator<'a> {
             PayloadKind::Markup => PayloadKind::Markup,
             _ => PayloadKind::Telemetry,
         };
-        let resp_body = self.payload_bytes(resp_kind, resp_size);
-        let response = http::Response::new(200, "OK", resp_body)
-            .header("Content-Type", "application/octet-stream")
-            .encode();
+        let mut response = self.take_scratch();
+        let content_type = ("Content-Type", "application/octet-stream");
+        http::write_response_head(&mut response, 200, "OK", resp_size, &[content_type]);
+        write_payload(&mut self.rng, resp_kind, resp_size, &mut response);
         for chunk in response.chunks(1200) {
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                chunk,
-                flight.iat_ms,
-            );
+            self.segment(link, Direction::Inbound, DATA, chunk, flight.iat_ms);
         }
+        self.scratch = response;
         let extra_in = self
             .rng
             .gen_range(flight.in_packets.0..=flight.in_packets.1)
@@ -769,14 +726,7 @@ impl<'a> TrafficGenerator<'a> {
         for _ in 0..extra_in {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
             let bytes = self.scratch_payload(None, resp_kind, size);
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &bytes,
-                flight.iat_ms,
-            );
+            self.segment(link, Direction::Inbound, DATA, &bytes, flight.iat_ms);
             self.scratch = bytes;
         }
     }
@@ -806,69 +756,45 @@ impl<'a> TrafficGenerator<'a> {
     }
 
     fn mqtt_flight(&mut self, flight: &Flight, remote: Ipv4Addr, leak: Option<&PiiLeak>) {
-        self.ensure_tcp_established(flight.endpoint, remote, mqtt::PORT);
+        let link = Link {
+            endpoint: flight.endpoint,
+            remote,
+            port: mqtt::PORT,
+        };
+        self.ensure_tcp_established(link);
+        let leak = leak.map(|l| self.leak_text(l));
         if !self.conns[&flight.endpoint].app_started {
-            let client_id = match leak {
-                Some(l) => format!("{}-{}", self.spec().id(), self.leak_text(l)),
-                None => format!("{}-{:08x}", self.spec().id(), self.rng.gen::<u32>()),
+            let client_id = match &leak {
+                Some(text) => format!("{}-{text}", self.catalog_id),
+                None => format!("{}-{:08x}", self.catalog_id, self.rng.gen::<u32>()),
             };
-            let connect = mqtt::MqttPacket::Connect { client_id }.encode();
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &connect,
-                (2.0, 12.0),
-            );
-            let connack = mqtt::MqttPacket::ConnAck.encode();
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &connack,
-                (10.0, 60.0),
-            );
+            let mut connect = self.take_scratch();
+            mqtt::write_connect(&mut connect, &client_id);
+            self.segment(link, Direction::Outbound, DATA, &connect, (2.0, 12.0));
+            self.scratch = connect;
+            self.segment(link, Direction::Inbound, DATA, &mqtt::CONNACK, (10.0, 60.0));
             self.conns.get_mut(&flight.endpoint).expect("conn").app_started = true;
         }
         let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
         for i in 0..out_n {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let mut payload = self.payload_bytes(flight.payload, size);
-            if i == 0 {
-                if let Some(l) = leak {
-                    let mut prefix = self.leak_text(l).into_bytes();
-                    prefix.push(b';');
-                    prefix.append(&mut payload);
-                    payload = prefix;
-                }
+            // The first PUBLISH carries a leak as `<text>;` before its payload.
+            let prefix = leak.as_deref().filter(|_| i == 0);
+            let prefix_len = prefix.map_or(0, |text| text.len() + 1);
+            let mut publish = self.take_scratch();
+            mqtt::write_publish_head(&mut publish, &self.topic, prefix_len + size);
+            if let Some(text) = prefix {
+                publish.extend_from_slice(text.as_bytes());
+                publish.push(b';');
             }
-            let publish = mqtt::MqttPacket::Publish {
-                topic: format!("{}/telemetry", self.spec().id()),
-                payload,
-            }
-            .encode();
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &publish,
-                flight.iat_ms,
-            );
+            write_payload(&mut self.rng, flight.payload, size, &mut publish);
+            self.segment(link, Direction::Outbound, DATA, &publish, flight.iat_ms);
+            self.scratch = publish;
         }
         let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
         for _ in 0..in_n {
-            let pong = mqtt::MqttPacket::PingResp.encode();
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &pong,
-                flight.iat_ms,
-            );
+            let pong = mqtt::PINGRESP;
+            self.segment(link, Direction::Inbound, DATA, &pong, flight.iat_ms);
         }
     }
 
@@ -879,33 +805,24 @@ impl<'a> TrafficGenerator<'a> {
         port: u16,
         leak: Option<&PiiLeak>,
     ) {
-        self.ensure_tcp_established(flight.endpoint, remote, port);
+        let link = Link {
+            endpoint: flight.endpoint,
+            remote,
+            port,
+        };
+        self.ensure_tcp_established(link);
         let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
         for i in 0..out_n {
             let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
             let payload = self.scratch_payload(leak.filter(|_| i == 0), flight.payload, size);
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                port,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &payload,
-                flight.iat_ms,
-            );
+            self.segment(link, Direction::Outbound, DATA, &payload, flight.iat_ms);
             self.scratch = payload;
         }
         let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
         for _ in 0..in_n {
             let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
             let payload = self.scratch_payload(None, flight.payload, size);
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                port,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &payload,
-                flight.iat_ms,
-            );
+            self.segment(link, Direction::Inbound, DATA, &payload, flight.iat_ms);
             self.scratch = payload;
         }
     }

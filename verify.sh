@@ -61,6 +61,10 @@
 #    moves any table — the corpus analyses, feature extraction or forest
 #    training — fails here. The script holds the one list of tables and
 #    scales.
+# 6. lines: prints the tracked Rust lines, product and test apart, the
+#    count each change reports its net line delta from. A file under a
+#    tests/ directory is test code; in any other file, the lines from its
+#    first #[cfg(test)] onwards are. The step gates nothing.
 #
 # Flags:
 #   --nightly   run the deeper, slower sweeps too (currently: the
@@ -184,5 +188,15 @@ for name in $(artifacts results); do
   count=$((count + 1))
 done
 echo "tables: $count regenerated artifacts byte-identical to results/"
+
+echo "=== lines: tracked Rust, product and test apart ==="
+git ls-files '*.rs' | awk '
+  { test = ($0 ~ /(^|\/)tests\//)
+    while ((getline line < $0) > 0) {
+      if (line ~ /^[[:space:]]*#\[cfg\(test\)\]/) test = 1
+      if (test) t++; else p++
+    }
+    close($0) }
+  END { printf "lines: %d tracked Rust: %d product, %d test\n", p + t, p, t }'
 
 echo "verify.sh: OK"
