@@ -67,6 +67,24 @@ impl ExpGroup {
             ExpGroup::Video => 16,
         }
     }
+
+    /// The group bits of an experiment of `kind` whose activity, for an
+    /// interaction, is of kind `activity`.
+    fn bits(kind: ExperimentKind, activity: Option<ActivityKind>) -> u8 {
+        match kind {
+            ExperimentKind::Idle => ExpGroup::Idle.bit(),
+            ExperimentKind::Power => ExpGroup::Control.bit() | ExpGroup::Power.bit(),
+            ExperimentKind::Interaction => {
+                ExpGroup::Control.bit()
+                    | match activity {
+                        Some(ActivityKind::Voice) => ExpGroup::Voice.bit(),
+                        Some(ActivityKind::Video) => ExpGroup::Video.bit(),
+                        _ => 0,
+                    }
+            }
+            ExperimentKind::Uncontrolled => 0,
+        }
+    }
 }
 
 /// The eight column contexts used throughout the paper's tables:
@@ -148,21 +166,24 @@ pub(crate) struct DestCtx {
 }
 
 impl DestCtx {
-    /// `None` when the device is unknown to the catalog (such experiments
-    /// contribute no destination observations).
-    pub(crate) fn of(exp: &LabeledExperiment) -> Option<DestCtx> {
-        let spec = catalog::by_name(exp.device_name)?;
-        Some(DestCtx {
-            manufacturer_org: spec.manufacturer_org,
+    /// The context of `exp`, made by `manufacturer_org`, with `activity`
+    /// its activity's kind ([`LabeledExperiment::activity_kind`]).
+    pub(crate) fn new(
+        exp: &LabeledExperiment,
+        manufacturer_org: &'static str,
+        activity: Option<ActivityKind>,
+    ) -> DestCtx {
+        DestCtx {
+            manufacturer_org,
             egress: exp.site.egress(exp.vpn),
-            groups: DestinationAnalysis::groups_of(exp),
-        })
+            groups: ExpGroup::bits(exp.kind, activity),
+        }
     }
 }
 
 /// Accumulates destination observations across experiments.
+#[derive(Default)]
 pub struct DestinationAnalysis {
-    db: &'static GeoDb,
     observations: HashMap<ObsKey, ObsVal>,
     /// Result-neutral memo of `ip:a.b.c.d` key strings for flows with no
     /// domain label. Never merged: it is a cache keyed by full content,
@@ -170,67 +191,28 @@ pub struct DestinationAnalysis {
     ip_keys: HashMap<Ipv4Addr, Arc<str>>,
 }
 
-impl Default for DestinationAnalysis {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DestinationAnalysis {
     /// Creates an empty analysis.
     pub fn new() -> Self {
-        DestinationAnalysis {
-            db: GeoDb::shared(),
-            observations: HashMap::new(),
-            ip_keys: HashMap::new(),
-        }
-    }
-
-    /// The registry in use.
-    pub fn db(&self) -> &GeoDb {
-        self.db
-    }
-
-    /// Groups an experiment falls into.
-    fn groups_of(exp: &LabeledExperiment) -> u8 {
-        let mut bits = 0u8;
-        match exp.kind {
-            ExperimentKind::Idle => bits |= ExpGroup::Idle.bit(),
-            ExperimentKind::Power => {
-                bits |= ExpGroup::Control.bit() | ExpGroup::Power.bit();
-            }
-            ExperimentKind::Interaction => {
-                bits |= ExpGroup::Control.bit();
-                if let Some(activity) = exp.activity {
-                    if let Some(spec) = catalog::by_name(exp.device_name) {
-                        match spec.activity(activity).map(|a| a.kind) {
-                            Some(ActivityKind::Voice) => bits |= ExpGroup::Voice.bit(),
-                            Some(ActivityKind::Video) => bits |= ExpGroup::Video.bit(),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            ExperimentKind::Uncontrolled => {}
-        }
-        bits
+        Self::default()
     }
 
     /// Ingests pre-extracted flows (lets callers share the extraction with
-    /// other analyses).
+    /// other analyses). An experiment of a device the catalog does not
+    /// know contributes no observations.
     pub fn add_flows(&mut self, exp: &LabeledExperiment, flows: &ExperimentFlows) {
-        let ctx = match DestCtx::of(exp) {
-            Some(c) => c,
-            None => return,
+        let Some(spec) = catalog::by_name(exp.device_name) else {
+            return;
         };
+        let ctx = DestCtx::new(exp, spec.manufacturer_org, exp.activity_kind(spec));
         for lf in flows.internet_flows() {
             self.add_flow(exp, &ctx, lf);
         }
     }
 
     /// Ingests one internet-facing labeled flow — the fused-pipeline entry
-    /// point. `ctx` is [`DestCtx::of`] for the experiment, computed once
-    /// per experiment rather than per flow.
+    /// point. `ctx` is the experiment's [`DestCtx`], built once per
+    /// experiment rather than per flow.
     pub(crate) fn add_flow(
         &mut self,
         exp: &LabeledExperiment,
@@ -238,7 +220,6 @@ impl DestinationAnalysis {
         lf: &crate::flows::LabeledFlow,
     ) {
         let DestinationAnalysis {
-            db,
             observations,
             ip_keys,
         } = self;
@@ -273,6 +254,7 @@ impl DestinationAnalysis {
                 // equivalent to relabeling every flow.
                 // §4.1 party labeling: domain-based first, IP-owner
                 // fallback.
+                let db = GeoDb::shared();
                 let (org, role) =
                     match lf.domain.as_deref().and_then(|d| db.org_for_domain(d)) {
                         Some((org, role)) => (Some(org), Some(role)),

@@ -114,6 +114,25 @@ impl Table8Row {
         ]
     }
 
+    /// The rows an experiment of `kind` counts under, `activity` being
+    /// its activity's kind: one static slice per experiment kind, and
+    /// per activity kind for interactions.
+    pub(crate) fn rows(
+        kind: ExperimentKind,
+        activity: Option<ActivityKind>,
+    ) -> &'static [Table8Row] {
+        match kind {
+            ExperimentKind::Idle => &[Table8Row::Idle],
+            ExperimentKind::Uncontrolled => &[Table8Row::Uncontrolled],
+            ExperimentKind::Power => &[Table8Row::Control, Table8Row::Power],
+            ExperimentKind::Interaction => match activity {
+                Some(ActivityKind::Voice) => &[Table8Row::Control, Table8Row::Voice],
+                Some(ActivityKind::Video) => &[Table8Row::Control, Table8Row::Video],
+                _ => &[Table8Row::Control, Table8Row::Others],
+            },
+        }
+    }
+
     /// Row label.
     pub fn name(self) -> &'static str {
         match self {
@@ -128,12 +147,11 @@ impl Table8Row {
     }
 }
 
-/// Classifies one labeled flow, returning the class its bytes count under.
-pub fn classify_flow(
-    flow: &crate::flows::LabeledFlow,
-    thresholds: &Thresholds,
-) -> EncryptionClass {
-    classify_flow_with(flow, thresholds, &mut EntropyScratch::new())
+/// Classifies one labeled flow, returning the class its bytes count
+/// under; entropy is judged by the paper's thresholds,
+/// `Thresholds::default()` (0.4 and 0.8).
+pub fn classify_flow(flow: &crate::flows::LabeledFlow) -> EncryptionClass {
+    classify_flow_with(flow, &mut EntropyScratch::new())
 }
 
 /// [`classify_flow`] with a reusable [`EntropyScratch`], the hot-path
@@ -141,7 +159,6 @@ pub fn classify_flow(
 /// reference, so the classification is too.
 pub fn classify_flow_with(
     flow: &crate::flows::LabeledFlow,
-    thresholds: &Thresholds,
     scratch: &mut EntropyScratch,
 ) -> EncryptionClass {
     // 1. Protocol analysis.
@@ -164,7 +181,7 @@ pub fn classify_flow_with(
             .chunks(ENTROPY_CHUNK)
             .chain(flow.flow.payload_in.chunks(ENTROPY_CHUNK)),
     );
-    let class = thresholds.classify_value(h);
+    let class = Thresholds::default().classify_value(h);
     if class == EncryptionClass::LikelyEncrypted
         && flow.protocol == ProtocolId::Unknown
         && flow.flow.total_bytes() > MEDIA_EXCLUSION_BYTES
@@ -177,8 +194,8 @@ pub fn classify_flow_with(
 }
 
 /// Accumulates encryption classifications across experiments.
+#[derive(Default)]
 pub struct EncryptionAnalysis {
-    thresholds: Thresholds,
     per_device: HashMap<(LabSite, bool, &'static str), ClassBytes>,
     per_row: HashMap<(LabSite, bool, Table8Row), ClassBytes>,
     /// Table 7's Welch samples: one unencrypted-byte percentage per
@@ -186,27 +203,12 @@ pub struct EncryptionAnalysis {
     unencrypted_samples: HashMap<(LabSite, bool, &'static str), Vec<f64>>,
 }
 
-impl Default for EncryptionAnalysis {
-    fn default() -> Self {
-        Self::new(Thresholds::default())
-    }
-}
-
 impl EncryptionAnalysis {
-    /// Creates an analysis with the given entropy thresholds.
-    pub fn new(thresholds: Thresholds) -> Self {
-        EncryptionAnalysis {
-            thresholds,
-            per_device: HashMap::new(),
-            per_row: HashMap::new(),
-            unencrypted_samples: HashMap::new(),
-        }
-    }
-
     /// Ingests pre-extracted flows: one experiment's worth, with entropy
     /// tables of its own.
     pub fn add_flows(&mut self, exp: &LabeledExperiment, flows: &ExperimentFlows) {
-        let rows = Self::rows_of(exp);
+        let activity = catalog::by_name(exp.device_name).and_then(|spec| exp.activity_kind(spec));
+        let rows = Table8Row::rows(exp.kind, activity);
         let mut scratch = EntropyScratch::new();
         let mut tally = ClassBytes::default();
         for lf in &flows.flows {
@@ -216,7 +218,7 @@ impl EncryptionAnalysis {
     }
 
     /// Ingests one labeled flow — the fused-pipeline entry point. The
-    /// `rows` slice is [`Self::rows_of`] for the experiment, looked up once
+    /// `rows` slice is the experiment's `Table8Row::rows`, looked up once
     /// per experiment rather than per flow; `tally` sums the experiment's
     /// bytes for [`Self::add_sample`]; `scratch` is the caller's entropy
     /// tables.
@@ -228,7 +230,7 @@ impl EncryptionAnalysis {
         tally: &mut ClassBytes,
         scratch: &mut EntropyScratch,
     ) {
-        let class = classify_flow_with(lf, &self.thresholds, scratch);
+        let class = classify_flow_with(lf, scratch);
         let bytes = lf.flow.total_bytes();
         tally.add(class, bytes);
         self.per_device
@@ -259,13 +261,7 @@ impl EncryptionAnalysis {
     /// and keyed identically, and sample lists concatenate, so merging
     /// shards is equivalent to serial ingestion in any order (samples
     /// up to order, which [`Self::unencrypted_samples`] sorts away).
-    /// Panics if thresholds differ — shards must classify with the same
-    /// configuration for the merge to be sound.
     pub fn merge(&mut self, other: EncryptionAnalysis) {
-        assert!(
-            self.thresholds == other.thresholds,
-            "merging encryption analyses with different thresholds"
-        );
         for (key, cb) in other.per_device {
             self.per_device.entry(key).or_default().merge(&cb);
         }
@@ -288,26 +284,6 @@ impl EncryptionAnalysis {
             agg.merge(cb);
         }
         agg
-    }
-
-    /// The Table 8 rows an experiment's bytes count under: one static
-    /// slice per experiment kind, and per activity kind for interactions.
-    pub(crate) fn rows_of(exp: &LabeledExperiment) -> &'static [Table8Row] {
-        match exp.kind {
-            ExperimentKind::Idle => &[Table8Row::Idle],
-            ExperimentKind::Uncontrolled => &[Table8Row::Uncontrolled],
-            ExperimentKind::Power => &[Table8Row::Control, Table8Row::Power],
-            ExperimentKind::Interaction => {
-                let kind = exp
-                    .activity
-                    .and_then(|a| catalog::by_name(exp.device_name)?.activity(a).map(|s| s.kind));
-                match kind {
-                    Some(ActivityKind::Voice) => &[Table8Row::Control, Table8Row::Voice],
-                    Some(ActivityKind::Video) => &[Table8Row::Control, Table8Row::Video],
-                    _ => &[Table8Row::Control, Table8Row::Others],
-                }
-            }
-        }
     }
 
     /// Per-device byte counters in a (site, vpn) context.
@@ -450,11 +426,7 @@ impl EncryptionAnalysis {
 
     /// Serializes both counter maps and the Table 7 samples for the
     /// campaign checkpoint journal, in sorted key order for byte-stable
-    /// output (samples keep their ingest order). Thresholds are not
-    /// persisted: the pipeline always classifies with
-    /// `Thresholds::default()`, and the journal header's campaign
-    /// fingerprint already pins the configuration — decode rebuilds onto
-    /// a default-thresholds analysis.
+    /// output (samples keep their ingest order).
     pub(crate) fn encode_journal(&self, w: &mut crate::supervise::ByteWriter) {
         use crate::supervise as sup;
         let mut devices: Vec<&(LabSite, bool, &'static str)> = self.per_device.keys().collect();
@@ -497,8 +469,7 @@ impl EncryptionAnalysis {
         }
     }
 
-    /// Decodes journaled counter maps and samples onto a
-    /// default-thresholds analysis. Duplicate keys fold like
+    /// Decodes journaled counter maps and samples. Duplicate keys fold like
     /// [`EncryptionAnalysis::merge`]; malformed input is a typed error.
     pub(crate) fn decode_journal(
         r: &mut crate::supervise::ByteReader<'_>,

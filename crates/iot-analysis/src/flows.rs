@@ -344,8 +344,7 @@ mod tests {
             idle_hours: 0.5,
             include_vpn: true,
         });
-        let was = iot_obs::alloc::enabled();
-        iot_obs::alloc::set_enabled(true);
+        let counting = iot_obs::alloc::counting(true);
         let mut ctx = LabelCtx::new();
         let mut flows = 0;
         campaign.lend_unit(&db, 0, |exp| {
@@ -359,7 +358,7 @@ mod tests {
         let before = iot_obs::alloc::thread_snapshot();
         drop(ctx);
         let freed = iot_obs::alloc::thread_snapshot().since(&before).bytes_freed;
-        iot_obs::alloc::set_enabled(was);
+        drop(counting);
         assert!(flows > 100, "need a real unit: {flows} flows");
         assert!(
             freed <= (names + table) as u64,

@@ -306,35 +306,6 @@ impl PiiPatterns {
     }
 }
 
-/// Per-shard cache of compiled [`PiiPatterns`], keyed like the pipeline's
-/// identity map. Building a pattern set base64-encodes every identifier
-/// at three phases; doing that once per (device, site) instead of once
-/// per experiment is pure win — the patterns are a function of the
-/// identity alone.
-#[derive(Default)]
-pub struct PatternCache {
-    map: std::collections::HashMap<(&'static str, LabSite), PiiPatterns>,
-}
-
-impl PatternCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The compiled patterns for `identity`, building them on first use.
-    pub fn get(
-        &mut self,
-        device: &'static str,
-        site: LabSite,
-        identity: &DeviceIdentity,
-    ) -> &PiiPatterns {
-        self.map
-            .entry((device, site))
-            .or_insert_with(|| PiiPatterns::for_identity(identity))
-    }
-}
-
 /// Scans one labeled flow's payloads; returns the deduplicated
 /// (kind, encoding) hits in sorted order.
 pub(crate) fn scan_flow(

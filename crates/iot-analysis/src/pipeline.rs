@@ -27,13 +27,17 @@
 //! per-experiment context built once before it. It is the only place
 //! those three stages see a flow, and the zero-allocation test runs it.
 //!
-//! A worker keeps its result-neutral state — the domain intern pool,
-//! compiled PII patterns, entropy term tables, the flow pool in which it
-//! rebuilds each experiment's flows, and its metric registry — for its
-//! whole run, while the report-bearing accumulators live per unit, so no
-//! lock sits on the hot path. Once a worker has met its largest
-//! experiment, flow reconstruction and the per-flow loop allocate only to
-//! intern a new name or build a PII finding. Experiment generation is
+//! A run builds one device table before its workers start: each deployed
+//! (device, site)'s identity, the PII scan's ground truth, and its PII
+//! search patterns, compiled by the first worker that scans the device.
+//! The workers share it by reference. A worker keeps its own
+//! result-neutral state — the domain intern pool, entropy term tables,
+//! the flow pool in which it rebuilds each experiment's flows, and its
+//! metric registry — for its whole run, while the report-bearing
+//! accumulators live per unit, so no lock sits on the hot path. Once a
+//! worker has met its largest experiment, flow reconstruction and the
+//! per-flow loop allocate only to intern a new name or build a PII
+//! finding. Experiment generation is
 //! seeded per (device, activity, rep, site, vpn), and every accumulator
 //! merge is order-independent, so the report is byte-identical at any
 //! worker count; the oracle's differential pillar
@@ -71,11 +75,13 @@
 //! is degraded (drops, truncation, bit-flips, corrupt record headers,
 //! torn tails — see `iot_chaos::FaultPlan`), then re-read through the
 //! lenient pcap salvage path. The fault key is derived from the
-//! experiment's identity `(device, site, vpn, label, rep)`, never from
-//! ingestion order, so a faulted campaign is still byte-identical across
-//! worker counts. Analysis runs inside a `catch_unwind` boundary: a
-//! panicking experiment is quarantined — its packets counted, its
-//! accumulator contributions zero — instead of killing the run. A panic
+//! experiment's identity `(device, site, vpn, label)`, never from
+//! ingestion order or the repetition index, so a faulted campaign is
+//! still byte-identical across worker counts and repetitions of one
+//! identity draw the same faults. Analysis runs inside a `catch_unwind`
+//! boundary: a panicking experiment is quarantined — its packets
+//! counted, its accumulator contributions zero — instead of killing the
+//! run. A panic
 //! that escapes that boundary costs its unit: the unit is neither
 //! journaled nor folded, the ledger gains one `worker_panic` marker, and
 //! the worker goes on with the next unit. The whole ledger is an
@@ -96,7 +102,7 @@ use crate::destinations::{ColumnCtx, DestCtx, DestinationAnalysis};
 use crate::encryption::{ClassBytes, EncryptionAnalysis, Table8Row};
 use crate::flows::{ExperimentFlows, LabelCtx, LabeledFlow};
 use crate::ingest::IngestStats;
-use crate::pii::{findings_for_flow, scan_flow, PatternCache, PiiFinding, PiiPatterns};
+use crate::pii::{findings_for_flow, scan_flow, PiiFinding, PiiPatterns};
 use crate::supervise::{
     campaign_fingerprint, read_journal, unit_identities, Coverage, CoverageOutcome, JournalError,
     JournalWriter, SuperviseSummary, SupervisorConfig, UnitDelta,
@@ -117,56 +123,44 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Message carried by chaos-injected ingest panics, so logs can tell a
 /// drill from a real defect.
 pub const INJECTED_PANIC_MSG: &str = "chaos: injected ingest panic";
 
-/// The fault key of one experiment: a digest of its identity tuple
-/// `(device, site, vpn, label, rep)` — the same tuple that makes
-/// experiments unique within a campaign. Crucially *not* a function of
-/// ingestion order, so every worker count degrades every experiment
-/// identically.
+/// The fault key of one experiment: a digest of its identity
+/// `(device, site, vpn, label)`. Not a function of ingestion order, so
+/// every worker count degrades every experiment identically, and not of
+/// the repetition index (salted as zero), so every repetition of one
+/// identity draws the same faults and relabeling repetitions after
+/// generation leaves even a faulted report unchanged.
 fn experiment_fault_key(exp: &LabeledExperiment) -> u64 {
-    stream_key(
-        exp.device_name,
-        stream_key(&exp.label, u64::from(exp.rep))
-            ^ ((exp.site as u64) << 32)
-            ^ ((exp.vpn as u64) << 40),
-    )
-}
-
-/// Rep-invariant variant of [`experiment_fault_key`]: the rep index is
-/// dropped (salted as zero), so every repetition of the same
-/// (device, site, vpn, label) identity draws the *same* faults. Enabled
-/// by `FaultPlan::rep_invariant_fault_keys`, this makes faulted runs
-/// comparable under the oracle's rep-relabel metamorphic relation while
-/// staying byte-identical across worker counts.
-fn experiment_fault_key_rep_invariant(exp: &LabeledExperiment) -> u64 {
     stream_key(
         exp.device_name,
         stream_key(&exp.label, 0) ^ ((exp.site as u64) << 32) ^ ((exp.vpn as u64) << 40),
     )
 }
 
-/// Device identities (the PII scan's ground truth) per (device, site).
-type Identities = HashMap<(&'static str, LabSite), DeviceIdentity>;
+/// The run's device table: per deployed (device, site), the device's
+/// identity, the PII scan's ground truth, and its search patterns,
+/// compiled from the identity by the first worker that needs them.
+/// Built before the workers start and shared by all of them.
+type DeviceTable = HashMap<(&'static str, LabSite), (DeviceIdentity, OnceLock<PiiPatterns>)>;
 
-fn identities_of(labs: &[Lab]) -> Identities {
-    let mut identities = HashMap::new();
+fn device_table(labs: &[Lab]) -> DeviceTable {
+    let mut devices = HashMap::new();
     for lab in labs {
         for d in &lab.devices {
-            identities.insert((d.spec().name, d.site), identity_of(d));
+            devices.insert((d.spec().name, d.site), (identity_of(d), OnceLock::new()));
         }
     }
-    identities
+    devices
 }
 
 /// What every worker of one run shares, read-only.
 struct RunCtx<'a> {
-    db: &'a GeoDb,
-    identities: &'a Identities,
+    devices: &'a DeviceTable,
     fault: Option<&'a FaultInjector>,
     obs_enabled: bool,
 }
@@ -240,8 +234,6 @@ struct Caches {
     /// The domain intern pool: the flows this worker labels with one name
     /// share one allocation.
     label_ctx: LabelCtx,
-    /// Compiled PII pattern sets per (device, site).
-    pii_patterns: PatternCache,
     /// Entropy term tables, one per payload length seen.
     entropy: EntropyScratch,
     /// The flow pool: every experiment's flows are rebuilt in it, so its
@@ -305,7 +297,9 @@ impl Worker {
     /// (a defect in generation, degradation, or the worker itself): the
     /// unit is lost — its partial delta is dropped and nothing is
     /// journaled, so a resume re-runs it — and the worker starts over
-    /// with fresh caches. Returns the `worker_panic` marker to fold.
+    /// with fresh caches: whatever a panic can leave half-written. The
+    /// run's device table is untouched: a pattern set is stored only once
+    /// fully compiled. Returns the `worker_panic` marker to fold.
     fn recover(&mut self, unit: u32, payload: &(dyn Any + Send)) -> UnitDelta {
         let what = payload
             .downcast_ref::<&str>()
@@ -342,15 +336,7 @@ impl Worker {
         let exp = match ctx.fault {
             None => exp,
             Some(inj) => {
-                // Fault draws are keyed by the experiment's identity
-                // digest, optionally without the rep index (the oracle's
-                // rep-relabel relation needs rep-invariant fault
-                // schedules).
-                let fkey = if inj.plan().rep_invariant_fault_keys {
-                    experiment_fault_key_rep_invariant(exp)
-                } else {
-                    experiment_fault_key(exp)
-                };
+                let fkey = experiment_fault_key(exp);
                 inject_panic = inj.should_panic(fkey);
                 degraded = degrade_capture(inj, fkey, exp, &mut acc.ingest, obs);
                 &degraded
@@ -486,7 +472,6 @@ fn analyze_experiment(
     obs.observe("experiment_packets", exp.packet_count() as u64);
     let Caches {
         label_ctx,
-        pii_patterns,
         entropy,
         flows,
     } = caches;
@@ -507,9 +492,9 @@ fn analyze_experiment(
             obs.observe("flow_bytes", lf.flow.total_bytes());
         }
     }
-    let ctx = FlowCtx::of(exp, run.identities, pii_patterns);
+    let ctx = FlowCtx::of(exp, run.devices);
     let pii_before = acc.pii.len();
-    let tally = analyze_flows(&ctx, run.db, &flows.flows, acc, entropy, obs);
+    let tally = analyze_flows(&ctx, &flows.flows, acc, entropy, obs);
     acc.encryption.add_sample(exp, &tally);
     if ctx.scan.is_some() {
         obs.add("pii_findings", (acc.pii.len() - pii_before) as u64);
@@ -517,8 +502,9 @@ fn analyze_experiment(
 }
 
 /// What the per-flow stages need of one experiment, built once before
-/// its flow loop, without allocating: the destination labeling inputs,
-/// the experiment's Table 8 rows, and the compiled PII patterns with the
+/// its flow loop, without allocating: the destination labeling inputs
+/// (`None` for a device the catalog does not know: no observations),
+/// the experiment's Table 8 rows, and the PII patterns with the
 /// manufacturer's organization (`None` for a device without an identity:
 /// no scan).
 struct FlowCtx<'a> {
@@ -529,24 +515,21 @@ struct FlowCtx<'a> {
 }
 
 impl<'a> FlowCtx<'a> {
-    fn of(
-        exp: &'a LabeledExperiment,
-        identities: &Identities,
-        pii_patterns: &'a mut PatternCache,
-    ) -> Self {
-        let identity = identities.get(&(exp.device_name, exp.site));
-        let scan = match (identity, catalog::by_name(exp.device_name)) {
-            (Some(identity), Some(spec)) => Some((
-                pii_patterns.get(exp.device_name, exp.site, identity),
-                spec.manufacturer_org,
-            )),
-            _ => None,
-        };
+    /// Resolves `exp` with one catalog lookup and works out its
+    /// activity's kind once, for both the group bits and the rows.
+    fn of(exp: &'a LabeledExperiment, devices: &'a DeviceTable) -> Self {
+        let spec = catalog::by_name(exp.device_name);
+        let activity = spec.and_then(|spec| exp.activity_kind(spec));
         FlowCtx {
             exp,
-            dest: DestCtx::of(exp),
-            rows: EncryptionAnalysis::rows_of(exp),
-            scan,
+            dest: spec.map(|spec| DestCtx::new(exp, spec.manufacturer_org, activity)),
+            rows: Table8Row::rows(exp.kind, activity),
+            scan: spec.zip(devices.get(&(exp.device_name, exp.site))).map(
+                |(spec, (identity, patterns))| {
+                    let patterns = patterns.get_or_init(|| PiiPatterns::for_identity(identity));
+                    (patterns, spec.manufacturer_org)
+                },
+            ),
         }
     }
 }
@@ -562,7 +545,6 @@ impl<'a> FlowCtx<'a> {
 /// (`fused_per_flow_loop_is_allocation_free_after_warmup`).
 fn analyze_flows(
     ctx: &FlowCtx<'_>,
-    db: &GeoDb,
     flows: &[LabeledFlow],
     acc: &mut UnitDelta,
     entropy: &mut EntropyScratch,
@@ -582,6 +564,7 @@ fn analyze_flows(
             pii_meter.measure(|| {
                 let hits = scan_flow(patterns, lf);
                 if !hits.is_empty() {
+                    let db = GeoDb::shared();
                     findings_for_flow(db, ctx.exp, manufacturer_org, lf, hits, &mut acc.pii);
                 }
             });
@@ -697,14 +680,13 @@ impl Pipeline {
     where
         I: IntoIterator<Item = LabeledExperiment>,
     {
-        let identities = {
+        let devices = {
             let _s = self.obs.span("identities");
-            identities_of(&LabSite::all().map(Lab::deploy))
+            device_table(&LabSite::all().map(Lab::deploy))
         };
         let fault = self.fault;
         let ctx = RunCtx {
-            db: GeoDb::shared(),
-            identities: &identities,
+            devices: &devices,
             fault: fault.as_ref(),
             obs_enabled: self.obs.enabled(),
         };
@@ -770,9 +752,9 @@ impl Pipeline {
         S: Fn(&GeoDb, usize, &mut dyn FnMut(&LabeledExperiment)) + Sync,
     {
         assert!(workers > 0, "workers must be positive");
-        let identities = {
+        let devices = {
             let _s = self.obs.span("identities");
-            identities_of(campaign.labs())
+            device_table(campaign.labs())
         };
         let unit_count = campaign.unit_count();
         let fingerprint = campaign_fingerprint(&campaign.config, self.fault_plan(), None, 0);
@@ -820,8 +802,7 @@ impl Pipeline {
         let workers = workers.min(remaining.len());
         let fault = self.fault;
         let ctx = RunCtx {
-            db: GeoDb::shared(),
-            identities: &identities,
+            devices: &devices,
             fault: fault.as_ref(),
             obs_enabled: self.obs.enabled(),
         };
@@ -844,7 +825,7 @@ impl Pipeline {
                     // The source synthesizes each experiment before its
                     // callback; that is `shard/synth`.
                     let mut synth = Meter::started(&worker.obs);
-                    source(ctx.db, unit as usize, &mut |exp| {
+                    source(GeoDb::shared(), unit as usize, &mut |exp| {
                         synth.record(&worker.obs, "shard/synth");
                         worker.ingest(&ctx, &mut delta, exp);
                         synth = Meter::started(&worker.obs);
@@ -1150,22 +1131,22 @@ mod tests {
     }
 
     /// The hot-path invariant: once a worker's caches are warm (interned
-    /// labels, compiled PII patterns, entropy term tables, the flow pool)
-    /// and the accumulator tables have seen every key, a second pass over
-    /// the same experiments builds each one's flow context, rebuilds its
-    /// flows in the pool ([`ExperimentFlows::rebuild`]) and runs the
-    /// per-flow loop ([`analyze_flows`]) with zero heap allocations, its
-    /// stage meters included. Experiments whose scan produced PII
-    /// findings run without the PII stage: constructing a finding
-    /// allocates by design; that is per-finding work, not loop overhead.
+    /// labels, entropy term tables, the flow pool), the run's device table
+    /// has compiled every pattern set, and the accumulator tables have
+    /// seen every key, a second pass over the same experiments builds each
+    /// one's flow context, rebuilds its flows in the pool
+    /// ([`ExperimentFlows::rebuild`]) and runs the per-flow loop
+    /// ([`analyze_flows`]) with zero heap allocations, its stage meters
+    /// included. Experiments whose scan produced PII findings run without
+    /// the PII stage: constructing a finding allocates by design; that is
+    /// per-finding work, not loop overhead.
     #[test]
     fn fused_per_flow_loop_is_allocation_free_after_warmup() {
         let db = GeoDb::new();
         let campaign = Campaign::new(tiny_config());
-        let identities = identities_of(campaign.labs());
+        let devices = device_table(campaign.labs());
         let run = RunCtx {
-            db: &db,
-            identities: &identities,
+            devices: &devices,
             fault: None,
             obs_enabled: true,
         };
@@ -1189,28 +1170,26 @@ mod tests {
         // it. Its meters charge each stage's traffic to the registry.
         let Caches {
             label_ctx,
-            pii_patterns,
             entropy,
             flows,
         } = &mut caches;
         let stages_before = obs.snapshot().span_allocs;
-        let was = iot_obs::alloc::enabled();
-        iot_obs::alloc::set_enabled(true);
+        let counting = iot_obs::alloc::counting(true);
         let mut measured = iot_obs::AllocStats::default();
         let (mut flows_measured, mut packets) = (0, 0);
         for (exp, &had_findings) in corpus.iter().zip(&had_findings) {
             let before = iot_obs::alloc::thread_snapshot();
-            let mut ctx = FlowCtx::of(exp, &identities, pii_patterns);
+            let mut ctx = FlowCtx::of(exp, &devices);
             if had_findings {
                 ctx.scan = None;
             }
             flows.rebuild(exp, label_ctx);
-            analyze_flows(&ctx, &db, &flows.flows, &mut acc, entropy, &obs);
+            analyze_flows(&ctx, &flows.flows, &mut acc, entropy, &obs);
             measured.merge(&iot_obs::alloc::thread_snapshot().since(&before));
             flows_measured += flows.flows.len();
             packets += exp.packet_count();
         }
-        iot_obs::alloc::set_enabled(was);
+        drop(counting);
         assert!(flows_measured > 1000, "need a real corpus: {flows_measured}");
         assert_eq!(
             measured.allocs,
@@ -1243,8 +1222,7 @@ mod tests {
             idle_hours: 0.01,
             include_vpn: true,
         });
-        let was = iot_obs::alloc::enabled();
-        iot_obs::alloc::set_enabled(true);
+        let counting = iot_obs::alloc::counting(true);
         let walks = [(0, "Wansview Cam"), (9, "Microseven Cam")].map(|(unit, device)| {
             let (mut capture_bytes, mut experiments, mut only_device) = (0u64, 0u64, true);
             let before = iot_obs::alloc::thread_snapshot();
@@ -1256,7 +1234,7 @@ mod tests {
             let walk = iot_obs::alloc::thread_snapshot().since(&before);
             (unit, device, only_device, capture_bytes, experiments, walk)
         });
-        iot_obs::alloc::set_enabled(was);
+        drop(counting);
         for (unit, device, only_device, capture_bytes, experiments, walk) in walks {
             assert!(only_device, "unit {unit} is not {device}'s");
             assert!(
@@ -1298,12 +1276,20 @@ mod tests {
         assert!(json.contains("\"degraded\":false"));
     }
 
+    /// The workers' load gauges sum to the report's experiments, and
+    /// heap gauges appear exactly when the run counts heap.
     #[test]
     fn worker_gauges_sum_to_the_report() {
-        let mut p = Pipeline::with_obs(true);
-        p.run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
-            .unwrap();
-        let (report, reg) = p.finish_with_obs();
+        let run = |counting: bool| {
+            let _counting = iot_obs::alloc::counting(counting);
+            let mut p = Pipeline::with_obs(true);
+            p.run_campaign_supervised(tiny_config(), 2, &SupervisorConfig::default())
+                .unwrap();
+            p.finish_with_obs()
+        };
+        let heap_gauges =
+            |reg: &Registry, w: usize| reg.gauge(&format!("worker.{w}.alloc_high_water_bytes"));
+        let (report, reg) = run(false);
         let per_worker: Vec<f64> = (0..2)
             .map(|w| {
                 reg.gauge(&format!("worker.{w}.experiments"))
@@ -1313,11 +1299,24 @@ mod tests {
         assert_eq!(reg.gauge("workers"), Some(2.0));
         assert_eq!(per_worker.iter().sum::<f64>(), report.experiments as f64);
         // The process peak is the kernel's, so a run that leaves heap
-        // counting off reports it too.
+        // counting off reports it too, and no heap gauge.
         assert_eq!(
             reg.gauge("peak_rss_bytes").is_some(),
             iot_obs::process::peak_rss_bytes().is_some()
         );
+        assert_eq!(reg.gauge("alloc.live_bytes"), None);
+        for w in 0..2 {
+            assert_eq!(heap_gauges(&reg, w), None, "worker {w} counted heap");
+        }
+        let (_, reg) = run(true);
+        assert!(reg.gauge("alloc.live_bytes").is_some());
+        for w in 0..2 {
+            assert!(reg.gauge(&format!("worker.{w}.experiments")).is_some());
+            assert!(
+                heap_gauges(&reg, w).is_some(),
+                "worker {w} has no heap gauge"
+            );
+        }
     }
 
     #[test]
@@ -1630,36 +1629,115 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// One fault key per identity: every repetition of a (device, site,
+    /// vpn, label) draws the same faults, and identities that differ in
+    /// any of the four draw apart.
     #[test]
-    fn rep_invariant_fault_keys_fault_identically_across_reps() {
-        // With rep-invariant keys armed, the key must not depend on rep;
-        // with them off, it must.
+    fn one_fault_key_per_identity_across_its_repetitions() {
         let campaign = Campaign::new(CampaignConfig {
             automated_reps: 3,
+            include_vpn: true,
             ..tiny_config()
         });
-        let exps = all_experiments(&campaign, &GeoDb::new());
-        let mut reps_seen = HashMap::new();
-        for e in &exps {
-            reps_seen
-                .entry((e.device_name, e.site, e.vpn, e.label.clone()))
-                .or_insert_with(Vec::new)
-                .push((e.rep, experiment_fault_key(e), experiment_fault_key_rep_invariant(e)));
+        let mut keys: HashMap<_, std::collections::HashSet<u64>> = HashMap::new();
+        let mut reps = 0;
+        for e in &all_experiments(&campaign, &GeoDb::new()) {
+            reps += usize::from(e.rep > 0);
+            keys.entry((e.device_name, e.site, e.vpn, e.label.clone()))
+                .or_default()
+                .insert(experiment_fault_key(e));
         }
-        let mut multi_rep = 0;
-        for keys in reps_seen.values() {
-            if keys.len() < 2 {
-                continue;
-            }
-            multi_rep += 1;
-            let variant: std::collections::HashSet<u64> =
-                keys.iter().map(|(_, k, _)| *k).collect();
-            let invariant: std::collections::HashSet<u64> =
-                keys.iter().map(|(_, _, k)| *k).collect();
-            assert_eq!(variant.len(), keys.len(), "legacy keys are per-rep");
-            assert_eq!(invariant.len(), 1, "rep-invariant keys collapse reps");
+        assert!(reps > 0, "the grid must repeat identities");
+        assert!(keys.keys().any(|k| k.2), "the grid must cover the VPN");
+        for (identity, keys) in &keys {
+            assert_eq!(keys.len(), 1, "{identity:?} drew {} keys", keys.len());
         }
-        assert!(multi_rep > 0, "corpus must contain repeated identities");
+        let distinct: std::collections::HashSet<u64> = keys.values().flatten().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            keys.len(),
+            "two identities share a fault key"
+        );
     }
 
+    /// The repository benchmark's traced replay stands in for the driver
+    /// with the public per-experiment entry points
+    /// (`DestinationAnalysis::add_flows`, `EncryptionAnalysis::add_flows`,
+    /// `pii::scan_experiment`), which resolve an experiment through their
+    /// own catalog lookups. Walked unit by unit over a grid with both labs
+    /// and the VPN, they must fold into the driver's report byte for byte,
+    /// and into its accumulators too: their journal encoding carries the
+    /// Table 2 group bits and Table 8 rows the report does not show.
+    #[test]
+    fn the_driver_and_the_public_entry_points_agree() {
+        let config = CampaignConfig {
+            include_vpn: true,
+            ..tiny_config()
+        };
+        let mut driver = Pipeline::with_obs(false);
+        driver.run_campaign(config);
+
+        let db = GeoDb::new();
+        let campaign = Campaign::new(config);
+        let devices = device_table(campaign.labs());
+        let mut public = Pipeline::with_obs(false);
+        for unit in 0..campaign.unit_count() {
+            let mut delta = UnitDelta::new(unit as u32);
+            campaign.lend_unit(&db, unit, |exp| {
+                let flows = ExperimentFlows::from_experiment(exp);
+                delta.destinations.add_flows(exp, &flows);
+                delta.encryption.add_flows(exp, &flows);
+                if let Some((identity, _)) = devices.get(&(exp.device_name, exp.site)) {
+                    let found = crate::pii::scan_experiment(&db, exp, &flows, identity);
+                    delta.pii.extend(found);
+                }
+                let packets = exp.packet_count() as u64;
+                let ingest = &mut delta.ingest;
+                if flows.unparsed_packets > 0 {
+                    ingest.packets_unparseable += flows.unparsed_packets;
+                    ingest.add_stage_error("flows_parse");
+                }
+                ingest.packets_generated += packets;
+                ingest.packets_ingested += packets;
+                ingest.experiments_ingested += 1;
+                delta.experiments += 1;
+                delta
+                    .coverage
+                    .record(exp.site, exp.device_name, CoverageOutcome::Completed);
+            });
+            public.fold(delta);
+        }
+
+        let folded = |p: Pipeline| {
+            let report = p.build_report().to_json().dump();
+            let Pipeline {
+                destinations,
+                encryption,
+                pii,
+                ingest,
+                coverage,
+                experiments,
+                ..
+            } = p;
+            let accumulators = UnitDelta {
+                unit: 0,
+                experiments,
+                ingest,
+                coverage,
+                destinations,
+                encryption,
+                pii,
+            };
+            (report, accumulators.encode())
+        };
+        let (driver_report, driver_acc) = folded(driver);
+        let (public_report, public_acc) = folded(public);
+        assert_eq!(public_report, driver_report);
+        assert!(
+            public_acc == driver_acc,
+            "the accumulators differ ({} B against the driver's {} B)",
+            public_acc.len(),
+            driver_acc.len()
+        );
+    }
 }

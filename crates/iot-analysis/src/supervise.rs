@@ -574,17 +574,22 @@ impl UnitDelta {
     /// produces the same bytes regardless of hash-map iteration order.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.encode_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`UnitDelta::encode`], appended to `w`.
+    fn encode_to(&self, w: &mut ByteWriter) {
         w.u32(self.unit);
         w.u64(self.experiments);
-        encode_ingest(&mut w, &self.ingest);
-        self.coverage.encode(&mut w);
-        self.destinations.encode_journal(&mut w);
-        self.encryption.encode_journal(&mut w);
+        encode_ingest(w, &self.ingest);
+        self.coverage.encode(w);
+        self.destinations.encode_journal(w);
+        self.encryption.encode_journal(w);
         w.u32(self.pii.len() as u32);
         for f in &self.pii {
-            encode_finding(&mut w, f);
+            encode_finding(w, f);
         }
-        w.into_bytes()
     }
 
     /// Decodes a delta from journal payload bytes. Never panics:
@@ -843,6 +848,9 @@ pub fn read_journal_bytes(bytes: &[u8]) -> Result<JournalContents, JournalError>
 /// most the record in flight — which salvage then amputates.
 pub struct JournalWriter {
     file: File,
+    /// The record in flight, framed in place; kept from one append to the
+    /// next, so it grows to the largest record and then stops.
+    record: ByteWriter,
 }
 
 impl JournalWriter {
@@ -875,7 +883,10 @@ impl JournalWriter {
         let mut file = File::create(path)?;
         file.write_all(&header)?;
         file.flush()?;
-        Ok(JournalWriter { file })
+        Ok(JournalWriter {
+            file,
+            record: ByteWriter::new(),
+        })
     }
 
     /// Reopens a salvaged journal for appending: cuts the file back to
@@ -886,18 +897,28 @@ impl JournalWriter {
     pub fn append_to(path: &Path, clean_len: u64) -> std::io::Result<Self> {
         let file = OpenOptions::new().append(true).open(path)?;
         file.set_len(clean_len)?;
-        Ok(JournalWriter { file })
+        Ok(JournalWriter {
+            file,
+            record: ByteWriter::new(),
+        })
     }
 
-    /// Appends one unit delta as a framed, checksummed record.
+    /// Appends one unit delta as a framed, checksummed record: the
+    /// marker, then the payload's length and checksum, patched in once
+    /// the payload is encoded behind them, in one write.
     pub fn append(&mut self, delta: &UnitDelta) -> std::io::Result<()> {
-        let payload = delta.encode();
-        let mut frame = Vec::with_capacity(13 + payload.len());
-        frame.push(RECORD_MARKER);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
+        let w = &mut self.record;
+        w.buf.clear();
+        w.u8(RECORD_MARKER);
+        w.u32(0); // the payload's length, patched below
+        w.u64(0); // the payload's checksum, patched below
+        delta.encode_to(w);
+        let record = &mut w.buf;
+        let len = (record.len() - 13) as u32;
+        let crc = fnv1a(&record[13..]);
+        record[1..5].copy_from_slice(&len.to_le_bytes());
+        record[5..13].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all(record)?;
         self.file.flush()
     }
 }
@@ -946,7 +967,6 @@ pub fn campaign_fingerprint(
             ] {
                 w.u64(rate.to_bits());
             }
-            w.bool(p.rep_invariant_fault_keys);
         }
     }
     match deadline_micros {

@@ -5,7 +5,6 @@
 use iot_analysis::features::{extract_features, FEATURES_PER_SAMPLE};
 use iot_analysis::unexpected::segment_units;
 use iot_core::rng::StdRng;
-use iot_entropy::Thresholds;
 use iot_net::mac::MacAddr;
 use iot_net::packet::{Packet, PacketBuilder};
 use std::net::Ipv4Addr;
@@ -146,7 +145,7 @@ fn classify_total() {
                 domain: None,
                 domain_source: iot_analysis::flows::DomainSource::Unlabeled,
             };
-            let _ = iot_analysis::encryption::classify_flow(&lf, &Thresholds::default());
+            let _ = iot_analysis::encryption::classify_flow(&lf);
         }
     }
 }

@@ -26,8 +26,8 @@
 //!    must carry the report's experiment count, ledger and coverage.
 //!
 //! Every switch is set here, in process: observability per pipeline
-//! with [`Pipeline::with_obs`], heap counting with
-//! `iot_obs::alloc::set_enabled`. The record always goes to
+//! with [`Pipeline::with_obs`], heap counting with an
+//! `iot_obs::alloc::counting` guard. The record always goes to
 //! `target/bench_pipeline.json`; to rebaseline, copy it over
 //! `BENCH_pipeline.json`. The run report stays in memory, where its
 //! gate checks it. End-to-end timing lives in the repository benchmark
@@ -133,7 +133,7 @@ fn main() -> ExitCode {
     // delta and high-water are the pipeline's entire heap traffic and
     // peak. The high-water mark is reset first so it reflects this run's
     // heap growth, not the baseline run's.
-    iot_obs::alloc::set_enabled(true);
+    let counting = iot_obs::alloc::counting(true);
     iot_obs::alloc::reset_high_water();
     let alloc_before = iot_obs::alloc::thread_snapshot();
     let (alloc_json, experiments, packets_ingested) = {
@@ -144,7 +144,7 @@ fn main() -> ExitCode {
     };
     let alloc_traffic = iot_obs::alloc::thread_snapshot().since(&alloc_before);
     let alloc_high_water = iot_obs::alloc::thread_high_water_bytes().max(0) as u64;
-    iot_obs::alloc::set_enabled(false);
+    drop(counting);
     let alloc_identical = alloc_json == serial_json;
 
     // 3. Overhead on *interleaved* pairs: one off run, then one on run,
@@ -159,15 +159,14 @@ fn main() -> ExitCode {
     );
     let (serial_alloc_base, serial_alloc) = interleaved(
         ("pipeline_alloc_baseline", || {
-            iot_obs::alloc::set_enabled(false);
+            let _off = iot_obs::alloc::counting(false);
             report_json(config, false)
         }),
         ("pipeline_alloc_on", || {
-            iot_obs::alloc::set_enabled(true);
+            let _on = iot_obs::alloc::counting(true);
             report_json(config, false)
         }),
     );
-    iot_obs::alloc::set_enabled(false);
 
     // 4. The live endpoint.
     let addr = match iot_obs::serve::start("127.0.0.1:0") {
@@ -183,7 +182,7 @@ fn main() -> ExitCode {
     // the allocator combined against the plain baseline. The endpoint
     // must answer while it runs; the first probe may race the first
     // publication, so any well-formed answer counts.
-    iot_obs::alloc::set_enabled(true);
+    let counting = iot_obs::alloc::counting(true);
     let run = std::thread::spawn(move || {
         let mut p = Pipeline::with_obs(true);
         p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
@@ -192,7 +191,7 @@ fn main() -> ExitCode {
     });
     let live = get(addr, "/progress").map(|_| "/progress answers during the run".to_string());
     let (obs_report, registry) = run.join().expect("the instrumented run panicked");
-    iot_obs::alloc::set_enabled(false);
+    drop(counting);
     let report = obs_report.to_json();
     let obs_identical = report.dump() == serial_json;
     let snapshot = registry.snapshot();

@@ -52,13 +52,6 @@ pub struct FaultPlan {
     /// the capture bytes are untouched; the consumer is expected to ask
     /// [`crate::FaultInjector::should_panic`] and blow up on `true`.
     pub panic_rate: f64,
-    /// When `true`, consumers that key fault draws by experiment
-    /// identity should use a *rep-invariant* fault key (device, site,
-    /// VPN leg, and activity label — but not the rep index), so the
-    /// same faults fire under the oracle's rep-relabel metamorphic
-    /// relation. Capture-byte determinism per stream is unchanged; only
-    /// which streams draw faults moves from per-rep to per-identity.
-    pub rep_invariant_fault_keys: bool,
 }
 
 impl FaultPlan {
@@ -76,7 +69,6 @@ impl FaultPlan {
             corrupt_header_rate: 0.0,
             torn_tail_rate: 0.0,
             panic_rate: 0.0,
-            rep_invariant_fault_keys: false,
         }
     }
 
@@ -131,6 +123,5 @@ mod tests {
         assert_eq!(p.truncate_rate, 0.2);
         assert_eq!(p.torn_tail_rate, 0.2);
         assert_eq!(p.panic_rate, 0.0, "panics are opt-in");
-        assert!(!p.rep_invariant_fault_keys);
     }
 }

@@ -50,7 +50,7 @@ pub struct FlowKey {
     pub proto: FlowProto,
 }
 
-/// Default number of payload prefix bytes retained per direction.
+/// Number of payload prefix bytes every flow retains per direction.
 pub const DEFAULT_PAYLOAD_CAP: usize = 8192;
 
 /// Accumulated state for one flow.
@@ -184,7 +184,6 @@ pub struct FlowTable {
     /// Live arena indices in [`FlowTable::take_sorted`] order.
     order: Vec<u32>,
     local_net: (Ipv4Addr, u8),
-    payload_cap: usize,
 }
 
 const INITIAL_SLOTS: usize = 64;
@@ -199,7 +198,6 @@ impl FlowTable {
             flows: Vec::new(),
             order: Vec::new(),
             local_net: (local_net, prefix_len),
-            payload_cap: DEFAULT_PAYLOAD_CAP,
         }
     }
 
@@ -308,12 +306,6 @@ impl FlowTable {
         }
     }
 
-    /// Overrides the per-direction payload retention cap.
-    pub fn with_payload_cap(mut self, cap: usize) -> Self {
-        self.payload_cap = cap;
-        self
-    }
-
     fn is_local(&self, ip: Ipv4Addr) -> bool {
         let (net, len) = self.local_net;
         if len == 0 {
@@ -358,9 +350,8 @@ impl FlowTable {
             // LAN-internal or transit traffic: outside the privacy analysis.
             _ => return None,
         };
-        let cap = self.payload_cap;
         let idx = self.index_of(key, ts_micros);
-        self.flows[idx].observe(dir, ts_micros, pkt.payload, cap);
+        self.flows[idx].observe(dir, ts_micros, pkt.payload, DEFAULT_PAYLOAD_CAP);
         Some(dir)
     }
 
@@ -461,13 +452,18 @@ mod tests {
 
     #[test]
     fn payload_cap_respected() {
-        let mut t = table().with_payload_cap(4);
+        let mut t = table();
         let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
-        let p1 = b.udp(0, 50000, 9999, b"abcdef");
+        let payload: Vec<u8> = (0..DEFAULT_PAYLOAD_CAP + 6).map(|i| i as u8).collect();
+        let p1 = b.udp(0, 50000, 9999, &payload);
         t.observe(&p1.parse().unwrap(), 0);
         let flow = t.iter().next().unwrap();
-        assert_eq!(flow.payload_out, b"abcd");
-        assert_eq!(flow.bytes_out, 6, "byte counter must not be capped");
+        assert_eq!(flow.payload_out, payload[..DEFAULT_PAYLOAD_CAP]);
+        assert_eq!(
+            flow.bytes_out,
+            payload.len() as u64,
+            "byte counter must not be capped"
+        );
     }
 
     #[test]
@@ -627,9 +623,9 @@ mod tests {
     /// buffers, and grows none past the cap.
     #[test]
     fn reset_keeps_buffers_within_the_cap() {
-        let mut t = table().with_payload_cap(100);
+        let mut t = table();
         let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
-        let packets: Vec<_> = (0..12u64).map(|i| b.udp(i, 50000, 9999, &[7; 30])).collect();
+        let packets: Vec<_> = (0..12u64).map(|i| b.udp(i, 50000, 9999, &[7; 1000])).collect();
         let mut buffers = Vec::new();
         for _ in 0..2 {
             t.reset(Ipv4Addr::new(192, 168, 10, 0), 24);
@@ -638,7 +634,7 @@ mod tests {
             }
             let flows: Vec<Flow> = t.take_sorted().collect();
             assert_eq!(flows.len(), 1);
-            assert_eq!(flows[0].payload_out, [7; 100]);
+            assert_eq!(flows[0].payload_out, [7; DEFAULT_PAYLOAD_CAP]);
             assert_eq!(flows[0].packets_out, 12);
             buffers.push((flows[0].payload_out.as_ptr(), flows[0].payload_out.capacity()));
             for flow in flows {
@@ -646,6 +642,6 @@ mod tests {
             }
         }
         assert_eq!(buffers[0], buffers[1], "the second capture reuses the buffer");
-        assert_eq!(buffers[0].1, 100, "growth stops at the cap");
+        assert_eq!(buffers[0].1, DEFAULT_PAYLOAD_CAP, "growth stops at the cap");
     }
 }

@@ -5,8 +5,8 @@
 //! the crate's `#[global_allocator]`, so every binary that links
 //! `iot-obs` routes its heap traffic through it. When disabled (the
 //! default) each allocation pays exactly one relaxed atomic load and a
-//! predictable branch; no other state is touched. When enabled with
-//! [`set_enabled`] each thread counts into a ledger of its own (bytes and
+//! predictable branch; no other state is touched. When switched on with
+//! a [`counting`] guard each thread counts into a ledger of its own (bytes and
 //! count allocated and freed, and a live-bytes high-water mark), made
 //! from [`System`] on its first counted event so counting cannot
 //! recurse. Only that thread writes it, with a relaxed load and store
@@ -33,6 +33,7 @@ use std::cell::Cell;
 use std::ptr;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Whether the allocator is currently counting.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -189,9 +190,45 @@ pub fn enabled() -> bool {
     ENABLED.load(Relaxed)
 }
 
-/// Turns allocation counting on or off for the whole process.
+/// Turns allocation counting on or off for the whole process, with no
+/// lock and nothing to restore. Every caller in this workspace scopes the
+/// switch with [`counting`] instead, except the repository benchmark
+/// (`perfbench/`), which calls this signature; it goes with the next
+/// benchmark-definition change (ROADMAP item 1).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
+}
+
+/// Heap counting switched by [`counting`] until this guard drops; the
+/// drop restores the switch as the guard found it.
+#[must_use = "the switch reverts as soon as the guard drops"]
+pub struct Counting {
+    was: bool,
+    _lock: MutexGuard<'static, ()>,
+}
+
+/// Switches heap counting `on` or off for the whole process until the
+/// returned guard drops, which restores the previous setting. Each guard
+/// holds one process-wide lock, so two scopes that switch counting —
+/// tests on the harness's parallel threads, say — never overlap, and a
+/// scope that turns counting off cannot be counted by another's.
+///
+/// Guards do not nest: a thread that asks for a second guard while it
+/// holds one never gets it (the call deadlocks or panics).
+pub fn counting(on: bool) -> Counting {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // The lock guards no data, and a guard that a panic dropped has
+    // restored the switch on its way out, so a poisoned lock is sound.
+    let lock = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let was = enabled();
+    set_enabled(on);
+    Counting { was, _lock: lock }
+}
+
+impl Drop for Counting {
+    fn drop(&mut self) {
+        set_enabled(self.was);
+    }
 }
 
 /// Cumulative allocation counters — either a point-in-time thread
@@ -279,99 +316,83 @@ pub fn reset_high_water() {
     }
 }
 
-/// Serializes tests that toggle the process-wide `ENABLED` flag — the
-/// test harness is multi-threaded and a concurrent toggle would corrupt
-/// another test's counts. Shared with the registry's attribution tests.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn with_counting<R>(f: impl FnOnce() -> R) -> R {
-        let _g = test_lock();
-        let was = enabled();
-        set_enabled(true);
-        let r = f();
-        set_enabled(was);
-        r
-    }
-
     #[test]
-    fn disabled_by_default_until_configured() {
-        // The raw flag defaults to off; other tests may have toggled
-        // it, so only assert the programmatic toggle round-trips.
-        with_counting(|| assert!(enabled()));
+    fn a_guard_switches_counting_and_restores_it() {
+        let was = {
+            let on = counting(true);
+            assert!(enabled());
+            on.was
+        };
+        assert_eq!(enabled(), was);
+        {
+            let _off = counting(false);
+            assert!(!enabled());
+        }
+        assert_eq!(enabled(), was);
     }
 
     #[test]
     fn counts_an_observable_allocation() {
-        with_counting(|| {
-            let before = thread_snapshot();
-            let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(4096));
-            let mid = thread_snapshot();
-            drop(v);
-            let after = thread_snapshot();
-            let grow = mid.since(&before);
-            assert!(grow.allocs >= 1, "expected ≥1 alloc, got {grow:?}");
-            assert!(grow.bytes_allocated >= 4096, "expected ≥4096 B, got {grow:?}");
-            let freed = after.since(&mid);
-            assert!(freed.frees >= 1, "expected ≥1 free, got {freed:?}");
-            assert!(freed.bytes_freed >= 4096, "expected ≥4096 B freed, got {freed:?}");
-        });
+        let _on = counting(true);
+        let before = thread_snapshot();
+        let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(4096));
+        let mid = thread_snapshot();
+        drop(v);
+        let after = thread_snapshot();
+        let grow = mid.since(&before);
+        assert!(grow.allocs >= 1, "expected ≥1 alloc, got {grow:?}");
+        assert!(grow.bytes_allocated >= 4096, "expected ≥4096 B, got {grow:?}");
+        let freed = after.since(&mid);
+        assert!(freed.frees >= 1, "expected ≥1 free, got {freed:?}");
+        assert!(freed.bytes_freed >= 4096, "expected ≥4096 B freed, got {freed:?}");
     }
 
     #[test]
     fn disabled_counting_is_inert() {
-        let _g = test_lock();
-        let was = enabled();
-        set_enabled(false);
+        let _off = counting(false);
         let before = thread_snapshot();
         let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(4096));
         drop(v);
         let after = thread_snapshot();
-        set_enabled(was);
         assert_eq!(before, after, "disabled allocator must not count");
     }
 
     #[test]
     fn high_water_tracks_live_peak() {
-        with_counting(|| {
-            reset_high_water();
-            let base = thread_high_water_bytes();
-            let v: Vec<u8> = std::hint::black_box(vec![0u8; 1 << 16]);
-            drop(v);
-            // After the drop, live recedes but high-water holds ...
-            assert!(thread_high_water_bytes() >= base + (1 << 16));
-            // ... until a reset brings it back to live.
-            reset_high_water();
-            assert!(thread_high_water_bytes() < base + (1 << 16));
-        });
+        let _on = counting(true);
+        reset_high_water();
+        let base = thread_high_water_bytes();
+        let v: Vec<u8> = std::hint::black_box(vec![0u8; 1 << 16]);
+        drop(v);
+        // After the drop, live recedes but high-water holds ...
+        assert!(thread_high_water_bytes() >= base + (1 << 16));
+        // ... until a reset brings it back to live.
+        reset_high_water();
+        assert!(thread_high_water_bytes() < base + (1 << 16));
     }
 
     #[test]
     fn realloc_counts_both_sides() {
-        with_counting(|| {
-            let before = thread_snapshot();
-            let mut v: Vec<u8> = vec![0; 64];
-            // Force growth reallocation(s).
-            for i in 0..4096u32 {
-                v.push(i as u8);
-            }
-            std::hint::black_box(&v);
-            drop(v);
-            let d = thread_snapshot().since(&before);
-            assert!(d.allocs >= 2, "growth must re-allocate: {d:?}");
-            assert_eq!(
-                d.bytes_allocated - d.bytes_freed,
-                0,
-                "everything dropped ⇒ traffic balances: {d:?}"
-            );
-        });
+        let _on = counting(true);
+        let before = thread_snapshot();
+        let mut v: Vec<u8> = vec![0; 64];
+        // Force growth reallocation(s).
+        for i in 0..4096u32 {
+            v.push(i as u8);
+        }
+        std::hint::black_box(&v);
+        drop(v);
+        let d = thread_snapshot().since(&before);
+        assert!(d.allocs >= 2, "growth must re-allocate: {d:?}");
+        assert_eq!(
+            d.bytes_allocated - d.bytes_freed,
+            0,
+            "everything dropped ⇒ traffic balances: {d:?}"
+        );
     }
 
     #[test]
@@ -404,14 +425,13 @@ mod tests {
 
     #[test]
     fn process_totals_are_monotonic_while_counting() {
-        with_counting(|| {
-            let before = process_totals();
-            let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(512));
-            drop(v);
-            let after = process_totals();
-            assert!(after.bytes_allocated >= before.bytes_allocated + 512);
-            assert!(after.allocs > before.allocs);
-            assert!(after.frees > before.frees);
-        });
+        let _on = counting(true);
+        let before = process_totals();
+        let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(512));
+        drop(v);
+        let after = process_totals();
+        assert!(after.bytes_allocated >= before.bytes_allocated + 512);
+        assert!(after.allocs > before.allocs);
+        assert!(after.frees > before.frees);
     }
 }

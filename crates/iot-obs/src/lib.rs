@@ -18,7 +18,7 @@
 //!   [`Meter::record`]; each path keeps one duration [`Histogram`]:
 //!   calls, total, min, max and quantiles all come from it.
 //! * [`alloc`] — the instrumented global allocator, switched on by its
-//!   caller with [`alloc::set_enabled`]: one heap ledger per thread,
+//!   caller with an [`alloc::counting`] guard: one heap ledger per thread,
 //!   summed on read, whose span deltas the registry attributes to the
 //!   open span's path.
 //! * [`metrics`] — the deterministic power-of-two-bucket [`Histogram`].
@@ -40,8 +40,8 @@
 //! code that wants it. A registry records only when built with
 //! [`Registry::with_enabled`]`(true)`, and compiles down to a branch
 //! per call site otherwise: no clocks are read, no strings are
-//! allocated. The allocator counts only between
-//! [`alloc::set_enabled`] calls, and the endpoint listens only once
+//! allocated. The allocator counts only while an [`alloc::counting`]
+//! guard has switched it on, and the endpoint listens only once
 //! [`serve::start`] is called. Benches use this to measure
 //! instrumentation overhead inside one process.
 //!

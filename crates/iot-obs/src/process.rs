@@ -31,7 +31,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Cumulative totals since process start, in a stable order. The
-/// allocator totals are zero unless [`crate::alloc::set_enabled`]
+/// allocator totals are zero unless a [`crate::alloc::counting`] guard
 /// turned counting on; `peak_rss_bytes` is zero on platforms without
 /// `/proc`.
 pub fn snapshot() -> Vec<(&'static str, u64)> {

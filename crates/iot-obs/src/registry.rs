@@ -411,9 +411,7 @@ mod tests {
 
     #[test]
     fn a_meter_records_its_calls_as_one() {
-        let _g = alloc::test_lock();
-        let was = alloc::enabled();
-        alloc::set_enabled(true);
+        let counting = alloc::counting(true);
         let r = Registry::with_enabled(true);
         let mut meter = Meter::new(&r);
         for _ in 0..3 {
@@ -422,7 +420,7 @@ mod tests {
             drop(std::hint::black_box(Vec::<u8>::with_capacity(4096)));
         }
         meter.record(&r, "stage");
-        alloc::set_enabled(was);
+        drop(counting);
         let snap = r.snapshot();
         assert_eq!(snap.spans["stage"].count(), 1);
         let heap = snap.span_allocs["stage"];
@@ -505,9 +503,7 @@ mod tests {
 
     #[test]
     fn span_allocs_attribute_heap_traffic_to_the_open_span() {
-        let _g = alloc::test_lock();
-        let was = alloc::enabled();
-        alloc::set_enabled(true);
+        let counting = alloc::counting(true);
         let r = Registry::with_enabled(true);
         {
             let _outer = r.span("outer");
@@ -519,7 +515,7 @@ mod tests {
                 drop(v);
             }
         }
-        alloc::set_enabled(was);
+        drop(counting);
         let snap = r.snapshot();
         let outer = snap.span_allocs["outer"];
         let leaf = snap.span_allocs["outer/leaf"];
@@ -537,16 +533,14 @@ mod tests {
         // Allocator off: spans record time but span_allocs stays empty,
         // so reports of a run without heap counting serialize no alloc
         // fields.
-        let _g = alloc::test_lock();
-        let was = alloc::enabled();
-        alloc::set_enabled(false);
+        let counting = alloc::counting(false);
         let r = Registry::with_enabled(true);
         {
             let _s = r.span("quiet");
             let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(4096));
             drop(v);
         }
-        alloc::set_enabled(was);
+        drop(counting);
         let snap = r.snapshot();
         assert_eq!(snap.spans["quiet"].count(), 1);
         assert!(snap.span_allocs.is_empty());

@@ -5,7 +5,7 @@
 //! Here the only threads are this `main` and the ones it spawns, so the
 //! process totals must equal the threads' own counts to the byte.
 
-use iot_obs::alloc::{process_totals, set_enabled, thread_snapshot};
+use iot_obs::alloc::{counting, process_totals, thread_snapshot};
 use iot_obs::AllocStats;
 use std::hint::black_box;
 use std::sync::Barrier;
@@ -35,7 +35,7 @@ fn pattern(seed: u64, n: u64) -> AllocStats {
 fn joined_threads_sum_to_the_process_totals() {
     let before = process_totals();
     let caller_before = thread_snapshot();
-    set_enabled(true);
+    let on = counting(true);
     let threads: Vec<AllocStats> = std::thread::scope(|s| {
         let handles: Vec<_> = (1..=4u64)
             .map(|t| {
@@ -50,7 +50,7 @@ fn joined_threads_sum_to_the_process_totals() {
             .map(|h| h.join().expect("a counting thread panicked"))
             .collect()
     });
-    set_enabled(false);
+    drop(on);
     let mut sum = thread_snapshot().since(&caller_before);
     for t in &threads {
         assert!(
@@ -71,7 +71,7 @@ fn joined_threads_sum_to_the_process_totals() {
 /// its own traffic, none of the other's.
 fn concurrent_threads_count_only_their_own_traffic() {
     let start = Barrier::new(2);
-    set_enabled(true);
+    let _on = counting(true);
     std::thread::scope(|s| {
         let handles: Vec<_> = (1..=2u64)
             .map(|t| {
@@ -89,13 +89,12 @@ fn concurrent_threads_count_only_their_own_traffic() {
             assert_eq!(got, want, "a thread's delta is not its own traffic");
         }
     });
-    set_enabled(false);
 }
 
 /// With counting off, neither the thread's nor the process's counts
 /// move, on this thread or on another.
 fn counting_off_moves_nothing() {
-    set_enabled(false);
+    let _off = counting(false);
     let (process, mine) = (process_totals(), thread_snapshot());
     pattern(3, 1_000);
     let other = std::thread::scope(|s| {

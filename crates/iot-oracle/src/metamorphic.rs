@@ -14,13 +14,11 @@
 //! * [`check_vpn_isolation`] — adding the VPN dimension adds VPN rows
 //!   but leaves every native-egress field untouched.
 //!
-//! Most relations run without a fault plan: legacy fault keys include
-//! the rep index, so arbitrary faults are *expected* to break
-//! rep-relabel equivalence. [`check_rep_relabel_faulted`] closes that
-//! gap for plans that opt into rep-invariant fault keys
-//! (`rep_invariant_fault_keys`): under such a plan the fault draw
-//! survives relabeling, so the relation must hold even on a degraded
-//! corpus.
+//! Most relations run without a fault plan.
+//! [`check_rep_relabel_faulted`] runs the rep-relabel relation under
+//! one: the pipeline keys each experiment's fault draw by its identity
+//! without the rep index, so the draw survives relabeling and the
+//! relation must hold even on a degraded corpus.
 
 use crate::diff::diff_json;
 use crate::Violation;
@@ -35,12 +33,9 @@ use iot_testbed::schedule::{Campaign, CampaignConfig};
 const FAULTED_PLAN_SEED: u64 = 0xFA17ED;
 
 /// The plan of the faulted rep-relabel relation: every capture fault
-/// class at a uniform 1% rate, with fault keys made rep-invariant so
-/// relabeling repetitions preserves the fault draw.
+/// class at a uniform 1% rate.
 fn faulted_plan() -> iot_chaos::FaultPlan {
-    let mut plan = iot_chaos::FaultPlan::uniform(FAULTED_PLAN_SEED, 0.01);
-    plan.rep_invariant_fault_keys = true;
-    plan
+    iot_chaos::FaultPlan::uniform(FAULTED_PLAN_SEED, 0.01)
 }
 
 /// Generates the full experiment stream (controlled + idle) of a
@@ -107,24 +102,15 @@ pub fn check_rep_relabel(
     diff_violations("rep_relabel", baseline, &report)
 }
 
-/// The faulted twin of [`check_rep_relabel`]: with a plan whose fault
-/// keys are rep-invariant, relabeling every repetition *after*
+/// The faulted twin of [`check_rep_relabel`]: fault keys leave out the
+/// rep index, so under any plan relabeling every repetition *after*
 /// generation must leave even a degraded report byte-identical — the
 /// same experiments draw the same drops, truncations, and losses.
 /// Guards its own vacuity: a plan that never bites is a finding.
-///
-/// # Panics
-/// Panics if `plan` does not set `rep_invariant_fault_keys` (the
-/// relation is simply false for legacy keys, so calling it that way is
-/// a harness bug, not a pipeline defect).
 pub fn check_rep_relabel_faulted(
     experiments: &[LabeledExperiment],
     plan: iot_chaos::FaultPlan,
 ) -> Vec<Violation> {
-    assert!(
-        plan.rep_invariant_fault_keys,
-        "check_rep_relabel_faulted needs rep-invariant fault keys"
-    );
     let replay_faulted = |experiments: Vec<LabeledExperiment>| {
         let mut p = Pipeline::with_obs(false);
         p.set_fault_plan(plan);

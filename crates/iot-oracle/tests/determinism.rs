@@ -111,27 +111,20 @@ fn instrumentation_does_not_change_the_pipeline_report() {
     );
 }
 
-/// Serializes the tests that toggle the process-global allocator
-/// counting flag, so one cannot flip it mid-measurement of another.
-fn alloc_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[test]
 fn alloc_counting_does_not_change_the_pipeline_report() {
-    let _guard = alloc_test_lock();
-    let was = iot_obs::alloc::enabled();
-    iot_obs::alloc::set_enabled(false);
-    let plain = run(true, 1).0.to_json().dump();
-    iot_obs::alloc::set_enabled(true);
+    let plain = {
+        let _off = iot_obs::alloc::counting(false);
+        run(true, 1).0.to_json().dump()
+    };
+    let on = iot_obs::alloc::counting(true);
     let mut counted_reg = None;
     let (counted, v) = check_worker_grid("determinism_alloc", |workers| {
         let (report, reg) = run(true, workers);
         counted_reg.get_or_insert(reg);
         report
     });
-    iot_obs::alloc::set_enabled(was);
+    drop(on);
     assert_eq!(
         plain,
         counted.to_json().dump(),
@@ -152,9 +145,7 @@ fn alloc_counting_does_not_change_the_pipeline_report() {
 
 #[test]
 fn serial_allocation_totals_are_deterministic() {
-    let _guard = alloc_test_lock();
-    let was = iot_obs::alloc::enabled();
-    iot_obs::alloc::set_enabled(true);
+    let on = iot_obs::alloc::counting(true);
     // Warmup run: pays one-time global costs (interned span paths, lazy
     // statics) so the measured runs see identical starting state.
     let _ = report_json(1);
@@ -165,7 +156,7 @@ fn serial_allocation_totals_are_deterministic() {
     };
     let (a, report_a) = measure();
     let (b, report_b) = measure();
-    iot_obs::alloc::set_enabled(was);
+    drop(on);
     assert_eq!(report_a, report_b, "1-worker reports must repeat exactly");
     assert!(a.allocs > 0, "a full campaign surely allocates");
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Experiment runners (§3.3): power, interaction, and idle experiments,
 //! each producing a labeled per-device capture.
 
-use crate::device::{ActivitySpec, InteractionMethod};
+use crate::device::{ActivityKind, ActivitySpec, DeviceSpec, InteractionMethod};
 use crate::lab::DeviceInstance;
 use crate::traffic::TrafficGenerator;
 use crate::util::stable_seed;
@@ -61,6 +61,12 @@ impl LabeledExperiment {
     /// iterates `self.capture.views()` instead).
     pub fn packets(&self) -> Vec<Packet> {
         self.capture.to_packets()
+    }
+
+    /// The kind of this experiment's activity as `spec`, its device's
+    /// catalog entry, declares it; `None` without an activity.
+    pub fn activity_kind(&self, spec: &DeviceSpec) -> Option<ActivityKind> {
+        spec.activity(self.activity?).map(|a| a.kind)
     }
 }
 

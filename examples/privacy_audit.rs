@@ -9,7 +9,7 @@
 use intl_iot::analysis::encryption::{classify_flow, ClassBytes};
 use intl_iot::analysis::flows::ExperimentFlows;
 use intl_iot::analysis::pii::scan_experiment;
-use intl_iot::entropy::{EncryptionClass, Thresholds};
+use intl_iot::entropy::EncryptionClass;
 use intl_iot::geodb::registry::GeoDb;
 use intl_iot::testbed::experiment::{run_interaction, run_power};
 use intl_iot::testbed::lab::{Lab, LabSite};
@@ -25,7 +25,6 @@ const DEVICES: &[&str] = &[
 
 fn main() {
     let db = GeoDb::new();
-    let thresholds = Thresholds::default();
     for site in LabSite::all() {
         let lab = Lab::deploy(site);
         println!("===== {} lab =====", site.name());
@@ -51,7 +50,7 @@ fn main() {
             for exp in &experiments {
                 let flows = ExperimentFlows::from_experiment(exp);
                 for lf in &flows.flows {
-                    let class = classify_flow(lf, &thresholds);
+                    let class = classify_flow(lf);
                     let n = lf.flow.total_bytes();
                     match class {
                         EncryptionClass::LikelyUnencrypted => bytes.unencrypted += n,
